@@ -230,11 +230,20 @@ def _encode_key(key: Key) -> str:
     names, window numbers) encode exactly as before, so existing
     digests are unchanged -- but a domain containing a pipe can no
     longer silently split into extra key parts on reload (the
-    round-trip bug this replaces)."""
+    round-trip bug this replaces).
+
+    The plain join *is* the encoding whenever no part needs an
+    escape, and it shows that itself: no backslash, and exactly the
+    separators the join put there."""
+    text = _SEP.join(key)
+    if "\\" not in text and text.count(_SEP) == len(key) - 1:
+        return text
     return _SEP.join(_escape_part(part) for part in key)
 
 
 def _decode_key(text: str) -> Key:
+    if "\\" not in text:       # nothing escaped: every | separates
+        return tuple(text.split(_SEP))
     parts: List[str] = []
     current: List[str] = []
     index = 0

@@ -39,8 +39,8 @@ from typing import Optional, Tuple
 
 from repro.backend.rollups import RollupConfig, RollupStore
 from repro.obs import Observability
-from repro.store.encoding import FRAME_OK, frame, read_frame
-from repro.store.segments import SegmentReader, _encode_block
+from repro.store.encoding import FRAME_OK, decode_rows, frame, read_frame
+from repro.store.segments import _encode_block
 
 MAGIC = b"MOPCKP1\n"
 TAIL_MAGIC = b"MOPCKPF1"
@@ -132,7 +132,10 @@ def read_checkpoint(path: str) -> Tuple[RollupStore, int]:
                 "table %r block undeflatable in %s: %s"
                 % (name, path, exc))
         try:
-            decoded = _decode_rows(rows)
+            # The first checkpoint writer sorted rows by key tuple
+            # and the schema number has not moved since, so either
+            # row order is a valid file.
+            decoded = decode_rows(rows, legacy_order=True)
         except (ValueError, IndexError) as exc:
             raise CheckpointCorruption(
                 "table %r rows undecodable in %s: %s"
@@ -142,12 +145,6 @@ def read_checkpoint(path: str) -> Tuple[RollupStore, int]:
     if pos != len(data) - len(TAIL_MAGIC):
         raise CheckpointCorruption("trailing garbage in %s" % path)
     return store, int(header["covers_gen"])
-
-
-def _decode_rows(payload: bytes):
-    from repro.store.encoding import read_uvarint
-    n_rows, _pos = read_uvarint(payload, 0)
-    return SegmentReader._decode_rows(payload, n_rows)
 
 
 __all__ = ["CHECKPOINT_SCHEMA", "CheckpointCorruption", "MAGIC",

@@ -1,6 +1,6 @@
 """Byte-level codecs shared by the WAL and segment formats.
 
-Three small, composable pieces:
+Four small, composable pieces:
 
 * **uvarint** -- unsigned LEB128, the variable-length integer both
   file formats build on.
@@ -20,15 +20,23 @@ Three small, composable pieces:
   histograms (the common case: a handful of occupied 0.25 ms bins)
   collapse to a few bytes each, which is where the segment format's
   size win over the JSON snapshot comes from.
+* **row decoder** -- :func:`decode_rows`, the one reader of the
+  ``varint n_rows + (varint key-length, key utf-8, hist) x n`` payload
+  that segment blocks and checkpoint tables share.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import List, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.backend.rollups import MergeHist
+from repro.backend.rollups import (
+    Key,
+    MergeHist,
+    _decode_key,
+    _encode_key,
+)
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -140,21 +148,107 @@ def encode_hist(out: bytearray, hist: MergeHist) -> None:
 
 
 def decode_hist(data: bytes, pos: int) -> Tuple[MergeHist, int]:
+    """Decode one histogram at ``pos``; returns ``(hist, new_pos)``.
+
+    This runs once per row of every block :func:`decode_rows` reads,
+    so the common one-byte varint is read inline; :func:`read_uvarint`
+    takes the multi-byte ones and keeps the truncation / oversize
+    checks.  A payload cut short on a varint boundary surfaces as
+    ``IndexError`` rather than ``ValueError``."""
     hist = MergeHist()
-    hist.count, pos = read_uvarint(data, pos)
-    hist.overflow, pos = read_uvarint(data, pos)
-    n_entries, pos = read_uvarint(data, pos)
-    index = 0
-    for entry in range(n_entries):
-        delta, pos = read_uvarint(data, pos)
-        index = delta if entry == 0 else index + delta + 1
-        count, pos = read_uvarint(data, pos)
-        hist.bins[index] = count + 1
+    value = data[pos]
+    pos += 1
+    if value >= 0x80:
+        value, pos = read_uvarint(data, pos - 1)
+    hist.count = value
+    value = data[pos]
+    pos += 1
+    if value >= 0x80:
+        value, pos = read_uvarint(data, pos - 1)
+    hist.overflow = value
+    n_entries = data[pos]
+    pos += 1
+    if n_entries >= 0x80:
+        n_entries, pos = read_uvarint(data, pos - 1)
+    bins = hist.bins
+    index = -1           # so the first, absolute index needs no branch
+    for _entry in range(n_entries):
+        value = data[pos]
+        pos += 1
+        if value >= 0x80:
+            value, pos = read_uvarint(data, pos - 1)
+        index += value + 1
+        value = data[pos]
+        pos += 1
+        if value >= 0x80:
+            value, pos = read_uvarint(data, pos - 1)
+        bins[index] = value + 1
     return hist, pos
+
+
+# -- row payloads -----------------------------------------------------------
+
+
+def decode_rows(payload: bytes, expected_rows: Optional[int] = None,
+                legacy_order: bool = False) -> Dict[Key, MergeHist]:
+    """Decode one inflated row payload -- a segment block or a whole
+    checkpoint table -- into ``{key: hist}`` **in encoded-key order**.
+
+    Rows are written sorted by encoded key, and utf-8 byte order is
+    code-point order, so the raw key bytes must be strictly ascending;
+    a payload where they are not is rejected.  Readers lean on that:
+    the dict this returns iterates in encoded-key order, which is what
+    lets :class:`~repro.store.segments.SegmentReader` walk a cached
+    block without re-sorting it.
+
+    ``legacy_order`` is for payloads the first writers may have
+    produced -- schema-1 segment blocks, and checkpoints, whose schema
+    number has not moved since.  Those sorted rows by key *tuple*,
+    which differs from encoded-key order wherever one part is a prefix
+    of another (``1|...`` sorts above ``10|...``: the separator is
+    above every digit).  Such a payload is valid: it is put into
+    encoded-key order here, once per decode, instead of refused.
+
+    Raises ``ValueError`` (``IndexError`` where a truncated payload
+    ends on a varint boundary) on anything malformed, a repeated key
+    included; ``expected_rows`` is the count the caller's index
+    recorded, when it has one.
+    """
+    n_rows, pos = read_uvarint(payload, 0)
+    if expected_rows is not None and n_rows != expected_rows:
+        raise ValueError("row count %d != footer's %d"
+                         % (n_rows, expected_rows))
+    table: Dict[Key, MergeHist] = {}
+    end = len(payload)
+    previous = None
+    in_order = True
+    for _ in range(n_rows):
+        key_len = payload[pos]
+        pos += 1
+        if key_len >= 0x80:
+            key_len, pos = read_uvarint(payload, pos - 1)
+        key_end = pos + key_len
+        if key_end > end:
+            raise ValueError("key runs past the payload")
+        raw = payload[pos:key_end]
+        if previous is not None and raw <= previous:
+            if not legacy_order:
+                raise ValueError("rows out of key order")
+            in_order = False
+        previous = raw
+        table[_decode_key(raw.decode("utf-8"))], pos = \
+            decode_hist(payload, key_end)
+    if len(table) != n_rows:
+        raise ValueError("repeated key")
+    if not in_order:
+        table = dict(sorted(table.items(),
+                            key=lambda row: _encode_key(row[0])))
+    return table
 
 
 __all__ = [
     "FRAME_CORRUPT", "FRAME_END", "FRAME_HEADER_BYTES", "FRAME_OK",
-    "FRAME_TORN", "decode_hist", "encode_hist", "frame", "pack_u64",
-    "read_frame", "read_uvarint", "unpack_u64", "write_uvarint",
+    "FRAME_TORN", "decode_hist", "decode_rows", "encode_hist", "frame",
+    "pack_u64", "read_frame", "read_uvarint", "unpack_u64",
+    "write_uvarint",
 ]

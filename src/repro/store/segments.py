@@ -49,7 +49,8 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.backend.rollups import (
@@ -57,7 +58,6 @@ from repro.backend.rollups import (
     MergeHist,
     RollupConfig,
     RollupStore,
-    _decode_key,
     _encode_key,
 )
 from repro.obs import Observability
@@ -230,6 +230,11 @@ class SegmentReader:
             name: self._normalize_entry(name)
             for name in RollupStore.TABLES
         }
+        #: Per table, every block's zone-map ``max`` in block order --
+        #: ascending, so :meth:`get` bisects it.  Filled by a table's
+        #: first point read, not here: every snapshot opens every
+        #: segment, and panels never call ``get``.
+        self._block_maxes: Dict[str, List[str]] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -346,7 +351,11 @@ class SegmentReader:
 
     def _decode_block(self, name: str, index: int
                       ) -> Tuple[Dict[Key, MergeHist], int]:
-        from repro.store.encoding import FRAME_OK, read_frame
+        from repro.store.encoding import (
+            FRAME_OK,
+            decode_rows,
+            read_frame,
+        )
 
         entry = self._tables[name]["blocks"][index]
         buffer = self._read_at(int(entry["offset"]),
@@ -363,30 +372,16 @@ class SegmentReader:
                 "table %r block %d undeflatable in %s: %s"
                 % (name, index, self.path, exc))
         try:
-            rows = self._decode_rows(payload, int(entry["rows"]))
+            # A block without a zone map is a schema-1 table, whose
+            # writer sorted rows by key tuple: valid, reordered once
+            # here.  A zone-mapped block out of order is corrupt.
+            rows = decode_rows(payload, int(entry["rows"]),
+                               legacy_order=entry["min"] is None)
         except (ValueError, IndexError) as exc:
             raise SegmentCorruption(
                 "table %r block %d rows undecodable in %s: %s"
                 % (name, index, self.path, exc))
         return rows, len(payload)
-
-    @staticmethod
-    def _decode_rows(payload: bytes, expected_rows: int
-                     ) -> Dict[Key, MergeHist]:
-        from repro.store.encoding import decode_hist, read_uvarint
-
-        table: Dict[Key, MergeHist] = {}
-        n_rows, pos = read_uvarint(payload, 0)
-        if n_rows != expected_rows:
-            raise ValueError("row count %d != footer's %d"
-                             % (n_rows, expected_rows))
-        for _ in range(n_rows):
-            key_len, pos = read_uvarint(payload, pos)
-            key = _decode_key(payload[pos:pos + key_len].decode("utf-8"))
-            pos += key_len
-            hist, pos = decode_hist(payload, pos)
-            table[key] = hist
-        return table
 
     # -- the read path -------------------------------------------------
 
@@ -409,15 +404,22 @@ class SegmentReader:
             self.obs.inc("store.blocks_pruned", skipped)
 
     def get(self, name: str, key: Key) -> Optional[MergeHist]:
-        """Zone-map point read: opens at most one block."""
+        """Zone-map point read: bisects the blocks' ``max`` keys and
+        opens at most one block."""
         blocks = self._tables[name]["blocks"]
-        encoded = _encode_key(tuple(key))
-        for index, entry in enumerate(blocks):
-            if self._block_holds(entry, encoded):
-                self._prune(len(blocks) - 1)
-                return self._load_block(name, index).get(tuple(key))
-            if entry["max"] is not None and entry["max"] > encoded:
-                break
+        key = tuple(key)
+        encoded = _encode_key(key)
+        maxes = self._block_maxes.get(name)
+        if maxes is None:
+            maxes = self._block_maxes[name] = [
+                block["max"] for block in blocks
+                if block["max"] is not None]
+        # A schema-1 table is one block with no zone map to bisect.
+        index = bisect_left(maxes, encoded) if maxes else 0
+        if index < len(blocks) and \
+                self._block_holds(blocks[index], encoded):
+            self._prune(len(blocks) - 1)
+            return self._load_block(name, index).get(key)
         self._prune(len(blocks))
         return None
 
@@ -503,17 +505,17 @@ class SegmentReader:
             if not candidate:
                 skipped += 1
                 continue
-            rows = self._load_block(name, index)
-            for key in sorted(rows, key=_encode_key):
+            # A decoded block iterates in encoded-key order:
+            # decode_rows refuses (or, schema 1, reorders) any other.
+            for key, hist in self._load_block(name, index).items():
                 if key[:n] in wanted:
-                    yield key, rows[key]
+                    yield key, hist
         self._prune(skipped)
 
     def iter_table(self, name: str) -> Iterator[Tuple[Key, MergeHist]]:
+        """Every row of the table, in encoded-key order."""
         for index in range(len(self._tables[name]["blocks"])):
-            rows = self._load_block(name, index)
-            for key in sorted(rows, key=_encode_key):
-                yield key, rows[key]
+            yield from self._load_block(name, index).items()
 
     def table(self, name: str) -> Dict[Key, MergeHist]:
         """The whole table, merged across its blocks (a full scan)."""

@@ -19,6 +19,27 @@ from repro.sim import Constant, Simulator
 from repro.sim.distributions import Distribution
 
 
+def hand_built_row_block(raw_keys, key_len=None):
+    """A row block made by hand from raw key bytes *in the order
+    given* (each with the same one-sample histogram), deflated and
+    CRC-framed as the segment and checkpoint writers frame theirs --
+    so only the row decoder can tell it from a written one.
+    ``key_len`` overrides every row's declared key length."""
+    from repro.backend.rollups import MergeHist
+    from repro.store import encoding
+
+    hist = MergeHist()
+    hist.add(8.0)
+    payload = bytearray()
+    encoding.write_uvarint(payload, len(raw_keys))
+    for raw in raw_keys:
+        encoding.write_uvarint(
+            payload, len(raw) if key_len is None else key_len)
+        payload.extend(raw)
+        encoding.encode_hist(payload, hist)
+    return encoding.frame(zlib.compress(bytes(payload), 9))
+
+
 class World:
     """A simulator + internet + one device + standard servers."""
 

@@ -171,6 +171,47 @@ class TestPrunedVersusScan:
                 < after.delta_since(mid).blocks_read
         view.close()
 
+    def test_cached_blocks_are_walked_not_resorted(self, tmp_path,
+                                                   monkeypatch):
+        """A count, so it cannot be noisy: over blocks already in the
+        cache, a prefix scan encodes each prefix once (its range) and
+        a table scan encodes nothing -- never a key per row -- yet
+        both yield in encoded-key order, and the panel built on them
+        is the ``scan=True`` panel byte for byte."""
+        from repro.backend.rollups import _encode_key
+        from repro.store import segments
+
+        engine, obs = _engine(tmp_path)
+        engine.append_records(_records(900))
+        view = QueryEngine(engine, obs=obs).snapshot()
+        assert len(view.readers) >= 2
+        prefixes = [(str(window), "Op2") for window in view.windows()]
+        for reader in view.readers:                  # fill the cache
+            rows = sum(1 for _row in reader.iter_table("network"))
+            assert rows > len(prefixes)
+        calls = []
+        monkeypatch.setattr(
+            segments, "_encode_key",
+            lambda key: calls.append(key) or _encode_key(key))
+        for reader in view.readers:
+            misses = view.stats.cache_misses
+            del calls[:]
+            hits = list(reader.scan_prefixes("network", prefixes))
+            assert len(calls) <= len(prefixes)
+            del calls[:]
+            scanned = list(reader.iter_table("network"))
+            assert calls == []
+            assert view.stats.cache_misses == misses
+            for yielded in (hits, scanned):
+                encoded = [_encode_key(key) for key, _hist in yielded]
+                assert encoded == sorted(encoded)
+            assert hits == [(key, hist) for key, hist in scanned
+                            if key[:2] in prefixes]
+            assert hits
+        assert _canonical(view.network_panel("Op2")) \
+            == _canonical(view.network_panel("Op2", scan=True))
+        view.close()
+
     def test_modality_sections_byte_identical_pruned_vs_scan(
             self, tmp_path):
         """The app panel's throughput/energy/AoI sections are served

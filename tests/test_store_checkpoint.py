@@ -5,13 +5,23 @@ seeding, and sharded-WAL digest parity."""
 import json
 import os
 
+import pytest
+
 from repro.backend.rollups import RollupStore
 from repro.core.persist import record_to_line
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability
 from repro.store import StoreConfig, StoreEngine
-from repro.store.checkpoint import TAIL_MAGIC
+from repro.store import encoding
+from repro.store.checkpoint import (
+    MAGIC,
+    TAIL_MAGIC,
+    CheckpointCorruption,
+    read_checkpoint,
+    write_checkpoint,
+)
 from repro.store.engine import QUARANTINE_DIR
+from tests.conftest import hand_built_row_block
 
 
 def _rec(kind="TCP", rtt=100.0, ts=0.0, domain=None, operator="OpA",
@@ -196,6 +206,58 @@ class TestCrashWindows:
         assert info.checkpoints_quarantined == 1
         assert info.wal_records == 130
         assert engine.memtable.digest() == _reference(records).digest()
+
+
+class TestRowOrder:
+    """Checkpoint tables go through the segment blocks' row decoder.
+    The checkpoint schema number has not moved since its first writer,
+    which sorted rows by key tuple rather than by encoded key, so a
+    table in either order is a valid file; a CRC-valid table that
+    repeats a key is the checkpoint's typed corruption."""
+
+    def _checkpoint(self, tmp_path, raw_keys):
+        """An empty store's checkpoint with its first table swapped
+        for hand-built rows."""
+        path = str(tmp_path / "hand.ckpt")
+        write_checkpoint(path, RollupStore(), covers_gen=1)
+        data = open(path, "rb").read()
+        _header, tables_at, _status = encoding.read_frame(
+            data, len(MAGIC))
+        _empty, rest_at, _status = encoding.read_frame(data, tables_at)
+        block = hand_built_row_block(raw_keys)
+        open(path, "wb").write(data[:tables_at] + block
+                               + data[rest_at:])
+        return path
+
+    def test_hand_built_table_in_key_order_reads(self, tmp_path):
+        path = self._checkpoint(
+            tmp_path, [b"0|OpA|WIFI|DNS", b"0|OpB|WIFI|DNS"])
+        store, covers_gen = read_checkpoint(path)
+        assert covers_gen == 1
+        assert list(store.tables[RollupStore.TABLES[0]]) \
+            == [("0", "OpA", "WIFI", "DNS"), ("0", "OpB", "WIFI", "DNS")]
+
+    def test_first_writers_row_order_still_reads(self, tmp_path):
+        """Tuple order: window 1 before window 10, OpA before OpA2 --
+        the reverse of encoded-key order, ``|`` sorting above digits
+        and letters."""
+        raw_keys = [b"1|OpA|WIFI|DNS", b"1|OpA2|WIFI|DNS",
+                    b"10|OpA|WIFI|DNS"]
+        assert raw_keys != sorted(raw_keys)
+        store, _covers_gen = read_checkpoint(
+            self._checkpoint(tmp_path, raw_keys))
+        table = store.tables[RollupStore.TABLES[0]]
+        assert list(table) == [("10", "OpA", "WIFI", "DNS"),
+                               ("1", "OpA2", "WIFI", "DNS"),
+                               ("1", "OpA", "WIFI", "DNS")]
+        assert all(hist.count == 1 for hist in table.values())
+
+    def test_table_repeating_a_key_rejected(self, tmp_path):
+        path = self._checkpoint(
+            tmp_path, [b"0|OpB|WIFI|DNS", b"0|OpA|WIFI|DNS",
+                       b"0|OpB|WIFI|DNS"])
+        with pytest.raises(CheckpointCorruption, match="repeated key"):
+            read_checkpoint(path)
 
 
 class TestDedupAndStreaming:

@@ -4,12 +4,18 @@ The durable formats (JSON snapshot and segment files) both promise
 ``load(save(s)).digest() == s.digest()`` for *any* store: empty,
 single-bin histograms, keys containing the separator character,
 failure-only ingest.  Hypothesis drives the record generator; the
-schema-version gate gets its own explicit cases."""
+schema-version gate gets its own explicit cases.
+
+The fast paths ride on references written here: the key codec against
+the character-by-character escaping codec, and ``decode_rows`` /
+``decode_hist`` against decoders made of one ``read_uvarint`` call per
+integer -- on well-formed payloads, on the first writers' row order,
+and on arbitrary truncations and bit-flips of them."""
 
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.backend.rollups import (
@@ -19,9 +25,21 @@ from repro.backend.rollups import (
     RollupStore,
     _decode_key,
     _encode_key,
+    _escape_part,
 )
 from repro.core.records import MeasurementRecord
-from repro.store.segments import SegmentReader, write_segment
+from repro.store.encoding import (
+    decode_hist,
+    decode_rows,
+    encode_hist,
+    read_uvarint,
+    write_uvarint,
+)
+from repro.store.segments import (
+    SegmentReader,
+    _encode_block,
+    write_segment,
+)
 
 _SETTINGS = dict(
     max_examples=25, deadline=None,
@@ -118,11 +136,63 @@ class TestSnapshotRoundTrip:
         assert loaded.digest() == store.digest()
 
 
+def _reference_decode_key(text):
+    """The escaping decoder, one character at a time: a backslash
+    takes the next character literally (a trailing one stands for
+    itself), a bare ``|`` ends a part."""
+    parts, current, index = [], [], 0
+    while index < len(text):
+        char = text[index]
+        if char == "\\" and index + 1 < len(text):
+            current.append(text[index + 1])
+            index += 2
+            continue
+        if char == "|":
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(char)
+        index += 1
+    parts.append("".join(current))
+    return tuple(parts)
+
+
+#: Key parts of every awkward shape: empty, non-ASCII, holding the
+#: separator, the escape character, or ending in one.
+_parts = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["", "|", "\\", "a\\", "a|b", "\\|", "|\\",
+                     "d\u00e9j\u00e0.example", "\u4e2d\u56fd\u79fb\u52a8",
+                     "\U0001f4f6"]),
+    st.text(alphabet="ab|\\\u00e9", max_size=8))
+_keys = st.lists(_parts, min_size=1, max_size=4).map(tuple)
+
+
 class TestKeyEncoding:
     @given(key=st.lists(_names, min_size=1, max_size=4))
     @settings(**_SETTINGS)
     def test_any_printable_key_round_trips(self, key):
         assert _decode_key(_encode_key(tuple(key))) == tuple(key)
+
+    @given(key=_keys)
+    @example(key=("0", "Cobalt Wifi", "WIFI", "TCP"))
+    @example(key=("",))
+    @example(key=("a\\",))
+    @settings(max_examples=300, deadline=None)
+    def test_fast_and_escaping_paths_agree(self, key):
+        """Whichever path ``_encode_key`` takes, the text is the
+        escaped join; whichever ``_decode_key`` takes, it undoes it."""
+        text = _encode_key(key)
+        assert text == "|".join(_escape_part(part) for part in key)
+        assert _decode_key(text) == key
+        assert _reference_decode_key(text) == key
+
+    @given(text=st.text(alphabet="ab|\\\u00e9", max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_decode_matches_the_reference_on_any_text(self, text):
+        """Also on text no encoder wrote: a dangling escape, an
+        escaped ordinary character."""
+        assert _decode_key(text) == _reference_decode_key(text)
 
     def test_separator_in_key_no_longer_splits(self):
         """Regression: an operator named ``A|B`` used to come back as
@@ -141,6 +211,173 @@ class TestKeyEncoding:
         assert loaded.digest() == store.digest()
         assert ("0", "Evil|Op", "WIFI", "TCP") in \
             loaded.tables["network"]
+
+
+def _reference_decode_hist(data, pos):
+    """The hist codec read back one ``read_uvarint`` call per integer."""
+    hist = MergeHist()
+    hist.count, pos = read_uvarint(data, pos)
+    hist.overflow, pos = read_uvarint(data, pos)
+    n_entries, pos = read_uvarint(data, pos)
+    index = 0
+    for entry in range(n_entries):
+        delta, pos = read_uvarint(data, pos)
+        index = delta if entry == 0 else index + delta + 1
+        count, pos = read_uvarint(data, pos)
+        hist.bins[index] = count + 1
+    return hist, pos
+
+
+def _reference_decode_rows(payload, expected_rows=None,
+                           legacy_order=False):
+    """``decode_rows`` from ``read_uvarint`` alone, one call per
+    varint and one character per step of the key."""
+    n_rows, pos = read_uvarint(payload, 0)
+    if expected_rows is not None and n_rows != expected_rows:
+        raise ValueError("row count mismatch")
+    rows = []
+    for _ in range(n_rows):
+        key_len, pos = read_uvarint(payload, pos)
+        raw = payload[pos:pos + key_len]
+        if len(raw) != key_len:
+            raise ValueError("key runs past the payload")
+        pos += key_len
+        hist, pos = _reference_decode_hist(payload, pos)
+        rows.append((raw, _reference_decode_key(raw.decode("utf-8")),
+                     hist))
+    raws = [raw for raw, _key, _hist in rows]
+    if len({key for _raw, key, _hist in rows}) != n_rows:
+        raise ValueError("repeated key")
+    if raws != sorted(raws):
+        if not legacy_order:
+            raise ValueError("rows out of key order")
+        rows.sort(key=lambda row: _encode_key(row[1]))
+    return {key: hist for _raw, key, hist in rows}
+
+
+def _outcome(decode, payload, expected_rows, legacy_order=False):
+    """What a decoder makes of ``payload``: the rows in the order it
+    returns them, or ``None`` for the two errors its callers turn
+    into their typed corruption.  Anything else escapes."""
+    try:
+        table = decode(payload, expected_rows, legacy_order)
+    except (ValueError, IndexError):
+        return None
+    return [(key, hist.count, hist.overflow, sorted(hist.bins.items()))
+            for key, hist in table.items()]
+
+
+def _hist_of(count, overflow, bins):
+    hist = MergeHist()
+    hist.count, hist.overflow, hist.bins = count, overflow, dict(bins)
+    return hist
+
+
+_hists = st.builds(
+    _hist_of,
+    count=st.integers(min_value=0, max_value=1 << 40),
+    overflow=st.integers(min_value=0, max_value=300),
+    bins=st.dictionaries(st.integers(min_value=0, max_value=31_999),
+                         st.integers(min_value=1, max_value=100_000),
+                         max_size=12))
+_tables = st.dictionaries(_keys, _hists, max_size=12)
+
+#: Every multi-byte varint position at once: counts >= 128, the top
+#: bin index, a key longer than 127 bytes, plus the awkward key parts.
+_AWKWARD_TABLE = {
+    ("0", "x" * 200, "WIFI", "TCP"): _hist_of(129, 128, {31_999: 128}),
+    ("0", "\u4e2d\u56fd\u79fb\u52a8", "LTE", "TCP"):
+        _hist_of(3, 0, {0: 1, 1: 1, 130: 1}),
+    ("0", "Evil|Op", "a\\"): _hist_of(1, 0, {260: 1}),
+    ("", ""): _hist_of(16_384, 0, {5: 16_384}),
+    ("\\",): _hist_of(0, 0, {}),
+}
+
+
+class TestRowDecoder:
+    @given(table=_tables)
+    @example(table=_AWKWARD_TABLE)
+    @example(table={})
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_reference_on_any_table(self, table):
+        payload, n_rows = _encode_block(table)
+        rows = _outcome(decode_rows, payload, n_rows)
+        assert rows is not None
+        assert rows == _outcome(_reference_decode_rows, payload, n_rows)
+        assert rows == _outcome(decode_rows, payload, None)
+        # Stored order is encoded-key order, and nothing is lost.
+        assert [key for key, *_rest in rows] \
+            == sorted(table, key=_encode_key)
+        assert {key: bins for key, _c, _o, bins in rows} \
+            == {key: sorted(hist.bins.items())
+                for key, hist in table.items()}
+        assert _outcome(decode_rows, payload, n_rows + 1) is None
+
+    @given(table=_tables, at=st.integers(min_value=0),
+           bit=st.one_of(st.none(), st.integers(0, 7)))
+    @example(table=_AWKWARD_TABLE, at=1, bit=7)
+    @example(table=_AWKWARD_TABLE, at=207, bit=None)
+    @settings(max_examples=400, deadline=None)
+    def test_damaged_payloads_are_classified_like_the_reference(
+            self, table, at, bit):
+        """Cut the payload at ``at`` (``bit`` None) or flip one bit
+        there: either both decoders return the same rows or both
+        raise ValueError/IndexError -- never anything else, never a
+        different answer."""
+        payload, n_rows = _encode_block(table)
+        at %= len(payload)
+        if bit is None:
+            damaged = payload[:at]
+        else:
+            damaged = (payload[:at] + bytes([payload[at] ^ (1 << bit)])
+                       + payload[at + 1:])
+        for expected in (n_rows, None):
+            for legacy_order in (False, True):
+                assert _outcome(decode_rows, damaged, expected,
+                                legacy_order) \
+                    == _outcome(_reference_decode_rows, damaged,
+                                expected, legacy_order)
+
+    @given(table=_tables)
+    @example(table={("1", "OpA"): _hist_of(1, 0, {4: 1}),
+                    ("10", "OpA"): _hist_of(2, 0, {4: 2}),
+                    ("1", "OpA2"): _hist_of(3, 0, {4: 3})})
+    @settings(max_examples=150, deadline=None)
+    def test_first_writers_row_order_is_put_in_key_order(self, table):
+        """Schema-1 writers stored rows sorted by key tuple.  Read as
+        such a payload it decodes to exactly what the same table
+        written today does; read as a current block it is refused
+        whenever the two orders differ."""
+        payload, n_rows = _encode_block(table)
+        legacy = bytearray()
+        write_uvarint(legacy, len(table))
+        for key in sorted(table):
+            raw = _encode_key(key).encode("utf-8")
+            write_uvarint(legacy, len(raw))
+            legacy.extend(raw)
+            encode_hist(legacy, table[key])
+        legacy = bytes(legacy)
+        rows = _outcome(decode_rows, payload, n_rows)
+        assert _outcome(decode_rows, legacy, n_rows, True) == rows
+        assert _outcome(_reference_decode_rows, legacy, n_rows, True) \
+            == rows
+        assert _outcome(decode_rows, legacy, n_rows) \
+            == (rows if legacy == payload else None)
+
+    @given(hist=_hists, cut=st.integers(min_value=0))
+    @settings(max_examples=150, deadline=None)
+    def test_hist_decoder_agrees_with_the_reference(self, hist, cut):
+        out = bytearray(b"\x00")
+        encode_hist(out, hist)
+        data = bytes(out)
+        decoded, pos = decode_hist(data, 1)
+        reference, reference_pos = _reference_decode_hist(data, 1)
+        assert pos == reference_pos == len(data)
+        assert (decoded.count, decoded.overflow, decoded.bins) \
+            == (reference.count, reference.overflow, reference.bins) \
+            == (hist.count, hist.overflow, hist.bins)
+        with pytest.raises((ValueError, IndexError)):
+            decode_hist(data[:1 + cut % (len(data) - 1)], 1)
 
 
 class TestSchemaGate:

@@ -2,6 +2,9 @@
 reads, the sparse hist codec, and corruption detection (every block
 carries its own CRC; a lying file raises, never serves)."""
 
+import json
+import zlib
+
 import pytest
 
 from repro.backend.rollups import MergeHist, RollupConfig, RollupStore
@@ -9,14 +12,18 @@ from repro.core.records import MeasurementRecord
 from repro.obs import Observability
 from repro.backend.rollups import _encode_key
 from repro.store.blockcache import BlockCache
+from repro.store import encoding
 from repro.store.encoding import decode_hist, encode_hist
 from repro.store.segments import (
+    MAGIC,
     ReadStats,
     SEGMENT_SCHEMA,
     SegmentCorruption,
     SegmentReader,
+    TAIL_MAGIC,
     write_segment,
 )
+from tests.conftest import hand_built_row_block
 
 
 def _rec(kind="TCP", rtt=100.0, ts=0.0, domain=None, operator="OpA",
@@ -40,6 +47,41 @@ def _populated_store():
     store.add(_rec(domain="mmx.whatsapp.net", rtt=55.0))
     store.add(_rec(rtt=1.0, failure="timeout"))
     return store
+
+
+def _write_v1_segment(path, store, seq):
+    """The schema-1 layout as its writer (PR 5) produced it: one
+    unindexed block per table, rows sorted by key *tuple* -- not by
+    encoded key, which is where ``1|...`` comes after ``10|...`` --
+    and a footer with neither zone maps nor a windows list."""
+    parts = [MAGIC]
+    offset = len(MAGIC)
+    index = {}
+    for name in RollupStore.TABLES:
+        table = store.tables[name]
+        payload = bytearray()
+        encoding.write_uvarint(payload, len(table))
+        for key in sorted(table):
+            encoded = _encode_key(key).encode("utf-8")
+            encoding.write_uvarint(payload, len(encoded))
+            payload.extend(encoded)
+            encode_hist(payload, table[key])
+        block = encoding.frame(zlib.compress(bytes(payload), 9))
+        parts.append(block)
+        index[name] = {"offset": offset, "length": len(block),
+                       "rows": len(table)}
+        offset += len(block)
+    footer = {"schema": 1, "seq": seq,
+              "config": store.config.to_dict(),
+              "records": store.records,
+              "failure_records": store.failure_records,
+              "tables": index}
+    parts.append(encoding.frame(json.dumps(
+        footer, sort_keys=True, separators=(",", ":")).encode()))
+    parts.append(encoding.pack_u64(offset))
+    parts.append(TAIL_MAGIC)
+    with open(path, "wb") as handle:
+        handle.write(b"".join(parts))
 
 
 class TestHistCodec:
@@ -183,6 +225,67 @@ class TestSegmentCorruption:
         with pytest.raises(SegmentCorruption, match="unreadable"):
             SegmentReader(str(tmp_path / "nope.seg"))
 
+    def _dns_only_segment(self, tmp_path, raw_keys, key_len=None):
+        """A segment whose single row block was built by hand from
+        ``raw_keys`` as given, and indexed like a written one."""
+        store = RollupStore()
+        for operator in ("OpA", "OpB"):
+            store.add(_rec(kind="DNS", rtt=8.0, operator=operator))
+        assert [name for name in RollupStore.TABLES
+                if store.tables[name]] == ["network"]
+        path = str(tmp_path / "seg.seg")
+        write_segment(path, store, seq=1)
+        block = hand_built_row_block(raw_keys, key_len)
+        data = open(path, "rb").read()
+        offset = encoding.unpack_u64(data, len(data) - 16)
+        payload, _end, _status = encoding.read_frame(data, offset)
+        footer = json.loads(payload)
+        (entry,) = footer["tables"]["network"]["blocks"]
+        entry["length"] = len(block)
+        body = data[:entry["offset"]] + block
+        footer_frame = encoding.frame(json.dumps(
+            footer, sort_keys=True, separators=(",", ":")).encode())
+        open(path, "wb").write(body + footer_frame
+                               + encoding.pack_u64(len(body)) + data[-8:])
+        return path
+
+    def test_hand_built_block_in_key_order_reads(self, tmp_path):
+        path = self._dns_only_segment(
+            tmp_path, [b"0|OpA|WIFI|DNS", b"0|OpB|WIFI|DNS"])
+        reader = SegmentReader(path)
+        reader.verify()
+        assert [key for key, _hist in reader.iter_table("network")] \
+            == [("0", "OpA", "WIFI", "DNS"), ("0", "OpB", "WIFI", "DNS")]
+
+    @pytest.mark.parametrize("raw_keys", [
+        [b"0|OpB|WIFI|DNS", b"0|OpA|WIFI|DNS"],      # descending
+        [b"0|OpA|WIFI|DNS", b"0|OpA|WIFI|DNS"],      # not *strictly* up
+    ])
+    def test_crc_valid_block_out_of_key_order_rejected(self, tmp_path,
+                                                       raw_keys):
+        """The scans yield a decoded block in the order it was stored
+        and never re-sort it, so a block stored in any other order
+        must not decode at all."""
+        path = self._dns_only_segment(tmp_path, raw_keys)
+        reader = SegmentReader(path)          # footer and CRCs are fine
+        with pytest.raises(SegmentCorruption,
+                           match="rows out of key order"):
+            reader.get("network", ("0", "OpA", "WIFI", "DNS"))
+        with pytest.raises(SegmentCorruption,
+                           match="rows out of key order"):
+            list(reader.scan_prefix("network", ("0",)))
+        with pytest.raises(SegmentCorruption,
+                           match="rows out of key order"):
+            reader.verify()
+
+    def test_key_length_past_the_payload_rejected(self, tmp_path):
+        path = self._dns_only_segment(
+            tmp_path, [b"0|OpA|WIFI|DNS", b"0|OpB|WIFI|DNS"],
+            key_len=200)
+        with pytest.raises(SegmentCorruption,
+                           match="key runs past the payload"):
+            SegmentReader(path).verify()
+
 
 class TestZoneMaps:
     """v2 block splitting: zone-map pruning must give byte-identical
@@ -232,6 +335,44 @@ class TestZoneMaps:
         assert stats.blocks_read == 0
         assert stats.blocks_pruned == len(reader.blocks("app"))
 
+    def test_point_read_bisects_the_zone_maps(self, tmp_path,
+                                              monkeypatch):
+        """``get`` compares the key with one block's zone map, not
+        with every block's up to the match -- for hits, for keys in
+        the gap between two blocks and for keys outside them all --
+        and still counts reads and prunes as the linear walk did."""
+        store, reader, stats = self._reader(tmp_path, block_rows=2)
+        blocks = reader.blocks("app")
+        assert len(blocks) >= 8
+        compared = []
+        holds = SegmentReader._block_holds
+        monkeypatch.setattr(
+            SegmentReader, "_block_holds",
+            staticmethod(lambda entry, encoded:
+                         compared.append(encoded) or holds(entry, encoded)))
+        present = sorted(store.tables["app"])
+        absent = [key[:2] + ("!",) for key in present] \
+            + [key[:2] + ("~",) for key in present] \
+            + [("", "", ""), ("~", "~", "~")]
+        for key in present + absent:
+            encoded = _encode_key(key)
+            inside = [block for block in blocks
+                      if block["min"] <= encoded <= block["max"]]
+            before = stats.copy()
+            del compared[:]
+            hist = reader.get("app", key)
+            delta = stats.delta_since(before)
+            assert len(compared) <= 1
+            assert (hist is not None) == (key in store.tables["app"])
+            if hist is not None:
+                assert hist.bins == store.tables["app"][key].bins
+            assert delta.blocks_read == len(inside)
+            assert delta.blocks_pruned \
+                == len(blocks) - len(inside)
+        assert any(block["max"] < _encode_key(key) < later["min"]
+                   for key in absent
+                   for block, later in zip(blocks, blocks[1:]))
+
     def test_scan_prefix_matches_filtered_full_scan(self, tmp_path):
         store, reader, stats = self._reader(tmp_path, block_rows=4)
         windows = sorted({key[0] for key in store.tables["network"]})
@@ -255,38 +396,44 @@ class TestZoneMaps:
         assert reader.windows() == store.windows()
 
     def test_v1_monolithic_footer_still_readable(self, tmp_path):
-        """A PR-5 segment (one unindexed block per table, schema 1)
-        must load, scan, and point-read through the same API."""
-        import json
-
-        from repro.store import encoding
+        """A PR-5 segment (one unindexed block per table, schema 1,
+        rows in the order *that* writer stored them) must load, scan
+        and point-read through the same API."""
         store = _populated_store()
+        # Parts that are prefixes of other parts -- windows 1/10/100,
+        # OpA/OpA2, a.com/a.com.au -- are where the v1 row order and
+        # encoded-key order part ways.
+        for window in (10, 100):
+            for operator, domain in (("OpA2", "a.com"),
+                                     ("OpA", "a.com.au")):
+                store.add(_rec(ts=window * store.config.window_ms,
+                               operator=operator, domain=domain,
+                               tech="LTE"))
         path = str(tmp_path / "seg.seg")
-        # One block per table == the v1 payload layout.
-        write_segment(path, store, seq=1, block_rows=1 << 30)
-        data = open(path, "rb").read()
-        offset = encoding.unpack_u64(data, len(data) - 16)
-        payload, _end, _status = encoding.read_frame(data, offset)
-        footer = json.loads(payload)
-        footer["schema"] = 1
-        footer.pop("windows")
-        for name, entry in footer["tables"].items():
-            blocks = entry.pop("blocks")
-            if blocks:
-                entry.update(offset=blocks[0]["offset"],
-                             length=blocks[0]["length"])
-            else:
-                entry.update(offset=0, length=0)
-        new_payload = json.dumps(footer, sort_keys=True,
-                                 separators=(",", ":")).encode()
-        blob = (data[:offset] + encoding.frame(new_payload)
-                + encoding.pack_u64(offset) + data[-8:])
-        open(path, "wb").write(blob)
+        _write_v1_segment(path, store, seq=1)
+        for name in ("network", "app", "lte_domain"):
+            stored = [_encode_key(key) for key in sorted(store.tables[name])]
+            assert stored != sorted(stored)        # the case under test
         reader = SegmentReader(path)
+        reader.verify()
         assert reader.windows() is None
         assert reader.to_store().digest() == store.digest()
-        key = next(iter(sorted(store.tables["app"])))
-        assert reader.get("app", key) is not None
+        for name in RollupStore.TABLES:
+            table = store.tables[name]
+            in_key_order = sorted(table, key=_encode_key)
+            assert [key for key, _hist in reader.iter_table(name)] \
+                == in_key_order
+            for key in in_key_order:
+                assert reader.get(name, key).bins == table[key].bins
+            assert reader.get(name, ("~", "~")) is None
+        network = sorted(store.tables["network"], key=_encode_key)
+        for prefix in (("1",), ("10",), ("100",), ("10", "OpA"),
+                       ("10", "OpA2")):
+            wanted = [key for key in network
+                      if key[:len(prefix)] == prefix]
+            assert wanted
+            assert [key for key, _hist
+                    in reader.scan_prefix("network", prefix)] == wanted
 
     def test_shared_cache_decodes_each_block_once(self, tmp_path):
         cache = BlockCache(capacity_bytes=1 << 20)
