@@ -28,7 +28,6 @@ Scale knobs for quick local runs:
 import json
 import os
 
-from repro.core.persist import _record_from_dict
 from repro.crowd import CampaignConfig, ShardedCampaign
 from repro.obs import Observability
 from repro.serve import DashboardWorkload, QueryEngine
@@ -40,26 +39,14 @@ PANELS = int(os.environ.get("MOPEYE_QUERY_BENCH_PANELS", "256"))
 SEED = 2016
 
 
-def _load_entries(paths):
-    entries = []
-    for path in paths:
-        with open(path, "rb") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    entries.append(
-                        (_record_from_dict(json.loads(line)), line))
-    return entries
-
-
 def test_query_engine_dashboard(tmp_path, benchmark):
-    from benchmarks._common import RESULTS_DIR
+    from benchmarks._common import RESULTS_DIR, load_entries
 
     campaign = ShardedCampaign(
         config=CampaignConfig(scale=SCALE, seed=SEED),
         workers=WORKERS, shard_dir=str(tmp_path / "shards"))
     dataset = campaign.run()
-    entries = _load_entries(dataset.paths)
+    entries = load_entries(dataset.paths)
 
     # Several segments so pruning and the cache have something to do.
     obs = Observability()

@@ -31,7 +31,6 @@ import time
 
 from repro.backend import query as backend_query
 from repro.backend.rollups import RollupStore
-from repro.core.persist import _record_from_dict
 from repro.crowd import CampaignConfig, ShardedCampaign
 from repro.obs import Observability
 from repro.store import StoreConfig, StoreEngine
@@ -44,20 +43,6 @@ CKPT_INTERVAL = 50_000
 # The acceptance line (>= 3x) is proven at campaign scale; tiny local
 # runs have proportionally larger fixed overheads.
 MIN_RATIO = 3.0 if SCALE >= 0.1 else 2.5
-
-
-def _load_entries(paths):
-    """``(record, raw_line_bytes)`` pairs, the shape a transport that
-    already holds the JSONL hands to ``append_entries``."""
-    entries = []
-    for path in paths:
-        with open(path, "rb") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    entries.append(
-                        (_record_from_dict(json.loads(line)), line))
-    return entries
 
 
 def _engine(root, name, **config):
@@ -75,14 +60,18 @@ def _timed_recovery(engine):
 
 
 def test_store_wal_recovery_and_compression(tmp_path, benchmark):
-    from benchmarks._common import RESULTS_DIR, save_result
+    from benchmarks._common import (
+        RESULTS_DIR,
+        load_entries,
+        save_result,
+    )
     from repro.analysis import format_table
 
     campaign = ShardedCampaign(
         config=CampaignConfig(scale=SCALE, seed=SEED),
         workers=WORKERS, shard_dir=str(tmp_path / "shards"))
     dataset = campaign.run()
-    entries = _load_entries(dataset.paths)
+    entries = load_entries(dataset.paths)
     records = [record for record, _line in entries]
 
     # -- ingest throughput, bare store vs WAL-backed engine ----------

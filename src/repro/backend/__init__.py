@@ -31,7 +31,6 @@ from repro.backend.ingest import (
     TokenBucket,
     ingest_shard_files,
     parse_batch_lines,
-    parse_batch_prefix,
 )
 from repro.backend.rollups import (
     MergeHist,
@@ -55,5 +54,4 @@ __all__ = [
     "TokenBucket",
     "ingest_shard_files",
     "parse_batch_lines",
-    "parse_batch_prefix",
 ]

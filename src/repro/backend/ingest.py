@@ -22,7 +22,6 @@ Contracts:
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
@@ -38,7 +37,7 @@ from repro.backend.shardmerge import (
     np_available,
     pack_store,
 )
-from repro.core.persist import _record_from_dict, iter_jsonl
+from repro.core.persist import decode_record_lines, iter_jsonl
 from repro.core.records import MeasurementRecord
 
 
@@ -54,24 +53,13 @@ def parse_batch_lines(payload: bytes
     Records after a bad line are NOT ingested even if parseable: the
     ACK must be a prefix count for the uploader's cursor arithmetic.
     """
-    records: List[MeasurementRecord] = []
-    lines: List[bytes] = []
-    for line in payload.decode("utf-8", "replace").splitlines():
-        if not line.strip():
-            continue
-        try:
-            records.append(_record_from_dict(json.loads(line)))
-        except (ValueError, KeyError, TypeError):
-            return records, lines, True
-        lines.append(line.encode("utf-8"))
-    return records, lines, False
-
-
-def parse_batch_prefix(payload: bytes
-                       ) -> Tuple[List[MeasurementRecord], bool]:
-    """:func:`parse_batch_lines` without the raw lines."""
-    records, _lines, truncated = parse_batch_lines(payload)
-    return records, truncated
+    # str.strip as the predicate drops blank lines.
+    lines = list(filter(
+        str.strip, payload.decode("utf-8", "replace").splitlines()))
+    records, truncated = decode_record_lines(lines)
+    if truncated:
+        del lines[len(records):]
+    return records, list(map(str.encode, lines)), truncated
 
 
 class TokenBucket:

@@ -17,7 +17,17 @@ import glob
 import hashlib
 import json
 import os
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from itertools import islice
+from operator import itemgetter
+from typing import (
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.records import (
     MeasurementKind,
@@ -72,26 +82,105 @@ def _record_to_dict(record: MeasurementRecord) -> dict:
     }
 
 
+_fetch_fields = itemgetter(*_FIELDS)
+
+#: What :func:`_record_from_dict` assumes for a key the row lacks;
+#: ``kind``, ``rtt_ms`` and ``timestamp_ms`` have no default.
+_FIELD_DEFAULTS = {
+    "app_package": None, "app_uid": None, "dst_ip": "", "dst_port": 0,
+    "domain": None, "network_type": "WIFI", "operator": "unknown",
+    "country": "unknown", "device_id": "local", "failure": None,
+    "location": None,
+}
+
+
 def _record_from_dict(data: dict) -> MeasurementRecord:
-    location = data.get("location")
+    # One fetch and a positional call: this runs once per record read
+    # from a shard, an upload or the WAL.
+    try:
+        fields = _fetch_fields(data)
+    except KeyError:
+        fields = _fetch_fields({**_FIELD_DEFAULTS, **data})
+    (kind, rtt_ms, timestamp_ms, app_package, app_uid, dst_ip,
+     dst_port, domain, network_type, operator, country, device_id,
+     failure, location) = fields
+    if kind not in MeasurementKind.ALL:
+        kind = _normalize_kind(kind)
     if location is not None:
         location = (float(location[0]), float(location[1]))
+    # These become rollup keys, where a list cannot be hashed and a
+    # number cannot be sorted against the strings beside it: str.join
+    # raises TypeError for anything but text (or an empty value).
+    "".join((app_package or "", dst_ip or "", domain or "",
+             network_type or "", operator or "", country or "",
+             device_id or ""))
     return MeasurementRecord(
-        kind=_normalize_kind(data["kind"]),
-        rtt_ms=float(data["rtt_ms"]),
-        timestamp_ms=float(data["timestamp_ms"]),
-        app_package=data.get("app_package") or None,
-        app_uid=(int(data["app_uid"])
-                 if data.get("app_uid") not in (None, "") else None),
-        dst_ip=data.get("dst_ip", ""),
-        dst_port=int(data.get("dst_port") or 0),
-        domain=data.get("domain") or None,
-        network_type=data.get("network_type", "WIFI"),
-        operator=data.get("operator", "unknown"),
-        country=data.get("country", "unknown"),
-        device_id=data.get("device_id", "local"),
-        failure=data.get("failure") or None,
-        location=location)
+        kind, float(rtt_ms), float(timestamp_ms), app_package or None,
+        int(app_uid) if app_uid not in (None, "") else None,
+        dst_ip, int(dst_port or 0), domain or None, network_type,
+        operator, country, device_id, failure or None, location)
+
+
+#: What a line that is not a record can raise on its way through
+#: ``json.loads`` and :func:`_record_from_dict`: bad JSON or a value out
+#: of range (``ValueError``), a missing key, a value of the wrong type
+#: or not an object at all (``TypeError``), a short ``location``
+#: (``IndexError``), an integer too large for a float
+#: (``OverflowError``), nesting past the interpreter's stack
+#: (``RecursionError``).
+_MALFORMED = (ValueError, KeyError, TypeError, IndexError,
+              OverflowError, RecursionError)
+
+#: Lines :func:`iter_jsonl` hands the decoder at a time: enough to
+#: spread the per-parse overhead thin, few enough that the parsed
+#: dicts of one chunk stay a small fraction of a shard's records.
+_CHUNK_LINES = 64
+
+
+def _each_braced(lines: Sequence[str]) -> bool:
+    for line in lines:
+        if line[:1] != "{" or line[-1:] != "}":
+            return False
+    return True
+
+
+def decode_record_lines(lines: Sequence[str]
+                        ) -> Tuple[List[MeasurementRecord], bool]:
+    """The one reader of record lines: JSON objects in, ``(records,
+    truncated)`` out.  ``records`` is the longest prefix of ``lines``
+    in which every line is a record; ``truncated`` says a line that is
+    not one stopped the decode (lines after it are not looked at: an
+    upload ACK is a prefix count).
+
+    Two or more lines are parsed with one ``json.loads`` of the lines
+    joined into an array -- the call's overhead is paid once and the
+    scanner shares the key strings across the batch.  That is only
+    sound when it cannot read the text differently from a parse per
+    line, so it is tried only when every line starts ``{`` and ends
+    ``}`` and the batch holds as many ``{`` as lines: a line's one
+    ``{`` then opens an object that must close on the line's last
+    character (nothing after an earlier close could end in ``}``), and
+    the raw newline in the separator makes a string that would run
+    from one line into the next a parse error.  A single line, and a
+    batch that fails the check or the array parse, is parsed line by
+    line; either way the records are then built row by row, which is
+    what finds the prefix."""
+    rows: Iterable[dict] = map(json.loads, lines)
+    n = len(lines)
+    if n > 1:
+        text = "[%s]" % ",\n".join(lines)
+        if text.count("{") == n and _each_braced(lines):
+            try:
+                rows = json.loads(text)
+            except (ValueError, RecursionError):
+                pass
+    records: List[MeasurementRecord] = []
+    try:
+        for row in rows:
+            records.append(_record_from_dict(row))
+    except _MALFORMED:
+        return records, True
+    return records, False
 
 
 def record_to_line(record: MeasurementRecord) -> str:
@@ -115,12 +204,20 @@ def save_jsonl(records: Union[MeasurementStore,
 
 
 def iter_jsonl(path: str) -> Iterator[MeasurementRecord]:
-    """Stream records from a JSON-lines file without loading it."""
+    """Stream records from a JSON-lines file without loading it,
+    ``_CHUNK_LINES`` lines to a decode.  Raises ``ValueError`` at the
+    first line that is not a record, after yielding those before it."""
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield _record_from_dict(json.loads(line))
+        while True:
+            chunk = list(islice(handle, _CHUNK_LINES))
+            if not chunk:
+                return
+            lines = list(filter(None, map(str.strip, chunk)))
+            records, truncated = decode_record_lines(lines)
+            yield from records
+            if truncated:
+                raise ValueError("%s: not a record: %.80r"
+                                 % (path, lines[len(records)]))
 
 
 def load_jsonl(path: str,

@@ -12,6 +12,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 
+_INF = float("inf")
+_NEG_INF = -_INF
+
+
 class MeasurementKind:
     TCP = "TCP"
     DNS = "DNS"
@@ -82,8 +86,13 @@ class MeasurementRecord:
     location: Optional[tuple] = None  # (lat, lon)
 
     def __post_init__(self):
-        if self.rtt_ms < 0:
-            raise ValueError("negative RTT %r" % self.rtt_ms)
+        # Chained so that NaN, which compares false both ways, fails.
+        if not 0 <= self.rtt_ms < _INF:
+            raise ValueError("negative or non-finite RTT %r"
+                             % self.rtt_ms)
+        if not _NEG_INF < self.timestamp_ms < _INF:
+            raise ValueError("non-finite timestamp %r"
+                             % self.timestamp_ms)
         if self.kind not in MeasurementKind.ALL:
             raise ValueError("unknown measurement kind %r" % self.kind)
         if self.failure is not None and \

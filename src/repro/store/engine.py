@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.backend.rollups import RollupConfig, RollupStore
-from repro.core.persist import _record_from_dict, record_to_line
+from repro.core.persist import decode_record_lines, record_to_line
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability, get_default
 from repro.store.checkpoint import (
@@ -651,20 +651,15 @@ class StoreEngine:
         self._pending_records = 0
 
     @staticmethod
-    def _decode_envelope(payload: bytes) -> Tuple[dict, List[bytes]]:
+    def _decode_envelope(payload: bytes) -> Tuple[dict, List[str]]:
         """Both envelope forms: v2 (header line + raw JSONL body) and
         the legacy v1 single JSON object with a ``lines`` array."""
-        newline = payload.find(b"\n")
-        if newline < 0:
-            header = json.loads(payload.decode("utf-8"))
-            body = b""
-        else:
-            header = json.loads(payload[:newline].decode("utf-8"))
-            body = payload[newline + 1:]
+        head, _newline, body = payload.decode("utf-8").partition("\n")
+        header = json.loads(head)
         if "lines" in header:
-            lines = [line.encode("utf-8") for line in header["lines"]]
+            lines = header["lines"]
         else:
-            lines = body.split(b"\n") if body else []
+            lines = body.split("\n") if body else []
         return header, lines
 
     def _truncate_wal_file(self, path: str, valid_bytes: int) -> None:
@@ -750,8 +745,12 @@ class StoreEngine:
             result = replay(path)
             for payload in result.payloads:
                 header, lines = self._decode_envelope(payload)
-                for line in lines:
-                    record = _record_from_dict(json.loads(line))
+                records, truncated = decode_record_lines(lines)
+                if truncated:
+                    raise ValueError(
+                        "%s: envelope line %d is not a record"
+                        % (path, len(records) + 1))
+                for record in records:
                     self.memtable.add(record)
                     if on_record is not None:
                         on_record(record)

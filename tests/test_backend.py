@@ -12,7 +12,7 @@ from repro.backend import (
     RollupConfig,
     RollupStore,
     TokenBucket,
-    parse_batch_prefix,
+    parse_batch_lines,
 )
 from repro.backend import query as backend_query
 from repro.backend.rollups import BIN_WIDTH_MS, MAX_RTT_MS
@@ -149,19 +149,19 @@ class TestParseBatchPrefix:
         lines = [record_to_line(r) for r in good]
         lines.insert(2, "{broken")
         payload = ("\n".join(lines) + "\n").encode()
-        records, truncated = parse_batch_prefix(payload)
+        records, _lines, truncated = parse_batch_lines(payload)
         assert truncated
         assert [r.rtt_ms for r in records] == [0.0, 1.0]
 
     def test_clean_payload_not_truncated(self):
-        records, truncated = parse_batch_prefix(
+        records, _lines, truncated = parse_batch_lines(
             _payload([_rec(), _rec(rtt=5.0)]))
         assert not truncated
         assert len(records) == 2
 
     def test_blank_lines_ignored(self):
         payload = b"\n" + _payload([_rec()]) + b"\n\n"
-        records, truncated = parse_batch_prefix(payload)
+        records, _lines, truncated = parse_batch_lines(payload)
         assert not truncated
         assert len(records) == 1
 

@@ -60,6 +60,22 @@ def _dataset(root):
     return campaign.run()
 
 
+def _load_entries(dataset):
+    """``(record, raw_line_bytes)`` pairs, what ``append_entries``
+    takes from a transport that already holds the JSONL."""
+    from repro.core.persist import iter_jsonl
+
+    entries = []
+    for path in dataset.paths:
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines()
+        records = list(iter_jsonl(path))
+        if len(records) != len(lines):
+            raise ValueError("blank line in %s" % path)
+        entries.extend(zip(records, lines))
+    return entries
+
+
 def _fail(message):
     print("GUARD FAIL: %s" % message)
     return 1
@@ -101,18 +117,10 @@ def guard_scaling(dataset):
 def guard_replay(dataset):
     """Recovery replay work with checkpoints: bounded by the interval
     for any run length."""
-    from repro.core.persist import _record_from_dict
     from repro.obs import Observability
     from repro.store import StoreConfig, StoreEngine
 
-    entries = []
-    for path in dataset.paths:
-        with open(path, "rb") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    entries.append(
-                        (_record_from_dict(json.loads(line)), line))
+    entries = _load_entries(dataset)
 
     walls = []
     failures = 0
@@ -152,19 +160,11 @@ def guard_replay(dataset):
 def guard_query(dataset):
     """Pruned dashboard panels: byte-identical to full scans, and
     strictly fewer blocks read."""
-    from repro.core.persist import _record_from_dict
     from repro.obs import Observability
     from repro.serve import DashboardWorkload, QueryEngine, QueryError
     from repro.store import StoreConfig, StoreEngine
 
-    entries = []
-    for path in dataset.paths:
-        with open(path, "rb") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    entries.append(
-                        (_record_from_dict(json.loads(line)), line))
+    entries = _load_entries(dataset)
 
     root = tempfile.mkdtemp(prefix="guard-query-")
     engine = StoreEngine(
