@@ -28,11 +28,23 @@ A :class:`RollupStore` keys histograms four ways:
 
 Snapshots serialise with sorted keys and fixed separators; the digest
 is the SHA-256 of those bytes.
+
+Rows are **shared copy-on-write** between a store and its clones.
+Every store has an *epoch* and every :class:`MergeHist` carries the
+epoch of the store that created it; :meth:`RollupStore.clone` copies
+the table dicts (pointers, not histograms) and moves both stores to
+fresh epochs, so every row they share is now foreign to both.  The one
+rule that keeps this safe: a row reachable from a ``RollupStore`` is
+mutated only through :meth:`RollupStore._hist` (``add`` and ``merge``
+both are), which replaces a foreign row with a private copy before
+handing it out.  Readers may hold rows as long as they like.  Epochs
+live in memory only -- nothing serialised carries one.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -53,6 +65,10 @@ N_BINS = int(MAX_RTT_MS / BIN_WIDTH_MS)
 DEFAULT_WINDOW_MS = 28 * 24 * 3600 * 1000.0
 
 _SEP = "|"
+
+#: Process-wide source of store epochs.  Epoch 0 is never drawn: it
+#: marks rows and stores that have not been through a ``clone()``.
+_EPOCHS = itertools.count(1)
 
 #: Snapshot wire-format version.  v1 (PR 3) had no ``schema`` key;
 #: v2 added it alongside the escaped key encoding; v3 (PR 9) added the
@@ -98,14 +114,19 @@ class MergeHist:
     State is ``{bin_index: count}`` plus an overflow count; values are
     clipped into ``[0, MAX_RTT_MS)``.  All state is integral, so merge
     order can never change the digest.
+
+    ``epoch`` names the :class:`RollupStore` allowed to write this
+    histogram in place (see the module docstring); it is bookkeeping,
+    not state -- never serialised, never compared by a digest.
     """
 
-    __slots__ = ("bins", "count", "overflow")
+    __slots__ = ("bins", "count", "overflow", "epoch")
 
     def __init__(self) -> None:
         self.bins: Dict[int, int] = {}
         self.count = 0
         self.overflow = 0
+        self.epoch = 0
 
     def add(self, value_ms: float) -> None:
         if value_ms >= MAX_RTT_MS:
@@ -153,10 +174,11 @@ class MergeHist:
         self.overflow += other.overflow
 
     def copy(self) -> "MergeHist":
-        dup = MergeHist()
+        dup = MergeHist.__new__(MergeHist)
         dup.bins = dict(self.bins)
         dup.count = self.count
         dup.overflow = self.overflow
+        dup.epoch = 0
         return dup
 
     def quantile(self, q: float) -> float:
@@ -290,15 +312,28 @@ class RollupStore:
         self.failure_records = 0
         self.tables: Dict[str, Dict[Key, MergeHist]] = {
             name: {} for name in self.TABLES}
+        #: Rows whose ``epoch`` equals this are this store's to write
+        #: in place; any other row is copied first (:meth:`_hist`).
+        self._epoch = 0
 
     # -- ingestion ---------------------------------------------------
 
     def _hist(self, table: str, key: Key) -> MergeHist:
+        """The row at ``key``, safe to mutate: created if absent, and
+        replaced by a private copy if another store can still see it.
+        Every in-place row write goes through here."""
         hists = self.tables[table]
         hist = hists.get(key)
-        if hist is None:
-            hist = hists[key] = MergeHist()
+        if hist is not None and hist.epoch == self._epoch:
+            return hist
+        hist = hists[key] = MergeHist() if hist is None else hist.copy()
+        hist.epoch = self._epoch
         return hist
+
+    def share_rows(self) -> None:
+        """Move to a fresh epoch: every row this store holds now is
+        treated as shared, so the first write to each copies it."""
+        self._epoch = next(_EPOCHS)
 
     def add(self, record: MeasurementRecord) -> None:
         if record.failure is not None:
@@ -313,7 +348,8 @@ class RollupStore:
 
         if kind == MeasurementKind.TCP:
             self._hist("network", (window, operator, tech, kind)).add(rtt)
-            self._hist("app", (window, record.app_package, kind)).add(rtt)
+            self._hist("app", (window, record.app_package or "unknown",
+                               kind)).add(rtt)
             domain = record.domain
             for suffix in self.config.watch_suffixes:
                 if rules.domain_matches_suffix(domain, suffix):
@@ -368,24 +404,25 @@ class RollupStore:
         self.records += other.records
         self.failure_records += other.failure_records
         for table in self.TABLES:
-            mine = self.tables[table]
             for key, hist in other.tables[table].items():
-                existing = mine.get(key)
-                if existing is None:
-                    existing = mine[key] = MergeHist()
-                existing.merge(hist)
+                self._hist(table, key).merge(hist)
 
     def clone(self) -> "RollupStore":
-        """Deep, independent copy: the serving tier pins one as its
-        memtable snapshot while ingestion keeps mutating the live
-        store."""
+        """An independent store with the same content: the serving
+        tier pins one as its memtable snapshot while ingestion keeps
+        writing the live store, and either may be written afterwards.
+
+        Costs one dict copy per table, not one per histogram: the
+        rows are shared, and both stores move to fresh epochs so
+        whichever writes a shared row first copies it
+        (:meth:`_hist`)."""
         dup = RollupStore(config=self.config, meta=self.meta)
         dup.records = self.records
         dup.failure_records = self.failure_records
         for table in self.TABLES:
-            dup.tables[table] = {
-                key: hist.copy()
-                for key, hist in self.tables[table].items()}
+            dup.tables[table] = dict(self.tables[table])
+        self.share_rows()
+        dup.share_rows()
         return dup
 
     # -- queries -----------------------------------------------------

@@ -9,13 +9,18 @@ replacement.  This module gives every query a **pinned view** instead:
 
 * :meth:`QueryEngine.snapshot` opens one
   :class:`~repro.store.segments.SegmentReader` per live segment and
-  deep-clones the memtable.  The readers hold open file descriptors,
-  so even after compaction or retention *unlinks* a segment file the
-  pinned bytes keep serving (POSIX semantics); the memtable clone is
-  immune to concurrent ingest by construction.  A
+  clones the memtable.  The readers hold open file descriptors, so
+  even after compaction or retention *unlinks* a segment file the
+  pinned bytes keep serving (POSIX semantics).  The clone shares the
+  memtable's histograms copy-on-write
+  (:meth:`~repro.backend.rollups.RollupStore.clone`): ingest copies a
+  row the view can see before its first write to it, and a flush
+  empties the live table dicts, not the view's.  So a snapshot costs
+  the open descriptors plus eight dict copies, whatever the memtable
+  holds, and the view reads rows without ever writing one.  A
   :class:`ReadView` therefore answers every query from exactly the
-  state that existed at snapshot time -- flush, compaction and
-  retention racing the reader cannot tear a result.
+  state that existed at snapshot time -- ingest, flush, compaction
+  and retention racing the reader cannot tear a result.
 * Point and prefix queries go through the segment zone maps
   (``footer.blocks[].min/max``), opening only the blocks that can
   match -- strictly fewer than a scan, with byte-identical results
@@ -523,8 +528,9 @@ class QueryEngine:
 
     def snapshot(self) -> ReadView:
         """Pin the current state: open readers over the live segments
-        and deep-clone the memtable.  Raises :class:`QueryError` if a
-        listed segment cannot be opened."""
+        and clone the memtable (shared rows, copied by whichever side
+        writes one first).  Raises :class:`QueryError` if a listed
+        segment cannot be opened."""
         stats = ReadStats()
         try:
             readers = self.engine.segment_readers(

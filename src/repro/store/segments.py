@@ -518,19 +518,25 @@ class SegmentReader:
             yield from self._load_block(name, index).items()
 
     def table(self, name: str) -> Dict[Key, MergeHist]:
-        """The whole table, merged across its blocks (a full scan)."""
+        """The whole table, merged across its blocks (a full scan).
+        The dict is the caller's; the rows are the block cache's own
+        and every later reader sees them -- read, never write."""
         merged: Dict[Key, MergeHist] = {}
         for index in range(len(self._tables[name]["blocks"])):
             merged.update(self._load_block(name, index))
         return merged
 
     def to_store(self) -> RollupStore:
-        """Materialise the whole segment as a RollupStore."""
+        """Materialise the whole segment as a RollupStore.  Its rows
+        are the block cache's own, so the store starts on a fresh
+        epoch: a write to it copies the row first instead of changing
+        the cached block under every later reader."""
         store = RollupStore(config=self.config)
         store.records = self.records
         store.failure_records = self.failure_records
         for name in RollupStore.TABLES:
             store.tables[name] = self.table(name)
+        store.share_rows()
         return store
 
     def verify(self) -> None:

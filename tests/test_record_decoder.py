@@ -126,6 +126,43 @@ def test_non_finite_number_truncates_a_durable_batch(tmp_path, field,
     prefix.close()
 
 
+def test_null_app_package_is_not_a_poison_pill(tmp_path):
+    """A well-formed TCP line with ``"app_package": null`` used to be
+    ACKed and WAL-logged with ``None`` as a key part, after which
+    flush, checkpoint and digest raised ``TypeError`` -- and replay
+    put the ``None`` back after every recovery.  It rolls up under
+    ``unknown``, like every other kind's missing package."""
+    def open_store(name):
+        return StoreEngine(
+            str(tmp_path / name),
+            config=StoreConfig(flush_threshold_records=None),
+            obs=Observability())
+
+    def upload(engine, package):
+        lines = [record_to_line(_rec(rtt=20.0)),
+                 _line(app_package=package)]
+        outcome = IngestPipeline(store=engine, obs=engine.obs) \
+            .handle_batch("dev-1", 3, _payload(lines), 0.0)
+        assert (outcome.status, outcome.acked, outcome.truncated) == \
+            ("ack", 2, False)
+
+    engine, named = open_store("null"), open_store("named")
+    upload(engine, "null")
+    upload(named, '"unknown"')
+    want = named.memtable.digest()
+    assert engine.memtable.digest() == want
+    engine.crash()
+    assert engine.recover().wal_records == 2     # replay re-keys it
+    assert engine.memtable.digest() == want
+    assert engine.checkpoint() is not None
+    engine.flush()
+    engine.crash()
+    engine.recover()
+    assert engine.materialize().digest() == want
+    engine.close()
+    named.close()
+
+
 @pytest.mark.parametrize("field", ["rtt_ms", "timestamp_ms"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                    float("-inf")])

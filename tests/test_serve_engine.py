@@ -97,19 +97,27 @@ class TestSnapshotIsolation:
         view = QueryEngine(engine, obs=obs).snapshot()
         windows_before = view.windows()
         series_before = view.window_series()
+        panel_before = _canonical(view.app_panel("com.app.01"))
+        assert windows_before == [0, 1, 2]
         engine.flush()
-        now_ms = 95 * DAY_MS
-        assert engine.compact(now_ms=now_ms, force=True) or True
+        engine.append_records(_records(50, offset=400))
         engine.flush()
-        # Retention evicted old windows from the live state...
-        view.close()
+        assert engine.compact(now_ms=95 * DAY_MS, force=True)
+        # Retention evicted every window from the live state...
         live = QueryEngine(engine, obs=obs).snapshot()
         try:
-            assert len(live.windows()) <= len(windows_before)
+            assert live.windows() == []
         finally:
             live.close()
-        # ...but the pinned view (memtable clone) never moved.
-        assert series_before == series_before
+        # ...but the pinned view (memtable clone), asked again while
+        # still open, never moved.
+        try:
+            assert view.windows() == windows_before
+            assert view.window_series() == series_before
+            assert _canonical(view.app_panel("com.app.01")) == \
+                panel_before
+        finally:
+            view.close()
 
     def test_memtable_clone_is_deep(self, tmp_path):
         engine, obs = _engine(tmp_path, flush_threshold_records=None)
