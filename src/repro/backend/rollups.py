@@ -47,7 +47,15 @@ import hashlib
 import itertools
 import json
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.analysis import rules
 from repro.core.records import MeasurementKind, MeasurementRecord
@@ -115,6 +123,13 @@ class MergeHist:
     clipped into ``[0, MAX_RTT_MS)``.  All state is integral, so merge
     order can never change the digest.
 
+    Readouts: :meth:`quantile_indices` is the one quantile loop --
+    any number of (ascending) quantiles from one sorted pass over the
+    bins; :meth:`quantile_index`, :meth:`quantile` and :meth:`median`
+    are that loop asked for one.  Folding stored rows into an answer
+    starts from :meth:`copy` of the first and :meth:`merge` of the
+    rest; a merge into a histogram with no bins yet is a dict update.
+
     ``epoch`` names the :class:`RollupStore` allowed to write this
     histogram in place (see the module docstring); it is bookkeeping,
     not state -- never serialised, never compared by a digest.
@@ -152,24 +167,50 @@ class MergeHist:
         self.bins[index] = self.bins.get(index, 0) + 1
         self.count += 1
 
-    def quantile_index(self, q: float) -> float:
-        """Quantile as a fractional bin *index* (no grid assumed), so
-        log-grid callers can decode via :func:`log_bin_value`."""
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
+    def quantile_indices(self, qs: Sequence[float]) -> List[float]:
+        """The quantiles ``qs`` (**ascending**) as fractional bin
+        *indices*, linearly interpolated inside each landing bin,
+        from one sorted pass over the bins -- the one quantile loop
+        every readout below goes through.  No grid is assumed: the
+        linear RTT grid scales an index by ``BIN_WIDTH_MS``, log-grid
+        callers decode it via :func:`log_bin_value`."""
+        if self.count == 0 or not qs:
+            return [0.0] * len(qs)
+        targets = [q * self.count for q in qs]
+        target = targets[0]
+        out: List[float] = []
+        bins = self.bins
         seen = 0
-        for index in sorted(self.bins):
-            n = self.bins[index]
-            if seen + n >= target:
-                frac = (target - seen) / n if n else 0.0
-                return index + frac
-            seen += n
-        return float(N_BINS)
+        for index in sorted(bins):
+            n = bins[index]
+            reached = seen + n
+            while reached >= target:
+                out.append(index + ((target - seen) / n if n else 0.0))
+                if len(out) == len(targets):
+                    return out
+                target = targets[len(out)]
+            seen = reached
+        out.extend([float(N_BINS)] * (len(targets) - len(out)))
+        return out
+
+    def quantile_index(self, q: float) -> float:
+        """Quantile as a fractional bin *index*."""
+        return self.quantile_indices((q,))[0]
+
+    def quantile(self, q: float) -> float:
+        """Quantile in ms on the linear grid."""
+        return self.quantile_indices((q,))[0] * BIN_WIDTH_MS
+
+    def median(self) -> float:
+        return self.quantile(0.5)
 
     def merge(self, other: "MergeHist") -> None:
-        for index, n in other.bins.items():
-            self.bins[index] = self.bins.get(index, 0) + n
+        bins = self.bins
+        if bins:
+            for index, n in other.bins.items():
+                bins[index] = bins.get(index, 0) + n
+        else:                  # the first fold into a fresh histogram
+            bins.update(other.bins)
         self.count += other.count
         self.overflow += other.overflow
 
@@ -180,23 +221,6 @@ class MergeHist:
         dup.overflow = self.overflow
         dup.epoch = 0
         return dup
-
-    def quantile(self, q: float) -> float:
-        """Quantile by linear interpolation inside the landing bin."""
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for index in sorted(self.bins):
-            n = self.bins[index]
-            if seen + n >= target:
-                frac = (target - seen) / n if n else 0.0
-                return (index + frac) * BIN_WIDTH_MS
-            seen += n
-        return MAX_RTT_MS
-
-    def median(self) -> float:
-        return self.quantile(0.5)
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -41,15 +41,21 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.backend import query as backend_query
 from repro.backend.rollups import (
+    BIN_WIDTH_MS,
     Key,
     MergeHist,
     RollupStore,
+    _encode_key,
     log_bin_value,
 )
 from repro.core.records import MeasurementKind
 from repro.obs import Observability
 from repro.store.blockcache import DEFAULT_CACHE_BYTES, BlockCache
-from repro.store.segments import ReadStats, SegmentCorruption
+from repro.store.segments import (
+    ReadStats,
+    SegmentCorruption,
+    prefix_range,
+)
 
 #: The CLI query surface, in display order.  ``tests/test_query_docs``
 #: enforces that docs/QUERY.md documents exactly these views, both
@@ -77,9 +83,10 @@ class QueryError(Exception):
 
 
 def _quantiles(hist: MergeHist) -> Dict[str, float]:
-    return {"median_ms": round(hist.median(), 2),
-            "p90_ms": round(hist.quantile(0.9), 2),
-            "p99_ms": round(hist.quantile(0.99), 2)}
+    median, p90, p99 = hist.quantile_indices((0.5, 0.9, 0.99))
+    return {"median_ms": round(median * BIN_WIDTH_MS, 2),
+            "p90_ms": round(p90 * BIN_WIDTH_MS, 2),
+            "p99_ms": round(p99 * BIN_WIDTH_MS, 2)}
 
 
 # Modality tables aggregate on the shared log grid; their quantile
@@ -91,12 +98,10 @@ MODALITY_UNITS = {"app_throughput": "kb_s",
 
 
 def _log_quantiles(hist: MergeHist, unit: str) -> Dict[str, float]:
-    return {"median_%s" % unit:
-                round(log_bin_value(hist.quantile_index(0.5)), 3),
-            "p90_%s" % unit:
-                round(log_bin_value(hist.quantile_index(0.9)), 3),
-            "p99_%s" % unit:
-                round(log_bin_value(hist.quantile_index(0.99)), 3)}
+    median, p90, p99 = hist.quantile_indices((0.5, 0.9, 0.99))
+    return {"median_%s" % unit: round(log_bin_value(median), 3),
+            "p90_%s" % unit: round(log_bin_value(p90), 3),
+            "p99_%s" % unit: round(log_bin_value(p99), 3)}
 
 
 def _log_summary(hist: MergeHist, unit: str
@@ -106,13 +111,23 @@ def _log_summary(hist: MergeHist, unit: str
     :func:`log_bin_value` instead of the linear RTT grid."""
     if hist.count == 0:
         return None
+    median, p90 = hist.quantile_indices((0.5, 0.9))
     return {
         "count": hist.count,
-        "median_%s" % unit:
-            round(log_bin_value(hist.quantile_index(0.5)), 3),
-        "p90_%s" % unit:
-            round(log_bin_value(hist.quantile_index(0.9)), 3),
+        "median_%s" % unit: round(log_bin_value(median), 3),
+        "p90_%s" % unit: round(log_bin_value(p90), 3),
     }
+
+
+def _fold(out: Dict[Key, MergeHist], key: Key, hist: MergeHist) -> None:
+    """Merge one stored row into ``out[key]``.  The first row under a
+    key is copied, never aliased: stored rows belong to the block
+    cache or the memtable, and a view only ever writes its own."""
+    merged = out.get(key)
+    if merged is None:
+        out[key] = hist.copy()
+    else:
+        merged.merge(hist)
 
 
 class ReadView:
@@ -147,6 +162,8 @@ class ReadView:
         self._inject_findings = inject_findings
         self._materialized: Optional[RollupStore] = None
         self._scanned: Dict[str, Dict[Key, MergeHist]] = {}
+        self._windows: Optional[List[int]] = None
+        self._fleet_aoi: Optional[MergeHist] = None
         self._closed = False
 
     @classmethod
@@ -235,61 +252,58 @@ class ReadView:
 
     def windows(self) -> List[int]:
         """Every rollup window in the view, from footer metadata alone
-        where possible (zero block reads for v2 segments)."""
-        seen = set(self.memtable.windows())
-        for reader in self.readers:
-            listed = reader.windows()
-            if listed is None:          # v1 footer: derive by scan
-                for table in ("network", "app"):
-                    for key, _hist in reader.iter_table(table):
-                        seen.add(int(key[0]))
-            else:
-                seen.update(listed)
-        return sorted(seen)
+        where possible (zero block reads for v2 segments).  Worked
+        out once -- the view is immutable -- so a panel does not walk
+        the memtable's keys again."""
+        if self._windows is None:
+            seen = set(self.memtable.windows())
+            for reader in self.readers:
+                listed = reader.windows()
+                if listed is None:      # v1 footer: derive by scan
+                    for table in ("network", "app"):
+                        for key, _hist in reader.iter_table(table):
+                            seen.add(int(key[0]))
+                else:
+                    seen.update(listed)
+            self._windows = sorted(seen)
+        return list(self._windows)
 
     def get(self, table: str, key: Key) -> Optional[MergeHist]:
         """Point read merged across every pinned segment plus the
         memtable; zone maps mean at most one block per segment."""
-        merged: Optional[MergeHist] = None
+        key = tuple(key)
         try:
-            for reader in self.readers:
-                hist = reader.get(table, key)
-                if hist is not None:
-                    if merged is None:
-                        merged = MergeHist()
-                    merged.merge(hist)
+            hists = [reader.get(table, key) for reader in self.readers]
         except SegmentCorruption as exc:
             raise QueryError(str(exc))
-        hist = self.memtable.tables[table].get(tuple(key))
-        if hist is not None:
-            if merged is None:
-                merged = MergeHist()
-            merged.merge(hist)
-        return merged
+        hists.append(self.memtable.tables[table].get(key))
+        out: Dict[Key, MergeHist] = {}
+        for hist in hists:
+            if hist is not None:
+                _fold(out, key, hist)
+        return out.get(key)
 
     def get_many(self, table: str, keys: List[Key]
                  ) -> Dict[Key, MergeHist]:
-        """Batched point reads merged across segments + memtable:
-        each segment walks its zone maps once, opening every
-        candidate block at most once for the whole key set."""
+        """Batched point reads merged across segments + memtable.
+        The key set is encoded and sorted **once**, here, and every
+        segment is handed the same ``(encoded text, key)`` pairs: it
+        walks its zone maps once, opens every candidate block at most
+        once for the whole set, and looks rows up by the text."""
         out: Dict[Key, MergeHist] = {}
-
-        def _fold(key: Key, hist: MergeHist) -> None:
-            merged = out.get(key)
-            if merged is None:
-                merged = out[key] = MergeHist()
-            merged.merge(hist)
-
+        wanted = set(map(tuple, keys))
+        pairs = sorted((_encode_key(key), key) for key in wanted)
         try:
             for reader in self.readers:
-                for key, hist in reader.get_many(table, keys).items():
-                    _fold(key, hist)
+                for key, hist in reader.get_many(table, pairs).items():
+                    _fold(out, key, hist)
         except SegmentCorruption as exc:
             raise QueryError(str(exc))
-        for key in set(map(tuple, keys)):
-            hist = self.memtable.tables[table].get(key)
+        rows = self.memtable.tables[table]
+        for key in wanted:
+            hist = rows.get(key)
             if hist is not None:
-                _fold(key, hist)
+                _fold(out, key, hist)
         return out
 
     def scan_prefix(self, table: str, prefix_parts: Tuple[str, ...]
@@ -301,30 +315,30 @@ class ReadView:
     def scan_prefixes(self, table: str,
                       prefixes: List[Tuple[str, ...]]
                       ) -> Dict[Key, MergeHist]:
-        """Rows matching any of the (equal-length) prefixes, merged
-        across segments + memtable in one batched pass per segment."""
+        """Rows matching any of the (equal-length) prefixes -- each
+        shorter than the table's keys -- merged across segments +
+        memtable in one batched pass per segment.  Each prefix's
+        encoded range is worked out once, here, and shared by every
+        segment."""
         out: Dict[Key, MergeHist] = {}
-        if not prefixes:
-            return out
         wanted = {tuple(prefix) for prefix in prefixes}
-        n = len(next(iter(wanted)))
-
-        def _fold(key: Key, hist: MergeHist) -> None:
-            merged = out.get(key)
-            if merged is None:
-                merged = out[key] = MergeHist()
-            merged.merge(hist)
-
+        lengths = sorted({len(prefix) for prefix in wanted})
+        if len(lengths) > 1:
+            raise ValueError("scan_prefixes wants equal-length "
+                             "prefixes, got lengths %s" % lengths)
+        if not wanted:
+            return out
+        n = lengths[0]
+        ranges = sorted(prefix_range(prefix) for prefix in wanted)
         try:
             for reader in self.readers:
-                for key, hist in reader.scan_prefixes(
-                        table, sorted(wanted)):
-                    _fold(key, hist)
+                for key, hist in reader.scan_prefixes(table, ranges):
+                    _fold(out, key, hist)
         except SegmentCorruption as exc:
             raise QueryError(str(exc))
         for key, hist in self.memtable.tables[table].items():
             if key[:n] in wanted:
-                _fold(key, hist)
+                _fold(out, key, hist)
         return out
 
     def _scan_table(self, name: str,
@@ -342,19 +356,35 @@ class ReadView:
         try:
             for reader in self.readers:
                 for key, hist in reader.iter_table(name):
-                    merged = scanned.get(key)
-                    if merged is None:
-                        merged = scanned[key] = MergeHist()
-                    merged.merge(hist)
+                    _fold(scanned, key, hist)
         except SegmentCorruption as exc:
             raise QueryError(str(exc))
         for key, hist in self.memtable.tables[name].items():
-            merged = scanned.get(key)
-            if merged is None:
-                merged = scanned[key] = MergeHist()
-            merged.merge(hist)
+            _fold(scanned, key, hist)
         self._scanned[name] = scanned
         return scanned
+
+    def _fleet_aoi_hist(self, scan: bool = False) -> MergeHist:
+        """Every AoI row of every window merged into one histogram:
+        the device fleet's staleness.  It is the same for every app,
+        so the pruned path works it out once per (immutable) view;
+        ``scan=True`` recomputes it by full scan every time."""
+        if not scan and self._fleet_aoi is not None:
+            return self._fleet_aoi
+        prefixes = [(str(window),) for window in self.windows()]
+        if scan:
+            wanted = set(prefixes)
+            rows = {key: hist for key, hist
+                    in self._scan_table("aoi", cached=False).items()
+                    if key[:1] in wanted}
+        else:
+            rows = self.scan_prefixes("aoi", prefixes)
+        fleet = MergeHist()
+        for hist in rows.values():
+            fleet.merge(hist)
+        if not scan:
+            self._fleet_aoi = fleet
+        return fleet
 
     # -- dashboard panels ----------------------------------------------
 
@@ -375,7 +405,6 @@ class ReadView:
                      for kind in (MeasurementKind.TPUT_UP,
                                   MeasurementKind.TPUT_DOWN)]
         energy_keys = [(str(window), app) for window in windows]
-        aoi_prefixes = [(str(window),) for window in windows]
         if scan:
             source = self._scan_table("app", cached=False)
             hits = {key: source[key] for key in keys
@@ -389,17 +418,10 @@ class ReadView:
             energy_hits = {key: energy_source[key]
                            for key in energy_keys
                            if key in energy_source}
-            wanted = set(aoi_prefixes)
-            aoi_hits = {key: hist for key, hist
-                        in self._scan_table("aoi",
-                                            cached=False).items()
-                        if key[:1] in wanted}
         else:
             hits = self.get_many("app", keys)
             tput_hits = self.get_many("app_throughput", tput_keys)
             energy_hits = self.get_many("app_energy", energy_keys)
-            aoi_hits = self.scan_prefixes("aoi", aoi_prefixes) \
-                if aoi_prefixes else {}
         rows: List[Dict[str, object]] = []
         overall = MergeHist()
         for window in windows:
@@ -418,9 +440,6 @@ class ReadView:
         energy = MergeHist()
         for hist in energy_hits.values():
             energy.merge(hist)
-        aoi = MergeHist()
-        for hist in aoi_hits.values():
-            aoi.merge(hist)
         return {
             "panel": "app",
             "app": app,
@@ -431,7 +450,7 @@ class ReadView:
             "throughput": {"up": _log_summary(up, "kb_s"),
                            "down": _log_summary(down, "kb_s")},
             "energy": _log_summary(energy, "mj"),
-            "aoi": _log_summary(aoi, "ms"),
+            "aoi": _log_summary(self._fleet_aoi_hist(scan), "ms"),
         }
 
     def network_panel(self, operator: str, scan: bool = False
@@ -451,19 +470,20 @@ class ReadView:
         else:
             hits = self.scan_prefixes("network", prefixes) \
                 if prefixes else {}
+        by_window: Dict[str, List[Tuple[Key, MergeHist]]] = {}
+        for key, hist in hits.items():
+            by_window.setdefault(key[0], []).append((key, hist))
         rows: List[Dict[str, object]] = []
         by_tech: Dict[str, MergeHist] = {}
         overall = MergeHist()
         app_layer = MergeHist()
         for window in windows:
-            prefix = (str(window), operator)
-            matches = {key: hist for key, hist in hits.items()
-                       if key[:2] == prefix}
+            matches = by_window.get(str(window))
             if not matches:
                 continue
             tcp = MergeHist()
             dns = MergeHist()
-            for key, hist in matches.items():
+            for key, hist in matches:
                 _window, _operator, tech, kind = key
                 if kind == MeasurementKind.TCP:
                     tcp.merge(hist)
@@ -476,12 +496,13 @@ class ReadView:
                     dns.merge(hist)
                 elif kind == MeasurementKind.APP_RTT:
                     app_layer.merge(hist)
+            app_median, app_p99 = tcp.quantile_indices((0.5, 0.99))
             rows.append({
                 "window": window,
                 "count": tcp.count + dns.count,
-                "app_median_ms": (round(tcp.median(), 2)
+                "app_median_ms": (round(app_median * BIN_WIDTH_MS, 2)
                                   if tcp.count else None),
-                "app_p99_ms": (round(tcp.quantile(0.99), 2)
+                "app_p99_ms": (round(app_p99 * BIN_WIDTH_MS, 2)
                                if tcp.count else None),
                 "dns_median_ms": (round(dns.median(), 2)
                                   if dns.count else None),

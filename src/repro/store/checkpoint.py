@@ -37,7 +37,7 @@ import os
 import zlib
 from typing import Optional, Tuple
 
-from repro.backend.rollups import RollupConfig, RollupStore
+from repro.backend.rollups import RollupConfig, RollupStore, _decode_key
 from repro.obs import Observability
 from repro.store.encoding import FRAME_OK, decode_rows, frame, read_frame
 from repro.store.segments import _encode_block
@@ -141,7 +141,8 @@ def read_checkpoint(path: str) -> Tuple[RollupStore, int]:
                 "table %r rows undecodable in %s: %s"
                 % (name, path, exc))
         if name in store.tables:
-            store.tables[name] = decoded
+            store.tables[name] = {_decode_key(text): hist
+                                  for text, hist in decoded.items()}
     if pos != len(data) - len(TAIL_MAGIC):
         raise CheckpointCorruption("trailing garbage in %s" % path)
     return store, int(header["covers_gen"])

@@ -32,7 +32,6 @@ import zlib
 from typing import Dict, Optional, Tuple
 
 from repro.backend.rollups import (
-    Key,
     MergeHist,
     _decode_key,
     _encode_key,
@@ -190,16 +189,29 @@ def decode_hist(data: bytes, pos: int) -> Tuple[MergeHist, int]:
 
 
 def decode_rows(payload: bytes, expected_rows: Optional[int] = None,
-                legacy_order: bool = False) -> Dict[Key, MergeHist]:
+                legacy_order: bool = False) -> Dict[str, MergeHist]:
     """Decode one inflated row payload -- a segment block or a whole
-    checkpoint table -- into ``{key: hist}`` **in encoded-key order**.
+    checkpoint table -- into ``{encoded key text: hist}`` **in stored
+    (encoded-key) order**.
+
+    A block stays keyed as it is stored, ordered and looked up: the
+    reader already holds the encoded text of every key it asks for,
+    so no key is split into its tuple here -- whoever hands a row out
+    of the store does that (``_decode_key``), for that row only.
 
     Rows are written sorted by encoded key, and utf-8 byte order is
     code-point order, so the raw key bytes must be strictly ascending;
     a payload where they are not is rejected.  Readers lean on that:
     the dict this returns iterates in encoded-key order, which is what
-    lets :class:`~repro.store.segments.SegmentReader` walk a cached
-    block without re-sorting it.
+    lets :class:`~repro.store.segments.SegmentReader` bisect and walk
+    a cached block without re-sorting it.
+
+    Every text must also be **canonical** -- exactly what
+    ``_encode_key`` writes for the tuple it decodes to.  Only a text
+    holding a backslash can fail that (a needless escape, a trailing
+    lone backslash), so only those are decoded and re-encoded to
+    check; it is what keeps "no repeated text" meaning "no repeated
+    key" (``a\\bc`` and ``abc`` are one key).
 
     ``legacy_order`` is for payloads the first writers may have
     produced -- schema-1 segment blocks, and checkpoints, whose schema
@@ -207,18 +219,19 @@ def decode_rows(payload: bytes, expected_rows: Optional[int] = None,
     which differs from encoded-key order wherever one part is a prefix
     of another (``1|...`` sorts above ``10|...``: the separator is
     above every digit).  Such a payload is valid: it is put into
-    encoded-key order here, once per decode, instead of refused.
+    encoded-key order here (sorted by the text itself), once per
+    decode, instead of refused.
 
     Raises ``ValueError`` (``IndexError`` where a truncated payload
-    ends on a varint boundary) on anything malformed, a repeated key
-    included; ``expected_rows`` is the count the caller's index
-    recorded, when it has one.
+    ends on a varint boundary) on anything malformed, a repeated or
+    non-canonical key included; ``expected_rows`` is the count the
+    caller's index recorded, when it has one.
     """
     n_rows, pos = read_uvarint(payload, 0)
     if expected_rows is not None and n_rows != expected_rows:
         raise ValueError("row count %d != footer's %d"
                          % (n_rows, expected_rows))
-    table: Dict[Key, MergeHist] = {}
+    table: Dict[str, MergeHist] = {}
     end = len(payload)
     previous = None
     in_order = True
@@ -236,13 +249,14 @@ def decode_rows(payload: bytes, expected_rows: Optional[int] = None,
                 raise ValueError("rows out of key order")
             in_order = False
         previous = raw
-        table[_decode_key(raw.decode("utf-8"))], pos = \
-            decode_hist(payload, key_end)
+        text = raw.decode("utf-8")
+        if "\\" in text and _encode_key(_decode_key(text)) != text:
+            raise ValueError("key %r is not in canonical form" % text)
+        table[text], pos = decode_hist(payload, key_end)
     if len(table) != n_rows:
         raise ValueError("repeated key")
     if not in_order:
-        table = dict(sorted(table.items(),
-                            key=lambda row: _encode_key(row[0])))
+        table = dict(sorted(table.items()))
     return table
 
 

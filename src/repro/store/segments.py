@@ -26,6 +26,13 @@ strictly fewer blocks than a scan.  The footer also records the set of
 rollup windows the segment holds, so a reader can enumerate windows
 without touching a single row block.
 
+A decoded block stays in the form it is stored, ordered and looked
+up in: ``{encoded key text: hist}`` in stored order
+(:func:`repro.store.encoding.decode_rows`).  Point reads look a row up
+by its text and prefix reads bisect the texts; a key is split back
+into its tuple only for a row that leaves the reader (docs/STORAGE.md
+has the table of who splits what).
+
 Reads go through an open file handle (``seek`` + bounded ``read`` per
 block), never a whole-file slurp: a pinned reader touches only the
 blocks its queries need, and -- because the handle stays open -- keeps
@@ -58,6 +65,8 @@ from repro.backend.rollups import (
     MergeHist,
     RollupConfig,
     RollupStore,
+    _SEP,
+    _decode_key,
     _encode_key,
 )
 from repro.obs import Observability
@@ -74,9 +83,6 @@ SEGMENT_SCHEMA = 3
 #: query decodes a few KB, large enough that zlib still has a real
 #: window to compress over.
 DEFAULT_BLOCK_ROWS = 256
-
-#: Exclusive upper bound used for prefix ranges over encoded keys.
-_PREFIX_CEILING = "\U0010ffff"
 
 
 class SegmentCorruption(Exception):
@@ -185,6 +191,20 @@ def write_segment(path: str, store: RollupStore, seq: int,
     return len(blob)
 
 
+def prefix_range(prefix_parts: Tuple[str, ...]
+                 ) -> Tuple[str, Optional[str]]:
+    """``(low, high)``: the encoded keys of exactly the rows whose key
+    starts with ``prefix_parts`` (and is longer) are those that start
+    with ``low``, i.e. the half-open range ``[low, high)``.  ``high``
+    is ``low``'s exact successor -- its closing ``|`` swapped for the
+    next code point, ``}`` -- so no key part, whatever it begins with,
+    falls outside; the empty prefix has no upper end."""
+    if not prefix_parts:
+        return "", None
+    encoded = _encode_key(tuple(prefix_parts))
+    return encoded + _SEP, encoded + chr(ord(_SEP) + 1)
+
+
 class SegmentReader:
     """Block-granular random access over one segment file.
 
@@ -216,7 +236,7 @@ class SegmentReader:
             raise SegmentCorruption("unreadable segment %s: %s"
                                     % (path, exc))
         self._cache_prefix = os.path.abspath(path)
-        self._local: Dict[Tuple[str, int], Dict[Key, MergeHist]] = {}
+        self._local: Dict[Tuple[str, int], Dict[str, MergeHist]] = {}
         try:
             self.footer = self._load_footer()
         except SegmentCorruption:
@@ -325,7 +345,9 @@ class SegmentReader:
 
     # -- block loading -------------------------------------------------
 
-    def _load_block(self, name: str, index: int) -> Dict[Key, MergeHist]:
+    def _load_block(self, name: str, index: int) -> Dict[str, MergeHist]:
+        """One decoded block, ``{encoded key text: hist}`` in stored
+        order (:func:`~repro.store.encoding.decode_rows`)."""
         if self.stats is not None:
             self.stats.blocks_read += 1
         if self.obs is not None:
@@ -350,7 +372,7 @@ class SegmentReader:
         return rows
 
     def _decode_block(self, name: str, index: int
-                      ) -> Tuple[Dict[Key, MergeHist], int]:
+                      ) -> Tuple[Dict[str, MergeHist], int]:
         from repro.store.encoding import (
             FRAME_OK,
             decode_rows,
@@ -407,8 +429,7 @@ class SegmentReader:
         """Zone-map point read: bisects the blocks' ``max`` keys and
         opens at most one block."""
         blocks = self._tables[name]["blocks"]
-        key = tuple(key)
-        encoded = _encode_key(key)
+        encoded = _encode_key(tuple(key))
         maxes = self._block_maxes.get(name)
         if maxes is None:
             maxes = self._block_maxes[name] = [
@@ -419,111 +440,109 @@ class SegmentReader:
         if index < len(blocks) and \
                 self._block_holds(blocks[index], encoded):
             self._prune(len(blocks) - 1)
-            return self._load_block(name, index).get(key)
+            return self._load_block(name, index).get(encoded)
         self._prune(len(blocks))
         return None
 
-    def get_many(self, name: str, keys: List[Key]
+    def get_many(self, name: str, pairs: List[Tuple[str, Key]]
                  ) -> Dict[Key, MergeHist]:
-        """Batched point reads: one merge-join pass over the zone
-        maps, opening each candidate block at most once however many
-        keys land in it.  Absent keys are simply missing from the
-        result."""
+        """Batched point reads of ``(encoded key text, key)`` pairs,
+        **sorted and without repeats** -- the caller
+        (:meth:`repro.serve.ReadView.get_many`) encodes and sorts its
+        key set once and hands every reader the same list.  One
+        merge-join pass over the zone maps, opening each candidate
+        block at most once however many keys land in it; rows are
+        looked up by text and returned under the pair's key, so no
+        key is encoded or split here.  Absent keys are simply missing
+        from the result."""
         blocks = self._tables[name]["blocks"]
-        encoded = sorted((_encode_key(tuple(key)), tuple(key))
-                         for key in set(map(tuple, keys)))
         out: Dict[Key, MergeHist] = {}
         skipped = 0
         index = 0
         for block_index, entry in enumerate(blocks):
-            if index >= len(encoded):
+            if index >= len(pairs):
                 skipped += len(blocks) - block_index
                 break
             low = entry["min"]
             high = entry["max"]
-            while index < len(encoded) and low is not None \
-                    and encoded[index][0] < low:
+            while index < len(pairs) and low is not None \
+                    and pairs[index][0] < low:
                 index += 1               # below every later block too
             end = index
-            while end < len(encoded) and \
-                    (high is None or encoded[end][0] <= high):
+            while end < len(pairs) and \
+                    (high is None or pairs[end][0] <= high):
                 end += 1
             if end == index:
                 skipped += 1
                 continue
             rows = self._load_block(name, block_index)
-            for _encoded_key, key in encoded[index:end]:
-                hist = rows.get(key)
+            for encoded, key in pairs[index:end]:
+                hist = rows.get(encoded)
                 if hist is not None:
                     out[key] = hist
             index = end
         self._prune(skipped)
         return out
 
-    @staticmethod
-    def _prefix_range(prefix_parts: Tuple[str, ...]) -> Tuple[str, str]:
-        low = _encode_key(tuple(prefix_parts)) + "|" \
-            if prefix_parts else ""
-        return low, low + _PREFIX_CEILING
-
     def scan_prefix(self, name: str, prefix_parts: Tuple[str, ...]
                     ) -> Iterator[Tuple[Key, MergeHist]]:
-        """All rows whose key starts with ``prefix_parts``, opening
-        only the blocks whose zone map intersects the prefix range."""
-        return self.scan_prefixes(name, [tuple(prefix_parts)])
+        """All rows whose key starts with ``prefix_parts`` and goes
+        on, opening only the blocks whose zone map intersects the
+        prefix range."""
+        return self.scan_prefixes(name, [prefix_range(prefix_parts)])
 
     def scan_prefixes(self, name: str,
-                      prefixes: List[Tuple[str, ...]]
+                      ranges: List[Tuple[str, Optional[str]]]
                       ) -> Iterator[Tuple[Key, MergeHist]]:
-        """All rows matching *any* of the (equal-length) prefixes, in
-        one pass: each block is opened at most once however many
-        prefix ranges intersect it."""
-        if not prefixes:
-            return
-        lengths = {len(prefix) for prefix in prefixes}
-        if len(lengths) != 1:
-            raise ValueError("scan_prefixes wants equal-length "
-                             "prefixes, got lengths %s"
-                             % sorted(lengths))
-        n = lengths.pop()
-        wanted = {tuple(prefix) for prefix in prefixes}
-        ranges = sorted(self._prefix_range(prefix)
-                        for prefix in wanted)
+        """All rows in *any* of the prefix ranges
+        (:func:`prefix_range`; **sorted, none inside another** --
+        equal-length prefixes give that), in one pass: each block is
+        opened at most once however many ranges intersect it, and a
+        candidate block is bisected per range, not walked.  Yields in
+        encoded-key order, and splits a key into its tuple only for a
+        row it yields."""
         blocks = self._tables[name]["blocks"]
         skipped = 0
         for index, entry in enumerate(blocks):
-            low = entry["min"]
-            high = entry["max"]
-            candidate = False
-            for range_low, range_high in ranges:
-                if high is not None and high < range_low:
+            block_min = entry["min"]
+            block_max = entry["max"]
+            touching = []
+            for low, high in ranges:
+                if block_max is not None and block_max < low:
                     break    # block sits below this and later ranges
-                if low is not None and low >= range_high:
-                    continue             # above this range; try next
-                candidate = True
-                break
-            if not candidate:
+                if block_min is None or high is None \
+                        or block_min < high:
+                    touching.append(low)
+            if not touching:
                 skipped += 1
                 continue
-            # A decoded block iterates in encoded-key order:
-            # decode_rows refuses (or, schema 1, reorders) any other.
-            for key, hist in self._load_block(name, index).items():
-                if key[:n] in wanted:
-                    yield key, hist
+            # A decoded block is in encoded-key order: decode_rows
+            # refuses (or, schema 1, reorders) any other.
+            rows = self._load_block(name, index)
+            texts = list(rows)
+            for low in touching:
+                at = bisect_left(texts, low)
+                while at < len(texts) and texts[at].startswith(low):
+                    text = texts[at]
+                    yield _decode_key(text), rows[text]
+                    at += 1
         self._prune(skipped)
 
     def iter_table(self, name: str) -> Iterator[Tuple[Key, MergeHist]]:
         """Every row of the table, in encoded-key order."""
         for index in range(len(self._tables[name]["blocks"])):
-            yield from self._load_block(name, index).items()
+            for text, hist in self._load_block(name, index).items():
+                yield _decode_key(text), hist
 
     def table(self, name: str) -> Dict[Key, MergeHist]:
-        """The whole table, merged across its blocks (a full scan).
-        The dict is the caller's; the rows are the block cache's own
-        and every later reader sees them -- read, never write."""
+        """The whole table under its key tuples, merged across its
+        blocks (a full scan that splits every key).  The dict is the
+        caller's; the rows are the block cache's own and every later
+        reader sees them -- read, never write."""
         merged: Dict[Key, MergeHist] = {}
         for index in range(len(self._tables[name]["blocks"])):
-            merged.update(self._load_block(name, index))
+            for text, hist in self._load_block(name, index).items():
+                merged[_decode_key(text)] = hist
         return merged
 
     def to_store(self) -> RollupStore:
@@ -552,4 +571,4 @@ class SegmentReader:
 
 __all__ = ["DEFAULT_BLOCK_ROWS", "MAGIC", "ReadStats", "SEGMENT_SCHEMA",
            "SegmentCorruption", "SegmentReader", "TAIL_MAGIC",
-           "write_segment"]
+           "prefix_range", "write_segment"]

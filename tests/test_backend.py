@@ -15,7 +15,7 @@ from repro.backend import (
     parse_batch_lines,
 )
 from repro.backend import query as backend_query
-from repro.backend.rollups import BIN_WIDTH_MS, MAX_RTT_MS
+from repro.backend.rollups import BIN_WIDTH_MS, MAX_RTT_MS, N_BINS
 from repro.core.persist import record_to_line
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability
@@ -35,7 +35,69 @@ def _payload(records):
             + "\n").encode()
 
 
+def _reference_quantile_index(hist, q):
+    """The quantile loop as ``quantile`` and ``quantile_index`` each
+    carried it before they shared one: one sorted pass per quantile."""
+    if hist.count == 0:
+        return 0.0
+    target = q * hist.count
+    seen = 0
+    for index in sorted(hist.bins):
+        n = hist.bins[index]
+        if seen + n >= target:
+            frac = (target - seen) / n if n else 0.0
+            return index + frac
+        seen += n
+    return float(N_BINS)
+
+
+def _hist_of(bins, overflow=0):
+    hist = MergeHist()
+    hist.bins = dict(bins)
+    hist.count = sum(bins.values())
+    hist.overflow = overflow
+    return hist
+
+
 class TestMergeHist:
+    @pytest.mark.parametrize("hist", [
+        _hist_of({}),                                   # empty
+        _hist_of({40: 7}),                              # one bin
+        _hist_of({4: 5, 9: 5}),              # q = 0.5 on a bin edge
+        _hist_of({4: 1, 9: 1, 700: 98}),     # several q in one bin
+        _hist_of({0: 3, 17: 1, N_BINS - 1: 2}, overflow=2),
+        _hist_of({3: 0, 8: 4}),              # a bin holding nothing
+    ], ids=["empty", "one-bin", "bin-edge", "shared-bin", "overflow",
+            "zero-bin"])
+    def test_every_readout_agrees_with_the_old_loop(self, hist):
+        qs = (0.0, 0.1, 0.5, 0.9, 0.99, 1.0)
+        want = [_reference_quantile_index(hist, q) for q in qs]
+        assert hist.quantile_indices(qs) == want
+        assert [hist.quantile_index(q) for q in qs] == want
+        assert [hist.quantile(q) for q in qs] \
+            == [index * BIN_WIDTH_MS for index in want]
+        assert hist.median() == want[2] * BIN_WIDTH_MS
+        assert hist.quantile_indices(()) == []
+
+    def test_quantile_past_the_count_is_the_top_of_the_grid(self):
+        """A count larger than the bins hold (only a damaged row has
+        one) reads as the grid's end, as it always did."""
+        hist = _hist_of({4: 2})
+        hist.count = 10
+        assert hist.quantile_indices((0.1, 0.5, 1.0)) \
+            == [4.5, float(N_BINS), float(N_BINS)]
+        assert hist.quantile(1.0) == MAX_RTT_MS
+
+    def test_merge_into_empty_copies_the_bins(self):
+        source = _hist_of({4: 2, 9: 1}, overflow=1)
+        merged = MergeHist()
+        merged.merge(source)
+        merged.merge(source)
+        assert merged.to_dict() == _hist_of({4: 4, 9: 2},
+                                            overflow=2).to_dict()
+        assert source.to_dict() == _hist_of({4: 2, 9: 1},
+                                            overflow=1).to_dict()
+
     def test_median_interpolates_within_bin(self):
         hist = MergeHist()
         for value in (10.0, 20.0, 30.0):

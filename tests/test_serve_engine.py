@@ -182,11 +182,13 @@ class TestPrunedVersusScan:
     def test_cached_blocks_are_walked_not_resorted(self, tmp_path,
                                                    monkeypatch):
         """A count, so it cannot be noisy: over blocks already in the
-        cache, a prefix scan encodes each prefix once (its range) and
-        a table scan encodes nothing -- never a key per row -- yet
-        both yield in encoded-key order, and the panel built on them
-        is the ``scan=True`` panel byte for byte."""
-        from repro.backend.rollups import _encode_key
+        cache, the prefix ranges are encoded once each and then serve
+        every reader, a prefix scan and a table scan encode nothing
+        -- never a key per row -- and a prefix scan splits only the
+        keys it yields; yet both yield in encoded-key order, and the
+        panel built on them is the ``scan=True`` panel byte for
+        byte."""
+        from repro.backend.rollups import _decode_key, _encode_key
         from repro.store import segments
 
         engine, obs = _engine(tmp_path)
@@ -198,15 +200,21 @@ class TestPrunedVersusScan:
             rows = sum(1 for _row in reader.iter_table("network"))
             assert rows > len(prefixes)
         calls = []
+        splits = []
         monkeypatch.setattr(
             segments, "_encode_key",
             lambda key: calls.append(key) or _encode_key(key))
+        monkeypatch.setattr(
+            segments, "_decode_key",
+            lambda text: splits.append(text) or _decode_key(text))
+        ranges = sorted(map(segments.prefix_range, prefixes))
+        assert len(calls) == len(prefixes)
         for reader in view.readers:
             misses = view.stats.cache_misses
-            del calls[:]
-            hits = list(reader.scan_prefixes("network", prefixes))
-            assert len(calls) <= len(prefixes)
-            del calls[:]
+            del calls[:], splits[:]
+            hits = list(reader.scan_prefixes("network", ranges))
+            assert calls == []
+            assert splits == [_encode_key(key) for key, _hist in hits]
             scanned = list(reader.iter_table("network"))
             assert calls == []
             assert view.stats.cache_misses == misses

@@ -252,6 +252,18 @@ class TestRowOrder:
                                ("1", "OpA", "WIFI", "DNS")]
         assert all(hist.count == 1 for hist in table.values())
 
+    @pytest.mark.parametrize("raw_keys", [
+        [b"0|Op\\B|WIFI|DNS"],                      # needless escape
+        [b"0|OpB|WIFI|DNS\\"],                      # lone backslash
+        [b"0|Op\\A|WIFI|DNS", b"0|OpA|WIFI|DNS"],   # one key, twice
+    ], ids=["needless-escape", "trailing-backslash", "same-key-pair"])
+    def test_key_text_no_writer_produces_rejected(self, tmp_path,
+                                                  raw_keys):
+        path = self._checkpoint(tmp_path, raw_keys)
+        with pytest.raises(CheckpointCorruption,
+                           match="not in canonical form"):
+            read_checkpoint(path)
+
     def test_table_repeating_a_key_rejected(self, tmp_path):
         path = self._checkpoint(
             tmp_path, [b"0|OpB|WIFI|DNS", b"0|OpA|WIFI|DNS",

@@ -231,7 +231,12 @@ def _reference_decode_hist(data, pos):
 def _reference_decode_rows(payload, expected_rows=None,
                            legacy_order=False):
     """``decode_rows`` from ``read_uvarint`` alone, one call per
-    varint and one character per step of the key."""
+    varint and one character per step of the key.  Rows come back
+    under their stored text, as ``decode_rows`` returns them -- but
+    every text is split here, refused unless it is exactly the
+    escaped join of its parts, and a repeat is looked for among the
+    key *tuples*: the check the decoder's one ``in`` per row has to
+    be equal to."""
     n_rows, pos = read_uvarint(payload, 0)
     if expected_rows is not None and n_rows != expected_rows:
         raise ValueError("row count mismatch")
@@ -243,16 +248,19 @@ def _reference_decode_rows(payload, expected_rows=None,
             raise ValueError("key runs past the payload")
         pos += key_len
         hist, pos = _reference_decode_hist(payload, pos)
-        rows.append((raw, _reference_decode_key(raw.decode("utf-8")),
-                     hist))
-    raws = [raw for raw, _key, _hist in rows]
-    if len({key for _raw, key, _hist in rows}) != n_rows:
+        text = raw.decode("utf-8")
+        key = _reference_decode_key(text)
+        if "|".join(_escape_part(part) for part in key) != text:
+            raise ValueError("key not in canonical form")
+        rows.append((raw, text, key, hist))
+    raws = [raw for raw, _text, _key, _hist in rows]
+    if len({key for _raw, _text, key, _hist in rows}) != n_rows:
         raise ValueError("repeated key")
     if raws != sorted(raws):
         if not legacy_order:
             raise ValueError("rows out of key order")
-        rows.sort(key=lambda row: _encode_key(row[1]))
-    return {key: hist for _raw, key, hist in rows}
+        rows.sort(key=lambda row: row[0])
+    return {text: hist for _raw, text, _key, hist in rows}
 
 
 def _outcome(decode, payload, expected_rows, legacy_order=False):
@@ -305,11 +313,15 @@ class TestRowDecoder:
         assert rows is not None
         assert rows == _outcome(_reference_decode_rows, payload, n_rows)
         assert rows == _outcome(decode_rows, payload, None)
-        # Stored order is encoded-key order, and nothing is lost.
-        assert [key for key, *_rest in rows] \
+        # Stored order is encoded-key order, rows are keyed by the
+        # stored text, and nothing is lost: splitting the texts gives
+        # back exactly the table's keys.
+        assert [text for text, *_rest in rows] \
+            == sorted(map(_encode_key, table))
+        assert [_decode_key(text) for text, *_rest in rows] \
             == sorted(table, key=_encode_key)
-        assert {key: bins for key, _c, _o, bins in rows} \
-            == {key: sorted(hist.bins.items())
+        assert {text: bins for text, _c, _o, bins in rows} \
+            == {_encode_key(key): sorted(hist.bins.items())
                 for key, hist in table.items()}
         assert _outcome(decode_rows, payload, n_rows + 1) is None
 

@@ -278,6 +278,27 @@ class TestSegmentCorruption:
                            match="rows out of key order"):
             reader.verify()
 
+    @pytest.mark.parametrize("raw_keys", [
+        [b"0|OpA|WIFI|DNS", b"0|Op\\B|WIFI|DNS"],   # needless escape
+        [b"0|OpA|WIFI|DNS", b"0|OpB|WIFI|DNS\\"],   # lone backslash
+        [b"0|OpA|WIFI|DNS", b"0|Op\\A|WIFI|DNS"],   # one key, twice
+    ], ids=["needless-escape", "trailing-backslash", "same-key-pair"])
+    def test_key_text_no_writer_produces_rejected(self, tmp_path,
+                                                  raw_keys):
+        """Blocks are keyed by stored text, so two texts that split
+        into one tuple would be two rows of one key.  Every writer
+        stores ``_encode_key``'s output; any other text -- ascending
+        and distinct as these are -- is refused."""
+        assert raw_keys == sorted(set(raw_keys))
+        path = self._dns_only_segment(tmp_path, raw_keys)
+        reader = SegmentReader(path)
+        with pytest.raises(SegmentCorruption,
+                           match="not in canonical form"):
+            reader.verify()
+        with pytest.raises(SegmentCorruption,
+                           match="not in canonical form"):
+            reader.get("network", ("0", "OpA", "WIFI", "DNS"))
+
     def test_key_length_past_the_payload_rejected(self, tmp_path):
         path = self._dns_only_segment(
             tmp_path, [b"0|OpA|WIFI|DNS", b"0|OpB|WIFI|DNS"],

@@ -17,7 +17,10 @@ shipped (or could ship) and later had to fix:
 * ``query``    -- zone-map pruning must earn its keep: dashboard
   panels answered through the pruned read path must serialise
   byte-identically to the same panels computed by full table scans
-  while reading *strictly fewer* blocks.
+  while reading *strictly fewer* blocks.  And, counts only, a block
+  stays keyed as it is stored: over the same pruned panels the
+  readers split exactly the keys of the rows they yield, and keys and
+  prefixes are encoded once per panel, not once per segment.
 * ``snapshot`` -- a dashboard refresh must not pay for the memtable:
   ``QueryEngine.snapshot()`` over a >= 5k-group memtable copies zero
   histograms (counted by object identity, no clock involved), the
@@ -49,11 +52,13 @@ Run all (the default) or one by name::
 Exit code 0 on pass, 1 on any guard failure.
 """
 
+import contextlib
 import json
 import os
 import sys
 import tempfile
 import time
+from unittest import mock
 
 SCALE = float(os.environ.get("MOPEYE_GUARD_SCALE", "0.02"))
 SEED = 2016
@@ -170,9 +175,60 @@ def guard_replay(dataset):
     return failures
 
 
+def _pruned_panel_key_work(view, apps, operators):
+    """Run the pruned panels with the key codec and the readers'
+    batched reads counted: ``(keys split, rows the readers yielded,
+    keys encoded, keys and prefixes asked)``.  No clock involved."""
+    from repro.backend.rollups import _decode_key, _encode_key
+    from repro.serve import engine as serve_engine
+    from repro.store import segments
+
+    counts = {"split": 0, "encoded": 0, "yielded": 0, "asked": 0}
+    scan_prefixes = segments.SegmentReader.scan_prefixes
+
+    def counted(function, name):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+        return wrapper
+
+    def counted_ask(function):
+        def wrapper(view, table, wanted):
+            counts["asked"] += len(set(map(tuple, wanted)))
+            return function(view, table, wanted)
+        return wrapper
+
+    def counted_scan(reader, table, ranges):
+        for row in scan_prefixes(reader, table, ranges):
+            counts["yielded"] += 1
+            yield row
+
+    patches = [
+        (segments, "_decode_key", counted(_decode_key, "split")),
+        (segments, "_encode_key", counted(_encode_key, "encoded")),
+        (serve_engine, "_encode_key", counted(_encode_key, "encoded")),
+        (segments.SegmentReader, "scan_prefixes", counted_scan),
+        (serve_engine.ReadView, "get_many",
+         counted_ask(serve_engine.ReadView.get_many)),
+        (serve_engine.ReadView, "scan_prefixes",
+         counted_ask(serve_engine.ReadView.scan_prefixes)),
+    ]
+    with contextlib.ExitStack() as stack:
+        for owner, name, replacement in patches:
+            stack.enter_context(
+                mock.patch.object(owner, name, replacement))
+        for app in apps:
+            view.app_panel(app)
+        for operator in operators:
+            view.network_panel(operator)
+    return (counts["split"], counts["yielded"], counts["encoded"],
+            counts["asked"])
+
+
 def guard_query(dataset):
     """Pruned dashboard panels: byte-identical to full scans, and
-    strictly fewer blocks read."""
+    strictly fewer blocks read; keys split only for rows that leave a
+    reader and encoded once per panel."""
     from repro.obs import Observability
     from repro.serve import DashboardWorkload, QueryEngine, QueryError
     from repro.store import StoreConfig, StoreEngine
@@ -211,6 +267,21 @@ def guard_query(dataset):
                 "maps are not pruning"
                 % (verify["pruned_blocks_read"],
                    verify["scan_blocks_read"]))
+        split, yielded, encoded, asked = _pruned_panel_key_work(
+            view, workload._apps[:8], workload._operators[:8])
+        print("query: the same pruned panels -> %d keys split for %d "
+              "rows yielded, %d keys encoded for %d keys and prefixes "
+              "asked" % (split, yielded, encoded, asked))
+        if split != yielded:
+            return _fail(
+                "readers split %d keys but yielded %d rows; a prefix "
+                "scan must split only the rows it yields"
+                % (split, yielded))
+        if encoded > asked:
+            return _fail(
+                "%d keys encoded for %d keys and prefixes asked over "
+                "%d segments; a panel encodes its keys once, not once "
+                "per segment" % (encoded, asked, segments))
     finally:
         view.close()
         engine.close()
