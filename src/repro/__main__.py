@@ -559,7 +559,9 @@ def cmd_store(args) -> int:
 def _print_store_summary(engine) -> None:
     import os
 
+    from repro.backend.rollups import RollupStore, _decode_key
     from repro.store.engine import QUARANTINE_DIR
+    from repro.store.segments import stored_order
     from repro.store.wal import replay
 
     info = engine.last_recovery
@@ -568,10 +570,21 @@ def _print_store_summary(engine) -> None:
     print("segments:       %d" % len(readers))
     for reader in readers:
         footer = reader.footer
-        print("  seq %-4d %-16s %8d bytes  %7d records"
+        print("  seq %-4d %-16s %8d bytes  %7d records  schema %d"
               % (footer["seq"],
                  os.path.basename(reader.path),
-                 reader.size_bytes(), footer["records"]))
+                 reader.size_bytes(), footer["records"],
+                 footer["schema"]))
+        for table in RollupStore.TABLES:
+            blocks = reader.blocks(table)
+            if not blocks:
+                continue
+            # Stored part order, by storing the parts' own positions.
+            arity = len(_decode_key(blocks[0]["min"]))
+            order = stored_order(table, tuple(map(str, range(arity))))
+            print("    %-15s parts %-8s %6d rows %3d blocks  %s .. %s"
+                  % (table, ",".join(order), reader.rows(table),
+                     len(blocks), blocks[0]["min"], blocks[-1]["max"]))
     frames = sum(len(replay(path).payloads)
                  for path in engine.wal_paths())
     print("wal:            %d file(s), %d frame(s), %d bytes%s"

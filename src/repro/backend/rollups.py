@@ -321,10 +321,15 @@ class RollupStore:
     TABLES = ("network", "app", "watch_domain", "watch_network",
               "lte_domain", "app_throughput", "app_energy", "aoi")
 
-    #: Tables added by the modality work (PR 9); segments and
-    #: checkpoints written before it simply lack these, and the readers
-    #: treat a table missing from an older footer as empty.
+    #: Tables added by the modality work (PR 9).
     MODALITY_TABLES = ("app_throughput", "app_energy", "aoi")
+
+    #: Tables read one subject (app, operator) at a time.  Keyed
+    #: window-first here and in every digest; segments alone store
+    #: them subject-first, the first two key parts swapped
+    #: (:func:`repro.store.segments.stored_order`).
+    SUBJECT_MAJOR_TABLES = ("network", "app", "app_throughput",
+                            "app_energy")
 
     def __init__(self, config: Optional[RollupConfig] = None,
                  meta: Optional[Dict[str, object]] = None) -> None:
@@ -462,11 +467,11 @@ class RollupStore:
                        "app_energy", "aoi")
 
     def windows(self) -> List[int]:
+        """Ascending; each distinct window parsed once, not per row."""
         seen = set()
         for table in self.WINDOWED_TABLES:
-            for key in self.tables[table]:
-                seen.add(int(key[0]))
-        return sorted(seen)
+            seen.update({key[0] for key in self.tables[table]})
+        return sorted({int(window) for window in seen})
 
     def iter_table(self, name: str) -> Iterator[Tuple[Key, MergeHist]]:
         table = self.tables[name]

@@ -21,11 +21,12 @@ replacement.  This module gives every query a **pinned view** instead:
   :class:`ReadView` therefore answers every query from exactly the
   state that existed at snapshot time -- ingest, flush, compaction
   and retention racing the reader cannot tear a result.
-* Point and prefix queries go through the segment zone maps
-  (``footer.blocks[].min/max``), opening only the blocks that can
-  match -- strictly fewer than a scan, with byte-identical results
-  (``scan=True`` on every panel recomputes the answer the slow way
-  for exactly that assertion).
+* Queries go through the segment zone maps
+  (``footer.blocks[].min/max``).  Segments store a subject's rows
+  together, so a panel asks each for **one range per table** and
+  opens the one or two blocks that hold its subject -- byte-identical
+  to a scan (``scan=True`` on every panel recomputes the answer the
+  slow way for exactly that assertion).
 * All readers of one engine share a byte-budgeted
   :class:`~repro.store.blockcache.BlockCache`, so a fan-out of panels
   over the same hot windows decodes each block once.
@@ -45,7 +46,6 @@ from repro.backend.rollups import (
     Key,
     MergeHist,
     RollupStore,
-    _encode_key,
     log_bin_value,
 )
 from repro.core.records import MeasurementKind
@@ -55,6 +55,8 @@ from repro.store.segments import (
     ReadStats,
     SegmentCorruption,
     prefix_range,
+    stored_order,
+    stored_text,
 )
 
 #: The CLI query surface, in display order.  ``tests/test_query_docs``
@@ -138,10 +140,10 @@ class ReadView:
     from a lazily materialised merge of every pinned segment plus the
     memtable clone -- byte-compatible with the pre-serving-tier CLI.
     Pruned views (:meth:`app_panel`, :meth:`network_panel`) answer
-    from zone-mapped point/prefix reads instead, opening only the
-    blocks that can match; pass ``scan=True`` to recompute the same
-    panel by full scan (the byte-identity check the tests and perf
-    guard run).
+    from one zone-mapped subject range per table and segment instead
+    (:meth:`scan_subject`), opening only the blocks that can match;
+    pass ``scan=True`` to recompute the same panel by full scan (the
+    byte-identity check the tests and perf guard run).
 
     Views must be closed (or used as context managers): close()
     releases the pinned file descriptors.
@@ -251,20 +253,13 @@ class ReadView:
     # -- pruned primitives ---------------------------------------------
 
     def windows(self) -> List[int]:
-        """Every rollup window in the view, from footer metadata alone
-        where possible (zero block reads for v2 segments).  Worked
-        out once -- the view is immutable -- so a panel does not walk
-        the memtable's keys again."""
+        """Every rollup window in the view, from the memtable's keys
+        and the segments' footers (zero block reads), worked out once.
+        Panels do not ask: a subject's rows name their own windows."""
         if self._windows is None:
             seen = set(self.memtable.windows())
             for reader in self.readers:
-                listed = reader.windows()
-                if listed is None:      # v1 footer: derive by scan
-                    for table in ("network", "app"):
-                        for key, _hist in reader.iter_table(table):
-                            seen.add(int(key[0]))
-                else:
-                    seen.update(listed)
+                seen.update(reader.windows())
             self._windows = sorted(seen)
         return list(self._windows)
 
@@ -287,12 +282,12 @@ class ReadView:
                  ) -> Dict[Key, MergeHist]:
         """Batched point reads merged across segments + memtable.
         The key set is encoded and sorted **once**, here, and every
-        segment is handed the same ``(encoded text, key)`` pairs: it
+        segment is handed the same ``(stored text, key)`` pairs: it
         walks its zone maps once, opens every candidate block at most
         once for the whole set, and looks rows up by the text."""
         out: Dict[Key, MergeHist] = {}
         wanted = set(map(tuple, keys))
-        pairs = sorted((_encode_key(key), key) for key in wanted)
+        pairs = sorted((stored_text(table, key), key) for key in wanted)
         try:
             for reader in self.readers:
                 for key, hist in reader.get_many(table, pairs).items():
@@ -315,30 +310,62 @@ class ReadView:
     def scan_prefixes(self, table: str,
                       prefixes: List[Tuple[str, ...]]
                       ) -> Dict[Key, MergeHist]:
-        """Rows matching any of the (equal-length) prefixes -- each
-        shorter than the table's keys -- merged across segments +
-        memtable in one batched pass per segment.  Each prefix's
-        encoded range is worked out once, here, and shared by every
-        segment."""
-        out: Dict[Key, MergeHist] = {}
+        """Rows whose key starts with any of the (equal-length)
+        prefixes **and is strictly longer** -- a row keyed exactly by
+        a prefix is not under it, flushed or not -- merged across
+        segments + memtable in one batched pass per segment; each
+        prefix's stored range is worked out once, here.  Prefixes are
+        in key order; on a subject-major table, where a window's rows
+        are not stored together, one must be empty or reach the
+        subject (:meth:`scan_subject`: a subject in every window)."""
         wanted = {tuple(prefix) for prefix in prefixes}
         lengths = sorted({len(prefix) for prefix in wanted})
         if len(lengths) > 1:
             raise ValueError("scan_prefixes wants equal-length "
                              "prefixes, got lengths %s" % lengths)
         if not wanted:
-            return out
+            return {}
         n = lengths[0]
-        ranges = sorted(prefix_range(prefix) for prefix in wanted)
+        if n == 1 and table in RollupStore.SUBJECT_MAJOR_TABLES:
+            raise ValueError("table %r is stored subject-first: a "
+                             "window alone is not a range of it"
+                             % table)
+        ranges = sorted(prefix_range(stored_order(table, prefix))
+                        for prefix in wanted)
+        return self._merge_ranges(
+            table, ranges,
+            ((key, hist) for key, hist
+             in self.memtable.tables[table].items()
+             if len(key) > n and key[:n] in wanted))
+
+    def scan_subject(self, table: str, subject: str
+                     ) -> Dict[Key, MergeHist]:
+        """Every row of a subject-major table about ``subject`` (its
+        second key part), whatever the window, merged across segments
+        + memtable: **one contiguous range per segment**, so zone maps
+        leave the one or two blocks that hold the subject."""
+        if table not in RollupStore.SUBJECT_MAJOR_TABLES:
+            raise ValueError("table %r is not stored subject-first"
+                             % table)
+        return self._merge_ranges(
+            table, [prefix_range((subject,))],
+            ((key, hist) for key, hist
+             in self.memtable.tables[table].items()
+             if len(key) > 1 and key[1] == subject))
+
+    def _merge_ranges(self, table: str,
+                      ranges: List[Tuple[str, Optional[str]]],
+                      memtable_rows) -> Dict[Key, MergeHist]:
+        """Every segment's rows in ``ranges``, then the memtable's."""
+        out: Dict[Key, MergeHist] = {}
         try:
             for reader in self.readers:
                 for key, hist in reader.scan_prefixes(table, ranges):
                     _fold(out, key, hist)
         except SegmentCorruption as exc:
             raise QueryError(str(exc))
-        for key, hist in self.memtable.tables[table].items():
-            if key[:n] in wanted:
-                _fold(out, key, hist)
+        for key, hist in memtable_rows:
+            _fold(out, key, hist)
         return out
 
     def _scan_table(self, name: str,
@@ -366,25 +393,28 @@ class ReadView:
 
     def _fleet_aoi_hist(self, scan: bool = False) -> MergeHist:
         """Every AoI row of every window merged into one histogram:
-        the device fleet's staleness.  It is the same for every app,
-        so the pruned path works it out once per (immutable) view;
-        ``scan=True`` recomputes it by full scan every time."""
+        the device fleet's staleness.  It folds the whole table (the
+        empty prefix) and is the same for every app, so the pruned
+        path works it out once a view; ``scan=True`` every time."""
         if not scan and self._fleet_aoi is not None:
             return self._fleet_aoi
-        prefixes = [(str(window),) for window in self.windows()]
-        if scan:
-            wanted = set(prefixes)
-            rows = {key: hist for key, hist
-                    in self._scan_table("aoi", cached=False).items()
-                    if key[:1] in wanted}
-        else:
-            rows = self.scan_prefixes("aoi", prefixes)
+        rows = self._scan_table("aoi", cached=False) if scan \
+            else self.scan_prefixes("aoi", [()])
         fleet = MergeHist()
         for hist in rows.values():
             fleet.merge(hist)
         if not scan:
             self._fleet_aoi = fleet
         return fleet
+
+    def _subject_rows(self, table: str, subject: str, scan: bool
+                      ) -> Dict[Key, MergeHist]:
+        """The subject's range, or the same rows out of a full scan."""
+        if not scan:
+            return self.scan_subject(table, subject)
+        return {key: hist for key, hist
+                in self._scan_table(table, cached=False).items()
+                if len(key) > 1 and key[1] == subject}
 
     # -- dashboard panels ----------------------------------------------
 
@@ -394,52 +424,35 @@ class ReadView:
         per-app comparison), plus the app's modality summaries --
         per-direction throughput, attributed energy, and the device
         fleet's age-of-information (docs/MODALITIES.md).  Pruned by
-        default: batched point/prefix reads across all windows, so
-        each segment opens every candidate block at most once."""
+        default: the app's range of each of three tables, so each
+        segment opens only the blocks that hold the app."""
         self._count_query()
-        windows = self.windows()
-        keys = [(str(window), app, MeasurementKind.TCP)
-                for window in windows]
-        tput_keys = [(str(window), app, kind)
-                     for window in windows
-                     for kind in (MeasurementKind.TPUT_UP,
-                                  MeasurementKind.TPUT_DOWN)]
-        energy_keys = [(str(window), app) for window in windows]
-        if scan:
-            source = self._scan_table("app", cached=False)
-            hits = {key: source[key] for key in keys
-                    if key in source}
-            tput_source = self._scan_table("app_throughput",
-                                           cached=False)
-            tput_hits = {key: tput_source[key] for key in tput_keys
-                         if key in tput_source}
-            energy_source = self._scan_table("app_energy",
-                                             cached=False)
-            energy_hits = {key: energy_source[key]
-                           for key in energy_keys
-                           if key in energy_source}
-        else:
-            hits = self.get_many("app", keys)
-            tput_hits = self.get_many("app_throughput", tput_keys)
-            energy_hits = self.get_many("app_energy", energy_keys)
+        by_window = {
+            int(key[0]): hist for key, hist
+            in self._subject_rows("app", app, scan).items()
+            if len(key) == 3 and key[2] == MeasurementKind.TCP
+            and hist.count}
         rows: List[Dict[str, object]] = []
         overall = MergeHist()
-        for window in windows:
-            hist = hits.get((str(window), app, MeasurementKind.TCP))
-            if hist is None or hist.count == 0:
-                continue
+        for window in sorted(by_window):
+            hist = by_window[window]
             rows.append(dict([("window", window),
                               ("count", hist.count)],
                              **_quantiles(hist)))
             overall.merge(hist)
         up = MergeHist()
         down = MergeHist()
-        for key, hist in tput_hits.items():
-            (up if key[2] == MeasurementKind.TPUT_UP
-             else down).merge(hist)
+        directions = {MeasurementKind.TPUT_UP: up,
+                      MeasurementKind.TPUT_DOWN: down}
+        for key, hist in self._subject_rows("app_throughput", app,
+                                            scan).items():
+            if len(key) == 3 and key[2] in directions:
+                directions[key[2]].merge(hist)
         energy = MergeHist()
-        for hist in energy_hits.values():
-            energy.merge(hist)
+        for key, hist in self._subject_rows("app_energy", app,
+                                            scan).items():
+            if len(key) == 2:
+                energy.merge(hist)
         return {
             "panel": "app",
             "app": app,
@@ -457,33 +470,22 @@ class ReadView:
                       ) -> Dict[str, object]:
         """Per-window app-vs-DNS medians and a per-technology
         breakdown for one operator (the per-ISP comparison).  Pruned
-        by default: one batched prefix pass covering every window, so
-        each segment opens every candidate block at most once."""
+        by default: the operator's range of the ``network`` table, so
+        each segment opens only the blocks that hold the operator."""
         self._count_query()
-        windows = self.windows()
-        prefixes = [(str(window), operator) for window in windows]
-        if scan:
-            source = self._scan_table("network", cached=False)
-            wanted = set(prefixes)
-            hits = {key: hist for key, hist in source.items()
-                    if key[:2] in wanted}
-        else:
-            hits = self.scan_prefixes("network", prefixes) \
-                if prefixes else {}
-        by_window: Dict[str, List[Tuple[Key, MergeHist]]] = {}
-        for key, hist in hits.items():
-            by_window.setdefault(key[0], []).append((key, hist))
+        by_window: Dict[int, List[Tuple[Key, MergeHist]]] = {}
+        for key, hist in self._subject_rows("network", operator,
+                                            scan).items():
+            if len(key) == 4:
+                by_window.setdefault(int(key[0]), []).append((key, hist))
         rows: List[Dict[str, object]] = []
         by_tech: Dict[str, MergeHist] = {}
         overall = MergeHist()
         app_layer = MergeHist()
-        for window in windows:
-            matches = by_window.get(str(window))
-            if not matches:
-                continue
+        for window in sorted(by_window):
             tcp = MergeHist()
             dns = MergeHist()
-            for key, hist in matches:
+            for key, hist in by_window[window]:
                 _window, _operator, tech, kind = key
                 if kind == MeasurementKind.TCP:
                     tcp.merge(hist)

@@ -16,8 +16,8 @@ are volatile by nature and only included when asked
 
 ``verify_against_scan()`` recomputes a sample of panels by full scan
 and asserts byte-identical results with strictly fewer blocks read on
-the pruned side: the tentpole invariant, run by the tests and
-``tools/perf_guards.py``.
+the pruned side; ``tools/perf_guards.py`` runs it and then holds the
+pruned side to a count of its own.
 """
 
 from __future__ import annotations

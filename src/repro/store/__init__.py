@@ -19,6 +19,7 @@ from repro.store.segments import (
     ReadStats,
     SegmentCorruption,
     SegmentReader,
+    UnsupportedSchema,
     write_segment,
 )
 from repro.store.wal import FsyncModel, WriteAheadLog, replay
@@ -34,6 +35,7 @@ __all__ = [
     "SegmentReader",
     "StoreConfig",
     "StoreEngine",
+    "UnsupportedSchema",
     "WriteAheadLog",
     "read_checkpoint",
     "replay",

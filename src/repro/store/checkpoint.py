@@ -18,16 +18,17 @@ Layout, front to back::
 The header carries ``schema``, ``covers_gen`` (the highest WAL
 generation whose frames are folded into this snapshot), the rollup
 config, and the record counters.  Table blocks reuse the segment
-format's sorted delta+varint row encoding (deflated, CRC framed), so
-a checkpoint of equal content is byte-identical regardless of
-insertion order or ``PYTHONHASHSEED``.
+format's row payload and sorter (deflated, CRC framed; keyed order --
+a checkpoint is only read whole), so a checkpoint of equal content is
+byte-identical regardless of insertion order or ``PYTHONHASHSEED``.
 
 Writes are atomic (``.tmp`` + rename).  Readers validate everything
 up front and raise :class:`CheckpointCorruption` on any structural or
 checksum failure; the engine quarantines the file and falls back to
 the previous checkpoint plus a longer WAL replay -- which is exactly
 why the engine retains two checkpoints and only prunes WAL
-generations the *older* one covers.
+generations the *older* one covers.  A sound file of another schema
+raises :class:`~repro.store.segments.UnsupportedSchema` and stays put.
 """
 
 from __future__ import annotations
@@ -40,11 +41,13 @@ from typing import Optional, Tuple
 from repro.backend.rollups import RollupConfig, RollupStore, _decode_key
 from repro.obs import Observability
 from repro.store.encoding import FRAME_OK, decode_rows, frame, read_frame
-from repro.store.segments import _encode_block
+from repro.store.segments import (UnsupportedSchema, encode_rows,
+                                  sorted_rows)
 
 MAGIC = b"MOPCKP1\n"
 TAIL_MAGIC = b"MOPCKPF1"
-CHECKPOINT_SCHEMA = 1
+#: 2: rows strictly ascending by key text (1: either of two orders).
+CHECKPOINT_SCHEMA = 2
 
 
 class CheckpointCorruption(Exception):
@@ -67,7 +70,7 @@ def write_checkpoint(path: str, store: RollupStore, covers_gen: int,
              frame(json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode())]
     for name in RollupStore.TABLES:
-        payload, _rows = _encode_block(store.tables[name])
+        payload = encode_rows(sorted_rows(store.tables[name]))
         parts.append(frame(zlib.compress(payload, 9)))
     parts.append(TAIL_MAGIC)
     blob = b"".join(parts)
@@ -86,7 +89,8 @@ def write_checkpoint(path: str, store: RollupStore, covers_gen: int,
 def read_checkpoint(path: str) -> Tuple[RollupStore, int]:
     """Load and fully validate a checkpoint.  Returns
     ``(store, covers_gen)``; raises :class:`CheckpointCorruption` on
-    any defect (the caller quarantines and falls back)."""
+    any defect (the caller quarantines and falls back),
+    ``UnsupportedSchema`` on a sound file of another schema."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -108,17 +112,16 @@ def read_checkpoint(path: str) -> Tuple[RollupStore, int]:
     except ValueError:
         raise CheckpointCorruption("header is not JSON in %s" % path)
     if header.get("schema") != CHECKPOINT_SCHEMA:
-        raise CheckpointCorruption(
-            "checkpoint %s has schema %r; this reader understands %d"
+        raise UnsupportedSchema(
+            "checkpoint %s is schema %r and this build reads only "
+            "schema %d; the file is intact and was left in place"
             % (path, header.get("schema"), CHECKPOINT_SCHEMA))
     store = RollupStore(
         config=RollupConfig.from_dict(header["config"]))
     store.records = int(header["records"])
     store.failure_records = int(header.get("failure_records", 0))
-    # The header records which tables were written, in order, so a
-    # checkpoint taken before a schema widening (fewer tables) still
-    # reads back next to the current TABLES tuple: absent tables stay
-    # empty, and any table this build does not know is decoded (to
+    # The header names the tables written, in order: one it lacks
+    # stays empty, and one this build does not know is decoded (to
     # keep frame positions honest) and dropped.
     for name in header.get("tables", list(RollupStore.TABLES)):
         payload, pos, status = read_frame(data, pos)
@@ -132,10 +135,7 @@ def read_checkpoint(path: str) -> Tuple[RollupStore, int]:
                 "table %r block undeflatable in %s: %s"
                 % (name, path, exc))
         try:
-            # The first checkpoint writer sorted rows by key tuple
-            # and the schema number has not moved since, so either
-            # row order is a valid file.
-            decoded = decode_rows(rows, legacy_order=True)
+            decoded = decode_rows(rows)
         except (ValueError, IndexError) as exc:
             raise CheckpointCorruption(
                 "table %r rows undecodable in %s: %s"

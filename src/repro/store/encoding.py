@@ -188,23 +188,26 @@ def decode_hist(data: bytes, pos: int) -> Tuple[MergeHist, int]:
 # -- row payloads -----------------------------------------------------------
 
 
-def decode_rows(payload: bytes, expected_rows: Optional[int] = None,
-                legacy_order: bool = False) -> Dict[str, MergeHist]:
+def decode_rows(payload: bytes, expected_rows: Optional[int] = None
+                ) -> Dict[str, MergeHist]:
     """Decode one inflated row payload -- a segment block or a whole
-    checkpoint table -- into ``{encoded key text: hist}`` **in stored
-    (encoded-key) order**.
+    checkpoint table -- into ``{stored key text: hist}`` **in stored
+    order**.
 
     A block stays keyed as it is stored, ordered and looked up: the
-    reader already holds the encoded text of every key it asks for,
-    so no key is split into its tuple here -- whoever hands a row out
-    of the store does that (``_decode_key``), for that row only.
+    reader already holds the stored text of every key it asks for, so
+    no text is split into its tuple here, nor its parts put back into
+    the order ``RollupStore`` keys them in -- whoever hands a row out
+    of the store does both
+    (:func:`repro.store.segments.stored_order`), for that row only.
 
-    Rows are written sorted by encoded key, and utf-8 byte order is
-    code-point order, so the raw key bytes must be strictly ascending;
-    a payload where they are not is rejected.  Readers lean on that:
-    the dict this returns iterates in encoded-key order, which is what
-    lets :class:`~repro.store.segments.SegmentReader` bisect and walk
-    a cached block without re-sorting it.
+    Rows are written sorted by that text (``sorted_rows``; a
+    checkpoint's is the key as keyed), and utf-8 byte order is
+    code-point order, so the raw text bytes must be strictly ascending;
+    a payload where they are not is rejected, whichever file it is.  Readers lean on that: the dict this returns
+    iterates in stored order, which is what lets
+    :class:`~repro.store.segments.SegmentReader` bisect and walk a
+    cached block without re-sorting it.
 
     Every text must also be **canonical** -- exactly what
     ``_encode_key`` writes for the tuple it decodes to.  Only a text
@@ -212,15 +215,6 @@ def decode_rows(payload: bytes, expected_rows: Optional[int] = None,
     lone backslash), so only those are decoded and re-encoded to
     check; it is what keeps "no repeated text" meaning "no repeated
     key" (``a\\bc`` and ``abc`` are one key).
-
-    ``legacy_order`` is for payloads the first writers may have
-    produced -- schema-1 segment blocks, and checkpoints, whose schema
-    number has not moved since.  Those sorted rows by key *tuple*,
-    which differs from encoded-key order wherever one part is a prefix
-    of another (``1|...`` sorts above ``10|...``: the separator is
-    above every digit).  Such a payload is valid: it is put into
-    encoded-key order here (sorted by the text itself), once per
-    decode, instead of refused.
 
     Raises ``ValueError`` (``IndexError`` where a truncated payload
     ends on a varint boundary) on anything malformed, a repeated or
@@ -234,7 +228,6 @@ def decode_rows(payload: bytes, expected_rows: Optional[int] = None,
     table: Dict[str, MergeHist] = {}
     end = len(payload)
     previous = None
-    in_order = True
     for _ in range(n_rows):
         key_len = payload[pos]
         pos += 1
@@ -245,18 +238,12 @@ def decode_rows(payload: bytes, expected_rows: Optional[int] = None,
             raise ValueError("key runs past the payload")
         raw = payload[pos:key_end]
         if previous is not None and raw <= previous:
-            if not legacy_order:
-                raise ValueError("rows out of key order")
-            in_order = False
+            raise ValueError("rows out of key order")
         previous = raw
         text = raw.decode("utf-8")
         if "\\" in text and _encode_key(_decode_key(text)) != text:
             raise ValueError("key %r is not in canonical form" % text)
         table[text], pos = decode_hist(payload, key_end)
-    if len(table) != n_rows:
-        raise ValueError("repeated key")
-    if not in_order:
-        table = dict(sorted(table.items()))
     return table
 
 

@@ -35,7 +35,8 @@ A miniature LSM tree shaped for the rollup workload:
   dedup LRU seeds and all -- truncating torn tails at the last valid
   frame.  Replayed records are *not* accumulated; pass ``on_record``
   to observe them (recovery stays O(checkpoint interval) in memory,
-  not O(run)).
+  not O(run)).  A sound file of a schema this build does not read is
+  not corruption: recovery raises ``UnsupportedSchema``, moving nothing.
 
 The engine owns the memtable and the dedup map as *shared objects*:
 :class:`~repro.backend.ingest.IngestPipeline` holds references to the
@@ -683,7 +684,9 @@ class StoreEngine:
         (quarantining torn ones, falling back to the previous) -> WAL
         tail replay into the memtable and dedup map, truncating torn
         tails.  Each replayed record streams through ``on_record``
-        (when given) and is then dropped -- only counts are kept."""
+        (when given) and is then dropped -- only counts are kept.
+        A sound segment or checkpoint of another schema raises
+        ``UnsupportedSchema`` with every file left in place."""
         started = time.time()
         info = RecoveryInfo()
         for wal in self._wals:
@@ -853,7 +856,8 @@ class StoreEngine:
             self.dedup.popitem(last=False)
 
     def _check_segment(self, name: str) -> bool:
-        """Full checksum pass; quarantine the file on failure."""
+        """Full checksum pass; quarantine the file on failure
+        (``UnsupportedSchema`` is not one, and goes through)."""
         path = self._segment_path(name)
         try:
             with SegmentReader(path) as reader:

@@ -8,30 +8,33 @@ Layout, front to back::
     u64 LE footer offset              where the footer frame starts
     MOPSEGF1                          8-byte tail magic
 
-Each rollup table's rows are sorted by **encoded key** -- ``varint
-key-length + key utf-8 + hist codec`` (see
-:mod:`repro.store.encoding`) -- then split into blocks of at most
-``block_rows`` rows, each deflated with zlib before framing (the CRC
-covers the compressed bytes).  Two stores with equal content produce
-byte-identical segments regardless of insertion order or
+Each rollup table's rows are sorted by **stored key text** -- the
+key's parts in *stored order* (:func:`stored_order`: subject before
+window for ``RollupStore.SUBJECT_MAJOR_TABLES``, as keyed otherwise;
+nothing outside this module knows it), joined by ``_encode_key`` --
+written as ``varint text-length + text utf-8 +
+hist codec`` (see :mod:`repro.store.encoding`) and split into blocks
+of at most ``block_rows`` rows, each deflated with zlib before framing
+(the CRC covers the compressed bytes).  Two stores with equal content
+produce byte-identical segments regardless of insertion order or
 ``PYTHONHASHSEED``.
 
 The footer indexes every block by offset/length **and by zone map**:
-the minimum and maximum encoded key the block holds.  Blocks within a
+the minimum and maximum stored text the block holds.  Blocks within a
 table are disjoint and ascending, so a point read binary-searches the
 zone maps and opens at most one block, and a range read opens only the
-blocks whose ``[min, max]`` intersects the requested range -- this is
-what makes the serving tier's pruned queries (docs/QUERY.md) read
-strictly fewer blocks than a scan.  The footer also records the set of
-rollup windows the segment holds, so a reader can enumerate windows
-without touching a single row block.
+blocks whose ``[min, max]`` intersects the requested range -- for a
+dashboard panel, the one or two blocks of the segment that hold its
+subject (docs/QUERY.md).  The footer also records the set of rollup
+windows the segment holds, so a reader can enumerate windows without
+touching a single row block.
 
 A decoded block stays in the form it is stored, ordered and looked
-up in: ``{encoded key text: hist}`` in stored order
+up in: ``{stored key text: hist}`` in stored order
 (:func:`repro.store.encoding.decode_rows`).  Point reads look a row up
-by its text and prefix reads bisect the texts; a key is split back
-into its tuple only for a row that leaves the reader (docs/STORAGE.md
-has the table of who splits what).
+by its text and prefix reads bisect the texts; a text is split back
+into its key tuple only for a row that leaves the reader
+(docs/STORAGE.md has the table of who splits what).
 
 Reads go through an open file handle (``seek`` + bounded ``read`` per
 block), never a whole-file slurp: a pinned reader touches only the
@@ -44,7 +47,9 @@ Every block and the footer carry their own CRC32.  A reader that
 trips a checksum raises :class:`SegmentCorruption`; the engine's
 recovery pass catches it and quarantines the file rather than serving
 silently wrong aggregates, and the serving tier surfaces it as a
-clean :class:`~repro.serve.QueryError`.
+clean :class:`~repro.serve.QueryError`.  A sound file of another
+``SEGMENT_SCHEMA`` raises :class:`UnsupportedSchema` instead, which
+recovery lets through with the file left where it is.
 
 Writes are atomic: the segment is assembled in a ``.tmp`` sibling and
 renamed into place, so a crash mid-flush leaves no half-segment for
@@ -58,6 +63,8 @@ import os
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.backend.rollups import (
@@ -73,12 +80,9 @@ from repro.obs import Observability
 
 MAGIC = b"MOPSEG1\n"
 TAIL_MAGIC = b"MOPSEGF1"
-#: v1 (PR 5) stored one monolithic block per table; v2 splits tables
-#: into zone-mapped blocks and records the window set in the footer;
-#: v3 (PR 9) adds the modality tables.  The reader accepts all three:
-#: a table absent from an older footer is served as empty, so pre-PR-9
-#: segments keep reading next to widened ones.
-SEGMENT_SCHEMA = 3
+#: The one schema written and read (1-3 stored every table
+#: window-first); any other is refused, :class:`UnsupportedSchema`.
+SEGMENT_SCHEMA = 4
 #: Default rows per zone-mapped block.  Small enough that a point
 #: query decodes a few KB, large enough that zlib still has a real
 #: window to compress over.
@@ -87,6 +91,12 @@ DEFAULT_BLOCK_ROWS = 256
 
 class SegmentCorruption(Exception):
     """A segment failed structural or checksum validation."""
+
+
+class UnsupportedSchema(ValueError):
+    """A sound segment or checkpoint of a schema this build does not
+    read (a newer build's, or an older one's).  Never quarantined:
+    recovery stops, naming the file and both schema numbers."""
 
 
 @dataclass
@@ -116,35 +126,49 @@ class ReadStats:
                          self.cache_hits, self.cache_misses)
 
 
-def _encode_rows(rows: List[Tuple[str, Key, MergeHist]]) -> bytes:
-    """Encode ``(encoded_key, key, hist)`` rows (already sorted by
-    encoded key) as one block payload."""
+def stored_order(name: str, parts: Key) -> Key:
+    """A key of table ``name``, or its leading parts, from keyed to
+    segment-stored order **or back**: a subject-major table swaps its
+    first two parts (its own inverse); all else is stored as keyed."""
+    if len(parts) >= 2 and name in RollupStore.SUBJECT_MAJOR_TABLES:
+        return (parts[1], parts[0]) + parts[2:]
+    return parts
+
+
+def stored_text(name: str, key: Key) -> str:
+    """The text ``key`` is stored, sorted and looked up under."""
+    return _encode_key(stored_order(name, key))
+
+
+def sorted_rows(table: Dict[Key, MergeHist], text=_encode_key
+                ) -> List[Tuple[str, MergeHist]]:
+    """``(text(key), hist)`` per row, strictly ascending by text: how
+    segment blocks (by stored text) and checkpoint tables (as keyed:
+    they are only ever read whole) are both written."""
+    return sorted(((text(key), hist) for key, hist in table.items()),
+                  key=itemgetter(0))
+
+
+def encode_rows(rows: List[Tuple[str, MergeHist]]) -> bytes:
+    """:func:`sorted_rows` output (or a slice of it) as one payload."""
     from repro.store.encoding import encode_hist, write_uvarint
 
     out = bytearray()
     write_uvarint(out, len(rows))
-    for encoded, _key, hist in rows:
-        raw = encoded.encode("utf-8")
+    for text, hist in rows:
+        raw = text.encode("utf-8")
         write_uvarint(out, len(raw))
         out.extend(raw)
         encode_hist(out, hist)
     return bytes(out)
 
 
-def _encode_block(table: Dict[Key, MergeHist]) -> Tuple[bytes, int]:
-    """One whole table as a single payload (the checkpoint format
-    still uses this monolithic form)."""
-    rows = sorted(((_encode_key(key), key, hist)
-                   for key, hist in table.items()),
-                  key=lambda row: row[0])
-    return _encode_rows(rows), len(rows)
-
-
 def write_segment(path: str, store: RollupStore, seq: int,
                   obs: Optional[Observability] = None,
                   block_rows: int = DEFAULT_BLOCK_ROWS) -> int:
-    """Write ``store`` as segment ``seq`` at ``path`` (atomically).
-    Returns the file size in bytes."""
+    """Write ``store`` as segment ``seq`` at ``path`` (atomically),
+    rows in stored order, each block zone-mapped by its first and
+    last stored text.  Returns the file size in bytes."""
     from repro.store.encoding import frame, pack_u64
 
     block_rows = max(1, int(block_rows))
@@ -152,13 +176,12 @@ def write_segment(path: str, store: RollupStore, seq: int,
     offset = len(MAGIC)
     index: Dict[str, Dict[str, object]] = {}
     for name in RollupStore.TABLES:
-        rows = sorted(((_encode_key(key), key, hist)
-                       for key, hist in store.tables[name].items()),
-                      key=lambda row: row[0])
+        rows = sorted_rows(store.tables[name],
+                           partial(stored_text, name))
         blocks: List[Dict[str, object]] = []
         for start in range(0, len(rows), block_rows):
             chunk = rows[start:start + block_rows]
-            block = frame(zlib.compress(_encode_rows(chunk), 9))
+            block = frame(zlib.compress(encode_rows(chunk), 9))
             parts.append(block)
             blocks.append({"offset": offset, "length": len(block),
                            "rows": len(chunk),
@@ -193,12 +216,14 @@ def write_segment(path: str, store: RollupStore, seq: int,
 
 def prefix_range(prefix_parts: Tuple[str, ...]
                  ) -> Tuple[str, Optional[str]]:
-    """``(low, high)``: the encoded keys of exactly the rows whose key
-    starts with ``prefix_parts`` (and is longer) are those that start
-    with ``low``, i.e. the half-open range ``[low, high)``.  ``high``
-    is ``low``'s exact successor -- its closing ``|`` swapped for the
-    next code point, ``}`` -- so no key part, whatever it begins with,
-    falls outside; the empty prefix has no upper end."""
+    """``(low, high)`` for leading parts **in stored order** (one
+    part of a subject-major table: the subject's whole run): exactly
+    the rows that start with ``prefix_parts`` *and go on* have texts
+    that start with ``low``, i.e. lie in ``[low, high)`` -- a row
+    keyed by just ``prefix_parts`` lacks ``low``'s closing ``|``.
+    ``high`` is ``low``'s exact successor -- that ``|`` swapped for
+    the next code point, ``}`` -- so no key part, whatever it begins
+    with, falls outside; the empty prefix has no upper end."""
     if not prefix_parts:
         return "", None
     encoded = _encode_key(tuple(prefix_parts))
@@ -209,13 +234,15 @@ class SegmentReader:
     """Block-granular random access over one segment file.
 
     The footer is validated on open; row blocks are CRC-checked lazily
-    on first access.  Point reads (:meth:`get`) and prefix ranges
-    (:meth:`scan_prefix`) consult the footer's zone maps and open only
-    the blocks that can match; a full scan (:meth:`iter_table`,
-    :meth:`to_store`) opens them all.  Decoded blocks go through the
-    shared :class:`~repro.store.blockcache.BlockCache` when one is
-    supplied, else a private per-reader cache.  Any structural or
-    checksum failure raises :class:`SegmentCorruption`.
+    on first access.  Point reads (:meth:`get`, :meth:`get_many`) and
+    prefix ranges (:meth:`scan_prefixes`) consult the footer's zone
+    maps and open only the blocks that can match; a full scan
+    (:meth:`iter_table`, :meth:`to_store`) opens them all.  Keys go in
+    and come out as ``RollupStore`` has them; texts and ranges are in
+    stored order.  Decoded blocks go through the shared
+    :class:`~repro.store.blockcache.BlockCache` when one is supplied,
+    else a private per-reader cache.  Any structural or checksum
+    failure raises :class:`SegmentCorruption`.
 
     The reader keeps its file handle open for its whole life, so a
     segment deleted by compaction or retention keeps serving the
@@ -239,17 +266,14 @@ class SegmentReader:
         self._local: Dict[Tuple[str, int], Dict[str, MergeHist]] = {}
         try:
             self.footer = self._load_footer()
-        except SegmentCorruption:
+        except (SegmentCorruption, UnsupportedSchema):
             self._handle.close()
             raise
         self.seq = int(self.footer["seq"])
         self.records = int(self.footer["records"])
         self.failure_records = int(self.footer.get("failure_records", 0))
         self.config = RollupConfig.from_dict(self.footer["config"])
-        self._tables = {
-            name: self._normalize_entry(name)
-            for name in RollupStore.TABLES
-        }
+        self._tables = self.footer["tables"]
         #: Per table, every block's zone-map ``max`` in block order --
         #: ascending, so :meth:`get` bisects it.  Filled by a table's
         #: first point read, not here: every snapshot opens every
@@ -303,30 +327,15 @@ class SegmentReader:
         except ValueError:
             raise SegmentCorruption("footer is not JSON in %s"
                                     % self.path)
-        if footer.get("schema") not in (1, 2, SEGMENT_SCHEMA):
-            raise SegmentCorruption(
-                "segment %s has schema %r; this reader understands "
-                "1..%d" % (self.path, footer.get("schema"),
-                           SEGMENT_SCHEMA))
+        if footer.get("schema") != SEGMENT_SCHEMA:
+            raise UnsupportedSchema(
+                "segment %s is schema %r and this build reads only "
+                "schema %d; the file is intact and was left in place"
+                % (self.path, footer.get("schema"), SEGMENT_SCHEMA))
+        if not set(RollupStore.TABLES) <= set(footer.get("tables", ())):
+            raise SegmentCorruption("footer of %s does not index every "
+                                    "rollup table" % self.path)
         return footer
-
-    def _normalize_entry(self, name: str) -> Dict[str, object]:
-        """v2 entries carry zone-mapped block lists; a v1 entry is one
-        monolithic block with an unbounded zone map.  A table missing
-        from the footer means the segment predates that table (the v3
-        schema widening) -- it reads as empty, not as corruption."""
-        try:
-            entry = self.footer["tables"][name]
-        except KeyError:
-            return {"rows": 0, "blocks": []}
-        if "blocks" in entry:
-            return entry
-        return {"rows": int(entry["rows"]),
-                "blocks": [{"offset": int(entry["offset"]),
-                            "length": int(entry["length"]),
-                            "rows": int(entry["rows"]),
-                            "min": None, "max": None}]
-                if int(entry["rows"]) else []}
 
     def blocks(self, name: str) -> List[Dict[str, object]]:
         """Block metadata (offset, length, rows, zone-map min/max)."""
@@ -335,18 +344,15 @@ class SegmentReader:
     def rows(self, name: str) -> int:
         return int(self._tables[name]["rows"])
 
-    def windows(self) -> Optional[List[int]]:
-        """Rollup windows this segment holds, straight from the footer
-        (``None`` for a v1 segment, which predates the field)."""
-        windows = self.footer.get("windows")
-        if windows is None:
-            return None
-        return [int(window) for window in windows]
+    def windows(self) -> List[int]:
+        """Rollup windows this segment holds, straight from the
+        footer."""
+        return [int(window) for window in self.footer["windows"]]
 
     # -- block loading -------------------------------------------------
 
     def _load_block(self, name: str, index: int) -> Dict[str, MergeHist]:
-        """One decoded block, ``{encoded key text: hist}`` in stored
+        """One decoded block, ``{stored key text: hist}`` in stored
         order (:func:`~repro.store.encoding.decode_rows`)."""
         if self.stats is not None:
             self.stats.blocks_read += 1
@@ -394,11 +400,7 @@ class SegmentReader:
                 "table %r block %d undeflatable in %s: %s"
                 % (name, index, self.path, exc))
         try:
-            # A block without a zone map is a schema-1 table, whose
-            # writer sorted rows by key tuple: valid, reordered once
-            # here.  A zone-mapped block out of order is corrupt.
-            rows = decode_rows(payload, int(entry["rows"]),
-                               legacy_order=entry["min"] is None)
+            rows = decode_rows(payload, int(entry["rows"]))
         except (ValueError, IndexError) as exc:
             raise SegmentCorruption(
                 "table %r block %d rows undecodable in %s: %s"
@@ -409,13 +411,7 @@ class SegmentReader:
 
     @staticmethod
     def _block_holds(entry: Dict[str, object], encoded: str) -> bool:
-        low = entry["min"]
-        high = entry["max"]
-        if low is not None and encoded < low:
-            return False
-        if high is not None and encoded > high:
-            return False
-        return True
+        return entry["min"] <= encoded <= entry["max"]
 
     def _prune(self, skipped: int) -> None:
         if skipped <= 0:
@@ -429,14 +425,12 @@ class SegmentReader:
         """Zone-map point read: bisects the blocks' ``max`` keys and
         opens at most one block."""
         blocks = self._tables[name]["blocks"]
-        encoded = _encode_key(tuple(key))
+        encoded = stored_text(name, tuple(key))
         maxes = self._block_maxes.get(name)
         if maxes is None:
             maxes = self._block_maxes[name] = [
-                block["max"] for block in blocks
-                if block["max"] is not None]
-        # A schema-1 table is one block with no zone map to bisect.
-        index = bisect_left(maxes, encoded) if maxes else 0
+                block["max"] for block in blocks]
+        index = bisect_left(maxes, encoded)
         if index < len(blocks) and \
                 self._block_holds(blocks[index], encoded):
             self._prune(len(blocks) - 1)
@@ -446,7 +440,7 @@ class SegmentReader:
 
     def get_many(self, name: str, pairs: List[Tuple[str, Key]]
                  ) -> Dict[Key, MergeHist]:
-        """Batched point reads of ``(encoded key text, key)`` pairs,
+        """Batched point reads of ``(stored key text, key)`` pairs,
         **sorted and without repeats** -- the caller
         (:meth:`repro.serve.ReadView.get_many`) encodes and sorts its
         key set once and hands every reader the same list.  One
@@ -465,12 +459,10 @@ class SegmentReader:
                 break
             low = entry["min"]
             high = entry["max"]
-            while index < len(pairs) and low is not None \
-                    and pairs[index][0] < low:
+            while index < len(pairs) and pairs[index][0] < low:
                 index += 1               # below every later block too
             end = index
-            while end < len(pairs) and \
-                    (high is None or pairs[end][0] <= high):
+            while end < len(pairs) and pairs[end][0] <= high:
                 end += 1
             if end == index:
                 skipped += 1
@@ -484,23 +476,16 @@ class SegmentReader:
         self._prune(skipped)
         return out
 
-    def scan_prefix(self, name: str, prefix_parts: Tuple[str, ...]
-                    ) -> Iterator[Tuple[Key, MergeHist]]:
-        """All rows whose key starts with ``prefix_parts`` and goes
-        on, opening only the blocks whose zone map intersects the
-        prefix range."""
-        return self.scan_prefixes(name, [prefix_range(prefix_parts)])
-
     def scan_prefixes(self, name: str,
                       ranges: List[Tuple[str, Optional[str]]]
                       ) -> Iterator[Tuple[Key, MergeHist]]:
-        """All rows in *any* of the prefix ranges
+        """All rows in *any* of the stored-text ranges
         (:func:`prefix_range`; **sorted, none inside another** --
-        equal-length prefixes give that), in one pass: each block is
-        opened at most once however many ranges intersect it, and a
-        candidate block is bisected per range, not walked.  Yields in
-        encoded-key order, and splits a key into its tuple only for a
-        row it yields."""
+        equal-length prefixes give that), in one pass: only blocks
+        whose zone map meets a range are opened, each at most once
+        however many ranges meet it, and a candidate block is bisected
+        per range, not walked.  Yields in stored order, and splits a
+        text into its key only for a row it yields."""
         blocks = self._tables[name]["blocks"]
         skipped = 0
         for index, entry in enumerate(blocks):
@@ -508,31 +493,31 @@ class SegmentReader:
             block_max = entry["max"]
             touching = []
             for low, high in ranges:
-                if block_max is not None and block_max < low:
+                if block_max < low:
                     break    # block sits below this and later ranges
-                if block_min is None or high is None \
-                        or block_min < high:
+                if high is None or block_min < high:
                     touching.append(low)
             if not touching:
                 skipped += 1
                 continue
-            # A decoded block is in encoded-key order: decode_rows
-            # refuses (or, schema 1, reorders) any other.
+            # A decoded block is in stored order: decode_rows refuses
+            # any other.
             rows = self._load_block(name, index)
             texts = list(rows)
             for low in touching:
                 at = bisect_left(texts, low)
                 while at < len(texts) and texts[at].startswith(low):
                     text = texts[at]
-                    yield _decode_key(text), rows[text]
+                    yield (stored_order(name, _decode_key(text)),
+                           rows[text])
                     at += 1
         self._prune(skipped)
 
     def iter_table(self, name: str) -> Iterator[Tuple[Key, MergeHist]]:
-        """Every row of the table, in encoded-key order."""
+        """Every row of the table, in stored order."""
         for index in range(len(self._tables[name]["blocks"])):
             for text, hist in self._load_block(name, index).items():
-                yield _decode_key(text), hist
+                yield stored_order(name, _decode_key(text)), hist
 
     def table(self, name: str) -> Dict[Key, MergeHist]:
         """The whole table under its key tuples, merged across its
@@ -542,7 +527,7 @@ class SegmentReader:
         merged: Dict[Key, MergeHist] = {}
         for index in range(len(self._tables[name]["blocks"])):
             for text, hist in self._load_block(name, index).items():
-                merged[_decode_key(text)] = hist
+                merged[stored_order(name, _decode_key(text))] = hist
         return merged
 
     def to_store(self) -> RollupStore:
@@ -571,4 +556,6 @@ class SegmentReader:
 
 __all__ = ["DEFAULT_BLOCK_ROWS", "MAGIC", "ReadStats", "SEGMENT_SCHEMA",
            "SegmentCorruption", "SegmentReader", "TAIL_MAGIC",
-           "prefix_range", "write_segment"]
+           "UnsupportedSchema", "encode_rows", "prefix_range",
+           "sorted_rows", "stored_order", "stored_text",
+           "write_segment"]

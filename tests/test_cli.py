@@ -195,6 +195,45 @@ class TestQuery:
         assert main(["query", state, "summary"]) == 0
         assert capsys.readouterr().out == from_dir
 
+    def test_store_inspect_prints_schema_and_stored_order(
+            self, data_dir, capsys):
+        assert main(["store", "inspect", data_dir]) == 0
+        out = capsys.readouterr().out
+        segments = [line for line in out.splitlines()
+                    if line.lstrip().startswith("seq ")]
+        assert len(segments) == 4
+        assert all(line.endswith("schema 4") for line in segments)
+        tables = [line.split() for line in out.splitlines()
+                  if " parts " in line]
+        orders = {fields[0]: fields[2] for fields in tables}
+        assert orders == {"network": "1,0,2,3", "app": "1,0,2",
+                          "lte_domain": "0,1"}
+        # The zone-map range beside it leads with the subject.
+        ranges = {fields[0]: fields[7] for fields in tables}
+        assert ranges["app"].startswith("com.app.00|")
+        assert ranges["network"].startswith("Op0|")
+
+    def test_other_schema_store_is_refused_not_emptied(
+            self, data_dir, capsys):
+        """Query and inspect both stop at a segment of a schema this
+        build does not read, name it, and leave it where it is."""
+        import os
+
+        from tests.test_store_segments import _rewrite_footer
+        name = sorted(os.listdir(os.path.join(data_dir, "segments")))[0]
+        path = os.path.join(data_dir, "segments", name)
+
+        def restamp(footer):
+            footer["schema"] = 5
+        _rewrite_footer(path, restamp)
+        for argv in (["store", "inspect", data_dir],
+                     ["query", data_dir, "summary"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert path in err and "schema 5 " in err
+        assert os.path.exists(path)
+        assert not os.path.exists(os.path.join(data_dir, "quarantine"))
+
     def test_query_panel_and_table_views(self, data_dir, capsys):
         assert main(["query", data_dir, "panel", "--app",
                      "com.app.01"]) == 0

@@ -14,6 +14,7 @@ from repro.obs import Observability
 from repro.store import StoreConfig, StoreEngine
 from repro.store import encoding
 from repro.store.checkpoint import (
+    CHECKPOINT_SCHEMA,
     MAGIC,
     TAIL_MAGIC,
     CheckpointCorruption,
@@ -21,6 +22,7 @@ from repro.store.checkpoint import (
     write_checkpoint,
 )
 from repro.store.engine import QUARANTINE_DIR
+from repro.store.segments import UnsupportedSchema
 from tests.conftest import hand_built_row_block
 
 
@@ -209,11 +211,11 @@ class TestCrashWindows:
 
 
 class TestRowOrder:
-    """Checkpoint tables go through the segment blocks' row decoder.
-    The checkpoint schema number has not moved since its first writer,
-    which sorted rows by key tuple rather than by encoded key, so a
-    table in either order is a valid file; a CRC-valid table that
-    repeats a key is the checkpoint's typed corruption."""
+    """Checkpoint tables go through the segment blocks' row decoder
+    and are held to the same rule: texts -- here the key as keyed,
+    window first -- strictly ascending.
+    A CRC-valid table in any other order -- the first writer's tuple
+    order, a repeated key -- is the checkpoint's typed corruption."""
 
     def _checkpoint(self, tmp_path, raw_keys):
         """An empty store's checkpoint with its first table swapped
@@ -237,20 +239,18 @@ class TestRowOrder:
         assert list(store.tables[RollupStore.TABLES[0]]) \
             == [("0", "OpA", "WIFI", "DNS"), ("0", "OpB", "WIFI", "DNS")]
 
-    def test_first_writers_row_order_still_reads(self, tmp_path):
+    def test_first_writers_row_order_is_corruption(self, tmp_path):
         """Tuple order: window 1 before window 10, OpA before OpA2 --
-        the reverse of encoded-key order, ``|`` sorting above digits
-        and letters."""
+        the reverse of text order, ``|`` sorting above digits and
+        letters.  Schema 1 let such a table through and sorted it;
+        schema 2 holds checkpoints to the segments' strict ascent."""
         raw_keys = [b"1|OpA|WIFI|DNS", b"1|OpA2|WIFI|DNS",
                     b"10|OpA|WIFI|DNS"]
         assert raw_keys != sorted(raw_keys)
-        store, _covers_gen = read_checkpoint(
-            self._checkpoint(tmp_path, raw_keys))
-        table = store.tables[RollupStore.TABLES[0]]
-        assert list(table) == [("10", "OpA", "WIFI", "DNS"),
-                               ("1", "OpA2", "WIFI", "DNS"),
-                               ("1", "OpA", "WIFI", "DNS")]
-        assert all(hist.count == 1 for hist in table.values())
+        with pytest.raises(CheckpointCorruption,
+                           match="rows out of key order"):
+            read_checkpoint(self._checkpoint(tmp_path, raw_keys))
+        read_checkpoint(self._checkpoint(tmp_path, sorted(raw_keys)))
 
     @pytest.mark.parametrize("raw_keys", [
         [b"0|Op\\B|WIFI|DNS"],                      # needless escape
@@ -266,10 +266,62 @@ class TestRowOrder:
 
     def test_table_repeating_a_key_rejected(self, tmp_path):
         path = self._checkpoint(
-            tmp_path, [b"0|OpB|WIFI|DNS", b"0|OpA|WIFI|DNS",
+            tmp_path, [b"0|OpA|WIFI|DNS", b"0|OpB|WIFI|DNS",
                        b"0|OpB|WIFI|DNS"])
-        with pytest.raises(CheckpointCorruption, match="repeated key"):
+        with pytest.raises(CheckpointCorruption,
+                           match="rows out of key order"):
             read_checkpoint(path)
+
+
+def _restamp_checkpoint(path, schema):
+    """Rewrite a checkpoint's header frame with another schema number,
+    every table frame after it as written."""
+    data = open(path, "rb").read()
+    payload, tables_at, _status = encoding.read_frame(data, len(MAGIC))
+    header = json.loads(payload)
+    header["schema"] = schema
+    open(path, "wb").write(
+        MAGIC + encoding.frame(json.dumps(
+            header, sort_keys=True, separators=(",", ":")).encode())
+        + data[tables_at:])
+
+
+class TestSchemaGate:
+    """A sound checkpoint of another schema is not a torn one: it is
+    refused by its own error, recovery stops, and nothing is moved."""
+
+    @pytest.mark.parametrize("schema", [1, CHECKPOINT_SCHEMA + 1])
+    def test_other_schema_is_unsupported_not_corrupt(self, tmp_path,
+                                                     schema):
+        path = str(tmp_path / "other.ckpt")
+        write_checkpoint(path, _reference(_records(30)), covers_gen=1)
+        _restamp_checkpoint(path, schema)
+        with pytest.raises(UnsupportedSchema) as refused:
+            read_checkpoint(path)
+        assert not isinstance(refused.value, CheckpointCorruption)
+        for told in (path, "schema %d " % schema,
+                     "schema %d;" % CHECKPOINT_SCHEMA):
+            assert told in str(refused.value)
+
+    def test_recovery_stops_and_quarantines_nothing(self, tmp_path):
+        engine, _obs = _engine(tmp_path, flush_threshold_records=None,
+                               checkpoint_interval_records=40)
+        engine.append_records(_records(100))
+        names = engine.checkpoint_names()
+        assert len(names) == 2
+        engine.close()
+        newest = os.path.join(engine.data_dir, names[-1])
+        _restamp_checkpoint(newest, 1)
+        before = open(newest, "rb").read()
+        with pytest.raises(UnsupportedSchema, match=names[-1]):
+            StoreEngine(engine.data_dir, obs=Observability())
+        assert open(newest, "rb").read() == before
+        assert not os.path.exists(
+            os.path.join(engine.data_dir, QUARANTINE_DIR))
+        manifest = json.load(open(
+            os.path.join(engine.data_dir, "MANIFEST.json")))
+        assert [entry["name"] for entry in manifest["checkpoints"]] \
+            == names
 
 
 class TestDedupAndStreaming:

@@ -181,6 +181,27 @@ class TestTornAndCorrupt:
         assert recovered.recover().segments_quarantined == 0
         recovered.close()
 
+    def test_bit_flipped_zone_map_is_quarantined(self, tmp_path):
+        """The zone maps sit in the footer, under its CRC: one bit of
+        a block's ``min`` text flipped is a checksum failure -- the
+        file is quarantined, not served with a range that lies."""
+        engine, _obs = _engine(tmp_path, flush_threshold_records=None)
+        engine.append_records(_records(40))
+        name = engine.flush()
+        path = engine._segment_path(name)
+        engine.close()
+        data = bytearray(open(path, "rb").read())
+        at = data.rindex(b'"min":"Op0|')
+        data[at + len(b'"min":"O')] ^= 0x01          # Op0 -> Oq0
+        open(path, "wb").write(bytes(data))
+        recovered = StoreEngine(str(tmp_path / "store"),
+                                obs=Observability())
+        assert recovered.last_recovery.segments_quarantined == 1
+        assert recovered.segment_names() == []
+        assert os.path.exists(os.path.join(
+            str(tmp_path / "store"), QUARANTINE_DIR, name))
+        recovered.close()
+
 
 class TestCompactionAndRetention:
     def test_compaction_preserves_the_digest(self, tmp_path):
@@ -200,29 +221,61 @@ class TestCompactionAndRetention:
         engine.recover()
         assert engine.materialize().digest() == digest
 
-    def test_old_schema_segment_recovers_compacts_and_serves(
-            self, tmp_path):
-        """A segment flushed before PR-9 widened the rollup schema
-        (schema 2, no modality tables in its footer) must recover,
-        merge with a new-schema segment carrying modality rows, and
-        serve the exact widened reference."""
-        from repro.store.engine import SEGMENT_DIR
+    @pytest.mark.parametrize("schema", [2, 3, 5])
+    def test_other_schema_segment_stops_recovery_untouched(
+            self, tmp_path, schema):
+        """A sound segment written by an older build (2: flushed
+        before PR-9 widened the tables; 3: window-major) or a newer
+        one is not corruption.  Recovery used to file it under
+        ``quarantine/`` and come up without its data; it stops with
+        the typed error instead, and moves and rewrites nothing."""
+        from repro.store import UnsupportedSchema
+        from repro.store.engine import QUARANTINE_DIR, SEGMENT_DIR
         from tests.test_store_segments import _rewrite_footer
 
+        engine, _obs = _engine(tmp_path, flush_threshold_records=None)
+        for start in (0, 30):
+            engine.append_records(_records(60)[start:start + 30])
+            engine.flush()
+        digest = engine.materialize().digest()
+        names = engine.segment_names()
+        engine.close()
+        root = str(tmp_path / "store")
+        path = os.path.join(root, SEGMENT_DIR, names[1])
+        manifest = open(os.path.join(root, "MANIFEST.json")).read()
+
+        def restamp(to):
+            def mutate(footer):
+                footer["schema"] = to
+            _rewrite_footer(path, mutate)
+        restamp(schema)
+        before = open(path, "rb").read()
+        with pytest.raises(UnsupportedSchema) as refused:
+            StoreEngine(root, obs=Observability())
+        for told in (path, "schema %d " % schema, "only schema 4"):
+            assert told in str(refused.value)
+        assert open(path, "rb").read() == before
+        assert not os.path.exists(os.path.join(root, QUARANTINE_DIR))
+        assert open(os.path.join(root, "MANIFEST.json")).read() \
+            == manifest
+        # Nothing was lost: with the footer as written the store
+        # opens and holds everything.
+        restamp(4)
+        reopened = StoreEngine(root, obs=Observability())
+        assert reopened.last_recovery.segments_loaded == 2
+        assert reopened.materialize().digest() == digest
+        reopened.close()
+
+    def test_compaction_merges_rtt_and_modality_segments(self,
+                                                         tmp_path):
+        """A segment of RTT rows and one carrying modality rows
+        recover, merge and serve exactly what a store fed the same
+        records holds."""
         engine, _obs = _engine(tmp_path, flush_threshold_records=None,
                                compaction_fanout=10)
         old_records = _records(60)
         engine.append_records(old_records)
         engine.flush()
-        old_name = engine.segment_names()[0]
-
-        def downgrade(footer):
-            footer["schema"] = 2
-            for name in RollupStore.MODALITY_TABLES:
-                del footer["tables"][name]
-        _rewrite_footer(os.path.join(str(tmp_path / "store"),
-                                     SEGMENT_DIR, old_name),
-                        downgrade)
         engine.crash()
         info = engine.recover()
         assert info.segments_loaded == 1
@@ -234,7 +287,7 @@ class TestCompactionAndRetention:
             _rec(kind="AOI", rtt=2500.0, app=None),
         ]
         engine.append_records(mod_records)
-        engine.flush()                        # schema-3 neighbour
+        engine.flush()
         assert len(engine.segment_names()) == 2
         reference = RollupStore()
         reference.add_all(old_records + mod_records)
@@ -279,6 +332,46 @@ class TestCompactionAndRetention:
         assert min(merged.windows()) >= 30 - 10 - 1
         assert max(merged.windows()) == 29
         assert obs.value("store.retention_windows_evicted") > 0
+        engine.close()
+
+
+    def test_retention_sees_windows_not_stored_order(self, tmp_path):
+        """Segments lead with the subject; compaction and retention
+        work on keys as ``RollupStore`` has them.  After a merge that
+        evicts, the store holds exactly what one fed the same records
+        and rid of the same windows does -- in every windowed table,
+        subject-major or not."""
+        day = 24 * 3600 * 1000.0
+        config = RollupConfig(window_ms=day)
+        engine = StoreEngine(
+            str(tmp_path / "r"), rollup_config=config,
+            config=StoreConfig(flush_threshold_records=None,
+                               retention_ms=10 * day),
+            obs=Observability())
+        records = []
+        for i in range(30):
+            for kind, rtt in (("TCP", 50.0), ("DNS", 9.0),
+                              ("TPUT_UP", 120.0), ("ENERGY", 55.0),
+                              ("AOI", 2500.0)):
+                records.append(_rec(kind=kind, rtt=rtt + i, ts=i * day,
+                                    app="com.app.%d" % (i % 3),
+                                    operator="Op%d" % (i % 2)))
+        for start in range(0, len(records), 50):
+            engine.append_records(records[start:start + 50])
+            engine.flush()
+        assert len(engine.segment_names()) == 3
+        assert engine.compact(now_ms=30 * day, force=True)
+        reference = RollupStore(config=config)
+        reference.add_all(records)
+        for table in RollupStore.WINDOWED_TABLES:
+            rows = reference.tables[table]
+            assert len(rows) == 30 * (2 if table == "network" else 1)
+            for key in [key for key in rows if int(key[0]) < 20]:
+                del rows[key]
+        assert engine.materialize().digest() == reference.digest()
+        engine.crash()
+        engine.recover()
+        assert engine.materialize().digest() == reference.digest()
         engine.close()
 
 

@@ -9,8 +9,9 @@ schema-version gate gets its own explicit cases.
 The fast paths ride on references written here: the key codec against
 the character-by-character escaping codec, and ``decode_rows`` /
 ``decode_hist`` against decoders made of one ``read_uvarint`` call per
-integer -- on well-formed payloads, on the first writers' row order,
-and on arbitrary truncations and bit-flips of them."""
+integer -- on well-formed payloads, in both stored part orders, and on
+arbitrary truncations and bit-flips of them; the first writers' row
+order, which the decoder once put right, is refused."""
 
 import json
 
@@ -37,7 +38,10 @@ from repro.store.encoding import (
 )
 from repro.store.segments import (
     SegmentReader,
-    _encode_block,
+    encode_rows,
+    sorted_rows,
+    stored_order,
+    stored_text,
     write_segment,
 )
 
@@ -228,8 +232,7 @@ def _reference_decode_hist(data, pos):
     return hist, pos
 
 
-def _reference_decode_rows(payload, expected_rows=None,
-                           legacy_order=False):
+def _reference_decode_rows(payload, expected_rows=None):
     """``decode_rows`` from ``read_uvarint`` alone, one call per
     varint and one character per step of the key.  Rows come back
     under their stored text, as ``decode_rows`` returns them -- but
@@ -257,18 +260,27 @@ def _reference_decode_rows(payload, expected_rows=None,
     if len({key for _raw, _text, key, _hist in rows}) != n_rows:
         raise ValueError("repeated key")
     if raws != sorted(raws):
-        if not legacy_order:
-            raise ValueError("rows out of key order")
-        rows.sort(key=lambda row: row[0])
+        raise ValueError("rows out of key order")
     return {text: hist for _raw, text, _key, hist in rows}
 
 
-def _outcome(decode, payload, expected_rows, legacy_order=False):
+def _payload(table, name):
+    """``table`` as the one row payload segment blocks and checkpoint
+    tables share, in table ``name``'s stored order."""
+    rows = sorted_rows(table, lambda key: stored_text(name, key))
+    return encode_rows(rows), len(rows)
+
+
+#: One table stored as keyed, one stored subject-first.
+_stored_as = st.sampled_from(["aoi", "app"])
+
+
+def _outcome(decode, payload, expected_rows):
     """What a decoder makes of ``payload``: the rows in the order it
     returns them, or ``None`` for the two errors its callers turn
     into their typed corruption.  Anything else escapes."""
     try:
-        table = decode(payload, expected_rows, legacy_order)
+        table = decode(payload, expected_rows)
     except (ValueError, IndexError):
         return None
     return [(key, hist.count, hist.overflow, sorted(hist.bins.items()))
@@ -303,40 +315,43 @@ _AWKWARD_TABLE = {
 
 
 class TestRowDecoder:
-    @given(table=_tables)
-    @example(table=_AWKWARD_TABLE)
-    @example(table={})
+    @given(table=_tables, name=_stored_as)
+    @example(table=_AWKWARD_TABLE, name="aoi")
+    @example(table=_AWKWARD_TABLE, name="app")
+    @example(table={}, name="app")
     @settings(max_examples=150, deadline=None)
-    def test_agrees_with_the_reference_on_any_table(self, table):
-        payload, n_rows = _encode_block(table)
+    def test_agrees_with_the_reference_on_any_table(self, table, name):
+        payload, n_rows = _payload(table, name)
         rows = _outcome(decode_rows, payload, n_rows)
         assert rows is not None
         assert rows == _outcome(_reference_decode_rows, payload, n_rows)
         assert rows == _outcome(decode_rows, payload, None)
-        # Stored order is encoded-key order, rows are keyed by the
-        # stored text, and nothing is lost: splitting the texts gives
-        # back exactly the table's keys.
-        assert [text for text, *_rest in rows] \
-            == sorted(map(_encode_key, table))
-        assert [_decode_key(text) for text, *_rest in rows] \
-            == sorted(table, key=_encode_key)
+        # Rows are keyed by the stored text, strictly ascending, and
+        # nothing is lost: splitting the texts and putting the parts
+        # back in key order gives exactly the table's keys.
+        texts = [text for text, *_rest in rows]
+        assert texts == sorted(stored_text(name, key) for key in table)
+        assert len(set(texts)) == len(texts)
+        assert [stored_order(name, _decode_key(text)) for text in texts] \
+            == sorted(table, key=lambda key: stored_text(name, key))
         assert {text: bins for text, _c, _o, bins in rows} \
-            == {_encode_key(key): sorted(hist.bins.items())
+            == {stored_text(name, key): sorted(hist.bins.items())
                 for key, hist in table.items()}
         assert _outcome(decode_rows, payload, n_rows + 1) is None
 
     @given(table=_tables, at=st.integers(min_value=0),
-           bit=st.one_of(st.none(), st.integers(0, 7)))
-    @example(table=_AWKWARD_TABLE, at=1, bit=7)
-    @example(table=_AWKWARD_TABLE, at=207, bit=None)
+           bit=st.one_of(st.none(), st.integers(0, 7)),
+           name=_stored_as)
+    @example(table=_AWKWARD_TABLE, at=1, bit=7, name="aoi")
+    @example(table=_AWKWARD_TABLE, at=207, bit=None, name="app")
     @settings(max_examples=400, deadline=None)
     def test_damaged_payloads_are_classified_like_the_reference(
-            self, table, at, bit):
+            self, table, at, bit, name):
         """Cut the payload at ``at`` (``bit`` None) or flip one bit
         there: either both decoders return the same rows or both
         raise ValueError/IndexError -- never anything else, never a
         different answer."""
-        payload, n_rows = _encode_block(table)
+        payload, n_rows = _payload(table, name)
         at %= len(payload)
         if bit is None:
             damaged = payload[:at]
@@ -344,23 +359,20 @@ class TestRowDecoder:
             damaged = (payload[:at] + bytes([payload[at] ^ (1 << bit)])
                        + payload[at + 1:])
         for expected in (n_rows, None):
-            for legacy_order in (False, True):
-                assert _outcome(decode_rows, damaged, expected,
-                                legacy_order) \
-                    == _outcome(_reference_decode_rows, damaged,
-                                expected, legacy_order)
+            assert _outcome(decode_rows, damaged, expected) \
+                == _outcome(_reference_decode_rows, damaged, expected)
 
     @given(table=_tables)
     @example(table={("1", "OpA"): _hist_of(1, 0, {4: 1}),
                     ("10", "OpA"): _hist_of(2, 0, {4: 2}),
                     ("1", "OpA2"): _hist_of(3, 0, {4: 3})})
     @settings(max_examples=150, deadline=None)
-    def test_first_writers_row_order_is_put_in_key_order(self, table):
-        """Schema-1 writers stored rows sorted by key tuple.  Read as
-        such a payload it decodes to exactly what the same table
-        written today does; read as a current block it is refused
-        whenever the two orders differ."""
-        payload, n_rows = _encode_block(table)
+    def test_first_writers_row_order_is_refused(self, table):
+        """Schema-1 segments and checkpoints stored rows sorted by key
+        tuple, and the decoder used to sort such a payload into text
+        order.  Both schemas are gone: the payload is refused whenever
+        the two orders differ, and is the current one when not."""
+        payload, n_rows = _payload(table, "aoi")
         legacy = bytearray()
         write_uvarint(legacy, len(table))
         for key in sorted(table):
@@ -370,11 +382,9 @@ class TestRowDecoder:
             encode_hist(legacy, table[key])
         legacy = bytes(legacy)
         rows = _outcome(decode_rows, payload, n_rows)
-        assert _outcome(decode_rows, legacy, n_rows, True) == rows
-        assert _outcome(_reference_decode_rows, legacy, n_rows, True) \
-            == rows
-        assert _outcome(decode_rows, legacy, n_rows) \
-            == (rows if legacy == payload else None)
+        for decode in (decode_rows, _reference_decode_rows):
+            assert _outcome(decode, legacy, n_rows) \
+                == (rows if legacy == payload else None)
 
     @given(hist=_hists, cut=st.integers(min_value=0))
     @settings(max_examples=150, deadline=None)

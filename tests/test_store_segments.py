@@ -21,6 +21,9 @@ from repro.store.segments import (
     SegmentCorruption,
     SegmentReader,
     TAIL_MAGIC,
+    UnsupportedSchema,
+    prefix_range,
+    stored_text,
     write_segment,
 )
 from tests.conftest import hand_built_row_block
@@ -202,24 +205,24 @@ class TestSegmentCorruption:
             SegmentReader(path)
 
     def test_unknown_schema_rejected(self, tmp_path):
-        store = RollupStore()
+        """A sound file of a newer or an older schema is refused by
+        its own error -- the one recovery does not answer by
+        quarantining -- naming the file and both schema numbers."""
         path = str(tmp_path / "seg.seg")
-        write_segment(path, store, seq=1)
-        import json
+        for schema in (SEGMENT_SCHEMA + 1, 3, 2, None):
+            write_segment(path, _populated_store(), seq=1)
 
-        from repro.store import encoding
-        data = open(path, "rb").read()
-        offset = encoding.unpack_u64(data, len(data) - 16)
-        payload, _end, _status = encoding.read_frame(data, offset)
-        footer = json.loads(payload)
-        footer["schema"] = SEGMENT_SCHEMA + 1
-        new_payload = json.dumps(footer, sort_keys=True,
-                                 separators=(",", ":")).encode()
-        blob = (data[:offset] + encoding.frame(new_payload)
-                + encoding.pack_u64(offset) + data[-8:])
-        open(path, "wb").write(blob)
-        with pytest.raises(SegmentCorruption, match="schema"):
-            SegmentReader(path)
+            def restamp(footer):
+                footer["schema"] = schema
+            _rewrite_footer(path, restamp)
+            before = open(path, "rb").read()
+            with pytest.raises(UnsupportedSchema) as refused:
+                SegmentReader(path)
+            assert not isinstance(refused.value, SegmentCorruption)
+            for told in (path, repr(schema),
+                         "schema %d" % SEGMENT_SCHEMA):
+                assert told in str(refused.value)
+            assert open(path, "rb").read() == before
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(SegmentCorruption, match="unreadable"):
@@ -251,15 +254,18 @@ class TestSegmentCorruption:
 
     def test_hand_built_block_in_key_order_reads(self, tmp_path):
         path = self._dns_only_segment(
-            tmp_path, [b"0|OpA|WIFI|DNS", b"0|OpB|WIFI|DNS"])
+            tmp_path, [b"OpA|0|WIFI|DNS", b"OpB|0|WIFI|DNS"])
         reader = SegmentReader(path)
         reader.verify()
         assert [key for key, _hist in reader.iter_table("network")] \
             == [("0", "OpA", "WIFI", "DNS"), ("0", "OpB", "WIFI", "DNS")]
 
     @pytest.mark.parametrize("raw_keys", [
-        [b"0|OpB|WIFI|DNS", b"0|OpA|WIFI|DNS"],      # descending
-        [b"0|OpA|WIFI|DNS", b"0|OpA|WIFI|DNS"],      # not *strictly* up
+        [b"OpB|0|WIFI|DNS", b"OpA|0|WIFI|DNS"],      # descending
+        [b"OpA|0|WIFI|DNS", b"OpA|0|WIFI|DNS"],      # not *strictly* up
+        # Window-major, as schemas 1-3 ordered rows: (0, OpB) before
+        # (1, OpA) -- which is not the order of their stored texts.
+        [b"OpB|0|WIFI|DNS", b"OpA|1|WIFI|DNS"],
     ])
     def test_crc_valid_block_out_of_key_order_rejected(self, tmp_path,
                                                        raw_keys):
@@ -273,15 +279,16 @@ class TestSegmentCorruption:
             reader.get("network", ("0", "OpA", "WIFI", "DNS"))
         with pytest.raises(SegmentCorruption,
                            match="rows out of key order"):
-            list(reader.scan_prefix("network", ("0",)))
+            list(reader.scan_prefixes("network",
+                                      [prefix_range(("OpA",))]))
         with pytest.raises(SegmentCorruption,
                            match="rows out of key order"):
             reader.verify()
 
     @pytest.mark.parametrize("raw_keys", [
-        [b"0|OpA|WIFI|DNS", b"0|Op\\B|WIFI|DNS"],   # needless escape
-        [b"0|OpA|WIFI|DNS", b"0|OpB|WIFI|DNS\\"],   # lone backslash
-        [b"0|OpA|WIFI|DNS", b"0|Op\\A|WIFI|DNS"],   # one key, twice
+        [b"OpA|0|WIFI|DNS", b"Op\\B|0|WIFI|DNS"],   # needless escape
+        [b"OpA|0|WIFI|DNS", b"OpB|0|WIFI|DNS\\"],   # lone backslash
+        [b"OpA|0|WIFI|DNS", b"Op\\A|0|WIFI|DNS"],   # one key, twice
     ], ids=["needless-escape", "trailing-backslash", "same-key-pair"])
     def test_key_text_no_writer_produces_rejected(self, tmp_path,
                                                   raw_keys):
@@ -301,7 +308,7 @@ class TestSegmentCorruption:
 
     def test_key_length_past_the_payload_rejected(self, tmp_path):
         path = self._dns_only_segment(
-            tmp_path, [b"0|OpA|WIFI|DNS", b"0|OpB|WIFI|DNS"],
+            tmp_path, [b"OpA|0|WIFI|DNS", b"OpB|0|WIFI|DNS"],
             key_len=200)
         with pytest.raises(SegmentCorruption,
                            match="key runs past the payload"):
@@ -376,7 +383,7 @@ class TestZoneMaps:
             + [key[:2] + ("~",) for key in present] \
             + [("", "", ""), ("~", "~", "~")]
         for key in present + absent:
-            encoded = _encode_key(key)
+            encoded = stored_text("app", key)
             inside = [block for block in blocks
                       if block["min"] <= encoded <= block["max"]]
             before = stats.copy()
@@ -390,71 +397,50 @@ class TestZoneMaps:
             assert delta.blocks_read == len(inside)
             assert delta.blocks_pruned \
                 == len(blocks) - len(inside)
-        assert any(block["max"] < _encode_key(key) < later["min"]
+        assert any(block["max"] < stored_text("app", key) < later["min"]
                    for key in absent
                    for block, later in zip(blocks, blocks[1:]))
 
     def test_scan_prefix_matches_filtered_full_scan(self, tmp_path):
+        """A stored prefix -- one subject, or a subject and a window
+        -- against the same rows picked out of the table."""
         store, reader, stats = self._reader(tmp_path, block_rows=4)
-        windows = sorted({key[0] for key in store.tables["network"]})
-        for window in windows:
+        table = store.tables["app"]
+        total = len(reader.blocks("app"))
+        apps = sorted({key[1] for key in table})
+        assert len(apps) == 6 and total >= 10
+        prefixes = [(app,) for app in apps] \
+            + sorted({(key[1], key[0]) for key in table})[::7]
+        for prefix in prefixes:
             before = stats.copy()
-            pruned = dict(reader.scan_prefix("network", (window,)))
-            expected = {key: hist
-                        for key, hist in store.tables["network"].items()
-                        if key[0] == window}
-            assert pruned.keys() == expected.keys()
+            pruned = dict(reader.scan_prefixes(
+                "app", [prefix_range(prefix)]))
+            expected = {key: hist for key, hist in table.items()
+                        if (key[1], key[0])[:len(prefix)] == prefix}
+            assert expected and pruned.keys() == expected.keys()
             for key in expected:
                 assert pruned[key].bins == expected[key].bins
             delta = stats.delta_since(before)
-            assert delta.blocks_pruned > 0 or \
-                delta.blocks_read == len(reader.blocks("network"))
-            assert delta.blocks_read < len(reader.blocks("network")) \
-                or len(windows) == 1
+            # A subject's rows are one run: the blocks that hold them
+            # and no other.
+            assert delta.blocks_read <= -(-len(expected) // 4) + 1
+            assert delta.blocks_read + delta.blocks_pruned == total
 
     def test_footer_lists_the_windows(self, tmp_path):
         store, reader, _stats = self._reader(tmp_path)
         assert reader.windows() == store.windows()
 
-    def test_v1_monolithic_footer_still_readable(self, tmp_path):
-        """A PR-5 segment (one unindexed block per table, schema 1,
-        rows in the order *that* writer stored them) must load, scan
-        and point-read through the same API."""
-        store = _populated_store()
-        # Parts that are prefixes of other parts -- windows 1/10/100,
-        # OpA/OpA2, a.com/a.com.au -- are where the v1 row order and
-        # encoded-key order part ways.
-        for window in (10, 100):
-            for operator, domain in (("OpA2", "a.com"),
-                                     ("OpA", "a.com.au")):
-                store.add(_rec(ts=window * store.config.window_ms,
-                               operator=operator, domain=domain,
-                               tech="LTE"))
+    def test_v1_monolithic_footer_is_refused_untouched(self, tmp_path):
+        """A PR-5 segment (schema 1: one unindexed block per table,
+        rows in tuple order, no windows list) used to load through
+        the same API.  It is now refused whole, by schema number,
+        before any of that is looked at -- and not as corruption."""
         path = str(tmp_path / "seg.seg")
-        _write_v1_segment(path, store, seq=1)
-        for name in ("network", "app", "lte_domain"):
-            stored = [_encode_key(key) for key in sorted(store.tables[name])]
-            assert stored != sorted(stored)        # the case under test
-        reader = SegmentReader(path)
-        reader.verify()
-        assert reader.windows() is None
-        assert reader.to_store().digest() == store.digest()
-        for name in RollupStore.TABLES:
-            table = store.tables[name]
-            in_key_order = sorted(table, key=_encode_key)
-            assert [key for key, _hist in reader.iter_table(name)] \
-                == in_key_order
-            for key in in_key_order:
-                assert reader.get(name, key).bins == table[key].bins
-            assert reader.get(name, ("~", "~")) is None
-        network = sorted(store.tables["network"], key=_encode_key)
-        for prefix in (("1",), ("10",), ("100",), ("10", "OpA"),
-                       ("10", "OpA2")):
-            wanted = [key for key in network
-                      if key[:len(prefix)] == prefix]
-            assert wanted
-            assert [key for key, _hist
-                    in reader.scan_prefix("network", prefix)] == wanted
+        _write_v1_segment(path, _populated_store(), seq=1)
+        before = open(path, "rb").read()
+        with pytest.raises(UnsupportedSchema, match="schema 1 "):
+            SegmentReader(path)
+        assert open(path, "rb").read() == before
 
     def test_shared_cache_decodes_each_block_once(self, tmp_path):
         cache = BlockCache(capacity_bytes=1 << 20)
@@ -475,14 +461,19 @@ class TestZoneMaps:
         assert other_stats.cache_misses == 0
 
     def test_order_is_by_encoded_key(self, tmp_path):
-        """Rows sort by the encoded key string (what the zone maps
+        """Rows sort by the stored key text (what the zone maps
         compare), so blocks stay disjoint even when tuple order and
-        encoded order disagree."""
+        text order disagree -- and a subject-major table's rows come
+        out subject by subject, not window by window."""
         _store, reader, _stats = self._reader(tmp_path, block_rows=4)
         for name in RollupStore.TABLES:
-            encoded = [_encode_key(key)
-                       for key, _hist in reader.iter_table(name)]
-            assert encoded == sorted(encoded)
+            texts = [stored_text(name, key)
+                     for key, _hist in reader.iter_table(name)]
+            assert texts == sorted(texts)
+        apps = [key[1] for key, _hist in reader.iter_table("app")]
+        assert apps == sorted(apps) and len(set(apps)) == 6
+        windows = [key[0] for key, _hist in reader.iter_table("app")]
+        assert windows != sorted(windows)
 
 
 def _rewrite_footer(path, mutate):
@@ -505,31 +496,35 @@ def _rewrite_footer(path, mutate):
 
 class TestSchemaWidening:
     """PR-9 widened ``RollupStore.TABLES`` with the modality tables
-    and bumped the segment schema; segments written before that must
-    keep reading (absent tables are empty, not corruption), and a
-    footer naming a table this build doesn't know must be ignored."""
+    and bumped the segment schema.  A segment from before that is of
+    a schema no longer read; one of the current schema indexes every
+    table, and a footer naming a table this build doesn't know must
+    be ignored."""
 
-    def test_pre_widening_segment_serves_empty_modality_tables(
-            self, tmp_path):
-        store = _populated_store()            # TCP/DNS records only
+    def test_pre_widening_segment_is_refused_untouched(self, tmp_path):
         path = str(tmp_path / "old.seg")
-        write_segment(path, store, seq=1, block_rows=8)
+        write_segment(path, _populated_store(), seq=1, block_rows=8)
 
         def downgrade(footer):
             footer["schema"] = 2
             for name in RollupStore.MODALITY_TABLES:
                 del footer["tables"][name]
         _rewrite_footer(path, downgrade)
-        reader = SegmentReader(path)
-        for name in RollupStore.MODALITY_TABLES:
-            assert reader.blocks(name) == []
-            assert list(reader.iter_table(name)) == []
-            assert reader.get(name, ("0", "com.app.a")) is None
-        # The widened read path re-materialises the old segment
-        # byte-for-byte: empty modality tables, same digest.
-        loaded = reader.to_store()
-        assert set(loaded.tables) == set(RollupStore.TABLES)
-        assert loaded.digest() == store.digest()
+        before = open(path, "rb").read()
+        with pytest.raises(UnsupportedSchema, match="schema 2 "):
+            SegmentReader(path)
+        assert open(path, "rb").read() == before
+
+    def test_current_schema_footer_lacking_a_table_is_corrupt(
+            self, tmp_path):
+        path = str(tmp_path / "short.seg")
+        write_segment(path, _populated_store(), seq=1, block_rows=8)
+
+        def drop(footer):
+            del footer["tables"]["aoi"]
+        _rewrite_footer(path, drop)
+        with pytest.raises(SegmentCorruption, match="every rollup table"):
+            SegmentReader(path)
 
     def test_footer_table_unknown_to_this_build_is_ignored(
             self, tmp_path):

@@ -16,11 +16,14 @@ shipped (or could ship) and later had to fix:
   recovery wall must stay within a small factor of the short run's.
 * ``query``    -- zone-map pruning must earn its keep: dashboard
   panels answered through the pruned read path must serialise
-  byte-identically to the same panels computed by full table scans
-  while reading *strictly fewer* blocks.  And, counts only, a block
+  byte-identically to the same panels computed by full table scans,
+  and -- a count, printed per panel kind -- each must read at most
+  two blocks per segment of each table it asks a subject range of
+  and the segment holds rows of (a subject's rows are one run of a
+  segment; a window-first layout reads every block and fails this).  And, counts only, a block
   stays keyed as it is stored: over the same pruned panels the
-  readers split exactly the keys of the rows they yield, and keys and
-  prefixes are encoded once per panel, not once per segment.
+  readers split exactly the keys of the rows they yield, and a
+  subject range is encoded once per panel, not once per segment.
 * ``snapshot`` -- a dashboard refresh must not pay for the memtable:
   ``QueryEngine.snapshot()`` over a >= 5k-group memtable copies zero
   histograms (counted by object identity, no clock involved), the
@@ -178,7 +181,7 @@ def guard_replay(dataset):
 def _pruned_panel_key_work(view, apps, operators):
     """Run the pruned panels with the key codec and the readers'
     batched reads counted: ``(keys split, rows the readers yielded,
-    keys encoded, keys and prefixes asked)``.  No clock involved."""
+    keys encoded, subject ranges asked)``.  No clock involved."""
     from repro.backend.rollups import _decode_key, _encode_key
     from repro.serve import engine as serve_engine
     from repro.store import segments
@@ -193,9 +196,9 @@ def _pruned_panel_key_work(view, apps, operators):
         return wrapper
 
     def counted_ask(function):
-        def wrapper(view, table, wanted):
-            counts["asked"] += len(set(map(tuple, wanted)))
-            return function(view, table, wanted)
+        def wrapper(view, table, subject):
+            counts["asked"] += 1
+            return function(view, table, subject)
         return wrapper
 
     def counted_scan(reader, table, ranges):
@@ -206,12 +209,9 @@ def _pruned_panel_key_work(view, apps, operators):
     patches = [
         (segments, "_decode_key", counted(_decode_key, "split")),
         (segments, "_encode_key", counted(_encode_key, "encoded")),
-        (serve_engine, "_encode_key", counted(_encode_key, "encoded")),
         (segments.SegmentReader, "scan_prefixes", counted_scan),
-        (serve_engine.ReadView, "get_many",
-         counted_ask(serve_engine.ReadView.get_many)),
-        (serve_engine.ReadView, "scan_prefixes",
-         counted_ask(serve_engine.ReadView.scan_prefixes)),
+        (serve_engine.ReadView, "scan_subject",
+         counted_ask(serve_engine.ReadView.scan_subject)),
     ]
     with contextlib.ExitStack() as stack:
         for owner, name, replacement in patches:
@@ -225,10 +225,17 @@ def _pruned_panel_key_work(view, apps, operators):
             counts["asked"])
 
 
+#: Tables a pruned panel asks one subject range of (the fleet AoI an
+#: app panel also shows folds the whole ``aoi`` table, once a view).
+PANEL_TABLES = {"app": ("app", "app_throughput", "app_energy"),
+                "network": ("network",)}
+
+
 def guard_query(dataset):
-    """Pruned dashboard panels: byte-identical to full scans, and
-    strictly fewer blocks read; keys split only for rows that leave a
-    reader and encoded once per panel."""
+    """Pruned dashboard panels: byte-identical to full scans, and a
+    count of blocks -- each panel opens at most two blocks per segment
+    of each table it asks a subject range of; keys split only for rows
+    that leave a reader and encoded once per panel."""
     from repro.obs import Observability
     from repro.serve import DashboardWorkload, QueryEngine, QueryError
     from repro.store import StoreConfig, StoreEngine
@@ -247,6 +254,9 @@ def guard_query(dataset):
     view = QueryEngine(engine).snapshot()
     try:
         workload = DashboardWorkload(view, seed=SEED, panels=0)
+        if segments < 2:
+            return _fail("guard needs >= 2 segments, got %d"
+                         % segments)
         try:
             verify = workload.verify_against_scan(sample=8)
         except QueryError as exc:
@@ -257,20 +267,37 @@ def guard_query(dataset):
               % (verify["panels_checked"], segments,
                  verify["pruned_blocks_read"],
                  verify["scan_blocks_read"]))
-        if segments < 2:
-            return _fail("guard needs >= 2 segments, got %d"
-                         % segments)
-        if verify["pruned_blocks_read"] \
-                >= verify["scan_blocks_read"]:
-            return _fail(
-                "pruning read %d blocks, full scans read %d; zone "
-                "maps are not pruning"
-                % (verify["pruned_blocks_read"],
-                   verify["scan_blocks_read"]))
+        # The fleet AoI is now this view's: the panels below read
+        # their subject ranges and nothing else.
+        for kind, ask, subjects in (
+                ("app", view.app_panel, workload._apps[:8]),
+                ("network", view.network_panel,
+                 workload._operators[:8])):
+            # A range cannot open a block of a table the segment
+            # holds no rows of.
+            ranges = sum(bool(reader.blocks(table))
+                         for reader in view.readers
+                         for table in PANEL_TABLES[kind])
+            allowed = 2 * ranges
+            worst = 0
+            for subject in subjects:
+                before = view.stats.copy()
+                ask(subject)
+                worst = max(worst, view.stats.delta_since(
+                    before).blocks_read)
+            print("query: %s panel -> at most %d blocks read for %d "
+                  "subject ranges (segments x tables holding rows; "
+                  "allowed %d)" % (kind, worst, ranges, allowed))
+            if worst > allowed:
+                return _fail(
+                    "a pruned %s panel read %d blocks; a subject's "
+                    "rows are one run per segment and table, so at "
+                    "most 2 x %d = %d"
+                    % (kind, worst, ranges, allowed))
         split, yielded, encoded, asked = _pruned_panel_key_work(
             view, workload._apps[:8], workload._operators[:8])
         print("query: the same pruned panels -> %d keys split for %d "
-              "rows yielded, %d keys encoded for %d keys and prefixes "
+              "rows yielded, %d keys encoded for %d subject ranges "
               "asked" % (split, yielded, encoded, asked))
         if split != yielded:
             return _fail(
@@ -279,8 +306,8 @@ def guard_query(dataset):
                 % (split, yielded))
         if encoded > asked:
             return _fail(
-                "%d keys encoded for %d keys and prefixes asked over "
-                "%d segments; a panel encodes its keys once, not once "
+                "%d keys encoded for %d subject ranges asked over %d "
+                "segments; a panel encodes its range once, not once "
                 "per segment" % (encoded, asked, segments))
     finally:
         view.close()
