@@ -13,7 +13,6 @@ import random
 import zlib
 from typing import Optional
 
-from repro.core.persist import iter_jsonl
 from repro.network import (
     AppServer,
     DnsServer,
@@ -34,20 +33,6 @@ def save_result(name: str, text: str) -> None:
         handle.write(text if text.endswith("\n") else text + "\n")
     print()
     print(text)
-
-
-def load_entries(paths) -> list:
-    """``(record, raw_line_bytes)`` pairs from shard files, the shape
-    a transport that already holds the JSONL hands to
-    ``StoreEngine.append_entries``."""
-    entries = []
-    for path in paths:
-        with open(path, "rb") as handle:
-            lines = handle.read().splitlines()
-        records = list(iter_jsonl(path))
-        assert len(records) == len(lines), "blank line in %s" % path
-        entries.extend(zip(records, lines))
-    return entries
 
 
 class BenchWorld:

@@ -13,10 +13,10 @@ Three measurements, one JSON artefact (``BENCH_middlebox.json``):
   imperfection-free baseline, Table-2 style;
 * an in-process ingest A/B -- the same number of records through
   ``RollupStore.add_all`` with legacy kinds only versus a stream
-  where a quarter are ``APP_RTT`` records.  The dual-RTT view must
-  not tax the hot path: the widened rate has to stay within 15% of
-  the legacy rate (the same line ``tools/perf_guards.py middlebox``
-  holds in CI).
+  where a quarter are ``APP_RTT`` records.  The ratio is recorded,
+  not asserted (one run reads 0.55-1.45 on the same code); that the
+  dual-RTT view puts no work on the legacy kinds is a count in tier-1
+  (``tests/test_backend.py::TestAddWorkPerKind``).
 
 Quick local run::
 
@@ -170,9 +170,6 @@ def test_middlebox_closed_loop_and_ingest_cost(tmp_path, benchmark):
     assert ablation["deltas"]["none"]["TCP"]["mean_abs_ms"] == 0.0
     for variant in ("quantisation", "jitter", "both"):
         assert ablation["deltas"][variant]["TCP"]["mean_abs_ms"] > 0.0
-    # The app table really aggregated APP_RTT rows...
+    # The app table really aggregated APP_RTT rows.
     assert any(key[2] == MeasurementKind.APP_RTT
                for key in widened.tables["app"])
-    # ...and widening stays within 15% of the legacy ingest rate.
-    assert ratio >= 0.85, \
-        "app-layer-RTT ingest is %.3fx the legacy rate" % ratio

@@ -9,9 +9,10 @@ Two measurements, one JSON artefact (``BENCH_modalities.json``):
   per-kind record census (throughput/energy/AoI must all be present);
 * an in-process ingest A/B -- the same number of records through
   ``RollupStore.add_all`` with legacy kinds only versus a stream where
-  a quarter are modality records.  Widening the schema must not tax
-  the hot path: the widened rate has to stay within 15% of the legacy
-  rate (the same line ``tools/perf_guards.py modalities`` holds in CI).
+  a quarter are modality records.  The ratio is recorded, not
+  asserted (one run reads 0.55-1.45 on the same code); that widening
+  puts no work on the legacy kinds is a count in tier-1
+  (``tests/test_backend.py::TestAddWorkPerKind``).
 
 Quick local run::
 
@@ -154,9 +155,6 @@ def test_modalities_closed_loop_and_ingest_cost(tmp_path, benchmark):
     # Every modality kind flows through the scenario.
     for kind in ("TPUT_UP", "TPUT_DOWN", "ENERGY", "AOI"):
         assert kinds[kind] > 0, kind
-    # The widened store really aggregated the modality records...
+    # The widened store really aggregated the modality records.
     assert all(widened.tables[t] for t in
                ("app_throughput", "app_energy", "aoi"))
-    # ...and widening stays within 15% of the legacy ingest rate.
-    assert ratio >= 0.85, \
-        "widened-schema ingest is %.3fx the legacy rate" % ratio

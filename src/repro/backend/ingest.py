@@ -32,13 +32,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.obs import Observability, get_default
 
 from repro.backend.rollups import RollupConfig, RollupStore
-from repro.backend.shardmerge import (
-    MergeAccumulator,
-    np_available,
-    pack_store,
-)
+from repro.backend.shardmerge import MergeAccumulator, pack_store
 from repro.core.persist import decode_record_lines, iter_jsonl
 from repro.core.records import MeasurementRecord
+
+#: Batch identities ``(device_id, batch_seq)`` remembered for replay
+#: absorption, oldest evicted first -- by the pipeline and by the
+#: store engine, which persists and recovers the same map.
+DEDUP_CAPACITY = 4096
 
 
 def parse_batch_lines(payload: bytes
@@ -154,7 +155,6 @@ class IngestPipeline:
                  load: Optional[IngestLoadModel] = None,
                  rate_capacity: float = 64.0,
                  rate_refill_per_min: float = 600.0,
-                 dedup_capacity: int = 4096,
                  on_records: Optional[
                      Callable[[List[MeasurementRecord]], None]] = None,
                  store=None) -> None:
@@ -178,9 +178,6 @@ class IngestPipeline:
         self._buckets: Dict[str, TokenBucket] = {}
         self._dedup: "OrderedDict[Tuple[str, int], int]" = (
             store.dedup if store is not None else OrderedDict())
-        self._dedup_capacity = (store.config.dedup_capacity
-                                if store is not None
-                                else dedup_capacity)
         self._on_records = on_records
 
     # -- wire-facing entry point -------------------------------------
@@ -303,7 +300,7 @@ class IngestPipeline:
 
     def _remember(self, key: Tuple[str, int], acked: int) -> None:
         self._dedup[key] = acked
-        while len(self._dedup) > self._dedup_capacity:
+        while len(self._dedup) > DEDUP_CAPACITY:
             self._dedup.popitem(last=False)
 
 
@@ -423,7 +420,6 @@ def ingest_shard_files(paths: List[str],
             "worker_walls_s": [round(wall, 3) for wall in worker_walls],
             "merge_wall_s": round(merge_wall, 3),
             "elapsed_s": round(elapsed, 3),
-            "mode": ("arrays" if np_available() else "plain")
-                    if len(chunks) > 1 else "inline",
+            "mode": "arrays" if len(chunks) > 1 else "inline",
         })
     return merged

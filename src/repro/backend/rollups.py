@@ -78,12 +78,23 @@ _SEP = "|"
 #: marks rows and stores that have not been through a ``clone()``.
 _EPOCHS = itertools.count(1)
 
-#: Snapshot wire-format version.  v1 (PR 3) had no ``schema`` key;
-#: v2 added it alongside the escaped key encoding; v3 (PR 9) added the
-#: modality tables (``app_throughput``/``app_energy``/``aoi``).
-#: ``load`` accepts all three and rejects anything newer with a clear
-#: error; a missing table in an older snapshot loads as empty.
+#: Snapshot wire-format version: the ``schema`` key, escaped key text,
+#: every table of ``RollupStore.TABLES``.  The one version written and
+#: read; any other is refused, :class:`UnsupportedSchema`.
 SNAPSHOT_SCHEMA = 3
+
+
+class UnsupportedSchema(ValueError):
+    """A sound persisted form -- snapshot, manifest, WAL, checkpoint,
+    segment -- of a generation this build does not read (a newer
+    build's, or an older one's).  Not corruption: nothing is moved,
+    truncated or quarantined, and recovery stops on it.  ``args`` is
+    ``(what, found, supported)``."""
+
+    def __str__(self) -> str:
+        return ("%s is schema %r and this build reads only schema %r; "
+                "it is intact and was left as found" % self.args)
+
 
 #: Log-spaced bin grid for the modality tables.  Throughput (KB/s),
 #: energy (mJ) and AoI (ms) all span several decades, so a linear
@@ -519,34 +530,33 @@ class RollupStore:
 
     @classmethod
     def from_snapshot(cls, data: Dict[str, object]) -> "RollupStore":
-        """Rebuild a store from :meth:`snapshot` data.  Accepts the
-        current schema and v1 (which predates the ``schema`` key);
-        anything newer is rejected with a clear error rather than a
-        KeyError somewhere downstream."""
-        version = data.get("schema", 1)
-        if version not in (1, 2, SNAPSHOT_SCHEMA):
-            raise ValueError(
-                "rollup snapshot has schema version %r; this build "
-                "reads versions 1..%d -- refusing to guess at a "
-                "newer format" % (version, SNAPSHOT_SCHEMA))
+        """Rebuild a store from :meth:`snapshot` data.  Another
+        ``schema`` (or none) is :class:`UnsupportedSchema`; a snapshot
+        of this one lacking a field or a table is a ``ValueError``,
+        not a KeyError somewhere downstream."""
+        if data.get("schema") != SNAPSHOT_SCHEMA:
+            raise UnsupportedSchema("rollup snapshot", data.get("schema"),
+                                    SNAPSHOT_SCHEMA)
         try:
             store = cls(config=RollupConfig.from_dict(data["config"]),
                         meta=data.get("meta", {}))
             store.records = int(data["records"])
-            tables = data["tables"]
+            for table in cls.TABLES:
+                store.tables[table] = {
+                    _decode_key(text): MergeHist.from_dict(hist)
+                    for text, hist in data["tables"][table].items()
+                }
         except (KeyError, TypeError) as exc:
             raise ValueError("rollup snapshot is missing required "
                              "field: %s" % exc)
-        for table in cls.TABLES:
-            loaded = tables.get(table, {})
-            store.tables[table] = {
-                _decode_key(text): MergeHist.from_dict(hist)
-                for text, hist in loaded.items()
-            }
         return store
 
     @classmethod
     def load(cls, path: str) -> "RollupStore":
         with open(path) as fh:
             data = json.load(fh)
-        return cls.from_snapshot(data)
+        try:
+            return cls.from_snapshot(data)
+        except UnsupportedSchema as exc:
+            raise UnsupportedSchema(
+                "%s: %s" % (path, exc.args[0]), *exc.args[1:]) from None

@@ -1,9 +1,10 @@
 """The collection server: upload protocol terminated onto the pipeline.
 
-Two header forms are accepted on the same port:
+One header form is accepted -- anything else, the retired
+``PUSH <nbytes>`` included, is a malformed header, counted and
+answered ``ACK 0``:
 
-*  v1: ``PUSH <nbytes>\\n`` + payload            (legacy uploaders)
-*  v2: ``PUSH2 <nbytes> <seq> <device_id>\\n`` + payload
+*  ``PUSH2 <nbytes> <seq> <device_id>\\n`` + payload
 
 and two responses exist:
 
@@ -13,10 +14,8 @@ and two responses exist:
 *  ``BUSY <retry_ms>\\n`` -- the batch was shed (rate limit or load);
    nothing was ingested; retry the same batch after the hint.
 
-v1 has no (device, seq) identity, so each connection gets a synthetic
-device id and a running sequence number -- replays cannot be detected,
-which is exactly the legacy behaviour.  v2 uploads are idempotent: a
-replayed (device_id, seq) returns the cached ACK without re-ingesting.
+Uploads are idempotent: a replayed (device_id, seq) returns the
+cached ACK without re-ingesting.
 
 The ACK for an accepted batch is delayed by the pipeline's sim-time
 ingest cost, so busy backends are slow backends, and the uploader's
@@ -92,7 +91,6 @@ class BackendServer(AppServer):
         #: Server-side cap on records ACKed per batch (None = no cap);
         #: exercises the uploader's short-ACK retry tail.
         self.max_batch_records = max_batch_records
-        self._conn_seq = 0
         self.crashes = 0
         self.recoveries = 0
 
@@ -204,14 +202,6 @@ class BackendServer(AppServer):
                 conn.upload_expected = int(nbytes)
                 conn.batch_device = device.decode("utf-8")
                 conn.batch_seq = int(seq)
-                return True
-            if header.startswith(b"PUSH "):
-                conn.upload_expected = int(header.split()[1])
-                # Legacy batches have no identity; synthesise one per
-                # batch so the dedup cache never false-positives.
-                conn.batch_device = "v1:%s:%d" % (key[0], key[1])
-                conn.batch_seq = self._conn_seq
-                self._conn_seq += 1
                 return True
         except (IndexError, ValueError, UnicodeDecodeError):
             conn.upload_expected = None

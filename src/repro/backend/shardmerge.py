@@ -22,14 +22,15 @@ the merge:
   O(total bins log total bins) pass independent of worker count,
   instead of W full dict merges.
 
-numpy is the fast path; when it is unavailable the same API falls
-back to plain-dict packs and merges (bit-identical digests, just
-slower), so the backend never *requires* the dependency.
+The arrays are numpy's, a hard dependency (``pyproject.toml``); there
+is no second pack form.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.backend.rollups import (
     MergeHist,
@@ -40,11 +41,6 @@ from repro.backend.rollups import (
     _encode_key,
 )
 
-try:
-    import numpy as np
-except ImportError:          # pragma: no cover - image always has it
-    np = None
-
 #: Composite-key stride: one more than the largest bin index, so
 #: ``gid * _STRIDE + bin`` never collides across groups.
 _STRIDE = N_BINS + 1
@@ -53,20 +49,13 @@ _STRIDE = N_BINS + 1
 def pack_store(store: RollupStore) -> dict:
     """Flatten ``store`` for cheap pickling across a process boundary.
 
-    The pack is self-describing: ``{"numpy": bool, "records": int,
-    "failure_records": int, "tables": {...}}``.  With numpy each table
-    becomes six parallel structures (key strings, int64 row arrays,
-    int64 bin arrays); without it, a plain list of row tuples.
+    The pack is ``{"records": int, "failure_records": int,
+    "tables": {...}}``; each table is six parallel structures (key
+    strings, int64 row arrays, int64 bin arrays).
     """
     packed_tables: Dict[str, object] = {}
     for name in RollupStore.TABLES:
         table = store.tables[name]
-        if np is None:
-            packed_tables[name] = [
-                (_encode_key(key), hist.count, hist.overflow,
-                 list(hist.bins.items()))
-                for key, hist in table.items()]
-            continue
         keys: List[str] = []
         counts: List[int] = []
         overflows: List[int] = []
@@ -89,7 +78,6 @@ def pack_store(store: RollupStore) -> dict:
             "cnt": np.asarray(bin_cnt, dtype=np.int64),
         }
     return {
-        "numpy": np is not None,
         "records": store.records,
         "failure_records": store.failure_records,
         "tables": packed_tables,
@@ -107,8 +95,7 @@ class MergeAccumulator:
         self.packs = 0
         self._tables: Dict[str, dict] = {
             name: {"gids": {}, "keys": [], "count": [], "overflow": [],
-                   "gid_parts": [], "idx_parts": [], "cnt_parts": [],
-                   "plain_rows": []}
+                   "gid_parts": [], "idx_parts": [], "cnt_parts": []}
             for name in RollupStore.TABLES}
 
     # -- accumulation --------------------------------------------------
@@ -117,21 +104,7 @@ class MergeAccumulator:
         self.packs += 1
         self.records += int(packed["records"])
         self.failure_records += int(packed["failure_records"])
-        if packed.get("numpy") and np is not None:
-            self._add_arrays(packed["tables"])
-        else:
-            self._add_plain(packed["tables"])
-
-    def _intern(self, acc: dict, key: str) -> int:
-        gid = acc["gids"].get(key)
-        if gid is None:
-            gid = acc["gids"][key] = len(acc["keys"])
-            acc["keys"].append(key)
-            acc["count"].append(0)
-            acc["overflow"].append(0)
-        return gid
-
-    def _add_arrays(self, tables: Dict[str, dict]) -> None:
+        tables = packed["tables"]
         for name in RollupStore.TABLES:
             part = tables[name]
             keys = part["keys"]
@@ -150,15 +123,14 @@ class MergeAccumulator:
             acc["idx_parts"].append(part["idx"])
             acc["cnt_parts"].append(part["cnt"])
 
-    def _add_plain(self, tables: Dict[str, list]) -> None:
-        for name in RollupStore.TABLES:
-            acc = self._tables[name]
-            counts, overflows = acc["count"], acc["overflow"]
-            for key, count, overflow, bins in tables[name]:
-                gid = self._intern(acc, key)
-                counts[gid] += int(count)
-                overflows[gid] += int(overflow)
-                acc["plain_rows"].append((gid, bins))
+    def _intern(self, acc: dict, key: str) -> int:
+        gid = acc["gids"].get(key)
+        if gid is None:
+            gid = acc["gids"][key] = len(acc["keys"])
+            acc["keys"].append(key)
+            acc["count"].append(0)
+            acc["overflow"].append(0)
+        return gid
 
     # -- finalize ------------------------------------------------------
 
@@ -178,10 +150,7 @@ class MergeAccumulator:
                 hist.overflow = int(acc["overflow"][gid])
                 table[_decode_key(key)] = hist
                 hists.append(hist)
-            if acc["gid_parts"]:
-                self._fold_arrays(acc, hists)
-            if acc["plain_rows"]:
-                self._fold_plain(acc, hists)
+            self._fold_arrays(acc, hists)
         return store
 
     @staticmethod
@@ -199,20 +168,5 @@ class MergeAccumulator:
         for j in range(len(unique)):
             hists[int(gids[j])].bins[int(indices[j])] = int(sums[j])
 
-    @staticmethod
-    def _fold_plain(acc: dict, hists: List[MergeHist]) -> None:
-        for gid, bins in acc["plain_rows"]:
-            target = hists[gid].bins
-            for index, count in bins:
-                target[index] = target.get(index, 0) + count
 
-
-def np_available() -> bool:
-    """Whether the array fast path is in play (vs the plain-dict
-    fallback); surfaced in ingest reports so benchmark JSON records
-    which codepath produced its numbers."""
-    return np is not None
-
-
-__all__ = ["MergeAccumulator", "np_available", "pack_store"]
-
+__all__ = ["MergeAccumulator", "pack_store"]

@@ -132,8 +132,7 @@ def run_cluster_device_world(scenario: Scenario, plan: FaultPlan,
             accept_delay=Constant(0.05),
             load=IngestLoadModel(base_ms=400.0, per_record_ms=5.0),
             store_config=StoreConfig(flush_threshold_records=None,
-                                     checkpoint_interval_records=50,
-                                     wal_shards=2),
+                                     checkpoint_interval_records=50),
             rng=_world_rng(seed, device_id, "cluster:node:%s" % node_id))
         internet.add_server(node.backend)
         internet.set_route_link(ip, upload_link)

@@ -155,8 +155,8 @@ def run_device_world(scenario: Scenario, plan: FaultPlan, seed: int,
         # genuinely drops the memtable and dedup cache, and restart
         # recovers them from WAL + segments alone.  Auto-flush is off
         # so segments never absorb mid-run state; checkpoints do
-        # (every 50 records, two retained, a sharded WAL), which
-        # exercises checkpoint recovery under real crashes -- records
+        # (every 50 records, two retained), which exercises
+        # checkpoint recovery under real crashes -- records
         # folded into a checkpoint survive only as aggregates, so the
         # received mirror may trail the store counters, and the digest
         # parity check below is the proof that matters.
@@ -168,8 +168,7 @@ def run_device_world(scenario: Scenario, plan: FaultPlan, seed: int,
             load=IngestLoadModel(base_ms=400.0, per_record_ms=5.0),
             data_dir=backend_data_dir,
             store_config=StoreConfig(flush_threshold_records=None,
-                                     checkpoint_interval_records=50,
-                                     wal_shards=2),
+                                     checkpoint_interval_records=50),
             rng=_world_rng(seed, device_id, "backend"))
         internet.add_server(backend)
         uploader = MeasurementUploader(

@@ -244,7 +244,7 @@ CATALOG: Dict[str, MetricSpec] = dict([
        "Measurement records ingested into the rollup store."),
     _m("backend.malformed_headers", COUNTER, "requests",
        "repro.backend.server",
-       "Requests whose PUSH/PUSH2 header failed to parse (ACK 0)."),
+       "Requests whose header was not a well-formed PUSH2 (ACK 0)."),
     _m("backend.malformed_lines", COUNTER, "batches",
        "repro.backend.ingest",
        "Batches truncated at a malformed JSON line; the ACK covers "

@@ -28,7 +28,7 @@ checksum failure; the engine quarantines the file and falls back to
 the previous checkpoint plus a longer WAL replay -- which is exactly
 why the engine retains two checkpoints and only prunes WAL
 generations the *older* one covers.  A sound file of another schema
-raises :class:`~repro.store.segments.UnsupportedSchema` and stays put.
+raises :class:`~repro.backend.rollups.UnsupportedSchema` and stays put.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ import os
 import zlib
 from typing import Optional, Tuple
 
-from repro.backend.rollups import RollupConfig, RollupStore, _decode_key
+from repro.backend.rollups import (RollupConfig, RollupStore,
+                                   UnsupportedSchema, _decode_key)
 from repro.obs import Observability
 from repro.store.encoding import FRAME_OK, decode_rows, frame, read_frame
-from repro.store.segments import (UnsupportedSchema, encode_rows,
-                                  sorted_rows)
+from repro.store.segments import encode_rows, sorted_rows
 
 MAGIC = b"MOPCKP1\n"
 TAIL_MAGIC = b"MOPCKPF1"
@@ -112,18 +112,25 @@ def read_checkpoint(path: str) -> Tuple[RollupStore, int]:
     except ValueError:
         raise CheckpointCorruption("header is not JSON in %s" % path)
     if header.get("schema") != CHECKPOINT_SCHEMA:
-        raise UnsupportedSchema(
-            "checkpoint %s is schema %r and this build reads only "
-            "schema %d; the file is intact and was left in place"
-            % (path, header.get("schema"), CHECKPOINT_SCHEMA))
-    store = RollupStore(
-        config=RollupConfig.from_dict(header["config"]))
-    store.records = int(header["records"])
-    store.failure_records = int(header.get("failure_records", 0))
-    # The header names the tables written, in order: one it lacks
-    # stays empty, and one this build does not know is decoded (to
-    # keep frame positions honest) and dropped.
-    for name in header.get("tables", list(RollupStore.TABLES)):
+        raise UnsupportedSchema("checkpoint %s" % path,
+                                header.get("schema"), CHECKPOINT_SCHEMA)
+    try:
+        store = RollupStore(
+            config=RollupConfig.from_dict(header["config"]))
+        store.records = int(header["records"])
+        store.failure_records = int(header["failure_records"])
+        covers_gen = int(header["covers_gen"])
+        tables = list(header["tables"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointCorruption("header of %s lacks a field: %r"
+                                   % (path, exc))
+    if not set(RollupStore.TABLES) <= set(tables):
+        raise CheckpointCorruption("header of %s does not name every "
+                                   "rollup table" % path)
+    # The header names the tables written, in order; one this build
+    # does not know is decoded (to keep frame positions honest) and
+    # dropped.
+    for name in tables:
         payload, pos, status = read_frame(data, pos)
         if status != FRAME_OK:
             raise CheckpointCorruption(
@@ -145,7 +152,7 @@ def read_checkpoint(path: str) -> Tuple[RollupStore, int]:
                                   for text, hist in decoded.items()}
     if pos != len(data) - len(TAIL_MAGIC):
         raise CheckpointCorruption("trailing garbage in %s" % path)
-    return store, int(header["covers_gen"])
+    return store, covers_gen
 
 
 __all__ = ["CHECKPOINT_SCHEMA", "CheckpointCorruption", "MAGIC",

@@ -6,20 +6,20 @@ A miniature LSM tree shaped for the rollup workload:
   :class:`~repro.backend.rollups.RollupStore`) and are made durable by
   an envelope appended to the :mod:`WAL <repro.store.wal>` before the
   batch is acknowledged;
-* the WAL is a sequence of **generations** (``wal.log`` is generation
-  0; later files are ``wal-g<gen>-s<shard>.log``), optionally striped
-  over ``wal_shards`` files whose frames merge commutatively on
-  recovery.  Envelopes carry the records as raw JSONL bytes after a
-  one-line JSON header -- no per-record re-serialisation, no
-  JSON-in-JSON escaping -- and the bulk path group-commits on byte
-  *and* record thresholds;
+* the WAL is a sequence of **generations**, one file each
+  (``wal.log`` is generation 0; later files are
+  ``wal-g<gen>-s00.log``).  Envelopes carry the records as raw JSONL
+  bytes after a one-line JSON header -- no per-record
+  re-serialisation, no JSON-in-JSON escaping -- and the bulk path
+  group-commits on byte *and* record thresholds
+  (``GROUP_COMMIT_BYTES``, ``GROUP_COMMIT_RECORDS``);
 * a periodic **checkpoint** (every ``checkpoint_interval_records``)
   seals the current WAL generation, snapshots the memtable + dedup
   seeds atomically (checkpoint file + manifest), and prunes WAL
-  generations the *previous* retained checkpoint already covers --
-  recovery replay is bounded by the checkpoint interval, not the run
-  length, and a torn newest checkpoint still falls back to the older
-  one plus a longer replay;
+  generations the *previous* retained checkpoint already covers
+  (``CHECKPOINT_KEEP`` = 2 stay on disk) -- recovery replay is bounded
+  by the checkpoint interval, not the run length, and a torn newest
+  checkpoint still falls back to the older one plus a longer replay;
 * when the memtable grows past ``flush_threshold_records`` it is
   frozen into an immutable :mod:`segment <repro.store.segments>`, the
   manifest is updated (segment list, dedup seeds, findings), and the
@@ -35,8 +35,12 @@ A miniature LSM tree shaped for the rollup workload:
   dedup LRU seeds and all -- truncating torn tails at the last valid
   frame.  Replayed records are *not* accumulated; pass ``on_record``
   to observe them (recovery stays O(checkpoint interval) in memory,
-  not O(run)).  A sound file of a schema this build does not read is
-  not corruption: recovery raises ``UnsupportedSchema``, moving nothing.
+  not O(run)).
+
+Each form on disk has one reader and one generation: a sound manifest,
+WAL file or envelope, checkpoint or segment of another makes recovery
+raise ``UnsupportedSchema`` -- not corruption; nothing is moved,
+truncated or quarantined (docs/STORAGE.md, "Formats").
 
 The engine owns the memtable and the dedup map as *shared objects*:
 :class:`~repro.backend.ingest.IngestPipeline` holds references to the
@@ -57,12 +61,13 @@ import json
 import os
 import re
 import time
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.backend.rollups import RollupConfig, RollupStore
+from repro.backend.ingest import DEDUP_CAPACITY
+from repro.backend.rollups import (RollupConfig, RollupStore,
+                                   UnsupportedSchema)
 from repro.core.persist import decode_record_lines, record_to_line
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability, get_default
@@ -78,17 +83,31 @@ from repro.store.segments import (
     write_segment,
 )
 from repro.store.wal import FsyncModel, WriteAheadLog, replay
-from repro.store.wal import MAGIC as WAL_MAGIC
 
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.log"
 SEGMENT_DIR = "segments"
 QUARANTINE_DIR = "quarantine"
-#: v1 (PR 5) predates checkpoints, WAL generations and the bulk-seq
-#: watermark; v2 adds those fields.  ``_load_manifest`` accepts both.
+#: The one manifest written and read: every key ``_write_manifest``
+#: writes is required; any other schema is ``UnsupportedSchema``.
 MANIFEST_SCHEMA = 2
+_MANIFEST_FIELDS = ("next_seq", "next_ckpt", "bulk_seq",
+                    "wal_covered_gen", "segments", "checkpoints",
+                    "config", "dedup", "findings", "meta")
 
+#: One file per generation, always stripe ``s00``; the stripe field
+#: stays in the name so directories striped by older builds open.
 _WAL_FILE_RE = re.compile(r"^wal-g(\d{6})-s(\d{2})\.log$")
+
+#: Bulk-append path: one fsync once this many *records* (not
+#: envelopes) are buffered ...
+GROUP_COMMIT_RECORDS = 16_384
+#: ... or once this many framed bytes are, whichever first.
+GROUP_COMMIT_BYTES = 1 << 20
+#: Checkpoints retained on disk.  Keeping two means a torn newest
+#: checkpoint falls back to the previous one -- WAL generations are
+#: only pruned once the *older* retained checkpoint covers them.
+CHECKPOINT_KEEP = 2
 
 
 class StoreConfig:
@@ -98,12 +117,7 @@ class StoreConfig:
                  flush_threshold_records: Optional[int] = 50_000,
                  compaction_fanout: int = 4,
                  retention_ms: Optional[float] = None,
-                 group_commit_records: int = 16_384,
-                 group_commit_bytes: int = 1 << 20,
-                 wal_shards: int = 1,
                  checkpoint_interval_records: Optional[int] = None,
-                 checkpoint_keep: int = 2,
-                 dedup_capacity: int = 4096,
                  segment_block_rows: int = DEFAULT_BLOCK_ROWS,
                  fsync: Optional[FsyncModel] = None) -> None:
         #: Freeze the memtable into a segment at this many records
@@ -116,25 +130,10 @@ class StoreConfig:
         #: Evict windowed rows older than this horizon (``None`` keeps
         #: everything; the CLI maps ``--retention-days`` onto it).
         self.retention_ms = retention_ms
-        #: Bulk-append path: one fsync once this many *records* (not
-        #: envelopes) are buffered ...
-        self.group_commit_records = max(1, int(group_commit_records))
-        #: ... or once this many framed bytes are, whichever first.
-        self.group_commit_bytes = max(1, int(group_commit_bytes))
-        #: Stripe the WAL over this many files per generation; frames
-        #: merge commutatively on recovery (batch envelopes route by
-        #: device hash, so per-device dedup order is preserved).
-        self.wal_shards = max(1, int(wal_shards))
         #: Checkpoint the memtable every this many logged records
         #: (``None`` disables checkpoints; recovery then replays the
         #: whole WAL).
         self.checkpoint_interval_records = checkpoint_interval_records
-        #: Checkpoints retained on disk.  Keeping two means a torn
-        #: newest checkpoint falls back to the previous one -- WAL
-        #: generations are only pruned once the *older* retained
-        #: checkpoint covers them.
-        self.checkpoint_keep = max(1, int(checkpoint_keep))
-        self.dedup_capacity = int(dedup_capacity)
         #: Rows per zone-mapped segment block.  Smaller blocks prune
         #: harder (a point read decodes less); larger blocks compress
         #: better.  The default is a good middle for both.
@@ -168,8 +167,8 @@ class StoreEngine:
         data_dir/
           MANIFEST.json        segments, checkpoints, seq counters,
                                dedup seeds, WAL coverage watermark
-          wal.log              WAL generation 0 (shard 0)
-          wal-gNNNNNN-sNN.log  later generations / extra shards
+          wal.log              WAL generation 0
+          wal-gNNNNNN-s00.log  later generations
           ckpt-NNNNNN.ckpt     periodic memtable checkpoints
           segments/seg-NNNNNN.seg
           quarantine/          files that failed their checksums
@@ -205,7 +204,7 @@ class StoreEngine:
         #: segments (set by flush; persisted in the manifest).
         self._covered_gen = -1
         self._wal_gen = 0
-        self._wals: List[WriteAheadLog] = []
+        #: The active generation's log; ``recover`` opens it.
         self.wal: Optional[WriteAheadLog] = None
         self._pending_records = 0
         self._records_since_checkpoint = 0
@@ -218,16 +217,11 @@ class StoreEngine:
     def _manifest_path(self) -> str:
         return os.path.join(self.data_dir, MANIFEST_NAME)
 
-    @staticmethod
-    def _wal_name(gen: int, shard: int) -> str:
-        if gen == 0 and shard == 0:
-            return WAL_NAME
-        return "wal-g%06d-s%02d.log" % (gen, shard)
-
     def _wal_path(self) -> str:
-        """The active shard-0 WAL file."""
-        return os.path.join(self.data_dir,
-                            self._wal_name(self._wal_gen, 0))
+        """The active generation's WAL file."""
+        return os.path.join(
+            self.data_dir, WAL_NAME if self._wal_gen == 0
+            else "wal-g%06d-s00.log" % self._wal_gen)
 
     def _segment_path(self, name: str) -> str:
         return os.path.join(self.data_dir, SEGMENT_DIR, name)
@@ -303,26 +297,26 @@ class StoreEngine:
                 manifest = json.load(handle)
         except FileNotFoundError:
             return None
-        if manifest.get("schema") not in (1, MANIFEST_SCHEMA):
-            raise ValueError(
-                "manifest %s has schema %r; this engine understands "
-                "1..%d" % (self._manifest_path(),
-                           manifest.get("schema"), MANIFEST_SCHEMA))
+        if manifest.get("schema") != MANIFEST_SCHEMA:
+            raise UnsupportedSchema(
+                "manifest %s" % self._manifest_path(),
+                manifest.get("schema"), MANIFEST_SCHEMA)
+        missing = [name for name in _MANIFEST_FIELDS
+                   if name not in manifest]
+        if missing:
+            raise ValueError("manifest %s lacks %s"
+                             % (self._manifest_path(),
+                                ", ".join(missing)))
         return manifest
 
     # -- the write path ------------------------------------------------
 
-    def _shard_for_device(self, device_id: str) -> WriteAheadLog:
-        if len(self._wals) == 1:
-            return self._wals[0]
-        digest = zlib.crc32(device_id.encode("utf-8")) & 0xFFFFFFFF
-        return self._wals[digest % len(self._wals)]
-
     @staticmethod
     def _envelope(header: dict, lines: List[bytes]) -> bytes:
-        """v2 wire form: one canonical-JSON header line, then the raw
-        record lines verbatim.  No re-serialisation, no JSON-in-JSON
-        escaping -- the frame CRC covers the lot."""
+        """The envelope: one canonical-JSON header line (``kind``
+        ``batch`` or ``bulk``, ``n`` the lines that follow), then the
+        raw record lines verbatim.  No re-serialisation, no
+        JSON-in-JSON escaping -- the frame CRC covers the lot."""
         payload = json.dumps(header, sort_keys=True,
                              separators=(",", ":")).encode()
         if lines:
@@ -346,10 +340,8 @@ class StoreEngine:
         header = {"kind": "batch", "device": device_id,
                   "seq": int(batch_seq), "acked": int(acked),
                   "n": len(lines)}
-        wal = self._shard_for_device(device_id)
-        wal.append(self._envelope(header, lines))
-        cost = wal.commit()
-        self._pending_records = 0
+        self.wal.append(self._envelope(header, lines))
+        cost = self._commit()
         self._records_since_checkpoint += len(lines)
         self._maybe_flush()
         self._maybe_checkpoint()
@@ -381,11 +373,11 @@ class StoreEngine:
             self._bulk_seq += 1
             header = {"kind": "bulk", "n": len(lines),
                       "seq": self._bulk_seq}
-            wal = self._wals[self._bulk_seq % len(self._wals)]
-            wal.append(self._envelope(header, lines))
+            self.wal.append(self._envelope(header, lines))
             self._pending_records += len(lines)
-            if self._group_commit_due():
-                self._commit_all()
+            if self._pending_records >= GROUP_COMMIT_RECORDS or \
+                    self.wal.pending_bytes >= GROUP_COMMIT_BYTES:
+                self._commit()
 
         for record, line in entries:
             self.memtable.add(record)
@@ -408,22 +400,13 @@ class StoreEngine:
                 self.checkpoint()
         if lines:
             _emit()
-        self._commit_all()
+        self._commit()
         self._update_gauges()
         return count
 
-    def _group_commit_due(self) -> bool:
-        if self._pending_records >= self.config.group_commit_records:
-            return True
-        return sum(wal.pending_bytes for wal in self._wals) \
-            >= self.config.group_commit_bytes
-
-    def _commit_all(self) -> float:
-        cost = 0.0
-        for wal in self._wals:
-            cost += wal.commit()
+    def _commit(self) -> float:
         self._pending_records = 0
-        return cost
+        return self.wal.commit()
 
     def bulk_load(self, store: RollupStore) -> str:
         """Import a whole RollupStore as one segment, bypassing the
@@ -485,20 +468,15 @@ class StoreEngine:
         """Close the active WAL generation and open the next one.
         Returns the sealed generation number."""
         sealed = self._wal_gen
-        for wal in self._wals:
-            wal.close()
-        self._open_wals(sealed + 1)
+        self.wal.close()
+        self._open_wal(sealed + 1)
         self.obs.inc("store.wal_rotations")
         return sealed
 
-    def _open_wals(self, gen: int) -> None:
+    def _open_wal(self, gen: int) -> None:
         self._wal_gen = gen
-        self._wals = [
-            WriteAheadLog(
-                os.path.join(self.data_dir, self._wal_name(gen, shard)),
-                obs=self.obs, fsync=self.config.fsync)
-            for shard in range(self.config.wal_shards)]
-        self.wal = self._wals[0]
+        self.wal = WriteAheadLog(self._wal_path(), obs=self.obs,
+                                 fsync=self.config.fsync)
         self._pending_records = 0
 
     def _prune_wal_files(self) -> None:
@@ -524,7 +502,7 @@ class StoreEngine:
         empty memtable.  Returns the segment name."""
         if self._memtable_empty():
             return None
-        self._commit_all()
+        self._commit()
         self._covered_gen = self._seal_and_rotate()
         stale_checkpoints = self._checkpoints
         self._checkpoints = []
@@ -559,7 +537,7 @@ class StoreEngine:
         if self._memtable_empty():
             self._records_since_checkpoint = 0
             return None
-        self._commit_all()
+        self._commit()
         sealed = self._seal_and_rotate()
         name = "ckpt-%06d.ckpt" % self._next_ckpt
         self._next_ckpt += 1
@@ -570,9 +548,8 @@ class StoreEngine:
             float(self.memtable.records
                   + self.memtable.failure_records))
         self._checkpoints.append({"name": name, "covers_gen": sealed})
-        retired = self._checkpoints[:-self.config.checkpoint_keep]
-        self._checkpoints = \
-            self._checkpoints[-self.config.checkpoint_keep:]
+        retired = self._checkpoints[:-CHECKPOINT_KEEP]
+        self._checkpoints = self._checkpoints[-CHECKPOINT_KEEP:]
         self._write_manifest()
         for entry in retired:
             try:
@@ -638,11 +615,10 @@ class StoreEngine:
 
     def crash(self) -> None:
         """The process dies.  Volatile state -- memtable, dedup map,
-        findings, the WALs' uncommitted buffers -- is genuinely gone;
+        findings, the WAL's uncommitted buffer -- is genuinely gone;
         only what commit()/checkpoint()/flush() forced to disk
         survives."""
-        for wal in self._wals:
-            wal.crash()
+        self.wal.crash()
         self._clear_store(self.memtable)
         self.dedup.clear()
         del self.findings[:]
@@ -652,28 +628,23 @@ class StoreEngine:
         self._pending_records = 0
 
     @staticmethod
-    def _decode_envelope(payload: bytes) -> Tuple[dict, List[str]]:
-        """Both envelope forms: v2 (header line + raw JSONL body) and
-        the legacy v1 single JSON object with a ``lines`` array."""
+    def _decode_envelope(payload: bytes, path: str, frame_no: int
+                         ) -> Tuple[dict, List[str]]:
+        """The one reader of :meth:`_envelope`'s form.  A checksummed
+        frame holding anything else -- another ``kind``, an ``n`` that
+        is not its body's line count, the first writer's object with a
+        ``lines`` array -- is another generation's: refused, never
+        replayed as the lines it happens to have."""
         head, _newline, body = payload.decode("utf-8").partition("\n")
         header = json.loads(head)
-        if "lines" in header:
-            lines = header["lines"]
-        else:
-            lines = body.split("\n") if body else []
+        lines = body.split("\n") if body else []
+        if header.get("kind") not in ("batch", "bulk") or \
+                header.get("n") != len(lines):
+            raise UnsupportedSchema(
+                "WAL %s frame %d" % (path, frame_no), head[:80],
+                "a batch or bulk header with n = its %d lines"
+                % len(lines))
         return header, lines
-
-    def _truncate_wal_file(self, path: str, valid_bytes: int) -> None:
-        """Cut a torn tail at the last valid frame boundary (a file
-        that lost even its header restarts empty)."""
-        if valid_bytes < len(WAL_MAGIC):
-            with open(path, "wb") as handle:
-                handle.write(WAL_MAGIC)
-                handle.flush()
-                os.fsync(handle.fileno())
-            return
-        with open(path, "r+b") as handle:
-            handle.truncate(valid_bytes)
 
     def recover(self, initial: bool = False,
                 on_record: Optional[
@@ -685,12 +656,12 @@ class StoreEngine:
         tail replay into the memtable and dedup map, truncating torn
         tails.  Each replayed record streams through ``on_record``
         (when given) and is then dropped -- only counts are kept.
-        A sound segment or checkpoint of another schema raises
-        ``UnsupportedSchema`` with every file left in place."""
+        A sound manifest, WAL, checkpoint or segment of another
+        generation raises ``UnsupportedSchema``, left as found."""
         started = time.time()
         info = RecoveryInfo()
-        for wal in self._wals:
-            wal.crash()                 # drop buffers, release handles
+        if self.wal is not None:
+            self.wal.crash()            # drop buffers, release handle
         self._clear_store(self.memtable)
         self.dedup.clear()
         del self.findings[:]
@@ -704,19 +675,19 @@ class StoreEngine:
         manifest = self._load_manifest()
         manifest_dirty = False
         if manifest is not None:
-            if not self._explicit_config and "config" in manifest:
+            if not self._explicit_config:
                 self.rollup_config = RollupConfig.from_dict(
                     manifest["config"])
                 self.memtable.config = self.rollup_config
-            self._next_seq = int(manifest.get("next_seq", 1))
-            self._next_ckpt = int(manifest.get("next_ckpt", 1))
-            self._bulk_seq = int(manifest.get("bulk_seq", 0))
-            self._covered_gen = int(manifest.get("wal_covered_gen", -1))
-            self.meta = dict(manifest.get("meta", {}))
-            self.findings.extend(manifest.get("findings", []))
-            for device, seq, acked in manifest.get("dedup", []):
+            self._next_seq = int(manifest["next_seq"])
+            self._next_ckpt = int(manifest["next_ckpt"])
+            self._bulk_seq = int(manifest["bulk_seq"])
+            self._covered_gen = int(manifest["wal_covered_gen"])
+            self.meta = dict(manifest["meta"])
+            self.findings.extend(manifest["findings"])
+            for device, seq, acked in manifest["dedup"]:
                 self._seed_dedup(device, int(seq), int(acked))
-            for name in manifest.get("segments", []):
+            for name in manifest["segments"]:
                 if self._check_segment(name):
                     self._segments.append(name)
                     info.segments_loaded += 1
@@ -724,7 +695,7 @@ class StoreEngine:
                     info.segments_quarantined += 1
             manifest_dirty = info.segments_quarantined > 0
             manifest_dirty |= self._load_checkpoint(
-                list(manifest.get("checkpoints", [])), info)
+                list(manifest["checkpoints"]), info)
         covered = self._covered_gen
         if manifest_dirty:
             self._write_manifest()
@@ -746,8 +717,9 @@ class StoreEngine:
         torn_files = 0
         for gen, shard, path in live_files:
             result = replay(path)
-            for payload in result.payloads:
-                header, lines = self._decode_envelope(payload)
+            for frame_no, payload in enumerate(result.payloads):
+                header, lines = self._decode_envelope(payload, path,
+                                                      frame_no)
                 records, truncated = decode_record_lines(lines)
                 if truncated:
                     raise ValueError(
@@ -758,24 +730,26 @@ class StoreEngine:
                     if on_record is not None:
                         on_record(record)
                 info.wal_records += len(lines)
-                if header.get("kind") == "batch":
+                if header["kind"] == "batch":
                     self._seed_dedup(header["device"],
                                      int(header["seq"]),
                                      int(header["acked"]))
                 else:
                     self._bulk_seq = max(self._bulk_seq,
-                                         int(header.get("seq", 0)))
+                                         int(header["seq"]))
             info.wal_frames += len(result.payloads)
             if result.torn or result.corrupt:
                 info.torn_tail |= result.torn
                 info.corrupt_frame |= result.corrupt
-                self._truncate_wal_file(path, result.valid_bytes)
+                log = WriteAheadLog(path, obs=self.obs)
+                log.truncate_to(result.valid_bytes)
+                log.close()
                 torn_files += 1
         info.dedup_entries = len(self.dedup)
 
         active_gen = max([gen for gen, _shard, _path in live_files],
                         default=covered + 1 if covered >= 0 else 0)
-        self._open_wals(active_gen)
+        self._open_wal(active_gen)
         if torn_files:
             self.obs.inc("store.wal_torn_tails", torn_files)
 
@@ -852,7 +826,7 @@ class StoreEngine:
         key = (device, seq)
         self.dedup[key] = acked
         self.dedup.move_to_end(key)
-        while len(self.dedup) > self.config.dedup_capacity:
+        while len(self.dedup) > DEDUP_CAPACITY:
             self.dedup.popitem(last=False)
 
     def _check_segment(self, name: str) -> bool:
@@ -937,8 +911,7 @@ class StoreEngine:
                            float(len(self._discover_wal_files())))
 
     def close(self) -> None:
-        for wal in self._wals:
-            wal.close()
+        self.wal.close()
 
 
 __all__ = ["MANIFEST_NAME", "QUARANTINE_DIR", "RecoveryInfo",

@@ -72,6 +72,7 @@ from repro.backend.rollups import (
     MergeHist,
     RollupConfig,
     RollupStore,
+    UnsupportedSchema,
     _SEP,
     _decode_key,
     _encode_key,
@@ -91,12 +92,6 @@ DEFAULT_BLOCK_ROWS = 256
 
 class SegmentCorruption(Exception):
     """A segment failed structural or checksum validation."""
-
-
-class UnsupportedSchema(ValueError):
-    """A sound segment or checkpoint of a schema this build does not
-    read (a newer build's, or an older one's).  Never quarantined:
-    recovery stops, naming the file and both schema numbers."""
 
 
 @dataclass
@@ -328,10 +323,8 @@ class SegmentReader:
             raise SegmentCorruption("footer is not JSON in %s"
                                     % self.path)
         if footer.get("schema") != SEGMENT_SCHEMA:
-            raise UnsupportedSchema(
-                "segment %s is schema %r and this build reads only "
-                "schema %d; the file is intact and was left in place"
-                % (self.path, footer.get("schema"), SEGMENT_SCHEMA))
+            raise UnsupportedSchema("segment %s" % self.path,
+                                    footer.get("schema"), SEGMENT_SCHEMA)
         if not set(RollupStore.TABLES) <= set(footer.get("tables", ())):
             raise SegmentCorruption("footer of %s does not index every "
                                     "rollup table" % self.path)

@@ -1,7 +1,8 @@
 """The write-ahead log: durability for everything the memtable holds.
 
-Every accepted batch becomes one canonical-JSON envelope appended to
-``wal.log`` as a CRC frame (see :mod:`repro.store.encoding`).  Appends
+Every accepted batch becomes one envelope (a JSON header line and the
+batch's raw JSONL) appended to the active generation's file -- ``MAGIC``,
+then CRC frames (see :mod:`repro.store.encoding`).  Appends
 buffer in memory; :meth:`WriteAheadLog.commit` writes the buffered
 frames and issues one fsync for the whole group -- group commit, the
 classic trade of latency for throughput.  The sim-time price of that
@@ -19,6 +20,9 @@ the expected signature of a crash and recovery truncates it; a
 *corrupt* frame (complete but checksum-failed) stops the replay at
 the last valid frame and is reported separately, because media
 corruption is never expected and must show up in ``store.*`` metrics.
+A file that opens with another generation's magic (``MOPWAL?\\n``) is
+neither: :func:`replay` raises ``UnsupportedSchema`` and recovery
+leaves it alone; only a file with no magic at all restarts empty.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.backend.rollups import UnsupportedSchema
 from repro.obs import Observability, get_default
 from repro.store.encoding import (
     FRAME_CORRUPT,
@@ -69,7 +74,8 @@ class ReplayResult:
 def replay(path: str) -> ReplayResult:
     """Read every valid frame from ``path``, stopping at the first
     torn or corrupt frame.  ``valid_bytes`` is the safe truncation
-    point.  A missing file replays as empty."""
+    point.  A missing file replays as empty; a file under another
+    generation's magic raises ``UnsupportedSchema``."""
     result = ReplayResult()
     try:
         with open(path, "rb") as handle:
@@ -77,6 +83,9 @@ def replay(path: str) -> ReplayResult:
     except FileNotFoundError:
         return result
     if not data.startswith(MAGIC):
+        head = data[:len(MAGIC)]
+        if head[:6] == MAGIC[:6] and head[7:] == MAGIC[7:]:
+            raise UnsupportedSchema("WAL %s" % path, head, MAGIC)
         # A WAL that lost its header is unreadable from byte 0: treat
         # the whole file as a torn tail and let recovery reset it.
         result.torn = bool(data)
@@ -178,10 +187,6 @@ class WriteAheadLog:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-    def reopen(self) -> None:
-        if self._handle is None:
-            self._open()
 
     def reset(self) -> None:
         """Truncate after a segment flush: everything logged so far is

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 import zlib
 
@@ -17,6 +18,18 @@ from repro.network import (
 from repro.phone import AndroidDevice
 from repro.sim import Constant, Simulator
 from repro.sim.distributions import Distribution
+
+
+def tree_bytes(root):
+    """Every file under ``root`` with its bytes: equal before and
+    after means nothing was moved, truncated, rewritten or added."""
+    found = {}
+    for folder, _dirs, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as handle:
+                found[os.path.relpath(path, root)] = handle.read()
+    return found
 
 
 def hand_built_row_block(raw_keys, key_len=None):

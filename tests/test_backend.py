@@ -205,6 +205,62 @@ class TestRollupStore:
         assert store.windows() == [0, 2]
 
 
+class TestAddWorkPerKind:
+    """What the wall-clock A/B guards (``modalities``, ``middlebox``)
+    protected, as a count: widening the schema puts no work on the
+    kinds that were there before.  One ``add`` touches exactly the
+    rows its kind's tables require, and the log-grid mapping runs
+    once per modality record and never for an RTT kind."""
+
+    @pytest.mark.parametrize("record, tables, log_bins", [
+        (_rec(), ["network", "app"], 0),
+        (_rec(domain="api.example.com"), ["network", "app"], 0),
+        (_rec(domain="api.example.com", tech="LTE"),
+         ["network", "app", "lte_domain"], 0),
+        (_rec(domain="c1.whatsapp.net"),
+         ["network", "app", "watch_domain", "watch_network"], 0),
+        (_rec(domain="c1.whatsapp.net", tech="LTE"),
+         ["network", "app", "watch_domain", "watch_network",
+          "lte_domain"], 0),
+        (_rec(kind="DNS"), ["network"], 0),
+        (_rec(kind="APP_RTT"), ["network", "app"], 0),
+        (_rec(kind="TPUT_UP"), ["app_throughput"], 1),
+        (_rec(kind="TPUT_DOWN"), ["app_throughput"], 1),
+        (_rec(kind="ENERGY"), ["app_energy"], 1),
+        (_rec(kind="AOI"), ["aoi"], 1),
+    ], ids=["tcp", "tcp-domain", "tcp-lte", "tcp-watched",
+            "tcp-watched-lte", "dns", "app-rtt", "tput-up",
+            "tput-down", "energy", "aoi"])
+    def test_one_add_touches_exactly_its_kinds_rows(
+            self, monkeypatch, record, tables, log_bins):
+        from repro.backend import rollups
+
+        touched, mapped = [], []
+        hist_of, log_bin = RollupStore._hist, rollups.log_bin
+
+        def counted_hist(store, table, key):
+            touched.append(table)
+            return hist_of(store, table, key)
+
+        def counted_log_bin(value):
+            mapped.append(value)
+            return log_bin(value)
+
+        monkeypatch.setattr(RollupStore, "_hist", counted_hist)
+        monkeypatch.setattr(rollups, "log_bin", counted_log_bin)
+        store = RollupStore()
+        store.add(record)
+        assert touched == tables
+        assert len(mapped) == log_bins
+        assert store.group_count() == len(tables)
+
+    def test_every_kind_is_counted_above(self):
+        from repro.core.records import MeasurementKind
+        counted = {"TCP", "DNS", "APP_RTT", "TPUT_UP", "TPUT_DOWN",
+                   "ENERGY", "AOI"}
+        assert counted == set(MeasurementKind.ALL)
+
+
 class TestParseBatchPrefix:
     def test_stops_at_first_bad_line(self):
         good = [_rec(rtt=float(i)) for i in range(4)]

@@ -14,11 +14,11 @@ import pytest
 
 from repro.backend import RollupStore
 from repro.backend.rollups import BIN_WIDTH_MS, MergeHist
+from repro.backend.server import BackendServer
 from repro.core import MopEyeService
 from repro.core.records import MeasurementKind
 from repro.core.uploader import MeasurementUploader
 from repro.network import Internet
-from repro.network.collector import CollectorServer
 from repro.network.link import AccessLink, NetworkType
 from repro.phone import AndroidDevice
 from repro.sim import Simulator
@@ -50,7 +50,7 @@ class TestBackendParity:
 
         # A hostile backend: short ACKs (25-record cap) and a tight
         # per-device rate limit that sheds with BUSY.
-        collector = CollectorServer(
+        collector = BackendServer(
             sim, ["198.51.100.77"], name="backend",
             max_batch_records=25,
             rate_capacity=2.0, rate_refill_per_min=12.0)

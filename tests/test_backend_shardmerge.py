@@ -1,10 +1,8 @@
 """Shard-parallel merge path: packed transfer, arrival-order
-invariance, the pure-python fallback, and end-to-end worker parity for
-``ingest_shard_files``."""
+invariance, and end-to-end worker parity for ``ingest_shard_files``."""
 
 import pytest
 
-from repro.backend import shardmerge
 from repro.backend.ingest import _balance_chunks, ingest_shard_files
 from repro.backend.rollups import RollupConfig, RollupStore
 from repro.backend.shardmerge import MergeAccumulator, pack_store
@@ -60,34 +58,6 @@ class TestAccumulator:
             digests.add(acc.finalize().digest())
         assert len(digests) == 1
 
-    def test_plain_fallback_is_bit_identical(self, monkeypatch):
-        parts = _partitions()
-        reference = _store([r for part in parts for r in part])
-        with_numpy = MergeAccumulator()
-        for part in parts:
-            with_numpy.add(pack_store(_store(part)))
-        fast = with_numpy.finalize().digest()
-        monkeypatch.setattr(shardmerge, "np", None)
-        assert not shardmerge.np_available()
-        acc = MergeAccumulator()
-        for part in parts:
-            acc.add(pack_store(_store(part)))
-        assert acc.finalize().digest() == fast == reference.digest()
-
-    def test_mixed_packs_merge(self, monkeypatch):
-        """An array pack and a plain pack can land in one accumulator
-        (a heterogeneous pool must still merge correctly)."""
-        parts = _partitions(parts=2)
-        reference = _store([r for part in parts for r in part])
-        array_pack = pack_store(_store(parts[0]))
-        monkeypatch.setattr(shardmerge, "np", None)
-        plain_pack = pack_store(_store(parts[1]))
-        monkeypatch.undo()
-        acc = MergeAccumulator()
-        acc.add(array_pack)
-        acc.add(plain_pack)
-        assert acc.finalize().digest() == reference.digest()
-
 
 class TestChunkBalancing:
     def test_chunks_cover_all_paths_once(self, tmp_path):
@@ -132,7 +102,7 @@ class TestIngestShardFiles:
             _store(records).digest()
         assert report["workers"] == 3
         assert len(report["worker_walls_s"]) == len(report["chunks"])
-        assert report["mode"] in ("arrays", "plain")
+        assert report["mode"] == "arrays"
         assert report["merge_wall_s"] >= 0.0
 
     def test_single_worker_reports_inline_mode(self, shards):

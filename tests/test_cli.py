@@ -234,6 +234,52 @@ class TestQuery:
         assert os.path.exists(path)
         assert not os.path.exists(os.path.join(data_dir, "quarantine"))
 
+    def test_other_generation_wal_and_manifest_are_refused(
+            self, data_dir, capsys):
+        """The same exit for the two forms the gate did not reach: a
+        WAL under another generation's magic (inspect used to print
+        "torn tail truncated" over an emptied file) and a manifest of
+        another schema."""
+        import os
+
+        from repro.store import StoreEngine
+        engine = StoreEngine(data_dir)
+        engine.log_batch("dev-1", 0, 0, [], lines=[])
+        engine.close()
+        wal = engine._wal_path()
+        frames = open(wal, "rb").read()
+        assert len(frames) > 8
+        manifest = os.path.join(data_dir, "MANIFEST.json")
+        published = open(manifest).read()
+        for path, other, told in (
+                (wal, b"MOPWAL0\n" + frames[8:], "MOPWAL0"),
+                (manifest,
+                 published.replace('"schema":2', '"schema":1').encode(),
+                 "schema 1 ")):
+            sound = open(path, "rb").read()
+            open(path, "wb").write(other)
+            for argv in (["store", "inspect", data_dir],
+                         ["query", data_dir, "summary"]):
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                assert path in err and told in err
+            assert open(path, "rb").read() == other
+            open(path, "wb").write(sound)
+        assert main(["store", "inspect", data_dir]) == 0
+
+    def test_other_schema_state_file_is_refused(self, tmp_path, capsys):
+        from repro.backend.rollups import RollupStore
+        snapshot = RollupStore().snapshot()
+        for schema in (None, 2, 4):
+            snapshot["schema"] = schema
+            if schema is None:
+                del snapshot["schema"]
+            state = tmp_path / "state.json"
+            state.write_text(json.dumps(snapshot))
+            assert main(["query", str(state), "summary"]) == 2
+            err = capsys.readouterr().err
+            assert str(state) in err and "schema %r " % schema in err
+
     def test_query_panel_and_table_views(self, data_dir, capsys):
         assert main(["query", data_dir, "panel", "--app",
                      "com.app.01"]) == 0

@@ -2,17 +2,17 @@
 
 import pytest
 
+from repro.backend.server import BackendServer
 from repro.core import MopEyeService
 from repro.core.records import MeasurementRecord
 from repro.core.uploader import MeasurementUploader
-from repro.network.collector import CollectorServer
 from repro.phone import App
 
 
 @pytest.fixture
 def upload_world(world):
-    collector = CollectorServer(world.sim, ["198.51.100.200"],
-                                name="collector")
+    collector = BackendServer(world.sim, ["198.51.100.200"],
+                              name="collector")
     world.internet.add_server(collector)
     mopeye = MopEyeService(world.device)
     mopeye.start()
@@ -234,9 +234,9 @@ class TestPartialAck:
         """A short ACK must advance the cursor only past the acked
         prefix; the tail is retried next interval, so every record
         still reaches the backend exactly once."""
-        collector = CollectorServer(world.sim, ["198.51.100.201"],
-                                    name="stingy",
-                                    max_batch_records=4)
+        collector = BackendServer(world.sim, ["198.51.100.201"],
+                                  name="stingy",
+                                  max_batch_records=4)
         world.internet.add_server(collector)
         mopeye = MopEyeService(world.device)
         mopeye.start()
@@ -278,14 +278,44 @@ class TestCollectorProtocol:
 
         def run():
             yield socket.connect("198.51.100.200", 443)
-            socket.send(b"PUSH %d\n" % len(payload))
+            socket.send(b"PUSH2 %d 0 phone-a\n" % len(payload))
             socket.send(payload)
             response = yield socket.recv()
             socket.close()
             return response
 
         assert w.run_process(run()) == b"ACK 0\n"
-        assert w.collector.malformed >= 1
+        # The header was sound: the batch was taken, its one line was
+        # not a record.
+        assert w.collector.batches == 1
+        assert w.collector.obs.value("backend.malformed_lines") == 1
+        assert w.collector.obs.value("backend.malformed_headers") == 0
+
+    def test_retired_push_header_is_malformed(self, upload_world):
+        """``PUSH n`` (no identity, no dedup) is no longer spoken: it
+        is counted and answered ``ACK 0`` like any other bad header,
+        and the connection goes on to serve a ``PUSH2`` batch."""
+        from repro.core.persist import record_to_line
+        w = upload_world
+        socket = w.device.create_tcp_socket(w.mopeye.uid,
+                                            protected=True)
+        payload = (record_to_line(MeasurementRecord(
+            kind="TCP", rtt_ms=42.0, timestamp_ms=1.0)) + "\n").encode()
+
+        def run():
+            yield socket.connect("198.51.100.200", 443)
+            socket.send(b"PUSH %d\n" % len(payload))
+            refused = yield socket.recv()
+            socket.send(b"PUSH2 %d 0 phone-a\n" % len(payload))
+            socket.send(payload)
+            served = yield socket.recv()
+            socket.close()
+            return refused, served
+
+        assert w.run_process(run()) == (b"ACK 0\n", b"ACK 1\n")
+        assert w.collector.obs.value("backend.malformed_headers") == 1
+        assert w.collector.batches == 1
+        assert len(w.collector.received) == 1
 
     def test_ack_is_prefix_count(self, upload_world):
         """A malformed line mid-batch stops ingestion: the ACK counts
@@ -304,7 +334,7 @@ class TestCollectorProtocol:
 
         def run():
             yield socket.connect("198.51.100.200", 443)
-            socket.send(b"PUSH %d\n" % len(payload))
+            socket.send(b"PUSH2 %d 0 phone-a\n" % len(payload))
             socket.send(payload)
             response = yield socket.recv()
             socket.close()
@@ -348,7 +378,6 @@ class TestCollectorProtocol:
         deduplicates, but both ACKs come back -- only the first may
         advance the cursor; the second is a stale ACK."""
         from repro.backend.ingest import IngestLoadModel
-        from repro.backend.server import BackendServer
         backend = BackendServer(
             world.sim, ["198.51.100.201"], name="slow-collector",
             load=IngestLoadModel(base_ms=5_000.0, per_record_ms=0.0))
@@ -376,7 +405,7 @@ class TestCollectorProtocol:
         """A rate-limited backend sheds batches with BUSY; the
         uploader backs off with jitter and retries the same batch, so
         everything still arrives exactly once."""
-        collector = CollectorServer(
+        collector = BackendServer(
             world.sim, ["198.51.100.202"], name="busy",
             rate_capacity=1.0, rate_refill_per_min=6.0)
         world.internet.add_server(collector)

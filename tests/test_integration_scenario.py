@@ -9,9 +9,9 @@ layer diagnoses the deliberately-slow app from the collected records.
 import pytest
 
 from repro.analysis.diagnosis import Verdict, diagnose_app
+from repro.backend.server import BackendServer
 from repro.core import MopEyeService
 from repro.core.uploader import MeasurementUploader
-from repro.network.collector import CollectorServer
 from repro.phone import App, BatteryModel, SpeedtestApp
 from repro.phone.apps import StreamingApp, WebBrowsingApp
 from repro.sim import Constant
@@ -31,8 +31,8 @@ def day():
     world.add_server("198.51.100.12", name="faraway",
                      domains=["far.day.test"],
                      path_oneway=Constant(120.0))
-    collector = CollectorServer(world.sim, ["198.51.100.200"],
-                                name="collector")
+    collector = BackendServer(world.sim, ["198.51.100.200"],
+                              name="collector")
     world.internet.add_server(collector)
 
     mopeye = MopEyeService(world.device)

@@ -32,7 +32,7 @@ class TestUploaderPolicy:
         from repro.core import MopEyeService
         from repro.core.uploader import MeasurementUploader
         from repro.network import Internet, lte_profile
-        from repro.network.collector import CollectorServer
+        from repro.backend.server import BackendServer
         from repro.phone import AndroidDevice, App
         from repro.network import AppServer, DnsServer, DnsZone
         from repro.sim import Simulator
@@ -44,7 +44,7 @@ class TestUploaderPolicy:
         internet.add_server(DnsServer(sim, "8.8.8.8", DnsZone()))
         internet.add_server(AppServer(sim, ["93.184.216.34"],
                                       name="srv"))
-        collector = CollectorServer(sim, ["198.51.100.200"])
+        collector = BackendServer(sim, ["198.51.100.200"])
         internet.add_server(collector)
         mopeye = MopEyeService(device)
         mopeye.start()
@@ -76,7 +76,7 @@ class TestUploaderPolicy:
             Internet,
             lte_profile,
         )
-        from repro.network.collector import CollectorServer
+        from repro.backend.server import BackendServer
         from repro.phone import AndroidDevice, App
         from repro.sim import Simulator
 
@@ -89,7 +89,7 @@ class TestUploaderPolicy:
         internet.add_server(DnsServer(sim, "8.8.8.8", DnsZone()))
         internet.add_server(AppServer(sim, ["93.184.216.34"],
                                       name="srv"))
-        collector = CollectorServer(sim, ["198.51.100.200"])
+        collector = BackendServer(sim, ["198.51.100.200"])
         internet.add_server(collector)
         mopeye = MopEyeService(device)
         mopeye.start()

@@ -16,12 +16,12 @@ from repro.backend.rollups import (
     log_bin,
     log_bin_value,
 )
+from repro.backend.server import BackendServer
 from repro.cluster.runner import run_cluster_device_world
 from repro.core import MopEyeService
 from repro.core.records import MeasurementKind, MeasurementRecord
 from repro.core.uploader import MeasurementUploader
 from repro.faults import ChaosRunner, get_scenario, verify_scenario
-from repro.network.collector import CollectorServer
 from repro.phone import App
 
 
@@ -86,8 +86,8 @@ class TestFlowModalities:
 
 class TestAgeOfInformation:
     def _world_with_uploader(self, world, emit_aoi):
-        collector = CollectorServer(world.sim, ["198.51.100.200"],
-                                    name="collector")
+        collector = BackendServer(world.sim, ["198.51.100.200"],
+                                  name="collector")
         world.internet.add_server(collector)
         mopeye = MopEyeService(world.device)
         mopeye.start()

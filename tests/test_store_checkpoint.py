@@ -1,6 +1,6 @@
 """Checkpoint semantics: bounded replay, crash windows inside the
 checkpoint sequence, torn-checkpoint quarantine + fallback, dedup
-seeding, and sharded-WAL digest parity."""
+seeding, and the one WAL envelope form recovery replays."""
 
 import json
 import os
@@ -23,7 +23,7 @@ from repro.store.checkpoint import (
 )
 from repro.store.engine import QUARANTINE_DIR
 from repro.store.segments import UnsupportedSchema
-from tests.conftest import hand_built_row_block
+from tests.conftest import hand_built_row_block, tree_bytes
 
 
 def _rec(kind="TCP", rtt=100.0, ts=0.0, domain=None, operator="OpA",
@@ -176,7 +176,7 @@ class TestCrashWindows:
         engine.append_records(records[100:150])
         second = engine.checkpoint()
         engine.append_records(records[150:])
-        engine._commit_all()
+        engine._commit()
         _corrupt_tail(os.path.join(engine.data_dir, second))
         engine.crash()
         info = engine.recover()
@@ -197,7 +197,7 @@ class TestCrashWindows:
         engine.append_records(records[:100])
         name = engine.checkpoint()
         engine.append_records(records[100:])
-        engine._commit_all()
+        engine._commit()
         _corrupt_tail(os.path.join(engine.data_dir, name))
         engine.crash()
         info = engine.recover()
@@ -273,17 +273,21 @@ class TestRowOrder:
             read_checkpoint(path)
 
 
-def _restamp_checkpoint(path, schema):
-    """Rewrite a checkpoint's header frame with another schema number,
+def _edit_header(path, edit):
+    """Rewrite a checkpoint's header frame as ``edit`` leaves it,
     every table frame after it as written."""
     data = open(path, "rb").read()
     payload, tables_at, _status = encoding.read_frame(data, len(MAGIC))
     header = json.loads(payload)
-    header["schema"] = schema
+    edit(header)
     open(path, "wb").write(
         MAGIC + encoding.frame(json.dumps(
             header, sort_keys=True, separators=(",", ":")).encode())
         + data[tables_at:])
+
+
+def _restamp_checkpoint(path, schema):
+    _edit_header(path, lambda header: header.update(schema=schema))
 
 
 class TestSchemaGate:
@@ -357,95 +361,138 @@ class TestDedupAndStreaming:
         assert _reference(seen).digest() == _reference(records).digest()
 
 
-class TestShardedWal:
-    def test_digest_identical_across_wal_shard_counts(self, tmp_path):
-        devices = ["dev-%d" % i for i in range(6)]
-        digests = []
-        for shards in (1, 3):
-            engine, _obs = _engine(tmp_path, name="s%d" % shards,
-                                   flush_threshold_records=None,
-                                   wal_shards=shards)
-            for seq in range(4):
-                for device in devices:
-                    records = _records(5, device=device)
-                    for record in records:
-                        engine.memtable.add(record)
-                    engine.log_batch(device, seq, len(records), records)
-            engine.crash()
-            info = engine.recover()
-            assert info.wal_records == 120
-            assert len(engine.dedup) == 24
-            digests.append(engine.memtable.digest())
-        assert digests[0] == digests[1]
+class TestEnvelopeGate:
+    """One envelope form is written and one is read.  A checksummed
+    frame holding anything else is another generation's, refused by
+    name -- file and frame -- before a line of it reaches the
+    memtable, with every byte on disk as it was."""
 
-    def test_sharded_bulk_appends_recover(self, tmp_path):
-        records = _records(200)
-        engine, _obs = _engine(tmp_path, flush_threshold_records=None,
-                               wal_shards=4)
-        engine.append_records(records, batch_records=16)
-        assert len(engine.wal_paths()) == 4
-        engine.crash()
-        info = engine.recover()
-        assert info.wal_files == 4
-        assert info.wal_records == 200
-        assert engine.memtable.digest() == _reference(records).digest()
-
-
-class TestEnvelopeCompat:
-    def test_legacy_lines_envelope_still_replays(self, tmp_path):
+    def _refused(self, tmp_path, payload):
         engine, _obs = _engine(tmp_path, flush_threshold_records=None)
-        new_style = _records(20)
-        engine.append_records(new_style)
+        sound = _records(20)
+        engine.append_records(sound)
+        engine.wal.append(payload)
+        engine.wal.commit()
+        engine.close()
+        before = tree_bytes(engine.data_dir)
+        with pytest.raises(UnsupportedSchema) as refused:
+            engine.recover()
+        assert "%s frame 1 " % engine._wal_path() in str(refused.value)
+        # The sound frame before it replayed; the refused one added
+        # nothing, and nothing on disk moved.
+        assert engine.memtable.digest() == _reference(sound).digest()
+        assert tree_bytes(engine.data_dir) == before
+        with pytest.raises(UnsupportedSchema):
+            StoreEngine(engine.data_dir, obs=Observability())
+        assert tree_bytes(engine.data_dir) == before
+
+    def _body(self, records):
+        return b"".join(b"\n" + record_to_line(r).encode()
+                        for r in records)
+
+    def test_v1_lines_envelope_is_refused(self, tmp_path):
+        """The first writer's single JSON object with a ``lines``
+        array: with its reader merely deleted it replays as zero
+        records and recovery reports success."""
         legacy = _records(10, device="dev-legacy")
         envelope = {"kind": "bulk", "seq": 99,
                     "lines": [record_to_line(r) for r in legacy]}
-        engine.wal.append(json.dumps(envelope, sort_keys=True,
-                                     separators=(",", ":")).encode())
-        engine.wal.commit()
+        self._refused(tmp_path, json.dumps(
+            envelope, sort_keys=True, separators=(",", ":")).encode())
+
+    @pytest.mark.parametrize("header", [
+        {"kind": "bulk", "n": 2, "seq": 99},          # n != body lines
+        {"kind": "bulk", "seq": 99},                  # no n at all
+        {"kind": "snapshot", "n": 3, "seq": 99},      # unknown kind
+        {"n": 3, "seq": 99},                          # no kind
+    ], ids=["short-n", "no-n", "unknown-kind", "no-kind"])
+    def test_header_not_this_builds_is_refused(self, tmp_path, header):
+        self._refused(
+            tmp_path,
+            json.dumps(header, sort_keys=True,
+                       separators=(",", ":")).encode()
+            + self._body(_records(3, device="dev-other")))
+
+    def test_empty_batch_envelope_replays(self, tmp_path):
+        """``n`` 0 over no body -- the dedup handoff's envelope -- is
+        this build's own form."""
+        engine, _obs = _engine(tmp_path, flush_threshold_records=None)
+        engine.log_batch("dev-9", 4, 7, [], lines=[])
         engine.crash()
         info = engine.recover()
-        assert info.wal_records == 30
-        assert engine.memtable.digest() == \
-            _reference(new_style + legacy).digest()
+        assert (info.wal_frames, info.wal_records) == (1, 0)
+        assert engine.dedup[("dev-9", 4)] == 7
+
+
+class TestStripedDirectories:
+    def test_generation_an_older_build_striped_still_replays(
+            self, tmp_path):
+        """``wal_shards`` is gone; the ``-sNN`` in the file name and
+        the discovery pattern are not.  A generation an older build
+        split over two files replays whole, in stripe order; writing
+        goes on in ``-s00`` and pruning takes every stripe."""
+        from repro.store.wal import WriteAheadLog
+        root = tmp_path / "striped"
+        root.mkdir()
+        stripes = [_records(10, device="dev-a"),
+                   _records(10, device="dev-b")]
+        for stripe, records in enumerate(stripes):
+            wal = WriteAheadLog(
+                str(root / ("wal-g000003-s%02d.log" % stripe)),
+                obs=Observability())
+            wal.append(StoreEngine._envelope(
+                {"kind": "bulk", "n": len(records), "seq": stripe + 1},
+                [record_to_line(r).encode() for r in records]))
+            wal.close()
+        engine = StoreEngine(
+            str(root), obs=Observability(),
+            config=StoreConfig(flush_threshold_records=None))
+        info = engine.last_recovery
+        assert (info.wal_files, info.wal_records) == (2, 20)
+        assert engine.memtable.digest() \
+            == _reference(stripes[0] + stripes[1]).digest()
+        assert engine._wal_path() == str(root / "wal-g000003-s00.log")
+        engine.checkpoint()
+        engine.append_records(_records(5, device="dev-c"))
+        engine.checkpoint()
+        assert [os.path.basename(path) for path in engine.wal_paths()] \
+            == ["wal-g000004-s00.log", "wal-g000005-s00.log"]
+        engine.close()
 
 
 class TestSchemaWidening:
-    """The header's ``tables`` list is the read contract: checkpoints
-    taken before PR-9 widened ``RollupStore.TABLES`` name only the
-    original five tables and must read back next to the current
-    tuple, and a header naming a table this build does not know must
-    be decoded (to keep frame positions honest) and dropped."""
+    """The header's ``tables`` list is the read contract, held to the
+    segment footer's rule: a header of this schema that lacks a
+    rollup table (the five-table checkpoints taken before PR 9
+    widened ``RollupStore.TABLES``) or a counter is corrupt, not
+    "loads empty"; one naming a table this build does not know is
+    decoded (to keep frame positions honest) and dropped."""
 
     OLD_TABLES = ("network", "app", "watch_domain", "watch_network",
                   "lte_domain")
 
-    def test_pre_widening_checkpoint_reads_back(self, tmp_path,
-                                                monkeypatch):
-        from repro.store.checkpoint import (
-            read_checkpoint,
-            write_checkpoint,
-        )
-        records = _records(90)
-        store = _reference(records)
+    def test_header_lacking_a_table_is_corrupt(self, tmp_path,
+                                               monkeypatch):
         path = str(tmp_path / "old.ckpt")
         with monkeypatch.context() as patch:
             patch.setattr(RollupStore, "TABLES", self.OLD_TABLES)
-            write_checkpoint(path, store, covers_gen=3)
-        loaded, covers_gen = read_checkpoint(path)
-        assert covers_gen == 3
-        assert set(loaded.tables) == set(RollupStore.TABLES)
-        for name in RollupStore.MODALITY_TABLES:
-            assert loaded.tables[name] == {}
-        # No modality records existed pre-widening, so the digest of
-        # the recovered store matches the widened reference exactly.
-        assert loaded.digest() == store.digest()
+            write_checkpoint(path, _reference(_records(90)),
+                             covers_gen=3)
+        with pytest.raises(CheckpointCorruption,
+                           match="every rollup table"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field", ["failure_records", "records", "covers_gen", "tables"])
+    def test_header_lacking_a_field_is_corrupt(self, tmp_path, field):
+        path = str(tmp_path / "short.ckpt")
+        write_checkpoint(path, _reference(_records(30)), covers_gen=1)
+        _edit_header(path, lambda header: header.pop(field))
+        with pytest.raises(CheckpointCorruption, match=field):
+            read_checkpoint(path)
 
     def test_unknown_header_table_decoded_and_dropped(self, tmp_path,
                                                       monkeypatch):
-        from repro.store.checkpoint import (
-            read_checkpoint,
-            write_checkpoint,
-        )
         records = _records(60)
         store = _reference(records)
         store.tables["flux_capacitor"] = \

@@ -12,7 +12,8 @@ from repro.backend.rollups import RollupConfig, RollupStore
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability
 from repro.store import StoreConfig, StoreEngine
-from repro.store.engine import QUARANTINE_DIR
+from repro.store.engine import _MANIFEST_FIELDS, QUARANTINE_DIR
+from tests.conftest import tree_bytes
 
 
 def _rec(kind="TCP", rtt=100.0, ts=0.0, domain=None, operator="OpA",
@@ -88,7 +89,7 @@ class TestWritePathAndRecovery:
         engine, _obs = _engine(tmp_path,
                                flush_threshold_records=None)
         engine.append_records(_records(30))
-        engine.wal.append(b'{"kind":"bulk","seq":99,"lines":[]}')
+        engine.wal.append(b'{"kind":"bulk","n":0,"seq":99}')
         engine.crash()                        # buffer never committed
         info = engine.recover()
         assert info.wal_records == 30
@@ -201,6 +202,108 @@ class TestTornAndCorrupt:
         assert os.path.exists(os.path.join(
             str(tmp_path / "store"), QUARANTINE_DIR, name))
         recovered.close()
+
+
+class TestOneGeneration:
+    """The manifest and the WAL file sit behind the same gate as
+    segments and checkpoints: a sound file of another generation
+    stops recovery with ``UnsupportedSchema`` and every byte on disk
+    stays as it was."""
+
+    def _store(self, tmp_path):
+        """Segments, checkpoints and a WAL tail under one manifest."""
+        engine, _obs = _engine(tmp_path, flush_threshold_records=60,
+                               checkpoint_interval_records=25)
+        engine.append_records(_records(150), batch_records=10)
+        assert engine.segment_names() and engine.checkpoint_names()
+        digest = engine.materialize().digest()
+        engine.close()
+        return engine.data_dir, digest
+
+    def _refused(self, root, error, *told):
+        before = tree_bytes(root)
+        with pytest.raises(error) as refused:
+            StoreEngine(root, obs=Observability())
+        for text in told:
+            assert text in str(refused.value)
+        assert tree_bytes(root) == before
+        assert not os.path.exists(os.path.join(root, QUARANTINE_DIR))
+
+    @pytest.mark.parametrize("schema", [1, 3])
+    def test_other_schema_manifest_is_refused(self, tmp_path, schema):
+        from repro.store import UnsupportedSchema
+        root, digest = self._store(tmp_path)
+        path = os.path.join(root, "MANIFEST.json")
+        manifest = json.load(open(path))
+        # What is required is exactly what is written.
+        assert set(manifest) == {"schema", *_MANIFEST_FIELDS}
+        manifest["schema"] = schema
+        json.dump(manifest, open(path, "w"))
+        self._refused(root, UnsupportedSchema, path,
+                      "schema %d " % schema, "only schema 2")
+        manifest["schema"] = 2
+        json.dump(manifest, open(path, "w"))
+        reopened = StoreEngine(root, obs=Observability())
+        assert reopened.materialize().digest() == digest
+        reopened.close()
+
+    @pytest.mark.parametrize("field", [
+        "next_ckpt", "bulk_seq", "wal_covered_gen", "checkpoints",
+        "dedup", "config"])
+    def test_manifest_lacking_a_field_is_refused(self, tmp_path, field):
+        """The fields a schema-1 manifest did without used to default
+        (no checkpoints, generation -1 covered: every WAL file
+        replayed over the segments that already hold it)."""
+        root, _digest = self._store(tmp_path)
+        path = os.path.join(root, "MANIFEST.json")
+        manifest = json.load(open(path))
+        del manifest[field]
+        json.dump(manifest, open(path, "w"))
+        self._refused(root, ValueError, path, field)
+
+    def test_other_generation_wal_is_refused_not_reset(self, tmp_path):
+        """Found as data loss: one durable batch, the file's magic
+        one generation on -- recovery reported a torn tail, came up
+        empty and rewrote the file as a bare header."""
+        from repro.store import UnsupportedSchema
+        engine, _obs = _engine(tmp_path, flush_threshold_records=None)
+        records = _records(3)
+        for record in records:
+            engine.memtable.add(record)
+        engine.log_batch("dev-1", 0, 3, records)
+        engine.close()
+        path = engine._wal_path()
+        with open(path, "r+b") as handle:
+            handle.write(b"MOPWAL2\n")
+        size = os.path.getsize(path)
+        assert size > 8
+        self._refused(engine.data_dir, UnsupportedSchema, path,
+                      "MOPWAL2", "MOPWAL1")
+        assert os.path.getsize(path) == size
+        with open(path, "r+b") as handle:
+            handle.write(b"MOPWAL1\n")
+        reopened = StoreEngine(engine.data_dir, obs=Observability())
+        assert reopened.memtable.records == 3
+        assert not reopened.last_recovery.torn_tail
+        reopened.close()
+
+    def test_the_knobs_are_the_six_some_caller_sets(self):
+        import inspect
+
+        from repro.backend.ingest import DEDUP_CAPACITY, IngestPipeline
+        from repro.store import engine as engine_module
+
+        assert list(inspect.signature(
+            StoreConfig.__init__).parameters)[1:] == [
+                "flush_threshold_records", "compaction_fanout",
+                "retention_ms", "checkpoint_interval_records",
+                "segment_block_rows", "fsync"]
+        assert "dedup_capacity" not in inspect.signature(
+            IngestPipeline.__init__).parameters
+        assert engine_module.DEDUP_CAPACITY is DEDUP_CAPACITY
+        assert (engine_module.GROUP_COMMIT_RECORDS,
+                engine_module.GROUP_COMMIT_BYTES,
+                engine_module.CHECKPOINT_KEEP) == (16_384, 1 << 20, 2)
 
 
 class TestCompactionAndRetention:
@@ -401,8 +504,7 @@ class TestReadPathParity:
 
     def test_disk_beats_json_snapshot(self, tmp_path):
         """Segment encoding must undercut the canonical JSON snapshot
-        comfortably (>= 2.5x at unit-test scale; the benchmark holds
-        the >= 3x line at campaign scale)."""
+        comfortably (>= 2.5x at unit-test scale)."""
         records = _records(4000)
         engine, _obs = _engine(tmp_path, flush_threshold_records=None)
         engine.append_records(records)

@@ -24,6 +24,7 @@ from repro.backend.rollups import (
     MergeHist,
     RollupConfig,
     RollupStore,
+    UnsupportedSchema,
     _decode_key,
     _encode_key,
     _escape_part,
@@ -406,7 +407,8 @@ class TestSchemaGate:
     def test_current_schema_is_stamped(self):
         assert RollupStore().snapshot()["schema"] == SNAPSHOT_SCHEMA
 
-    def test_v1_snapshot_without_schema_key_loads(self, tmp_path):
+    def test_snapshot_without_schema_key_is_refused(self, tmp_path):
+        """The first writer's form, once read as "version 1"."""
         store = _store_of([MeasurementRecord(
             kind="TCP", rtt_ms=10.0, timestamp_ms=0.0,
             app_package="com.v1")])
@@ -414,14 +416,39 @@ class TestSchemaGate:
         del snapshot["schema"]
         path = tmp_path / "v1.json"
         path.write_text(json.dumps(snapshot))
-        assert RollupStore.load(str(path)).digest() == store.digest()
+        with pytest.raises(UnsupportedSchema, match="schema None "):
+            RollupStore.load(str(path))
+        with pytest.raises(UnsupportedSchema):
+            RollupStore.from_snapshot(snapshot)
+
+    def _refused_by_name(self, tmp_path, schema):
+        snapshot = RollupStore().snapshot()
+        snapshot["schema"] = schema
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(snapshot))
+        with pytest.raises(UnsupportedSchema) as refused:
+            RollupStore.load(str(path))
+        for told in (str(path), "schema %d " % schema,
+                     "only schema %d;" % SNAPSHOT_SCHEMA):
+            assert told in str(refused.value)
 
     def test_newer_schema_rejected_with_clear_error(self, tmp_path):
-        snapshot = RollupStore().snapshot()
-        snapshot["schema"] = SNAPSHOT_SCHEMA + 1
-        path = tmp_path / "future.json"
+        self._refused_by_name(tmp_path, SNAPSHOT_SCHEMA + 1)
+
+    def test_older_schema_rejected_the_same_way(self, tmp_path):
+        """2: escaped keys, but only the five pre-PR-9 tables."""
+        self._refused_by_name(tmp_path, 2)
+
+    def test_missing_table_is_a_value_error_not_empty(self, tmp_path):
+        """A pre-PR-9 snapshot re-stamped 3, or a truncated one: a
+        table of this schema that is not there does not load empty."""
+        snapshot = _store_of([MeasurementRecord(
+            kind="TCP", rtt_ms=10.0, timestamp_ms=0.0,
+            app_package="com.app")]).snapshot()
+        del snapshot["tables"]["aoi"]
+        path = tmp_path / "five-tables.json"
         path.write_text(json.dumps(snapshot))
-        with pytest.raises(ValueError, match="schema version"):
+        with pytest.raises(ValueError, match="missing required.*aoi"):
             RollupStore.load(str(path))
 
     def test_missing_field_is_a_value_error_not_keyerror(self,

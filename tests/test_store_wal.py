@@ -15,6 +15,7 @@ from repro.store.encoding import (
     read_uvarint,
     write_uvarint,
 )
+from repro.store import UnsupportedSchema
 from repro.store.wal import MAGIC, FsyncModel, WriteAheadLog, replay
 
 
@@ -164,6 +165,40 @@ class TestWriteAheadLog:
         result = replay(str(path))
         assert result.payloads == [] and result.torn
         assert result.valid_bytes == 0
+
+    @pytest.mark.parametrize("magic", [b"MOPWAL0\n", b"MOPWAL2\n"])
+    def test_other_generations_magic_is_unsupported(self, tmp_path,
+                                                    magic):
+        """Sound frames under another generation's magic are not a log
+        that lost its header: replay refuses them by name instead of
+        answering "torn from byte 0" (which recovery acts on by
+        resetting the file)."""
+        wal, _obs = self._wal(tmp_path)
+        wal.append(b"acked")
+        wal.commit()
+        wal.close()
+        with open(wal.path, "r+b") as handle:
+            handle.write(magic)
+        data = open(wal.path, "rb").read()
+        with pytest.raises(UnsupportedSchema) as refused:
+            replay(wal.path)
+        for told in (wal.path, repr(magic), repr(MAGIC)):
+            assert told in str(refused.value)
+        assert open(wal.path, "rb").read() == data
+
+    @pytest.mark.parametrize("head", [
+        b"", MAGIC[:5], b"MOPWAL2", b"MOPWAL2 frames", b"MOPSEG1\nrest"],
+        ids=["empty", "magic-prefix", "no-newline", "not-a-magic",
+             "another-files-magic"])
+    def test_anything_else_without_the_magic_is_headerless(
+            self, tmp_path, head):
+        """Empty, a crash inside the header write, garbage: the log
+        lost its header and restarts, as before."""
+        path = tmp_path / "wal.log"
+        path.write_bytes(head)
+        result = replay(str(path))
+        assert result.payloads == [] and result.valid_bytes == 0
+        assert result.torn == bool(head)
 
     def test_missing_file_replays_empty(self, tmp_path):
         result = replay(str(tmp_path / "nope.log"))
