@@ -41,13 +41,21 @@ from typing import Optional, Tuple
 from repro.backend.rollups import (RollupConfig, RollupStore,
                                    UnsupportedSchema, _decode_key)
 from repro.obs import Observability
-from repro.store.encoding import FRAME_OK, decode_rows, frame, read_frame
-from repro.store.segments import encode_rows, sorted_rows
+from repro.store.encoding import (FRAME_OK, decode_block, encode_block,
+                                  frame, read_frame)
+from repro.store.segments import sorted_rows
 
 MAGIC = b"MOPCKP1\n"
 TAIL_MAGIC = b"MOPCKPF1"
-#: 2: rows strictly ascending by key text (1: either of two orders).
-CHECKPOINT_SCHEMA = 2
+#: The one schema written and read: tables as columnar payloads, rows
+#: strictly ascending by key text (2: rows as interleaved varints; 1:
+#: in either of two orders).
+CHECKPOINT_SCHEMA = 3
+#: A table is one whole-table stream in a file the next flush deletes:
+#: level 9 over it would be over half of a checkpoint's write time for
+#: a tenth fewer bytes than this.  Segments, written once and read for
+#: good, stay at 9.
+CHECKPOINT_DEFLATE_LEVEL = 1
 
 
 class CheckpointCorruption(Exception):
@@ -70,8 +78,9 @@ def write_checkpoint(path: str, store: RollupStore, covers_gen: int,
              frame(json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode())]
     for name in RollupStore.TABLES:
-        payload = encode_rows(sorted_rows(store.tables[name]))
-        parts.append(frame(zlib.compress(payload, 9)))
+        payload = encode_block(sorted_rows(store.tables[name]))
+        parts.append(frame(zlib.compress(payload,
+                                         CHECKPOINT_DEFLATE_LEVEL)))
     parts.append(TAIL_MAGIC)
     blob = b"".join(parts)
     tmp = path + ".tmp"
@@ -142,14 +151,14 @@ def read_checkpoint(path: str) -> Tuple[RollupStore, int]:
                 "table %r block undeflatable in %s: %s"
                 % (name, path, exc))
         try:
-            decoded = decode_rows(rows)
-        except (ValueError, IndexError) as exc:
+            block = decode_block(rows)
+        except ValueError as exc:
             raise CheckpointCorruption(
                 "table %r rows undecodable in %s: %s"
                 % (name, path, exc))
         if name in store.tables:
             store.tables[name] = {_decode_key(text): hist
-                                  for text, hist in decoded.items()}
+                                  for text, hist in block.rows()}
     if pos != len(data) - len(TAIL_MAGIC):
         raise CheckpointCorruption("trailing garbage in %s" % path)
     return store, covers_gen

@@ -1,9 +1,7 @@
-"""Byte-level codecs shared by the WAL and segment formats.
+"""Byte-level codecs shared by the WAL, segment and checkpoint formats.
 
-Four small, composable pieces:
+Two pieces:
 
-* **uvarint** -- unsigned LEB128, the variable-length integer both
-  file formats build on.
 * **CRC frames** -- every durable payload is wrapped in
   ``u32 LE length + u32 LE crc32 + payload``.  The reader classifies
   the tail of a file as *clean* (ends exactly on a frame boundary),
@@ -13,25 +11,45 @@ Four small, composable pieces:
   matters: torn tails are expected after a crash and recovery simply
   truncates them; checksum failures are never expected and must be
   surfaced, not silently dropped.
-* **hist codec** -- a :class:`~repro.backend.rollups.MergeHist` as
-  delta+varint bytes.  Bin indices are strictly ascending, so after
-  the first index each delta is >= 1 and is stored as ``delta - 1``;
-  bin counts are >= 1 and are stored as ``count - 1``.  Sparse
-  histograms (the common case: a handful of occupied 0.25 ms bins)
-  collapse to a few bytes each, which is where the segment format's
-  size win over the JSON snapshot comes from.
-* **row decoder** -- :func:`decode_rows`, the one reader of the
-  ``varint n_rows + (varint key-length, key utf-8, hist) x n`` payload
-  that segment blocks and checkpoint tables share.
+* **block codec** -- :func:`encode_block` / :func:`decode_block`, the
+  one writer and the one reader of the columnar row payload that
+  segment blocks and checkpoint tables share::
+
+      u32 LE n_rows, u32 LE key_bytes
+      key_bytes bytes           the rows' key texts (utf-8), concatenated
+      six columns, each ``u8 width`` (1, 2, 4 or 8: the smallest that
+      holds the column's maximum) + that many LE unsigned integers a
+      value:
+        key length     per row, in bytes
+        count          per row
+        overflow       per row
+        n_bins         per row
+        bin index      per bin, rows back to back: a row's first index
+                       as it is, every later one as ``delta - 1``
+                       (indices strictly ascend within a row)
+        bin count - 1  per bin (an occupied bin holds >= 1)
+
+  Like values sit together and a column is as wide as its largest
+  value, so sparse histograms (a handful of occupied 0.25 ms bins)
+  deflate to a few bytes a row; and because a column is one
+  ``np.frombuffer``, a block is checked whole without a
+  :class:`~repro.backend.rollups.MergeHist` being built -- a
+  :class:`Block` builds a row's on first request, for that row only.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Dict, Optional, Tuple
+from bisect import bisect_left
+from itertools import accumulate, chain, islice
+from operator import ge
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.backend.rollups import (
+    N_BINS,
     MergeHist,
     _decode_key,
     _encode_key,
@@ -47,40 +65,6 @@ FRAME_OK = "ok"
 FRAME_END = "end"          # clean end of buffer at a frame boundary
 FRAME_TORN = "torn"        # partial frame: crash mid-write
 FRAME_CORRUPT = "corrupt"  # complete frame, bad checksum
-
-
-# -- varints ----------------------------------------------------------------
-
-
-def write_uvarint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError("uvarint cannot encode negative %d" % value)
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
-    """Returns ``(value, new_pos)``; raises ``ValueError`` on a
-    truncated or oversized varint."""
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise ValueError("truncated uvarint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 63:
-            raise ValueError("uvarint too long")
 
 
 # -- CRC frames -------------------------------------------------------------
@@ -125,74 +109,142 @@ def unpack_u64(data: bytes, pos: int) -> int:
     return _U64.unpack_from(data, pos)[0]
 
 
-# -- MergeHist codec --------------------------------------------------------
+# -- the block codec --------------------------------------------------------
+
+_BLOCK_HEAD = struct.Struct("<II")
+_COLUMN_DTYPES = {width: np.dtype("<u%d" % width) for width in (1, 2, 4, 8)}
 
 
-def encode_hist(out: bytearray, hist: MergeHist) -> None:
-    """Append one histogram: varint count, varint overflow, varint
-    n_entries, then ascending (delta-1 index, count-1) varint pairs
-    (the first index is absolute)."""
-    write_uvarint(out, hist.count)
-    write_uvarint(out, hist.overflow)
-    indices = sorted(hist.bins)
-    write_uvarint(out, len(indices))
-    previous = None
-    for index in indices:
-        if previous is None:
-            write_uvarint(out, index)
-        else:
-            write_uvarint(out, index - previous - 1)
-        previous = index
-        write_uvarint(out, hist.bins[index] - 1)
+def _uint64(values: Sequence[int]) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("a column holds only values in [0, 2**63)")
 
 
-def decode_hist(data: bytes, pos: int) -> Tuple[MergeHist, int]:
-    """Decode one histogram at ``pos``; returns ``(hist, new_pos)``.
+def _encode_column(column: np.ndarray) -> bytes:
+    """``u8 width`` + ``column`` (uint64) at that width, the smallest
+    its maximum fits."""
+    top = int(column.max()) if len(column) else 0
+    if top >> 63:       # where an empty bin's count - 1 wraps to, too
+        raise ValueError("a column holds only values in [0, 2**63)")
+    width = 1 if top < 1 << 8 else 2 if top < 1 << 16 \
+        else 4 if top < 1 << 32 else 8
+    return bytes((width,)) + column.astype(_COLUMN_DTYPES[width]).tobytes()
 
-    This runs once per row of every block :func:`decode_rows` reads,
-    so the common one-byte varint is read inline; :func:`read_uvarint`
-    takes the multi-byte ones and keeps the truncation / oversize
-    checks.  A payload cut short on a varint boundary surfaces as
-    ``IndexError`` rather than ``ValueError``."""
-    hist = MergeHist()
-    value = data[pos]
+
+def encode_block(rows: Sequence[Tuple[str, MergeHist]]) -> bytes:
+    """``(key text, hist)`` rows -- ``sorted_rows`` output or a slice
+    of it, so strictly ascending by text -- as one block payload (the
+    module docstring has the layout).  Raises ``ValueError`` for a row
+    :func:`decode_block` would not hand back: a count that is negative
+    or past 63 bits, an empty bin, a bin index off the grid."""
+    raws = [text.encode("utf-8") for text, _hist in rows]
+    bins = [hist.bins for _text, hist in rows]
+    index = _uint64(list(chain.from_iterable(bins)))
+    if len(index) and int(index.max()) >= N_BINS:
+        raise ValueError("a bin index outside [0, %d)" % N_BINS)
+    index = index.astype(np.int64)
+    lengths = np.fromiter(map(len, bins), np.int64, len(bins))
+    # Each row's bins into ascending index order, all rows at once.
+    order = np.lexsort((index, np.repeat(np.arange(len(rows)), lengths)))
+    index = index[order]
+    deltas = index.copy()
+    deltas[1:] -= index[:-1] + 1
+    starts = (np.cumsum(lengths) - lengths)[lengths > 0]
+    deltas[starts] = index[starts]
+    keys = b"".join(raws)
+    return b"".join((
+        _BLOCK_HEAD.pack(len(rows), len(keys)), keys,
+        _encode_column(_uint64([len(raw) for raw in raws])),
+        _encode_column(_uint64([hist.count for _text, hist in rows])),
+        _encode_column(_uint64([hist.overflow for _text, hist in rows])),
+        _encode_column(lengths.astype(np.uint64)),
+        _encode_column(deltas.astype(np.uint64)),
+        _encode_column(_uint64(list(chain.from_iterable(
+            map(dict.values, bins))))[order] - np.uint64(1))))
+
+
+def _decode_column(payload: bytes, pos: int, n: int
+                   ) -> Tuple[np.ndarray, int]:
+    """The ``n``-value column at ``pos``, as stored (a view of
+    ``payload``), and where the next one starts."""
+    if pos >= len(payload):
+        raise ValueError("payload ends before a column")
+    width = payload[pos]
+    dtype = _COLUMN_DTYPES.get(width)
+    if dtype is None:
+        raise ValueError("column width %d is not 1, 2, 4 or 8" % width)
     pos += 1
-    if value >= 0x80:
-        value, pos = read_uvarint(data, pos - 1)
-    hist.count = value
-    value = data[pos]
-    pos += 1
-    if value >= 0x80:
-        value, pos = read_uvarint(data, pos - 1)
-    hist.overflow = value
-    n_entries = data[pos]
-    pos += 1
-    if n_entries >= 0x80:
-        n_entries, pos = read_uvarint(data, pos - 1)
-    bins = hist.bins
-    index = -1           # so the first, absolute index needs no branch
-    for _entry in range(n_entries):
-        value = data[pos]
-        pos += 1
-        if value >= 0x80:
-            value, pos = read_uvarint(data, pos - 1)
-        index += value + 1
-        value = data[pos]
-        pos += 1
-        if value >= 0x80:
-            value, pos = read_uvarint(data, pos - 1)
-        bins[index] = value + 1
-    return hist, pos
+    end = pos + n * width
+    if end > len(payload):
+        raise ValueError("column runs past the payload")
+    column = np.frombuffer(payload, dtype=dtype, count=n, offset=pos)
+    top = int(column.max()) if n else 0
+    if top >> 63:
+        raise ValueError("column value past 63 bits")
+    if width > 1 and not top >> 4 * width:
+        raise ValueError("column stored wider than its maximum %d needs"
+                         % top)
+    return column, end
 
 
-# -- row payloads -----------------------------------------------------------
+class Block:
+    """One decoded payload -- a segment block or a whole checkpoint
+    table -- every check already made, no row built yet.
+
+    ``texts`` are the rows' stored key texts, strictly ascending (what
+    a prefix read bisects); :meth:`hist` / :meth:`get` build a row's
+    :class:`~repro.backend.rollups.MergeHist` from the columns on
+    first request and keep it, so every later reader of a cached block
+    is handed the same object: shared, epoch 0, read and never
+    written."""
+
+    __slots__ = ("texts", "_counts", "_overflows", "_bounds", "_indices",
+                 "_bin_counts", "_hists")
+
+    def __init__(self, texts: List[str], counts: List[int],
+                 overflows: List[int], bounds: List[int],
+                 indices: List[int], bin_counts: List[int]) -> None:
+        self.texts = texts
+        self._counts = counts
+        self._overflows = overflows
+        #: Row ``i``'s bins are ``[_bounds[i], _bounds[i + 1])`` of
+        #: ``_indices`` and ``_bin_counts``.
+        self._bounds = bounds
+        self._indices = indices
+        self._bin_counts = bin_counts
+        self._hists: List[Optional[MergeHist]] = [None] * len(texts)
+
+    def hist(self, i: int) -> MergeHist:
+        """Row ``i``'s histogram."""
+        hist = self._hists[i]
+        if hist is None:
+            start, end = self._bounds[i], self._bounds[i + 1]
+            hist = self._hists[i] = MergeHist()
+            hist.count = self._counts[i]
+            hist.overflow = self._overflows[i]
+            hist.bins.update(zip(self._indices[start:end],
+                                 self._bin_counts[start:end]))
+        return hist
+
+    def get(self, text: str) -> Optional[MergeHist]:
+        """The histogram stored under ``text``, if any."""
+        i = bisect_left(self.texts, text)
+        if i < len(self.texts) and self.texts[i] == text:
+            return self.hist(i)
+        return None
+
+    def rows(self) -> Iterator[Tuple[str, MergeHist]]:
+        """Every ``(text, hist)``, in stored order."""
+        return zip(self.texts, map(self.hist, range(len(self.texts))))
 
 
-def decode_rows(payload: bytes, expected_rows: Optional[int] = None
-                ) -> Dict[str, MergeHist]:
-    """Decode one inflated row payload -- a segment block or a whole
-    checkpoint table -- into ``{stored key text: hist}`` **in stored
-    order**.
+def decode_block(payload: bytes, expected_rows: Optional[int] = None
+                 ) -> Block:
+    """Check one inflated payload -- a segment block or a whole
+    checkpoint table -- **completely**, and return it as a
+    :class:`Block` that can hand out any row without raising.
 
     A block stays keyed as it is stored, ordered and looked up: the
     reader already holds the stored text of every key it asks for, so
@@ -203,11 +255,10 @@ def decode_rows(payload: bytes, expected_rows: Optional[int] = None
 
     Rows are written sorted by that text (``sorted_rows``; a
     checkpoint's is the key as keyed), and utf-8 byte order is
-    code-point order, so the raw text bytes must be strictly ascending;
-    a payload where they are not is rejected, whichever file it is.  Readers lean on that: the dict this returns
-    iterates in stored order, which is what lets
-    :class:`~repro.store.segments.SegmentReader` bisect and walk a
-    cached block without re-sorting it.
+    code-point order, so the texts must be strictly ascending; a
+    payload where they are not is rejected, whichever file it is.
+    Readers lean on that: :class:`~repro.store.segments.SegmentReader`
+    bisects and walks a cached block's texts without re-sorting them.
 
     Every text must also be **canonical** -- exactly what
     ``_encode_key`` writes for the tuple it decodes to.  Only a text
@@ -216,40 +267,74 @@ def decode_rows(payload: bytes, expected_rows: Optional[int] = None
     check; it is what keeps "no repeated text" meaning "no repeated
     key" (``a\\bc`` and ``abc`` are one key).
 
-    Raises ``ValueError`` (``IndexError`` where a truncated payload
-    ends on a varint boundary) on anything malformed, a repeated or
-    non-canonical key included; ``expected_rows`` is the count the
-    caller's index recorded, when it has one.
+    Raises ``ValueError`` on anything else no writer produces, too: a
+    row count other than ``expected_rows`` (the count the caller's
+    index recorded, when it has one), a column that leaves the payload
+    or bytes after the last, key lengths that do not sum to the key
+    bytes, invalid utf-8, a column wider than its maximum needs or
+    holding a value past 63 bits, a bin index off the grid -- so an
+    accepted payload is exactly what :func:`encode_block` writes for
+    the rows it holds.
     """
-    n_rows, pos = read_uvarint(payload, 0)
+    if len(payload) < _BLOCK_HEAD.size:
+        raise ValueError("payload shorter than its header")
+    n_rows, key_bytes = _BLOCK_HEAD.unpack_from(payload)
     if expected_rows is not None and n_rows != expected_rows:
         raise ValueError("row count %d != footer's %d"
                          % (n_rows, expected_rows))
-    table: Dict[str, MergeHist] = {}
-    end = len(payload)
-    previous = None
-    for _ in range(n_rows):
-        key_len = payload[pos]
-        pos += 1
-        if key_len >= 0x80:
-            key_len, pos = read_uvarint(payload, pos - 1)
-        key_end = pos + key_len
-        if key_end > end:
-            raise ValueError("key runs past the payload")
-        raw = payload[pos:key_end]
-        if previous is not None and raw <= previous:
-            raise ValueError("rows out of key order")
-        previous = raw
-        text = raw.decode("utf-8")
-        if "\\" in text and _encode_key(_decode_key(text)) != text:
-            raise ValueError("key %r is not in canonical form" % text)
-        table[text], pos = decode_hist(payload, key_end)
-    return table
+    keys_end = _BLOCK_HEAD.size + key_bytes
+    if keys_end > len(payload):
+        raise ValueError("key bytes run past the payload")
+    keys = payload[_BLOCK_HEAD.size:keys_end]
+    key_lengths, pos = _decode_column(payload, keys_end, n_rows)
+    counts, pos = _decode_column(payload, pos, n_rows)
+    overflows, pos = _decode_column(payload, pos, n_rows)
+    n_bins, pos = _decode_column(payload, pos, n_rows)
+    bounds = [0]
+    bounds.extend(accumulate(n_bins.tolist()))
+    deltas, pos = _decode_column(payload, pos, bounds[-1])
+    bin_counts, pos = _decode_column(payload, pos, bounds[-1])
+    if pos != len(payload):
+        raise ValueError("%d bytes after the last column"
+                         % (len(payload) - pos))
+
+    key_lengths = key_lengths.tolist()
+    key_ends = list(accumulate(key_lengths))
+    if (key_ends[-1] if key_ends else 0) != key_bytes:
+        raise ValueError("key lengths do not sum to the %d key bytes"
+                         % key_bytes)
+    if keys.isascii():          # a character a byte: slice the text
+        whole = keys.decode("ascii")
+        texts = [whole[end - length:end]
+                 for length, end in zip(key_lengths, key_ends)]
+    else:
+        texts = [keys[end - length:end].decode("utf-8")
+                 for length, end in zip(key_lengths, key_ends)]
+    if b"\\" in keys:
+        for text in texts:
+            if "\\" in text and _encode_key(_decode_key(text)) != text:
+                raise ValueError("key %r is not in canonical form" % text)
+    if any(map(ge, texts, islice(texts, 1, None))):
+        raise ValueError("rows out of key order")
+
+    # Absolute bin indices: one running sum of (stored value + 1) over
+    # all rows, less what it had reached where each row starts, less 1.
+    if bounds[-1] and int(deltas.max()) >= N_BINS:
+        raise ValueError("a bin index outside [0, %d)" % N_BINS)
+    running = np.zeros(bounds[-1] + 1, dtype=np.int64)
+    np.cumsum(deltas, dtype=np.int64, out=running[1:])
+    running[1:] += np.arange(1, bounds[-1] + 1)
+    indices = running[1:] - 1
+    indices -= np.repeat(running[bounds[:-1]], n_bins.astype(np.int64))
+    if bounds[-1] and int(indices.max()) >= N_BINS:
+        raise ValueError("a bin index outside [0, %d)" % N_BINS)
+    return Block(texts, counts.tolist(), overflows.tolist(), bounds,
+                 indices.tolist(),
+                 (bin_counts.astype(np.uint64) + np.uint64(1)).tolist())
 
 
 __all__ = [
-    "FRAME_CORRUPT", "FRAME_END", "FRAME_HEADER_BYTES", "FRAME_OK",
-    "FRAME_TORN", "decode_hist", "decode_rows", "encode_hist", "frame",
-    "pack_u64", "read_frame", "read_uvarint", "unpack_u64",
-    "write_uvarint",
+    "Block", "FRAME_CORRUPT", "FRAME_END", "FRAME_HEADER_BYTES",
+    "FRAME_OK", "FRAME_TORN", "decode_block", "encode_block", "frame",
+    "pack_u64", "read_frame", "unpack_u64",
 ]

@@ -12,12 +12,11 @@ Each rollup table's rows are sorted by **stored key text** -- the
 key's parts in *stored order* (:func:`stored_order`: subject before
 window for ``RollupStore.SUBJECT_MAJOR_TABLES``, as keyed otherwise;
 nothing outside this module knows it), joined by ``_encode_key`` --
-written as ``varint text-length + text utf-8 +
-hist codec`` (see :mod:`repro.store.encoding`) and split into blocks
-of at most ``block_rows`` rows, each deflated with zlib before framing
-(the CRC covers the compressed bytes).  Two stores with equal content
-produce byte-identical segments regardless of insertion order or
-``PYTHONHASHSEED``.
+and split into blocks of at most ``block_rows`` rows, each one
+columnar payload (:func:`repro.store.encoding.encode_block`) deflated
+with zlib before framing (the CRC covers the compressed bytes).  Two
+stores with equal content produce byte-identical segments regardless
+of insertion order or ``PYTHONHASHSEED``.
 
 The footer indexes every block by offset/length **and by zone map**:
 the minimum and maximum stored text the block holds.  Blocks within a
@@ -30,11 +29,12 @@ windows the segment holds, so a reader can enumerate windows without
 touching a single row block.
 
 A decoded block stays in the form it is stored, ordered and looked
-up in: ``{stored key text: hist}`` in stored order
-(:func:`repro.store.encoding.decode_rows`).  Point reads look a row up
-by its text and prefix reads bisect the texts; a text is split back
-into its key tuple only for a row that leaves the reader
-(docs/STORAGE.md has the table of who splits what).
+up in: a :class:`repro.store.encoding.Block` -- the stored key texts,
+ascending, and the histogram columns, checked whole when the block is
+opened.  Point and prefix reads bisect the texts; a text is split back
+into its key tuple, and a histogram built from the columns, only for
+a row that leaves the reader (docs/STORAGE.md has the table of who
+splits and builds what).
 
 Reads go through an open file handle (``seek`` + bounded ``read`` per
 block), never a whole-file slurp: a pinned reader touches only the
@@ -78,16 +78,34 @@ from repro.backend.rollups import (
     _encode_key,
 )
 from repro.obs import Observability
+from repro.store.encoding import (
+    FRAME_OK,
+    Block,
+    decode_block,
+    encode_block,
+    frame,
+    pack_u64,
+    read_frame,
+    unpack_u64,
+)
 
 MAGIC = b"MOPSEG1\n"
 TAIL_MAGIC = b"MOPSEGF1"
 #: The one schema written and read (1-3 stored every table
-#: window-first); any other is refused, :class:`UnsupportedSchema`.
-SEGMENT_SCHEMA = 4
+#: window-first, 4 rows as interleaved varints); any other is refused,
+#: :class:`UnsupportedSchema`.
+SEGMENT_SCHEMA = 5
 #: Default rows per zone-mapped block.  Small enough that a point
 #: query decodes a few KB, large enough that zlib still has a real
 #: window to compress over.
 DEFAULT_BLOCK_ROWS = 256
+#: What :func:`write_segment` writes beside ``schema``: in the footer,
+#: per table, per block.  A reader requires them all; a getter raises
+#: ``KeyError`` on the first one missing.
+_FOOTER_FIELDS = itemgetter("seq", "config", "records",
+                            "failure_records", "windows", "tables")
+_TABLE_FIELDS = itemgetter("rows", "blocks")
+_BLOCK_FIELDS = itemgetter("offset", "length", "rows", "min", "max")
 
 
 class SegmentCorruption(Exception):
@@ -144,28 +162,12 @@ def sorted_rows(table: Dict[Key, MergeHist], text=_encode_key
                   key=itemgetter(0))
 
 
-def encode_rows(rows: List[Tuple[str, MergeHist]]) -> bytes:
-    """:func:`sorted_rows` output (or a slice of it) as one payload."""
-    from repro.store.encoding import encode_hist, write_uvarint
-
-    out = bytearray()
-    write_uvarint(out, len(rows))
-    for text, hist in rows:
-        raw = text.encode("utf-8")
-        write_uvarint(out, len(raw))
-        out.extend(raw)
-        encode_hist(out, hist)
-    return bytes(out)
-
-
 def write_segment(path: str, store: RollupStore, seq: int,
                   obs: Optional[Observability] = None,
                   block_rows: int = DEFAULT_BLOCK_ROWS) -> int:
     """Write ``store`` as segment ``seq`` at ``path`` (atomically),
     rows in stored order, each block zone-mapped by its first and
     last stored text.  Returns the file size in bytes."""
-    from repro.store.encoding import frame, pack_u64
-
     block_rows = max(1, int(block_rows))
     parts = [MAGIC]
     offset = len(MAGIC)
@@ -176,7 +178,7 @@ def write_segment(path: str, store: RollupStore, seq: int,
         blocks: List[Dict[str, object]] = []
         for start in range(0, len(rows), block_rows):
             chunk = rows[start:start + block_rows]
-            block = frame(zlib.compress(encode_rows(chunk), 9))
+            block = frame(zlib.compress(encode_block(chunk), 9))
             parts.append(block)
             blocks.append({"offset": offset, "length": len(block),
                            "rows": len(chunk),
@@ -258,7 +260,7 @@ class SegmentReader:
             raise SegmentCorruption("unreadable segment %s: %s"
                                     % (path, exc))
         self._cache_prefix = os.path.abspath(path)
-        self._local: Dict[Tuple[str, int], Dict[str, MergeHist]] = {}
+        self._local: Dict[Tuple[str, int], Block] = {}
         try:
             self.footer = self._load_footer()
         except (SegmentCorruption, UnsupportedSchema):
@@ -266,7 +268,7 @@ class SegmentReader:
             raise
         self.seq = int(self.footer["seq"])
         self.records = int(self.footer["records"])
-        self.failure_records = int(self.footer.get("failure_records", 0))
+        self.failure_records = int(self.footer["failure_records"])
         self.config = RollupConfig.from_dict(self.footer["config"])
         self._tables = self.footer["tables"]
         #: Per table, every block's zone-map ``max`` in block order --
@@ -293,12 +295,6 @@ class SegmentReader:
         return self._handle.read(length)
 
     def _load_footer(self) -> Dict[str, object]:
-        from repro.store.encoding import (
-            FRAME_OK,
-            read_frame,
-            unpack_u64,
-        )
-
         if self._size < len(MAGIC) + 16:
             raise SegmentCorruption("segment %s is too short"
                                     % self.path)
@@ -325,9 +321,23 @@ class SegmentReader:
         if footer.get("schema") != SEGMENT_SCHEMA:
             raise UnsupportedSchema("segment %s" % self.path,
                                     footer.get("schema"), SEGMENT_SCHEMA)
-        if not set(RollupStore.TABLES) <= set(footer.get("tables", ())):
-            raise SegmentCorruption("footer of %s does not index every "
-                                    "rollup table" % self.path)
+        # Every snapshot opens every segment: the getters keep this
+        # to one C call a block.
+        try:
+            _FOOTER_FIELDS(footer)
+            tables = footer["tables"]
+            for name in RollupStore.TABLES:
+                if name not in tables:
+                    raise SegmentCorruption(
+                        "footer of %s does not index every rollup "
+                        "table" % self.path)
+                _rows, blocks = _TABLE_FIELDS(tables[name])
+                for entry in blocks:
+                    _BLOCK_FIELDS(entry)
+        except (KeyError, TypeError) as exc:
+            raise SegmentCorruption(
+                "footer of %s lacks a field its writer writes: %s"
+                % (self.path, exc))
         return footer
 
     def blocks(self, name: str) -> List[Dict[str, object]]:
@@ -344,40 +354,34 @@ class SegmentReader:
 
     # -- block loading -------------------------------------------------
 
-    def _load_block(self, name: str, index: int) -> Dict[str, MergeHist]:
-        """One decoded block, ``{stored key text: hist}`` in stored
-        order (:func:`~repro.store.encoding.decode_rows`)."""
+    def _load_block(self, name: str, index: int) -> Block:
+        """One decoded block, checked whole and no row built
+        (:func:`~repro.store.encoding.decode_block`)."""
         if self.stats is not None:
             self.stats.blocks_read += 1
         if self.obs is not None:
             self.obs.inc("store.blocks_read")
         if self.cache is not None:
             cache_key = (self._cache_prefix, name, index)
-            rows = self.cache.get(cache_key)
-            if rows is not None:
+            block = self.cache.get(cache_key)
+            if block is not None:
                 if self.stats is not None:
                     self.stats.cache_hits += 1
-                return rows
+                return block
             if self.stats is not None:
                 self.stats.cache_misses += 1
-            rows, nbytes = self._decode_block(name, index)
-            self.cache.put(cache_key, rows, nbytes)
-            return rows
+            block, nbytes = self._decode_block(name, index)
+            self.cache.put(cache_key, block, nbytes)
+            return block
         local_key = (name, index)
-        rows = self._local.get(local_key)
-        if rows is None:
-            rows, _nbytes = self._decode_block(name, index)
-            self._local[local_key] = rows
-        return rows
+        block = self._local.get(local_key)
+        if block is None:
+            block, _nbytes = self._decode_block(name, index)
+            self._local[local_key] = block
+        return block
 
     def _decode_block(self, name: str, index: int
-                      ) -> Tuple[Dict[str, MergeHist], int]:
-        from repro.store.encoding import (
-            FRAME_OK,
-            decode_rows,
-            read_frame,
-        )
-
+                      ) -> Tuple[Block, int]:
         entry = self._tables[name]["blocks"][index]
         buffer = self._read_at(int(entry["offset"]),
                                int(entry["length"]))
@@ -393,12 +397,12 @@ class SegmentReader:
                 "table %r block %d undeflatable in %s: %s"
                 % (name, index, self.path, exc))
         try:
-            rows = decode_rows(payload, int(entry["rows"]))
-        except (ValueError, IndexError) as exc:
+            block = decode_block(payload, int(entry["rows"]))
+        except ValueError as exc:
             raise SegmentCorruption(
                 "table %r block %d rows undecodable in %s: %s"
                 % (name, index, self.path, exc))
-        return rows, len(payload)
+        return block, len(payload)
 
     # -- the read path -------------------------------------------------
 
@@ -460,9 +464,9 @@ class SegmentReader:
             if end == index:
                 skipped += 1
                 continue
-            rows = self._load_block(name, block_index)
+            block = self._load_block(name, block_index)
             for encoded, key in pairs[index:end]:
-                hist = rows.get(encoded)
+                hist = block.get(encoded)
                 if hist is not None:
                     out[key] = hist
             index = end
@@ -478,7 +482,8 @@ class SegmentReader:
         whose zone map meets a range are opened, each at most once
         however many ranges meet it, and a candidate block is bisected
         per range, not walked.  Yields in stored order, and splits a
-        text into its key only for a row it yields."""
+        text into its key and builds a histogram only for a row it
+        yields."""
         blocks = self._tables[name]["blocks"]
         skipped = 0
         for index, entry in enumerate(blocks):
@@ -493,23 +498,22 @@ class SegmentReader:
             if not touching:
                 skipped += 1
                 continue
-            # A decoded block is in stored order: decode_rows refuses
-            # any other.
-            rows = self._load_block(name, index)
-            texts = list(rows)
+            # A decoded block is in stored order: decode_block
+            # refuses any other.
+            block = self._load_block(name, index)
+            texts = block.texts
             for low in touching:
                 at = bisect_left(texts, low)
                 while at < len(texts) and texts[at].startswith(low):
-                    text = texts[at]
-                    yield (stored_order(name, _decode_key(text)),
-                           rows[text])
+                    yield (stored_order(name, _decode_key(texts[at])),
+                           block.hist(at))
                     at += 1
         self._prune(skipped)
 
     def iter_table(self, name: str) -> Iterator[Tuple[Key, MergeHist]]:
         """Every row of the table, in stored order."""
         for index in range(len(self._tables[name]["blocks"])):
-            for text, hist in self._load_block(name, index).items():
+            for text, hist in self._load_block(name, index).rows():
                 yield stored_order(name, _decode_key(text)), hist
 
     def table(self, name: str) -> Dict[Key, MergeHist]:
@@ -519,7 +523,7 @@ class SegmentReader:
         reader sees them -- read, never write."""
         merged: Dict[Key, MergeHist] = {}
         for index in range(len(self._tables[name]["blocks"])):
-            for text, hist in self._load_block(name, index).items():
+            for text, hist in self._load_block(name, index).rows():
                 merged[stored_order(name, _decode_key(text))] = hist
         return merged
 
@@ -537,8 +541,10 @@ class SegmentReader:
         return store
 
     def verify(self) -> None:
-        """Force-check every block's checksum (used by recovery and
-        ``store inspect``)."""
+        """Force-check every block -- checksum, then everything
+        :func:`~repro.store.encoding.decode_block` checks, which
+        builds no histogram (used by recovery and ``store
+        inspect``)."""
         for name in RollupStore.TABLES:
             for index in range(len(self._tables[name]["blocks"])):
                 self._load_block(name, index)
@@ -549,6 +555,6 @@ class SegmentReader:
 
 __all__ = ["DEFAULT_BLOCK_ROWS", "MAGIC", "ReadStats", "SEGMENT_SCHEMA",
            "SegmentCorruption", "SegmentReader", "TAIL_MAGIC",
-           "UnsupportedSchema", "encode_rows", "prefix_range",
+           "UnsupportedSchema", "prefix_range",
            "sorted_rows", "stored_order", "stored_text",
            "write_segment"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import struct
 import zlib
 
 import pytest
@@ -34,23 +35,27 @@ def tree_bytes(root):
 
 def hand_built_row_block(raw_keys, key_len=None):
     """A row block made by hand from raw key bytes *in the order
-    given* (each with the same one-sample histogram), deflated and
-    CRC-framed as the segment and checkpoint writers frame theirs --
-    so only the row decoder can tell it from a written one.
-    ``key_len`` overrides every row's declared key length."""
-    from repro.backend.rollups import MergeHist
+    given* (each with the same one-sample histogram: 8.0 ms, bin 32),
+    deflated and CRC-framed as the segment and checkpoint writers
+    frame theirs -- so only the block decoder can tell it from a
+    written one.  ``key_len`` overrides every row's declared key
+    length."""
     from repro.store import encoding
 
-    hist = MergeHist()
-    hist.add(8.0)
-    payload = bytearray()
-    encoding.write_uvarint(payload, len(raw_keys))
-    for raw in raw_keys:
-        encoding.write_uvarint(
-            payload, len(raw) if key_len is None else key_len)
-        payload.extend(raw)
-        encoding.encode_hist(payload, hist)
-    return encoding.frame(zlib.compress(bytes(payload), 9))
+    def column(values):
+        return b"\x01" + bytes(values)      # one byte a value
+
+    rows = len(raw_keys)
+    keys = b"".join(raw_keys)
+    payload = (struct.pack("<II", rows, len(keys)) + keys
+               + column([len(raw) if key_len is None else key_len
+                         for raw in raw_keys])
+               + column([1] * rows)          # count
+               + column([0] * rows)          # overflow
+               + column([1] * rows)          # bins in the row
+               + column([32] * rows)         # its first bin's index
+               + column([0] * rows))         # that bin's count - 1
+    return encoding.frame(zlib.compress(payload, 9))
 
 
 class World:

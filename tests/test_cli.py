@@ -202,7 +202,7 @@ class TestQuery:
         segments = [line for line in out.splitlines()
                     if line.lstrip().startswith("seq ")]
         assert len(segments) == 4
-        assert all(line.endswith("schema 4") for line in segments)
+        assert all(line.endswith("schema 5") for line in segments)
         tables = [line.split() for line in out.splitlines()
                   if " parts " in line]
         orders = {fields[0]: fields[2] for fields in tables}
@@ -216,23 +216,51 @@ class TestQuery:
     def test_other_schema_store_is_refused_not_emptied(
             self, data_dir, capsys):
         """Query and inspect both stop at a segment of a schema this
-        build does not read, name it, and leave it where it is."""
+        build does not read -- the last one's, rows as varints, or a
+        later one's -- name it, and leave every byte where it is."""
         import os
 
+        from tests.conftest import tree_bytes
         from tests.test_store_segments import _rewrite_footer
         name = sorted(os.listdir(os.path.join(data_dir, "segments")))[0]
         path = os.path.join(data_dir, "segments", name)
+        for schema in (4, 6):
+            _rewrite_footer(
+                path, lambda footer: footer.update(schema=schema))
+            before = tree_bytes(data_dir)
+            for argv in (["store", "inspect", data_dir],
+                         ["query", data_dir, "summary"]):
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                assert path in err and "schema %d " % schema in err
+            assert tree_bytes(data_dir) == before
+        assert not os.path.exists(os.path.join(data_dir, "quarantine"))
 
-        def restamp(footer):
-            footer["schema"] = 5
-        _rewrite_footer(path, restamp)
+    def test_other_schema_checkpoint_is_refused(self, data_dir, capsys):
+        """The same exit at a checkpoint of the schema before this
+        one (rows as varints): not torn, not quarantined, not skipped
+        for a longer WAL replay."""
+        import os
+
+        from repro.core.records import MeasurementRecord
+        from repro.store import StoreEngine
+        from tests.conftest import tree_bytes
+        from tests.test_store_checkpoint import _restamp_checkpoint
+        engine = StoreEngine(data_dir)
+        engine.append_records([MeasurementRecord(
+            kind="TCP", rtt_ms=20.0, timestamp_ms=0.0,
+            app_package="com.app.00", operator="Op0",
+            network_type="WIFI", device_id="dev-1")])
+        path = engine._checkpoint_path(engine.checkpoint())
+        engine.close()
+        _restamp_checkpoint(path, 2)
+        before = tree_bytes(data_dir)
         for argv in (["store", "inspect", data_dir],
                      ["query", data_dir, "summary"]):
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert path in err and "schema 5 " in err
-        assert os.path.exists(path)
-        assert not os.path.exists(os.path.join(data_dir, "quarantine"))
+            assert path in err and "schema 2 " in err
+        assert tree_bytes(data_dir) == before
 
     def test_other_generation_wal_and_manifest_are_refused(
             self, data_dir, capsys):

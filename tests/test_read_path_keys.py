@@ -6,7 +6,8 @@ the merged ``RollupStore``, for keys of every awkward shape and
 length, under two hash seeds, and a prefix holds the same rows before
 and after a flush -- and, as counts with no clock in them, what it is
 for: a panel opens the one or two blocks of each segment that hold
-its subject, a prefix scan splits only the keys it yields, a key set
+its subject, a prefix scan splits only the keys it yields and builds
+only their histograms, a key set
 is encoded once however many segments are asked, a histogram's bins
 are sorted once per readout, a view works out its window list and its
 fleet AoI summary once, and a panel walks only the memtable table it
@@ -35,7 +36,7 @@ from repro.obs import Observability
 from repro.serve import QueryEngine, ReadView
 from repro.serve import engine as serve_engine
 from repro.store import BlockCache, StoreConfig, StoreEngine
-from repro.store import segments
+from repro.store import encoding, segments
 from repro.store.segments import (
     ReadStats,
     SegmentReader,
@@ -276,7 +277,7 @@ class TestAwkwardKeys:
                 # block and from one to the next, zone maps exact.
                 texts = []
                 for index, block in enumerate(reader.blocks(name)):
-                    held = list(reader._load_block(name, index))
+                    held = reader._load_block(name, index).texts
                     assert (block["min"], block["max"], block["rows"]) \
                         == (held[0], held[-1], len(held))
                     texts += held
@@ -533,6 +534,50 @@ def test_prefix_scan_splits_exactly_the_keys_it_yields(tmp_path,
         == [stored_text("network", key) for key, _hist in hits]
     assert len(dict(reader.iter_table("network"))) == 256
     assert len(splits) == 64 + 256
+    reader.close()
+
+
+def test_histograms_are_built_only_for_rows_that_leave_the_reader(
+        tmp_path, monkeypatch):
+    """The same block, counting ``MergeHist``s made from its columns:
+    ``verify`` builds none, a point read one, a prefix its rows less
+    the one already built, asking again nothing, a full scan the rest
+    -- and every reader of the cached block is handed the same
+    objects."""
+    store = RollupStore()
+    for operator in range(4):
+        for tech in range(64):
+            store.tables["network"][
+                ("0", "Op%d" % operator, "T%02d" % tech, "TCP")] \
+                = _hist(10.0 + tech)
+    path = str(tmp_path / "seg.seg")
+    write_segment(path, store, seq=1)
+    cache = BlockCache(1 << 20)
+    reader = SegmentReader(path, cache=cache, stats=ReadStats())
+    built = []
+    monkeypatch.setattr(encoding, "MergeHist",
+                        _counting(MergeHist, built))
+    reader.verify()
+    assert reader.stats.cache_misses == 1 and built == []
+    key = ("0", "Op2", "T07", "TCP")
+    point = reader.get("network", key)
+    assert point.to_dict() == store.tables["network"][key].to_dict()
+    assert len(built) == 1
+    ranges = [prefix_range(("Op2", "0"))]
+    hits = dict(reader.scan_prefixes("network", ranges))
+    assert len(hits) == 64 and hits[key] is point
+    assert len(built) == 64
+    pairs = [(stored_text("network", key), key) for key in hits]
+    with SegmentReader(path, cache=cache) as other:
+        again = dict(other.scan_prefixes("network", ranges))
+        many = other.get_many("network", pairs)
+    assert len(built) == 64
+    assert all(again[key] is hist and many[key] is hist
+               for key, hist in hits.items())
+    assert len(dict(reader.iter_table("network"))) == 256
+    assert len(built) == 256
+    assert reader.to_store().digest() == store.digest()
+    assert len(built) == 256 and reader.stats.cache_misses == 1
     reader.close()
 
 

@@ -243,7 +243,8 @@ class TestRowOrder:
         """Tuple order: window 1 before window 10, OpA before OpA2 --
         the reverse of text order, ``|`` sorting above digits and
         letters.  Schema 1 let such a table through and sorted it;
-        schema 2 holds checkpoints to the segments' strict ascent."""
+        since schema 2 checkpoints are held to the segments' strict
+        ascent."""
         raw_keys = [b"1|OpA|WIFI|DNS", b"1|OpA2|WIFI|DNS",
                     b"10|OpA|WIFI|DNS"]
         assert raw_keys != sorted(raw_keys)
@@ -294,18 +295,20 @@ class TestSchemaGate:
     """A sound checkpoint of another schema is not a torn one: it is
     refused by its own error, recovery stops, and nothing is moved."""
 
-    @pytest.mark.parametrize("schema", [1, CHECKPOINT_SCHEMA + 1])
+    @pytest.mark.parametrize("schema", [1, 2, CHECKPOINT_SCHEMA + 1])
     def test_other_schema_is_unsupported_not_corrupt(self, tmp_path,
                                                      schema):
         path = str(tmp_path / "other.ckpt")
         write_checkpoint(path, _reference(_records(30)), covers_gen=1)
         _restamp_checkpoint(path, schema)
+        before = tree_bytes(str(tmp_path))
         with pytest.raises(UnsupportedSchema) as refused:
             read_checkpoint(path)
         assert not isinstance(refused.value, CheckpointCorruption)
         for told in (path, "schema %d " % schema,
                      "schema %d;" % CHECKPOINT_SCHEMA):
             assert told in str(refused.value)
+        assert tree_bytes(str(tmp_path)) == before
 
     def test_recovery_stops_and_quarantines_nothing(self, tmp_path):
         engine, _obs = _engine(tmp_path, flush_threshold_records=None,

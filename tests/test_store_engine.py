@@ -204,6 +204,52 @@ class TestTornAndCorrupt:
         recovered.close()
 
 
+    @pytest.mark.parametrize("raw_keys,key_len", [
+        ([b"OpB|0|WIFI|DNS", b"OpA|0|WIFI|DNS"], None),
+        ([b"OpA|0|WIFI|DNS", b"OpA|0|WIFI|DNS"], None),
+        ([b"OpA|0|WIFI|DNS", b"Op\\B|0|WIFI|DNS"], None),
+        ([b"OpA|0|WIFI|DNS", b"OpB|0|WIFI|DNS"], 200),
+    ], ids=["out-of-key-order", "key-twice", "non-canonical-text",
+            "key-lengths-overrun"])
+    def test_sound_frames_around_a_bad_block_are_quarantined(
+            self, tmp_path, raw_keys, key_len):
+        """Footer and every CRC fine, one block no writer produces:
+        what the block decoder refuses, recovery quarantines."""
+        from tests.conftest import hand_built_row_block
+        from tests.test_store_segments import _swap_the_network_block
+        engine, _obs = _engine(tmp_path, flush_threshold_records=None)
+        engine.append_records([_rec(kind="DNS", operator=operator)
+                               for operator in ("OpA", "OpB")])
+        name = engine.flush()
+        engine.close()
+        _swap_the_network_block(engine._segment_path(name),
+                                hand_built_row_block(raw_keys, key_len))
+        recovered = StoreEngine(engine.data_dir, obs=Observability())
+        assert recovered.last_recovery.segments_quarantined == 1
+        assert recovered.segment_names() == []
+        assert os.path.exists(os.path.join(
+            engine.data_dir, QUARANTINE_DIR, name))
+        recovered.close()
+
+    @pytest.mark.parametrize("field", ["seq", "failure_records"])
+    def test_sound_footer_lacking_a_field_is_quarantined(self, tmp_path,
+                                                         field):
+        """Recovery used to die on the reader's bare ``KeyError``."""
+        from tests.test_store_segments import _rewrite_footer
+        engine, _obs = _engine(tmp_path, flush_threshold_records=None)
+        engine.append_records(_records(40))
+        name = engine.flush()
+        engine.close()
+        _rewrite_footer(engine._segment_path(name),
+                        lambda footer: footer.pop(field))
+        recovered = StoreEngine(engine.data_dir, obs=Observability())
+        assert recovered.last_recovery.segments_quarantined == 1
+        assert recovered.segment_names() == []
+        assert os.path.exists(os.path.join(
+            engine.data_dir, QUARANTINE_DIR, name))
+        recovered.close()
+
+
 class TestOneGeneration:
     """The manifest and the WAL file sit behind the same gate as
     segments and checkpoints: a sound file of another generation
@@ -324,12 +370,12 @@ class TestCompactionAndRetention:
         engine.recover()
         assert engine.materialize().digest() == digest
 
-    @pytest.mark.parametrize("schema", [2, 3, 5])
+    @pytest.mark.parametrize("schema", [2, 3, 4, 6])
     def test_other_schema_segment_stops_recovery_untouched(
             self, tmp_path, schema):
         """A sound segment written by an older build (2: flushed
-        before PR-9 widened the tables; 3: window-major) or a newer
-        one is not corruption.  Recovery used to file it under
+        before PR-9 widened the tables; 3: window-major; 4: rows as
+        varints) or a newer one is not corruption.  Recovery used to file it under
         ``quarantine/`` and come up without its data; it stops with
         the typed error instead, and moves and rewrites nothing."""
         from repro.store import UnsupportedSchema
@@ -355,7 +401,7 @@ class TestCompactionAndRetention:
         before = open(path, "rb").read()
         with pytest.raises(UnsupportedSchema) as refused:
             StoreEngine(root, obs=Observability())
-        for told in (path, "schema %d " % schema, "only schema 4"):
+        for told in (path, "schema %d " % schema, "only schema 5"):
             assert told in str(refused.value)
         assert open(path, "rb").read() == before
         assert not os.path.exists(os.path.join(root, QUARANTINE_DIR))
@@ -363,7 +409,7 @@ class TestCompactionAndRetention:
             == manifest
         # Nothing was lost: with the footer as written the store
         # opens and holds everything.
-        restamp(4)
+        restamp(5)
         reopened = StoreEngine(root, obs=Observability())
         assert reopened.last_recovery.segments_loaded == 2
         assert reopened.materialize().digest() == digest

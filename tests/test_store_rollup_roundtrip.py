@@ -7,19 +7,22 @@ failure-only ingest.  Hypothesis drives the record generator; the
 schema-version gate gets its own explicit cases.
 
 The fast paths ride on references written here: the key codec against
-the character-by-character escaping codec, and ``decode_rows`` /
-``decode_hist`` against decoders made of one ``read_uvarint`` call per
-integer -- on well-formed payloads, in both stored part orders, and on
-arbitrary truncations and bit-flips of them; the first writers' row
-order, which the decoder once put right, is refused."""
+the character-by-character escaping codec, and ``decode_block`` (numpy
+columns, rows built on demand) against a decoder made of ``struct``
+and ``int.from_bytes`` that builds every row -- on well-formed
+payloads, in both stored part orders, and on arbitrary truncations and
+bit-flips of them; the first writers' row order, which the decoder
+once put right, is refused."""
 
 import json
+import struct
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.backend.rollups import (
+    N_BINS,
     SNAPSHOT_SCHEMA,
     MergeHist,
     RollupConfig,
@@ -30,16 +33,9 @@ from repro.backend.rollups import (
     _escape_part,
 )
 from repro.core.records import MeasurementRecord
-from repro.store.encoding import (
-    decode_hist,
-    decode_rows,
-    encode_hist,
-    read_uvarint,
-    write_uvarint,
-)
+from repro.store.encoding import decode_block, encode_block
 from repro.store.segments import (
     SegmentReader,
-    encode_rows,
     sorted_rows,
     stored_order,
     stored_text,
@@ -168,7 +164,7 @@ _parts = st.one_of(
     st.text(max_size=12),
     st.sampled_from(["", "|", "\\", "a\\", "a|b", "\\|", "|\\",
                      "d\u00e9j\u00e0.example", "\u4e2d\u56fd\u79fb\u52a8",
-                     "\U0001f4f6"]),
+                     "\U0001f4f6", "\n", "\x00", "\U0010ffff"]),
     st.text(alphabet="ab|\\\u00e9", max_size=8))
 _keys = st.lists(_parts, min_size=1, max_size=4).map(tuple)
 
@@ -218,74 +214,111 @@ class TestKeyEncoding:
             loaded.tables["network"]
 
 
-def _reference_decode_hist(data, pos):
-    """The hist codec read back one ``read_uvarint`` call per integer."""
-    hist = MergeHist()
-    hist.count, pos = read_uvarint(data, pos)
-    hist.overflow, pos = read_uvarint(data, pos)
-    n_entries, pos = read_uvarint(data, pos)
-    index = 0
-    for entry in range(n_entries):
-        delta, pos = read_uvarint(data, pos)
-        index = delta if entry == 0 else index + delta + 1
-        count, pos = read_uvarint(data, pos)
-        hist.bins[index] = count + 1
-    return hist, pos
+def _reference_decode_block(payload, expected_rows=None):
+    """``decode_block`` from ``struct`` and ``int.from_bytes`` alone:
+    one integer at a time, one ``(text, count, overflow, bins)`` per
+    row, one character per step of the key.  Every text is split here,
+    refused unless it is exactly the escaped join of its parts, and a
+    repeat is looked for among the key *tuples*: the check the
+    decoder's strict ascent of texts has to be equal to."""
+    def inside(end):
+        if end > len(payload):
+            raise ValueError("payload ends early")
 
+    def column(pos, n):
+        inside(pos + 1)
+        width = payload[pos]
+        if width not in (1, 2, 4, 8):
+            raise ValueError("no such column width")
+        pos += 1
+        inside(pos + n * width)
+        values = [int.from_bytes(payload[at:at + width], "little")
+                  for at in range(pos, pos + n * width, width)]
+        top = max(values, default=0)
+        if top >= 1 << 63:
+            raise ValueError("value past 63 bits")
+        if width != next(w for w in (1, 2, 4, 8) if top < 1 << 8 * w):
+            raise ValueError("column wider than it needs to be")
+        return values, pos + n * width
 
-def _reference_decode_rows(payload, expected_rows=None):
-    """``decode_rows`` from ``read_uvarint`` alone, one call per
-    varint and one character per step of the key.  Rows come back
-    under their stored text, as ``decode_rows`` returns them -- but
-    every text is split here, refused unless it is exactly the
-    escaped join of its parts, and a repeat is looked for among the
-    key *tuples*: the check the decoder's one ``in`` per row has to
-    be equal to."""
-    n_rows, pos = read_uvarint(payload, 0)
+    inside(8)
+    n_rows, key_bytes = struct.unpack_from("<II", payload)
     if expected_rows is not None and n_rows != expected_rows:
         raise ValueError("row count mismatch")
-    rows = []
-    for _ in range(n_rows):
-        key_len, pos = read_uvarint(payload, pos)
-        raw = payload[pos:pos + key_len]
-        if len(raw) != key_len:
-            raise ValueError("key runs past the payload")
-        pos += key_len
-        hist, pos = _reference_decode_hist(payload, pos)
+    inside(8 + key_bytes)
+    keys = payload[8:8 + key_bytes]
+    key_lengths, pos = column(8 + key_bytes, n_rows)
+    counts, pos = column(pos, n_rows)
+    overflows, pos = column(pos, n_rows)
+    n_bins, pos = column(pos, n_rows)
+    stored_indices, pos = column(pos, sum(n_bins))
+    stored_counts, pos = column(pos, sum(n_bins))
+    if pos != len(payload):
+        raise ValueError("bytes after the last column")
+    if sum(key_lengths) != key_bytes:
+        raise ValueError("key lengths do not sum to the key bytes")
+    rows, raws, tuples = [], [], set()
+    key_at = bin_at = 0
+    for row in range(n_rows):
+        raw = keys[key_at:key_at + key_lengths[row]]
+        key_at += key_lengths[row]
         text = raw.decode("utf-8")
         key = _reference_decode_key(text)
         if "|".join(_escape_part(part) for part in key) != text:
             raise ValueError("key not in canonical form")
-        rows.append((raw, text, key, hist))
-    raws = [raw for raw, _text, _key, _hist in rows]
-    if len({key for _raw, _text, key, _hist in rows}) != n_rows:
+        bins, index = [], -1
+        for _ in range(n_bins[row]):
+            index += stored_indices[bin_at] + 1
+            if index >= N_BINS:
+                raise ValueError("bin off the grid")
+            bins.append((index, stored_counts[bin_at] + 1))
+            bin_at += 1
+        rows.append((text, counts[row], overflows[row], bins))
+        raws.append(raw)
+        tuples.add(key)
+    if len(tuples) != n_rows:
         raise ValueError("repeated key")
     if raws != sorted(raws):
         raise ValueError("rows out of key order")
-    return {text: hist for _raw, text, _key, hist in rows}
+    return rows
 
 
 def _payload(table, name):
-    """``table`` as the one row payload segment blocks and checkpoint
-    tables share, in table ``name``'s stored order."""
+    """``table`` as the one block payload segment blocks and
+    checkpoint tables share, in table ``name``'s stored order."""
     rows = sorted_rows(table, lambda key: stored_text(name, key))
-    return encode_rows(rows), len(rows)
+    return encode_block(rows), len(rows)
 
 
 #: One table stored as keyed, one stored subject-first.
 _stored_as = st.sampled_from(["aoi", "app"])
 
 
-def _outcome(decode, payload, expected_rows):
-    """What a decoder makes of ``payload``: the rows in the order it
-    returns them, or ``None`` for the two errors its callers turn
-    into their typed corruption.  Anything else escapes."""
+def _outcome(payload, expected_rows):
+    """What ``decode_block`` makes of ``payload`` -- every row built,
+    in stored order -- or ``None`` for the one error its callers turn
+    into their typed corruption.  Anything else escapes, and so does
+    anything at all once the payload has decoded: no check is left
+    for ``hist(i)`` to make."""
     try:
-        table = decode(payload, expected_rows)
-    except (ValueError, IndexError):
+        block = decode_block(payload, expected_rows)
+    except ValueError:
         return None
-    return [(key, hist.count, hist.overflow, sorted(hist.bins.items()))
-            for key, hist in table.items()]
+    rows = [(text, hist.count, hist.overflow, sorted(hist.bins.items()))
+            for text, hist in ((text, block.hist(i))
+                               for i, text in enumerate(block.texts))]
+    assert [hist for _text, hist in block.rows()] \
+        == [block.hist(i) for i in range(len(block.texts))]
+    # What decodes is what the encoder writes for those rows.
+    assert encode_block(list(block.rows())) == payload
+    return rows
+
+
+def _reference_outcome(payload, expected_rows):
+    try:
+        return _reference_decode_block(payload, expected_rows)
+    except ValueError:
+        return None
 
 
 def _hist_of(count, overflow, bins):
@@ -294,25 +327,46 @@ def _hist_of(count, overflow, bins):
     return hist
 
 
+#: Either side of every column width, and the last value a column
+#: takes.
+_EDGES = [0, 1, 255, 256, 65_535, 65_536, (1 << 32) - 1, 1 << 32,
+          (1 << 63) - 1]
+_counts = st.one_of(st.integers(min_value=0, max_value=1 << 40),
+                    st.sampled_from(_EDGES))
 _hists = st.builds(
     _hist_of,
-    count=st.integers(min_value=0, max_value=1 << 40),
-    overflow=st.integers(min_value=0, max_value=300),
-    bins=st.dictionaries(st.integers(min_value=0, max_value=31_999),
-                         st.integers(min_value=1, max_value=100_000),
-                         max_size=12))
+    count=_counts,
+    overflow=_counts,
+    bins=st.dictionaries(
+        st.integers(min_value=0, max_value=N_BINS - 1),
+        # Stored less one: the edges of the stored value, too.
+        st.one_of(st.integers(min_value=1, max_value=100_000),
+                  st.sampled_from(_EDGES).map(lambda n: n + 1)),
+        max_size=12))
 _tables = st.dictionaries(_keys, _hists, max_size=12)
 
-#: Every multi-byte varint position at once: counts >= 128, the top
-#: bin index, a key longer than 127 bytes, plus the awkward key parts.
+#: Every column at more than one byte a value: counts >= 256, the top
+#: bin index, a key longer than 255 bytes, plus the awkward key parts
+#: and a row with no bins.
 _AWKWARD_TABLE = {
-    ("0", "x" * 200, "WIFI", "TCP"): _hist_of(129, 128, {31_999: 128}),
-    ("0", "\u4e2d\u56fd\u79fb\u52a8", "LTE", "TCP"):
+    ("0", "x" * 300, "WIFI", "TCP"):
+        _hist_of(65_536, 256, {N_BINS - 1: 1 << 32}),
+    ("0", "中国移动", "LTE", "TCP"):
         _hist_of(3, 0, {0: 1, 1: 1, 130: 1}),
     ("0", "Evil|Op", "a\\"): _hist_of(1, 0, {260: 1}),
+    ("0", "\n", "\x00", "\U0010ffff"): _hist_of(2, 1, {31_000: 2}),
     ("", ""): _hist_of(16_384, 0, {5: 16_384}),
     ("\\",): _hist_of(0, 0, {}),
 }
+
+
+def _damaged(payload, at, bit):
+    """``payload`` cut at ``at`` (``bit`` None) or with one bit
+    flipped there."""
+    if bit is None:
+        return payload[:at]
+    return (payload[:at] + bytes([payload[at] ^ (1 << bit)])
+            + payload[at + 1:])
 
 
 class TestRowDecoder:
@@ -320,13 +374,14 @@ class TestRowDecoder:
     @example(table=_AWKWARD_TABLE, name="aoi")
     @example(table=_AWKWARD_TABLE, name="app")
     @example(table={}, name="app")
+    @example(table={("one",): _hist_of(1, 0, {8: 1})}, name="app")
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_the_reference_on_any_table(self, table, name):
         payload, n_rows = _payload(table, name)
-        rows = _outcome(decode_rows, payload, n_rows)
+        rows = _outcome(payload, n_rows)
         assert rows is not None
-        assert rows == _outcome(_reference_decode_rows, payload, n_rows)
-        assert rows == _outcome(decode_rows, payload, None)
+        assert rows == _reference_outcome(payload, n_rows)
+        assert rows == _outcome(payload, None)
         # Rows are keyed by the stored text, strictly ascending, and
         # nothing is lost: splitting the texts and putting the parts
         # back in key order gives exactly the table's keys.
@@ -335,10 +390,22 @@ class TestRowDecoder:
         assert len(set(texts)) == len(texts)
         assert [stored_order(name, _decode_key(text)) for text in texts] \
             == sorted(table, key=lambda key: stored_text(name, key))
-        assert {text: bins for text, _c, _o, bins in rows} \
-            == {stored_text(name, key): sorted(hist.bins.items())
+        assert {text: (count, overflow, bins)
+                for text, count, overflow, bins in rows} \
+            == {stored_text(name, key):
+                (hist.count, hist.overflow, sorted(hist.bins.items()))
                 for key, hist in table.items()}
-        assert _outcome(decode_rows, payload, n_rows + 1) is None
+        assert _outcome(payload, n_rows + 1) is None
+
+    def test_block_hands_out_rows_by_text_and_builds_each_once(self):
+        payload, n_rows = _payload(_AWKWARD_TABLE, "aoi")
+        block = decode_block(payload, n_rows)
+        assert block._hists == [None] * n_rows
+        for i, text in enumerate(block.texts):
+            assert block.get(text) is block.hist(i)
+            assert block.get(text + "|") is None
+            assert block.hist(i).epoch == 0
+        assert block.get("") is None
 
     @given(table=_tables, at=st.integers(min_value=0),
            bit=st.one_of(st.none(), st.integers(0, 7)),
@@ -350,18 +417,103 @@ class TestRowDecoder:
             self, table, at, bit, name):
         """Cut the payload at ``at`` (``bit`` None) or flip one bit
         there: either both decoders return the same rows or both
-        raise ValueError/IndexError -- never anything else, never a
-        different answer."""
+        raise ValueError -- never anything else, never a different
+        answer, and never a block that decodes and then cannot build
+        a row."""
         payload, n_rows = _payload(table, name)
-        at %= len(payload)
-        if bit is None:
-            damaged = payload[:at]
-        else:
-            damaged = (payload[:at] + bytes([payload[at] ^ (1 << bit)])
-                       + payload[at + 1:])
+        damaged = _damaged(payload, at % len(payload), bit)
         for expected in (n_rows, None):
-            assert _outcome(decode_rows, damaged, expected) \
-                == _outcome(_reference_decode_rows, damaged, expected)
+            assert _outcome(damaged, expected) \
+                == _reference_outcome(damaged, expected)
+
+    def test_every_cut_and_every_bit_flip_of_one_payload(self):
+        """The same, exhaustively, over the payload that has every
+        column at more than one byte a value."""
+        payload, n_rows = _payload(_AWKWARD_TABLE, "app")
+        survived = 0
+        for at in range(len(payload)):
+            for bit in (None, 0, 1, 2, 3, 4, 5, 6, 7):
+                damaged = _damaged(payload, at, bit)
+                rows = _outcome(damaged, None)
+                assert rows == _reference_outcome(damaged, None)
+                survived += rows is not None
+                assert bit is not None or rows is None
+        # Most flips land in a key's or a count's bits and decode --
+        # to other rows, which the frame's CRC is there to catch.
+        assert 0 < survived < 8 * len(payload)
+
+    @pytest.mark.parametrize("defect,told", [
+        pytest.param(lambda p: p[:-1], "runs past the payload",
+                     id="cut-short"),
+        pytest.param(lambda p: p + b"\x00", "after the last column",
+                     id="trailing-byte"),
+        pytest.param(lambda p: p[:4] + b"\xff\xff\xff\xff" + p[8:],
+                     "key bytes run past", id="key-bytes-overrun"),
+        pytest.param(lambda p: p.replace(b"\x01\x03\x04",
+                                         b"\x01\x03\x05", 1),
+                     "key lengths do not sum", id="key-length-overrun"),
+        pytest.param(lambda p: p.replace(b"abc", b"ab\xff", 1), "utf-8",
+                     id="not-utf-8"),
+        pytest.param(lambda p: p.replace(b"abcabcd", b"abdabcd", 1),
+                     "rows out of key order", id="descending"),
+        pytest.param(lambda p: p.replace(b"abcabcd", b"ab\\abcd", 1),
+                     "not in canonical form", id="needless-escape"),
+        # The key-length column's width byte: 3 is no width, 2 takes
+        # the next column's bytes for its own ...
+        pytest.param(lambda p: p.replace(b"\x01\x03\x04",
+                                         b"\x03\x03\x04", 1),
+                     "column width 3", id="no-such-width"),
+        pytest.param(lambda p: p.replace(b"\x01\x03\x04",
+                                         b"\x02\x03\x04", 1),
+                     "column", id="width-overrun"),
+        # ... and a column whole, but at twice the width it needs.
+        pytest.param(lambda p: p.replace(b"\x01\x03\x04",
+                                         b"\x02\x03\x00\x04\x00", 1),
+                     "wider than its maximum", id="needless-width"),
+    ])
+    def test_each_defect_is_refused_at_decode_time(self, defect, told):
+        """What the varint row decoder refused, and what the
+        fixed-width form adds, one bytes-level defect each."""
+        rows = [("abc", _hist_of(2, 0, {4: 1, 9: 1})),
+                ("abcd", _hist_of(1, 0, {4: 1}))]
+        payload = encode_block(rows)
+        assert _outcome(payload, 2) == _reference_outcome(payload, 2)
+        damaged = defect(payload)
+        assert damaged != payload
+        with pytest.raises(ValueError, match=told):
+            decode_block(damaged, 2)
+        assert _reference_outcome(damaged, 2) is None
+
+    @pytest.mark.parametrize("rows,told", [
+        ([("a", _hist_of(1 << 63, 0, {}))], "2\\*\\*63"),
+        ([("a", _hist_of(-1, 0, {}))], "2\\*\\*63"),
+        ([("a", _hist_of(0, 0, {4: 0}))], "2\\*\\*63"),      # empty bin
+        ([("a", _hist_of(0, 0, {N_BINS: 1}))], "bin index"),
+        ([("a", _hist_of(0, 0, {-1: 1}))], "2\\*\\*63|bin index"),
+    ])
+    def test_encoder_refuses_what_the_decoder_would(self, rows, told):
+        with pytest.raises(ValueError, match=told):
+            encode_block(rows)
+
+    def test_bin_index_off_the_grid_is_refused(self):
+        """A stored first index or delta >= N_BINS, or deltas that
+        add up past it: refused before a sum could wrap."""
+        # One row keyed "a": key length 1, count 1, overflow 0.
+        head = struct.pack("<II", 1, 1) + b"a" + b"\x01\x01" * 2 \
+            + b"\x01\x00"
+        for n_bins, indices in (
+                (1, b"\x02" + struct.pack("<H", N_BINS)),
+                (2, b"\x02" + struct.pack("<HH", N_BINS - 1, 0)),
+                (1, b"\x08" + struct.pack("<Q", 1 << 62))):
+            payload = (head + bytes([1, n_bins]) + indices
+                       + b"\x01" + b"\x00" * n_bins)
+            with pytest.raises(ValueError, match="bin index"):
+                decode_block(payload, 1)
+            assert _reference_outcome(payload, 1) is None
+        on_the_grid = (head + bytes([1, 2]) + b"\x02"
+                       + struct.pack("<HH", N_BINS - 2, 0) + b"\x01\x00\x00")
+        assert _outcome(on_the_grid, 1) == [
+            ("a", 1, 0, [(N_BINS - 2, 1), (N_BINS - 1, 1)])]
 
     @given(table=_tables)
     @example(table={("1", "OpA"): _hist_of(1, 0, {4: 1}),
@@ -371,36 +523,29 @@ class TestRowDecoder:
     def test_first_writers_row_order_is_refused(self, table):
         """Schema-1 segments and checkpoints stored rows sorted by key
         tuple, and the decoder used to sort such a payload into text
-        order.  Both schemas are gone: the payload is refused whenever
-        the two orders differ, and is the current one when not."""
+        order.  Those schemas are gone: rows in that order are refused
+        whenever the two orders differ, and are the current payload
+        when not."""
         payload, n_rows = _payload(table, "aoi")
-        legacy = bytearray()
-        write_uvarint(legacy, len(table))
-        for key in sorted(table):
-            raw = _encode_key(key).encode("utf-8")
-            write_uvarint(legacy, len(raw))
-            legacy.extend(raw)
-            encode_hist(legacy, table[key])
-        legacy = bytes(legacy)
-        rows = _outcome(decode_rows, payload, n_rows)
-        for decode in (decode_rows, _reference_decode_rows):
-            assert _outcome(decode, legacy, n_rows) \
-                == (rows if legacy == payload else None)
+        legacy = encode_block([(_encode_key(key), table[key])
+                               for key in sorted(table)])
+        expected = _outcome(payload, n_rows) if legacy == payload \
+            else None
+        assert _outcome(legacy, n_rows) == expected
+        assert _reference_outcome(legacy, n_rows) == expected
 
     @given(hist=_hists, cut=st.integers(min_value=0))
     @settings(max_examples=150, deadline=None)
     def test_hist_decoder_agrees_with_the_reference(self, hist, cut):
-        out = bytearray(b"\x00")
-        encode_hist(out, hist)
-        data = bytes(out)
-        decoded, pos = decode_hist(data, 1)
-        reference, reference_pos = _reference_decode_hist(data, 1)
-        assert pos == reference_pos == len(data)
+        payload = encode_block([("key", hist)])
+        block = decode_block(payload, 1)
+        (reference,) = _reference_decode_block(payload, 1)
+        decoded = block.hist(0)
         assert (decoded.count, decoded.overflow, decoded.bins) \
-            == (reference.count, reference.overflow, reference.bins) \
+            == (reference[1], reference[2], dict(reference[3])) \
             == (hist.count, hist.overflow, hist.bins)
-        with pytest.raises((ValueError, IndexError)):
-            decode_hist(data[:1 + cut % (len(data) - 1)], 1)
+        with pytest.raises(ValueError):
+            decode_block(payload[:cut % len(payload)], 1)
 
 
 class TestSchemaGate:

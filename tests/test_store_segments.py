@@ -1,8 +1,10 @@
 """Segment-file tests: digest-exact round trips, footer-indexed point
-reads, the sparse hist codec, and corruption detection (every block
-carries its own CRC; a lying file raises, never serves)."""
+reads, a sparse histogram through the block codec, and corruption
+detection (every block carries its own CRC; a lying file raises, never
+serves)."""
 
 import json
+import struct
 import zlib
 
 import pytest
@@ -13,7 +15,7 @@ from repro.obs import Observability
 from repro.backend.rollups import _encode_key
 from repro.store.blockcache import BlockCache
 from repro.store import encoding
-from repro.store.encoding import decode_hist, encode_hist
+from repro.store.encoding import decode_block, encode_block
 from repro.store.segments import (
     MAGIC,
     ReadStats,
@@ -53,23 +55,19 @@ def _populated_store():
 
 
 def _write_v1_segment(path, store, seq):
-    """The schema-1 layout as its writer (PR 5) produced it: one
+    """The schema-1 layout as its writer (PR 5) laid it out: one
     unindexed block per table, rows sorted by key *tuple* -- not by
     encoded key, which is where ``1|...`` comes after ``10|...`` --
-    and a footer with neither zone maps nor a windows list."""
+    and a footer with neither zone maps nor a windows list.  (The row
+    bytes are today's: the gate refuses the file before any is read.)"""
     parts = [MAGIC]
     offset = len(MAGIC)
     index = {}
     for name in RollupStore.TABLES:
         table = store.tables[name]
-        payload = bytearray()
-        encoding.write_uvarint(payload, len(table))
-        for key in sorted(table):
-            encoded = _encode_key(key).encode("utf-8")
-            encoding.write_uvarint(payload, len(encoded))
-            payload.extend(encoded)
-            encode_hist(payload, table[key])
-        block = encoding.frame(zlib.compress(bytes(payload), 9))
+        payload = encode_block([(_encode_key(key), table[key])
+                                for key in sorted(table)])
+        block = encoding.frame(zlib.compress(payload, 9))
         parts.append(block)
         index[name] = {"offset": offset, "length": len(block),
                        "rows": len(table)}
@@ -92,24 +90,25 @@ class TestHistCodec:
         hist = MergeHist()
         for value in (0.0, 0.1, 12.25, 12.3, 7999.9, 9000.0, 9000.0):
             hist.add(value)
-        out = bytearray()
-        encode_hist(out, hist)
-        decoded, pos = decode_hist(bytes(out), 0)
-        assert pos == len(out)
+        block = decode_block(encode_block([("key", hist)]), 1)
+        assert block.texts == ["key"]
+        decoded = block.hist(0)
         assert decoded.bins == hist.bins
         assert decoded.count == hist.count
         assert decoded.overflow == hist.overflow
+        assert decoded.epoch == 0
+        assert block.hist(0) is decoded          # built once, kept
 
     def test_single_bin_hist_is_tiny(self):
         hist = MergeHist()
         for _ in range(1000):
             hist.add(50.0)
-        out = bytearray()
-        encode_hist(out, hist)
-        # count, overflow, n_entries, index, count-1: a few varints.
-        assert len(out) <= 8
-        decoded, _pos = decode_hist(bytes(out), 0)
-        assert decoded.bins == hist.bins
+        payload = encode_block([("key", hist)])
+        # Six width bytes; count and bin count - 1 two bytes each,
+        # key length, overflow, n_bins and bin index (200) one.
+        assert len(payload) - len(struct.pack("<II", 1, 3) + b"key") \
+            == 6 + 2 * 2 + 4 * 1
+        assert decode_block(payload).get("key").bins == hist.bins
 
 
 class TestSegmentRoundTrip:
@@ -209,7 +208,7 @@ class TestSegmentCorruption:
         its own error -- the one recovery does not answer by
         quarantining -- naming the file and both schema numbers."""
         path = str(tmp_path / "seg.seg")
-        for schema in (SEGMENT_SCHEMA + 1, 3, 2, None):
+        for schema in (SEGMENT_SCHEMA + 1, 4, 3, 2, None):
             write_segment(path, _populated_store(), seq=1)
 
             def restamp(footer):
@@ -238,18 +237,8 @@ class TestSegmentCorruption:
                 if store.tables[name]] == ["network"]
         path = str(tmp_path / "seg.seg")
         write_segment(path, store, seq=1)
-        block = hand_built_row_block(raw_keys, key_len)
-        data = open(path, "rb").read()
-        offset = encoding.unpack_u64(data, len(data) - 16)
-        payload, _end, _status = encoding.read_frame(data, offset)
-        footer = json.loads(payload)
-        (entry,) = footer["tables"]["network"]["blocks"]
-        entry["length"] = len(block)
-        body = data[:entry["offset"]] + block
-        footer_frame = encoding.frame(json.dumps(
-            footer, sort_keys=True, separators=(",", ":")).encode())
-        open(path, "wb").write(body + footer_frame
-                               + encoding.pack_u64(len(body)) + data[-8:])
+        _swap_the_network_block(path,
+                                hand_built_row_block(raw_keys, key_len))
         return path
 
     def test_hand_built_block_in_key_order_reads(self, tmp_path):
@@ -311,7 +300,7 @@ class TestSegmentCorruption:
             tmp_path, [b"OpA|0|WIFI|DNS", b"OpB|0|WIFI|DNS"],
             key_len=200)
         with pytest.raises(SegmentCorruption,
-                           match="key runs past the payload"):
+                           match="key lengths do not sum"):
             SegmentReader(path).verify()
 
 
@@ -476,6 +465,24 @@ class TestZoneMaps:
         assert windows != sorted(windows)
 
 
+def _swap_the_network_block(path, block):
+    """Put ``block`` where the one row block of a segment holding two
+    ``network`` rows and nothing else is, indexed like a written one."""
+    data = open(path, "rb").read()
+    offset = encoding.unpack_u64(data, len(data) - 16)
+    payload, _end, _status = encoding.read_frame(data, offset)
+    footer = json.loads(payload)
+    (entry,) = footer["tables"]["network"]["blocks"]
+    assert entry["rows"] == 2 and offset == entry["offset"] \
+        + entry["length"]
+    entry["length"] = len(block)
+    body = data[:entry["offset"]] + block
+    footer_frame = encoding.frame(json.dumps(
+        footer, sort_keys=True, separators=(",", ":")).encode())
+    open(path, "wb").write(body + footer_frame
+                           + encoding.pack_u64(len(body)) + data[-8:])
+
+
 def _rewrite_footer(path, mutate):
     """Re-frame the footer JSON after ``mutate(footer)`` edits it in
     place, preserving the block payload bytes before it."""
@@ -540,6 +547,58 @@ class TestSchemaWidening:
         loaded = reader.to_store()
         assert "flux_capacitor" not in loaded.tables
         assert loaded.digest() == store.digest()
+
+
+class TestFooterFields:
+    """A CRC-valid footer of this schema that lacks anything
+    ``write_segment`` writes is corrupt at open -- by name, with the
+    handle closed -- not a ``KeyError`` then or at the first read."""
+
+    #: Where in the footer, what ``write_segment`` writes there.
+    FIELDS = {
+        (): ("seq", "config", "records", "failure_records", "windows",
+             "tables"),
+        ("tables", "app"): ("rows", "blocks"),
+        ("tables", "app", "blocks", 1):
+            ("offset", "length", "rows", "min", "max")}
+
+    @pytest.mark.parametrize("where,field", [
+        (where, field) for where, fields in FIELDS.items()
+        for field in fields])
+    def test_footer_lacking_a_field_is_corrupt(self, tmp_path,
+                                               monkeypatch, where,
+                                               field):
+        from repro.store import segments
+        path = str(tmp_path / "short.seg")
+        write_segment(path, _populated_store(), seq=1, block_rows=8)
+
+        def drop(footer):
+            for step in where:
+                footer = footer[step]
+            del footer[field]
+        _rewrite_footer(path, drop)
+        handles = []
+        monkeypatch.setattr(
+            segments, "open",
+            lambda *args: handles.append(open(*args)) or handles[-1],
+            raising=False)
+        with pytest.raises(SegmentCorruption) as refused:
+            SegmentReader(path)
+        assert str(refused.value) == (
+            "footer of %s lacks a field its writer writes: %r"
+            % (path, field))
+        assert [handle.closed for handle in handles] == [True]
+
+    def test_what_is_required_is_what_is_written(self, tmp_path):
+        path = str(tmp_path / "whole.seg")
+        write_segment(path, _populated_store(), seq=1, block_rows=8)
+        footer = SegmentReader(path).footer
+        for found, required in (
+                (footer, ("schema", *self.FIELDS[()])),
+                (footer["tables"]["app"], self.FIELDS["tables", "app"]),
+                (footer["tables"]["app"]["blocks"][1],
+                 self.FIELDS["tables", "app", "blocks", 1])):
+            assert sorted(found) == sorted(required)
 
 
 class TestDeterminism:

@@ -12,8 +12,6 @@ from repro.store.encoding import (
     FRAME_TORN,
     frame,
     read_frame,
-    read_uvarint,
-    write_uvarint,
 )
 from repro.store import UnsupportedSchema
 from repro.store.wal import MAGIC, FsyncModel, WriteAheadLog, replay
@@ -47,24 +45,6 @@ class TestFraming:
         data[-1] ^= 0xFF
         _payload, _pos, status = read_frame(bytes(data), 0)
         assert status == FRAME_CORRUPT
-
-    def test_uvarint_round_trip(self):
-        out = bytearray()
-        values = [0, 1, 127, 128, 300, 2 ** 32, 2 ** 62]
-        for value in values:
-            write_uvarint(out, value)
-        pos = 0
-        decoded = []
-        for _ in values:
-            value, pos = read_uvarint(bytes(out), pos)
-            decoded.append(value)
-        assert decoded == values and pos == len(out)
-
-    def test_uvarint_rejects_negative_and_truncated(self):
-        with pytest.raises(ValueError):
-            write_uvarint(bytearray(), -1)
-        with pytest.raises(ValueError):
-            read_uvarint(b"\x80", 0)
 
 
 class TestWriteAheadLog:

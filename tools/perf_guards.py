@@ -22,9 +22,11 @@ spread is measured, not by a wall clock read once here:
   two blocks per segment of each table it asks a subject range of
   and the segment holds rows of (a subject's rows are one run of a
   segment; a window-first layout reads every block and fails this).  And, counts only, a block
-  stays keyed as it is stored: over the same pruned panels the
-  readers split exactly the keys of the rows they yield, and a
-  subject range is encoded once per panel, not once per segment.
+  stays keyed as it is stored and builds its rows on demand: over
+  the same pruned panels the readers split exactly the keys and build
+  exactly the histograms of the rows they yield (none for asking
+  again, none for ``verify()``), and a subject range is encoded once
+  per panel, not once per segment.
 * ``snapshot`` -- a dashboard refresh must not pay for the memtable:
   ``QueryEngine.snapshot()`` over a >= 5k-group memtable copies zero
   histograms (counted by object identity, no clock involved), the
@@ -151,15 +153,21 @@ def guard_replay(dataset):
     return failures
 
 
-def _pruned_panel_key_work(view, apps, operators):
-    """Run the pruned panels with the key codec and the readers'
-    batched reads counted: ``(keys split, rows the readers yielded,
-    keys encoded, subject ranges asked)``.  No clock involved."""
-    from repro.backend.rollups import _decode_key, _encode_key
+def _pruned_panel_key_work(engine, apps, operators):
+    """Run the pruned panels on a fresh view (no block decoded yet)
+    -- twice over, and then ``verify()`` on every segment -- with the
+    key codec, the readers' batched reads and the blocks' row
+    building counted: ``(keys split, rows the readers yielded, keys
+    encoded, subject ranges asked, histograms built)`` for the first
+    round, ``(histograms built by the second round, by verify)``.  No
+    clock involved."""
+    from repro.backend.rollups import MergeHist, _decode_key, _encode_key
+    from repro.serve import QueryEngine
     from repro.serve import engine as serve_engine
-    from repro.store import segments
+    from repro.store import encoding, segments
 
-    counts = {"split": 0, "encoded": 0, "yielded": 0, "asked": 0}
+    counts = {"split": 0, "encoded": 0, "yielded": 0, "asked": 0,
+              "built": 0}
     scan_prefixes = segments.SegmentReader.scan_prefixes
 
     def counted(function, name):
@@ -182,6 +190,7 @@ def _pruned_panel_key_work(view, apps, operators):
     patches = [
         (segments, "_decode_key", counted(_decode_key, "split")),
         (segments, "_encode_key", counted(_encode_key, "encoded")),
+        (encoding, "MergeHist", counted(MergeHist, "built")),
         (segments.SegmentReader, "scan_prefixes", counted_scan),
         (serve_engine.ReadView, "scan_subject",
          counted_ask(serve_engine.ReadView.scan_subject)),
@@ -190,12 +199,21 @@ def _pruned_panel_key_work(view, apps, operators):
         for owner, name, replacement in patches:
             stack.enter_context(
                 mock.patch.object(owner, name, replacement))
-        for app in apps:
-            view.app_panel(app)
-        for operator in operators:
-            view.network_panel(operator)
-    return (counts["split"], counts["yielded"], counts["encoded"],
-            counts["asked"])
+        view = stack.enter_context(QueryEngine(engine).snapshot())
+        rounds = []
+        for _round in range(2):
+            for app in apps:
+                view.app_panel(app)
+            for operator in operators:
+                view.network_panel(operator)
+            rounds.append(dict(counts))
+        for reader in view.readers:
+            reader.verify()
+    first, second = rounds
+    return ((first["split"], first["yielded"], first["encoded"],
+             first["asked"], first["built"]),
+            (second["built"] - first["built"],
+             counts["built"] - second["built"]))
 
 
 #: Tables a pruned panel asks one subject range of (the fleet AoI an
@@ -207,8 +225,9 @@ PANEL_TABLES = {"app": ("app", "app_throughput", "app_energy"),
 def guard_query(dataset):
     """Pruned dashboard panels: byte-identical to full scans, and a
     count of blocks -- each panel opens at most two blocks per segment
-    of each table it asks a subject range of; keys split only for rows
-    that leave a reader and encoded once per panel."""
+    of each table it asks a subject range of; keys split and
+    histograms built only for rows that leave a reader, keys encoded
+    once per panel."""
     from repro.obs import Observability
     from repro.serve import DashboardWorkload, QueryEngine, QueryError
     from repro.store import StoreConfig, StoreEngine
@@ -267,11 +286,21 @@ def guard_query(dataset):
                     "rows are one run per segment and table, so at "
                     "most 2 x %d = %d"
                     % (kind, worst, ranges, allowed))
-        split, yielded, encoded, asked = _pruned_panel_key_work(
-            view, workload._apps[:8], workload._operators[:8])
-        print("query: the same pruned panels -> %d keys split for %d "
-              "rows yielded, %d keys encoded for %d subject ranges "
-              "asked" % (split, yielded, encoded, asked))
+        (split, yielded, encoded, asked, built), (rebuilt, verified) = \
+            _pruned_panel_key_work(
+                engine, workload._apps[:8], workload._operators[:8])
+        print("query: the same pruned panels -> %d keys split and %d "
+              "histograms built for %d rows yielded, %d keys encoded "
+              "for %d subject ranges asked; %d built by asking again, "
+              "%d by verify() over every segment"
+              % (split, built, yielded, encoded, asked, rebuilt,
+                 verified))
+        if built != yielded or rebuilt or verified:
+            return _fail(
+                "blocks built %d histograms for %d rows yielded, %d "
+                "more for the same panels again and %d for verify(); "
+                "a row is built when it first leaves a reader, once"
+                % (built, yielded, rebuilt, verified))
         if split != yielded:
             return _fail(
                 "readers split %d keys but yielded %d rows; a prefix "
