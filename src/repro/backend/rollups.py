@@ -376,21 +376,22 @@ class RollupStore:
         self._epoch = next(_EPOCHS)
 
     def add(self, record: MeasurementRecord) -> None:
-        if record.failure is not None:
+        # One unpack, not eight reads by name: each of those is a
+        # descriptor call on a tuple type.
+        (kind, rtt, timestamp_ms, app_package, _, _, _, domain, tech,
+         operator, _, device_id, failure, _) = record
+        if failure is not None:
             self.failure_records += 1
             return
         self.records += 1
-        rtt = record.rtt_ms
-        window = str(self.config.window_of(record.timestamp_ms))
-        kind = record.kind
-        operator = record.operator or "unknown"
-        tech = record.network_type or "unknown"
+        window = str(self.config.window_of(timestamp_ms))
+        operator = operator or "unknown"
+        tech = tech or "unknown"
 
         if kind == MeasurementKind.TCP:
             self._hist("network", (window, operator, tech, kind)).add(rtt)
-            self._hist("app", (window, record.app_package or "unknown",
+            self._hist("app", (window, app_package or "unknown",
                                kind)).add(rtt)
-            domain = record.domain
             for suffix in self.config.watch_suffixes:
                 if rules.domain_matches_suffix(domain, suffix):
                     cls = rules.whatsapp_domain_class(domain)
@@ -410,23 +411,23 @@ class RollupStore:
             # the package may still be unknown here (the SYN RTT is
             # only recorded *after* mapping, hence never is).
             self._hist("network", (window, operator, tech, kind)).add(rtt)
-            self._hist("app", (window, record.app_package or "unknown",
+            self._hist("app", (window, app_package or "unknown",
                                kind)).add(rtt)
         elif kind == MeasurementKind.TPUT_UP or \
                 kind == MeasurementKind.TPUT_DOWN:
             # rtt_ms carries the throughput sample in KB/s; log grid.
             self._hist("app_throughput",
-                       (window, record.app_package or "unknown",
+                       (window, app_package or "unknown",
                         kind)).add_bin(log_bin(rtt))
         elif kind == MeasurementKind.ENERGY:
             # rtt_ms carries the flow's attributed energy in mJ.
             self._hist("app_energy",
-                       (window, record.app_package or "unknown")
+                       (window, app_package or "unknown")
                        ).add_bin(log_bin(rtt))
         elif kind == MeasurementKind.AOI:
             # rtt_ms carries the record-to-ACK staleness in ms.
             self._hist("aoi",
-                       (window, record.device_id or "unknown",
+                       (window, device_id or "unknown",
                         tech)).add_bin(log_bin(rtt))
 
     def add_all(self, records: Iterable[MeasurementRecord]) -> int:

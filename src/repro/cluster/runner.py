@@ -30,7 +30,6 @@ cluster job diffs byte-for-byte.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import shutil
 import tempfile
@@ -206,7 +205,7 @@ def run_cluster_device_world(scenario: Scenario, plan: FaultPlan,
     horizon = max([event.end_ms for event in plan] + [0.0])
     sim.run(until=max(sim.now + 20_000.0, horizon + 10_000.0))
 
-    records = [dataclasses.replace(record, device_id=device_id)
+    records = [record._replace(device_id=device_id)
                for record in service.store]
 
     # -- global view: fold every node's disk, prove the invariant ------

@@ -8,8 +8,16 @@ pipeline runs identically over live-relay output and synthesised data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+)
 
 
 _INF = float("inf")
@@ -66,8 +74,7 @@ class FailureKind:
     ALL = (TIMEOUT, REFUSED, UNREACHABLE)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class _RecordFields(NamedTuple):
     kind: str                  # MeasurementKind
     rtt_ms: float
     timestamp_ms: float
@@ -85,19 +92,45 @@ class MeasurementRecord:
     failure: Optional[str] = None
     location: Optional[tuple] = None  # (lat, lon)
 
-    def __post_init__(self):
+
+class MeasurementRecord(_RecordFields):
+    """One measurement: an immutable tuple of the fourteen fields
+    above, read by name, with no per-instance ``__dict__``.
+
+    Every way to make one runs the four checks in ``__new__``: the
+    constructor, :meth:`_replace` (the one copy-with-changes method;
+    it goes through :meth:`_make`), ``pickle`` and ``copy`` (through
+    ``__getnewargs__``).  Being a tuple, a record also equals a plain
+    tuple of its fields, iterates, and ``json.dumps`` writes it as an
+    array -- :func:`repro.core.persist.record_to_line` is the
+    serialiser, and the decoder refuses an array as malformed.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind, rtt_ms, timestamp_ms, app_package=None,
+                app_uid=None, dst_ip="", dst_port=0, domain=None,
+                network_type="WIFI", operator="unknown",
+                country="unknown", device_id="local", failure=None,
+                location=None):
         # Chained so that NaN, which compares false both ways, fails.
-        if not 0 <= self.rtt_ms < _INF:
-            raise ValueError("negative or non-finite RTT %r"
-                             % self.rtt_ms)
-        if not _NEG_INF < self.timestamp_ms < _INF:
-            raise ValueError("non-finite timestamp %r"
-                             % self.timestamp_ms)
-        if self.kind not in MeasurementKind.ALL:
-            raise ValueError("unknown measurement kind %r" % self.kind)
-        if self.failure is not None and \
-                self.failure not in FailureKind.ALL:
-            raise ValueError("unknown failure kind %r" % self.failure)
+        if not 0 <= rtt_ms < _INF:
+            raise ValueError("negative or non-finite RTT %r" % rtt_ms)
+        if not _NEG_INF < timestamp_ms < _INF:
+            raise ValueError("non-finite timestamp %r" % timestamp_ms)
+        if kind not in MeasurementKind.ALL:
+            raise ValueError("unknown measurement kind %r" % kind)
+        if failure is not None and failure not in FailureKind.ALL:
+            raise ValueError("unknown failure kind %r" % failure)
+        return tuple.__new__(cls, (
+            kind, rtt_ms, timestamp_ms, app_package, app_uid, dst_ip,
+            dst_port, domain, network_type, operator, country,
+            device_id, failure, location))
+
+    @classmethod
+    def _make(cls, iterable):
+        # The inherited one is tuple.__new__ and checks nothing.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,10 @@ dedup cache's idempotency relies on.
 
 from __future__ import annotations
 
-import json
 import random
 from typing import Optional, Tuple
 
-from repro.core.persist import _record_to_dict
+from repro.core.persist import record_to_line
 from repro.core.records import MeasurementKind, MeasurementRecord
 from repro.network.link import NetworkType
 from repro.phone.ktcp import (
@@ -235,8 +234,7 @@ class MeasurementUploader:
         if self.max_batch is not None:
             records = records[:self.max_batch]
         payload = "\n".join(
-            json.dumps(_record_to_dict(record))
-            for record in records).encode() + b"\n"
+            map(record_to_line, records)).encode() + b"\n"
         self._inflight = (self._seq, payload, len(records))
         self._inflight_records = list(records)
         self._seq += 1

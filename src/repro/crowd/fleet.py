@@ -130,9 +130,8 @@ class FleetRunner:
         # Tag records with the fleet identity.
         tagged = MeasurementStore()
         for record in mopeye.store:
-            tagged.add(dataclasses.replace(
-                record, device_id=spec.device_id,
-                country=spec.country))
+            tagged.add(record._replace(
+                device_id=spec.device_id, country=spec.country))
         return tagged
 
     def run(self, specs: List[FleetSpec]) -> MeasurementStore:

@@ -24,7 +24,6 @@ spinning -- a deadlock becomes a test failure, not a hung process.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import multiprocessing
 import os
@@ -227,7 +226,7 @@ def run_device_world(scenario: Scenario, plan: FaultPlan, seed: int,
     else:
         sim.run(until=sim.now + 5_000.0)
 
-    records = [dataclasses.replace(record, device_id=device_id)
+    records = [record._replace(device_id=device_id)
                for record in service.store]
     stats: Dict[str, int] = {
         "records": len(records),

@@ -261,6 +261,69 @@ class TestAddWorkPerKind:
         assert counted == set(MeasurementKind.ALL)
 
 
+class TestDecodeWorkPerLine:
+    """The decoder's per-line work, as a count: one record built per
+    line, and the kind looked at by nobody but the constructor unless
+    the constructor refused it."""
+
+    N = 1000
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from repro.core import persist
+
+        built, normalized = [], []
+        record_type = persist.MeasurementRecord
+        normalize = persist._normalize_kind
+
+        def counted_record(*fields):
+            built.append(fields[0])
+            return record_type(*fields)
+
+        def counted_normalize(kind):
+            normalized.append(kind)
+            return normalize(kind)
+
+        monkeypatch.setattr(persist, "MeasurementRecord",
+                            counted_record)
+        monkeypatch.setattr(persist, "_normalize_kind",
+                            counted_normalize)
+        return built, normalized
+
+    def _lines(self):
+        from repro.core.records import MeasurementKind
+        kinds = MeasurementKind.ALL
+        return [record_to_line(_rec(kind=kinds[i % len(kinds)],
+                                    rtt=float(i)))
+                for i in range(self.N)]
+
+    def test_batch_decode_builds_one_record_per_line(self, counted):
+        from repro.core.persist import decode_record_lines
+        built, normalized = counted
+        records, truncated = decode_record_lines(self._lines())
+        assert (len(records), truncated) == (self.N, False)
+        assert len(built) == self.N
+        assert normalized == []
+
+    def test_file_decode_builds_one_record_per_line(self, counted,
+                                                    tmp_path):
+        from repro.core.persist import iter_jsonl
+        built, normalized = counted
+        path = tmp_path / "shard.jsonl"
+        path.write_text("\n".join(self._lines()) + "\n")
+        assert sum(1 for _ in iter_jsonl(str(path))) == self.N
+        assert len(built) == self.N
+        assert normalized == []
+
+    def test_lower_case_kind_is_normalized_exactly_once(self, counted):
+        from repro.core.persist import decode_record_lines
+        _built, normalized = counted
+        line = record_to_line(_rec()).replace('"TCP"', '"tcp"')
+        records, truncated = decode_record_lines([line])
+        assert records == [_rec()] and not truncated
+        assert normalized == ["tcp"]
+
+
 class TestParseBatchPrefix:
     def test_stops_at_first_bad_line(self):
         good = [_rec(rtt=float(i)) for i in range(4)]

@@ -66,9 +66,10 @@ class TestJsonl:
 
 class TestKindRoundTrip:
     def test_jsonl_roundtrip_records_compare_equal(self, tmp_path):
-        """Loaded records equal the originals field-for-field -- the
-        frozen dataclass makes this one assert, and it pins the kind
-        normalization (enum-ish inputs, case, bytes) in place."""
+        """Loaded records equal the originals field-for-field -- a
+        record compares by value, which makes this one assert, and it
+        pins the kind normalization (enum-ish inputs, case, bytes) in
+        place."""
         path = str(tmp_path / "rt.jsonl")
         store = sample_store()
         save_jsonl(store, path)

@@ -167,6 +167,36 @@ class TestNewRecordKinds:
                      for r in w.collector.received)
         assert got == sent
 
+    def test_payload_is_record_to_line_of_each_record(self,
+                                                      upload_world):
+        """One serialiser: the batch on the wire is ``record_to_line``
+        of each record (what the pipeline benchmark builds its
+        payloads from), and the backend hands back those lines."""
+        from repro.backend import parse_batch_lines
+        from repro.core.persist import record_to_line
+        from repro.core.records import FailureKind, MeasurementKind
+        w = upload_world
+        records = [MeasurementRecord(kind=kind, rtt_ms=0.5 + i,
+                                     timestamp_ms=-3.0 * i)
+                   for i, kind in enumerate(MeasurementKind.ALL)]
+        records += [
+            MeasurementRecord("TCP", 9.0, 1.0,
+                              failure=FailureKind.REFUSED),
+            MeasurementRecord("DNS", 9.0, 2.0, location=(40.7, -74.0)),
+            MeasurementRecord("TCP", 9.0, 3.0, operator="Télécom 中",
+                              app_package="\U0010ffff", domain=" "),
+        ]
+        w.mopeye.store.extend(records)
+        uploader = MeasurementUploader(w.mopeye, "198.51.100.200")
+        _seq, payload, count = uploader._next_batch()
+        lines = list(map(record_to_line, records))
+        assert count == len(records)
+        assert payload == "\n".join(lines).encode() + b"\n"
+        parsed, raw, truncated = parse_batch_lines(payload)
+        assert parsed == records
+        assert raw == [line.encode() for line in lines]
+        assert not truncated
+
     def test_wifi_only_gating_covers_new_kinds(self, upload_world):
         from repro.network.link import NetworkType
         w = upload_world
