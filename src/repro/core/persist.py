@@ -17,9 +17,11 @@ import glob
 import hashlib
 import json
 import os
-from itertools import islice
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import (
+    BinaryIO,
     Iterable,
     Iterator,
     List,
@@ -55,11 +57,8 @@ def _normalize_kind(kind) -> str:
 
 
 def _record_to_dict(record: MeasurementRecord) -> dict:
-    # Spelled out over one unpack (not a loop, nor fourteen reads by
-    # name, each a descriptor call on a tuple type): the sharded
-    # campaign's serialization hot path, run 5.25 M times at full
-    # scale.  The kind needs no look: no record holds one outside
-    # ``MeasurementKind.ALL``.
+    # What ``json.dumps`` is handed for a record the formatter in
+    # :func:`record_to_line` passes on; the key order is the line's.
     (kind, rtt_ms, timestamp_ms, app_package, app_uid, dst_ip,
      dst_port, domain, network_type, operator, country, device_id,
      failure, location) = record
@@ -186,11 +185,118 @@ def decode_record_lines(lines: Sequence[str]
     return records, False
 
 
+#: The line ``json.dumps`` writes for :func:`_record_to_dict`'s
+#: fourteen keys, each value a slot: ``%r`` where only a number can
+#: stand, ``%s`` where the text is rendered first.
+_LINE = ('{"kind": %s, "rtt_ms": %r, "timestamp_ms": %r, '
+         '"app_package": %s, "app_uid": %s, "dst_ip": %s, '
+         '"dst_port": %r, "domain": %s, "network_type": %s, '
+         '"operator": %s, "country": %s, "device_id": %s, '
+         '"failure": %s, "location": %s}')
+_INF = float("inf")
+_NEG_INF = -_INF
+_NUMBER = (float, int)
+_PAIR = (tuple, list)
+
+#: Records :func:`write_records` serialises at a time: a device's
+#: worth in one write and one hash update, or this many of them.
+_WRITE_CHUNK = 512
+
+
 def record_to_line(record: MeasurementRecord) -> str:
     """The canonical one-line JSON serialization (no trailing newline).
     Canonical means byte-stable: the same record always serializes to
-    the same bytes, which is what shard digests compare."""
+    the same bytes, which is what shard digests compare.
+
+    The line is ``json.dumps`` of :func:`_record_to_dict` to the byte,
+    formatted rather than dumped: ``%r`` of a ``float`` or an ``int``
+    is the ``__repr__`` JSON writes, text goes through the encoder's
+    own ASCII-escaping quoter.  That holds for the exact types only
+    (``repr(True)`` is not ``true``; a non-finite ``float``, which
+    only a location can hold, is not its ``repr`` either), so a
+    record with any field of another type -- a ``bool``, an ``Enum``,
+    a ``str`` subclass, a numpy scalar -- is dumped as before,
+    whatever that writes or raises."""
+    (kind, rtt_ms, timestamp_ms, app_package, app_uid, dst_ip,
+     dst_port, domain, network_type, operator, country, device_id,
+     failure, location) = record
+    place = None
+    if location is None:
+        place = "null"
+    elif type(location) in _PAIR:
+        # Too short a one raises IndexError here as it would there.
+        lat, lon = location[0], location[1]
+        if ((type(lat) is float and _NEG_INF < lat < _INF
+             or type(lat) is int)
+                and (type(lon) is float and _NEG_INF < lon < _INF
+                     or type(lon) is int)):
+            place = "[%r, %r]" % (lat, lon)
+    if (place is not None
+            and type(kind) is str
+            and type(rtt_ms) in _NUMBER
+            and type(timestamp_ms) in _NUMBER
+            and (type(app_package) is str or app_package is None)
+            and (app_uid is None or type(app_uid) is int)
+            and (type(dst_ip) is str or dst_ip is None)
+            and type(dst_port) is int
+            and (type(domain) is str or domain is None)
+            and (type(network_type) is str or network_type is None)
+            and (type(operator) is str or operator is None)
+            and (type(country) is str or country is None)
+            and (type(device_id) is str or device_id is None)
+            and (failure is None or type(failure) is str)):
+        return _LINE % (
+            _quote(kind), rtt_ms, timestamp_ms,
+            "null" if app_package is None else _quote(app_package),
+            "null" if app_uid is None else app_uid,
+            "null" if dst_ip is None else _quote(dst_ip),
+            dst_port,
+            "null" if domain is None else _quote(domain),
+            "null" if network_type is None else _quote(network_type),
+            "null" if operator is None else _quote(operator),
+            "null" if country is None else _quote(country),
+            "null" if device_id is None else _quote(device_id),
+            "null" if failure is None else _quote(failure),
+            place)
     return json.dumps(_record_to_dict(record))
+
+
+def encode_batch(records: Iterable[MeasurementRecord]) -> bytes:
+    """The one writer of record lines: each record's line and a
+    newline after it, as bytes.  An upload payload, a shard file and
+    the body of a WAL envelope are all this.  ASCII, because neither
+    path of :func:`record_to_line` writes a byte outside it."""
+    lines = list(map(record_to_line, records))
+    lines.append("")
+    return "\n".join(lines).encode("ascii")
+
+
+def encode_chunks(records: Iterable[MeasurementRecord], size: int
+                  ) -> Iterator[Tuple[List[MeasurementRecord], bytes]]:
+    """``records`` cut into lists of at most ``size``, each beside
+    its :func:`encode_batch` -- a stream of any length serialised
+    with no more than ``size`` lines held at once."""
+    records = iter(records)
+    while True:
+        chunk = list(islice(records, size))
+        if not chunk:
+            return
+        yield chunk, encode_batch(chunk)
+
+
+def write_records(handle: BinaryIO,
+                  records: Iterable[MeasurementRecord],
+                  digest=None) -> int:
+    """Append ``records`` to a file open for binary writing, feeding
+    the same bytes to ``digest`` (a ``hashlib`` object) when one is
+    given; returns the count."""
+    count = 0
+    for chunk, data in encode_chunks(records, _WRITE_CHUNK):
+        handle.write(data)
+        if digest is not None:
+            digest.update(data)
+        count += len(chunk)
+    return count
 
 
 def save_jsonl(records: Union[MeasurementStore,
@@ -198,19 +304,15 @@ def save_jsonl(records: Union[MeasurementStore,
                path: str) -> int:
     """Write one JSON object per line; returns the record count.
     Accepts a store or any record iterable (streaming-friendly)."""
-    count = 0
-    with open(path, "w") as handle:
-        for record in records:
-            handle.write(record_to_line(record) + "\n")
-            count += 1
-    return count
+    with open(path, "wb") as handle:
+        return write_records(handle, records)
 
 
 def iter_jsonl(path: str) -> Iterator[MeasurementRecord]:
     """Stream records from a JSON-lines file without loading it,
     ``_CHUNK_LINES`` lines to a decode.  Raises ``ValueError`` at the
     first line that is not a record, after yielding those before it."""
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         while True:
             chunk = list(islice(handle, _CHUNK_LINES))
             if not chunk:
@@ -252,26 +354,18 @@ def save_jsonl_shards(records: Iterable[MeasurementRecord],
         raise ValueError("shard_size must be positive")
     os.makedirs(directory, exist_ok=True)
     paths: List[str] = []
-    handle = None
-    in_shard = 0
-    try:
-        for record in records:
-            if handle is None or in_shard >= shard_size:
-                if handle is not None:
-                    handle.close()
-                paths.append(shard_path(directory, len(paths)))
-                handle = open(paths[-1], "w")
-                in_shard = 0
-            handle.write(record_to_line(record) + "\n")
-            in_shard += 1
-    finally:
-        if handle is not None:
-            handle.close()
+    records = iter(records)
+    # Each turn takes the record that proves the next shard is needed.
+    for first in records:
+        paths.append(shard_path(directory, len(paths)))
+        with open(paths[-1], "wb") as handle:
+            write_records(handle, chain(
+                (first,), islice(records, shard_size - 1)))
     if not paths:
         # An empty dataset still yields one (empty) shard so readers
         # have something to open.
         paths.append(shard_path(directory, 0))
-        open(paths[0], "w").close()
+        open(paths[0], "wb").close()
     return paths
 
 

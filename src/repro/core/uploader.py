@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Tuple
 
-from repro.core.persist import record_to_line
+from repro.core.persist import encode_batch
 from repro.core.records import MeasurementKind, MeasurementRecord
 from repro.network.link import NetworkType
 from repro.phone.ktcp import (
@@ -233,8 +233,7 @@ class MeasurementUploader:
             return None
         if self.max_batch is not None:
             records = records[:self.max_batch]
-        payload = "\n".join(
-            map(record_to_line, records)).encode() + b"\n"
+        payload = encode_batch(records)
         self._inflight = (self._seq, payload, len(records))
         self._inflight_records = list(records)
         self._seq += 1

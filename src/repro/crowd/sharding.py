@@ -33,8 +33,8 @@ from repro.core.persist import (
     iter_jsonl_shards,
     list_shards,
     merge_shards,
-    record_to_line,
     shard_path,
+    write_records,
 )
 from repro.core.records import MeasurementRecord, MeasurementStore
 from repro.crowd.campaign import Campaign, CampaignConfig
@@ -127,13 +127,10 @@ def _generate_shard(task: Tuple[dict, int, int, int, str]
     sha = hashlib.sha256()
     count = 0
     started = time.time()
-    with open(path, "w") as handle:
+    with open(path, "wb") as handle:
         for device in campaign.population.devices[device_lo:device_hi]:
-            for record in campaign.device_records(device):
-                line = record_to_line(record) + "\n"
-                handle.write(line)
-                sha.update(line.encode("utf-8"))
-                count += 1
+            count += write_records(
+                handle, campaign.device_records(device), sha)
     return index, count, sha.hexdigest(), time.time() - started
 
 

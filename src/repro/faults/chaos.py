@@ -38,8 +38,8 @@ from repro.core.persist import (
     dataset_digest,
     iter_jsonl_shards,
     list_shards,
-    record_to_line,
     shard_path,
+    write_records,
 )
 from repro.core.records import MeasurementRecord, MeasurementStore
 from repro.core.uploader import MeasurementUploader
@@ -330,15 +330,11 @@ def _run_chaos_shard(task: Tuple[str, int, int, int, str,
     counts: Dict[str, Dict[str, int]] = {}
     stats: Dict[str, int] = {}
     rollup: Optional[RollupStore] = None
-    with open(path, "w") as handle:
+    with open(path, "wb") as handle:
         for device_index in range(device_lo, device_hi):
             run = run_device_world(scenario, plan, seed, device_index,
                                    cluster_nodes=cluster_nodes)
-            for record in run.records:
-                line = record_to_line(record) + "\n"
-                handle.write(line)
-                sha.update(line.encode("utf-8"))
-                count += 1
+            count += write_records(handle, run.records, sha)
             _merge_counts(counts, run.counts)
             _merge_stats(stats, run.stats)
             rollup = _merge_rollup(rollup, run.rollup)
@@ -457,16 +453,12 @@ class ChaosRunner:
         counts: Dict[str, Dict[str, int]] = {}
         stats: Dict[str, int] = {}
         rollup: Optional[RollupStore] = None
-        with open(path, "w") as handle:
+        with open(path, "wb") as handle:
             for device_index in range(device_lo, device_hi):
                 run = run_device_world(self.scenario, plan, seed,
                                        device_index,
                                        cluster_nodes=cluster_nodes)
-                for record in run.records:
-                    line = record_to_line(record) + "\n"
-                    handle.write(line)
-                    sha.update(line.encode("utf-8"))
-                    count += 1
+                count += write_records(handle, run.records, sha)
                 _merge_counts(counts, run.counts)
                 _merge_stats(stats, run.stats)
                 rollup = _merge_rollup(rollup, run.rollup)

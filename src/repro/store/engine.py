@@ -68,7 +68,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.backend.ingest import DEDUP_CAPACITY
 from repro.backend.rollups import (RollupConfig, RollupStore,
                                    UnsupportedSchema)
-from repro.core.persist import decode_record_lines, record_to_line
+from repro.core.persist import (decode_record_lines, encode_batch,
+                                encode_chunks)
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability, get_default
 from repro.store.checkpoint import (
@@ -331,8 +332,7 @@ class StoreEngine:
         JSONL ``lines`` when the transport already has them (the
         pipeline does); otherwise they are serialised here."""
         if lines is None:
-            lines = [record_to_line(record).encode("utf-8")
-                     for record in records]
+            lines = encode_batch(records).splitlines()
         # Seed the shared dedup map before any checkpoint can fire:
         # the manifest snapshot must carry this batch's identity, or a
         # checkpoint that truncates its envelope would forget it.
@@ -351,21 +351,22 @@ class StoreEngine:
                        batch_records: int = 512) -> int:
         """Bulk ingest for trusted offline sources: records go through
         the memtable *and* the WAL (group commit on record/byte
-        thresholds)."""
-        return self.append_entries(((record, None)
-                                    for record in records),
-                                   batch_records=batch_records)
+        thresholds), serialised ``batch_records`` at a time."""
+        return self.append_entries(
+            (entry for chunk, data in encode_chunks(records,
+                                                    batch_records)
+             for entry in zip(chunk, data.splitlines())),
+            batch_records=batch_records)
 
     def append_entries(self,
                        entries: Iterable[Tuple[MeasurementRecord,
-                                               Optional[bytes]]],
+                                               bytes]],
                        batch_records: int = 512) -> int:
-        """Bulk ingest of ``(record, raw_line_bytes)`` pairs.  A
-        ``None`` line is serialised here; callers that already hold
-        the canonical JSONL bytes (shard files, upload payloads) pass
-        them through and skip the per-record ``json.dumps`` entirely
-        -- that re-serialisation was most of the WAL's 3.5x ingest
-        tax."""
+        """Bulk ingest of ``(record, raw_line_bytes)`` pairs: callers
+        that already hold the canonical JSONL bytes (shard files,
+        upload payloads) pass them through, and nothing here
+        serialises a record -- that re-serialisation was most of the
+        WAL's 3.5x ingest tax."""
         count = 0
         lines: List[bytes] = []
 
@@ -381,8 +382,7 @@ class StoreEngine:
 
         for record, line in entries:
             self.memtable.add(record)
-            lines.append(line if line is not None
-                         else record_to_line(record).encode("utf-8"))
+            lines.append(line)
             count += 1
             self._records_since_checkpoint += 1
             if len(lines) >= batch_records:

@@ -324,6 +324,77 @@ class TestDecodeWorkPerLine:
         assert normalized == ["tcp"]
 
 
+class TestEncodeWorkPerRecord:
+    """The serialiser's per-record work, as a count: a record whose
+    fields are all of the exact JSON types is formatted -- no dict
+    built, no ``json.dumps`` -- and one that is not is dumped once."""
+
+    N = 1000
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from types import SimpleNamespace
+        from repro.core import persist
+
+        dumped, dicts = [], []
+        to_dict = persist._record_to_dict
+
+        def counted_dumps(value):
+            dumped.append(value)
+            return json.dumps(value)
+
+        def counted_to_dict(record):
+            dicts.append(record)
+            return to_dict(record)
+
+        # Only the serialiser's own use of json: the store's manifest
+        # and envelope headers are dumped by other modules.
+        monkeypatch.setattr(persist, "json", SimpleNamespace(
+            dumps=counted_dumps, loads=json.loads))
+        monkeypatch.setattr(persist, "_record_to_dict",
+                            counted_to_dict)
+        return dumped, dicts
+
+    @staticmethod
+    def _encode(path, records, root):
+        from repro.core.persist import encode_batch
+        from repro.store import StoreEngine
+        if path == "record_to_line":
+            return "".join(record_to_line(record) + "\n"
+                           for record in records).encode()
+        if path == "encode_batch":
+            return encode_batch(records)
+        engine = StoreEngine(str(root / "store"), obs=Observability())
+        engine.append_records(records)
+        engine.close()
+        return (root / "store" / "wal.log").read_bytes()
+
+    PATHS = ["record_to_line", "encode_batch", "append_records"]
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_ordinary_records_are_never_dumped(self, counted, path,
+                                               tmp_path):
+        from repro.core.records import MeasurementKind
+        kinds = MeasurementKind.ALL
+        records = [_rec(kind=kinds[i % len(kinds)], rtt=i / 7.0,
+                        ts=-1e3 * i, app=None if i % 3 else "a.b",
+                        domain="d%d.example" % i if i % 2 else None)
+                   for i in range(self.N)]
+        written = self._encode(path, records, tmp_path)
+        assert counted == ([], [])
+        assert written.count(b"\n") >= self.N
+        assert record_to_line(records[-1]).encode() in written
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_a_bool_port_is_dumped_exactly_once(self, counted, path,
+                                                tmp_path):
+        dumped, dicts = counted
+        record = _rec()._replace(dst_port=True)
+        written = self._encode(path, [record], tmp_path)
+        assert dicts == [record] and len(dumped) == 1
+        assert b'"dst_port": true, ' in written
+
+
 class TestParseBatchPrefix:
     def test_stops_at_first_bad_line(self):
         good = [_rec(rtt=float(i)) for i in range(4)]

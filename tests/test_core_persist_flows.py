@@ -1,5 +1,6 @@
 """Tests for dataset persistence and beyond-RTT flow records."""
 
+import hashlib
 import os
 
 import pytest
@@ -62,6 +63,158 @@ class TestJsonl:
         merged = load_jsonl(path, store=target)
         assert merged is target
         assert len(merged) == 4
+
+
+def pinned_records():
+    """Forty ordinary records and three the formatter must take care
+    over (escapes and a lone surrogate, a ``bool`` port it passes on
+    to ``json.dumps``, ``None`` where text usually is and a
+    non-finite coordinate)."""
+    kinds = ("TCP", "DNS", "TPUT_UP", "TPUT_DOWN", "ENERGY", "AOI",
+             "APP_RTT")
+    records = [MeasurementRecord(
+        kind=kinds[i % 7], rtt_ms=i / 7.0, timestamp_ms=-1e3 * i,
+        app_package=None if i % 3 else "app.%d" % i,
+        app_uid=None if i % 4 else 10000 + i,
+        dst_ip="203.0.113.%d" % i, dst_port=443 + i,
+        domain="d%d.example" % i if i % 2 else None,
+        network_type=("WIFI", "LTE", "3G")[i % 3],
+        operator="Op%d" % (i % 5), country="C%d" % (i % 2),
+        device_id="device-%05d" % (i % 3),
+        failure=None if i % 6 else "timeout",
+        location=None if i % 5 == 0 else (i * 1.25 - 40, 1e-7 * i))
+        for i in range(40)]
+    records += [
+        MeasurementRecord("TCP", 5, -0.0,
+                          operator='T\xe9l\xe9com "中" \\ \ud800',
+                          app_package="\U0001f600\x00\x1f",
+                          domain="a\nb\u2028c"),
+        MeasurementRecord("DNS", 1e22, 1e-07, dst_port=True,
+                          app_uid=False, location=[40, -74.5]),
+        MeasurementRecord("TCP", 5e-324, 123456789012345680.0,
+                          dst_ip=None, network_type=None,
+                          location=(float("inf"), 0.0)),
+    ]
+    return records
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestOneWriter:
+    """Payload, shard and WAL envelope are ``encode_batch``'s bytes,
+    and those bytes are what the serialiser wrote when it dumped a
+    dict per record: every digest below was taken at that commit."""
+
+    LINES = ("7428c440f9824adeec999bc72833ea78"
+             "96d8cc3fb3630df0f333b4edef27bde6")
+
+    def test_batch_is_each_line_and_a_newline(self):
+        from repro.core.persist import encode_batch, record_to_line
+        records = pinned_records()
+        payload = encode_batch(records)
+        assert payload == "".join(
+            record_to_line(record) + "\n" for record in records
+        ).encode("ascii")
+        assert _sha(payload) == self.LINES
+        assert encode_batch(iter(records[:1])) \
+            == payload[:payload.index(b"\n") + 1]
+        assert encode_batch([]) == b""
+
+    def test_uploader_payload(self, world):
+        from repro.core.uploader import MeasurementUploader
+        mopeye = MopEyeService(world.device)
+        mopeye.store.extend(pinned_records())
+        _seq, payload, count = MeasurementUploader(
+            mopeye, "198.51.100.200")._next_batch()
+        assert (count, _sha(payload)) == (43, self.LINES)
+
+    def test_shard_files(self, tmp_path):
+        from repro.core.persist import (dataset_digest,
+                                        save_jsonl_shards)
+        paths = save_jsonl_shards(pinned_records(),
+                                  str(tmp_path / "shards"),
+                                  shard_size=16)
+        assert [os.path.basename(path) for path in paths] == [
+            "shard-00000.jsonl", "shard-00001.jsonl",
+            "shard-00002.jsonl"]
+        assert dataset_digest(paths) == self.LINES
+        whole = str(tmp_path / "whole.jsonl")
+        assert save_jsonl(pinned_records(), whole) == 43
+        assert dataset_digest([whole]) == self.LINES
+
+    def test_generated_shards(self, tmp_path):
+        from repro.crowd import CampaignConfig, ShardedCampaign
+        run = ShardedCampaign(CampaignConfig(scale=0.0005, seed=7),
+                              workers=1,
+                              shard_dir=str(tmp_path)).run()
+        assert (run.total_records, run.digest()) == (
+            4597, "5408999427f80b7e5aa60fa2fa71f152"
+                  "9683809c0cb2b4c9be31e380bc9e940a")
+
+    def test_wal_envelopes(self, tmp_path):
+        from repro.store import StoreEngine
+        records = pinned_records()
+        engine = StoreEngine(str(tmp_path / "batch"))
+        engine.log_batch("device-00000", 0, len(records), records)
+        engine.close()
+        assert _sha((tmp_path / "batch" / "wal.log").read_bytes()) \
+            == ("923381126d7657ca52d3068de8654e71"
+                "be8b2b31df10e2817fd1d9b9cde5ccda")
+        engine = StoreEngine(str(tmp_path / "bulk"))
+        engine.append_records(iter(records), batch_records=16)
+        engine.close()
+        assert _sha((tmp_path / "bulk" / "wal.log").read_bytes()) \
+            == ("0380312f51cc94191f1e1a9731b63815"
+                "05ec90649c8cf360526bb3310f447f15")
+
+    def test_write_records_hashes_what_it_writes(self, tmp_path):
+        from repro.core.persist import (_WRITE_CHUNK, encode_batch,
+                                        write_records)
+        records = pinned_records() * 30          # several chunks
+        assert len(records) > 2 * _WRITE_CHUNK
+        sha = hashlib.sha256()
+        path = tmp_path / "out.jsonl"
+        with open(path, "wb") as handle:
+            assert write_records(handle, iter(records), sha) \
+                == len(records)
+            assert write_records(handle, [], sha) == 0
+        assert path.read_bytes() == encode_batch(records)
+        assert sha.hexdigest() == _sha(encode_batch(records))
+
+    def test_files_do_not_take_the_locales_encoding(self, tmp_path):
+        """Written as ASCII, read as UTF-8 -- also where the locale
+        says otherwise (``LC_ALL=C`` with UTF-8 mode off makes
+        ``open()`` default to ASCII)."""
+        import subprocess
+        import sys
+        path = str(tmp_path / "ds.jsonl")
+        save_jsonl(pinned_records(), path)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        assert data.isascii() and _sha(data) == self.LINES
+        with open(path, "ab") as handle:
+            handle.write('{"kind": "TCP", "rtt_ms": 1.0, '
+                         '"timestamp_ms": 2.0, "operator": "T\xe9l"}\n'
+                         .encode("utf-8"))
+        script = (
+            "import locale, sys\n"
+            "from repro.core.persist import load_jsonl, save_jsonl\n"
+            "assert locale.getpreferredencoding(False).lower() "
+            "not in ('utf-8', 'utf8')\n"
+            "records = list(load_jsonl(sys.argv[1]))\n"
+            "assert records[-1].operator == 'T\\xe9l'\n"
+            "save_jsonl(records[:-1], sys.argv[2])\n")
+        again = str(tmp_path / "again.jsonl")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", script, path, again],
+                       env=env, check=True, timeout=60)
+        with open(again, "rb") as handle:
+            assert handle.read().isascii()
+        assert list(load_jsonl(again)) == list(load_jsonl(path))[:-1]
 
 
 class TestKindRoundTrip:

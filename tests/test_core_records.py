@@ -2,27 +2,37 @@
 dataclass; that type, and the three per-record functions that read
 every field of it, are kept here as the reference the tuple is held
 to: what one accepts, prints, serialises, decodes and rolls up, so
-does the other.  What the tuple newly allows is pinned at the end."""
+does the other.  What the tuple newly allows is pinned at the end.
+
+``reference_line`` is also what the serialiser was before it formatted
+a record's line instead of dumping it: one ``json.dumps`` of a
+fourteen-key dict.  The formatter is held to it byte for byte, and
+exception for exception, on everything the constructor lets through."""
 
 import copy
+import enum
 import json
 import os
 import pickle
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Optional
 
+import numpy
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
 from repro.analysis import rules
+from repro.backend.ingest import parse_batch_lines
 from repro.backend.rollups import RollupStore, log_bin
 from repro.core.persist import (
     _MALFORMED,
     _normalize_kind,
     _record_from_dict,
     decode_record_lines,
+    encode_batch,
     record_to_line,
 )
 from repro.core.records import FailureKind, MeasurementKind
@@ -412,6 +422,217 @@ def test_decode_agrees_with_the_reference(row, absent, spelling):
     assert line == reference_line(want[1])
     assert _record_from_dict(json.loads(line)) == record
     assert decode_record_lines([line, line]) == ([record] * 2, False)
+
+
+# -- the formatter against json.dumps ---------------------------------------
+
+class Port(enum.IntEnum):
+    HTTPS = 443
+
+
+class WireKind(str, enum.Enum):
+    TCP = "TCP"
+
+
+class Millis(float):
+    pass
+
+
+class Name(str):
+    pass
+
+
+class Pair(tuple):
+    pass
+
+
+#: Values the formatter must either write as ``json.dumps`` does or
+#: hand to ``json.dumps``, by the fields they go in.
+CASES = {
+    "an int rtt": {"rtt_ms": 5},
+    "a huge int rtt": {"rtt_ms": 10 ** 400},
+    "a bool rtt": {"rtt_ms": True},
+    "a float subclass rtt": {"rtt_ms": Millis(2.5)},
+    "a numpy float rtt": {"rtt_ms": numpy.float64(2.5)},
+    "a numpy float32 rtt": {"rtt_ms": numpy.float32(2.5)},
+    "a numpy int rtt": {"rtt_ms": numpy.int64(5)},
+    "a Decimal rtt": {"rtt_ms": Decimal("2.5")},
+    "a subnormal rtt": {"rtt_ms": 5e-324},
+    "1e22": {"rtt_ms": 1e22},
+    "1e-07": {"rtt_ms": 1e-07},
+    "1e16": {"rtt_ms": 1e16},
+    "a negative zero timestamp": {"timestamp_ms": -0.0},
+    "an int timestamp": {"timestamp_ms": -7},
+    "a Decimal timestamp": {"timestamp_ms": Decimal("1")},
+    "a bool port": {"dst_port": True},
+    "a bool uid": {"app_uid": False},
+    "an IntEnum port": {"dst_port": Port.HTTPS},
+    "an IntEnum uid": {"app_uid": Port.HTTPS},
+    "a numpy port": {"dst_port": numpy.int64(443)},
+    "a float uid": {"app_uid": 10.0},
+    "no port": {"dst_port": None},
+    "a text port": {"dst_port": "443"},
+    "a port past 64 bits": {"dst_port": 2 ** 70},
+    "a str-subclass kind": {"kind": Name("TCP")},
+    "a str-Enum kind": {"kind": WireKind.TCP},
+    "a str-subclass failure": {"failure": Name("timeout")},
+    "a str-subclass operator": {"operator": Name('Op"\xe9')},
+    "quotes and backslashes": {"operator": 'a"b\\c\\"d'},
+    "control characters": {"domain": "\x00\x01\x1f\x7f\b\f\n\r\t"},
+    "line separators": {"country": "  \x85\x0b\x0c\x1c"},
+    "non-BMP": {"app_package": "\U0001f600\U0010ffff"},
+    "lone surrogates": {"device_id": "\ud800 x \udfff\ud83d"},
+    "latin and CJK": {"operator": "T\xe9l\xe9com 中"},
+    "bytes for text": {"dst_ip": b"10.0.0.1"},
+    "a number for text": {"network_type": 4},
+    "every text None": dict.fromkeys(
+        ["app_package", "dst_ip", "domain", "network_type",
+         "operator", "country", "device_id", "failure"]),
+    "no location": {"location": None},
+    "a list location": {"location": [40.7, -74.0]},
+    "an int location": {"location": (40, -74)},
+    "a mixed location": {"location": [40, -74.5]},
+    "a bool location": {"location": (True, 0.5)},
+    "a long location": {"location": (1.5, 2.5, 3.5)},
+    "a short location": {"location": (1.5,)},
+    "an empty location": {"location": ()},
+    "a NaN location": {"location": (_NAN, 0.0)},
+    "an infinite location": {"location": [0.0, -_INF]},
+    "a text location": {"location": "ab"},
+    "a tuple-subclass location": {"location": Pair((1.5, 2.5))},
+    "a numpy location": {"location": numpy.array([1.5, 2.5])},
+    "a numpy int location": {"location": numpy.array([1, 2])},
+    "a Decimal location": {"location": (Decimal("1.5"), 2.0)},
+    "a dict location": {"location": {0: 1.5, 1: 2.5}},
+}
+
+#: What the reference makes of some of them: the rest of the table is
+#: only worth its place if these are what JSON says.
+WRITTEN = {
+    "an int rtt": '"rtt_ms": 5, ',
+    "a bool rtt": '"rtt_ms": true, ',
+    "a subnormal rtt": '"rtt_ms": 5e-324, ',
+    "1e22": '"rtt_ms": 1e+22, ',
+    "1e-07": '"rtt_ms": 1e-07, ',
+    "1e16": '"rtt_ms": 1e+16, ',
+    "a negative zero timestamp": '"timestamp_ms": -0.0, ',
+    "a bool port": '"dst_port": true, ',
+    "a bool uid": '"app_uid": false, ',
+    "an IntEnum port": '"dst_port": 443, ',
+    "a str-Enum kind": '{"kind": "TCP", ',
+    "quotes and backslashes": '"operator": "a\\"b\\\\c\\\\\\"d", ',
+    "control characters":
+        '"domain": "\\u0000\\u0001\\u001f\\u007f\\b\\f\\n\\r\\t", ',
+    "non-BMP": '"app_package": "\\ud83d\\ude00\\udbff\\udfff", ',
+    "lone surrogates": '"device_id": "\\ud800 x \\udfff\\ud83d", ',
+    "an int location": '"location": [40, -74]}',
+    "a bool location": '"location": [true, 0.5]}',
+    "a long location": '"location": [1.5, 2.5]}',
+    "a NaN location": '"location": [NaN, 0.0]}',
+    "an infinite location": '"location": [0.0, -Infinity]}',
+    "a text location": '"location": ["a", "b"]}',
+}
+RAISED = {
+    "a numpy float32 rtt": TypeError,
+    "a numpy int rtt": TypeError,
+    "a Decimal rtt": TypeError,
+    "a Decimal timestamp": TypeError,
+    "a numpy port": TypeError,
+    "bytes for text": TypeError,
+    "a short location": IndexError,
+    "an empty location": IndexError,
+    "a numpy int location": TypeError,
+    "a Decimal location": TypeError,
+}
+
+
+@pytest.mark.parametrize("case", list(CASES), ids=list(CASES))
+def test_the_formatted_line_is_the_dumped_line(case):
+    record = Record(**{**GOOD, **CASES[case]})
+    want = outcome(reference_line, record)
+    assert outcome(record_to_line, record) == want
+    if case in RAISED:
+        assert want[0] is RAISED[case]
+    else:
+        assert want[0] == "ok" and WRITTEN.get(case, "") in want[1]
+        assert encode_batch([record, record]) \
+            == (want[1] + "\n").encode("ascii") * 2
+
+
+_HOSTILE_TEXTS = st.one_of(
+    st.sampled_from([None, "", '"', "\\", "\\u0041", "\x7f", "\ud800",
+                     Name("sub"), "LTE", "wifi-usa", 0, b"raw"]),
+    st.text(st.characters(), max_size=8),
+    st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f  \xe9\ud83d'
+                            '\ude00\U0001f600'), max_size=6))
+_HOSTILE_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e22,
+                     1e23, 1e-07, 1e15, 1e16, 0.1 + 0.2, 1 / 3,
+                     1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_HOSTILE_INTS = st.one_of(
+    st.sampled_from([0, 5, -1, True, False, Port.HTTPS, 2 ** 70,
+                     10 ** 400, numpy.int64(7), None, 10.0, "443"]),
+    st.integers())
+_HOSTILE_NUMBERS = st.one_of(
+    _HOSTILE_FLOATS, _HOSTILE_INTS,
+    st.sampled_from([Millis(2.5), numpy.float64(2.5),
+                     numpy.float32(2.5), Decimal("2.5")]))
+_COORDINATES = st.one_of(
+    st.floats(), st.integers(), st.booleans(),
+    st.sampled_from([Millis(1.5), numpy.float64(1.5), Decimal("1.5"),
+                     "a", None]))
+_HOSTILE = dict(
+    kind=st.one_of(st.sampled_from(MeasurementKind.ALL),
+                   st.sampled_from([Name("DNS"), WireKind.TCP])),
+    rtt_ms=_HOSTILE_NUMBERS, timestamp_ms=_HOSTILE_NUMBERS,
+    app_package=_HOSTILE_TEXTS, app_uid=_HOSTILE_INTS,
+    dst_ip=_HOSTILE_TEXTS, dst_port=_HOSTILE_INTS,
+    domain=_HOSTILE_TEXTS, network_type=_HOSTILE_TEXTS,
+    operator=_HOSTILE_TEXTS, country=_HOSTILE_TEXTS,
+    device_id=_HOSTILE_TEXTS,
+    failure=st.sampled_from((None, None, Name("refused"))
+                            + FailureKind.ALL),
+    location=st.one_of(
+        st.none(),
+        st.lists(_COORDINATES, max_size=3),
+        st.lists(_COORDINATES, max_size=3).map(tuple),
+        st.sampled_from(["ab", Pair((1.5, 2.5)),
+                         numpy.array([1.5, 2.5]), {0: 1, 1: 2}])))
+assert tuple(_HOSTILE) == FIELDS
+_HOSTILE_FIELDS = st.fixed_dictionaries(_HOSTILE)
+
+
+@given(rows=st.lists(_HOSTILE_FIELDS, max_size=4))
+@settings(**_PROPERTY)
+def test_formatter_and_batch_agree_with_the_dumped_lines(rows):
+    """Byte for byte, exception for exception; and a batch is its
+    records' lines, which the upload parser takes apart again."""
+    records, lines = [], []
+    for fields in rows:
+        made = outcome(Record, **fields)
+        if made[0] != "ok":
+            continue
+        want = outcome(reference_line, made[1])
+        assert outcome(record_to_line, made[1]) == want
+        if want[0] == "ok":
+            assert want[1].isascii() and "\n" not in want[1]
+            records.append(made[1])
+            lines.append(want[1])
+        else:
+            with pytest.raises(want[0]):
+                encode_batch(records + [made[1]])
+    payload = encode_batch(records)
+    assert payload == "".join(line + "\n" for line in lines).encode()
+    assert encode_batch(iter(records)) == payload
+    # What the decoder makes of a line is canonical: those records
+    # come back from their own batch equal, their lines verbatim.
+    decoded = [decode_record_lines([line])[0] for line in lines]
+    canonical = [found[0] for found in decoded if found]
+    parsed, raw, truncated = parse_batch_lines(encode_batch(canonical))
+    assert (parsed, truncated) == (canonical, False)
+    assert raw == [record_to_line(record).encode()
+                   for record in canonical]
 
 
 # -- what the tuple newly allows --------------------------------------------

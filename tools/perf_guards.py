@@ -39,6 +39,12 @@ spread is measured, not by a wall clock read once here:
   wall -- with the merged digest byte-identical to a single collector
   ingesting everything.
 
+* ``encode``   -- a record is formatted, not dumped: 1,000 generated
+  records through ``record_to_line``, ``encode_batch`` and
+  ``append_records`` make no ``json.dumps`` call and build no dict,
+  the batch equals the shard file's own bytes, and a record with a
+  ``bool`` port makes exactly one of each per path (counts only).
+
 That a widened schema puts no work on the older kinds' rollup path --
 once two wall-clock A/Bs here -- is a count in tier-1
 (``tests/test_backend.py::TestAddWorkPerKind``).
@@ -46,7 +52,7 @@ once two wall-clock A/Bs here -- is a count in tier-1
 Run all (the default) or one by name::
 
     PYTHONPATH=src python tools/perf_guards.py \
-        [scaling|replay|query|snapshot|cluster]
+        [scaling|replay|query|snapshot|cluster|encode]
 
 Exit code 0 on pass, 1 on any guard failure.
 """
@@ -437,9 +443,57 @@ def guard_cluster(dataset):
     return 0
 
 
+def guard_encode(dataset):
+    """A record is formatted, not dumped: 1,000 generated records
+    through ``record_to_line``, ``encode_batch`` and ``append_records``
+    build no dict and call no ``json.dumps``, their batch is the shard
+    file's own bytes, and one record with a ``bool`` port -- which the
+    formatter passes on -- makes exactly one of each."""
+    from itertools import islice
+
+    from repro.core import persist
+    from repro.obs import Observability
+    from repro.store import StoreEngine
+
+    path = dataset.paths[0]
+    records = list(islice(persist.iter_jsonl(path), 1000))
+    with open(path, "rb") as handle:
+        on_disk = b"".join(islice(handle, len(records)))
+
+    def count(batch):
+        with mock.patch.object(persist, "json", wraps=json) as used, \
+                mock.patch.object(
+                    persist, "_record_to_dict",
+                    wraps=persist._record_to_dict) as to_dict, \
+                tempfile.TemporaryDirectory(prefix="guard-enc-") as root:
+            lines = "".join(persist.record_to_line(record) + "\n"
+                            for record in batch).encode()
+            same = lines == persist.encode_batch(batch)
+            engine = StoreEngine(root, obs=Observability())
+            engine.append_records(batch)
+            engine.close()
+            return used.dumps.call_count, to_dict.call_count, \
+                lines, same
+
+    dumps, dicts, lines, same = count(records)
+    odd_dumps, odd_dicts, _lines, odd_same = count(
+        [records[0]._replace(dst_port=True)])
+    print("encode: %d records x 3 paths -> %d json.dumps, %d dicts "
+          "built; one bool port x 3 paths -> %d and %d"
+          % (len(records), dumps, dicts, odd_dumps, odd_dicts))
+    if (dumps, dicts) != (0, 0):
+        return _fail("an ordinary record was dumped, not formatted")
+    if (odd_dumps, odd_dicts) != (3, 3):
+        return _fail("a bool port must be dumped once per path")
+    if not (same and odd_same and lines == on_disk):
+        return _fail("encode_batch, the joined lines and the shard "
+                     "file's bytes differ")
+    return 0
+
+
 GUARDS = {"scaling": guard_scaling, "replay": guard_replay,
           "query": guard_query, "snapshot": guard_snapshot,
-          "cluster": guard_cluster}
+          "cluster": guard_cluster, "encode": guard_encode}
 
 
 def main(argv):
