@@ -559,13 +559,14 @@ def cmd_store(args) -> int:
 def _print_store_summary(engine) -> None:
     import os
 
-    from repro.backend.rollups import RollupStore, _decode_key
+    from repro.backend.rollups import TABLE_SPECS
     from repro.store.engine import QUARANTINE_DIR
     from repro.store.segments import stored_order
     from repro.store.wal import replay
 
     info = engine.last_recovery
     readers = engine.segment_readers()
+    parts_width = max(len(",".join(spec.key)) for spec in TABLE_SPECS)
     print("data dir:       %s" % engine.data_dir)
     print("segments:       %d" % len(readers))
     for reader in readers:
@@ -575,16 +576,15 @@ def _print_store_summary(engine) -> None:
                  os.path.basename(reader.path),
                  reader.size_bytes(), footer["records"],
                  footer["schema"]))
-        for table in RollupStore.TABLES:
-            blocks = reader.blocks(table)
+        for spec in TABLE_SPECS:
+            blocks = reader.blocks(spec.name)
             if not blocks:
                 continue
-            # Stored part order, by storing the parts' own positions.
-            arity = len(_decode_key(blocks[0]["min"]))
-            order = stored_order(table, tuple(map(str, range(arity))))
-            print("    %-15s parts %-8s %6d rows %3d blocks  %s .. %s"
-                  % (table, ",".join(order), reader.rows(table),
-                     len(blocks), blocks[0]["min"], blocks[-1]["max"]))
+            print("    %-15s parts %-*s %6d rows %3d blocks  %s .. %s"
+                  % (spec.name, parts_width,
+                     ",".join(stored_order(spec.name, spec.key)),
+                     reader.rows(spec.name), len(blocks),
+                     blocks[0]["min"], blocks[-1]["max"]))
     frames = sum(len(replay(path).payloads)
                  for path in engine.wal_paths())
     print("wal:            %d file(s), %d frame(s), %d bytes%s"

@@ -75,22 +75,19 @@ class ChatDomainDegradationRule:
 
     def _summarise(self, rollups: RollupStore, suffix: str,
                    scale: float) -> Optional[Dict[str, object]]:
-        domain_table = rollups.table("watch_domain")
-        chat_hists: Dict[str, MergeHist] = {}
-        cdn_hists: List[MergeHist] = []
-        for key in sorted(domain_table):
-            key_suffix, cls, domain = key
-            if key_suffix != suffix:
-                continue
-            if cls == rules.CHAT:
-                chat_hists[domain] = domain_table[key]
-            else:
-                cdn_hists.append(domain_table[key])
+        chat_hists = {
+            domain: hist for (domain,), hist in rollups.fold(
+                "watch_domain", by=("domain",), suffix=suffix,
+                domain_class=rules.CHAT).items()}
         if not chat_hists:
             return None
 
         chat_all = _merged(list(chat_hists.values()))
-        cdn_all = _merged(cdn_hists)
+        cdn_all = _merged([
+            hist for (cls,), hist in rollups.fold(
+                "watch_domain", by=("domain_class",),
+                suffix=suffix).items()
+            if cls != rules.CHAT])
         chat_median = chat_all.median()
         cdn_median = cdn_all.median() if cdn_all.count else None
 
@@ -105,14 +102,10 @@ class ChatDomainDegradationRule:
                           if domain_medians else 0.0)
 
         # Per-network medians over the chat class (the 20-network
-        # table), merged across windows.
-        network_table = rollups.table("watch_network")
-        per_network: Dict[Tuple[str, str], MergeHist] = {}
-        for key in sorted(network_table):
-            key_suffix, cls, operator, tech = key
-            if key_suffix != suffix or cls != rules.CHAT:
-                continue
-            per_network[(operator, tech)] = network_table[key]
+        # table).
+        per_network = rollups.fold(
+            "watch_network", by=("operator", "network_type"),
+            suffix=suffix, domain_class=rules.CHAT)
         min_network = self.min_network_count * scale
         ranked = sorted(
             ((hist.count, operator, tech, hist)
@@ -150,26 +143,15 @@ class IspRttAnomalyRule:
         self.min_domain_count = min_domain_count
         self.min_samples = min_samples
 
-    def _per_operator(self, rollups: RollupStore, kind: str
-                      ) -> Dict[str, MergeHist]:
-        """LTE hists per operator for one record kind, merged across
-        windows (sorted iteration keeps evaluation deterministic)."""
-        out: Dict[str, MergeHist] = {}
-        table = rollups.table("network")
-        for key in sorted(table):
-            _window, operator, tech, key_kind = key
-            if tech != NetworkType.LTE or key_kind != kind:
-                continue
-            hist = out.get(operator)
-            if hist is None:
-                hist = out[operator] = MergeHist()
-            hist.merge(table[key])
-        return out
-
     def evaluate(self, rollups: RollupStore, scale: float
                  ) -> List[Finding]:
-        app = self._per_operator(rollups, MeasurementKind.TCP)
-        dns = self._per_operator(rollups, MeasurementKind.DNS)
+        # LTE hists per operator, merged across windows.
+        app = rollups.fold("network", by=("operator",),
+                           network_type=NetworkType.LTE,
+                           kind=MeasurementKind.TCP)
+        dns = rollups.fold("network", by=("operator",),
+                           network_type=NetworkType.LTE,
+                           kind=MeasurementKind.DNS)
         lte_domains = rollups.table("lte_domain")
         min_count = self.min_domain_count * scale
         min_samples = self.min_samples * scale
@@ -182,9 +164,8 @@ class IspRttAnomalyRule:
                 lte_domains[key]
 
         findings: List[Finding] = []
-        for operator in sorted(app):
-            app_hist = app[operator]
-            dns_hist = dns.get(operator)
+        for (operator,), app_hist in sorted(app.items()):
+            dns_hist = dns.get((operator,))
             if dns_hist is None or app_hist.count < min_samples:
                 continue
             app_median = app_hist.median()
@@ -257,32 +238,24 @@ class CoexistenceRule:
 
     def evaluate(self, rollups: RollupStore, scale: float
                  ) -> List[Finding]:
-        tput = rollups.table("app_throughput")
-        bulk = sum(tput[key].count for key in sorted(tput)
-                   if key[1] == rules.COEX_BULK_PACKAGE)
+        bulk = sum(hist.count for hist in rollups.fold(
+            "app_throughput",
+            app_package=rules.COEX_BULK_PACKAGE).values())
         if bulk < rules.COEX_MIN_BULK_SAMPLES:
             return []
         # Per-operator TCP hists over every technology, merged across
         # windows (the contention is on the access link, whatever the
         # radio).
-        per_operator: Dict[str, MergeHist] = {}
-        table = rollups.table("network")
-        for key in sorted(table):
-            _window, operator, _tech, kind = key
-            if kind != MeasurementKind.TCP:
-                continue
-            hist = per_operator.get(operator)
-            if hist is None:
-                hist = per_operator[operator] = MergeHist()
-            hist.merge(table[key])
+        per_operator = rollups.fold("network", by=("operator",),
+                                    kind=MeasurementKind.TCP)
         findings: List[Finding] = []
-        for operator in sorted(per_operator):
-            peers = _merged([hist for other, hist
+        for (operator,), hist in sorted(per_operator.items()):
+            peers = _merged([other_hist for other, other_hist
                              in per_operator.items()
-                             if other != operator])
+                             if other != (operator,)])
             if not peers.count:
                 continue
-            median = per_operator[operator].median()
+            median = hist.median()
             peer_median = peers.median()
             if rules.coexistence_verdict(median, peer_median, bulk):
                 findings.append(Finding(
@@ -314,31 +287,17 @@ class ProxyDivergenceRule:
 
     name = "proxy_divergence"
 
-    def _per_operator(self, rollups: RollupStore, kind: str
-                      ) -> Dict[str, MergeHist]:
-        """Hists per operator for one record kind over *every*
-        technology, merged across windows (a PEP sits in cellular and
-        satellite paths alike)."""
-        out: Dict[str, MergeHist] = {}
-        table = rollups.table("network")
-        for key in sorted(table):
-            _window, operator, _tech, key_kind = key
-            if key_kind != kind:
-                continue
-            hist = out.get(operator)
-            if hist is None:
-                hist = out[operator] = MergeHist()
-            hist.merge(table[key])
-        return out
-
     def evaluate(self, rollups: RollupStore, scale: float
                  ) -> List[Finding]:
-        syn = self._per_operator(rollups, MeasurementKind.TCP)
-        app = self._per_operator(rollups, MeasurementKind.APP_RTT)
+        # Per operator over *every* technology, merged across windows
+        # (a PEP sits in cellular and satellite paths alike).
+        syn = rollups.fold("network", by=("operator",),
+                           kind=MeasurementKind.TCP)
+        app = rollups.fold("network", by=("operator",),
+                           kind=MeasurementKind.APP_RTT)
         findings: List[Finding] = []
-        for operator in sorted(app):
-            app_hist = app[operator]
-            syn_hist = syn.get(operator)
+        for (operator,), app_hist in sorted(app.items()):
+            syn_hist = syn.get((operator,))
             if syn_hist is None or not syn_hist.count:
                 continue
             syn_median = syn_hist.median()

@@ -31,8 +31,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import Observability, get_default
 
-from repro.backend.rollups import RollupConfig, RollupStore
-from repro.backend.shardmerge import MergeAccumulator, pack_store
+from repro.backend.rollups import RollupConfig, RollupStore, _decode_key
 from repro.core.persist import decode_record_lines, iter_jsonl
 from repro.core.records import MeasurementRecord
 
@@ -241,10 +240,7 @@ class IngestPipeline:
         self.load.reset()
         if self.store is None:
             self._dedup.clear()
-            self.rollups.records = 0
-            self.rollups.failure_records = 0
-            for name in self.rollups.TABLES:
-                self.rollups.tables[name].clear()
+            self.rollups.clear()
 
     # -- cluster dedup handoff ----------------------------------------
 
@@ -328,42 +324,76 @@ def _balance_chunks(paths: List[str], workers: int) -> List[List[str]]:
     return [chunk for chunk in chunks if chunk]
 
 
-def _ingest_shard_chunk(task: Tuple[int, List[str], dict]
-                        ) -> Tuple[int, dict, int, float]:
+#: A store as it crosses ``fork``: the two record counters and every
+#: table as the block payload a checkpoint stores it as.
+ShardPart = Tuple[int, int, Dict[str, bytes]]
+
+
+def _pack_shard_part(store: RollupStore) -> ShardPart:
+    # Imported here: repro.store imports this module.
+    from repro.store.encoding import encode_block
+    from repro.store.segments import sorted_rows
+
+    return (store.records, store.failure_records,
+            {name: encode_block(sorted_rows(rows))
+             for name, rows in store.tables.items()})
+
+
+def _fold_shard_part(merged: Optional[RollupStore],
+                     config: RollupConfig, part: ShardPart
+                     ) -> RollupStore:
+    """One worker's part onto ``merged``: every table decoded and
+    checked whole (``decode_block``; a ``ValueError`` leaves ``merged``
+    as it was), then the first part adopted and any later one merged."""
+    from repro.store.encoding import decode_block
+
+    store = RollupStore(config=config)
+    store.records, store.failure_records, blocks = part
+    for name in store.tables:
+        store.tables[name] = {
+            _decode_key(text): hist
+            for text, hist in decode_block(blocks[name]).rows()}
+    if merged is None:
+        return store
+    merged.merge(store)
+    return merged
+
+
+def _ingest_shard_chunk(task: Tuple[List[str], dict]
+                        ) -> Tuple[float, ShardPart]:
     """Worker entry point: roll up one chunk of JSONL shard files and
-    return it *packed* (see :mod:`repro.backend.shardmerge`), so the
-    expensive part of serialisation happens in the worker and the
-    parent receives a few flat arrays instead of a pickled store.
+    return its wall seconds and the store *packed*, so the gather and
+    the serialisation happen in the worker and the parent receives
+    eight byte strings instead of a pickled store.
 
     The store is built from the files alone -- never from inherited
     parent state -- and histogram merge is commutative, so scheduling
     and arrival order cannot perturb the digest.
     """
-    index, paths, config_kwargs = task
+    paths, config_kwargs = task
     store = RollupStore(config=RollupConfig(**config_kwargs))
     started = time.time()
-    count = 0
     for path in paths:
-        count += store.add_all(iter_jsonl(path))
-    return index, pack_store(store), count, time.time() - started
+        store.add_all(iter_jsonl(path))
+    part = _pack_shard_part(store)
+    return time.time() - started, part
 
 
 def ingest_shard_files(paths: List[str],
                        config: Optional[RollupConfig] = None,
                        workers: int = 1,
-                       obs: Optional[Observability] = None,
-                       report: Optional[dict] = None) -> RollupStore:
+                       obs: Optional[Observability] = None
+                       ) -> RollupStore:
     """Roll up a sharded dataset with a worker pool and merge
     deterministically (same digest for any ``workers``).
 
     Shards are balanced into one chunk per worker by byte size; each
-    worker packs its chunk's rollups compactly and the parent folds
-    packs in completion order (no barrier) through a
-    :class:`~repro.backend.shardmerge.MergeAccumulator`, finalising
-    once -- parent-side merge cost does not grow with ``workers``.
-    Pass ``report`` (a dict) to receive per-worker wall times and the
-    parent-side merge wall, which is what the scaling benchmark
-    decomposes.
+    worker returns its chunk's rollups as block payloads and the
+    parent folds them in completion order (no barrier): the first
+    part is adopted, the rest ``merge``d.  The gauges
+    ``backend.ingest_worker_wall_ms`` and
+    ``backend.ingest_merge_wall_ms`` split the run into its parallel
+    and its serial part.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -375,7 +405,7 @@ def ingest_shard_files(paths: List[str],
     merge_wall = 0.0
     if len(chunks) <= 1:
         # Single worker (or a single chunk): build the store directly,
-        # no pack/unpack round trip to pay for.
+        # no encode/decode round trip to pay for.
         merged = RollupStore(config=config)
         total = 0
         for path in paths:
@@ -384,25 +414,19 @@ def ingest_shard_files(paths: List[str],
             worker_walls.append(time.time() - shard_start)
         worker_walls = [sum(worker_walls)] if worker_walls else []
     else:
-        tasks = [(index, chunk, config.to_dict())
-                 for index, chunk in enumerate(chunks)]
-        accumulator = MergeAccumulator(config)
-        worker_walls = [0.0] * len(tasks)
-        total = 0
+        tasks = [(chunk, config.to_dict()) for chunk in chunks]
+        merged = None
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
         with ctx.Pool(processes=len(tasks)) as pool:
-            for index, packed, count, wall in pool.imap_unordered(
-                    _ingest_shard_chunk, tasks):
+            for wall, part in pool.imap_unordered(_ingest_shard_chunk,
+                                                   tasks):
                 fold_start = time.time()
-                accumulator.add(packed)
+                merged = _fold_shard_part(merged, config, part)
                 merge_wall += time.time() - fold_start
-                worker_walls[index] = wall
-                total += count
-        fold_start = time.time()
-        merged = accumulator.finalize()
-        merge_wall += time.time() - fold_start
+                worker_walls.append(wall)
+        total = merged.records + merged.failure_records
     elapsed = time.time() - started
     obs.inc("backend.records_ingested", total)
     obs.set_gauge("backend.rollup_groups", merged.group_count())
@@ -413,13 +437,4 @@ def ingest_shard_files(paths: List[str],
         obs.set_gauge("backend.ingest_records_per_sec",
                       total / elapsed)
     merged.meta.update({"workers": workers, "shards": len(paths)})
-    if report is not None:
-        report.update({
-            "workers": workers,
-            "chunks": [len(chunk) for chunk in chunks] or [len(paths)],
-            "worker_walls_s": [round(wall, 3) for wall in worker_walls],
-            "merge_wall_s": round(merge_wall, 3),
-            "elapsed_s": round(elapsed, 3),
-            "mode": "arrays" if len(chunks) > 1 else "inline",
-        })
     return merged

@@ -26,27 +26,14 @@ def summary(rollups: RollupStore) -> Dict[str, object]:
     }
 
 
-def _merge_over_windows(rollups: RollupStore, table: str,
-                        key_slice: slice) -> Dict[tuple, MergeHist]:
-    """Collapse a windowed table onto the key fields in ``key_slice``."""
-    out: Dict[tuple, MergeHist] = {}
-    for key, hist in rollups.iter_table(table):
-        subkey = key[key_slice]
-        merged = out.get(subkey)
-        if merged is None:
-            merged = out[subkey] = MergeHist()
-        merged.merge(hist)
-    return out
-
-
 def apps(rollups: RollupStore, top: Optional[int] = 20
          ) -> List[Dict[str, object]]:
     """Per-app RTT table, merged across windows, by volume."""
-    merged = _merge_over_windows(rollups, "app", slice(1, 2))
-    rows = [{"app": key[0], "count": hist.count,
+    merged = rollups.fold("app", by=("app_package",))
+    rows = [{"app": app, "count": hist.count,
              "median_ms": round(hist.median(), 2),
              "p90_ms": round(hist.quantile(0.9), 2)}
-            for key, hist in merged.items()]
+            for (app,), hist in merged.items()]
     rows.sort(key=lambda row: (-row["count"], row["app"]))
     return rows[:top] if top else rows
 
@@ -54,7 +41,8 @@ def apps(rollups: RollupStore, top: Optional[int] = 20
 def networks(rollups: RollupStore, top: Optional[int] = 20
              ) -> List[Dict[str, object]]:
     """Per-(operator, technology) table with the app/DNS contrast."""
-    merged = _merge_over_windows(rollups, "network", slice(1, 4))
+    merged = rollups.fold("network",
+                          by=("operator", "network_type", "kind"))
     grouped: Dict[tuple, Dict[str, MergeHist]] = {}
     for (operator, tech, kind), hist in merged.items():
         grouped.setdefault((operator, tech), {})[kind] = hist
@@ -76,14 +64,13 @@ def networks(rollups: RollupStore, top: Optional[int] = 20
 
 def windows(rollups: RollupStore) -> List[Dict[str, object]]:
     """Per-window volume and app-RTT median (coarse Figure 10)."""
-    per_window: Dict[str, Dict[str, MergeHist]] = {}
-    for key, hist in rollups.iter_table("network"):
-        window, _operator, _tech, kind = key
-        per_window.setdefault(window, {}).setdefault(
-            kind, MergeHist()).merge(hist)
+    by_window: Dict[str, Dict[str, MergeHist]] = {}
+    for (window, kind), hist in rollups.fold(
+            "network", by=("window", "kind")).items():
+        by_window.setdefault(window, {})[kind] = hist
     rows = []
-    for window in sorted(per_window, key=int):
-        kinds = per_window[window]
+    for window in sorted(by_window, key=int):
+        kinds = by_window[window]
         tcp = kinds.get(MeasurementKind.TCP, MergeHist())
         total = sum(hist.count for hist in kinds.values())
         rows.append({

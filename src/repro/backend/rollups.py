@@ -15,16 +15,11 @@ offline ``StreamingCDF(max_x=8000.0, n_bins=32000)`` used by the
 ``*_stream`` analyses, so backend quantiles agree with offline ones to
 within one bin.
 
-A :class:`RollupStore` keys histograms four ways:
-
-* ``network``  -- (window, operator, network_type, kind): the per-ISP
-  RTT/DNS tables, windowed by sim time.
-* ``app``      -- (window, app_package, kind): the per-app tables.
-* ``watch``    -- (suffix, class, domain) and (suffix, class,
-  operator, network_type) for configured watch suffixes
-  (default ``whatsapp.net``): Case 1's chat/CDN split.
-* ``lte_domain`` -- (domain, operator) over LTE app RTTs: Case 2's
-  cross-ISP comparison.
+What a :class:`RollupStore` keys its histograms by -- each table's
+name, key parts, feeding record kinds, bin grid, unit and stored
+order -- is written once, in :data:`TABLE_SPECS`; everything that
+reads a table by its shape (segments, retention, the serving tier,
+``store inspect``, the docs tables) reads it from there.
 
 Snapshots serialise with sorted keys and fixed separators; the digest
 is the SHA-256 of those bytes.
@@ -52,6 +47,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -79,7 +75,7 @@ _SEP = "|"
 _EPOCHS = itertools.count(1)
 
 #: Snapshot wire-format version: the ``schema`` key, escaped key text,
-#: every table of ``RollupStore.TABLES``.  The one version written and
+#: every table of :data:`TABLE_SPECS`.  The one version written and
 #: read; any other is refused, :class:`UnsupportedSchema`.
 SNAPSHOT_SCHEMA = 3
 
@@ -101,8 +97,8 @@ class UnsupportedSchema(ValueError):
 #: 0.25-unit grid would waste resolution at the bottom and overflow at
 #: the top.  Values map onto the *same* [0, N_BINS) integer index
 #: space as the RTT grid -- bin = round(BINS_PER_DECADE * log10(v/V0))
-#: -- so every downstream codec (segments, checkpoints, shardmerge's
-#: gid*stride+bin packing) works on modality histograms unchanged.
+#: -- so the block codec (segments, checkpoints, forked ingest) works
+#: on modality histograms unchanged.
 LOG_BINS_PER_DECADE = 2000
 LOG_BIN_FLOOR = 1e-3
 
@@ -321,6 +317,81 @@ def _decode_key(text: str) -> Key:
     return tuple(parts)
 
 
+class TableSpec(NamedTuple):
+    """One rollup table, said once."""
+    name: str
+    #: The key's parts by name, in the order ``RollupStore`` and every
+    #: digest key them.
+    key: Tuple[str, ...]
+    #: The record kinds :meth:`RollupStore.add` routes here.
+    kinds: Tuple[str, ...]
+    #: ``linear`` (``BIN_WIDTH_MS`` bins) or ``log`` (:func:`log_bin`).
+    grid: str
+    #: What a bin's value measures: ``ms``, ``kb_s`` or ``mj``.
+    unit: str
+    #: Read one subject (app, operator) at a time, so segments -- and
+    #: only segments -- store it subject-first, the first two key
+    #: parts swapped (:func:`repro.store.segments.stored_order`).
+    subject_major: bool
+
+    @property
+    def windowed(self) -> bool:
+        """Keyed window-first: retention evicts its old rows."""
+        return self.key[0] == "window"
+
+
+TABLE_SPECS: Tuple[TableSpec, ...] = (
+    TableSpec("network", ("window", "operator", "network_type", "kind"),
+              (MeasurementKind.TCP, MeasurementKind.DNS,
+               MeasurementKind.APP_RTT), "linear", "ms", True),
+    TableSpec("app", ("window", "app_package", "kind"),
+              (MeasurementKind.TCP, MeasurementKind.APP_RTT),
+              "linear", "ms", True),
+    TableSpec("watch_domain", ("suffix", "domain_class", "domain"),
+              (MeasurementKind.TCP,), "linear", "ms", False),
+    TableSpec("watch_network",
+              ("suffix", "domain_class", "operator", "network_type"),
+              (MeasurementKind.TCP,), "linear", "ms", False),
+    TableSpec("lte_domain", ("domain", "operator"),
+              (MeasurementKind.TCP,), "linear", "ms", False),
+    TableSpec("app_throughput", ("window", "app_package", "kind"),
+              (MeasurementKind.TPUT_UP, MeasurementKind.TPUT_DOWN),
+              "log", "kb_s", True),
+    TableSpec("app_energy", ("window", "app_package"),
+              (MeasurementKind.ENERGY,), "log", "mj", True),
+    TableSpec("aoi", ("window", "device_id", "network_type"),
+              (MeasurementKind.AOI,), "log", "ms", False),
+)
+
+#: :data:`TABLE_SPECS` by table name.
+SPEC_BY_TABLE: Dict[str, TableSpec] = {spec.name: spec
+                                       for spec in TABLE_SPECS}
+
+
+def _check_specs() -> None:
+    """What readers of :data:`TABLE_SPECS` take for granted: known
+    kinds only, every kind routed, one grid per kind, and a window
+    ahead of every subject that is stored first."""
+    grids: Dict[str, str] = {}
+    for spec in TABLE_SPECS:
+        if spec.subject_major and not spec.windowed:
+            raise ValueError("table %r: subject-major without a window "
+                             "to swap the subject with" % spec.name)
+        for kind in spec.kinds:
+            if kind not in MeasurementKind.ALL:
+                raise ValueError("table %r is fed by unknown kind %r"
+                                 % (spec.name, kind))
+            if grids.setdefault(kind, spec.grid) != spec.grid:
+                raise ValueError("kind %r lands on two grids" % kind)
+    unrouted = set(MeasurementKind.ALL) - set(grids)
+    if unrouted:
+        raise ValueError("kinds that feed no table: %s"
+                         % sorted(unrouted))
+
+
+_check_specs()
+
+
 class RollupStore:
     """Live aggregates the backend serves queries from.
 
@@ -329,18 +400,7 @@ class RollupStore:
     stores built by parallel ingest workers.
     """
 
-    TABLES = ("network", "app", "watch_domain", "watch_network",
-              "lte_domain", "app_throughput", "app_energy", "aoi")
-
-    #: Tables added by the modality work (PR 9).
-    MODALITY_TABLES = ("app_throughput", "app_energy", "aoi")
-
-    #: Tables read one subject (app, operator) at a time.  Keyed
-    #: window-first here and in every digest; segments alone store
-    #: them subject-first, the first two key parts swapped
-    #: (:func:`repro.store.segments.stored_order`).
-    SUBJECT_MAJOR_TABLES = ("network", "app", "app_throughput",
-                            "app_energy")
+    TABLES = tuple(spec.name for spec in TABLE_SPECS)
 
     def __init__(self, config: Optional[RollupConfig] = None,
                  meta: Optional[Dict[str, object]] = None) -> None:
@@ -430,6 +490,14 @@ class RollupStore:
                        (window, device_id or "unknown",
                         tech)).add_bin(log_bin(rtt))
 
+    def clear(self) -> None:
+        """Empty the store in place (whoever holds it -- a pipeline
+        its memtable -- keeps the same object)."""
+        self.records = 0
+        self.failure_records = 0
+        for rows in self.tables.values():
+            rows.clear()
+
     def add_all(self, records: Iterable[MeasurementRecord]) -> int:
         n = 0
         for record in records:
@@ -474,16 +542,35 @@ class RollupStore:
     def group_count(self) -> int:
         return sum(len(t) for t in self.tables.values())
 
-    #: Tables whose key tuples lead with the window number.
-    WINDOWED_TABLES = ("network", "app", "app_throughput",
-                       "app_energy", "aoi")
-
     def windows(self) -> List[int]:
         """Ascending; each distinct window parsed once, not per row."""
         seen = set()
-        for table in self.WINDOWED_TABLES:
-            seen.update({key[0] for key in self.tables[table]})
+        for spec in TABLE_SPECS:
+            if spec.windowed:
+                seen.update({key[0] for key in self.tables[spec.name]})
         return sorted({int(window) for window in seen})
+
+    def fold(self, table: str, by: Sequence[str] = (),
+             **where: str) -> Dict[Key, MergeHist]:
+        """The rows of ``table`` whose named key parts equal
+        ``where``, merged onto the parts named in ``by`` (none: one
+        histogram under ``()``).  Parts are named as the table's
+        :class:`TableSpec` names them; rows are visited in sorted key
+        order and the histograms returned are the caller's own."""
+        parts = SPEC_BY_TABLE[table].key
+        picks = [parts.index(part) for part in by]
+        tests = [(parts.index(part), value)
+                 for part, value in where.items()]
+        out: Dict[Key, MergeHist] = {}
+        for key, hist in self.iter_table(table):
+            if any(key[at] != value for at, value in tests):
+                continue
+            onto = tuple(key[at] for at in picks)
+            merged = out.get(onto)
+            if merged is None:
+                merged = out[onto] = MergeHist()
+            merged.merge(hist)
+        return out
 
     def iter_table(self, name: str) -> Iterator[Tuple[Key, MergeHist]]:
         table = self.tables[name]

@@ -313,17 +313,20 @@ def _merge_rollup(total: Optional[RollupStore],
 
 
 def _run_chaos_shard(task: Tuple[str, int, int, int, str,
-                                 Optional[int]]
+                                 Optional[int]],
+                     scenario: Optional[Scenario] = None
                      ) -> Tuple[int, int, str,
                                 Dict[str, Dict[str, int]],
                                 Dict[str, int],
                                 Optional[Dict[str, object]]]:
     """Worker entry point: one contiguous device range -> one shard.
     Rebuilds everything from (scenario name, seed) so fork and spawn
-    behave identically."""
+    behave identically; the inline path hands in ``scenario`` itself,
+    which need not be a registry one."""
     scenario_name, seed, device_lo, device_hi, path, cluster_nodes \
         = task
-    scenario = get_scenario(scenario_name)
+    if scenario is None:
+        scenario = get_scenario(scenario_name)
     plan = scenario.plan(seed)
     sha = hashlib.sha256()
     count = 0
@@ -418,7 +421,8 @@ class ChaosRunner:
                   shard_path(shard_dir, index), self.cluster_nodes)
                  for index in range(len(devices))]
         if self.workers == 1:
-            outcomes = [self._run_inline(task) for task in tasks]
+            outcomes = [_run_chaos_shard(task, self.scenario)
+                        for task in tasks]
         else:
             methods = multiprocessing.get_all_start_methods()
             ctx = multiprocessing.get_context(
@@ -440,30 +444,6 @@ class ChaosRunner:
             rollup = _merge_rollup(rollup, snapshot)
         result.rollups = rollup
         return result
-
-    def _run_inline(self, task):
-        """Single-process path: honours a non-registry Scenario object
-        while sharing the exact serialisation code of the worker."""
-        if SCENARIOS.get(self.scenario.name) is self.scenario:
-            return _run_chaos_shard(task)
-        _name, seed, device_lo, device_hi, path, cluster_nodes = task
-        plan = self.scenario.plan(seed)
-        sha = hashlib.sha256()
-        count = 0
-        counts: Dict[str, Dict[str, int]] = {}
-        stats: Dict[str, int] = {}
-        rollup: Optional[RollupStore] = None
-        with open(path, "wb") as handle:
-            for device_index in range(device_lo, device_hi):
-                run = run_device_world(self.scenario, plan, seed,
-                                       device_index,
-                                       cluster_nodes=cluster_nodes)
-                count += write_records(handle, run.records, sha)
-                _merge_counts(counts, run.counts)
-                _merge_stats(stats, run.stats)
-                rollup = _merge_rollup(rollup, run.rollup)
-        return (device_lo, count, sha.hexdigest(), counts, stats,
-                rollup.snapshot() if rollup is not None else None)
 
 
 __all__ = ["ChaosResult", "ChaosRunner", "DeviceRun", "run_device_world",

@@ -43,6 +43,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.backend import query as backend_query
 from repro.backend.rollups import (
     BIN_WIDTH_MS,
+    SPEC_BY_TABLE,
+    TABLE_SPECS,
     Key,
     MergeHist,
     RollupStore,
@@ -84,41 +86,41 @@ class QueryError(Exception):
     segment, quarantined file).  The message names the file."""
 
 
-def _quantiles(hist: MergeHist) -> Dict[str, float]:
-    median, p90, p99 = hist.quantile_indices((0.5, 0.9, 0.99))
-    return {"median_ms": round(median * BIN_WIDTH_MS, 2),
-            "p90_ms": round(p90 * BIN_WIDTH_MS, 2),
-            "p99_ms": round(p99 * BIN_WIDTH_MS, 2)}
+_QUANTILES = (0.5, 0.9, 0.99)
+#: Their field names, per unit a table is in.
+_FIELDS = {unit: ("median_" + unit, "p90_" + unit, "p99_" + unit)
+           for unit in {spec.unit for spec in TABLE_SPECS}}
 
 
-# Modality tables aggregate on the shared log grid; their quantile
-# indices must decode through log_bin_value, and each carries its own
-# unit (KB/s, mJ, staleness ms) -- see docs/MODALITIES.md.
-MODALITY_UNITS = {"app_throughput": "kb_s",
-                  "app_energy": "mj",
-                  "aoi": "ms"}
+def _summary(hist: MergeHist, table: str, p99: bool = True
+             ) -> Dict[str, float]:
+    """Median, p90 and (unless ``p99`` is off) p99 of one histogram
+    of ``table`` -- a stored row or a fold of several -- decoded by
+    the table's grid and labelled by its unit (``median_ms``,
+    ``p90_kb_s``, ...), from one pass over the bins.  Written out
+    value by value: a panel calls this once per window."""
+    spec = SPEC_BY_TABLE[table]
+    median_field, p90_field, p99_field = _FIELDS[spec.unit]
+    median, p90, top = hist.quantile_indices(_QUANTILES)
+    if spec.grid == "log":
+        out = {median_field: round(log_bin_value(median), 3),
+               p90_field: round(log_bin_value(p90), 3),
+               p99_field: round(log_bin_value(top), 3)}
+    else:
+        out = {median_field: round(median * BIN_WIDTH_MS, 2),
+               p90_field: round(p90 * BIN_WIDTH_MS, 2),
+               p99_field: round(top * BIN_WIDTH_MS, 2)}
+    if not p99:
+        del out[p99_field]
+    return out
 
 
-def _log_quantiles(hist: MergeHist, unit: str) -> Dict[str, float]:
-    median, p90, p99 = hist.quantile_indices((0.5, 0.9, 0.99))
-    return {"median_%s" % unit: round(log_bin_value(median), 3),
-            "p90_%s" % unit: round(log_bin_value(p90), 3),
-            "p99_%s" % unit: round(log_bin_value(p99), 3)}
-
-
-def _log_summary(hist: MergeHist, unit: str
-                 ) -> Optional[Dict[str, object]]:
-    """count/median/p90 summary of a log-grid modality histogram
-    (throughput, energy, AoI) -- quantile indices decoded through
-    :func:`log_bin_value` instead of the linear RTT grid."""
+def _counted(hist: MergeHist, table: str, p99: bool = True
+             ) -> Optional[Dict[str, object]]:
+    """``count`` and :func:`_summary`, or None of an empty fold."""
     if hist.count == 0:
         return None
-    median, p90 = hist.quantile_indices((0.5, 0.9))
-    return {
-        "count": hist.count,
-        "median_%s" % unit: round(log_bin_value(median), 3),
-        "p90_%s" % unit: round(log_bin_value(p90), 3),
-    }
+    return dict([("count", hist.count)], **_summary(hist, table, p99))
 
 
 def _fold(out: Dict[Key, MergeHist], key: Key, hist: MergeHist) -> None:
@@ -237,15 +239,12 @@ class ReadView:
     def table_rows(self, name: str, top: Optional[int] = None
                    ) -> List[Dict[str, object]]:
         """Raw rows of one rollup table, highest volume first."""
-        if name not in RollupStore.TABLES:
+        if name not in SPEC_BY_TABLE:
             raise QueryError("unknown table %r; tables are %s"
                              % (name, ", ".join(RollupStore.TABLES)))
         self._count_query()
-        unit = MODALITY_UNITS.get(name)
-        summarize = (_quantiles if unit is None
-                     else lambda hist: _log_quantiles(hist, unit))
         rows = [dict([("key", list(key)), ("count", hist.count)],
-                     **summarize(hist))
+                     **_summary(hist, name))
                 for key, hist in self._scan_table(name).items()]
         rows.sort(key=lambda row: (-row["count"], row["key"]))
         return rows[:top] if top is not None else rows
@@ -326,7 +325,7 @@ class ReadView:
         if not wanted:
             return {}
         n = lengths[0]
-        if n == 1 and table in RollupStore.SUBJECT_MAJOR_TABLES:
+        if n == 1 and SPEC_BY_TABLE[table].subject_major:
             raise ValueError("table %r is stored subject-first: a "
                              "window alone is not a range of it"
                              % table)
@@ -344,7 +343,7 @@ class ReadView:
         second key part), whatever the window, merged across segments
         + memtable: **one contiguous range per segment**, so zone maps
         leave the one or two blocks that hold the subject."""
-        if table not in RollupStore.SUBJECT_MAJOR_TABLES:
+        if not SPEC_BY_TABLE[table].subject_major:
             raise ValueError("table %r is not stored subject-first"
                              % table)
         return self._merge_ranges(
@@ -438,7 +437,7 @@ class ReadView:
             hist = by_window[window]
             rows.append(dict([("window", window),
                               ("count", hist.count)],
-                             **_quantiles(hist)))
+                             **_summary(hist, "app")))
             overall.merge(hist)
         up = MergeHist()
         down = MergeHist()
@@ -457,13 +456,13 @@ class ReadView:
             "panel": "app",
             "app": app,
             "windows": rows,
-            "overall": (dict([("count", overall.count)],
-                             **_quantiles(overall))
-                        if overall.count else None),
-            "throughput": {"up": _log_summary(up, "kb_s"),
-                           "down": _log_summary(down, "kb_s")},
-            "energy": _log_summary(energy, "mj"),
-            "aoi": _log_summary(self._fleet_aoi_hist(scan), "ms"),
+            "overall": _counted(overall, "app"),
+            "throughput": {
+                "up": _counted(up, "app_throughput", p99=False),
+                "down": _counted(down, "app_throughput", p99=False)},
+            "energy": _counted(energy, "app_energy", p99=False),
+            "aoi": _counted(self._fleet_aoi_hist(scan), "aoi",
+                            p99=False),
         }
 
     def network_panel(self, operator: str, scan: bool = False
@@ -531,11 +530,9 @@ class ReadView:
             "technologies": [
                 dict([("technology", tech),
                       ("count", by_tech[tech].count)],
-                     **_quantiles(by_tech[tech]))
+                     **_summary(by_tech[tech], "network"))
                 for tech in sorted(by_tech)],
-            "overall": (dict([("count", overall.count)],
-                             **_quantiles(overall))
-                        if overall.count else None),
+            "overall": _counted(overall, "network"),
         }
 
 

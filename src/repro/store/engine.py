@@ -66,8 +66,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.backend.ingest import DEDUP_CAPACITY
-from repro.backend.rollups import (RollupConfig, RollupStore,
-                                   UnsupportedSchema)
+from repro.backend.rollups import (TABLE_SPECS, RollupConfig,
+                                   RollupStore, UnsupportedSchema)
 from repro.core.persist import (decode_record_lines, encode_batch,
                                 encode_chunks)
 from repro.core.records import MeasurementRecord
@@ -437,15 +437,6 @@ class StoreEngine:
 
     # -- flush ---------------------------------------------------------
 
-    @staticmethod
-    def _clear_store(store: RollupStore) -> None:
-        """Empty a RollupStore in place (object identity matters: the
-        pipeline holds a reference to the memtable)."""
-        store.records = 0
-        store.failure_records = 0
-        for name in RollupStore.TABLES:
-            store.tables[name].clear()
-
     def _memtable_empty(self) -> bool:
         return self.memtable.records == 0 and \
             self.memtable.failure_records == 0 and \
@@ -507,7 +498,7 @@ class StoreEngine:
         stale_checkpoints = self._checkpoints
         self._checkpoints = []
         name = self._flush_store(self.memtable)
-        self._clear_store(self.memtable)
+        self.memtable.clear()
         for entry in stale_checkpoints:
             try:
                 os.remove(self._checkpoint_path(entry["name"]))
@@ -602,8 +593,10 @@ class StoreEngine:
         cutoff = self.rollup_config.window_of(
             now_ms - self.config.retention_ms)
         evicted_windows = set()
-        for table in RollupStore.WINDOWED_TABLES:
-            rows = store.tables[table]
+        for spec in TABLE_SPECS:
+            if not spec.windowed:
+                continue
+            rows = store.tables[spec.name]
             for key in [k for k in rows if int(k[0]) < cutoff]:
                 evicted_windows.add(int(key[0]))
                 del rows[key]
@@ -619,7 +612,7 @@ class StoreEngine:
         only what commit()/checkpoint()/flush() forced to disk
         survives."""
         self.wal.crash()
-        self._clear_store(self.memtable)
+        self.memtable.clear()
         self.dedup.clear()
         del self.findings[:]
         self._segments = []
@@ -662,7 +655,7 @@ class StoreEngine:
         info = RecoveryInfo()
         if self.wal is not None:
             self.wal.crash()            # drop buffers, release handle
-        self._clear_store(self.memtable)
+        self.memtable.clear()
         self.dedup.clear()
         del self.findings[:]
         self._segments = []

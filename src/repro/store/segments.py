@@ -10,11 +10,12 @@ Layout, front to back::
 
 Each rollup table's rows are sorted by **stored key text** -- the
 key's parts in *stored order* (:func:`stored_order`: subject before
-window for ``RollupStore.SUBJECT_MAJOR_TABLES``, as keyed otherwise;
-nothing outside this module knows it), joined by ``_encode_key`` --
-and split into blocks of at most ``block_rows`` rows, each one
-columnar payload (:func:`repro.store.encoding.encode_block`) deflated
-with zlib before framing (the CRC covers the compressed bytes).  Two
+window where the table's ``TableSpec`` says ``subject_major``, as
+keyed otherwise; nothing outside this module knows it), joined by
+``_encode_key`` -- and split into blocks of at most ``block_rows``
+rows, each one columnar payload
+(:func:`repro.store.encoding.encode_block`) deflated with zlib
+before framing (the CRC covers the compressed bytes).  Two
 stores with equal content produce byte-identical segments regardless
 of insertion order or ``PYTHONHASHSEED``.
 
@@ -72,6 +73,7 @@ from repro.backend.rollups import (
     MergeHist,
     RollupConfig,
     RollupStore,
+    SPEC_BY_TABLE,
     UnsupportedSchema,
     _SEP,
     _decode_key,
@@ -143,7 +145,7 @@ def stored_order(name: str, parts: Key) -> Key:
     """A key of table ``name``, or its leading parts, from keyed to
     segment-stored order **or back**: a subject-major table swaps its
     first two parts (its own inverse); all else is stored as keyed."""
-    if len(parts) >= 2 and name in RollupStore.SUBJECT_MAJOR_TABLES:
+    if len(parts) >= 2 and SPEC_BY_TABLE[name].subject_major:
         return (parts[1], parts[0]) + parts[2:]
     return parts
 

@@ -17,7 +17,7 @@ from repro.backend import (
 from repro.backend import query as backend_query
 from repro.backend.rollups import BIN_WIDTH_MS, MAX_RTT_MS, N_BINS
 from repro.core.persist import record_to_line
-from repro.core.records import MeasurementRecord
+from repro.core.records import MeasurementKind, MeasurementRecord
 from repro.obs import Observability
 
 
@@ -259,6 +259,60 @@ class TestAddWorkPerKind:
         counted = {"TCP", "DNS", "APP_RTT", "TPUT_UP", "TPUT_DOWN",
                    "ENERGY", "AOI"}
         assert counted == set(MeasurementKind.ALL)
+
+
+class TestAddFollowsTheSpec:
+    """``RollupStore.add`` routes by a hand-written ladder, not by
+    walking ``TABLE_SPECS`` (a table-driven ``add`` measured slower);
+    this is what keeps the two from drifting.  A *maximal* record of a
+    kind -- every field set, watched domain, on LTE -- must touch
+    exactly the tables the spec lists for the kind, in the spec's
+    order; a *minimal* one -- every optional field ``None`` -- some of
+    them, in that order; every key as long as the spec's, every bin on
+    the spec's grid."""
+
+    @staticmethod
+    def _records(kind):
+        maximal = _rec(kind=kind, rtt=37.3, domain="c1.whatsapp.net",
+                       tech="LTE")
+        minimal = MeasurementRecord(kind=kind, rtt_ms=37.3,
+                                    timestamp_ms=0.0)
+        return maximal, minimal
+
+    @pytest.mark.parametrize("kind", MeasurementKind.ALL)
+    def test_tables_order_arity_and_grid(self, monkeypatch, kind):
+        from repro.backend import rollups
+
+        wanted = [spec for spec in rollups.TABLE_SPECS
+                  if kind in spec.kinds]
+        assert wanted
+        touched = []
+        hist_of = RollupStore._hist
+
+        def counted_hist(store, table, key):
+            touched.append((table, len(key)))
+            return hist_of(store, table, key)
+
+        monkeypatch.setattr(RollupStore, "_hist", counted_hist)
+        maximal, minimal = self._records(kind)
+        linear_bin = int(37.3 / BIN_WIDTH_MS)
+        for record, exact in ((maximal, True), (minimal, False)):
+            del touched[:]
+            store = RollupStore()
+            store.add(record)
+            routes = [(spec.name, len(spec.key)) for spec in wanted]
+            if exact:
+                assert touched == routes
+            else:
+                assert touched and set(touched) <= set(routes)
+                assert touched == [r for r in routes if r in touched]
+            for table, _arity in touched:
+                (hist,) = store.tables[table].values()
+                grid = rollups.SPEC_BY_TABLE[table].grid
+                assert hist.bins == {
+                    rollups.log_bin(37.3) if grid == "log"
+                    else linear_bin: 1}
+        assert rollups.log_bin(37.3) != linear_bin
 
 
 class TestDecodeWorkPerLine:

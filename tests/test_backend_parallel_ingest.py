@@ -1,11 +1,19 @@
-"""Shard-parallel merge path: packed transfer, arrival-order
-invariance, and end-to-end worker parity for ``ingest_shard_files``."""
+"""Shard-parallel ingest: chunk balancing, the block-payload parts a
+forked worker hands back (arrival-order invariance, a damaged part
+refused whole), and end-to-end worker parity for
+``ingest_shard_files``."""
+
+import itertools
 
 import pytest
 
-from repro.backend.ingest import _balance_chunks, ingest_shard_files
+from repro.backend.ingest import (
+    _balance_chunks,
+    _fold_shard_part,
+    _pack_shard_part,
+    ingest_shard_files,
+)
 from repro.backend.rollups import RollupConfig, RollupStore
-from repro.backend.shardmerge import MergeAccumulator, pack_store
 from repro.core import save_jsonl_shards
 from repro.core.records import MeasurementRecord
 
@@ -35,28 +43,47 @@ def _store(records):
     return store
 
 
-class TestAccumulator:
-    def test_pack_roundtrip_matches_serial_merge(self):
-        parts = _partitions()
-        reference = _store([r for part in parts for r in part])
-        acc = MergeAccumulator()
-        for part in parts:
-            acc.add(pack_store(_store(part)))
-        merged = acc.finalize()
-        assert merged.records == reference.records
-        assert merged.failure_records == reference.failure_records
-        assert merged.digest() == reference.digest()
+def _fold(parts, merged=None):
+    for part in parts:
+        merged = _fold_shard_part(merged, RollupConfig(), part)
+    return merged
 
-    def test_arrival_order_cannot_perturb_the_digest(self):
-        parts = _partitions()
-        packs = [pack_store(_store(part)) for part in parts]
-        digests = set()
-        for order in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]):
-            acc = MergeAccumulator()
-            for index in order:
-                acc.add(packs[index])
-            digests.add(acc.finalize().digest())
-        assert len(digests) == 1
+
+class TestShardParts:
+    def test_every_arrival_order_of_three_parts_gives_one_digest(self):
+        partitions = _partitions(parts=3)
+        reference = _store([r for part in partitions for r in part])
+        parts = [_pack_shard_part(_store(part)) for part in partitions]
+        for order in itertools.permutations(parts):
+            merged = _fold(order)
+            assert merged.digest() == reference.digest()
+            assert merged.records == reference.records
+            assert merged.failure_records == reference.failure_records \
+                == sum(part[1] for part in parts) > 0
+
+    @pytest.mark.parametrize("damage", [
+        lambda payload: bytes([payload[0] ^ 1]) + payload[1:],
+        lambda payload: payload[:-1],
+        lambda payload: payload[:5],
+        lambda payload: b"",
+    ], ids=["row-count-bit", "last-byte-cut", "header-cut", "empty"])
+    def test_a_damaged_part_raises_and_merges_nothing(self, damage):
+        first, second = (_pack_shard_part(_store(part))
+                         for part in _partitions(parts=2))
+        merged = _fold([first])
+        before = merged.digest()
+        # Not the first table: ``network`` decodes cleanly before it,
+        # and still none of the part may land.
+        records, failures, blocks = second
+        blocks = dict(blocks, app=damage(blocks["app"]))
+        with pytest.raises(ValueError):
+            _fold_shard_part(merged, RollupConfig(),
+                             (records, failures, blocks))
+        assert merged.digest() == before
+        assert merged.records == first[0]
+        assert _fold([second], merged).digest() == \
+            _store([r for part in _partitions(parts=2)
+                    for r in part]).digest()
 
 
 class TestChunkBalancing:
@@ -93,24 +120,15 @@ class TestIngestShardFiles:
         paths, records = shards
         serial = ingest_shard_files(paths, config=RollupConfig(),
                                     workers=1)
-        report = {}
-        parallel = ingest_shard_files(paths, config=RollupConfig(),
-                                      workers=3, report=report)
-        assert serial.records == parallel.records
         assert serial.records + serial.failure_records == len(records)
-        assert serial.digest() == parallel.digest() == \
-            _store(records).digest()
-        assert report["workers"] == 3
-        assert len(report["worker_walls_s"]) == len(report["chunks"])
-        assert report["mode"] == "arrays"
-        assert report["merge_wall_s"] >= 0.0
-
-    def test_single_worker_reports_inline_mode(self, shards):
-        paths, _records_ = shards
-        report = {}
-        ingest_shard_files(paths, workers=1, report=report)
-        assert report["mode"] == "inline"
-        assert len(report["worker_walls_s"]) == 1
+        assert serial.digest() == _store(records).digest()
+        for workers in (2, 3):
+            parallel = ingest_shard_files(paths, config=RollupConfig(),
+                                          workers=workers)
+            assert serial.records == parallel.records
+            assert serial.failure_records == \
+                parallel.failure_records > 0
+            assert serial.digest() == parallel.digest()
 
     def test_meta_carries_the_run_shape(self, shards):
         paths, _records_ = shards

@@ -206,8 +206,10 @@ class TestQuery:
         tables = [line.split() for line in out.splitlines()
                   if " parts " in line]
         orders = {fields[0]: fields[2] for fields in tables}
-        assert orders == {"network": "1,0,2,3", "app": "1,0,2",
-                          "lte_domain": "0,1"}
+        assert orders == {
+            "network": "operator,window,network_type,kind",
+            "app": "app_package,window,kind",
+            "lte_domain": "domain,operator"}
         # The zone-map range beside it leads with the subject.
         ranges = {fields[0]: fields[7] for fields in tables}
         assert ranges["app"].startswith("com.app.00|")

@@ -2,15 +2,12 @@
 directions: every cluster scenario and CLI flag has a row, every
 documented name still exists, and the promised sections are there."""
 
-import os
-import re
-
 from repro.faults import SCENARIOS
 
-DOC_PATH = os.path.join(os.path.dirname(__file__), "..", "docs",
-                        "CLUSTER.md")
-MAIN_PATH = os.path.join(os.path.dirname(__file__), "..", "src",
-                         "repro", "__main__.py")
+from tests.test_docs import (backticked_flags, doc_text, first_column,
+                             parser_flags)
+
+DOC = "CLUSTER.md"
 
 REQUIRED_SECTIONS = [
     "## The ring",
@@ -23,34 +20,8 @@ REQUIRED_SECTIONS = [
 ]
 
 
-def _doc_text():
-    with open(DOC_PATH) as handle:
-        return handle.read()
-
-
 def _documented_scenarios():
-    """First-column backticked names in table rows: ``| `name` |``."""
-    names = set()
-    for line in _doc_text().splitlines():
-        match = re.match(r"\|\s*`([a-z_]+)`\s*\|", line)
-        if match and not match.group(1).startswith("--"):
-            names.add(match.group(1))
-    return names
-
-
-def _documented_flags():
-    """Every backticked ``--flag`` anywhere in the document."""
-    return set(re.findall(r"`(--[a-z-]+)`", _doc_text()))
-
-
-def _cluster_parser_flags():
-    """Flags of the ``cluster`` subparser, read from the CLI source."""
-    with open(MAIN_PATH) as handle:
-        source = handle.read()
-    start = source.index('sub.add_parser("cluster"')
-    end = source.index("sub.add_parser(", start + 1)
-    return set(re.findall(r'add_argument\("(--[a-z-]+)"',
-                          source[start:end]))
+    return set(first_column(DOC, "[a-z_]+"))
 
 
 def _cluster_scenarios():
@@ -78,22 +49,22 @@ class TestScenarioCoverage:
 
 class TestFlagCoverage:
     def test_parser_flags_are_sane(self):
-        flags = _cluster_parser_flags()
+        flags = parser_flags("cluster")
         assert "--nodes" in flags and "--scenario" in flags
 
     def test_every_flag_is_documented(self):
-        missing = _cluster_parser_flags() - _documented_flags()
+        missing = parser_flags("cluster") - backticked_flags(DOC)
         assert not missing, "undocumented flags: %s" % sorted(missing)
 
     def test_every_documented_flag_exists(self):
-        stale = _documented_flags() - _cluster_parser_flags()
+        stale = backticked_flags(DOC) - parser_flags("cluster")
         assert not stale, \
             "documented but gone from the parser: %s" % sorted(stale)
 
 
 class TestSections:
     def test_promised_sections_exist(self):
-        text = _doc_text()
+        text = doc_text(DOC)
         missing = [heading for heading in REQUIRED_SECTIONS
                    if heading not in text]
         assert not missing, "missing sections: %s" % missing

@@ -225,9 +225,9 @@ class TestClosedLoop:
     def test_app_rtt_flows_to_rollups(self, proxy_result):
         kinds = Counter(r.kind for r in proxy_result.iter_records())
         assert kinds[MeasurementKind.APP_RTT] > 0
-        network = proxy_result.rollups.tables["network"]
-        assert any(key[3] == MeasurementKind.APP_RTT
-                   for key in network)
+        for table in ("network", "app"):
+            assert proxy_result.rollups.fold(
+                table, kind=MeasurementKind.APP_RTT)
 
 
 class TestDeterminism:

@@ -3,9 +3,6 @@ the ``mbox.*``/``imperfect.*`` metrics and the ``APP_RTT`` kind in
 both directions -- and every name it cites must still exist in code
 with the documented value."""
 
-import os
-import re
-
 from repro.analysis import rules
 from repro.backend.detector import ProxyDivergenceRule
 from repro.core.records import MeasurementKind
@@ -21,23 +18,17 @@ from repro.middlebox.ablation import VARIANTS
 from repro.middlebox.proxy import DEFAULT_INTERCEPT_PORTS
 from repro.obs import CATALOG
 
-DOC_PATH = os.path.join(os.path.dirname(__file__), "..", "docs",
-                        "MIDDLEBOX.md")
+from tests.test_docs import doc_text, first_column
+
+DOC = "MIDDLEBOX.md"
 
 
 def _doc_text():
-    with open(DOC_PATH) as handle:
-        return handle.read()
+    return doc_text(DOC)
 
 
 def _documented(pattern):
-    """First-column backticked names in table rows."""
-    names = set()
-    for line in _doc_text().splitlines():
-        match = re.match(r"\|\s*`(%s)`\s*\|" % pattern, line)
-        if match:
-            names.add(match.group(1))
-    return names
+    return set(first_column(DOC, pattern))
 
 
 def _catalog_metrics():

@@ -213,6 +213,10 @@ class TestCoexistenceClosedLoop:
                                           MeasurementKind.TPUT_DOWN,
                                           MeasurementKind.ENERGY}
 
+    def test_every_modality_kind_is_in_the_dataset(self, coex_result):
+        kinds = {r.kind for r in coex_result.iter_records()}
+        assert kinds >= set(MeasurementKind.MODALITIES)
+
     def test_every_world_survives_crash_recovery_digest_parity(
             self, coex_result):
         """The widened tables ride checkpoint + WAL recovery: each
@@ -226,7 +230,7 @@ class TestCoexistenceClosedLoop:
 
     def test_modality_tables_populated(self, coex_result):
         snapshot = coex_result.rollups.snapshot()
-        for table in RollupStore.MODALITY_TABLES:
+        for table in ("app_throughput", "app_energy", "aoi"):
             assert snapshot["tables"][table], table
 
     def test_online_rule_fires_on_the_faulted_operator(

@@ -1,27 +1,17 @@
 """docs/OBSERVABILITY.md must document exactly the catalog -- both
 directions -- and instrumented runs must stay inside it."""
 
-import os
-import re
-
 from repro.core import MopEyeService
 from repro.obs import CATALOG, SPANS, Observability
 from repro.phone import App
 
 from tests.conftest import World
-
-DOC_PATH = os.path.join(os.path.dirname(__file__), "..", "docs",
-                        "OBSERVABILITY.md")
+from tests.test_docs import first_column
 
 
 def _documented_names():
-    """Backticked names in table rows: ``| `some.name` | ...``."""
-    names = set()
-    for line in open(DOC_PATH):
-        match = re.match(r"\|\s*`([a-z_]+(?:\.[a-z_]+)+)`\s*\|", line)
-        if match:
-            names.add(match.group(1))
-    return names
+    return set(first_column("OBSERVABILITY.md",
+                            r"[a-z_]+(?:\.[a-z_]+)+"))
 
 
 class TestDocCoverage:

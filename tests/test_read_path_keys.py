@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.backend import IngestPipeline
 from repro.backend import rollups as rollups_module
 from repro.backend.rollups import (
+    SPEC_BY_TABLE,
     MergeHist,
     RollupStore,
     _decode_key,
@@ -296,7 +297,7 @@ class TestAwkwardKeys:
             _same_rows(view.get_many(name, list(table) + absent),
                        table)
             _same_rows(view._scan_table(name, cached=False), table)
-            subject_major = name in RollupStore.SUBJECT_MAJOR_TABLES
+            subject_major = SPEC_BY_TABLE[name].subject_major
             for n in range(max(map(len, table), default=0)):
                 prefixes = sorted({key[:n] for key in table
                                    if len(key) >= n})
@@ -474,7 +475,7 @@ def test_panel_opens_the_blocks_that_hold_its_subject(tmp_path,
     monkeypatch.setattr(SegmentReader, "_load_block", counted)
     with QueryEngine(engine).snapshot() as view:
         assert len(view.readers) == 7
-        for table in RollupStore.SUBJECT_MAJOR_TABLES:
+        for table in ("network", "app", "app_throughput", "app_energy"):
             assert all(len(reader.blocks(table)) >= 4
                        for reader in view.readers)
         panels = [(view.app_panel, "com.app.%03d" % app,
@@ -628,11 +629,11 @@ def test_quantile_readout_sorts_the_bins_once(monkeypatch):
     sorts = []
     monkeypatch.setattr(rollups_module, "sorted",
                         _counting(sorted, sorts), raising=False)
-    assert serve_engine._quantiles(hist) == want
+    assert serve_engine._summary(hist, "network") == want
     assert len(sorts) == 1
     del sorts[:]
-    assert serve_engine._log_quantiles(hist, "ms")["p99_ms"] > 0
-    assert serve_engine._log_summary(hist, "ms")["count"] == 200
+    assert serve_engine._summary(hist, "aoi")["p99_ms"] > 0
+    assert serve_engine._counted(hist, "aoi", p99=False)["count"] == 200
     assert len(sorts) == 2
 
 

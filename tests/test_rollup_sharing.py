@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend.ingest import _fold_shard_part, _pack_shard_part
 from repro.backend.rollups import MergeHist, RollupStore
-from repro.backend.shardmerge import MergeAccumulator, pack_store
 from repro.core.records import MeasurementRecord
 from repro.store import BlockCache, StoreConfig, StoreEngine
 from repro.store.segments import ReadStats, SegmentReader, write_segment
@@ -118,7 +118,7 @@ def test_shared_rows_behave_like_deep_copies(ops):
                 stores.append(stores[index].clone())
                 models.append(_deep_clone(models[index]))
             elif name == "clear":
-                StoreEngine._clear_store(stores[index])
+                stores[index].clear()
                 models[index] = RollupStore(config=models[index].config,
                                             meta=models[index].meta)
             elif name == "checkpoint":
@@ -196,15 +196,15 @@ def test_first_write_after_clone_copies_one_row_per_route(copies):
 
 
 def test_a_store_never_cloned_copies_nothing(copies):
-    """The offline bulk path: ingest, worker packs folded by the
-    accumulator, store-to-store merges -- no clone, so no copy."""
+    """The offline bulk path: ingest, worker parts adopted and merged
+    by the parent, store-to-store merges -- no clone, so no copy."""
     left, right = _many_groups(), _many_groups(200)
     left.add_all(_rec(app="com.app.%03d" % i) for i in range(50))
     left.merge(right)
-    accumulator = MergeAccumulator(config=left.config)
-    accumulator.add(pack_store(left))
-    accumulator.add(pack_store(right))
-    folded = accumulator.finalize()
+    folded = None
+    for store in (left, right):
+        folded = _fold_shard_part(folded, left.config,
+                                  _pack_shard_part(store))
     folded.add_all(_rec(app="com.app.%03d" % i) for i in range(50))
     folded.merge(left)
     assert copies == []

@@ -9,8 +9,9 @@ the pipeline benchmark (``benchmarks/pipeline/README.md``), where its
 spread is measured, not by a wall clock read once here:
 
 * ``scaling``  -- shard-parallel ingest must digest byte-identically
-  to serial ingest (no wall is read: single runs gave 0.7x-1.6x on
-  the same code; ``backend.ingest.w2_speedup`` is the measured row).
+  to serial ingest, and so must its two chunks folded in either
+  arrival order (no wall is read: single runs gave 0.7x-1.6x on the
+  same code; ``backend.ingest.w2_speedup`` is the measured row).
 * ``replay``   -- with checkpoints enabled, crash-recovery replay
   work must be bounded by the checkpoint interval, not the run
   length: a 3x longer run must not replay 3x the records, and its
@@ -100,19 +101,32 @@ def _fail(message):
 
 
 def guard_scaling(dataset):
-    """1 worker vs 2 workers: identical digest."""
+    """1 worker vs 2 workers, and the two workers' parts folded in
+    both arrival orders: one digest."""
     from repro.backend import RollupConfig, ingest_shard_files
+    from repro.backend.ingest import (_balance_chunks, _fold_shard_part,
+                                      _ingest_shard_chunk)
 
-    serial = ingest_shard_files(dataset.paths, config=RollupConfig(),
-                                workers=1)
-    report = {}
-    parallel = ingest_shard_files(dataset.paths, config=RollupConfig(),
-                                  workers=2, report=report)
-    print("scaling: %d records, 1 worker and 2 (chunks %s, mode %s) "
-          "-> digest %s" % (serial.records, report["chunks"],
-                            report["mode"], serial.digest()[:12]))
-    if serial.digest() != parallel.digest():
-        return _fail("worker count changed the rollup digest")
+    config = RollupConfig()
+    serial = ingest_shard_files(dataset.paths, config=config, workers=1)
+    parallel = ingest_shard_files(dataset.paths, config=config,
+                                  workers=2)
+    chunks = _balance_chunks(dataset.paths, 2)
+    parts = [_ingest_shard_chunk((chunk, config.to_dict()))[1]
+             for chunk in chunks]
+    digests = {serial.digest(), parallel.digest()}
+    for order in (parts, parts[::-1]):
+        folded = None
+        for part in order:
+            folded = _fold_shard_part(folded, config, part)
+        digests.add(folded.digest())
+    print("scaling: %d records, 1 worker, 2 workers and chunks %s "
+          "folded in both orders -> digest %s"
+          % (serial.records, [len(chunk) for chunk in chunks],
+             serial.digest()[:12]))
+    if len(digests) != 1:
+        return _fail("worker count or arrival order changed the "
+                     "rollup digest")
     return 0
 
 
