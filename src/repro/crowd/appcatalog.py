@@ -11,11 +11,26 @@ Whatsapp's 331 chat domains sit in SoftLayer data centres ~225 ms away
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import List, Optional, Sequence, Tuple
 
 from repro.sim.distributions import LogNormal
+
+
+def _cumulative(weights) -> Tuple[List[float], float]:
+    """What ``random.choices`` builds from ``weights`` on every call,
+    built once: one ``bisect(cum, rng.random() * total, 0, n - 1)`` is
+    then ``rng.choices(population, weights, k=1)[0]`` draw for draw --
+    on every Python version, whatever ``choices`` becomes."""
+    cum_weights = list(accumulate(weights))
+    total = cum_weights[-1] + 0.0
+    if not 0.0 < total < math.inf:
+        raise ValueError("total of weights must be positive and finite")
+    return cum_weights, total
 
 
 @dataclass
@@ -28,9 +43,11 @@ class DomainProfile:
     weight: float = 1.0
     hosting: str = "generic"
 
-    def sample_path_ms(self, rng: random.Random) -> float:
-        return LogNormal(self.path_median_ms,
-                         self.path_sigma).bind(rng).sample()
+    def __post_init__(self):
+        if self.path_median_ms <= 0 or self.path_sigma < 0:
+            raise ValueError("median must be > 0 and sigma >= 0")
+        #: ``rng.lognormvariate(path_mu, path_sigma)`` is the path draw.
+        self.path_mu = math.log(self.path_median_ms)
 
 
 @dataclass
@@ -42,11 +59,13 @@ class AppProfile:
     weight: float  # share of dataset TCP measurements
 
     def __post_init__(self):
-        self._domain_weights = [d.weight for d in self.domains]
+        self._cum_weights, self._total = _cumulative(
+            d.weight for d in self.domains)
+        self._hi = len(self.domains) - 1
 
     def sample_domain(self, rng: random.Random) -> DomainProfile:
-        return rng.choices(self.domains, weights=self._domain_weights,
-                           k=1)[0]
+        return self.domains[bisect(
+            self._cum_weights, rng.random() * self._total, 0, self._hi)]
 
 
 def _single(package, name, category, domain, path, weight,
@@ -136,12 +155,9 @@ class AppCatalog:
 
     def __init__(self, apps: Sequence[AppProfile]):
         self.apps = list(apps)
-        self._weights = [a.weight for a in self.apps]
-        self._cum_weights = []
-        acc = 0.0
-        for weight in self._weights:
-            acc += weight
-            self._cum_weights.append(acc)
+        self._cum_weights, self._total = _cumulative(
+            a.weight for a in self.apps)
+        self._hi = len(self.apps) - 1
         self._by_package = {a.package: a for a in self.apps}
 
     def __len__(self) -> int:
@@ -151,12 +167,8 @@ class AppCatalog:
         return self._by_package.get(package)
 
     def sample_app(self, rng: random.Random) -> AppProfile:
-        return rng.choices(self.apps,
-                           cum_weights=self._cum_weights, k=1)[0]
-
-    def sample_apps(self, rng: random.Random, k: int) -> List[AppProfile]:
-        return rng.choices(self.apps, cum_weights=self._cum_weights,
-                           k=k)
+        return self.apps[bisect(
+            self._cum_weights, rng.random() * self._total, 0, self._hi)]
 
     @property
     def representative_packages(self) -> List[str]:
@@ -170,7 +182,6 @@ def build_catalog(n_longtail: int = 6250,
     Long-tail weights follow a Zipf law (matching Figure 6(b)'s shape),
     and path medians are drawn log-normally so that ~10 % of apps end
     up with overall medians above 200 ms (Figure 9(b))."""
-    import math
     rng = random.Random(seed)
     apps = representative_apps()
     path_dist = LogNormal(26.0, 1.40).bind(rng)

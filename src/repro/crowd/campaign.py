@@ -19,6 +19,13 @@ the domain rather than Python's randomized ``hash()``.  Any partition
 of the device list therefore yields byte-identical records no matter
 how many workers generate it -- the property
 :class:`~repro.crowd.sharding.ShardedCampaign` builds on.
+
+The dataset is the regression test of any change here: the generator
+may be made cheaper, but every ``random.Random`` stream must yield the
+same draws in the same order, combined by the same float operations in
+the same order.  A test shows that of a rewritten draw by running it
+and the body it replaced on twin generators seeded alike and requiring
+equal results *and* equal ``rng.getstate()`` afterwards.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from repro.core.records import (
     MeasurementRecord,
     MeasurementStore,
 )
-from repro.crowd.appcatalog import AppCatalog, DomainProfile, build_catalog
+from repro.crowd.appcatalog import AppCatalog, build_catalog
 from repro.crowd.isps import IspProfile
 from repro.crowd.population import CrowdDevice, Population
 from repro.network.link import NetworkType
@@ -51,11 +58,10 @@ def stable_ip_for_domain(domain: str) -> str:
                             (h >> 8) & 0xFF, h & 0xFF)
 
 
-def device_stream_rng(seed: int, device_id: str,
-                      purpose: str = "records") -> random.Random:
+def device_stream_rng(seed: int, device_id: str) -> random.Random:
     """The RNG stream for one device.  Seeded from a string so CPython
     routes it through SHA-512 seeding -- identical in every process."""
-    return random.Random("campaign:%d:%s:%s" % (seed, purpose, device_id))
+    return random.Random("campaign:%d:records:%s" % (seed, device_id))
 
 
 @dataclass
@@ -63,7 +69,6 @@ class CampaignConfig:
     scale: float = 0.1
     seed: int = 7
     n_longtail_apps: int = 6250
-    apps_per_device: Tuple[int, int] = (12, 40)
     # Occasional long-RTT events (congestion, weak signal): the source
     # of Figure 9(a)'s ~10 % of samples above 400 ms.
     tail_prob: float = 0.17
@@ -88,7 +93,6 @@ class _DeviceSampler:
         self._dns_dist_cache: Dict[Tuple[str, str], Distribution] = {}
         self._access_dist_cache: Dict[Tuple[str, str, bool],
                                       Distribution] = {}
-        self._path_dist_cache: Dict[str, Distribution] = {}
         self._tail = Exponential(self.config.tail_mean_ms).bind(rng)
 
     # -- cached distributions ------------------------------------------------
@@ -140,14 +144,6 @@ class _DeviceSampler:
             self._access_dist_cache[key] = dist
         return dist
 
-    def _path_dist(self, domain: DomainProfile) -> Distribution:
-        dist = self._path_dist_cache.get(domain.domain)
-        if dist is None:
-            dist = LogNormal(domain.path_median_ms,
-                             domain.path_sigma).bind(self.rng)
-            self._path_dist_cache[domain.domain] = dist
-        return dist
-
     # -- context sampling ---------------------------------------------------------
     def _sample_context(self) -> Tuple[IspProfile, str]:
         """Pick (profile, technology) for one measurement."""
@@ -171,14 +167,13 @@ class _DeviceSampler:
                     timestamp: float) -> MeasurementRecord:
         rng = self.rng
         device = self.device
-        # App choice follows the global popularity law (applying the
-        # weights again within per-device installed sets would square
-        # them and starve the long tail that Figure 6(b) depends on).
+        # App choice follows the global popularity law, the same for
+        # every device (Figure 6(b)'s long tail depends on it).
         app = self.catalog.sample_app(rng)
         domain = app.sample_domain(rng)
         peered = domain.hosting in self._PEERED_HOSTINGS
         rtt = (self._access_dist(profile, tech, peered).sample()
-               + self._path_dist(domain).sample())
+               + rng.lognormvariate(domain.path_mu, domain.path_sigma))
         if rng.random() < self.config.tail_prob:
             rtt += self._tail.sample()
         rtt += rng.uniform(0, self.config.measurement_noise_ms)
@@ -240,25 +235,11 @@ class Campaign:
         return ip
 
     # -- record generation ------------------------------------------------------------
-    def _install_apps(self, device: CrowdDevice) -> None:
-        # A dedicated stream so installs never perturb the record
-        # stream (device_records stays idempotent).
-        rng = device_stream_rng(self.config.seed, device.device_id,
-                                purpose="install")
-        lo, hi = self.config.apps_per_device
-        count = rng.randint(lo, hi)
-        seen = {}
-        for app in self.catalog.sample_apps(rng, count):
-            seen[app.package] = app
-        device.installed = list(seen.values())
-
     def device_records(self, device: CrowdDevice
                        ) -> Iterator[MeasurementRecord]:
         """One device's record stream -- a pure function of
         ``(config.seed, device.device_id)``, independent of every other
         device and of which process runs it."""
-        if not device.installed:
-            self._install_apps(device)
         rng = device_stream_rng(self.config.seed, device.device_id)
         return _DeviceSampler(self, device, rng).records()
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.crowd.isps import IspProfile, isps_for_country, wifi_profile_for
@@ -78,7 +78,6 @@ class CrowdDevice:
     wifi_share: float             # fraction of samples taken on WiFi
     lte_share_of_cellular: float  # 4G share among cellular samples
     locations: List[Tuple[float, float]]
-    installed: List = field(default_factory=list)  # AppProfiles
 
 
 class Population:

@@ -3,9 +3,10 @@
 The paper's §4.2 dataset is 5,252,758 records; generating it in one
 process inside one in-memory store is both slow and RAM-hungry.  This
 module fans the device population out across a ``multiprocessing``
-worker pool.  Each worker regenerates its slice of devices from the
-campaign seed alone and streams the records into a JSON-lines shard
-file; the parent then merges shards by byte concatenation.
+worker pool.  Each worker process builds the campaign once from the
+config alone and streams every device range it is handed into a
+JSON-lines shard file; the parent then merges shards by byte
+concatenation.
 
 Correctness rests on the campaign's determinism contract
 (:mod:`repro.crowd.campaign`): every device's record stream is a pure
@@ -115,31 +116,52 @@ def plan_shards(population: Population, scale: float,
     return specs
 
 
-def _generate_shard(task: Tuple[dict, int, int, int, str]
-                    ) -> Tuple[int, int, str, float]:
-    """Worker entry point: regenerate one device range from the seed
-    and stream it to a shard file.  Rebuilds the campaign locally so
-    the result never depends on inherited parent state (fork and spawn
-    start methods behave identically).  The elapsed wall-clock seconds
-    ride back for the parent's (volatile) throughput metrics."""
-    config_kwargs, index, device_lo, device_hi, path = task
-    campaign = Campaign(config=CampaignConfig(**config_kwargs))
+def _write_shard(campaign: Campaign, index: int, device_lo: int,
+                 device_hi: int, path: str
+                 ) -> Tuple[int, int, str, float]:
+    """Stream one device range of ``campaign`` to a shard file -- the
+    one body the inline and the pool path both run.  The elapsed
+    seconds ride back for the parent's (volatile) throughput metrics."""
     sha = hashlib.sha256()
     count = 0
-    started = time.time()
+    started = time.perf_counter()
     with open(path, "wb") as handle:
         for device in campaign.population.devices[device_lo:device_hi]:
             count += write_records(
                 handle, campaign.device_records(device), sha)
-    return index, count, sha.hexdigest(), time.time() - started
+    return index, count, sha.hexdigest(), time.perf_counter() - started
+
+
+#: A pool worker's campaign: set by the pool's initializer in the
+#: worker process only, gone with it; ``None`` in every other process.
+_worker_campaign: Optional[Campaign] = None
+
+
+def _init_worker(config_kwargs: dict) -> None:
+    """Pool initializer: build the campaign once per worker process.
+    It is a pure function of the config, so the result never depends
+    on inherited parent state (fork and spawn start methods behave
+    identically) or on which shards the worker goes on to write."""
+    global _worker_campaign
+    _worker_campaign = Campaign(config=CampaignConfig(**config_kwargs))
+
+
+def _generate_shard(task: Tuple[int, int, int, str]
+                    ) -> Tuple[int, int, str, float]:
+    """Worker entry point: one shard from the worker's campaign."""
+    return _write_shard(_worker_campaign, *task)
 
 
 class ShardedCampaign:
     """Drive a :class:`Campaign` across a worker pool.
 
-    ``workers=1`` runs inline (no pool, no pickling) and still writes
-    shards, so the single- and multi-process paths share every byte of
-    the serialization code they are compared on.
+    ``workers=1`` runs inline (no pool, no pickling) on one
+    :class:`Campaign` over the population this object already holds;
+    a pool worker builds its own once per process from the config.
+    Both write shards through :func:`_write_shard`, so the single- and
+    multi-process paths share every byte of the serialization code
+    they are compared on, and nothing either builds outlives
+    :meth:`run`.
     """
 
     def __init__(self, config: Optional[CampaignConfig] = None,
@@ -158,16 +180,6 @@ class ShardedCampaign:
         self.n_shards = n_shards or max(1, workers) * 3
         self.population = Population(seed=self.config.seed + 1)
 
-    def _tasks(self, shard_dir: str
-               ) -> Tuple[List[Tuple[dict, int, int, int, str]],
-                          List[ShardSpec]]:
-        specs = plan_shards(self.population, self.config.scale,
-                            self.n_shards)
-        config_kwargs = asdict(self.config)
-        return [(config_kwargs, spec.index, spec.device_lo,
-                 spec.device_hi, shard_path(shard_dir, spec.index))
-                for spec in specs], specs
-
     def run(self, merge_to: Optional[str] = None) -> ShardedRunResult:
         shard_dir = self.shard_dir or tempfile.mkdtemp(
             prefix="mopeye-shards-")
@@ -177,22 +189,29 @@ class ShardedCampaign:
         # readers (iter_jsonl_shards, dataset_digest) pick up.
         for stale in list_shards(shard_dir):
             os.remove(stale)
-        tasks, specs = self._tasks(shard_dir)
+        specs = plan_shards(self.population, self.config.scale,
+                            self.n_shards)
+        tasks = [(spec.index, spec.device_lo, spec.device_hi,
+                  shard_path(shard_dir, spec.index)) for spec in specs]
         if self.workers == 1:
-            outcomes = [_generate_shard(task) for task in tasks]
+            campaign = Campaign(population=self.population,
+                                config=self.config)
+            outcomes = [_write_shard(campaign, *task) for task in tasks]
         else:
             methods = multiprocessing.get_all_start_methods()
             ctx = multiprocessing.get_context(
                 "fork" if "fork" in methods else "spawn")
-            with ctx.Pool(processes=self.workers) as pool:
+            with ctx.Pool(processes=self.workers,
+                          initializer=_init_worker,
+                          initargs=(asdict(self.config),)) as pool:
                 outcomes = pool.map(_generate_shard, tasks)
         result = ShardedRunResult(shard_dir=shard_dir)
         by_index = {index: (count, sha, elapsed)
                     for index, count, sha, elapsed in outcomes}
-        for spec, task in zip(specs, tasks):
+        for spec, (_index, _lo, _hi, path) in zip(specs, tasks):
             count, sha, elapsed = by_index[spec.index]
             result.shards.append(ShardResult(
-                spec=spec, path=task[4], records=count, sha256=sha))
+                spec=spec, path=path, records=count, sha256=sha))
             self.obs.inc("crowd.records_generated", count)
             self.obs.inc("crowd.shards_completed")
             self.obs.observe("crowd.shard_records", count)

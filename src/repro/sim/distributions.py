@@ -12,18 +12,33 @@ otherwise; distributions are unit-agnostic.
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from typing import List, Optional, Sequence, Tuple
 
 
 class Distribution:
-    """Base class: a samplable non-negative random variable."""
+    """Base class: a samplable non-negative random variable.
+
+    ``rng`` is the stream :meth:`sample` draws from.  A distribution
+    nobody bound gets its own ``random.Random(0)`` the first time it is
+    read -- not at construction, where almost every caller's next move
+    is :meth:`bind` and the seeded generator would be thrown away.
+    """
 
     def __init__(self, rng: Optional[random.Random] = None):
-        self.rng = rng or random.Random(0)
+        if rng is not None:
+            self.rng = rng
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails; costs nothing once bound.
+        if name == "rng":
+            rng = self.rng = random.Random(0)
+            return rng
+        raise AttributeError(name)
 
     def reseed(self, seed: int) -> None:
-        self.rng = random.Random(seed)
+        self.bind(random.Random(seed))
 
     def bind(self, rng: random.Random) -> "Distribution":
         """Share a caller-provided RNG stream (for joint determinism)."""
@@ -101,7 +116,6 @@ class LogNormal(Distribution):
         super().__init__(rng)
         if median <= 0 or sigma < 0:
             raise ValueError("median must be > 0 and sigma >= 0")
-        import math
         self.median = float(median)
         self.sigma = float(sigma)
         self.shift = float(shift)
@@ -133,7 +147,8 @@ class Shifted(Distribution):
     """``base + offset`` -- e.g. a propagation floor under jitter."""
 
     def __init__(self, base: Distribution, offset: float):
-        super().__init__(base.rng)
+        # Share the base's stream if it has one; never force one on it.
+        super().__init__(vars(base).get("rng"))
         self.base = base
         self.offset = float(offset)
 

@@ -1,6 +1,9 @@
 """Unit and property-based tests for the cost-model distributions."""
 
+import copy
+import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +128,101 @@ class TestEmpirical:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Empirical([])
+
+
+def _reseedable():
+    return [
+        LogNormal(10, .5),
+        Shifted(LogNormal(10, .5), 5),
+        Mixture([(1, LogNormal(10, .5)), (2, Exponential(3))]),
+        Mixture([(1, Shifted(LogNormal(10, .5), 5)),
+                 (1, Shifted(Exponential(3), 1))]),
+    ]
+
+
+class TestReseed:
+    """``reseed`` restarts the whole distribution, wrapped parts
+    included: a wrapper that reseeded only itself left ``Shifted``'s
+    base and ``Mixture``'s components on their old streams."""
+
+    @pytest.mark.parametrize("dist", _reseedable(), ids=repr)
+    def test_same_seed_same_samples(self, dist):
+        dist.reseed(1)
+        first = dist.sample_many(20)
+        dist.reseed(1)
+        assert dist.sample_many(20) == first
+        dist.reseed(2)
+        assert dist.sample_many(20) != first
+
+    @pytest.mark.parametrize("dist", _reseedable(), ids=repr)
+    def test_reseed_is_bind_of_a_fresh_generator(self, dist):
+        twin = copy.deepcopy(dist).bind(random.Random(5))
+        dist.reseed(5)
+        assert dist.sample_many(20) == twin.sample_many(20)
+
+
+class TestLazyDefaultStream:
+    """A distribution nobody bound draws from its own ``Random(0)``,
+    made when first read rather than at construction."""
+
+    def test_unbound_yields_random_0_sequence(self):
+        bound = LogNormal(10, .5, rng=random.Random(0))
+        assert LogNormal(10, .5).sample_many(10) == bound.sample_many(10)
+
+    def test_construction_seeds_nothing(self):
+        from repro.sim import distributions
+        stream = random.Random(1)
+        with mock.patch.object(distributions, "random",
+                               wraps=random) as seen:
+            for dist in [Constant(1), Uniform(0, 1), Normal(1, 1),
+                         LogNormal(10, .5), Exponential(3),
+                         Empirical([1, 2]),
+                         Shifted(LogNormal(10, .5), 5),
+                         Mixture([(1, LogNormal(10, .5))])]:
+                dist.bind(stream)
+            assert seen.Random.call_count == 0
+            LogNormal(10, .5).sample()
+            seen.Random.assert_called_once_with(0)
+
+    def test_shifted_leaves_an_unbound_base_unbound(self):
+        base = LogNormal(10, .5)
+        shifted = Shifted(base, 5)
+        assert "rng" not in vars(base) and "rng" not in vars(shifted)
+        stream = random.Random(3)
+        assert Shifted(LogNormal(10, .5, rng=stream), 5).rng is stream
+
+    def test_two_unbound_distributions_do_not_share_a_stream(self):
+        a, b = LogNormal(10, .5), LogNormal(10, .5)
+        assert a.rng is not b.rng
+        assert a.sample_many(5) == b.sample_many(5)
+
+    def test_bind_after_a_first_sample_switches_streams(self):
+        dist = LogNormal(10, .5)
+        dist.sample()
+        dist.bind(random.Random(9))
+        twin = LogNormal(10, .5, rng=random.Random(9))
+        assert dist.sample_many(5) == twin.sample_many(5)
+
+    @pytest.mark.parametrize("roundtrip", [
+        copy.deepcopy, lambda dist: pickle.loads(pickle.dumps(dist))],
+        ids=["deepcopy", "pickle"])
+    def test_copies_round_trip_bound_and_unbound(self, roundtrip):
+        # A __getattr__ that recurses on a half-built instance is the
+        # classic way copying breaks.
+        for dist in _reseedable():
+            clone = roundtrip(dist)
+            assert "rng" not in vars(clone)
+            assert clone.sample_many(5) == dist.sample_many(5)
+            dist.bind(random.Random(4))
+            dist.sample()
+            clone = roundtrip(dist)
+            assert clone.rng is not dist.rng
+            assert clone.sample_many(5) == dist.sample_many(5)
+
+    def test_other_missing_attributes_still_raise(self):
+        with pytest.raises(AttributeError):
+            LogNormal(10, .5).no_such_attribute
+        assert not hasattr(Constant(1), "__deepcopy__")
 
 
 @given(st.floats(min_value=0.001, max_value=1e4),

@@ -46,6 +46,13 @@ spread is measured, not by a wall clock read once here:
   the batch equals the shard file's own bytes, and a record with a
   ``bool`` port makes exactly one of each per path (counts only).
 
+* ``generate`` -- the campaign is set up once and draws without
+  throwaway objects: a 3-shard inline run builds one ``Population``
+  and one catalog, ``repro.sim.distributions`` constructs no
+  ``random.Random``, and the shard files digest like
+  ``Campaign.iter_records()`` and like the 2-worker dataset (counts
+  and digests only).
+
 That a widened schema puts no work on the older kinds' rollup path --
 once two wall-clock A/Bs here -- is a count in tier-1
 (``tests/test_backend.py::TestAddWorkPerKind``).
@@ -53,7 +60,7 @@ once two wall-clock A/Bs here -- is a count in tier-1
 Run all (the default) or one by name::
 
     PYTHONPATH=src python tools/perf_guards.py \
-        [scaling|replay|query|snapshot|cluster|encode]
+        [scaling|replay|query|snapshot|cluster|encode|generate]
 
 Exit code 0 on pass, 1 on any guard failure.
 """
@@ -505,9 +512,55 @@ def guard_encode(dataset):
     return 0
 
 
+def guard_generate(dataset):
+    """The campaign is set up once a run and seeds no generator it
+    then throws away: a 3-shard inline run of the guard dataset's
+    config builds one population and one catalog, the distributions
+    module constructs no ``Random`` at all, and the shards digest like
+    ``Campaign.iter_records()`` -- and like the 2-worker dataset."""
+    import hashlib
+    import random
+
+    from repro.core.persist import record_to_line
+    from repro.crowd import (Campaign, CampaignConfig, Population,
+                             ShardedCampaign)
+    from repro.crowd import campaign as campaign_module
+    from repro.sim import distributions
+
+    config = CampaignConfig(scale=SCALE, seed=SEED)
+    with mock.patch.object(Population, "__init__", autospec=True,
+                           side_effect=Population.__init__
+                           ) as populations, \
+            mock.patch.object(campaign_module, "build_catalog",
+                              wraps=campaign_module.build_catalog
+                              ) as catalogs, \
+            mock.patch.object(distributions, "random",
+                              wraps=random) as seen, \
+            tempfile.TemporaryDirectory(prefix="guard-gen-") as root:
+        run = ShardedCampaign(config, workers=1, n_shards=3,
+                              shard_dir=root).run()
+        counts = (populations.call_count, catalogs.call_count,
+                  seen.Random.call_count)
+        sharded = run.digest()
+    sha = hashlib.sha256()
+    for record in Campaign(config=config).iter_records():
+        sha.update((record_to_line(record) + "\n").encode())
+    print("generate: %d records in 3 shards -> %d population, %d "
+          "catalog, %d Random(0) built; digest %s"
+          % ((run.total_records,) + counts + (sharded[:12],)))
+    if counts != (1, 1, 0):
+        return _fail("a run must build one population and one catalog "
+                     "and seed no throwaway generator")
+    if not sharded == sha.hexdigest() == dataset.digest():
+        return _fail("shards, Campaign.iter_records() and the 2-worker "
+                     "dataset digest differently")
+    return 0
+
+
 GUARDS = {"scaling": guard_scaling, "replay": guard_replay,
           "query": guard_query, "snapshot": guard_snapshot,
-          "cluster": guard_cluster, "encode": guard_encode}
+          "cluster": guard_cluster, "encode": guard_encode,
+          "generate": guard_generate}
 
 
 def main(argv):
