@@ -17,11 +17,10 @@ Commands:
 * ``serve``     -- generate a campaign, ingest it through the backend
                    pipeline with shard-parallel workers, run the online
                    case-study detector, and save the rollup state
-                   (``--state FILE`` for canonical JSON, ``--data-dir
-                   DIR`` for the segment-encoded storage engine).
-* ``query``     -- query a saved rollup state (a ``--state`` file or
-                   a ``--data-dir`` directory) through the serving
-                   tier: scan views (``summary``, ``apps``,
+                   through the storage engine (``--data-dir DIR``).
+* ``query``     -- query a storage-engine directory (``serve
+                   --data-dir``, or a chaos backend's store) through
+                   the serving tier: scan views (``summary``, ``apps``,
                    ``networks``, ``windows``, ``cases``, ``table``),
                    pruned percentile panels (``panel --app`` /
                    ``--operator``), and the simulated ``dashboard``
@@ -200,10 +199,10 @@ def _crowd_sharded(args) -> int:
     config = CampaignConfig(scale=args.scale, seed=args.seed)
     runner = ShardedCampaign(config=config, workers=args.workers,
                              shard_dir=args.shard_dir)
-    started = time.time()
+    started = time.perf_counter()
     merge_to = args.export if args.export else None
     result = runner.run(merge_to=merge_to)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     if elapsed > 0:
         runner.obs.set_gauge("crowd.records_per_sec",
                              result.total_records / elapsed)
@@ -251,7 +250,7 @@ def cmd_serve(args) -> int:
         prefix="mopeye-backend-")
     runner = ShardedCampaign(config=config, workers=args.workers,
                              shard_dir=shard_dir)
-    started = time.time()
+    started = time.perf_counter()
     result = runner.run()
     print("generated %d records in %d shards with %d worker(s)"
           % (result.total_records, len(result.shards), args.workers))
@@ -261,7 +260,7 @@ def cmd_serve(args) -> int:
     rollups = ingest_shard_files(result.paths, config=rollup_config,
                                  workers=args.workers)
     rollups.meta.update({"scale": args.scale, "seed": args.seed})
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     print("ingested %d records into %d rollup groups in %.1fs"
           % (rollups.records, rollups.group_count(), elapsed))
     print("rollup sha256: %s" % rollups.digest())
@@ -273,9 +272,6 @@ def cmd_serve(args) -> int:
     print("detector: %d finding(s)" % len(findings))
     for finding in findings:
         print("  %-28s %s" % (finding["rule"], finding["subject"]))
-    if args.state:
-        rollups.save(args.state)
-        print("saved rollup state to %s" % args.state)
     if args.data_dir:
         from repro.store import StoreEngine
 
@@ -300,10 +296,9 @@ def cmd_serve(args) -> int:
 
 def cmd_query(args) -> int:
     import json as _json
-    import os
 
     from repro.backend import RollupStore
-    from repro.serve import DashboardWorkload, QueryEngine, QueryError, ReadView
+    from repro.serve import DashboardWorkload, QueryEngine, QueryError
 
     def _usage(message: str) -> int:
         print("error: %s" % message, file=sys.stderr)
@@ -333,16 +328,9 @@ def cmd_query(args) -> int:
     view_obj = None
     try:
         try:
-            if os.path.isdir(args.state):
-                from repro.store import StoreEngine
-
-                engine = StoreEngine(args.state)
-                query_engine = QueryEngine(
-                    engine, cache_bytes=args.cache_mb << 20)
-                view_obj = query_engine.snapshot()
-            else:
-                view_obj = ReadView.from_rollups(
-                    RollupStore.load(args.state))
+            engine = _open_store(args.data_dir)
+            view_obj = QueryEngine(
+                engine, cache_bytes=args.cache_mb << 20).snapshot()
         except (OSError, ValueError, KeyError, QueryError) as exc:
             print("error: cannot read rollup state: %s" % exc,
                   file=sys.stderr)
@@ -517,22 +505,27 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+def _open_store(path: str, config=None):
+    """The store ``query`` and ``store`` read; opening a path that
+    holds none would create one, so that is an ``OSError``."""
+    from repro.store.engine import StoreEngine, holds_store
+
+    if not holds_store(path):
+        raise OSError("%s holds no store (no MANIFEST.json, no WAL file)"
+                      % path)
+    return StoreEngine(path, config=config)
+
+
 def cmd_store(args) -> int:
     """Operate on a storage-engine data directory (docs/STORAGE.md)."""
-    import os
+    from repro.store import StoreConfig
 
-    from repro.store import StoreConfig, StoreEngine
-
-    if not os.path.isdir(args.data_dir):
-        print("error: %s is not a directory" % args.data_dir,
-              file=sys.stderr)
-        return 2
     config = None
     if args.action == "compact" and args.retention_days is not None:
         config = StoreConfig(
             retention_ms=args.retention_days * 24 * 3600 * 1000.0)
     try:
-        engine = StoreEngine(args.data_dir, config=config)
+        engine = _open_store(args.data_dir, config=config)
     except (OSError, ValueError) as exc:
         print("error: cannot open store: %s" % exc, file=sys.stderr)
         return 2
@@ -669,10 +662,6 @@ def main(argv=None) -> int:
                             "(default: a fresh temp dir)")
     serve.add_argument("--window-days", type=float, default=28.0,
                        help="rollup window length in sim days")
-    serve.add_argument("--state", type=str, default=None,
-                       metavar="FILE",
-                       help="save the rollup state (+ findings) as "
-                            "canonical JSON for `repro query`")
     serve.add_argument("--data-dir", type=str, default=None,
                        metavar="DIR",
                        help="persist the rollups (+ findings) through "
@@ -683,10 +672,11 @@ def main(argv=None) -> int:
                        help="print the backend's registry snapshot")
     from repro.serve import VIEW_ORDER
 
-    query = sub.add_parser("query", help="query a saved rollup state "
-                                         "(see docs/QUERY.md)")
-    query.add_argument("state", help="state file from serve --state, "
-                                     "or a serve --data-dir directory")
+    query = sub.add_parser("query", help="query a storage-engine data "
+                                         "directory (see docs/QUERY.md)")
+    query.add_argument("data_dir", metavar="DATA_DIR",
+                       help="directory from serve --data-dir (or a "
+                            "chaos backend's store)")
     query.add_argument("view", choices=list(VIEW_ORDER))
     query.add_argument("--top", type=int, default=20,
                        help="row cap for apps/networks/table views "
@@ -702,8 +692,7 @@ def main(argv=None) -> int:
     query.add_argument("--seed", type=int, default=0,
                        help="dashboard view: workload RNG seed")
     query.add_argument("--cache-mb", type=int, default=32,
-                       help="block-cache budget in MiB (data-dir "
-                            "states only)")
+                       help="block-cache budget in MiB")
     query.add_argument("--latency", action="store_true",
                        help="dashboard view: include wall-clock "
                             "latency percentiles (volatile; excluded "

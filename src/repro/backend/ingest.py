@@ -324,12 +324,13 @@ def _balance_chunks(paths: List[str], workers: int) -> List[List[str]]:
     return [chunk for chunk in chunks if chunk]
 
 
-#: A store as it crosses ``fork``: the two record counters and every
-#: table as the block payload a checkpoint stores it as.
+#: A store as it crosses ``fork`` -- forked ingest's chunks and the
+#: chaos runner's device worlds alike: the two record counters and
+#: every table as the block payload a checkpoint stores it as.
 ShardPart = Tuple[int, int, Dict[str, bytes]]
 
 
-def _pack_shard_part(store: RollupStore) -> ShardPart:
+def pack_shard_part(store: RollupStore) -> ShardPart:
     # Imported here: repro.store imports this module.
     from repro.store.encoding import encode_block
     from repro.store.segments import sorted_rows
@@ -339,9 +340,9 @@ def _pack_shard_part(store: RollupStore) -> ShardPart:
              for name, rows in store.tables.items()})
 
 
-def _fold_shard_part(merged: Optional[RollupStore],
-                     config: RollupConfig, part: ShardPart
-                     ) -> RollupStore:
+def fold_shard_part(merged: Optional[RollupStore],
+                    config: RollupConfig, part: ShardPart
+                    ) -> RollupStore:
     """One worker's part onto ``merged``: every table decoded and
     checked whole (``decode_block``; a ``ValueError`` leaves ``merged``
     as it was), then the first part adopted and any later one merged."""
@@ -375,7 +376,7 @@ def _ingest_shard_chunk(task: Tuple[List[str], dict]
     started = time.time()
     for path in paths:
         store.add_all(iter_jsonl(path))
-    part = _pack_shard_part(store)
+    part = pack_shard_part(store)
     return time.time() - started, part
 
 
@@ -423,7 +424,7 @@ def ingest_shard_files(paths: List[str],
             for wall, part in pool.imap_unordered(_ingest_shard_chunk,
                                                    tasks):
                 fold_start = time.time()
-                merged = _fold_shard_part(merged, config, part)
+                merged = fold_shard_part(merged, config, part)
                 merge_wall += time.time() - fold_start
                 worker_walls.append(wall)
         total = merged.records + merged.failure_records

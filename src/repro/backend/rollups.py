@@ -21,8 +21,11 @@ order -- is written once, in :data:`TABLE_SPECS`; everything that
 reads a table by its shape (segments, retention, the serving tier,
 ``store inspect``, the docs tables) reads it from there.
 
-Snapshots serialise with sorted keys and fixed separators; the digest
-is the SHA-256 of those bytes.
+A store's canonical form is :meth:`RollupStore.snapshot`, serialised
+with sorted keys and fixed separators; the digest is the SHA-256 of
+those bytes.  It is hashed, never read back: a store reaches disk
+through the store engine (segments, checkpoints) and crosses ``fork``
+as block payloads (:data:`repro.backend.ingest.ShardPart`).
 
 Rows are **shared copy-on-write** between a store and its clones.
 Every store has an *epoch* and every :class:`MergeHist` carries the
@@ -74,18 +77,18 @@ _SEP = "|"
 #: marks rows and stores that have not been through a ``clone()``.
 _EPOCHS = itertools.count(1)
 
-#: Snapshot wire-format version: the ``schema`` key, escaped key text,
-#: every table of :data:`TABLE_SPECS`.  The one version written and
-#: read; any other is refused, :class:`UnsupportedSchema`.
+#: Version stamped into the canonical snapshot -- the ``schema`` key,
+#: escaped key text, every table of :data:`TABLE_SPECS` -- and so into
+#: every digest; bumping it moves them all.
 SNAPSHOT_SCHEMA = 3
 
 
 class UnsupportedSchema(ValueError):
-    """A sound persisted form -- snapshot, manifest, WAL, checkpoint,
-    segment -- of a generation this build does not read (a newer
-    build's, or an older one's).  Not corruption: nothing is moved,
-    truncated or quarantined, and recovery stops on it.  ``args`` is
-    ``(what, found, supported)``."""
+    """A sound persisted form -- manifest, WAL, checkpoint, segment --
+    of a generation this build does not read (a newer build's, or an
+    older one's).  Not corruption: nothing is moved, truncated or
+    quarantined, and recovery stops on it.  ``args`` is ``(what,
+    found, supported)``."""
 
     def __str__(self) -> str:
         return ("%s is schema %r and this build reads only schema %r; "
@@ -236,15 +239,6 @@ class MergeHist:
             # JSON objects need string keys; sorted for canonical form.
             "bins": {str(k): self.bins[k] for k in sorted(self.bins)},
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "MergeHist":
-        hist = cls()
-        hist.count = int(data["count"])
-        hist.overflow = int(data["overflow"])
-        hist.bins = {int(k): int(v)
-                     for k, v in data["bins"].items()}  # type: ignore
-        return hist
 
 
 class RollupConfig:
@@ -609,42 +603,3 @@ class RollupStore:
         data = json.dumps(snapshot, sort_keys=True,
                           separators=(",", ":")).encode()
         return hashlib.sha256(data).hexdigest()
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.snapshot(), fh, sort_keys=True,
-                      separators=(",", ":"))
-            fh.write("\n")
-
-    @classmethod
-    def from_snapshot(cls, data: Dict[str, object]) -> "RollupStore":
-        """Rebuild a store from :meth:`snapshot` data.  Another
-        ``schema`` (or none) is :class:`UnsupportedSchema`; a snapshot
-        of this one lacking a field or a table is a ``ValueError``,
-        not a KeyError somewhere downstream."""
-        if data.get("schema") != SNAPSHOT_SCHEMA:
-            raise UnsupportedSchema("rollup snapshot", data.get("schema"),
-                                    SNAPSHOT_SCHEMA)
-        try:
-            store = cls(config=RollupConfig.from_dict(data["config"]),
-                        meta=data.get("meta", {}))
-            store.records = int(data["records"])
-            for table in cls.TABLES:
-                store.tables[table] = {
-                    _decode_key(text): MergeHist.from_dict(hist)
-                    for text, hist in data["tables"][table].items()
-                }
-        except (KeyError, TypeError) as exc:
-            raise ValueError("rollup snapshot is missing required "
-                             "field: %s" % exc)
-        return store
-
-    @classmethod
-    def load(cls, path: str) -> "RollupStore":
-        with open(path) as fh:
-            data = json.load(fh)
-        try:
-            return cls.from_snapshot(data)
-        except UnsupportedSchema as exc:
-            raise UnsupportedSchema(
-                "%s: %s" % (path, exc.args[0]), *exc.args[1:]) from None

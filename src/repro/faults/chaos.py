@@ -6,7 +6,8 @@ installs a :class:`FaultInjector` wired to that world's components,
 runs the app workload to completion, and streams the tagged
 measurement records into JSON-lines shards -- one shard per device, so
 the merged dataset bytes are identical no matter how many worker
-processes ran.
+processes ran.  Worlds differ only in who collects their uploads:
+nobody, the embedded backend, or a cluster (:mod:`repro.cluster`).
 
 Everything stochastic is string-seeded on ``(seed, device_id, ...)``,
 the same discipline as ``crowd/sharding.py``; worker processes rebuild
@@ -43,8 +44,9 @@ from repro.core.persist import (
 )
 from repro.core.records import MeasurementRecord, MeasurementStore
 from repro.core.uploader import MeasurementUploader
-from repro.backend.ingest import IngestLoadModel
-from repro.backend.rollups import RollupStore
+from repro.backend.ingest import (IngestLoadModel, ShardPart,
+                                  fold_shard_part, pack_shard_part)
+from repro.backend.rollups import RollupConfig, RollupStore
 from repro.backend.server import BackendServer
 from repro.store.engine import StoreConfig
 from repro.crowd.campaign import stable_ip_for_domain
@@ -68,35 +70,97 @@ _CONNECT_WATCHDOG_MS = 60_000.0
 
 @dataclass
 class DeviceRun:
-    """What one device world produced."""
+    """What one device world produced, in the process that built it."""
     device_id: str
     records: List[MeasurementRecord]
     counts: Dict[str, Dict[str, int]]
     stats: Dict[str, int]
-    #: Canonical snapshot of the backend's *recovered* rollup store
-    #: (segments + WAL-replayed memtable), or None when the scenario
-    #: has no backend.  Plain data so it crosses process boundaries.
-    rollup: Optional[Dict[str, object]] = None
+    #: The collector's rollup store rebuilt from disk alone -- the
+    #: embedded backend's segments + WAL replay, or every cluster
+    #: node's merged -- or None in a world without a collector.
+    rollup: Optional[RollupStore] = None
 
 
 def _world_rng(seed: int, device_id: str, purpose: str) -> random.Random:
     return random.Random("chaos:%d:%s:%s" % (seed, device_id, purpose))
 
 
+class _Collector:
+    """The embedded backend at :data:`COLLECTOR_IP`, on the world RNG
+    (docs/CLUSTER.md lists how the cluster's collector differs)."""
+
+    def __init__(self, scenario: Scenario, seed: int, device_id: str,
+                 service: MopEyeService, rng: random.Random) -> None:
+        # Durable storage per world: every crash in this world now
+        # genuinely drops the memtable and dedup cache, and restart
+        # recovers them from WAL + segments alone.  Auto-flush is off
+        # so segments never absorb mid-run state; checkpoints do
+        # (every 50 records, two retained), which exercises
+        # checkpoint recovery under real crashes -- records
+        # folded into a checkpoint survive only as aggregates, so the
+        # received mirror may trail the store counters, and the digest
+        # parity check in :meth:`finish` is the proof that matters.
+        self.data_dir = tempfile.mkdtemp(prefix="mopeye-store-")
+        self.backend = BackendServer(
+            service.sim, [COLLECTOR_IP],
+            path_oneway=LogNormal(8.0, 0.2).bind(rng),
+            accept_delay=Constant(0.05),
+            load=IngestLoadModel(base_ms=400.0, per_record_ms=5.0),
+            data_dir=self.data_dir,
+            store_config=StoreConfig(flush_threshold_records=None,
+                                     checkpoint_interval_records=50),
+            rng=_world_rng(seed, device_id, "backend"))
+        service.device.internet.add_server(self.backend)
+        self.uploader = MeasurementUploader(
+            service, COLLECTOR_IP,
+            interval_ms=scenario.uploader_interval_ms,
+            min_batch=scenario.uploader_min_batch,
+            ack_timeout_ms=scenario.uploader_ack_timeout_ms,
+            emit_aoi=scenario.modalities)
+        self.uploader.start()
+        #: What the injector's collector faults act on.
+        self.target = {"backend": self.backend}
+
+    def drain(self, sim: Simulator, horizon: float) -> None:
+        sim.run(until=max(sim.now, horizon + 5_000.0))
+        self.uploader.stop()
+        sim.run(until=sim.now + 15_000.0)
+
+    def finish(self, service: MopEyeService,
+               stats: Dict[str, int]) -> RollupStore:
+        """Add the ``backend_*`` stats; return the recovered store."""
+        # Digest parity is the crash-recovery proof: the rollup store
+        # materialised purely from disk (segments + WAL replay, live
+        # memtable discarded by the recover() below) must equal a
+        # store built fresh from the device's own records.
+        backend = self.backend
+        backend.store.recover()
+        recovered = backend.store.materialize()
+        reference = RollupStore(config=recovered.config)
+        reference.add_all(service.store)
+        stats.update({
+            "backend_crashes": backend.crashes,
+            "backend_recoveries": backend.recoveries,
+            "backend_batches": backend.batches,
+            "backend_duplicates": backend.duplicates,
+            "backend_records": len(backend.received),
+            "backend_rollup_matches_store":
+                int(recovered.digest() == reference.digest()),
+        })
+        backend.store.close()
+        shutil.rmtree(self.data_dir, ignore_errors=True)
+        return recovered
+
+
 def run_device_world(scenario: Scenario, plan: FaultPlan, seed: int,
                      device_index: int,
                      cluster_nodes: Optional[int] = None) -> DeviceRun:
     """Build and run one device's world; pure function of
-    ``(scenario, seed, device_index)``.  Cluster scenarios (or an
-    explicit ``cluster_nodes`` override) delegate to the federated
-    runner in :mod:`repro.cluster.runner`."""
+    ``(scenario, seed, device_index, cluster_nodes)``.  Cluster
+    scenarios (or an explicit ``cluster_nodes``) get a
+    :class:`~repro.cluster.runner.ClusterCollector`."""
     nodes = scenario.cluster_nodes if cluster_nodes is None \
         else int(cluster_nodes)
-    if nodes:
-        # Imported lazily: repro.cluster.runner imports this module.
-        from repro.cluster.runner import run_cluster_device_world
-        return run_cluster_device_world(scenario, plan, seed,
-                                        device_index, nodes=nodes)
     device_id, operator = scenario.devices()[device_index]
     sim = Simulator()
     internet = Internet(sim)
@@ -147,41 +211,19 @@ def run_device_world(scenario: Scenario, plan: FaultPlan, seed: int,
                 rng=_world_rng(seed, device_id, "middlebox"),
                 obs=service.obs)
             break
-    backend = uploader = None
-    backend_data_dir = None
-    if scenario.with_backend:
-        # Durable storage per world: every crash in this world now
-        # genuinely drops the memtable and dedup cache, and restart
-        # recovers them from WAL + segments alone.  Auto-flush is off
-        # so segments never absorb mid-run state; checkpoints do
-        # (every 50 records, two retained), which exercises
-        # checkpoint recovery under real crashes -- records
-        # folded into a checkpoint survive only as aggregates, so the
-        # received mirror may trail the store counters, and the digest
-        # parity check below is the proof that matters.
-        backend_data_dir = tempfile.mkdtemp(prefix="mopeye-store-")
-        backend = BackendServer(
-            sim, [COLLECTOR_IP],
-            path_oneway=LogNormal(8.0, 0.2).bind(rng),
-            accept_delay=Constant(0.05),
-            load=IngestLoadModel(base_ms=400.0, per_record_ms=5.0),
-            data_dir=backend_data_dir,
-            store_config=StoreConfig(flush_threshold_records=None,
-                                     checkpoint_interval_records=50),
-            rng=_world_rng(seed, device_id, "backend"))
-        internet.add_server(backend)
-        uploader = MeasurementUploader(
-            service, COLLECTOR_IP,
-            interval_ms=scenario.uploader_interval_ms,
-            min_batch=scenario.uploader_min_batch,
-            ack_timeout_ms=scenario.uploader_ack_timeout_ms,
-            emit_aoi=scenario.modalities)
-        uploader.start()
+    collector = None
+    if nodes:
+        # Imported lazily: repro.cluster.runner imports this module.
+        from repro.cluster.runner import ClusterCollector
+        collector = ClusterCollector(scenario, seed, device_id, operator,
+                                     service, nodes)
+    elif scenario.with_backend:
+        collector = _Collector(scenario, seed, device_id, service, rng)
     injector = FaultInjector(sim, plan, device_id=device_id,
                              operator=operator.name, link=link,
                              servers=servers, dns=dns, service=service,
-                             backend=backend, middlebox=proxy,
-                             obs=service.obs)
+                             middlebox=proxy, obs=service.obs,
+                             **(collector.target if collector else {}))
     injector.install()
 
     apps = {spec.package: App(device, spec.package,
@@ -216,15 +258,13 @@ def run_device_world(scenario: Scenario, plan: FaultPlan, seed: int,
             "budget (deadlock?)" % (device_id, scenario.duration_ms))
     # A fault process can outlive the workload and keep producing
     # records (e.g. coex_bulk's download loop emits throughput/energy
-    # flows until its window closes); drain to the plan horizon first
-    # so the periodic uploader keeps shipping them, then flush.
+    # flows until its window closes); each collector drains past the
+    # plan horizon so its uploader keeps shipping them, then flushes.
     horizon = max([event.end_ms for event in plan] + [0.0])
-    sim.run(until=max(sim.now, horizon + 5_000.0))
-    if uploader is not None:
-        uploader.stop()
-        sim.run(until=sim.now + 15_000.0)
+    if collector is None:
+        sim.run(until=max(sim.now, horizon + 5_000.0) + 5_000.0)
     else:
-        sim.run(until=sim.now + 5_000.0)
+        collector.drain(sim, horizon)
 
     records = [record._replace(device_id=device_id)
                for record in service.store]
@@ -255,35 +295,18 @@ def run_device_world(scenario: Scenario, plan: FaultPlan, seed: int,
             service.obs.value("imperfect.quantised_samples"))
         stats["imperfect_jitter_applied"] = int(
             service.obs.value("imperfect.jitter_applied"))
-    rollup_snapshot = None
-    if backend is not None:
-        # Digest parity is the crash-recovery proof: the rollup store
-        # materialised purely from disk (segments + WAL replay, live
-        # memtable discarded by the recover() below) must equal a
-        # store built fresh from the device's own records.
-        backend.store.recover()
-        recovered = backend.store.materialize()
-        reference = RollupStore(config=backend.store.rollup_config)
-        reference.add_all(service.store)
+    rollup = None
+    if collector is not None:
+        uploader = collector.uploader
         stats.update({
-            "backend_crashes": backend.crashes,
-            "backend_recoveries": backend.recoveries,
-            "backend_batches": backend.batches,
-            "backend_duplicates": backend.duplicates,
-            "backend_records": len(backend.received),
-            "backend_rollup_matches_store":
-                int(recovered.digest() == reference.digest()),
             "uploader_failures": uploader.failures,
             "uploader_ack_timeouts": uploader.ack_timeouts,
             "uploader_records_acked": uploader.uploaded,
             "store_records": len(service.store),
         })
-        rollup_snapshot = recovered.snapshot()
-        backend.store.close()
-        shutil.rmtree(backend_data_dir, ignore_errors=True)
+        rollup = collector.finish(service, stats)
     return DeviceRun(device_id=device_id, records=records,
-                     counts=injector.counts, stats=stats,
-                     rollup=rollup_snapshot)
+                     counts=injector.counts, stats=stats, rollup=rollup)
 
 
 def _merge_counts(total: Dict[str, Dict[str, int]],
@@ -300,29 +323,17 @@ def _merge_stats(total: Dict[str, int], part: Dict[str, int]) -> None:
         total[key] = total.get(key, 0) + int(part[key])
 
 
-def _merge_rollup(total: Optional[RollupStore],
-                  snapshot: Optional[Dict[str, object]]
-                  ) -> Optional[RollupStore]:
-    if snapshot is None:
-        return total
-    store = RollupStore.from_snapshot(snapshot)
-    if total is None:
-        return store
-    total.merge(store)
-    return total
-
-
 def _run_chaos_shard(task: Tuple[str, int, int, int, str,
                                  Optional[int]],
                      scenario: Optional[Scenario] = None
                      ) -> Tuple[int, int, str,
                                 Dict[str, Dict[str, int]],
                                 Dict[str, int],
-                                Optional[Dict[str, object]]]:
-    """Worker entry point: one contiguous device range -> one shard.
-    Rebuilds everything from (scenario name, seed) so fork and spawn
-    behave identically; the inline path hands in ``scenario`` itself,
-    which need not be a registry one."""
+                                Optional[ShardPart]]:
+    """Worker entry point: one contiguous device range -> one shard
+    and one part of rollups.  Rebuilds everything from (scenario name,
+    seed) so fork and spawn behave identically; the inline path hands
+    in ``scenario`` itself, which need not be a registry one."""
     scenario_name, seed, device_lo, device_hi, path, cluster_nodes \
         = task
     if scenario is None:
@@ -340,9 +351,12 @@ def _run_chaos_shard(task: Tuple[str, int, int, int, str,
             count += write_records(handle, run.records, sha)
             _merge_counts(counts, run.counts)
             _merge_stats(stats, run.stats)
-            rollup = _merge_rollup(rollup, run.rollup)
+            if rollup is None:
+                rollup = run.rollup
+            elif run.rollup is not None:
+                rollup.merge(run.rollup)
     return (device_lo, count, sha.hexdigest(), counts, stats,
-            rollup.snapshot() if rollup is not None else None)
+            pack_shard_part(rollup) if rollup is not None else None)
 
 
 @dataclass
@@ -435,14 +449,16 @@ class ChaosRunner:
         result = ChaosResult(scenario_name=self.scenario.name,
                              seed=self.seed, shard_dir=shard_dir,
                              plan=plan, ledger=ledger)
-        rollup: Optional[RollupStore] = None
-        for device_lo, count, _sha, counts, stats, snapshot in outcomes:
+        # Every world's collector store is built on the default config.
+        config = RollupConfig()
+        for device_lo, count, _sha, counts, stats, part in outcomes:
             result.paths.append(shard_path(shard_dir, device_lo))
             result.records += count
             ledger.record_counts(counts)
             _merge_stats(result.stats, stats)
-            rollup = _merge_rollup(rollup, snapshot)
-        result.rollups = rollup
+            if part is not None:
+                result.rollups = fold_shard_part(result.rollups, config,
+                                                 part)
         return result
 
 

@@ -111,6 +111,17 @@ GROUP_COMMIT_BYTES = 1 << 20
 CHECKPOINT_KEEP = 2
 
 
+def holds_store(path: str) -> bool:
+    """Whether ``path`` is a directory holding a manifest or a WAL
+    file -- a store; opening anything else creates one."""
+    try:
+        names = os.listdir(path)
+    except OSError:
+        return False
+    return any(name in (MANIFEST_NAME, WAL_NAME) or _WAL_FILE_RE.match(name)
+               for name in names)
+
+
 class StoreConfig:
     """Tuning knobs for the engine."""
 
@@ -908,4 +919,5 @@ class StoreEngine:
 
 
 __all__ = ["MANIFEST_NAME", "QUARANTINE_DIR", "RecoveryInfo",
-           "SEGMENT_DIR", "StoreConfig", "StoreEngine", "WAL_NAME"]
+           "SEGMENT_DIR", "StoreConfig", "StoreEngine", "WAL_NAME",
+           "holds_store"]

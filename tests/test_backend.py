@@ -126,14 +126,6 @@ class TestMergeHist:
         assert forward.to_dict() == backward.to_dict()
         assert forward.median() == backward.median()
 
-    def test_dict_round_trip(self):
-        hist = MergeHist()
-        for value in (1.0, 2.5, 9000.0):
-            hist.add(value)
-        clone = MergeHist.from_dict(
-            json.loads(json.dumps(hist.to_dict())))
-        assert clone.to_dict() == hist.to_dict()
-
 
 class TestRollupStore:
     def _records(self):
@@ -180,15 +172,20 @@ class TestRollupStore:
             a.merge(b)
 
     def test_save_load_round_trip(self, tmp_path):
+        """Saved as ``serve --data-dir`` saves it, and reopened."""
+        from repro.store import StoreEngine
         store = RollupStore()
         store.add_all(self._records())
-        store.meta["findings"] = [{"rule": "x"}]
-        path = str(tmp_path / "state.json")
-        store.save(path)
-        loaded = RollupStore.load(path)
+        engine = StoreEngine(str(tmp_path / "store"))
+        engine.findings = [{"rule": "x"}]
+        engine.bulk_load(store)
+        engine.close()
+        engine = StoreEngine(str(tmp_path / "store"))
+        loaded = engine.materialize()
+        engine.close()
         assert loaded.digest() == store.digest()
         assert loaded.records == store.records
-        assert loaded.meta["findings"] == [{"rule": "x"}]
+        assert engine.findings == [{"rule": "x"}]
 
     def test_meta_excluded_from_digest(self):
         a, b = RollupStore(), RollupStore()
@@ -673,15 +670,16 @@ class TestQuery:
 class TestServeCli:
     def test_serve_query_round_trip(self, tmp_path, capsys):
         from repro.__main__ import main
-        state = str(tmp_path / "state.json")
+        data_dir = str(tmp_path / "store")
         assert main(["serve", "--scale", "0.002", "--seed", "2016",
-                     "--state", state]) == 0
+                     "--data-dir", data_dir]) == 0
         out = capsys.readouterr().out
-        assert "rollup sha256:" in out
-        assert main(["query", state, "summary"]) == 0
+        assert "rollup sha256: " in out
+        assert main(["query", data_dir, "summary"]) == 0
         view = json.loads(capsys.readouterr().out)
         assert view["records"] > 1000
-        assert main(["query", state, "apps", "--top", "3"]) == 0
+        assert "rollup sha256: %s" % view["digest"] in out
+        assert main(["query", data_dir, "apps", "--top", "3"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 3
 
     def test_serve_digest_stable_across_workers(self, tmp_path,
@@ -699,6 +697,7 @@ class TestServeCli:
     def test_query_missing_state_fails_cleanly(self, tmp_path,
                                                capsys):
         from repro.__main__ import main
-        assert main(["query", str(tmp_path / "nope.json"),
-                     "summary"]) == 2
-        assert "cannot read rollup state" in capsys.readouterr().err
+        missing = tmp_path / "nope"
+        assert main(["query", str(missing), "summary"]) == 2
+        assert "%s holds no store" % missing in capsys.readouterr().err
+        assert not missing.exists()

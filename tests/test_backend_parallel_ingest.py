@@ -9,9 +9,9 @@ import pytest
 
 from repro.backend.ingest import (
     _balance_chunks,
-    _fold_shard_part,
-    _pack_shard_part,
+    fold_shard_part,
     ingest_shard_files,
+    pack_shard_part,
 )
 from repro.backend.rollups import RollupConfig, RollupStore
 from repro.core import save_jsonl_shards
@@ -45,7 +45,7 @@ def _store(records):
 
 def _fold(parts, merged=None):
     for part in parts:
-        merged = _fold_shard_part(merged, RollupConfig(), part)
+        merged = fold_shard_part(merged, RollupConfig(), part)
     return merged
 
 
@@ -53,7 +53,7 @@ class TestShardParts:
     def test_every_arrival_order_of_three_parts_gives_one_digest(self):
         partitions = _partitions(parts=3)
         reference = _store([r for part in partitions for r in part])
-        parts = [_pack_shard_part(_store(part)) for part in partitions]
+        parts = [pack_shard_part(_store(part)) for part in partitions]
         for order in itertools.permutations(parts):
             merged = _fold(order)
             assert merged.digest() == reference.digest()
@@ -68,7 +68,7 @@ class TestShardParts:
         lambda payload: b"",
     ], ids=["row-count-bit", "last-byte-cut", "header-cut", "empty"])
     def test_a_damaged_part_raises_and_merges_nothing(self, damage):
-        first, second = (_pack_shard_part(_store(part))
+        first, second = (pack_shard_part(_store(part))
                          for part in _partitions(parts=2))
         merged = _fold([first])
         before = merged.digest()
@@ -77,8 +77,8 @@ class TestShardParts:
         records, failures, blocks = second
         blocks = dict(blocks, app=damage(blocks["app"]))
         with pytest.raises(ValueError):
-            _fold_shard_part(merged, RollupConfig(),
-                             (records, failures, blocks))
+            fold_shard_part(merged, RollupConfig(),
+                            (records, failures, blocks))
         assert merged.digest() == before
         assert merged.records == first[0]
         assert _fold([second], merged).digest() == \

@@ -154,6 +154,12 @@ class TestChaos:
         assert main(["chaos", "--scenario", "volcano"]) == 2
 
 
+#: The three commands that open an existing store, by path.
+_STORE_READERS = (lambda path: ["query", path, "summary"],
+                  lambda path: ["store", "inspect", path],
+                  lambda path: ["store", "compact", path])
+
+
 class TestQuery:
     @pytest.fixture()
     def data_dir(self, tmp_path):
@@ -182,18 +188,6 @@ class TestQuery:
                      "cases"):
             assert main(["query", data_dir, view]) == 0
             json.loads(capsys.readouterr().out)
-
-    def test_query_dir_matches_state_file(self, data_dir, tmp_path,
-                                          capsys):
-        from repro.store import StoreEngine
-        state = str(tmp_path / "state.json")
-        store = StoreEngine(data_dir).materialize()
-        store.meta.setdefault("findings", [])  # as serve --state does
-        store.save(state)
-        assert main(["query", data_dir, "summary"]) == 0
-        from_dir = capsys.readouterr().out
-        assert main(["query", state, "summary"]) == 0
-        assert capsys.readouterr().out == from_dir
 
     def test_store_inspect_prints_schema_and_stored_order(
             self, data_dir, capsys):
@@ -298,17 +292,46 @@ class TestQuery:
         assert main(["store", "inspect", data_dir]) == 0
 
     def test_other_schema_state_file_is_refused(self, tmp_path, capsys):
+        """A JSON state file, which older builds' ``serve --state``
+        wrote (schema 3 or any other), is not a store: every reader
+        exits 2 naming it and leaves it as it was."""
         from repro.backend.rollups import RollupStore
-        snapshot = RollupStore().snapshot()
-        for schema in (None, 2, 4):
-            snapshot["schema"] = schema
-            if schema is None:
-                del snapshot["schema"]
-            state = tmp_path / "state.json"
-            state.write_text(json.dumps(snapshot))
-            assert main(["query", str(state), "summary"]) == 2
-            err = capsys.readouterr().err
-            assert str(state) in err and "schema %r " % schema in err
+        state = tmp_path / "state.json"
+        state.write_text(RollupStore().to_json() + "\n")
+        for argv in _STORE_READERS:
+            assert main(argv(str(state))) == 2
+            assert "%s holds no store" % state in capsys.readouterr().err
+        assert state.read_text() == RollupStore().to_json() + "\n"
+        assert sorted(os.listdir(tmp_path)) == ["state.json"]
+
+    def test_empty_or_missing_dir_is_refused_and_left_alone(
+            self, tmp_path, capsys):
+        """Opening a store creates one, so no reader opens a path
+        that holds none: the empty directory gains no ``wal.log`` or
+        ``segments/``, the missing path is not created."""
+        empty, missing = tmp_path / "empty", tmp_path / "missing"
+        empty.mkdir()
+        for path in (empty, missing):
+            for argv in _STORE_READERS:
+                assert main(argv(str(path))) == 2
+                assert "%s holds no store" % path \
+                    in capsys.readouterr().err
+        assert os.listdir(empty) == [] and not missing.exists()
+
+    def test_wal_only_store_still_queries(self, tmp_path, capsys):
+        """A store closed before its first flush is a WAL file and
+        nothing else; that is a store."""
+        from repro.core.records import MeasurementRecord
+        from repro.store import StoreEngine
+        path = str(tmp_path / "store")
+        engine = StoreEngine(path)
+        engine.log_batch("dev-1", 0, 1, [MeasurementRecord(
+            kind="TCP", rtt_ms=20.0, timestamp_ms=0.0,
+            app_package="com.app.00")])
+        engine.close()
+        assert not os.path.exists(os.path.join(path, "MANIFEST.json"))
+        assert main(["query", path, "summary"]) == 0
+        assert json.loads(capsys.readouterr().out)["records"] == 1
 
     def test_query_panel_and_table_views(self, data_dir, capsys):
         assert main(["query", data_dir, "panel", "--app",

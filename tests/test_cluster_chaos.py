@@ -57,6 +57,13 @@ class TestDigestInvariant:
         reference.add_all(failover_result.iter_records())
         assert failover_result.rollup_digest() == reference.digest()
 
+    def test_digests_are_pinned(self, failover_result):
+        """Dataset and global rollup as they have been since the
+        cluster tier landed (partition and rebalance share both)."""
+        assert failover_result.digest().startswith("22cfc43fbcd94582")
+        assert failover_result.rollup_digest().startswith(
+            "f9b1573e8df73d81")
+
     def test_every_world_checked_the_invariant(self, failover_result):
         stats = failover_result.stats
         worlds = stats["workloads_completed"]

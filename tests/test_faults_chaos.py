@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.backend.rollups import RollupStore
 from repro.faults import ChaosRunner, get_scenario, verify_scenario
 from repro.faults.chaos import run_device_world
 
@@ -53,6 +54,28 @@ class TestDeterminism:
         assert serial.rollup_digest() is not None
         assert serial.rollup_digest() == pooled.rollup_digest()
         assert serial.rollups.to_json() == pooled.rollups.to_json()
+
+    def test_digests_are_pinned(self, brownout_result, bursty_result):
+        """Two backend-less datasets, as they have been for many
+        builds; neither world has a collector to hand a rollup back."""
+        assert brownout_result.digest().startswith("948eb2d07413bba0")
+        assert bursty_result.digest().startswith("0c67001646bd93ca")
+        assert brownout_result.rollups is bursty_result.rollups is None
+
+    def test_one_world_whoever_collects(self):
+        """The measurement side is built once: a backend-less world
+        and the same world uploading to a one-node cluster measure the
+        same records."""
+        scenario = get_scenario("dns_outage")
+        plan = scenario.plan(7)
+        bare = run_device_world(scenario, plan, 7, 0)
+        clustered = run_device_world(scenario, plan, 7, 0,
+                                     cluster_nodes=1)
+        assert bare.rollup is None
+        assert isinstance(clustered.rollup, RollupStore)
+        assert clustered.stats["cluster_rollup_matches_reference"] == 1
+        assert len(bare.records) == 61
+        assert clustered.records == bare.records
 
     def test_different_seeds_differ(self, tmp_path):
         one = ChaosRunner("dns_outage", seed=1,

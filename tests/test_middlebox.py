@@ -231,6 +231,15 @@ class TestClosedLoop:
 
 
 class TestDeterminism:
+    def test_digests_are_pinned(self, proxy_result, clock_result):
+        """Dataset and recovered rollup of both middlebox scenarios,
+        as they have been since the middleboxes landed."""
+        for result, dataset, rollup in (
+                (proxy_result, "9910c857d7eae37e", "a53714a8b6c0675c"),
+                (clock_result, "29fc6da9dc7227c9", "a377ad26f9bce7b9")):
+            assert result.digest().startswith(dataset)
+            assert result.rollup_digest().startswith(rollup)
+
     def test_worker_count_cannot_change_a_byte(self, tmp_path):
         serial = ChaosRunner("transparent_proxy", seed=3, workers=1,
                              shard_dir=str(tmp_path / "w1")).run()

@@ -4,7 +4,6 @@ the coexistence closed loop with one rule shared online/offline, and
 digest invariance across worker counts and cluster node counts."""
 
 import dataclasses
-import json
 
 import pytest
 
@@ -17,16 +16,12 @@ from repro.backend.rollups import (
     log_bin_value,
 )
 from repro.backend.server import BackendServer
-from repro.cluster.runner import run_cluster_device_world
 from repro.core import MopEyeService
 from repro.core.records import MeasurementKind, MeasurementRecord
 from repro.core.uploader import MeasurementUploader
 from repro.faults import ChaosRunner, get_scenario, verify_scenario
+from repro.faults.chaos import run_device_world
 from repro.phone import App
-
-
-def _canonical(value):
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _download(world, nbytes=30000):
@@ -200,6 +195,12 @@ def coex_result(tmp_path_factory):
 
 
 class TestCoexistenceClosedLoop:
+    def test_digests_are_pinned(self, coex_result):
+        """The dataset and the recovered rollup, as they have been
+        since the modalities landed."""
+        assert coex_result.digest().startswith("0ea9d61d9b6b4d9e")
+        assert coex_result.rollup_digest().startswith("0c05b46c0ffeb13e")
+
     def test_recall_and_precision(self, coex_result):
         report = verify_scenario(coex_result)
         assert report.recall_for("coex_bulk") == 1.0
@@ -283,8 +284,8 @@ class TestClusterNodeInvariance:
         with deployment)."""
         scenario = get_scenario("coexistence")
         plan = scenario.plan(3)
-        runs = {n: run_cluster_device_world(scenario, plan, 3, 0,
-                                            nodes=n)
+        runs = {n: run_device_world(scenario, plan, 3, 0,
+                                    cluster_nodes=n)
                 for n in (1, 3)}
         for run in runs.values():
             stats = run.stats
@@ -293,12 +294,12 @@ class TestClusterNodeInvariance:
             assert not any(r.kind == MeasurementKind.AOI
                            for r in run.records)
         assert runs[1].records == runs[3].records
-        assert _canonical(runs[1].rollup) == _canonical(runs[3].rollup)
+        assert runs[1].rollup.digest() == runs[3].rollup.digest()
 
     def test_cluster_world_still_emits_relay_modalities(self):
         scenario = get_scenario("coexistence")
-        run = run_cluster_device_world(scenario, scenario.plan(3),
-                                       3, 0, nodes=1)
+        run = run_device_world(scenario, scenario.plan(3), 3, 0,
+                               cluster_nodes=1)
         kinds = {r.kind for r in run.records}
         assert MeasurementKind.TPUT_UP in kinds
         assert MeasurementKind.ENERGY in kinds

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend.ingest import _fold_shard_part, _pack_shard_part
+from repro.backend.ingest import fold_shard_part, pack_shard_part
 from repro.backend.rollups import MergeHist, RollupStore
 from repro.core.records import MeasurementRecord
 from repro.store import BlockCache, StoreConfig, StoreEngine
@@ -203,8 +203,8 @@ def test_a_store_never_cloned_copies_nothing(copies):
     left.merge(right)
     folded = None
     for store in (left, right):
-        folded = _fold_shard_part(folded, left.config,
-                                  _pack_shard_part(store))
+        folded = fold_shard_part(folded, left.config,
+                                 pack_shard_part(store))
     folded.add_all(_rec(app="com.app.%03d" % i) for i in range(50))
     folded.merge(left)
     assert copies == []

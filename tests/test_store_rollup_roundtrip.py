@@ -1,10 +1,11 @@
-"""Property tests for the RollupStore save/load round trip.
+"""Property tests for the RollupStore round trips.
 
-The durable formats (JSON snapshot and segment files) both promise
-``load(save(s)).digest() == s.digest()`` for *any* store: empty,
-single-bin histograms, keys containing the separator character,
-failure-only ingest.  Hypothesis drives the record generator; the
-schema-version gate gets its own explicit cases.
+A store reaches disk in two forms, segments and checkpoints, and both
+promise ``digest(read(write(s))) == s.digest()`` for *any* store:
+empty, single-bin histograms, keys containing the separator character,
+failure-only ingest.  Hypothesis drives the record generator.  The
+canonical snapshot the digest hashes is never read back; its schema
+stamp gets one explicit case.
 
 The fast paths ride on references written here: the key codec against
 the character-by-character escaping codec, and ``decode_block`` (numpy
@@ -14,7 +15,6 @@ payloads, in both stored part orders, and on arbitrary truncations and
 bit-flips of them; the first writers' row order, which the decoder
 once put right, is refused."""
 
-import json
 import struct
 
 import pytest
@@ -25,14 +25,13 @@ from repro.backend.rollups import (
     N_BINS,
     SNAPSHOT_SCHEMA,
     MergeHist,
-    RollupConfig,
     RollupStore,
-    UnsupportedSchema,
     _decode_key,
     _encode_key,
     _escape_part,
 )
 from repro.core.records import MeasurementRecord
+from repro.store.checkpoint import read_checkpoint, write_checkpoint
 from repro.store.encoding import decode_block, encode_block
 from repro.store.segments import (
     SegmentReader,
@@ -78,14 +77,25 @@ def _store_of(records):
     return store
 
 
+def _read_back(store, tmp_path):
+    """``store`` written as a segment and as a checkpoint, and each
+    read back."""
+    seg, ckpt = str(tmp_path / "seg.seg"), str(tmp_path / "c.ckpt")
+    write_segment(seg, store, seq=1)
+    write_checkpoint(ckpt, store, covers_gen=0)
+    with SegmentReader(seg) as reader:
+        from_segment = reader.to_store()
+    return from_segment, read_checkpoint(ckpt)[0]
+
+
 class TestSnapshotRoundTrip:
     @given(records=_records)
     @settings(**_SETTINGS)
     def test_save_load_preserves_the_digest(self, records, tmp_path):
         store = _store_of(records)
-        path = str(tmp_path / "state.json")
-        store.save(path)
-        loaded = RollupStore.load(path)
+        path = str(tmp_path / "state.ckpt")
+        write_checkpoint(path, store, covers_gen=0)
+        loaded, _covers = read_checkpoint(path)
         assert loaded.digest() == store.digest()
         assert loaded.records == store.records
         for table in RollupStore.TABLES:
@@ -103,9 +113,8 @@ class TestSnapshotRoundTrip:
 
     def test_empty_store_round_trips(self, tmp_path):
         store = RollupStore()
-        path = str(tmp_path / "empty.json")
-        store.save(path)
-        assert RollupStore.load(path).digest() == store.digest()
+        for loaded in _read_back(store, tmp_path):
+            assert loaded.digest() == store.digest()
 
     def test_single_bin_hist_round_trips(self, tmp_path):
         store = RollupStore()
@@ -113,28 +122,24 @@ class TestSnapshotRoundTrip:
         hist.add(42.0)
         store.tables["app"][("0", "com.one", "TCP")] = hist
         store.records = 1
-        path = str(tmp_path / "one.json")
-        store.save(path)
-        loaded = RollupStore.load(path)
-        assert loaded.digest() == store.digest()
-        got = loaded.tables["app"][("0", "com.one", "TCP")]
-        assert got.bins == hist.bins and got.count == hist.count
+        for loaded in _read_back(store, tmp_path):
+            assert loaded.digest() == store.digest()
+            got = loaded.tables["app"][("0", "com.one", "TCP")]
+            assert got.bins == hist.bins and got.count == hist.count
 
     def test_failure_records_are_live_only(self, tmp_path):
         """failure_records counts time-to-failure records that are
-        never rolled up; the field is volatile by design and must not
-        perturb the digest across a round trip."""
+        never rolled up; the digest does not see the field, so a
+        failure-only store digests as an empty one, on disk too."""
         store = RollupStore()
         store.add(MeasurementRecord(
             kind="TCP", rtt_ms=1.0, timestamp_ms=0.0,
             app_package="com.app", failure="timeout"))
         assert store.failure_records == 1 and store.records == 0
         assert "failure_records" not in store.snapshot()
-        path = str(tmp_path / "f.json")
-        store.save(path)
-        loaded = RollupStore.load(path)
-        assert loaded.failure_records == 0
-        assert loaded.digest() == store.digest()
+        assert store.digest() == RollupStore().digest()
+        for loaded in _read_back(store, tmp_path):
+            assert loaded.digest() == store.digest()
 
 
 def _reference_decode_key(text):
@@ -206,12 +211,10 @@ class TestKeyEncoding:
         store.add(MeasurementRecord(
             kind="TCP", rtt_ms=10.0, timestamp_ms=0.0,
             app_package="com.pipe", operator="Evil|Op"))
-        path = str(tmp_path / "pipe.json")
-        store.save(path)
-        loaded = RollupStore.load(path)
-        assert loaded.digest() == store.digest()
-        assert ("0", "Evil|Op", "WIFI", "TCP") in \
-            loaded.tables["network"]
+        for loaded in _read_back(store, tmp_path):
+            assert loaded.digest() == store.digest()
+            assert ("0", "Evil|Op", "WIFI", "TCP") in \
+                loaded.tables["network"]
 
 
 def _reference_decode_block(payload, expected_rows=None):
@@ -551,56 +554,3 @@ class TestRowDecoder:
 class TestSchemaGate:
     def test_current_schema_is_stamped(self):
         assert RollupStore().snapshot()["schema"] == SNAPSHOT_SCHEMA
-
-    def test_snapshot_without_schema_key_is_refused(self, tmp_path):
-        """The first writer's form, once read as "version 1"."""
-        store = _store_of([MeasurementRecord(
-            kind="TCP", rtt_ms=10.0, timestamp_ms=0.0,
-            app_package="com.v1")])
-        snapshot = store.snapshot()
-        del snapshot["schema"]
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(snapshot))
-        with pytest.raises(UnsupportedSchema, match="schema None "):
-            RollupStore.load(str(path))
-        with pytest.raises(UnsupportedSchema):
-            RollupStore.from_snapshot(snapshot)
-
-    def _refused_by_name(self, tmp_path, schema):
-        snapshot = RollupStore().snapshot()
-        snapshot["schema"] = schema
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps(snapshot))
-        with pytest.raises(UnsupportedSchema) as refused:
-            RollupStore.load(str(path))
-        for told in (str(path), "schema %d " % schema,
-                     "only schema %d;" % SNAPSHOT_SCHEMA):
-            assert told in str(refused.value)
-
-    def test_newer_schema_rejected_with_clear_error(self, tmp_path):
-        self._refused_by_name(tmp_path, SNAPSHOT_SCHEMA + 1)
-
-    def test_older_schema_rejected_the_same_way(self, tmp_path):
-        """2: escaped keys, but only the five pre-PR-9 tables."""
-        self._refused_by_name(tmp_path, 2)
-
-    def test_missing_table_is_a_value_error_not_empty(self, tmp_path):
-        """A pre-PR-9 snapshot re-stamped 3, or a truncated one: a
-        table of this schema that is not there does not load empty."""
-        snapshot = _store_of([MeasurementRecord(
-            kind="TCP", rtt_ms=10.0, timestamp_ms=0.0,
-            app_package="com.app")]).snapshot()
-        del snapshot["tables"]["aoi"]
-        path = tmp_path / "five-tables.json"
-        path.write_text(json.dumps(snapshot))
-        with pytest.raises(ValueError, match="missing required.*aoi"):
-            RollupStore.load(str(path))
-
-    def test_missing_field_is_a_value_error_not_keyerror(self,
-                                                         tmp_path):
-        snapshot = RollupStore().snapshot()
-        del snapshot["config"]
-        path = tmp_path / "broken.json"
-        path.write_text(json.dumps(snapshot))
-        with pytest.raises(ValueError, match="missing required"):
-            RollupStore.load(str(path))

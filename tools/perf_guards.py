@@ -111,8 +111,8 @@ def guard_scaling(dataset):
     """1 worker vs 2 workers, and the two workers' parts folded in
     both arrival orders: one digest."""
     from repro.backend import RollupConfig, ingest_shard_files
-    from repro.backend.ingest import (_balance_chunks, _fold_shard_part,
-                                      _ingest_shard_chunk)
+    from repro.backend.ingest import (_balance_chunks, _ingest_shard_chunk,
+                                      fold_shard_part)
 
     config = RollupConfig()
     serial = ingest_shard_files(dataset.paths, config=config, workers=1)
@@ -125,7 +125,7 @@ def guard_scaling(dataset):
     for order in (parts, parts[::-1]):
         folded = None
         for part in order:
-            folded = _fold_shard_part(folded, config, part)
+            folded = fold_shard_part(folded, config, part)
         digests.add(folded.digest())
     print("scaling: %d records, 1 worker, 2 workers and chunks %s "
           "folded in both orders -> digest %s"
