@@ -50,8 +50,11 @@ the budget table.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import random
 import sys
+import tempfile
+from typing import Optional
 
 
 def _build_demo_world():
@@ -143,35 +146,81 @@ def cmd_obsreport(args) -> int:
     return 0
 
 
+def _shard_dir(given: Optional[str], prefix: str):
+    """``given``, or a fresh temporary directory removed with all it
+    holds once the command using it is done."""
+    if given:
+        return contextlib.nullcontext(given)
+    return tempfile.TemporaryDirectory(prefix=prefix)
+
+
 def cmd_crowd(args) -> int:
+    """Generate the campaign and print its headline analyses from one
+    pass over its records: straight from the generator, or from the
+    JSONL shards when ``--workers > 1`` or ``--shard-dir`` asks for
+    them.  Every source prints the same statistics and medians."""
+    import time
+
+    from repro.crowd import Campaign, CampaignConfig, ShardedCampaign
+
     if args.workers < 1:
         print("error: --workers must be >= 1 (got %d)" % args.workers,
               file=sys.stderr)
         return 2
-    if args.workers > 1 or args.shard_dir:
-        return _crowd_sharded(args)
-    from repro.analysis.coverage import dataset_statistics
-    from repro.analysis.dnsperf import dns_medians
-    from repro.analysis.perapp import raw_rtt_medians
-    from repro.crowd import Campaign, CampaignConfig
+    config = CampaignConfig(scale=args.scale, seed=args.seed)
+    if args.workers == 1 and not args.shard_dir:
+        return _crowd_report(args, Campaign(config=config).iter_records)
+    with _shard_dir(args.shard_dir, "mopeye-shards-") as shard_dir:
+        runner = ShardedCampaign(config=config, workers=args.workers,
+                                 shard_dir=shard_dir)
+        started = time.perf_counter()
+        result = runner.run()
+        elapsed = time.perf_counter() - started
+        if elapsed > 0:
+            runner.obs.set_gauge("crowd.records_per_sec",
+                                 result.total_records / elapsed)
+        print("generated %d records in %d shards with %d worker(s) "
+              "in %.1fs" % (result.total_records, len(result.shards),
+                            args.workers, elapsed))
+        print("shard dir:      %s%s" % (
+            shard_dir, "" if args.shard_dir else " (removed when done)"))
+        print("dataset sha256: %s" % result.digest())
+        return _crowd_report(args, result.iter_records, result.paths)
 
+
+def _crowd_report(args, records, shards=None) -> int:
+    """``crowd``'s one analysis: one pass over ``records()`` counts
+    the section 4.2.1 statistics and folds both median lines.
+    ``shards`` are the JSONL files the records are read from; without
+    them the pass is the generation, counted here."""
+    from repro.analysis import (
+        dataset_statistics,
+        fold_rtts,
+        folded_dns_medians,
+        folded_rtt_medians,
+    )
     from repro.obs import get_default
 
-    campaign = Campaign(config=CampaignConfig(scale=args.scale,
-                                              seed=args.seed))
-    store = campaign.run()
-    get_default().inc("crowd.records_generated", len(store))
-    for key, value in dataset_statistics(store).items():
+    hists: dict = {}
+    stats = dataset_statistics(fold_rtts(records(), hists))
+    if shards is None:
+        get_default().inc("crowd.records_generated", stats["total"])
+    for key, value in stats.items():
         print("%-12s %d" % (key, value))
-    print("app-RTT medians:", {k: round(v, 1)
-                               for k, v in raw_rtt_medians(store)
-                               .items()})
-    print("DNS medians:    ", {k: round(v, 1)
-                               for k, v in dns_medians(store).items()})
+    print("app-RTT medians:", {k: round(v, 1) for k, v in
+                               folded_rtt_medians(hists).items()})
+    print("DNS medians:    ", {k: round(v, 1) for k, v in
+                               folded_dns_medians(hists).items()})
     if args.export:
-        from repro.core import save_csv, save_jsonl
-        saver = save_csv if args.export.endswith(".csv") else save_jsonl
-        count = saver(store, args.export)
+        # Whatever the source, the format is the one the extension
+        # names; only JSON lines from shards is a byte copy.
+        from repro.core.persist import merge_shards, save_csv, save_jsonl
+        if args.export.endswith(".csv"):
+            count = save_csv(records(), args.export)
+        elif shards:
+            count = merge_shards(shards, args.export)
+        else:
+            count = save_jsonl(records(), args.export)
         print("exported %d records to %s" % (count, args.export))
     if args.metrics:
         _print_crowd_metrics()
@@ -186,52 +235,10 @@ def _print_crowd_metrics() -> None:
     print(get_default().to_json())
 
 
-def _crowd_sharded(args) -> int:
-    """Sharded generation + streaming analysis: the full-scale
-    (``--scale 1.0``) path.  Never materializes the dataset in RAM."""
-    import time
-
-    from repro.analysis.coverage import dataset_statistics_stream
-    from repro.analysis.dnsperf import dns_medians_stream
-    from repro.analysis.perapp import raw_rtt_medians_stream
-    from repro.crowd import CampaignConfig, ShardedCampaign
-
-    config = CampaignConfig(scale=args.scale, seed=args.seed)
-    runner = ShardedCampaign(config=config, workers=args.workers,
-                             shard_dir=args.shard_dir)
-    started = time.perf_counter()
-    merge_to = args.export if args.export else None
-    result = runner.run(merge_to=merge_to)
-    elapsed = time.perf_counter() - started
-    if elapsed > 0:
-        runner.obs.set_gauge("crowd.records_per_sec",
-                             result.total_records / elapsed)
-    print("generated %d records in %d shards with %d worker(s) "
-          "in %.1fs" % (result.total_records, len(result.shards),
-                        args.workers, elapsed))
-    print("shard dir:      %s" % result.shard_dir)
-    print("dataset sha256: %s" % result.digest())
-    for key, value in dataset_statistics_stream(
-            result.iter_records()).items():
-        print("%-12s %d" % (key, value))
-    print("app-RTT medians:", {k: round(v, 1)
-                               for k, v in raw_rtt_medians_stream(
-                                   result.iter_records()).items()})
-    print("DNS medians:    ", {k: round(v, 1)
-                               for k, v in dns_medians_stream(
-                                   result.iter_records()).items()})
-    if result.merged_path:
-        print("merged dataset: %s" % result.merged_path)
-    if args.metrics:
-        _print_crowd_metrics()
-    return 0
-
-
 def cmd_serve(args) -> int:
     """The backend pipeline end to end: sharded generation, parallel
     rollup ingest (digest-stable across worker counts), online
     detection, persisted state."""
-    import tempfile
     import time
 
     from repro.backend import (
@@ -246,19 +253,18 @@ def cmd_serve(args) -> int:
               file=sys.stderr)
         return 2
     config = CampaignConfig(scale=args.scale, seed=args.seed)
-    shard_dir = args.shard_dir or tempfile.mkdtemp(
-        prefix="mopeye-backend-")
-    runner = ShardedCampaign(config=config, workers=args.workers,
-                             shard_dir=shard_dir)
-    started = time.perf_counter()
-    result = runner.run()
-    print("generated %d records in %d shards with %d worker(s)"
-          % (result.total_records, len(result.shards), args.workers))
-
     rollup_config = RollupConfig(
         window_ms=args.window_days * 24 * 3600 * 1000.0)
-    rollups = ingest_shard_files(result.paths, config=rollup_config,
-                                 workers=args.workers)
+    with _shard_dir(args.shard_dir, "mopeye-backend-") as shard_dir:
+        runner = ShardedCampaign(config=config, workers=args.workers,
+                                 shard_dir=shard_dir)
+        started = time.perf_counter()
+        result = runner.run()
+        print("generated %d records in %d shards with %d worker(s)"
+              % (result.total_records, len(result.shards),
+                 args.workers))
+        rollups = ingest_shard_files(result.paths, config=rollup_config,
+                                     workers=args.workers)
     rollups.meta.update({"scale": args.scale, "seed": args.seed})
     elapsed = time.perf_counter() - started
     print("ingested %d records into %d rollup groups in %.1fs"
@@ -640,14 +646,15 @@ def main(argv=None) -> int:
     crowd.add_argument("--scale", type=float, default=0.02)
     crowd.add_argument("--seed", type=int, default=2016)
     crowd.add_argument("--export", type=str, default=None,
-                       help="write the dataset to a .jsonl or .csv "
-                            "(sharded runs merge shards into it)")
+                       help="write the dataset to a .jsonl or .csv")
     crowd.add_argument("--workers", type=int, default=1,
-                       help="worker processes; >1 switches to the "
-                            "sharded generator + streaming analyses")
+                       help="worker processes; >1 generates JSONL "
+                            "shards and analyses them (the same "
+                            "statistics and medians for any value)")
     crowd.add_argument("--shard-dir", type=str, default=None,
-                       help="directory for JSONL shards (implies the "
-                            "sharded path even with --workers 1)")
+                       help="keep the JSONL shards here (implies the "
+                            "sharded path even with --workers 1; "
+                            "default: a temp dir removed when done)")
     crowd.add_argument("--metrics", action="store_true",
                        help="print the campaign's registry snapshot")
     serve = sub.add_parser("serve", help="run the backend pipeline "
@@ -659,7 +666,7 @@ def main(argv=None) -> int:
                             "rollup digest is identical for any value")
     serve.add_argument("--shard-dir", type=str, default=None,
                        help="directory for the dataset shards "
-                            "(default: a fresh temp dir)")
+                            "(default: a temp dir removed when done)")
     serve.add_argument("--window-days", type=float, default=28.0,
                        help="rollup window length in sim days")
     serve.add_argument("--data-dir", type=str, default=None,

@@ -1,45 +1,39 @@
 """Analysis pipeline: regenerates every evaluation table and figure.
 
-Each function consumes a :class:`~repro.core.records.MeasurementStore`
--- whether it came from the live relay or the synthetic campaign -- and
-returns plain data structures (dicts/lists) that the benchmark harness
-renders in the paper's table/figure formats.
+Each figure function consumes a
+:class:`~repro.core.records.MeasurementStore` -- whether it came from
+the live relay or the synthetic campaign -- and returns plain data
+structures (dicts/lists) that the benchmark harness renders in the
+paper's table/figure formats.  A dataset too large to hold is read in
+one pass instead: :func:`dataset_statistics` over any record iterable,
+with :func:`fold_rtts` folding the RTTs on the way into the rollups'
+own histogram (``repro.backend.rollups.MergeHist``), from which
+:func:`folded_rtt_medians` and :func:`folded_dns_medians` read the
+headline medians to within one bin of exact.
 """
 
-from repro.analysis.stats import (
-    P2Quantile,
-    ReservoirSample,
-    StreamingCDF,
-    StreamingGroups,
-    cdf,
-    fraction_below,
-    median,
-    percentile,
-)
+from repro.analysis.stats import cdf, fraction_below, median, percentile
 from repro.analysis.coverage import (
     bucket_counts,
     country_distribution,
-    dataset_statistics_stream,
+    dataset_statistics,
     location_scatter,
     measurements_per_app,
     measurements_per_user,
-    measurements_per_user_stream,
 )
 from repro.analysis.perapp import (
     app_rtt_cdfs,
-    app_rtt_cdfs_stream,
+    fold_rtts,
+    folded_rtt_medians,
     per_app_median_cdf,
-    per_app_median_cdf_stream,
-    raw_rtt_medians_stream,
     representative_app_table,
 )
 from repro.analysis.dnsperf import (
     dns_cdfs_by_network,
     dns_cdfs_by_technology,
-    dns_medians_stream,
+    folded_dns_medians,
     isp_dns_cdfs,
     isp_dns_table,
-    isp_dns_table_stream,
 )
 from repro.analysis.casestudies import jio_analysis, whatsapp_analysis
 from repro.analysis.diagnosis import (
@@ -77,19 +71,12 @@ from repro.analysis.validation import (
 
 __all__ = [
     "Finding",
-    "P2Quantile",
-    "ReservoirSample",
-    "StreamingCDF",
-    "StreamingGroups",
     "Verdict",
     "app_rtt_cdfs",
-    "app_rtt_cdfs_stream",
-    "dataset_statistics_stream",
-    "dns_medians_stream",
-    "isp_dns_table_stream",
-    "measurements_per_user_stream",
-    "per_app_median_cdf_stream",
-    "raw_rtt_medians_stream",
+    "dataset_statistics",
+    "fold_rtts",
+    "folded_dns_medians",
+    "folded_rtt_medians",
     "diagnose_all",
     "diagnose_app",
     "diagnose_operator",

@@ -1,14 +1,14 @@
 """Dataset coverage analyses: Figures 6, 7 and 8.
 
-``dataset_statistics_stream`` / ``measurements_per_user_stream`` accept
-record iterators so the §4.2.1 summary runs straight off JSONL shards;
-memory is bounded by the number of distinct entities (devices, apps,
-IPs), never the record count."""
+:func:`dataset_statistics` and :func:`measurements_per_user` take a
+store or any record iterable, so the §4.2.1 summary runs straight off
+the generator or JSONL shards; memory is bounded by the number of
+distinct entities (devices, apps, IPs), never the record count."""
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.records import (
     MeasurementKind,
@@ -40,10 +40,10 @@ def bucket_counts(counts: Dict[str, int],
     return out
 
 
-def measurements_per_user(store: MeasurementStore,
+def measurements_per_user(records: Iterable[MeasurementRecord],
                           scale: float = 1.0) -> Dict[str, int]:
     """Figure 6(a): number of devices in each measurement-count bucket."""
-    counts = Counter(r.device_id for r in store)
+    counts = Counter(r.device_id for r in records)
     return bucket_counts(counts, scale)
 
 
@@ -78,19 +78,13 @@ def location_scatter(store: MeasurementStore
     return sorted(seen)
 
 
-def measurements_per_user_stream(records: Iterable[MeasurementRecord],
-                                 scale: float = 1.0) -> Dict[str, int]:
-    """Streaming Figure 6(a) over a record iterator."""
-    counts: Counter = Counter()
-    for record in records:
-        counts[record.device_id] += 1
-    return bucket_counts(counts, scale)
-
-
-def dataset_statistics_stream(records: Iterable[MeasurementRecord]
-                              ) -> Dict[str, int]:
-    """Streaming §4.2.1 summary numbers: one pass, counters + entity
-    sets only."""
+def dataset_statistics(records: Iterable[MeasurementRecord]
+                       ) -> Dict[str, int]:
+    """The section 4.2.1 summary numbers, in one pass.  ``tcp`` and
+    ``dns`` count the successful samples of their kind, as
+    :meth:`MeasurementStore.tcp` / :meth:`~MeasurementStore.dns` pick
+    them; ``total``, ``devices`` and ``countries`` count every
+    record."""
     total = tcp = dns = 0
     devices: set = set()
     apps: set = set()
@@ -99,44 +93,29 @@ def dataset_statistics_stream(records: Iterable[MeasurementRecord]
     domains: set = set()
     dns_servers: set = set()
     for record in records:
+        (kind, _, _, app_package, _, dst_ip, _, domain, _, _, country,
+         device_id, failure, _) = record
         total += 1
-        devices.add(record.device_id)
-        countries.add(record.country)
-        if record.kind == MeasurementKind.TCP:
+        devices.add(device_id)
+        countries.add(country)
+        if failure is not None:
+            continue
+        if kind == MeasurementKind.TCP:
             tcp += 1
-            dst_ips.add(record.dst_ip)
-            if record.app_package is not None:
-                apps.add(record.app_package)
-            if record.domain is not None:
-                domains.add(record.domain)
-        else:
+            dst_ips.add(dst_ip)
+            apps.add(app_package)
+            domains.add(domain)
+        elif kind == MeasurementKind.DNS:
             dns += 1
-            dns_servers.add(record.dst_ip)
+            dns_servers.add(dst_ip)
     return {
         "total": total,
         "tcp": tcp,
         "dns": dns,
         "devices": len(devices),
-        "apps": len(apps),
+        "apps": len(apps - {None}),
         "countries": len(countries),
         "dst_ips": len(dst_ips),
-        "domains": len(domains),
+        "domains": len(domains - {None}),
         "dns_servers": len(dns_servers),
-    }
-
-
-def dataset_statistics(store: MeasurementStore) -> Dict[str, int]:
-    """The section 4.2.1 summary numbers."""
-    tcp = store.tcp()
-    dns = store.dns()
-    return {
-        "total": len(store),
-        "tcp": len(tcp),
-        "dns": len(dns),
-        "devices": len(store.unique(lambda r: r.device_id)),
-        "apps": len(tcp.unique(lambda r: r.app_package) - {None}),
-        "countries": len(store.unique(lambda r: r.country)),
-        "dst_ips": len(tcp.unique(lambda r: r.dst_ip)),
-        "domains": len(tcp.unique(lambda r: r.domain) - {None}),
-        "dns_servers": len(dns.unique(lambda r: r.dst_ip)),
     }

@@ -1,25 +1,12 @@
-"""DNS performance analyses: Figure 10, Table 6, Figure 11.
-
-The ``*_stream`` variants consume record iterators (shards) instead of
-a materialized store -- same numbers, O(sketch) memory."""
+"""DNS performance analyses: Figure 10, Table 6, Figure 11."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.analysis.stats import (
-    P2Quantile,
-    StreamingCDF,
-    StreamingGroups,
-    cdf,
-    fraction_below,
-    median,
-)
-from repro.core.records import (
-    MeasurementKind,
-    MeasurementRecord,
-    MeasurementStore,
-)
+from repro.analysis.perapp import RttFold, folded_medians
+from repro.analysis.stats import cdf, fraction_below, median
+from repro.core.records import MeasurementKind, MeasurementStore
 from repro.network.link import NetworkType
 
 
@@ -70,57 +57,16 @@ def dns_medians(store: MeasurementStore) -> Dict[str, float]:
     return out
 
 
-def dns_medians_stream(records: Iterable[MeasurementRecord]
-                       ) -> Dict[str, float]:
-    """Streaming Figure 10 medians (All/WiFi/Cellular + 4G/3G/2G) in
-    one pass; histogram sketches sized to cover the 2G tail (755 ms
-    paper median) with sub-ms bins."""
-    labels = {NetworkType.LTE: "4G", NetworkType.UMTS: "3G",
-              NetworkType.GPRS: "2G"}
-    sketches = {label: StreamingCDF(max_x=8000.0, n_bins=32000)
-                for label in ("All", "WiFi", "Cellular",
-                              "4G", "3G", "2G")}
-    for record in records:
-        if record.kind != MeasurementKind.DNS:
-            continue
-        rtt = record.rtt_ms
-        sketches["All"].add(rtt)
-        if record.network_type == NetworkType.WIFI:
-            sketches["WiFi"].add(rtt)
-            continue
-        tech = labels.get(record.network_type)
-        if tech is not None:
-            sketches["Cellular"].add(rtt)
-            sketches[tech].add(rtt)
-    return {label: sketch.quantile(0.5)
-            for label, sketch in sketches.items() if sketch.count}
-
-
-def isp_dns_table_stream(records: Iterable[MeasurementRecord],
-                         top: int = 15) -> List[Dict[str, object]]:
-    """Streaming Table 6: per-operator medians + counts, one pass.
-    Named cellular operators number ~15, so a histogram sketch per
-    operator is cheap and immune to the mixed-technology bimodality
-    (Cricket, U.S. Cellular) that biases P²."""
-    groups = StreamingGroups(
-        lambda: StreamingCDF(max_x=8000.0, n_bins=32000))
-    countries: Dict[str, str] = {}
-    for record in records:
-        if record.kind != MeasurementKind.DNS:
-            continue
-        operator = record.operator
-        if operator.startswith("wifi") or operator.startswith("lte-"):
-            continue
-        groups.add(operator, record.rtt_ms)
-        countries.setdefault(operator, record.country)
-    rows = [{
-        "isp": operator,
-        "country": countries[operator],
-        "count": groups.counts[operator],
-        "median_ms": sketch.quantile(0.5),
-    } for operator, sketch in groups.items()]
-    rows.sort(key=lambda row: -row["count"])
-    return rows[:top]
+def folded_dns_medians(hists: RttFold) -> Dict[str, float]:
+    """:func:`dns_medians`, read from a
+    :func:`~repro.analysis.perapp.fold_rtts` fold."""
+    return folded_medians(hists, MeasurementKind.DNS, (
+        ("All", None),
+        ("WiFi", (NetworkType.WIFI,)),
+        ("Cellular", NetworkType.CELLULAR),
+        ("4G", (NetworkType.LTE,)),
+        ("3G", (NetworkType.UMTS,)),
+        ("2G", (NetworkType.GPRS,))))
 
 
 def isp_dns_table(store: MeasurementStore,

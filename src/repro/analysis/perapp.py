@@ -1,28 +1,28 @@
 """Per-app performance analyses: Figure 9 and Table 5.
 
-Every figure has two entry points: the exact one over a materialized
-:class:`MeasurementStore`, and a ``*_stream`` variant that consumes a
-record iterator (e.g. :func:`repro.core.persist.iter_jsonl_shards`) so
-the full-scale sharded dataset is analysed in O(sketch) memory."""
+Figures are computed exactly over a materialized
+:class:`MeasurementStore`.  A record stream too large to hold -- the
+full-scale campaign, generated or read off JSONL shards -- is folded
+once by :func:`fold_rtts` into the rollups' own histogram, and its
+headline medians read from that fold (:func:`folded_rtt_medians`,
+:func:`repro.analysis.dnsperf.folded_dns_medians`): each within one
+bin (``repro.backend.rollups.BIN_WIDTH_MS``) of exact."""
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis.stats import (
-    P2Quantile,
-    StreamingCDF,
-    StreamingGroups,
-    cdf,
-    median,
-)
+from repro.analysis.stats import cdf, median
 from repro.core.records import (
     MeasurementKind,
     MeasurementRecord,
     MeasurementStore,
 )
 from repro.network.link import NetworkType
+
+#: A :func:`fold_rtts` fold: ``{(kind, network_type): MergeHist}``.
+RttFold = Dict[Tuple[str, Optional[str]], "MergeHist"]
 
 
 def app_rtt_cdfs(store: MeasurementStore,
@@ -50,6 +50,60 @@ def raw_rtt_medians(store: MeasurementStore) -> Dict[str, float]:
             tcp.for_network_type(*NetworkType.CELLULAR).rtts()),
         "LTE": median(tcp.for_network_type(NetworkType.LTE).rtts()),
     }
+
+
+def fold_rtts(records: Iterable[MeasurementRecord],
+              hists: RttFold) -> Iterator[MeasurementRecord]:
+    """Pass ``records`` through, folding each one's ``rtt_ms`` into
+    ``hists[(kind, network_type)]`` on the way: one
+    :class:`~repro.backend.rollups.MergeHist` per key, whatever the
+    record count.  Failure records pass unfolded, as
+    :meth:`RollupStore.add` skips them: their ``rtt_ms`` is a
+    time-to-failure, not an RTT."""
+    # The backend imports this package, so not at module level.
+    from repro.backend.rollups import MergeHist
+
+    for record in records:
+        # One unpack, not four reads by name (as RollupStore.add).
+        (kind, rtt_ms, _, _, _, _, _, _, network_type, _, _, _, failure,
+         _) = record
+        if failure is None:
+            hist = hists.get((kind, network_type))
+            if hist is None:
+                hist = hists[kind, network_type] = MergeHist()
+            hist.add(rtt_ms)
+        yield record
+
+
+def folded_medians(hists: RttFold, kind: str,
+                   groups: Sequence[Tuple[str, Optional[Sequence[str]]]]
+                   ) -> Dict[str, float]:
+    """``{label: median}`` of ``kind``'s rows of a :func:`fold_rtts`
+    fold, one per ``(label, network_types)`` group (``None``: every
+    network type); a group with no sample is left out."""
+    out: Dict[str, float] = {}
+    for label, network_types in groups:
+        merged = None
+        for (row_kind, network_type), hist in hists.items():
+            if row_kind != kind or (network_types is not None
+                                    and network_type not in network_types):
+                continue
+            if merged is None:
+                merged = hist.copy()
+            else:
+                merged.merge(hist)
+        if merged is not None:
+            out[label] = merged.median()
+    return out
+
+
+def folded_rtt_medians(hists: RttFold) -> Dict[str, float]:
+    """:func:`raw_rtt_medians`, read from a :func:`fold_rtts` fold."""
+    return folded_medians(hists, MeasurementKind.TCP, (
+        ("All", None),
+        ("WiFi", (NetworkType.WIFI,)),
+        ("Cellular", NetworkType.CELLULAR),
+        ("LTE", (NetworkType.LTE,))))
 
 
 def per_app_median_cdf(store: MeasurementStore,
@@ -96,68 +150,6 @@ def representative_app_table(store: MeasurementStore,
             "median_ms": median(rtts) if rtts else None,
         })
     return rows
-
-
-def raw_rtt_medians_stream(records: Iterable[MeasurementRecord]
-                           ) -> Dict[str, float]:
-    """Streaming Figure 9(a) medians: one fixed-size histogram sketch
-    per class, one pass over the record stream, O(1) memory.  The
-    cellular mix is strongly multimodal (per-ISP access medians plus
-    Jio's core penalty), so the bin-width-bounded histogram quantile is
-    used rather than P²."""
-    sketches = {label: StreamingCDF(max_x=8000.0, n_bins=32000)
-                for label in ("All", "WiFi", "Cellular", "LTE")}
-    cellular = set(NetworkType.CELLULAR)
-    for record in records:
-        if record.kind != MeasurementKind.TCP:
-            continue
-        rtt = record.rtt_ms
-        sketches["All"].add(rtt)
-        if record.network_type == NetworkType.WIFI:
-            sketches["WiFi"].add(rtt)
-        elif record.network_type in cellular:
-            sketches["Cellular"].add(rtt)
-            if record.network_type == NetworkType.LTE:
-                sketches["LTE"].add(rtt)
-    return {label: sketch.quantile(0.5)
-            for label, sketch in sketches.items() if sketch.count}
-
-
-def app_rtt_cdfs_stream(records: Iterable[MeasurementRecord],
-                        max_x: float = 400.0
-                        ) -> Dict[str, Tuple[List[float],
-                                             List[float]]]:
-    """Streaming Figure 9(a) CDFs over a record iterator."""
-    hists = {label: StreamingCDF(max_x)
-             for label in ("All", "WiFi", "Cellular")}
-    cellular = set(NetworkType.CELLULAR)
-    for record in records:
-        if record.kind != MeasurementKind.TCP:
-            continue
-        hists["All"].add(record.rtt_ms)
-        if record.network_type == NetworkType.WIFI:
-            hists["WiFi"].add(record.rtt_ms)
-        elif record.network_type in cellular:
-            hists["Cellular"].add(record.rtt_ms)
-    return {label: hist.cdf() for label, hist in hists.items()}
-
-
-def per_app_median_cdf_stream(records: Iterable[MeasurementRecord],
-                              min_count: int = 1000,
-                              scale: float = 1.0,
-                              max_x: float = 400.0
-                              ) -> Tuple[List[float], List[float], int]:
-    """Streaming Figure 9(b): per-app P² medians in one pass; only the
-    per-app sketches (5 floats each) stay resident."""
-    groups = StreamingGroups(lambda: P2Quantile(0.5))
-    for record in records:
-        if (record.kind == MeasurementKind.TCP
-                and record.app_package is not None):
-            groups.add(record.app_package, record.rtt_ms)
-    medians = [sketch.value() for app, sketch in groups.items()
-               if groups.counts[app] / scale > min_count]
-    xs, fractions = cdf(medians, max_x)
-    return xs, fractions, len(medians)
 
 
 def representative_packages_table_spec() -> List[Tuple[str, str, str]]:

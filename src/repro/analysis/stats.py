@@ -1,20 +1,12 @@
-"""Small statistics helpers shared by the analysis modules.
-
-Two families live here:
-
-* exact helpers (:func:`median`, :func:`percentile`, :func:`cdf`) that
-  operate on fully materialized sequences, and
-* streaming sketches (:class:`P2Quantile`, :class:`ReservoirSample`,
-  :class:`StreamingCDF`, :class:`StreamingGroups`) that consume one
-  value at a time in O(1)/O(k) memory, so the full-scale 5.25 M-record
-  campaign can be analysed straight off JSONL shards without ever
-  holding the dataset in RAM.
-"""
+"""Small exact statistics helpers shared by the analysis modules:
+:func:`median`, :func:`percentile`, :func:`cdf` and
+:func:`fraction_below` over fully materialized sequences.  A stream
+too large to hold is folded into the rollups' histogram instead
+(:func:`repro.analysis.perapp.fold_rtts`)."""
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -50,211 +42,3 @@ def fraction_below(values: Sequence[float], threshold: float) -> float:
     if array.size == 0:
         raise ValueError("fraction_below of empty sequence")
     return float((array < threshold).mean())
-
-
-# -- streaming sketches ------------------------------------------------------
-
-class P2Quantile:
-    """The P² (piecewise-parabolic) single-quantile estimator of Jain &
-    Chlamtac (1985): five markers track the running quantile without
-    storing observations.  Exact for the first five samples, then O(1)
-    per update; on the campaign's heavy-tailed RTTs the median estimate
-    lands well within 1 % of ``np.percentile``."""
-
-    def __init__(self, q: float = 0.5):
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile must be in (0, 1)")
-        self.q = q
-        self.count = 0
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0]
-        self._increments = [0.0, q / 2, q, (1 + q) / 2, 1.0]
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(value)
-            heights.sort()
-            return
-        positions = self._positions
-        # Which cell the observation falls in; clamp the extremes.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            if value > heights[4]:
-                heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and value >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three interior markers.
-        for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            if ((delta >= 1 and positions[i + 1] - positions[i] > 1)
-                    or (delta <= -1
-                        and positions[i - 1] - positions[i] < -1)):
-                step = 1 if delta >= 1 else -1
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1])
-            / (n[i] - n[i - 1]))
-
-    def _linear(self, i: int, step: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step * (h[i + step] - h[i]) / (n[i + step] - n[i])
-
-    def update_many(self, values: Iterable[float]) -> "P2Quantile":
-        for value in values:
-            self.add(value)
-        return self
-
-    def value(self) -> float:
-        if not self._heights:
-            raise ValueError("quantile of empty stream")
-        if self.count <= 5:
-            # Exact small-sample quantile (linear interpolation).
-            rank = self.q * (len(self._heights) - 1)
-            lo = int(rank)
-            frac = rank - lo
-            if lo >= len(self._heights) - 1:
-                return self._heights[-1]
-            return (self._heights[lo] * (1 - frac)
-                    + self._heights[lo + 1] * frac)
-        return self._heights[2]
-
-
-class ReservoirSample:
-    """Uniform fixed-size sample of a stream (Vitter's algorithm R)
-    with a dedicated seeded RNG, so resamples are reproducible."""
-
-    def __init__(self, capacity: int, seed: int = 0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.count = 0
-        self.values: List[float] = []
-        self._rng = random.Random("reservoir:%d" % seed)
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        if len(self.values) < self.capacity:
-            self.values.append(float(value))
-            return
-        slot = self._rng.randrange(self.count)
-        if slot < self.capacity:
-            self.values[slot] = float(value)
-
-
-class StreamingCDF:
-    """Histogram-backed empirical CDF over ``[0, max_x]``.
-
-    Mirrors :func:`cdf`'s clipping semantics: fractions are of *all*
-    samples (mass above ``max_x`` is counted, just not plotted), the
-    way the paper's plots clip at 400 ms."""
-
-    def __init__(self, max_x: float = 400.0, n_bins: int = 2000):
-        if max_x <= 0 or n_bins <= 0:
-            raise ValueError("max_x and n_bins must be positive")
-        self.max_x = float(max_x)
-        self.n_bins = n_bins
-        self._width = self.max_x / n_bins
-        self._bins = np.zeros(n_bins, dtype=np.int64)
-        self.overflow = 0
-        self.count = 0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        if value > self.max_x:
-            self.overflow += 1
-            return
-        index = min(int(value / self._width), self.n_bins - 1)
-        self._bins[index] += 1
-
-    def cdf(self) -> Tuple[List[float], List[float]]:
-        """(xs, fractions) like :func:`cdf`; xs are bin upper edges of
-        the non-empty bins."""
-        if self.count == 0:
-            return [], []
-        cumulative = np.cumsum(self._bins)
-        edges = (np.arange(1, self.n_bins + 1) * self._width)
-        keep = self._bins > 0
-        xs = edges[keep]
-        fractions = cumulative[keep] / self.count
-        return xs.tolist(), fractions.tolist()
-
-    def fraction_below(self, threshold: float) -> float:
-        if self.count == 0:
-            raise ValueError("fraction_below of empty stream")
-        if threshold > self.max_x:
-            return (self.count - self.overflow) / self.count
-        full_bins = int(threshold / self._width)
-        return float(self._bins[:full_bins].sum()) / self.count
-
-    def quantile(self, q: float) -> float:
-        """Histogram quantile with in-bin linear interpolation: error
-        is bounded by the bin width regardless of the distribution's
-        shape (P² can drift a few percent on strongly multimodal
-        mixtures like the per-ISP cellular RTT blend)."""
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile must be in (0, 1)")
-        if self.count == 0:
-            raise ValueError("quantile of empty stream")
-        target = q * self.count
-        if target > self.count - self.overflow:
-            raise ValueError(
-                "quantile %.3f lies beyond max_x=%g (overflow mass "
-                "%.3f)" % (q, self.max_x, self.overflow / self.count))
-        cumulative = 0
-        for index in range(self.n_bins):
-            in_bin = int(self._bins[index])
-            if cumulative + in_bin >= target:
-                frac = ((target - cumulative) / in_bin) if in_bin else 0
-                return (index + frac) * self._width
-            cumulative += in_bin
-        return self.max_x
-
-
-class StreamingGroups:
-    """Group-by for streams: one sketch per key, built on demand.
-
-    ``factory`` makes a fresh sketch (anything with ``add``); use
-    :meth:`add` per record and read ``sketches``/:meth:`values` at the
-    end.  Memory is O(#groups x sketch size), never O(#records)."""
-
-    def __init__(self, factory: Callable[[], object]):
-        self.factory = factory
-        self.sketches: Dict[object, object] = {}
-        self.counts: Dict[object, int] = {}
-
-    def add(self, key: object, value: float) -> None:
-        sketch = self.sketches.get(key)
-        if sketch is None:
-            sketch = self.sketches[key] = self.factory()
-            self.counts[key] = 0
-        sketch.add(value)
-        self.counts[key] += 1
-
-    def __len__(self) -> int:
-        return len(self.sketches)
-
-    def items(self):
-        return self.sketches.items()

@@ -1,19 +1,21 @@
 """Windowed, mergeable rollups over measurement records.
 
-The backend cannot keep 6.6M raw records in memory, and the offline
-sketches are not all mergeable (`P2Quantile` explicitly is not).  The
-unit of aggregation here is :class:`MergeHist`, a sparse fixed-bin
-integer histogram: adding a sample increments one bin, merging two
-histograms adds bin counts.  Because the state is integers only and
-merging is elementwise addition, a merge is associative *and*
-commutative -- the rollup digest is byte-identical whether records were
-ingested by one worker or sharded over eight, the same contract as
-``repro.crowd.sharding``.
+The backend cannot keep 6.6M raw records in memory.  The unit of
+aggregation here is :class:`MergeHist`, a sparse fixed-bin integer
+histogram: adding a sample increments one bin, merging two histograms
+adds bin counts.  Because the state is integers only and merging is
+elementwise addition, a merge is associative *and* commutative -- the
+rollup digest is byte-identical whether records were ingested by one
+worker or sharded over eight, the same contract as
+``repro.crowd.sharding``.  The offline analysis folds a record stream
+into the same rows (:func:`repro.analysis.perapp.fold_rtts`, the
+``crowd`` CLI's medians).
 
-Bin width is 0.25 ms over [0, 8000) ms, matching the resolution of the
-offline ``StreamingCDF(max_x=8000.0, n_bins=32000)`` used by the
-``*_stream`` analyses, so backend quantiles agree with offline ones to
-within one bin.
+Bin width is 0.25 ms over [0, 8000) ms, so a median read from a
+histogram lands in the exact median's bin: within one bin of it, as
+long as the two middle samples an even count averages are no further
+apart than that (``tests/test_analysis_streaming.py`` checks every
+median ``crowd`` prints).
 
 What a :class:`RollupStore` keys its histograms by -- each table's
 name, key parts, feeding record kinds, bin grid, unit and stored
@@ -61,7 +63,7 @@ from repro.core.records import MeasurementKind, MeasurementRecord
 from repro.network.link import NetworkType
 
 #: Histogram resolution: 0.25 ms bins over [0, 8000) ms, one overflow
-#: bin above -- the same grid as the offline StreamingCDF.
+#: bin above: the one bound a median read off it states.
 BIN_WIDTH_MS = 0.25
 MAX_RTT_MS = 8000.0
 N_BINS = int(MAX_RTT_MS / BIN_WIDTH_MS)

@@ -33,7 +33,6 @@ from repro.core.persist import (
     dataset_digest,
     iter_jsonl_shards,
     list_shards,
-    merge_shards,
     shard_path,
     write_records,
 )
@@ -63,7 +62,6 @@ class ShardResult:
 class ShardedRunResult:
     shard_dir: str
     shards: List[ShardResult] = field(default_factory=list)
-    merged_path: Optional[str] = None
 
     @property
     def total_records(self) -> int:
@@ -180,7 +178,7 @@ class ShardedCampaign:
         self.n_shards = n_shards or max(1, workers) * 3
         self.population = Population(seed=self.config.seed + 1)
 
-    def run(self, merge_to: Optional[str] = None) -> ShardedRunResult:
+    def run(self) -> ShardedRunResult:
         shard_dir = self.shard_dir or tempfile.mkdtemp(
             prefix="mopeye-shards-")
         os.makedirs(shard_dir, exist_ok=True)
@@ -216,7 +214,4 @@ class ShardedCampaign:
             self.obs.inc("crowd.shards_completed")
             self.obs.observe("crowd.shard_records", count)
             self.obs.observe("crowd.shard_elapsed_s", elapsed)
-        if merge_to is not None:
-            merge_shards(result.paths, merge_to)
-            result.merged_path = merge_to
         return result

@@ -11,12 +11,13 @@ Design constraints (see docs/OBSERVABILITY.md):
   ``PYTHONHASHSEED`` -- the same contract the PR-1 dataset digest
   relies on.  Wall-clock-dependent metrics are declared ``volatile``
   in the catalog and excluded unless explicitly requested.
-* **No upper-layer imports.**  The histogram is a fixed-bin sketch with
-  the same clipping semantics as ``analysis.stats.StreamingCDF`` (all
-  mass counted, overflow tracked separately, quantiles interpolated
-  within a bin), re-implemented here dependency-free so ``repro.obs``
-  stays importable from every layer (it needs nothing but the
-  standard library; even the sim clock is injected).
+* **No upper-layer imports.**  The histogram is a fixed-bin sketch
+  read like the rollups' ``repro.backend.rollups.MergeHist`` (all mass
+  counted, quantiles interpolated within a bin), written here
+  dependency-free so ``repro.obs`` stays importable from every layer
+  (it needs nothing but the standard library; even the sim clock is
+  injected).  Unlike it, each metric picks its own range and bin
+  count, and mass above the range is kept apart in ``overflow``.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ class Gauge:
 class Histogram:
     """Fixed-bin sketch over ``[0, max_x]``.
 
-    Mirrors ``analysis.stats.StreamingCDF``: every observation is
-    counted (mass above ``max_x`` lands in ``overflow``), quantiles
-    interpolate linearly within a bin, so the quantile error is bounded
-    by one bin width whatever the distribution's shape.  Bins are a
+    Every observation is counted (mass above ``max_x`` lands in
+    ``overflow``), quantiles interpolate linearly within a bin, so the
+    quantile error is bounded by one bin width whatever the
+    distribution's shape.  Bins are a
     sparse dict -- relay histograms touch a handful of bins out of
     thousands.
     """

@@ -1,177 +1,80 @@
-"""Streaming analysis agrees with the exact (materialized) pipeline."""
+"""One pass over a record stream agrees with the exact (materialized)
+pipeline: the statistics exactly, and every median ``crowd`` prints to
+within one bin of the rollups' histogram."""
 
-import random
-
-import numpy as np
-import pytest
-
-from repro.analysis.coverage import (
-    dataset_statistics,
-    dataset_statistics_stream,
-    measurements_per_user,
-    measurements_per_user_stream,
-)
-from repro.analysis.dnsperf import (
-    dns_medians,
-    dns_medians_stream,
-    isp_dns_table,
-    isp_dns_table_stream,
-)
+from repro.analysis.coverage import dataset_statistics, measurements_per_user
+from repro.analysis.dnsperf import dns_medians, folded_dns_medians
 from repro.analysis.perapp import (
-    app_rtt_cdfs,
-    app_rtt_cdfs_stream,
-    per_app_median_cdf,
-    per_app_median_cdf_stream,
+    fold_rtts,
+    folded_rtt_medians,
     raw_rtt_medians,
-    raw_rtt_medians_stream,
 )
-from repro.analysis.stats import (
-    P2Quantile,
-    ReservoirSample,
-    StreamingCDF,
-    StreamingGroups,
-    cdf,
-    fraction_below,
-)
+from repro.backend.rollups import BIN_WIDTH_MS
+from repro.core.records import MeasurementKind, MeasurementRecord
 from tests.conftest import CAMPAIGN_SCALE
 
 
-class TestP2Quantile:
-    def test_median_within_1pct_on_campaign_rtts(self, campaign_store):
-        rtts = campaign_store.rtts()
-        sketch = P2Quantile(0.5).update_many(rtts)
-        exact = float(np.percentile(rtts, 50))
-        assert abs(sketch.value() - exact) / exact < 0.01
-
-    @pytest.mark.parametrize("q", [0.1, 0.25, 0.75, 0.9])
-    def test_other_quantiles_close(self, q):
-        rng = random.Random(17)
-        data = [rng.lognormvariate(4.0, 0.6) for _ in range(50_000)]
-        sketch = P2Quantile(q).update_many(data)
-        exact = float(np.percentile(data, q * 100))
-        assert abs(sketch.value() - exact) / exact < 0.02
-
-    def test_small_samples_exact(self):
-        sketch = P2Quantile(0.5).update_many([5.0, 1.0, 3.0])
-        assert sketch.value() == 3.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.5).value()
-
-    def test_invalid_quantile_rejected(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-
-class TestStreamingCDF:
-    def test_matches_exact_cdf_at_probes(self, campaign_store):
-        rtts = campaign_store.tcp().rtts()
-        hist = StreamingCDF(max_x=400.0)
-        for rtt in rtts:
-            hist.add(rtt)
-        for probe in (50.0, 100.0, 200.0, 399.0):
-            assert abs(hist.fraction_below(probe)
-                       - fraction_below(rtts, probe)) < 0.005
-        xs, fractions = hist.cdf()
-        exact_xs, exact_fractions = cdf(rtts, 400.0)
-        assert abs(fractions[-1] - exact_fractions[-1]) < 0.005
-        assert xs[-1] <= 400.0
-
-    def test_overflow_counted_not_plotted(self):
-        hist = StreamingCDF(max_x=100.0, n_bins=10)
-        for value in (10.0, 50.0, 150.0, 900.0):
-            hist.add(value)
-        xs, fractions = hist.cdf()
-        assert max(xs) <= 100.0
-        assert fractions[-1] == pytest.approx(0.5)
-        assert hist.overflow == 2
-
-
-class TestReservoirSample:
-    def test_bounded_and_deterministic(self):
-        a = ReservoirSample(100, seed=4)
-        b = ReservoirSample(100, seed=4)
-        for value in range(10_000):
-            a.add(float(value))
-            b.add(float(value))
-        assert len(a.values) == 100
-        assert a.count == 10_000
-        assert a.values == b.values
-
-    def test_uniformity_rough(self):
-        sample = ReservoirSample(2000, seed=1)
-        for value in range(100_000):
-            sample.add(float(value))
-        mean = sum(sample.values) / len(sample.values)
-        assert abs(mean - 50_000) < 5_000
-
-
-class TestStreamingGroups:
-    def test_groups_by_key(self):
-        groups = StreamingGroups(lambda: P2Quantile(0.5))
-        for i in range(100):
-            groups.add("even" if i % 2 == 0 else "odd", float(i))
-        assert len(groups) == 2
-        assert groups.counts["even"] == 50
-        assert abs(groups.sketches["even"].value() - 49.0) < 4.0
+def _one_pass(records):
+    """What ``crowd`` runs: the statistics, with the RTTs folded on
+    the way."""
+    hists = {}
+    return dataset_statistics(fold_rtts(records, hists)), hists
 
 
 class TestStreamingAnalyses:
-    """Streaming figure entry points vs the exact store pipeline."""
+    """The differential: the one pass vs the exact store pipeline."""
 
     def test_raw_rtt_medians_stream(self, campaign_store):
         exact = raw_rtt_medians(campaign_store)
-        streamed = raw_rtt_medians_stream(iter(campaign_store))
-        assert set(streamed) == set(exact)
+        folded = folded_rtt_medians(_one_pass(iter(campaign_store))[1])
+        assert list(folded) == list(exact)
         for label, value in exact.items():
-            assert abs(streamed[label] - value) / value < 0.01
+            assert abs(folded[label] - value) <= BIN_WIDTH_MS, label
 
     def test_dns_medians_stream(self, campaign_store):
         exact = dns_medians(campaign_store)
-        streamed = dns_medians_stream(iter(campaign_store))
+        folded = folded_dns_medians(_one_pass(iter(campaign_store))[1])
+        assert list(folded) == list(exact)
         for label, value in exact.items():
-            assert abs(streamed[label] - value) / value < 0.01
-
-    def test_app_rtt_cdfs_stream(self, campaign_store):
-        exact = app_rtt_cdfs(campaign_store)
-        streamed = app_rtt_cdfs_stream(iter(campaign_store))
-        assert set(streamed) == set(exact)
-        for label in exact:
-            _, exact_fracs = exact[label]
-            _, stream_fracs = streamed[label]
-            assert abs(stream_fracs[-1] - exact_fracs[-1]) < 0.01
-
-    def test_per_app_median_cdf_stream(self, campaign_store):
-        _, _, exact_n = per_app_median_cdf(
-            campaign_store, min_count=1000, scale=CAMPAIGN_SCALE)
-        xs, fractions, streamed_n = per_app_median_cdf_stream(
-            iter(campaign_store), min_count=1000,
-            scale=CAMPAIGN_SCALE)
-        assert streamed_n == exact_n
-        assert len(xs) == len(fractions)
+            assert abs(folded[label] - value) <= BIN_WIDTH_MS, label
 
     def test_dataset_statistics_stream_identical(self, campaign_store):
-        assert dataset_statistics_stream(iter(campaign_store)) == \
-            dataset_statistics(campaign_store)
+        tcp, dns = campaign_store.tcp(), campaign_store.dns()
+        assert _one_pass(iter(campaign_store))[0] == {
+            "total": len(campaign_store),
+            "tcp": len(tcp),
+            "dns": len(dns),
+            "devices": len(campaign_store.unique(lambda r: r.device_id)),
+            "apps": len(tcp.unique(lambda r: r.app_package) - {None}),
+            "countries": len(campaign_store.unique(lambda r: r.country)),
+            "dst_ips": len(tcp.unique(lambda r: r.dst_ip)),
+            "domains": len(tcp.unique(lambda r: r.domain) - {None}),
+            "dns_servers": len(dns.unique(lambda r: r.dst_ip)),
+        }
 
     def test_measurements_per_user_stream_identical(self,
                                                     campaign_store):
-        assert measurements_per_user_stream(
+        assert measurements_per_user(
             iter(campaign_store), scale=CAMPAIGN_SCALE) == \
             measurements_per_user(campaign_store,
                                   scale=CAMPAIGN_SCALE)
 
-    def test_isp_dns_table_stream(self, campaign_store):
-        exact = isp_dns_table(campaign_store, top=10)
-        streamed = isp_dns_table_stream(iter(campaign_store), top=10)
-        assert [row["isp"] for row in streamed] == \
-            [row["isp"] for row in exact]
-        assert [row["count"] for row in streamed] == \
-            [row["count"] for row in exact]
-        for exact_row, stream_row in zip(exact, streamed):
-            assert abs(stream_row["median_ms"]
-                       - exact_row["median_ms"]) \
-                / exact_row["median_ms"] < 0.02
+    def test_failures_and_other_kinds_are_not_tcp_or_dns(self):
+        def record(kind, rtt_ms, failure=None):      # all on WiFi
+            return MeasurementRecord(kind, rtt_ms, 0.0, dst_ip="192.0.2.1",
+                                     failure=failure)
+
+        stats, hists = _one_pass([
+            record(MeasurementKind.TCP, 40.0),
+            record(MeasurementKind.TCP, 3000.0, failure="timeout"),
+            record(MeasurementKind.APP_RTT, 90.0),
+            record(MeasurementKind.TPUT_UP, 512.0),
+            record(MeasurementKind.DNS, 20.0),
+        ])
+        assert (stats["total"], stats["tcp"], stats["dns"]) == (5, 1, 1)
+        assert stats["dns_servers"] == 1
+        medians = folded_rtt_medians(hists)
+        assert set(medians) == {"All", "WiFi"}
+        assert 40.0 <= medians["All"] <= 40.0 + BIN_WIDTH_MS
+        assert folded_dns_medians(hists)["All"] == \
+            20.0 + BIN_WIDTH_MS / 2

@@ -107,6 +107,46 @@ class TestCrowd:
         store = load_csv(path)
         assert len(store) > 100
 
+    def test_crowd_export_csv_from_shards(self, tmp_path, capsys):
+        path = str(tmp_path / "out.csv")
+        assert main(["crowd", "--scale", "0.002", "--workers", "2",
+                     "--export", path]) == 0
+        from repro.core import load_csv
+        assert len(load_csv(path)) > 100
+
+    @pytest.mark.parametrize("seed", ["5", "7"])
+    def test_crowd_prints_the_same_from_every_source(self, tmp_path,
+                                                     capsys, seed):
+        from repro.obs import reset_default
+        printed = []
+        for source in ([], ["--shard-dir", str(tmp_path / "D")],
+                       ["--workers", "2"]):
+            reset_default()
+            assert main(["crowd", "--scale", "0.002", "--seed", seed,
+                         "--metrics"] + source) == 0
+            out, _, metrics = capsys.readouterr().out.partition(
+                "campaign metrics:\n")
+            lines = [line for line in out.splitlines()
+                     if not line.startswith(("generated ", "shard dir:",
+                                             "dataset sha256:"))]
+            assert lines[0].startswith("total ")
+            assert json.loads(metrics)["crowd.records_generated"][
+                "value"] == int(lines[0].split()[1])
+            printed.append(lines)
+        reset_default()
+        assert printed[0] == printed[1] == printed[2]
+
+    def test_only_a_given_shard_dir_outlives_the_command(
+            self, tmp_path, monkeypatch, capsys):
+        import tempfile
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["crowd", "--scale", "0.002", "--workers", "2"]) == 0
+        assert main(["serve", "--scale", "0.002"]) == 0
+        assert main(["crowd", "--scale", "0.002", "--shard-dir",
+                     str(tmp_path / "kept")]) == 0
+        assert os.listdir(tmp_path) == ["kept"]
+        assert os.listdir(tmp_path / "kept")
+
     def test_crowd_metrics_prints_registry(self, capsys):
         from repro.obs import reset_default
         reset_default()
