@@ -31,14 +31,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import Observability, get_default
 
-from repro.backend.rollups import RollupConfig, RollupStore, _decode_key
+from repro.backend.dedup import remember
+from repro.backend.rollups import RollupConfig, RollupStore
 from repro.core.persist import decode_record_lines, iter_jsonl
 from repro.core.records import MeasurementRecord
-
-#: Batch identities ``(device_id, batch_seq)`` remembered for replay
-#: absorption, oldest evicted first -- by the pipeline and by the
-#: store engine, which persists and recovers the same map.
-DEDUP_CAPACITY = 4096
+from repro.store.encoding import decode_block, encode_block
+from repro.store.segments import sorted_rows
 
 
 def parse_batch_lines(payload: bytes
@@ -49,17 +47,27 @@ def parse_batch_lines(payload: bytes
     Returns ``(records, lines, truncated)``: the valid prefix as
     records, the same prefix as raw line bytes (what the WAL appends
     verbatim -- re-serialising every record on the hot path is the
-    overhead this replaces), and whether a bad line stopped the parse.
+    overhead this replaces), and whether a bad line -- one that is not
+    a record, or not UTF-8 -- stopped the parse.
     Records after a bad line are NOT ingested even if parseable: the
     ACK must be a prefix count for the uploader's cursor arithmetic.
     """
+    try:
+        lines = payload.decode("utf-8").splitlines()
+        undecodable = False
+    except UnicodeDecodeError as exc:
+        # JSON text is UTF-8: the line holding the first byte that is
+        # not is malformed, so only the lines wholly before it are read
+        # (the NUL stands in for the rest of that line, then goes).
+        lines = (payload[:exc.start].decode("utf-8")
+                 + "\x00").splitlines()[:-1]
+        undecodable = True
     # str.strip as the predicate drops blank lines.
-    lines = list(filter(
-        str.strip, payload.decode("utf-8", "replace").splitlines()))
+    lines = list(filter(str.strip, lines))
     records, truncated = decode_record_lines(lines)
     if truncated:
         del lines[len(records):]
-    return records, list(map(str.encode, lines)), truncated
+    return records, list(map(str.encode, lines)), truncated or undecodable
 
 
 class TokenBucket:
@@ -215,12 +223,14 @@ class IngestPipeline:
         self.obs.inc("backend.batches")
         self.obs.observe("backend.batch_records", len(records))
         self.obs.observe("backend.ingest_delay_ms", delay_or_retry)
-        self._remember(key, len(records))
         delay = delay_or_retry
-        if self.store is not None:
+        if self.store is None:
+            remember(self._dedup, key, len(records))
+        else:
             # WAL commit before the ACK: the batch is durable by the
             # time the uploader advances its cursor, and the fsync
-            # cost is part of what the uploader waits out.
+            # cost is part of what the uploader waits out.  The engine
+            # is the one writer of the shared dedup map.
             delay += self.store.log_batch(device_id, batch_seq,
                                           len(records), records,
                                           lines=lines)
@@ -260,8 +270,9 @@ class IngestPipeline:
         if key in self._dedup:
             self._dedup.move_to_end(key)
             return False
-        self._remember(key, int(acked))
-        if self.store is not None:
+        if self.store is None:
+            remember(self._dedup, key, int(acked))
+        else:
             self.store.log_batch(device_id, int(batch_seq),
                                  int(acked), [], lines=[])
         return True
@@ -293,11 +304,6 @@ class IngestPipeline:
         self.obs.inc("backend.records_ingested", len(records))
         self.obs.set_gauge("backend.rollup_groups",
                            self.rollups.group_count())
-
-    def _remember(self, key: Tuple[str, int], acked: int) -> None:
-        self._dedup[key] = acked
-        while len(self._dedup) > DEDUP_CAPACITY:
-            self._dedup.popitem(last=False)
 
 
 # -- shard-parallel offline ingest ------------------------------------------
@@ -331,10 +337,6 @@ ShardPart = Tuple[int, int, Dict[str, bytes]]
 
 
 def pack_shard_part(store: RollupStore) -> ShardPart:
-    # Imported here: repro.store imports this module.
-    from repro.store.encoding import encode_block
-    from repro.store.segments import sorted_rows
-
     return (store.records, store.failure_records,
             {name: encode_block(sorted_rows(rows))
              for name, rows in store.tables.items()})
@@ -346,14 +348,10 @@ def fold_shard_part(merged: Optional[RollupStore],
     """One worker's part onto ``merged``: every table decoded and
     checked whole (``decode_block``; a ``ValueError`` leaves ``merged``
     as it was), then the first part adopted and any later one merged."""
-    from repro.store.encoding import decode_block
-
     store = RollupStore(config=config)
     store.records, store.failure_records, blocks = part
     for name in store.tables:
-        store.tables[name] = {
-            _decode_key(text): hist
-            for text, hist in decode_block(blocks[name]).rows()}
+        store.tables[name] = decode_block(blocks[name]).keyed()
     if merged is None:
         return store
     merged.merge(store)

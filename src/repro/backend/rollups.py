@@ -536,7 +536,7 @@ class RollupStore:
         return self.tables[name]
 
     def group_count(self) -> int:
-        return sum(len(t) for t in self.tables.values())
+        return sum(map(len, self.tables.values()))
 
     def windows(self) -> List[int]:
         """Ascending; each distinct window parsed once, not per row."""

@@ -42,6 +42,11 @@ class Observability:
     def __init__(self, sim=None, trace: bool = False):
         self.sim = sim
         self.registry = MetricsRegistry()
+        #: The registry's instruments by name: a metric call that finds
+        #: one of the type it needs is one dict lookup; the first call
+        #: (and any misuse) goes through the registry, which creates
+        #: it or raises.
+        self._metrics = self.registry._metrics
         #: Identity labels stamped onto snapshots (``{"node_id":
         #: "node-02"}``).  Empty by default -- and an empty dict keeps
         #: snapshot/to_json byte-identical to the unlabelled layout,
@@ -57,13 +62,22 @@ class Observability:
 
     # -- metric conveniences (the forms instrumentation sites use) --------
     def inc(self, name: str, n: int = 1) -> None:
-        self.registry.counter(name).inc(n)
+        counter = self._metrics.get(name)
+        if type(counter) is not Counter:
+            counter = self.registry.counter(name)
+        counter.inc(n)
 
     def set_gauge(self, name: str, value: float) -> None:
-        self.registry.gauge(name).set(value)
+        gauge = self._metrics.get(name)
+        if type(gauge) is not Gauge:
+            gauge = self.registry.gauge(name)
+        gauge.set(value)
 
     def observe(self, name: str, value: float) -> None:
-        self.registry.histogram(name).observe(value)
+        histogram = self._metrics.get(name)
+        if type(histogram) is not Histogram:
+            histogram = self.registry.histogram(name)
+        histogram.observe(value)
 
     def value(self, name: str) -> float:
         return self.registry.value(name)

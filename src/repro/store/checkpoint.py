@@ -39,7 +39,7 @@ import zlib
 from typing import Optional, Tuple
 
 from repro.backend.rollups import (RollupConfig, RollupStore,
-                                   UnsupportedSchema, _decode_key)
+                                   UnsupportedSchema)
 from repro.obs import Observability
 from repro.store.encoding import (FRAME_OK, decode_block, encode_block,
                                   frame, read_frame)
@@ -157,8 +157,7 @@ def read_checkpoint(path: str) -> Tuple[RollupStore, int]:
                 "table %r rows undecodable in %s: %s"
                 % (name, path, exc))
         if name in store.tables:
-            store.tables[name] = {_decode_key(text): hist
-                                  for text, hist in block.rows()}
+            store.tables[name] = block.keyed()
     if pos != len(data) - len(TAIL_MAGIC):
         raise CheckpointCorruption("trailing garbage in %s" % path)
     return store, covers_gen

@@ -44,12 +44,13 @@ import zlib
 from bisect import bisect_left
 from itertools import accumulate, chain, islice
 from operator import ge
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend.rollups import (
     N_BINS,
+    Key,
     MergeHist,
     _decode_key,
     _encode_key,
@@ -146,8 +147,10 @@ def encode_block(rows: Sequence[Tuple[str, MergeHist]]) -> bytes:
         raise ValueError("a bin index outside [0, %d)" % N_BINS)
     index = index.astype(np.int64)
     lengths = np.fromiter(map(len, bins), np.int64, len(bins))
-    # Each row's bins into ascending index order, all rows at once.
-    order = np.lexsort((index, np.repeat(np.arange(len(rows)), lengths)))
+    # Each row's bins into ascending index order, all rows at once:
+    # one sort of row * N_BINS + index, keys that are all distinct.
+    order = np.argsort(np.repeat(np.arange(len(rows)), lengths) * N_BINS
+                       + index)
     index = index[order]
     deltas = index.copy()
     deltas[1:] -= index[:-1] + 1
@@ -238,6 +241,13 @@ class Block:
     def rows(self) -> Iterator[Tuple[str, MergeHist]]:
         """Every ``(text, hist)``, in stored order."""
         return zip(self.texts, map(self.hist, range(len(self.texts))))
+
+    def keyed(self) -> Dict[Key, MergeHist]:
+        """Every row under its key tuple, each text split as it is
+        stored -- a whole table written as keyed: a checkpoint's, or a
+        forked-ingest part's."""
+        return dict(zip(map(_decode_key, self.texts),
+                        map(self.hist, range(len(self.texts)))))
 
 
 def decode_block(payload: bytes, expected_rows: Optional[int] = None

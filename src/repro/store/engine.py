@@ -63,9 +63,10 @@ import re
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.backend.ingest import DEDUP_CAPACITY
+from repro.backend.dedup import remember
 from repro.backend.rollups import (TABLE_SPECS, RollupConfig,
                                    RollupStore, UnsupportedSchema)
 from repro.core.persist import (decode_record_lines, encode_batch,
@@ -109,6 +110,14 @@ GROUP_COMMIT_BYTES = 1 << 20
 #: checkpoint falls back to the previous one -- WAL generations are
 #: only pruned once the *older* retained checkpoint covers them.
 CHECKPOINT_KEEP = 2
+
+#: ``json.dumps(header, sort_keys=True, separators=(",", ":"))`` of a
+#: ``batch`` / ``bulk`` envelope header, its values the slots.  Every
+#: count is an ``int`` by then; a ``batch`` device that is a ``str``
+#: goes through the encoder's own ``encode_basestring_ascii``, and any
+#: other device's header is dumped (:meth:`StoreEngine._batch_header`).
+_BATCH_HEADER = '{"acked":%d,"device":%s,"kind":"batch","n":%d,"seq":%d}'
+_BULK_HEADER = '{"kind":"bulk","n":%d,"seq":%d}'
 
 
 def holds_store(path: str) -> bool:
@@ -324,16 +333,27 @@ class StoreEngine:
     # -- the write path ------------------------------------------------
 
     @staticmethod
-    def _envelope(header: dict, lines: List[bytes]) -> bytes:
+    def _envelope(head: str, lines: List[bytes]) -> bytes:
         """The envelope: one canonical-JSON header line (``kind``
         ``batch`` or ``bulk``, ``n`` the lines that follow), then the
         raw record lines verbatim.  No re-serialisation, no
         JSON-in-JSON escaping -- the frame CRC covers the lot."""
-        payload = json.dumps(header, sort_keys=True,
-                             separators=(",", ":")).encode()
         if lines:
-            payload += b"\n" + b"\n".join(lines)
-        return payload
+            return b"\n".join([head.encode(), *lines])
+        return head.encode()
+
+    @staticmethod
+    def _batch_header(device_id: str, batch_seq: int, acked: int,
+                      n: int) -> str:
+        """A ``batch`` envelope's header line: formatted for a
+        ``str`` device (``batch_seq`` and ``acked`` are ``int``
+        already), dumped for any other."""
+        if type(device_id) is str:
+            return _BATCH_HEADER % (acked, encode_basestring_ascii(
+                device_id), n, batch_seq)
+        return json.dumps({"kind": "batch", "device": device_id,
+                           "seq": batch_seq, "acked": acked, "n": n},
+                          sort_keys=True, separators=(",", ":"))
 
     def log_batch(self, device_id: str, batch_seq: int, acked: int,
                   records: List[MeasurementRecord],
@@ -344,14 +364,15 @@ class StoreEngine:
         pipeline does); otherwise they are serialised here."""
         if lines is None:
             lines = encode_batch(records).splitlines()
+        batch_seq = int(batch_seq)
+        acked = int(acked)
         # Seed the shared dedup map before any checkpoint can fire:
         # the manifest snapshot must carry this batch's identity, or a
         # checkpoint that truncates its envelope would forget it.
-        self._seed_dedup(device_id, int(batch_seq), int(acked))
-        header = {"kind": "batch", "device": device_id,
-                  "seq": int(batch_seq), "acked": int(acked),
-                  "n": len(lines)}
-        self.wal.append(self._envelope(header, lines))
+        remember(self.dedup, (device_id, batch_seq), acked)
+        self.wal.append(self._envelope(
+            self._batch_header(device_id, batch_seq, acked, len(lines)),
+            lines))
         cost = self._commit()
         self._records_since_checkpoint += len(lines)
         self._maybe_flush()
@@ -383,9 +404,8 @@ class StoreEngine:
 
         def _emit() -> None:
             self._bulk_seq += 1
-            header = {"kind": "bulk", "n": len(lines),
-                      "seq": self._bulk_seq}
-            self.wal.append(self._envelope(header, lines))
+            self.wal.append(self._envelope(
+                _BULK_HEADER % (len(lines), self._bulk_seq), lines))
             self._pending_records += len(lines)
             if self._pending_records >= GROUP_COMMIT_RECORDS or \
                     self.wal.pending_bytes >= GROUP_COMMIT_BYTES:
@@ -690,7 +710,7 @@ class StoreEngine:
             self.meta = dict(manifest["meta"])
             self.findings.extend(manifest["findings"])
             for device, seq, acked in manifest["dedup"]:
-                self._seed_dedup(device, int(seq), int(acked))
+                remember(self.dedup, (device, int(seq)), int(acked))
             for name in manifest["segments"]:
                 if self._check_segment(name):
                     self._segments.append(name)
@@ -735,9 +755,9 @@ class StoreEngine:
                         on_record(record)
                 info.wal_records += len(lines)
                 if header["kind"] == "batch":
-                    self._seed_dedup(header["device"],
-                                     int(header["seq"]),
-                                     int(header["acked"]))
+                    remember(self.dedup,
+                             (header["device"], int(header["seq"])),
+                             int(header["acked"]))
                 else:
                     self._bulk_seq = max(self._bulk_seq,
                                          int(header["seq"]))
@@ -825,13 +845,6 @@ class StoreEngine:
                     os.remove(os.path.join(self.data_dir, name))
                 except OSError:
                     pass
-
-    def _seed_dedup(self, device: str, seq: int, acked: int) -> None:
-        key = (device, seq)
-        self.dedup[key] = acked
-        self.dedup.move_to_end(key)
-        while len(self.dedup) > DEDUP_CAPACITY:
-            self.dedup.popitem(last=False)
 
     def _check_segment(self, name: str) -> bool:
         """Full checksum pass; quarantine the file on failure

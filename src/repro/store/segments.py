@@ -155,13 +155,38 @@ def stored_text(name: str, key: Key) -> str:
     return _encode_key(stored_order(name, key))
 
 
-def sorted_rows(table: Dict[Key, MergeHist], text=_encode_key
+def sorted_rows(table: Dict[Key, MergeHist], name: Optional[str] = None
                 ) -> List[Tuple[str, MergeHist]]:
-    """``(text(key), hist)`` per row, strictly ascending by text: how
-    segment blocks (by stored text) and checkpoint tables (as keyed:
-    they are only ever read whole) are both written."""
-    return sorted(((text(key), hist) for key, hist in table.items()),
-                  key=itemgetter(0))
+    """``(text, hist)`` per row, strictly ascending by text: each key's
+    :func:`stored_text` in table ``name`` (segment blocks), or its
+    ``_encode_key`` as keyed when ``name`` is None (checkpoint tables
+    and forked-ingest parts: they are only ever read whole).
+
+    The texts are the plain ``|`` joins unless some part holds a ``|``
+    or a ``\\``, and the whole table shows whether one does: no
+    backslash anywhere, and exactly the separators the joins put
+    there.  A table where one does has every key encoded on its own
+    (``_encode_key``)."""
+    keys = table.keys()
+    swap = None
+    if name is not None and SPEC_BY_TABLE[name].subject_major:
+        width = len(SPEC_BY_TABLE[name].key)
+        swap = itemgetter(1, 0, *range(2, width)) \
+            if set(map(len, keys)) == {width} \
+            else partial(stored_order, name)
+
+    def stored():
+        # Lazily: a swapped key lives only until its text is made.  A
+        # table's worth of them alive at once costs the collector more
+        # than the swaps themselves.
+        return keys if swap is None else map(swap, keys)
+
+    texts = list(map(_SEP.join, stored()))
+    joined = "".join(texts)
+    if "\\" in joined or \
+            joined.count(_SEP) != sum(map(len, keys)) - len(texts):
+        texts = list(map(_encode_key, stored()))
+    return sorted(zip(texts, table.values()), key=itemgetter(0))
 
 
 def write_segment(path: str, store: RollupStore, seq: int,
@@ -175,8 +200,7 @@ def write_segment(path: str, store: RollupStore, seq: int,
     offset = len(MAGIC)
     index: Dict[str, Dict[str, object]] = {}
     for name in RollupStore.TABLES:
-        rows = sorted_rows(store.tables[name],
-                           partial(stored_text, name))
+        rows = sorted_rows(store.tables[name], name)
         blocks: List[Dict[str, object]] = []
         for start in range(0, len(rows), block_rows):
             chunk = rows[start:start + block_rows]

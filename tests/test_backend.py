@@ -468,6 +468,57 @@ class TestParseBatchPrefix:
         assert not truncated
         assert len(records) == 1
 
+    @staticmethod
+    def _logged(tmp_path, payload):
+        """``payload`` through a durable pipeline: the outcome, and
+        the body of the one WAL envelope it wrote."""
+        from repro.store import StoreEngine
+        from repro.store.wal import replay
+
+        engine = StoreEngine(str(tmp_path), obs=Observability())
+        outcome = IngestPipeline(store=engine, obs=engine.obs) \
+            .handle_batch("dev", 0, payload, now_ms=0.0)
+        engine.close()
+        (path,) = engine.wal_paths()
+        (envelope,) = replay(path).payloads
+        return outcome, envelope.split(b"\n", 1)[1]
+
+    def test_a_line_that_is_not_utf8_is_malformed(self, tmp_path):
+        """A stray ``\\xff`` in a string is not JSON text: the ACK
+        prefix ends before its line, and the WAL holds the good line's
+        bytes -- not a record with U+FFFD in its operator."""
+        good = record_to_line(_rec()).encode()
+        bad = record_to_line(_rec(operator="Ji")).encode().replace(
+            b'"Ji"', b'"Ji\xff"')
+        outcome, body = self._logged(
+            tmp_path, good + b"\n" + bad + b"\n" + good + b"\n")
+        assert (outcome.acked, outcome.truncated) == (1, True)
+        assert body == good
+
+    @pytest.mark.parametrize("payload,acked", [
+        (b"\xff\n", 0),
+        (b"{}\xff", 0),
+        (b"GOOD\n\n\xfe{}\n", 1),
+        (b"GOOD\r\n\xff\r\nGOOD\n", 1),
+        (b"GOOD\nGOOD\r\xc3", 2),
+    ], ids=["alone", "mid-line", "after-a-blank", "crlf", "cut-sequence"])
+    def test_the_prefix_ends_at_the_undecodable_line(self, payload,
+                                                     acked):
+        good = record_to_line(_rec()).encode()
+        records, lines, truncated = parse_batch_lines(
+            payload.replace(b"GOOD", good))
+        assert (len(records), truncated) == (acked, True)
+        assert lines == [good] * acked
+
+    def test_a_raw_utf8_line_is_logged_byte_for_byte(self, tmp_path):
+        line = json.dumps(json.loads(record_to_line(
+            _rec(operator="中国移动"))), ensure_ascii=False).encode()
+        assert "中国移动".encode() in line
+        outcome, body = self._logged(tmp_path, line + b"\n")
+        assert (outcome.acked, outcome.truncated) == (1, False)
+        assert outcome.records[0].operator == "中国移动"
+        assert body == line
+
 
 class TestTokenBucket:
     def test_deny_then_refill(self):

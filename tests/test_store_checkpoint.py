@@ -444,7 +444,9 @@ class TestStripedDirectories:
                 str(root / ("wal-g000003-s%02d.log" % stripe)),
                 obs=Observability())
             wal.append(StoreEngine._envelope(
-                {"kind": "bulk", "n": len(records), "seq": stripe + 1},
+                json.dumps({"kind": "bulk", "n": len(records),
+                            "seq": stripe + 1},
+                           sort_keys=True, separators=(",", ":")),
                 [record_to_line(r).encode() for r in records]))
             wal.close()
         engine = StoreEngine(

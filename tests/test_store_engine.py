@@ -336,7 +336,8 @@ class TestOneGeneration:
     def test_the_knobs_are_the_six_some_caller_sets(self):
         import inspect
 
-        from repro.backend.ingest import DEDUP_CAPACITY, IngestPipeline
+        from repro.backend import dedup, ingest
+        from repro.backend.ingest import IngestPipeline
         from repro.store import engine as engine_module
 
         assert list(inspect.signature(
@@ -346,7 +347,9 @@ class TestOneGeneration:
                 "segment_block_rows", "fsync"]
         assert "dedup_capacity" not in inspect.signature(
             IngestPipeline.__init__).parameters
-        assert engine_module.DEDUP_CAPACITY is DEDUP_CAPACITY
+        # One dedup LRU, one capacity, whoever writes the map.
+        assert dedup.DEDUP_CAPACITY == 4096
+        assert ingest.remember is engine_module.remember is dedup.remember
         assert (engine_module.GROUP_COMMIT_RECORDS,
                 engine_module.GROUP_COMMIT_BYTES,
                 engine_module.CHECKPOINT_KEEP) == (16_384, 1 << 20, 2)

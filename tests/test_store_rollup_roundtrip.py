@@ -289,7 +289,7 @@ def _reference_decode_block(payload, expected_rows=None):
 def _payload(table, name):
     """``table`` as the one block payload segment blocks and
     checkpoint tables share, in table ``name``'s stored order."""
-    rows = sorted_rows(table, lambda key: stored_text(name, key))
+    rows = sorted_rows(table, name)
     return encode_block(rows), len(rows)
 
 

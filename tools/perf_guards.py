@@ -53,6 +53,13 @@ spread is measured, not by a wall clock read once here:
   ``Campaign.iter_records()`` and like the 2-worker dataset (counts
   and digests only).
 
+* ``ack``      -- an ACK pays no bookkeeping twice: 1,000 batches
+  through ``handle_batch`` into a store that checkpoints and flushes
+  once call ``json.dumps`` in the engine only for the manifests (an
+  envelope header is formatted; a device that is not a ``str`` dumps
+  it, once), write the dedup map once a batch, and encode no key on
+  its own when no key part holds a ``|`` or a ``\\`` (counts only).
+
 That a widened schema puts no work on the older kinds' rollup path --
 once two wall-clock A/Bs here -- is a count in tier-1
 (``tests/test_backend.py::TestAddWorkPerKind``).
@@ -60,7 +67,7 @@ once two wall-clock A/Bs here -- is a count in tier-1
 Run all (the default) or one by name::
 
     PYTHONPATH=src python tools/perf_guards.py \
-        [scaling|replay|query|snapshot|cluster|encode|generate]
+        [scaling|replay|query|snapshot|cluster|encode|generate|ack]
 
 Exit code 0 on pass, 1 on any guard failure.
 """
@@ -557,10 +564,90 @@ def guard_generate(dataset):
     return 0
 
 
+def guard_ack(dataset):
+    """An ACK pays no bookkeeping twice: 1,000 batches of 1 to 5
+    guard-dataset records through ``handle_batch``, into a store that
+    checkpoints once and flushes once, call ``json.dumps`` in the
+    engine only for its two manifests (an envelope header is
+    formatted), write the shared dedup map once a batch, and encode no
+    key on its own (no key part holds a ``|`` or a ``\\``); a batch
+    from a device that is not a ``str`` dumps its header, once."""
+    from collections import OrderedDict
+    from itertools import islice
+
+    from repro.backend.ingest import IngestPipeline
+    from repro.core import persist
+    from repro.obs import Observability
+    from repro.store import StoreConfig, StoreEngine, segments
+    from repro.store import engine as engine_module
+
+    records = list(islice(persist.iter_jsonl(dataset.paths[0]), 3000))
+    batches = []
+    at = 0
+    for i in range(1000):
+        batch = records[at:at + 1 + i % 5]
+        at += len(batch)
+        batches.append((batch[0].device_id, i, persist.encode_batch(batch)))
+
+    class CountedMap(OrderedDict):
+        writes = 0
+
+        def __setitem__(self, key, value):
+            CountedMap.writes += 1
+            super().__setitem__(key, value)
+
+    def count(batches, config):
+        CountedMap.writes = 0
+        with mock.patch.object(engine_module, "json", wraps=json) as used, \
+                mock.patch.object(
+                    StoreEngine, "_write_manifest", autospec=True,
+                    side_effect=StoreEngine._write_manifest) as manifests, \
+                mock.patch.object(segments, "_encode_key",
+                                  wraps=segments._encode_key) as encoded, \
+                tempfile.TemporaryDirectory(prefix="guard-ack-") as root:
+            obs = Observability()
+            engine = StoreEngine(root, config=config, obs=obs)
+            engine.dedup = CountedMap()
+            pipeline = IngestPipeline(store=engine, obs=obs)
+            for device, seq, payload in batches:
+                pipeline.handle_batch(device, seq, payload, seq * 1000.0)
+            engine.close()
+            return (used.dumps.call_count - manifests.call_count,
+                    manifests.call_count, CountedMap.writes,
+                    encoded.call_count, obs.value("store.checkpoints"),
+                    obs.value("store.flushes"))
+
+    headers, manifests, writes, encoded, checkpoints, flushes = count(
+        batches, StoreConfig(flush_threshold_records=2000,
+                             checkpoint_interval_records=1200))
+    odd = count([(7,) + batches[0][1:]], StoreConfig())
+    print("ack: %d batches, %d checkpoint and %d flush -> %d json.dumps "
+          "for headers (%d for manifests), %d dedup writes, %d keys "
+          "encoded on their own; one int device -> %d json.dumps"
+          % (len(batches), checkpoints, flushes, headers, manifests,
+             writes, encoded, odd[0]))
+    if (checkpoints, flushes) != (1, 1):
+        return _fail("guard needs one checkpoint and one flush, got "
+                     "%d and %d" % (checkpoints, flushes))
+    if headers:
+        return _fail("an envelope header of a str device was dumped, "
+                     "not formatted")
+    if odd[0] != 1:
+        return _fail("a header of a device that is not a str must be "
+                     "dumped exactly once")
+    if writes != len(batches):
+        return _fail("%d writes to the dedup map for %d batches; the "
+                     "engine is its one writer" % (writes, len(batches)))
+    if encoded:
+        return _fail("%d keys without a | or a \\ were encoded one by "
+                     "one; a table is checked whole" % encoded)
+    return 0
+
+
 GUARDS = {"scaling": guard_scaling, "replay": guard_replay,
           "query": guard_query, "snapshot": guard_snapshot,
           "cluster": guard_cluster, "encode": guard_encode,
-          "generate": guard_generate}
+          "generate": guard_generate, "ack": guard_ack}
 
 
 def main(argv):
