@@ -5,6 +5,8 @@ Three layers (see docs/FAULTS.md):
 * :mod:`repro.faults.plan` -- :class:`FaultPlan` / :class:`FaultEvent`,
   JSON-round-trippable timed faults with per-event RNG streams;
   :mod:`repro.faults.scenarios` is the named preset library.
+* :mod:`repro.faults.specs` -- one ``FAULT_SPECS`` row per kind:
+  where it applies, what it does, what proves it.
 * :mod:`repro.faults.injector` -- applies events to live components
   (links, servers, the VPN service, the backend) at their sim times.
 * :mod:`repro.faults.ledger` + :mod:`repro.faults.verify` -- the

@@ -54,6 +54,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.ledger import GroundTruthLedger
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.faults.scenarios import Scenario, SCENARIOS, get_scenario
+from repro.faults.specs import SPEC_BY_KIND
 from repro.middlebox.proxy import DEFAULT_INTERCEPT_PORTS, TransparentProxy
 from repro.network import AccessLink, AppServer, DnsServer, DnsZone, Internet
 from repro.phone import AndroidDevice, App
@@ -278,23 +279,11 @@ def run_device_world(scenario: Scenario, plan: FaultPlan, seed: int,
         "vpn_revocations": device.vpn.revocations,
         "service_running": int(service.running),
     }
-    if proxy is not None:
-        # Fold the world's mbox.* counters into the cross-world stats
-        # (the same registry the MiddleboxStats view reads).
-        for short, metric in (
-                ("mbox_intercepted_connects", "mbox.intercepted_connects"),
-                ("mbox_split_connections", "mbox.split_connections"),
-                ("mbox_upstream_failures", "mbox.upstream_failures"),
-                ("mbox_dns_tcp_refused", "mbox.dns_tcp_refused"),
-                ("mbox_rewritten_bytes", "mbox.rewritten_bytes"),
-                ("mbox_bytes_up", "mbox.bytes_up"),
-                ("mbox_bytes_down", "mbox.bytes_down")):
+    # Each kind installed here folds its registry counters into the
+    # cross-world stats.
+    for event in injector.installed:
+        for short, metric in SPEC_BY_KIND[event.kind].stats:
             stats[short] = int(service.obs.value(metric))
-    if any(event.kind == FaultKind.NOISY_CLOCK for event in plan):
-        stats["imperfect_quantised_samples"] = int(
-            service.obs.value("imperfect.quantised_samples"))
-        stats["imperfect_jitter_applied"] = int(
-            service.obs.value("imperfect.jitter_applied"))
     rollup = None
     if collector is not None:
         uploader = collector.uploader

@@ -2,18 +2,11 @@
 
 One injector is built per world (the chaos runner builds one per
 device), handed references to the components it may break, and
-``install()``-ed before the workload starts.  Each applicable event
-becomes a simulation process that sleeps until ``start_ms``, flips the
-component's fault hook on, sleeps ``duration_ms``, and flips it off.
-A ``duration_ms`` of 0 means "for the rest of the run".
-
-Scope matching: link-layer faults (``burst_loss``, ``latency_spike``,
-``handover``) and ``vpn_revoke`` apply only when the event's
-``operator``/``device`` scope matches this world; ``server_outage``
-applies when the scoped domain has a server here; ``dns_outage`` and
-``backend_crash`` apply wherever a resolver/backend exists.  Because
-every device world re-derives the same plan from the scenario seed,
-a domain-scoped outage happens identically in all worlds -- it is one
+``install()``-ed before the workload starts.  Each event whose kind's
+:data:`~repro.faults.specs.FAULT_SPECS` row applies here (the
+components it needs exist; its scope, and any ``device`` scope, match
+this world) becomes that row's driver process.  Every world re-derives
+the same plan from the scenario seed, so a domain-scoped outage is one
 server as far as the dataset is concerned.
 
 Stochastic effect parameters draw from :func:`repro.faults.plan.event_rng`
@@ -28,10 +21,10 @@ mirror the same counts per world.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.network.link import NetworkType
+from repro.faults.plan import FaultEvent, FaultPlan
+from repro.faults.specs import SPEC_BY_KIND
 from repro.obs import Observability
 
 
@@ -56,257 +49,34 @@ class FaultInjector:
         self.dns = dns
         self.service = service
         self.backend = backend
-        #: A :class:`repro.cluster.coordinator.Coordinator` facade for
-        #: the cluster fault kinds (None outside cluster worlds).
+        #: A :class:`repro.cluster.coordinator.Coordinator` facade.
         self.cluster = cluster
-        #: A :class:`repro.middlebox.TransparentProxy` (or the DNS
-        #: variant) pre-installed disabled in this world; the
-        #: ``transparent_proxy`` kind just flips its ``enabled`` flag.
+        #: A :class:`repro.middlebox.TransparentProxy`, built disabled.
         self.middlebox = middlebox
-        #: Installed :class:`repro.middlebox.ImperfectClock` hooks,
-        #: keyed by event id (``noisy_clock`` kind).
-        self._clocks: Dict[str, object] = {}
         self.obs = obs or Observability(sim=sim)
         #: ``{event_id: {"activations": n, "deactivations": n}}`` --
         #: folded into the GroundTruthLedger after the run.
         self.counts: Dict[str, Dict[str, int]] = {}
+        #: The events :meth:`install` scheduled, in plan order.
+        self.installed: List[FaultEvent] = []
         self._active = 0
-        # Per-event run flags for the coexistence bulk-transfer loop:
-        # deactivation flips the flag and the loop exits after the
-        # download in flight completes.
-        self._bulk_flags: Dict[str, list] = {}
 
-    # -- installation --------------------------------------------------------
     def install(self) -> int:
         """Schedule a driver process per applicable event.  Returns the
         number installed."""
-        installed = 0
         for event in self.plan:
-            if not self._applies(event):
+            spec = SPEC_BY_KIND[event.kind]
+            if not spec.applies(self, event):
                 continue
-            self.sim.process(self._drive(event),
+            self.sim.process(spec.drive(self, event),
                              name="fault:%s" % event.event_id)
             self.obs.inc("faults.events_installed")
-            installed += 1
-        return installed
+            self.installed.append(event)
+        return len(self.installed)
 
-    def _applies(self, event: FaultEvent) -> bool:
-        scope = event.scope
-        if scope.get("device") is not None and \
-                scope["device"] != self.device_id:
-            return False
-        if event.kind in (FaultKind.BURST_LOSS, FaultKind.LATENCY_SPIKE,
-                          FaultKind.HANDOVER):
-            if self.link is None:
-                return False
-            operator = scope.get("operator")
-            return operator is None or operator == self.operator
-        if event.kind == FaultKind.SERVER_OUTAGE:
-            return scope.get("domain") in self.servers
-        if event.kind == FaultKind.DNS_OUTAGE:
-            return self.dns is not None
-        if event.kind == FaultKind.VPN_REVOKE:
-            if self.service is None:
-                return False
-            operator = scope.get("operator")
-            return operator is None or operator == self.operator
-        if event.kind == FaultKind.BACKEND_CRASH:
-            return self.backend is not None
-        if event.kind in (FaultKind.COLLECTOR_FAIL,
-                          FaultKind.NET_PARTITION):
-            # Only nodes the cluster actually runs: a fail scoped to
-            # node-01 is a no-op in a --nodes 1 cluster, by design
-            # (the digest invariant must hold with or without it).
-            return self.cluster is not None and \
-                self.cluster.is_active(str(event.scope.get("node")))
-        if event.kind == FaultKind.NODE_JOIN:
-            return self.cluster is not None and \
-                self.cluster.is_standby(str(event.scope.get("node")))
-        if event.kind == FaultKind.COEX_BULK:
-            # Needs a live service (to host the DownloadManager) and a
-            # link (the contention is on this device's access link).
-            if self.service is None or self.link is None:
-                return False
-            operator = scope.get("operator")
-            return operator is None or operator == self.operator
-        if event.kind == FaultKind.TRANSPARENT_PROXY:
-            # The chaos runner only builds a proxy in worlds whose
-            # operator is in the event's scope, so clean-operator
-            # worlds stay byte-identical to a proxy-free run.
-            if self.middlebox is None:
-                return False
-            operator = scope.get("operator")
-            return operator is None or operator == self.operator
-        if event.kind == FaultKind.NOISY_CLOCK:
-            if self.service is None:
-                return False
-            operator = scope.get("operator")
-            return operator is None or operator == self.operator
-        return False
-
-    # -- the driver process --------------------------------------------------
-    def _drive(self, event: FaultEvent):
-        if event.start_ms > self.sim.now:
-            yield self.sim.timeout(event.start_ms - self.sim.now)
-        if event.kind == FaultKind.VPN_REVOKE:
-            yield from self._drive_vpn_revoke(event)
-            return
-        if event.kind == FaultKind.HANDOVER:
-            yield from self._drive_handover(event)
-            return
-        self._activate(event)
-        self._mark(event, "activations")
-        if event.duration_ms > 0:
-            yield self.sim.timeout(event.duration_ms)
-            self._deactivate(event)
-            self._mark(event, "deactivations")
-
-    def _activate(self, event: FaultEvent) -> None:
-        params = event.params
-        if event.kind == FaultKind.BURST_LOSS:
-            self.link.set_burst_loss(
-                float(params.get("p_enter", 0.3)),
-                float(params.get("p_exit", 0.3)),
-                loss_good=float(params.get("loss_good", 0.0)),
-                loss_bad=float(params.get("loss_bad", 1.0)),
-                up_rng=self.plan.rng(event.event_id,
-                                     "burst:%s:up" % self.device_id),
-                down_rng=self.plan.rng(event.event_id,
-                                       "burst:%s:down" % self.device_id))
-        elif event.kind == FaultKind.LATENCY_SPIKE:
-            self.link.set_latency_spike(float(params.get("extra_ms", 100.0)))
-        elif event.kind == FaultKind.SERVER_OUTAGE:
-            self.servers[event.scope["domain"]].set_outage(
-                str(params.get("mode", "refuse")),
-                slow_ms=float(params.get("slow_ms", 0.0)))
-        elif event.kind == FaultKind.DNS_OUTAGE:
-            self.dns.set_outage(str(params.get("mode", "blackhole")))
-        elif event.kind == FaultKind.BACKEND_CRASH:
-            self.backend.crash(str(params.get("mode", "refuse")))
-        elif event.kind == FaultKind.COLLECTOR_FAIL:
-            self.cluster.fail_node(str(event.scope["node"]),
-                                   str(params.get("mode", "refuse")))
-        elif event.kind == FaultKind.NET_PARTITION:
-            self.cluster.partition_node(
-                str(event.scope["node"]),
-                str(params.get("mode", "blackhole")))
-        elif event.kind == FaultKind.NODE_JOIN:
-            self.cluster.join_node(str(event.scope["node"]))
-        elif event.kind == FaultKind.COEX_BULK:
-            # Self-inflicted contention (docs/MODALITIES.md): a bulk
-            # download app hammers the link while the foreground apps
-            # keep measuring.  The queueing the bulk flow induces is
-            # modelled directly as a latency spike on the access link;
-            # the bulk app's own flows mark the cause in the dataset
-            # (the detector keys on its throughput records).
-            self.link.set_latency_spike(
-                float(params.get("extra_ms", 80.0)))
-            flag = [True]
-            self._bulk_flags[event.event_id] = flag
-            self.sim.process(
-                self._bulk_transfer(event, flag),
-                name="fault-bulk:%s" % event.event_id)
-        elif event.kind == FaultKind.TRANSPARENT_PROXY:
-            self.middlebox.enabled = True
-        elif event.kind == FaultKind.NOISY_CLOCK:
-            from repro.middlebox import install_imperfect_clock
-            self._clocks[event.event_id] = install_imperfect_clock(
-                self.service.device,
-                quantum_ms=float(params.get("quantum_ms", 0.0)),
-                jitter_ms=float(params.get("jitter_ms", 0.0)),
-                rng=self.plan.rng(event.event_id,
-                                  "clock:%s" % self.device_id),
-                obs=self.obs)
-        else:
-            raise ValueError("no activator for %r" % event.kind)
-
-    def _deactivate(self, event: FaultEvent) -> None:
-        if event.kind == FaultKind.BURST_LOSS:
-            self.link.clear_burst_loss()
-        elif event.kind == FaultKind.LATENCY_SPIKE:
-            self.link.clear_latency_spike()
-        elif event.kind == FaultKind.SERVER_OUTAGE:
-            self.servers[event.scope["domain"]].clear_outage()
-        elif event.kind == FaultKind.DNS_OUTAGE:
-            self.dns.clear_outage()
-        elif event.kind == FaultKind.BACKEND_CRASH:
-            self.backend.restart()
-        elif event.kind == FaultKind.NET_PARTITION:
-            self.cluster.heal_node(str(event.scope["node"]))
-        elif event.kind == FaultKind.COEX_BULK:
-            self.link.clear_latency_spike()
-            flag = self._bulk_flags.pop(event.event_id, None)
-            if flag is not None:
-                flag[0] = False
-        elif event.kind == FaultKind.TRANSPARENT_PROXY:
-            self.middlebox.enabled = False
-        elif event.kind == FaultKind.NOISY_CLOCK:
-            clock = self._clocks.pop(event.event_id, None)
-            if clock is not None:
-                clock.uninstall()
-
-    def _bulk_transfer(self, event: FaultEvent, flag: list):
-        """The coexistence workload: repeated DownloadManager fetches
-        from the scoped domain's server for as long as the event is
-        active.  Runs through the relay like any app traffic, so the
-        bulk app's flows land in the dataset as TPUT_* / ENERGY
-        records under the DownloadManager package -- the ground-truth
-        marker the shared coexistence rule keys on."""
-        from repro.crowd.campaign import stable_ip_for_domain
-        from repro.phone.download_manager import DownloadManager
-        domain = str(event.params.get("domain", "bulk.example"))
-        server_ip = str(event.params.get("server_ip",
-                                         stable_ip_for_domain(domain)))
-        manager = DownloadManager(self.service.device)
-        rng = self.plan.rng(event.event_id,
-                            "bulk:%s" % self.device_id)
-        while flag[0]:
-            yield manager.enqueue(server_ip, port=443)
-            yield self.sim.timeout(rng.uniform(80.0, 240.0))
-
-    def _drive_vpn_revoke(self, event: FaultEvent):
-        """Consent revoked: the service tears itself down (via the
-        ``on_revoked`` callback); we wait the teardown out, hold the
-        VPN down for ``duration_ms``, then restart -- the no-hang path
-        the watchdog test drives."""
-        service = self.service
-        if not service.running:
-            return
-        service.vpn.revoke()
-        self._mark(event, "activations")
-        stop = service.revoke_stop
-        if stop is not None and not stop.triggered:
-            yield stop
-        if event.duration_ms > 0:
-            yield self.sim.timeout(event.duration_ms)
-        if not service.running:
-            service.start()
-        self._mark(event, "deactivations")
-
-    def _drive_handover(self, event: FaultEvent):
-        """A wifi<->cellular handover: a short radio gap where every
-        packet is lost, then the link comes back as the other network
-        type; after ``duration_ms`` the device hands back."""
-        link = self.link
-        params = event.params
-        original = link.network_type
-        to_type = str(params.get("to_type", NetworkType.LTE))
-        gap_ms = float(params.get("gap_ms", 150.0))
-        self._mark(event, "activations")
-        link.set_burst_loss(1.0, 0.0, loss_good=1.0, loss_bad=1.0)
-        yield self.sim.timeout(gap_ms)
-        link.clear_burst_loss()
-        link.network_type = to_type
-        if event.duration_ms > 0:
-            yield self.sim.timeout(event.duration_ms)
-            link.set_burst_loss(1.0, 0.0, loss_good=1.0, loss_bad=1.0)
-            yield self.sim.timeout(gap_ms)
-            link.clear_burst_loss()
-            link.network_type = original
-            self._mark(event, "deactivations")
-
-    # -- accounting ----------------------------------------------------------
-    def _mark(self, event: FaultEvent, what: str) -> None:
+    def mark(self, event: FaultEvent, what: str) -> None:
+        """Count one ``"activations"`` or ``"deactivations"`` of
+        ``event``; drivers call this as the effect switches."""
         entry = self.counts.setdefault(
             event.event_id, {"activations": 0, "deactivations": 0})
         entry[what] += 1

@@ -24,9 +24,11 @@ from typing import Dict, List, Optional
 
 
 class FaultKind:
-    """What kind of thing breaks.  The injector maps each kind onto a
-    component hook; ``faults/verify.py`` maps each onto the evidence
-    the measurement pipeline should show."""
+    """What kind of thing breaks: the names only.  Each kind's row in
+    :data:`repro.faults.specs.FAULT_SPECS` (same order as :attr:`ALL`)
+    says where it applies, the effect it drives and the evidence that
+    proves it; this module stays free of those imports, since
+    scenarios and plan validation need only the names."""
 
     BURST_LOSS = "burst_loss"        # Gilbert-Elliott loss on a link
     LATENCY_SPIKE = "latency_spike"  # extra one-way delay on a link

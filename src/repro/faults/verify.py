@@ -2,56 +2,24 @@
 
 Each activated ledger entry is checked for the evidence the
 measurement/diagnosis pipeline *should* show if the injection worked
-and the analysis localises it correctly:
-
-* ``server_outage``/slow-accept -> :func:`diagnose_app` flags the app
-  SERVER_SIDE (slow vs healthy peers on the same networks);
-* ``server_outage``/refuse or blackhole -> refused/timed-out connect
-  failure records for the scoped domain inside the fault window;
-* ``burst_loss``/``latency_spike`` -> the operator diagnosis flags the
-  access or core network (burst loss inflates connect RTT through SYN
-  retransmission but not the surviving DNS samples -> CORE; a latency
-  spike inflates both -> ACCESS);
-* ``dns_outage`` -> DNS timeout failure records inside the window;
-* ``handover`` -> records on both network types for the operator;
-* ``vpn_revoke`` -> a measurement gap in the down-window, the service
-  running again afterwards, records after recovery;
-* ``backend_crash`` -> upload failures/ack-timeouts during the crash
-  and a fully re-synced uploader afterwards;
-* ``transparent_proxy`` -> the shared divergence rule fires on the
-  proxied operator's raw SYN vs app-layer RTTs;
-* ``noisy_clock`` -> the imperfect-clock counters fired and quantised
-  SYN RTTs sit on the configured grid.
+and the analysis localises it correctly -- its kind's ``check`` in
+:data:`repro.faults.specs.FAULT_SPECS` (docs/FAULTS.md tabulates what
+each looks for).
 
 Recall is the fraction of activated faults whose evidence shows up;
-precision is the fraction of non-healthy diagnosis findings explained
-by some injected fault.  The closed-loop tests assert recall >= 0.9
-for the link- and server-fault presets.
+precision is the fraction of non-healthy diagnosis findings that some
+activated fault's ``explains`` accounts for.  The closed-loop tests
+assert recall >= 0.9 for the link- and server-fault presets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-import statistics
-
-from repro.analysis import rules
-from repro.analysis.diagnosis import (
-    Finding,
-    Verdict,
-    diagnose_all,
-    diagnose_app,
-    diagnose_operator,
-)
-from repro.core.records import FailureKind, MeasurementKind
-from repro.faults.ledger import GroundTruthLedger, LedgerEntry
-from repro.faults.plan import FaultKind
+from repro.analysis.diagnosis import Finding, diagnose_all
 from repro.faults.scenarios import Scenario, get_scenario
-
-#: Evidence may trail the fault window (a SYN sent just before the
-#: window closes fails just after it).
-_WINDOW_SLACK_MS = 2_000.0
+from repro.faults.specs import SPEC_BY_KIND, Evidence
 
 
 @dataclass
@@ -73,9 +41,7 @@ class VerificationReport:
 
     @property
     def recall(self) -> float:
-        if not self.checks:
-            return 1.0
-        return sum(1 for c in self.checks if c.matched) / len(self.checks)
+        return _recall(self.checks)
 
     @property
     def precision(self) -> float:
@@ -85,10 +51,7 @@ class VerificationReport:
         return (total - len(self.unexplained)) / total
 
     def recall_for(self, *kinds: str) -> float:
-        checks = [c for c in self.checks if c.kind in kinds]
-        if not checks:
-            return 1.0
-        return sum(1 for c in checks if c.matched) / len(checks)
+        return _recall([c for c in self.checks if kinds.count(c.kind)])
 
     def summary(self) -> str:
         lines = ["%s seed=%d: recall %.2f precision %.2f"
@@ -103,16 +66,10 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _failures_in_window(records, entry: LedgerEntry, kind: str,
-                        failure: str, domain: Optional[str] = None
-                        ) -> int:
-    end = (entry.end_ms if entry.end_ms > entry.start_ms
-           else float("inf"))
-    return sum(
-        1 for r in records
-        if r.kind == kind and r.failure == failure
-        and (domain is None or r.domain == domain)
-        and entry.start_ms <= r.timestamp_ms <= end + _WINDOW_SLACK_MS)
+def _recall(checks: List[EntryCheck]) -> float:
+    if not checks:
+        return 1.0
+    return sum(1 for c in checks if c.matched) / len(checks)
 
 
 def verify_scenario(result, scenario: Optional[Scenario] = None,
@@ -121,298 +78,30 @@ def verify_scenario(result, scenario: Optional[Scenario] = None,
     """Score a :class:`~repro.faults.chaos.ChaosResult` against its
     ledger.  ``min_samples`` is scaled for the preset worlds (a few
     devices), not the paper's 200-sample crowd threshold."""
-    scenario = scenario or get_scenario(result.scenario_name)
-    ledger: GroundTruthLedger = result.ledger
-    stats = result.stats
     store = result.load()
-    records = list(store)
-    package_of_domain = {spec.domain: spec.package
-                         for spec in scenario.apps}
+    evidence = Evidence(
+        scenario=scenario or get_scenario(result.scenario_name),
+        store=store, records=list(store), stats=result.stats,
+        findings=diagnose_all(store, min_samples=min_samples,
+                              slow_factor=slow_factor, top=50),
+        min_samples=min_samples, slow_factor=slow_factor)
     report = VerificationReport(scenario_name=result.scenario_name,
-                                seed=result.seed)
-    report.findings = diagnose_all(store, min_samples=min_samples,
-                                   slow_factor=slow_factor, top=50)
-
-    for entry in ledger.activated():
-        matched, evidence = _check_entry(
-            entry, store, records, stats, scenario, package_of_domain,
-            min_samples, slow_factor)
+                                seed=result.seed,
+                                findings=evidence.findings)
+    explained = set()
+    for entry in result.ledger.activated():
+        spec = SPEC_BY_KIND[entry.kind]
+        matched, text = spec.check(evidence, entry)
         report.checks.append(EntryCheck(
             event_id=entry.event_id, kind=entry.kind,
-            matched=matched, evidence=evidence))
-
+            matched=matched, evidence=text))
+        explained.update(spec.explains(evidence, entry))
     # Precision: every non-healthy finding should trace to a fault.
-    explained_operators = {
-        e.scope.get("operator") for e in ledger.activated()
-        if e.kind in (FaultKind.BURST_LOSS, FaultKind.LATENCY_SPIKE,
-                      FaultKind.HANDOVER, FaultKind.COEX_BULK,
-                      FaultKind.TRANSPARENT_PROXY,
-                      FaultKind.NOISY_CLOCK)}
-    explained_apps = {
-        package_of_domain.get(e.scope.get("domain"))
-        for e in ledger.activated()
-        if e.kind == FaultKind.SERVER_OUTAGE}
-    # The bulk-transfer app is the coexistence fault's own traffic:
-    # any finding about it (or about apps pinned to the congested
-    # operator) traces straight to the injection.
-    if any(e.kind == FaultKind.COEX_BULK for e in ledger.activated()):
-        explained_apps.add(rules.COEX_BULK_PACKAGE)
-    # A split-connection proxy corrupts the comparative baselines: the
-    # proxied operator's SYN median collapses to middlebox RTT, so
-    # clean *operators* look inflated by contrast, and apps on
-    # non-intercepted ports look slow next to their proxied peers.
-    # Both trace straight to the injection.
-    proxy_events = [e for e in ledger.activated()
-                    if e.kind == FaultKind.TRANSPARENT_PROXY]
-    if proxy_events:
-        explained_operators.update(
-            f.subject for f in report.findings if f.kind == "operator")
-        intercepted = set()
-        for e in proxy_events:
-            intercepted.update(
-                int(p) for p in e.params.get("intercept_ports",
-                                             (80, 443)))
-        explained_apps.update(spec.package for spec in scenario.apps
-                              if spec.port not in intercepted)
-    for finding in report.findings:
-        if finding.kind == "operator" and \
-                finding.subject in explained_operators:
-            continue
-        if finding.kind == "app" and finding.subject in explained_apps:
-            continue
-        report.unexplained.append(
-            "%s %s -> %s" % (finding.kind, finding.subject,
-                             finding.verdict))
+    report.unexplained = [
+        "%s %s -> %s" % (finding.kind, finding.subject, finding.verdict)
+        for finding in report.findings
+        if (finding.kind, finding.subject) not in explained]
     return report
-
-
-def _check_entry(entry: LedgerEntry, store, records, stats,
-                 scenario: Scenario, package_of_domain,
-                 min_samples: int, slow_factor: float):
-    if entry.kind in (FaultKind.BURST_LOSS, FaultKind.LATENCY_SPIKE):
-        operator = entry.scope.get("operator")
-        finding = diagnose_operator(store, operator,
-                                    min_samples=min_samples,
-                                    slow_factor=slow_factor)
-        expect = (Verdict.ACCESS_NETWORK, Verdict.CORE_NETWORK)
-        return (finding.verdict in expect,
-                "operator %s diagnosed %s" % (operator, finding.verdict))
-
-    if entry.kind == FaultKind.SERVER_OUTAGE:
-        domain = entry.scope.get("domain")
-        mode = str(entry.params.get("mode", "refuse"))
-        if mode == "slow_accept":
-            package = package_of_domain.get(domain)
-            finding = diagnose_app(store, package,
-                                   min_samples=min_samples,
-                                   slow_factor=slow_factor)
-            return (finding.verdict == Verdict.SERVER_SIDE,
-                    "app %s diagnosed %s" % (package, finding.verdict))
-        failure = (FailureKind.REFUSED if mode == "refuse"
-                   else FailureKind.TIMEOUT)
-        hits = _failures_in_window(records, entry, MeasurementKind.TCP,
-                                   failure, domain=domain)
-        return (hits > 0, "%d %s failure records for %s in window"
-                % (hits, failure, domain))
-
-    if entry.kind == FaultKind.DNS_OUTAGE:
-        hits = _failures_in_window(records, entry, MeasurementKind.DNS,
-                                   FailureKind.TIMEOUT)
-        return (hits > 0,
-                "%d DNS timeout failure records in window" % hits)
-
-    if entry.kind == FaultKind.HANDOVER:
-        operator = entry.scope.get("operator")
-        types = {r.network_type for r in records
-                 if r.operator == operator}
-        return (len(types) >= 2,
-                "operator %s records carry network types %s"
-                % (operator, sorted(types)))
-
-    if entry.kind == FaultKind.VPN_REVOKE:
-        revoked = stats.get("vpn_revocations", 0)
-        recovered = (stats.get("service_running", 0)
-                     == stats.get("workloads_completed", 0))
-        # The relay is down inside the window: no samples should start
-        # there (teardown slack on the leading edge).
-        gap_lo = entry.start_ms + _WINDOW_SLACK_MS
-        in_gap = sum(1 for r in records
-                     if gap_lo <= r.timestamp_ms <= entry.end_ms)
-        after = sum(1 for r in records
-                    if r.timestamp_ms > entry.end_ms)
-        ok = revoked >= entry.activations and recovered \
-            and in_gap == 0 and after > 0
-        return (ok, "revocations=%d recovered=%s gap_records=%d "
-                "records_after=%d" % (revoked, recovered, in_gap, after))
-
-    if entry.kind == FaultKind.BACKEND_CRASH:
-        crashes = stats.get("backend_crashes", 0)
-        recoveries = stats.get("backend_recoveries", 0)
-        disrupted = (stats.get("uploader_failures", 0)
-                     + stats.get("uploader_ack_timeouts", 0))
-        resynced = (stats.get("uploader_records_acked", 0)
-                    == stats.get("store_records", -1))
-        # Recovery ground truth: every crash was followed by a real
-        # WAL/segment recovery, and every device world's recovered
-        # rollup store digest-matched a store built straight from its
-        # own records (the in-memory state was discarded at crash).
-        recovered = (recoveries > 0
-                     and stats.get("backend_rollup_matches_store", -1)
-                     == stats.get("workloads_completed", 0))
-        ok = crashes > 0 and disrupted > 0 and resynced and recovered
-        return (ok, "crashes=%d recoveries=%d upload_disruptions=%d "
-                "resynced=%s rollups_recovered=%s"
-                % (crashes, recoveries, disrupted, resynced, recovered))
-
-    if entry.kind == FaultKind.COEX_BULK:
-        # The evidence is the *shared* coexistence rule over the raw
-        # records: bulk-app throughput samples present, and the
-        # faulted operator's TCP median inflated past the merged
-        # peers' median (repro.analysis.rules.coexistence_verdict --
-        # the same function the online detector applies to rollups).
-        operator = entry.scope.get("operator")
-        bulk = sum(1 for r in records
-                   if r.kind in (MeasurementKind.TPUT_UP,
-                                 MeasurementKind.TPUT_DOWN)
-                   and r.app_package == rules.COEX_BULK_PACKAGE)
-        faulted = [r.rtt_ms for r in records
-                   if r.kind == MeasurementKind.TCP
-                   and r.failure is None and r.operator == operator]
-        peers = [r.rtt_ms for r in records
-                 if r.kind == MeasurementKind.TCP
-                 and r.failure is None and r.operator != operator]
-        if not faulted or not peers:
-            return (False, "no TCP samples to compare (faulted=%d "
-                    "peer=%d)" % (len(faulted), len(peers)))
-        median = statistics.median(faulted)
-        peer_median = statistics.median(peers)
-        verdict = rules.coexistence_verdict(median, peer_median, bulk)
-        return (verdict, "operator %s median %.1f ms vs peers %.1f ms "
-                "with %d bulk throughput samples"
-                % (operator, median, peer_median, bulk))
-
-    if entry.kind == FaultKind.TRANSPARENT_PROXY:
-        # The evidence is the *shared* divergence rule over the raw
-        # records: the proxied operator's SYN-RTT median has split
-        # from its app-layer-RTT median
-        # (repro.analysis.rules.proxy_divergence_verdict -- the same
-        # function ProxyDivergenceRule applies to rollups online).
-        operator = entry.scope.get("operator")
-        syn = [r.rtt_ms for r in records
-               if r.kind == MeasurementKind.TCP
-               and r.failure is None and r.operator == operator]
-        app = [r.rtt_ms for r in records
-               if r.kind == MeasurementKind.APP_RTT
-               and r.operator == operator]
-        if not syn or not app:
-            return (False, "no RTT samples to compare (syn=%d app=%d)"
-                    % (len(syn), len(app)))
-        syn_median = statistics.median(syn)
-        app_median = statistics.median(app)
-        verdict = rules.proxy_divergence_verdict(
-            syn_median, app_median, len(app))
-        return (verdict, "operator %s syn median %.1f ms vs app-layer "
-                "median %.1f ms over %d app samples"
-                % (operator, syn_median, app_median, len(app)))
-
-    if entry.kind == FaultKind.NOISY_CLOCK:
-        # The clock hook charges every distorted read to a counter, so
-        # the evidence is direct: each configured imperfection source
-        # fired at least once, and (for quantisation) the recorded
-        # successful SYN RTTs actually sit on the configured grid --
-        # RTT = end - start with both ends quantised to the same
-        # quantum is itself a quantum multiple.
-        quantum = float(entry.params.get("quantum_ms", 0.0))
-        jitter = float(entry.params.get("jitter_ms", 0.0))
-        quantised = stats.get("imperfect_quantised_samples", 0)
-        jittered = stats.get("imperfect_jitter_applied", 0)
-        ok = (quantum <= 0 or quantised > 0) \
-            and (jitter <= 0 or jittered > 0)
-        on_grid = True
-        if quantum > 0 and jitter <= 0:
-            end = (entry.end_ms if entry.end_ms > entry.start_ms
-                   else float("inf"))
-            rtts = [r.rtt_ms for r in records
-                    if r.kind == MeasurementKind.TCP
-                    and r.failure is None
-                    and entry.start_ms <= r.timestamp_ms <= end]
-            on_grid = all(
-                abs(rtt / quantum - round(rtt / quantum)) < 1e-9
-                for rtt in rtts)
-            ok = ok and bool(rtts) and on_grid
-        return (ok, "quantised_reads=%d jitter_applied=%d "
-                "rtts_on_%.1fms_grid=%s"
-                % (quantised, jittered, quantum, on_grid))
-
-    # The cluster.* counters are scenario-global (one coordinator
-    # timeline per world, all events folded together), while a ledger
-    # entry counts only its own activations -- scale by how many
-    # same-kind events the scenario injects.
-    peers = sum(1 for e in scenario.events if e.kind == entry.kind)
-
-    if entry.kind == FaultKind.COLLECTOR_FAIL:
-        failovers = stats.get("cluster_failovers", 0)
-        rehomed = stats.get("uploader_rehomes", 0)
-        worlds = stats.get("workloads_completed", 0)
-        # Failovers observed == failures injected (each device world
-        # re-derives the same coordinator timeline, so both sides sum
-        # across worlds), with zero record loss and the global merged
-        # rollup digest-matching a single-collector reference.
-        observed = (failovers == entry.activations * peers
-                    and failovers > 0)
-        zero_loss = stats.get("cluster_zero_loss", -1) == worlds
-        merged_ok = (stats.get("cluster_rollup_matches_reference", -1)
-                     == worlds)
-        resynced = (stats.get("uploader_records_acked", 0)
-                    == stats.get("store_records", -1))
-        ok = observed and zero_loss and merged_ok and resynced
-        return (ok, "failovers=%d/%d rehomed_uploaders=%d "
-                "zero_loss=%s merged_matches_reference=%s resynced=%s"
-                % (failovers, entry.activations * peers, rehomed,
-                   zero_loss, merged_ok, resynced))
-
-    if entry.kind == FaultKind.NET_PARTITION:
-        partitions = stats.get("cluster_partitions", 0)
-        heals = stats.get("cluster_heals", 0)
-        worlds = stats.get("workloads_completed", 0)
-        # A partition is NOT a failure: the coordinator must observe
-        # it and heal it without a single failover firing.
-        observed = (partitions == entry.activations * peers
-                    and partitions > 0
-                    and heals == entry.deactivations * peers)
-        no_failover = stats.get("cluster_failovers", 0) == 0
-        zero_loss = stats.get("cluster_zero_loss", -1) == worlds
-        merged_ok = (stats.get("cluster_rollup_matches_reference", -1)
-                     == worlds)
-        resynced = (stats.get("uploader_records_acked", 0)
-                    == stats.get("store_records", -1))
-        ok = observed and no_failover and zero_loss and merged_ok \
-            and resynced
-        return (ok, "partitions=%d/%d heals=%d/%d no_failover=%s "
-                "zero_loss=%s merged_matches_reference=%s resynced=%s"
-                % (partitions, entry.activations * peers, heals,
-                   entry.deactivations * peers, no_failover, zero_loss,
-                   merged_ok, resynced))
-
-    if entry.kind == FaultKind.NODE_JOIN:
-        joins = stats.get("cluster_joins", 0)
-        worlds = stats.get("workloads_completed", 0)
-        # The coordinator raises outright if a join moves a key the
-        # ring's minimal-movement bound forbids, so reaching this
-        # check at all implies the bound held in every world.
-        observed = joins == entry.activations * peers and joins > 0
-        zero_loss = stats.get("cluster_zero_loss", -1) == worlds
-        merged_ok = (stats.get("cluster_rollup_matches_reference", -1)
-                     == worlds)
-        ok = observed and zero_loss and merged_ok
-        return (ok, "joins=%d/%d keys_moved=%d dedup_handoffs=%d "
-                "zero_loss=%s merged_matches_reference=%s"
-                % (joins, entry.activations * peers,
-                   stats.get("cluster_keys_moved", 0),
-                   stats.get("cluster_dedup_handoffs", 0), zero_loss,
-                   merged_ok))
-
-    return (False, "no evidence rule for kind %r" % entry.kind)
 
 
 __all__ = ["EntryCheck", "VerificationReport", "verify_scenario"]

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.persist import record_to_line
+from repro.core.persist import encode_batch, record_to_line
 from repro.crowd import (
     AppCatalog,
     AppProfile,
@@ -41,14 +41,28 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
 class TestPinnedDatasets:
     """The dataset is the generator's regression test."""
 
-    def test_in_process_campaign(self):
-        # The value CI's "Cross-hashseed dataset digest" step pins.
+    def test_in_process_campaign(self, tmp_path):
+        # One value on every Python version and hash seed CI runs this
+        # under: no shard byte depends on either, on the record's type
+        # or on whether its line was formatted or dumped -- and a batch
+        # is those lines.
+        config = CampaignConfig(scale=0.01, seed=7)
         sha = hashlib.sha256()
-        campaign = Campaign(config=CampaignConfig(scale=0.01, seed=7))
-        for record in campaign.iter_records():
+        first = []
+        for record in Campaign(config=config).iter_records():
             sha.update((record_to_line(record) + "\n").encode())
+            if len(first) < 50:
+                first.append(record)
         assert sha.hexdigest() == ("df731245e11559a7cf397bb21480d41c"
                                    "94b812b00132dd1f96852dbc9e92ccd4")
+        assert hashlib.sha256(encode_batch(first)).hexdigest() == (
+            "a7f93fc3055e1ffb54315949428bff0b"
+            "2e364e36d92fd7dd0a1d7ce92a755e71")
+        # The same campaign written by a two-worker pool, each worker
+        # building its campaign once: the same bytes.
+        assert ShardedCampaign(config, workers=2,
+                               shard_dir=str(tmp_path)).run().digest() \
+            == sha.hexdigest()
 
     @pytest.mark.parametrize("workers,n_shards",
                              [(1, 1), (2, 3), (3, 7)])

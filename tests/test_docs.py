@@ -7,7 +7,8 @@ flags.  The checks of this module are the tables that list the rollup
 tables themselves: every page that does must say exactly what
 ``repro.backend.rollups.TABLE_SPECS`` says -- name, key parts, feeding
 kinds, grid and unit, stored order -- so a spec row and its four doc
-rows cannot drift apart."""
+rows cannot drift apart.  The fault kinds' table says what
+``repro.faults.specs.FAULT_SPECS`` says the same way."""
 
 import os
 import re
@@ -15,6 +16,7 @@ import re
 import pytest
 
 from repro.backend.rollups import TABLE_SPECS
+from repro.faults.specs import FAULT_SPECS
 from repro.store.segments import stored_order
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -110,3 +112,16 @@ def test_query_name_flag_lists_every_table():
     assert re.findall(r"`([a-z_]+)`", row.split("|")[3]) == \
         [spec.name for spec in TABLE_SPECS]
 
+
+
+def test_the_fault_kind_table_says_what_the_spec_says():
+    heading = "### 1. Plans (`repro.faults.plan`, `repro.faults.scenarios`)"
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section("FAULTS.md", heading).splitlines()
+            if line.startswith("|")]
+    scope = rows[0].index("scope")
+    # Both directions and in the rows' order; a scope of None is "—".
+    documented = [(re.fullmatch(r"`([a-z_]+)`", cells[0]).group(1),
+                   re.fullmatch(r"`([a-z ]+)`|—", cells[scope]).group(1))
+                  for cells in rows[2:]]
+    assert documented == [(spec.kind, spec.scope) for spec in FAULT_SPECS]

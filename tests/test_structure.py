@@ -26,6 +26,11 @@ RULES = {
         ("src", "tools", "docs")),
     # One analysis per figure: no streaming copy beside the exact one.
     "no-stream-analyses": (r"def \w+_stream\(", ("src/repro/analysis",)),
+    # One row per fault kind (faults/specs.py's FAULT_SPECS): the
+    # injector and the verifier loop over the rows and name no kind.
+    "fault-specs": (r"\.kind\s*(==|!=|in\b)|FaultKind\.[A-Z]",
+                    ("src/repro/faults/injector.py",
+                     "src/repro/faults/verify.py")),
 }
 
 
