@@ -129,7 +129,7 @@ def cmd_demo(args) -> int:
 
 def cmd_metrics(_args) -> int:
     """The deterministic snapshot: same seed -> byte-identical stdout,
-    whatever PYTHONHASHSEED (CI smoke-checks this)."""
+    whatever PYTHONHASHSEED (``tests/test_cli.py`` checks this)."""
     _mopeye, obs = _run_demo_workload()
     print(obs.to_json())
     return 0
@@ -418,8 +418,8 @@ def cmd_chaos(args) -> int:
     print("ledger sha256:  %s" % result.ledger.digest())
     rollup_digest = result.rollup_digest()
     if rollup_digest is not None:
-        # Recovered purely from each backend's WAL + segments -- the
-        # CI storage smoke diffs this across PYTHONHASHSEED values.
+        # Recovered purely from each backend's WAL + segments;
+        # tests/test_pinned_digests.py pins it per scenario.
         print("recovered rollup sha256: %s" % rollup_digest)
     if args.ledger:
         result.ledger.save(args.ledger)

@@ -367,8 +367,8 @@ class ChaosResult:
         return dataset_digest(self.paths)
 
     def rollup_digest(self) -> Optional[str]:
-        """Digest of the recovered backend rollups -- the quantity the
-        storage CI job diffs across PYTHONHASHSEED values."""
+        """Digest of the recovered backend rollups -- pinned per
+        scenario in ``tests/test_pinned_digests.py``."""
         return None if self.rollups is None else self.rollups.digest()
 
     def iter_records(self) -> Iterator[MeasurementRecord]:

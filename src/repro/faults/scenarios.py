@@ -18,8 +18,8 @@ Each preset is designed so the faults leave a *diagnosable* footprint
   (diagnosed SERVER_SIDE against healthy peers) plus a refuse window
   on a third (refused-connect failure records).
 * ``dns_outage``      -- resolver blackhole window; timed-out relay
-  queries become DNS failure records.  Small and fast: the CI chaos
-  smoke job runs this one.
+  queries become DNS failure records.  Small and fast: the CLI
+  tests run this one.
 * ``handover_storm``  -- repeated wifi<->LTE flips with radio gaps;
   records carry both network types.
 * ``backend_crash``   -- collector crash window under an active

@@ -25,6 +25,8 @@ asserts exactly that.
 from __future__ import annotations
 
 import dataclasses
+import os
+import tempfile
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultEvent, FaultKind
@@ -119,16 +121,18 @@ def run_imperfection_ablation(scenario="noisy_clock", seed: int = 0,
     report: Dict[str, object] = {
         "scenario": scenario.name, "seed": seed,
         "variants": {}, "deltas": {}}
-    for name in VARIANTS:
-        result = ChaosRunner(variants[name], seed=seed,
-                             workers=1).run()
-        streams[name] = _rtts_by_kind(result)
-        report["variants"][name] = {
-            "records": result.records,
-            "digest": result.digest(),
-            "samples": {kind: len(streams[name][kind])
-                        for kind in ABLATED_KINDS},
-        }
+    # The variants' shards are read here and nowhere else.
+    with tempfile.TemporaryDirectory(prefix="mopeye-ablation-") as root:
+        for name in VARIANTS:
+            result = ChaosRunner(variants[name], seed=seed, workers=1,
+                                 shard_dir=os.path.join(root, name)).run()
+            streams[name] = _rtts_by_kind(result)
+            report["variants"][name] = {
+                "records": result.records,
+                "digest": result.digest(),
+                "samples": {kind: len(streams[name][kind])
+                            for kind in ABLATED_KINDS},
+            }
     base = streams["none"]
     for name in VARIANTS:
         deltas: Dict[str, Dict[str, float]] = {}

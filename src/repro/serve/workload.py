@@ -10,14 +10,14 @@ same query sequence whatever the host or ``PYTHONHASHSEED``.
 
 ``run()`` returns a deterministic report -- panel counts, a digest of
 every panel's canonical JSON, blocks read/pruned, cache hit rate --
-so two runs can be byte-diffed in CI.  Wall-clock latency percentiles
+so two runs can be byte-diffed (``tests/test_cli.py`` pins the
+``query dashboard`` output's sha256).  Wall-clock latency percentiles
 are volatile by nature and only included when asked
-(``include_latency=True``; the benchmark does, the CI diff does not).
+(``include_latency=True``; the benchmark does, the pin does not).
 
 ``verify_against_scan()`` recomputes a sample of panels by full scan
 and asserts byte-identical results with strictly fewer blocks read on
-the pruned side; ``tools/perf_guards.py`` runs it and then holds the
-pruned side to a count of its own.
+the pruned side (``tests/test_serve_engine.py`` runs it).
 """
 
 from __future__ import annotations

@@ -126,6 +126,29 @@ def campaign_store():
     return campaign.run()
 
 
+@pytest.fixture(scope="session")
+def chaos_world(tmp_path_factory):
+    """``chaos_world(name, seed=7, workers=1)``: one ``ChaosResult``
+    per key, built on first use and shared by the whole session, its
+    shards under the session's temp root.  Treat it as read-only: the
+    pins, the worker-count parity and the closed-loop checks all read
+    the same build."""
+    from repro.faults import ChaosRunner
+
+    built = {}
+
+    def chaos_world(name, seed=7, workers=1):
+        key = (name, seed, workers)
+        if key not in built:
+            shard_dir = tmp_path_factory.mktemp(
+                "chaos-%s-s%d-w%d" % key)
+            built[key] = ChaosRunner(name, seed=seed, workers=workers,
+                                     shard_dir=str(shard_dir)).run()
+        return built[key]
+
+    return chaos_world
+
+
 @pytest.fixture
 def world():
     w = World()

@@ -12,12 +12,15 @@ slow one it replaced:
 * the metric calls' one-lookup path against the registry's, errors
   and snapshots alike;
 * a small store fed through ``handle_batch`` -- one checkpoint, one
-  flush -- against the sha256 of every file it wrote before.
+  flush -- against the sha256 of every file it wrote before, with its
+  bookkeeping counted: one dedup write a batch, no header dumped, no
+  key encoded on its own.
 """
 
 import hashlib
 import json
 import os
+from collections import OrderedDict
 from itertools import chain, count, islice
 from operator import itemgetter
 from unittest import mock
@@ -42,6 +45,7 @@ from repro.obs import Observability
 from repro.obs.registry import MetricsRegistry
 from repro.store import StoreConfig, StoreEngine
 from repro.store import engine as engine_module
+from repro.store import segments
 from repro.store.encoding import encode_block
 from repro.store.segments import sorted_rows
 from repro.store.wal import replay
@@ -375,17 +379,37 @@ def _file_digests(root):
     return found
 
 
-def test_a_handle_batch_store_is_byte_identical(tmp_path):
+class _CountedMap(OrderedDict):
+    """The dedup map, counting its writes."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+def test_a_handle_batch_store_is_byte_identical(tmp_path, monkeypatch):
     """1,500 generated records in batches of 1 to 30 through
     ``handle_batch``, with replays, a truncated batch, an adopted
     identity and a device that needs escaping: one checkpoint, then
-    one flush, and every file, outcome and counter as pinned."""
+    one flush, and every file, outcome and counter as pinned -- and
+    the bookkeeping each ACK pays counted."""
     records = list(islice(Campaign(config=CampaignConfig(
         scale=0.002, seed=2016)).iter_records(), 1500))
     root = str(tmp_path)
     obs = Observability()
+    used = mock.Mock(wraps=json)
+    manifests = mock.create_autospec(
+        StoreEngine._write_manifest,
+        side_effect=StoreEngine._write_manifest)
+    encoded = mock.Mock(wraps=segments._encode_key)
+    monkeypatch.setattr(engine_module, "json", used)
+    monkeypatch.setattr(StoreEngine, "_write_manifest", manifests)
+    monkeypatch.setattr(segments, "_encode_key", encoded)
     engine = StoreEngine(root, obs=obs, config=StoreConfig(
         flush_threshold_records=1000, checkpoint_interval_records=700))
+    engine.dedup = _CountedMap()
     pipeline = IngestPipeline(store=engine, obs=obs)
     outcomes, trees, seqs = [], [], {}
     sizes = (1, 7, 1, 1, 30, 1, 3)
@@ -415,6 +439,17 @@ def test_a_handle_batch_store_is_byte_identical(tmp_path):
     trees.append(_file_digests(root))
     assert obs.value("store.checkpoints") == 1
     assert obs.value("store.flushes") == 1
+    # What the ACK pays besides its records and its fsync: the engine
+    # writes the shared dedup map once a batch it admits or adopts; a
+    # header is formatted, so the engine's json.dumps calls are its
+    # manifests'; and no key part holds a | or a \, so sorted_rows
+    # checks each table whole and encodes no key on its own.
+    adopted = outcomes.count(True)
+    assert adopted == 1
+    assert engine.dedup.writes == obs.value("backend.batches") + adopted
+    assert manifests.call_count == 2
+    assert used.dumps.call_count == manifests.call_count
+    assert encoded.call_count == 0
     assert tuple(trees) == _PINNED_STORE
     sha = hashlib.sha256()
     for outcome in outcomes:

@@ -730,8 +730,13 @@ class TestServeCli:
         view = json.loads(capsys.readouterr().out)
         assert view["records"] > 1000
         assert "rollup sha256: %s" % view["digest"] in out
+        assert main(["store", "inspect", data_dir]) == 0
+        assert "rollup sha256:  %s" % view["digest"] \
+            in capsys.readouterr().out
         assert main(["query", data_dir, "apps", "--top", "3"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 3
+        assert main(["store", "compact", data_dir,
+                     "--retention-days", "28"]) == 0
 
     def test_serve_digest_stable_across_workers(self, tmp_path,
                                                 capsys):
@@ -743,7 +748,10 @@ class TestServeCli:
             out = capsys.readouterr().out
             digests.append([line for line in out.splitlines()
                             if "sha256" in line][0])
-        assert digests[0] == digests[1]
+        # Pinned, so the CI matrix's two PYTHONHASHSEED values must
+        # agree too.
+        assert digests == ["rollup sha256: 8eebec838bff9c6eda1ec11d"
+                           "6b4cfce51f163fc08ae5ca313cc962e89de95d63"] * 2
 
     def test_query_missing_state_fails_cleanly(self, tmp_path,
                                                capsys):

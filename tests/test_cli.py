@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -192,6 +193,27 @@ class TestChaos:
     def test_chaos_requires_scenario(self, capsys):
         assert main(["chaos"]) == 2
         assert main(["chaos", "--scenario", "volcano"]) == 2
+
+
+class TestCluster:
+    def test_five_nodes_print_the_three_node_digests(
+            self, tmp_path, capsys, chaos_world):
+        """The node count is a deployment choice: five collectors
+        measure the same dataset and merge the same global rollup as
+        the scenario's default three, and that rollup is the
+        single-collector reference."""
+        assert main(["cluster", "--scenario", "collector_failover",
+                     "--seed", "7", "--nodes", "5",
+                     "--shard-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "recall 1.00" in out
+        printed = dict(line.split(" sha256: ")
+                       for line in out.splitlines() if " sha256: " in line)
+        three = chaos_world("collector_failover")
+        assert printed["dataset"].strip() == three.digest()
+        assert printed["global rollup"].strip() \
+            == printed["reference rollup"].strip() \
+            == three.rollup_digest()
 
 
 #: The three commands that open an existing store, by path.
@@ -463,6 +485,11 @@ class TestQuery:
         report = json.loads(first)
         assert report["panels"] == 16
         assert "latency_ms" not in report
+        # The same bytes under any PYTHONHASHSEED: the CI matrix runs
+        # this under two.
+        assert hashlib.sha256(first.encode()).hexdigest() == (
+            "83fe4deaa856a6e52daff09de5d13ffe"
+            "14ec3fda2c3ae9a005e3ff425f9a379c")
 
     def test_query_top_must_be_positive(self, data_dir, capsys):
         for bad in ("0", "-3"):

@@ -1,7 +1,9 @@
-"""End-to-end chaos tests: determinism across worker counts, the
+"""End-to-end chaos tests: determinism across runs and seeds, the
 closed verification loop (injected faults are found by the analysis
 with high recall), and the no-hang watchdog for teardown-heavy
-scenarios."""
+scenarios.  The worlds are the session's ``chaos_world`` builds at
+seed 7; their worker-count parity and digests are
+``tests/test_pinned_digests.py``."""
 
 import json
 
@@ -12,55 +14,25 @@ from repro.faults import ChaosRunner, get_scenario, verify_scenario
 from repro.faults.chaos import run_device_world
 
 
-@pytest.fixture(scope="module")
-def brownout_result():
-    return ChaosRunner("server_brownout", seed=3).run()
+@pytest.fixture
+def brownout_result(chaos_world):
+    return chaos_world("server_brownout")
 
 
-@pytest.fixture(scope="module")
-def bursty_result():
-    return ChaosRunner("bursty_lte", seed=3).run()
+@pytest.fixture
+def bursty_result(chaos_world):
+    return chaos_world("bursty_lte")
 
 
 class TestDeterminism:
-    def test_same_seed_twice_is_byte_identical(self, tmp_path):
-        one = ChaosRunner("dns_outage", seed=11,
-                          shard_dir=str(tmp_path / "a")).run()
+    def test_same_seed_twice_is_byte_identical(self, chaos_world,
+                                               tmp_path):
+        one = chaos_world("dns_outage", 11)
         two = ChaosRunner("dns_outage", seed=11,
-                          shard_dir=str(tmp_path / "b")).run()
+                          shard_dir=str(tmp_path)).run()
         assert one.digest() == two.digest()
         assert one.ledger.to_json() == two.ledger.to_json()
         assert one.stats == two.stats
-
-    def test_worker_count_cannot_change_a_byte(self, tmp_path):
-        serial = ChaosRunner("dns_outage", seed=11, workers=1,
-                             shard_dir=str(tmp_path / "w1")).run()
-        pooled = ChaosRunner("dns_outage", seed=11, workers=2,
-                             shard_dir=str(tmp_path / "w2")).run()
-        assert serial.digest() == pooled.digest()
-        assert serial.ledger.to_json() == pooled.ledger.to_json()
-        assert serial.stats == pooled.stats
-
-    def test_recovered_rollups_identical_across_workers(self,
-                                                        tmp_path):
-        """The storage acceptance digest: the rollup store recovered
-        from each backend's WAL + segments must be byte-identical
-        whatever the worker count (the CI job also diffs it across
-        PYTHONHASHSEED values)."""
-        serial = ChaosRunner("backend_crash", seed=3, workers=1,
-                             shard_dir=str(tmp_path / "w1")).run()
-        pooled = ChaosRunner("backend_crash", seed=3, workers=2,
-                             shard_dir=str(tmp_path / "w2")).run()
-        assert serial.rollup_digest() is not None
-        assert serial.rollup_digest() == pooled.rollup_digest()
-        assert serial.rollups.to_json() == pooled.rollups.to_json()
-
-    def test_digests_are_pinned(self, brownout_result, bursty_result):
-        """Two backend-less datasets, as they have been for many
-        builds; neither world has a collector to hand a rollup back."""
-        assert brownout_result.digest().startswith("948eb2d07413bba0")
-        assert bursty_result.digest().startswith("0c67001646bd93ca")
-        assert brownout_result.rollups is bursty_result.rollups is None
 
     def test_one_world_whoever_collects(self):
         """The measurement side is built once: a backend-less world
@@ -77,12 +49,9 @@ class TestDeterminism:
         assert len(bare.records) == 61
         assert clustered.records == bare.records
 
-    def test_different_seeds_differ(self, tmp_path):
-        one = ChaosRunner("dns_outage", seed=1,
-                          shard_dir=str(tmp_path / "s1")).run()
-        two = ChaosRunner("dns_outage", seed=2,
-                          shard_dir=str(tmp_path / "s2")).run()
-        assert one.digest() != two.digest()
+    def test_different_seeds_differ(self, chaos_world):
+        assert chaos_world("dns_outage", 7).digest() \
+            != chaos_world("dns_outage", 11).digest()
 
     def test_plan_digest_is_stable_data(self):
         scenario = get_scenario("dns_outage")
@@ -137,8 +106,8 @@ class TestNoHangWatchdog:
     """VPN-revoke and backend-crash scenarios must complete within the
     sim-time budget -- a deadlock raises instead of spinning."""
 
-    def test_vpn_flap_completes_and_recovers(self):
-        result = ChaosRunner("vpn_flap", seed=3).run()
+    def test_vpn_flap_completes_and_recovers(self, chaos_world):
+        result = chaos_world("vpn_flap")
         stats = result.stats
         assert stats["workloads_completed"] == 2
         assert stats["service_running"] == 2
@@ -146,8 +115,8 @@ class TestNoHangWatchdog:
         report = verify_scenario(result)
         assert report.recall_for("vpn_revoke") == 1.0
 
-    def test_backend_crash_completes_and_resyncs(self):
-        result = ChaosRunner("backend_crash", seed=3).run()
+    def test_backend_crash_completes_and_resyncs(self, chaos_world):
+        result = chaos_world("backend_crash")
         stats = result.stats
         assert stats["workloads_completed"] == 2
         assert stats["backend_crashes"] == 2
@@ -173,8 +142,9 @@ class TestNoHangWatchdog:
         report = verify_scenario(result)
         assert report.recall_for("backend_crash") == 1.0
 
-    def test_multi_crash_every_restart_is_a_real_recovery(self):
-        result = ChaosRunner("multi_crash", seed=0).run()
+    def test_multi_crash_every_restart_is_a_real_recovery(
+            self, chaos_world):
+        result = chaos_world("multi_crash")
         stats = result.stats
         assert stats["workloads_completed"] == 2
         # Two crash windows x two devices; each restart recovered.

@@ -5,7 +5,9 @@ closes the loop through the ground-truth ledger, and the imperfection
 ablation is deterministic."""
 
 import dataclasses
+import os
 import random
+import tempfile
 from collections import Counter
 
 import pytest
@@ -115,14 +117,14 @@ class MiniWorld:
                 if r.domain == domain]
 
 
-@pytest.fixture(scope="module")
-def proxy_result():
-    return ChaosRunner("transparent_proxy", seed=3).run()
+@pytest.fixture
+def proxy_result(chaos_world):
+    return chaos_world("transparent_proxy")
 
 
-@pytest.fixture(scope="module")
-def clock_result():
-    return ChaosRunner("noisy_clock", seed=3).run()
+@pytest.fixture
+def clock_result(chaos_world):
+    return chaos_world("noisy_clock")
 
 
 class TestPortSelectivity:
@@ -231,36 +233,16 @@ class TestClosedLoop:
 
 
 class TestDeterminism:
-    def test_digests_are_pinned(self, proxy_result, clock_result):
-        """Dataset and recovered rollup of both middlebox scenarios,
-        as they have been since the middleboxes landed."""
-        for result, dataset, rollup in (
-                (proxy_result, "9910c857d7eae37e", "a53714a8b6c0675c"),
-                (clock_result, "29fc6da9dc7227c9", "a377ad26f9bce7b9")):
-            assert result.digest().startswith(dataset)
-            assert result.rollup_digest().startswith(rollup)
-
-    def test_worker_count_cannot_change_a_byte(self, tmp_path):
-        serial = ChaosRunner("transparent_proxy", seed=3, workers=1,
-                             shard_dir=str(tmp_path / "w1")).run()
-        pooled = ChaosRunner("transparent_proxy", seed=3, workers=2,
-                             shard_dir=str(tmp_path / "w2")).run()
-        assert serial.digest() == pooled.digest()
-        assert serial.ledger.to_json() == pooled.ledger.to_json()
-        assert serial.stats == pooled.stats
-        assert serial.rollup_digest() == pooled.rollup_digest()
-
     def test_clean_operator_worlds_are_proxy_free_bitwise(
-            self, tmp_path):
+            self, proxy_result, tmp_path):
         """The proxy exists only in worlds whose operator matches the
         event scope: the clean operator's shards must equal a run
         with the proxy event deleted, byte for byte."""
-        scenario = get_scenario("transparent_proxy")
-        twin = dataclasses.replace(scenario, events=())
-        proxied = ChaosRunner(scenario, seed=5,
-                              shard_dir=str(tmp_path / "p")).run()
-        bare = ChaosRunner(twin, seed=5,
-                           shard_dir=str(tmp_path / "b")).run()
+        twin = dataclasses.replace(get_scenario("transparent_proxy"),
+                                   events=())
+        proxied = proxy_result
+        bare = ChaosRunner(twin, seed=proxied.seed,
+                           shard_dir=str(tmp_path)).run()
 
         def shard(result, index):
             with open(result.paths[index], "rb") as handle:
@@ -276,8 +258,22 @@ class TestDeterminism:
 
 class TestAblation:
     @pytest.fixture(scope="class")
-    def report(self):
-        return run_imperfection_ablation("noisy_clock", seed=0)
+    def ablation(self, tmp_path_factory):
+        """The report, run with the temp root pointed at an empty
+        directory, and that directory."""
+        root = tmp_path_factory.mktemp("ablation-tmp")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tempfile, "tempdir", str(root))
+            report = run_imperfection_ablation("noisy_clock", seed=0)
+        return report, root
+
+    @pytest.fixture
+    def report(self, ablation):
+        return ablation[0]
+
+    def test_variants_leave_no_shard_dir_behind(self, ablation):
+        _report, root = ablation
+        assert os.listdir(root) == []
 
     def test_deterministic(self, report):
         assert report == run_imperfection_ablation("noisy_clock",

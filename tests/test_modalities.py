@@ -1,7 +1,8 @@
 """Modality subsystem tests (docs/MODALITIES.md): throughput/energy
 records on flow close, AoI at upload ACK, log-grid rollup routing,
 the coexistence closed loop with one rule shared online/offline, and
-digest invariance across worker counts and cluster node counts."""
+digest invariance across cluster node counts (across worker counts it
+is ``tests/test_pinned_digests.py``)."""
 
 import dataclasses
 
@@ -19,7 +20,7 @@ from repro.backend.server import BackendServer
 from repro.core import MopEyeService
 from repro.core.records import MeasurementKind, MeasurementRecord
 from repro.core.uploader import MeasurementUploader
-from repro.faults import ChaosRunner, get_scenario, verify_scenario
+from repro.faults import get_scenario, verify_scenario
 from repro.faults.chaos import run_device_world
 from repro.phone import App
 
@@ -187,20 +188,12 @@ class TestLogGrid:
         assert build().digest() == build().digest()
 
 
-@pytest.fixture(scope="module")
-def coex_result(tmp_path_factory):
-    return ChaosRunner(
-        "coexistence", seed=3,
-        shard_dir=str(tmp_path_factory.mktemp("coex"))).run()
+@pytest.fixture
+def coex_result(chaos_world):
+    return chaos_world("coexistence")
 
 
 class TestCoexistenceClosedLoop:
-    def test_digests_are_pinned(self, coex_result):
-        """The dataset and the recovered rollup, as they have been
-        since the modalities landed."""
-        assert coex_result.digest().startswith("0ea9d61d9b6b4d9e")
-        assert coex_result.rollup_digest().startswith("0c05b46c0ffeb13e")
-
     def test_recall_and_precision(self, coex_result):
         report = verify_scenario(coex_result)
         assert report.recall_for("coex_bulk") == 1.0
@@ -259,21 +252,6 @@ class TestCoexistenceClosedLoop:
                 timestamp_ms=100.0 * i,
                 operator="OpSlow" if i % 2 else "OpFast"))
         assert CoexistenceRule().evaluate(store, 1.0) == []
-
-
-class TestCoexistenceDeterminism:
-    def test_worker_count_cannot_change_a_byte(self, coex_result,
-                                               tmp_path):
-        for workers in (2, 4):
-            pooled = ChaosRunner(
-                "coexistence", seed=3, workers=workers,
-                shard_dir=str(tmp_path / ("w%d" % workers))).run()
-            assert pooled.digest() == coex_result.digest()
-            assert pooled.ledger.to_json() == \
-                coex_result.ledger.to_json()
-            assert pooled.stats == coex_result.stats
-            assert pooled.rollup_digest() == \
-                coex_result.rollup_digest()
 
 
 class TestClusterNodeInvariance:

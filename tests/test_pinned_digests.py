@@ -7,16 +7,20 @@ device world whoever collects, one hand-back of its rollups across
 ``fork``, and what the fault layer says it injected and proved.  A
 change anywhere between the phone and the store that moves a byte of
 any chaos world moves one of these, and so does a change to what an
-oracle checks or prints.  No other tier-1 fixture runs a scenario at
-seed 7 with two workers, so each scenario runs once here.
+oracle checks or prints.  The worlds come from the session's
+``chaos_world`` cache, which the closed-loop tests read at one worker;
+the one-worker build of every scenario must equal the two-worker one
+byte for byte, and the ``tests`` CI matrix runs both under two
+``PYTHONHASHSEED`` values.
 """
 
 import hashlib
 import json
+import os
 
 import pytest
 
-from repro.faults import SCENARIOS, ChaosRunner, verify_scenario
+from repro.faults import SCENARIOS, verify_scenario
 
 PINNED = {
     "backend_crash": ("da09bff9d124", "6e6e281ff111", "bca3258e2393",
@@ -54,10 +58,32 @@ def test_every_scenario_is_pinned():
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_scenario_digests(name):
-    result = ChaosRunner(name, seed=7, workers=2).run()
+def test_scenario_digests(name, chaos_world):
+    result = chaos_world(name, 7, 2)
     said = result.ledger.to_json() + "\n" + verify_scenario(result).summary()
     assert (result.digest()[:12],
             (result.rollup_digest() or "-")[:12],
             _sha12(json.dumps(result.stats, sort_keys=True)),
             _sha12(said)) == PINNED[name]
+
+
+def _shards(result):
+    found = {}
+    for path in result.paths:
+        with open(path, "rb") as handle:
+            found[os.path.basename(path)] = handle.read()
+    return found
+
+
+def _rollup_json(result):
+    """The rollups' JSON, meta included (their digest leaves it out)."""
+    return None if result.rollups is None else result.rollups.to_json()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_worker_count_cannot_change_a_byte(name, chaos_world):
+    serial, pooled = chaos_world(name, 7, 1), chaos_world(name, 7, 2)
+    assert _shards(serial) == _shards(pooled)
+    assert _rollup_json(serial) == _rollup_json(pooled)
+    assert serial.stats == pooled.stats
+    assert serial.ledger.to_json() == pooled.ledger.to_json()

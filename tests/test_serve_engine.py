@@ -120,11 +120,23 @@ class TestSnapshotIsolation:
             view.close()
 
     def test_memtable_clone_is_deep(self, tmp_path):
+        """Deep as the view sees it, and paid for by the writer: the
+        snapshot shares every memtable row (none copied to take it),
+        and ingest after it replaces the rows it writes."""
         engine, obs = _engine(tmp_path, flush_threshold_records=None)
         engine.append_records(_records(100))
         view = QueryEngine(engine, obs=obs).snapshot()
+
+        def copied():
+            live = engine.memtable.tables
+            return sum(live[table].get(key) is not row
+                       for table, rows in view.memtable.tables.items()
+                       for key, row in rows.items())
+
+        assert view.memtable.group_count() > 0 and copied() == 0
         hist_before = _canonical(view.app_panel("com.app.01"))
         engine.append_records(_records(100))  # mutates same hists
+        assert copied() > 0
         assert _canonical(view.app_panel("com.app.01")) == hist_before
         view.close()
 

@@ -31,6 +31,14 @@ RULES = {
     "fault-specs": (r"\.kind\s*(==|!=|in\b)|FaultKind\.[A-Z]",
                     ("src/repro/faults/injector.py",
                      "src/repro/faults/verify.py")),
+    # CI runs tier-1 and nothing a contributor does not: every step is
+    # pip, pytest or the link check, one command on one line -- no
+    # heredoc, no tool script, no `cmp` of two runs.
+    "ci-is-pytest": (
+        r"^\s*(-\s+)?run:(?!\s*(PYTHONPATH=src )?python -m "
+        r"(pip install|pytest)[\w .,/=-]*$"
+        r"|\s*python tools/check_markdown_links\.py[\w .,/-]*$)",
+        (".github/workflows",)),
 }
 
 
