@@ -143,28 +143,6 @@ class BackendServer(AppServer):
                                  "time_ms": self.sim.now})
         self.clear_outage()
 
-    # -- registry views (the legacy attributes) ------------------------
-
-    @property
-    def batches(self) -> int:
-        return int(self.pipeline.obs.value("backend.batches"))
-
-    @property
-    def malformed(self) -> int:
-        obs = self.pipeline.obs
-        return int(obs.value("backend.malformed_headers")
-                   + obs.value("backend.malformed_lines"))
-
-    @property
-    def duplicates(self) -> int:
-        return int(self.pipeline.obs.value("backend.duplicate_batches"))
-
-    @property
-    def busy_rejections(self) -> int:
-        obs = self.pipeline.obs
-        return int(obs.value("backend.busy_rejections")
-                   + obs.value("backend.rate_limited"))
-
     @property
     def rollups(self) -> RollupStore:
         return self.pipeline.rollups

@@ -135,6 +135,7 @@ class _Collector:
         # memtable discarded by the recover() below) must equal a
         # store built fresh from the device's own records.
         backend = self.backend
+        obs = backend.pipeline.obs
         backend.store.recover()
         recovered = backend.store.materialize()
         reference = RollupStore(config=recovered.config)
@@ -142,8 +143,9 @@ class _Collector:
         stats.update({
             "backend_crashes": backend.crashes,
             "backend_recoveries": backend.recoveries,
-            "backend_batches": backend.batches,
-            "backend_duplicates": backend.duplicates,
+            "backend_batches": int(obs.value("backend.batches")),
+            "backend_duplicates":
+                int(obs.value("backend.duplicate_batches")),
             "backend_records": len(backend.received),
             "backend_rollup_matches_store":
                 int(recovered.digest() == reference.digest()),

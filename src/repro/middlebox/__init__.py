@@ -3,16 +3,15 @@ imperfections (docs/MIDDLEBOX.md).
 
 The network is allowed to lie here the way real networks lie: a
 split-connection proxy answers SYNs at middlebox RTT
-(:class:`TransparentProxy`), a DNS interceptor answers queries the
-resolver never sees (:class:`DnsInterceptor`), and an imperfect device
+(:class:`TransparentProxy`, whose client half is an
+:class:`~repro.network.servers.AppServer`), and an imperfect device
 clock distorts the recorded timestamps (:class:`ImperfectClock`).
-Detection lives in :mod:`repro.analysis.rules` /
-:mod:`repro.backend.detector`; the chaos scenarios
-``transparent_proxy`` and ``noisy_clock`` close the loop against the
-ground-truth ledger.
+Their counters are the ``mbox.*`` and ``imperfect.*`` catalog metrics,
+read with ``obs.value(name)``.  Detection lives in
+:mod:`repro.analysis.rules` / :mod:`repro.backend.detector`; the chaos
+scenarios ``transparent_proxy`` and ``noisy_clock`` close the loop
+against the ground-truth ledger.
 """
-
-from typing import Optional
 
 from repro.middlebox.ablation import (
     imperfection_variants,
@@ -24,72 +23,12 @@ from repro.middlebox.imperfect import (
 )
 from repro.middlebox.proxy import (
     DEFAULT_INTERCEPT_PORTS,
-    DnsInterceptor,
     TransparentProxy,
 )
-from repro.obs import Observability
-
-
-class MiddleboxStats:
-    """Read-only view of the catalog-enforced ``mbox.*`` counters
-    (the ``RelayStats`` pattern; see docs/OBSERVABILITY.md)."""
-
-    _FIELDS = {
-        "intercepted_connects": "mbox.intercepted_connects",
-        "split_connections": "mbox.split_connections",
-        "upstream_failures": "mbox.upstream_failures",
-        "rewritten_bytes": "mbox.rewritten_bytes",
-        "dns_tcp_refused": "mbox.dns_tcp_refused",
-        "dns_intercepted": "mbox.dns_intercepted",
-        "bytes_up": "mbox.bytes_up",
-        "bytes_down": "mbox.bytes_down",
-        "divergence_findings": "mbox.divergence_findings",
-    }
-
-    def __init__(self, obs: Optional[Observability] = None):
-        self._obs = obs or Observability()
-
-    def __getattr__(self, name: str) -> int:
-        metric = MiddleboxStats._FIELDS.get(name)
-        if metric is None:
-            raise AttributeError(name)
-        return int(self._obs.value(metric))
-
-    def __repr__(self) -> str:
-        return "<MiddleboxStats %s>" % " ".join(
-            "%s=%d" % (field, getattr(self, field))
-            for field in sorted(self._FIELDS))
-
-
-class ImperfectStats:
-    """Read-only view of the ``imperfect.*`` counters."""
-
-    _FIELDS = {
-        "quantised_samples": "imperfect.quantised_samples",
-        "jitter_applied": "imperfect.jitter_applied",
-    }
-
-    def __init__(self, obs: Optional[Observability] = None):
-        self._obs = obs or Observability()
-
-    def __getattr__(self, name: str) -> int:
-        metric = ImperfectStats._FIELDS.get(name)
-        if metric is None:
-            raise AttributeError(name)
-        return int(self._obs.value(metric))
-
-    def __repr__(self) -> str:
-        return "<ImperfectStats %s>" % " ".join(
-            "%s=%d" % (field, getattr(self, field))
-            for field in sorted(self._FIELDS))
-
 
 __all__ = [
     "DEFAULT_INTERCEPT_PORTS",
-    "DnsInterceptor",
     "ImperfectClock",
-    "ImperfectStats",
-    "MiddleboxStats",
     "TransparentProxy",
     "imperfection_variants",
     "install_imperfect_clock",

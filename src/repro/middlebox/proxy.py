@@ -8,9 +8,12 @@ unprivileged devices.  :class:`TransparentProxy` reproduces that lie
 at the packet level:
 
 * **client side** -- it claims uplink TCP packets to intercepted ports
-  (``Internet.send_from_device`` asks via :meth:`wants`), answers the
-  SYN locally with the same passive RFC 793 machine the app servers
-  use, and spoofs the real server's address on every reply;
+  (``Internet.send_from_device`` asks via :meth:`wants`) and answers
+  the SYN locally, spoofing the real server's address on every reply.
+  This half *is* an :class:`~repro.network.servers.AppServer`: the
+  simulated network has one passive-open TCP endpoint, and the proxy
+  overrides only its hooks (which SYNs are refused, the connection
+  object kept, what follows an accept, a client RST and a client FIN);
 * **upstream side** -- it implements the device protocol
   (``source_ip_for``/``allocate_port``/``register_socket``/
   ``transmit``/``deliver_from_network``) so it can drive an ordinary
@@ -22,8 +25,7 @@ Policies: interception is port-selective (default 80/443), per-IP
 bypassable (collector uploads must never be proxied), and togglable at
 runtime -- the fault injector flips :attr:`enabled`, so an installed
 but disabled proxy cannot move a byte.  UDP is explicitly out of
-scope: :meth:`wants` never claims a non-TCP packet (DNS interception
-is the separate :class:`DnsInterceptor` variant).  DNS-over-TCP on an
+scope: :meth:`wants` never claims a non-TCP packet.  DNS-over-TCP on an
 intercepted port is refused with RST -- the client gets a clean
 ``refused`` failure record, never a silent drop.
 
@@ -36,17 +38,13 @@ every clean operator's shard digest -- untouched.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.netstack.ip import IPPacket, PROTO_TCP, PROTO_UDP
-from repro.netstack.tcp_segment import ACK, RST, SYN, TCPSegment
-from repro.netstack.tcp_state import (
-    TCPState,
-    TCPStateError,
-    TCPStateMachine,
-)
-from repro.netstack.udp_datagram import UDPDatagram
+from repro.netstack.ip import IPPacket, PROTO_TCP
+from repro.netstack.tcp_segment import TCPSegment
+from repro.netstack.tcp_state import TCPState, TCPStateMachine
 from repro.network.link import AccessLink
+from repro.network.servers import AppServer, _ServerConnection
 from repro.obs import Observability
 from repro.phone.ktcp import (
     ConnectionRefused,
@@ -57,8 +55,6 @@ from repro.phone.ktcp import (
 from repro.sim.distributions import Constant
 from repro.sim.kernel import Simulator
 
-SYN_ACK_FLAGS = SYN | ACK
-
 #: Default interception policy: web ports only, the classic PEP shape.
 DEFAULT_INTERCEPT_PORTS = (80, 443)
 
@@ -67,30 +63,29 @@ DEFAULT_INTERCEPT_PORTS = (80, 443)
 DEFAULT_PROXY_ONEWAY_MS = 0.3
 DEFAULT_ACCEPT_DELAY_MS = 0.05
 
-_FlowKey = Tuple[str, int, str, int]
 
+class _ProxyFlow(_ServerConnection):
+    """One intercepted connection: the client-side connection plus the
+    upstream socket it is spliced to."""
 
-class _ProxyFlow:
-    """One intercepted connection: client-side machine + upstream
-    socket, spliced."""
-
-    def __init__(self, machine: TCPStateMachine, server_ip: str,
-                 server_port: int):
-        self.machine = machine
-        self.server_ip = server_ip
-        self.server_port = server_port
+    def __init__(self, machine: TCPStateMachine):
+        super().__init__(machine)
         self.sock: Optional[KernelTcpSocket] = None
         #: Client bytes buffered until the upstream connect completes.
         self.pending = bytearray()
         self.established = False
         self.client_fin = False
         self.closed = False
-        self.bytes_up = 0
-        self.bytes_down = 0
 
 
-class TransparentProxy:
-    """A split-connection middlebox attachable per operator world."""
+class TransparentProxy(AppServer):
+    """A split-connection middlebox attachable per operator world.
+
+    The client half is an :class:`AppServer`: it accepts, refuses,
+    re-answers SYNs and tears down exactly the way a server does, and
+    overrides only the hooks where a proxy differs."""
+
+    connection_class = _ProxyFlow
 
     def __init__(self, sim: Simulator, internet, *,
                  ip: str = "198.51.100.1",
@@ -102,23 +97,20 @@ class TransparentProxy:
                  rng: Optional[random.Random] = None,
                  obs: Optional[Observability] = None,
                  name: str = "mbox"):
-        self.sim = sim
+        super().__init__(sim, [ip], name=name,
+                         path_oneway=Constant(oneway_ms),
+                         accept_delay=Constant(accept_delay_ms),
+                         rng=rng)
         self.internet = internet
         self.ip = ip
-        self.ips = [ip]
-        self.name = name
         self.intercept_ports = set(intercept_ports)
         self.bypass_ips = set(bypass_ips)
-        self.path_oneway = Constant(oneway_ms)
-        self.accept_delay = Constant(accept_delay_ms)
         #: Optional response-rewriting hook: ``bytes -> bytes`` applied
         #: to the upstream byte stream before it is spliced back.
         self.rewrite = rewrite
-        self.rng = rng or random.Random(0)
         self.obs = obs or Observability(sim=sim)
         #: Inert until a fault event enables interception.
         self.enabled = False
-        self._flows: Dict[_FlowKey, _ProxyFlow] = {}
         # -- device-protocol state (upstream side) --------------------
         # Constant-latency private link: the upstream hop must never
         # share queue or RNG state with the device's access link.
@@ -146,135 +138,59 @@ class TransparentProxy:
             return False
         return segment.dst_port in self.intercept_ports
 
-    def path_oneway_ms(self) -> float:
-        return self.path_oneway.sample()
+    # -- client side: the AppServer hooks ----------------------------
+    def _refuses(self, segment: TCPSegment) -> bool:
+        if segment.dst_port != 53:
+            return False
+        # DNS-over-TCP on an intercepted port: the split proxy does not
+        # speak it.  Refuse with RST so the client records a clean
+        # `refused` failure -- never a silent drop (docs/MIDDLEBOX.md).
+        self.obs.inc("mbox.dns_tcp_refused")
+        return True
 
-    # -- client side (server role, like AppServer) -------------------
-    def receive(self, packet: IPPacket) -> None:
-        if packet.protocol != PROTO_TCP:
-            return
-        segment = TCPSegment.decode(packet.payload)
-        key = (packet.src_str, segment.src_port,
-               packet.dst_str, segment.dst_port)
-        if segment.is_syn:
-            if segment.dst_port == 53:
-                # DNS-over-TCP on an intercepted port: the split proxy
-                # does not speak it.  Refuse with RST so the client
-                # records a clean `refused` failure -- never a silent
-                # drop (docs/MIDDLEBOX.md).
-                self.obs.inc("mbox.dns_tcp_refused")
-                self._refuse(key, segment)
-                return
-            existing = self._flows.get(key)
-            if existing is not None:
-                if existing.machine.state == TCPState.SYN_RECEIVED:
-                    self._retransmit_syn_ack(key, existing.machine)
-                return
-            self._accept(key, segment)
-            return
-        flow = self._flows.get(key)
-        if flow is None:
-            return
-        try:
-            self._process_segment(key, flow, segment)
-        except TCPStateError:
-            pass  # stale duplicate; real stacks drop these
-
-    def _refuse(self, key: _FlowKey, segment: TCPSegment) -> None:
-        rst = TCPSegment(segment.dst_port, segment.src_port,
-                         seq=0, ack=(segment.seq + 1) & 0xFFFFFFFF,
-                         flags=RST | ACK)
-        self._transmit(key, rst)
-
-    def _retransmit_syn_ack(self, key: _FlowKey,
-                            machine: TCPStateMachine) -> None:
-        duplicate = TCPSegment(
-            src_port=machine.remote_port, dst_port=machine.local_port,
-            seq=machine.snd_iss, ack=machine.rcv_nxt or 0,
-            flags=SYN_ACK_FLAGS, window=machine.window,
-            mss=machine.mss)
-        self._transmit(key, duplicate)
-
-    def _accept(self, key: _FlowKey, segment: TCPSegment) -> None:
-        client_ip, client_port, server_ip, server_port = key
-        machine = TCPStateMachine(
-            local_ip=client_ip, local_port=client_port,
-            remote_ip=server_ip, remote_port=server_port,
-            isn=self.rng.randrange(1 << 32))
-        machine.on_syn(segment)
-        flow = self._flows[key] = _ProxyFlow(machine, server_ip,
-                                             server_port)
-        self.obs.inc("mbox.intercepted_connects")
-        # Answer the SYN locally -- this is the lie being modelled:
-        # the client's connect() returns at middlebox RTT.
-        delay = self.sim.timeout(self.accept_delay.sample())
-        delay.callbacks.append(
-            lambda _evt: self._transmit(key, machine.make_syn_ack()))
+    def _on_accept(self, key, flow: _ProxyFlow) -> None:
+        # The SYN/ACK is already scheduled -- this is the lie being
+        # modelled: the client's connect() returns at middlebox RTT.
         # Open the upstream half concurrently.
+        self.obs.inc("mbox.intercepted_connects")
         self.sim.process(self._upstream(key, flow),
                          name="%s-upstream" % self.name)
 
-    def _process_segment(self, key: _FlowKey, flow: _ProxyFlow,
-                         segment: TCPSegment) -> None:
-        machine = flow.machine
-        if segment.is_rst:
-            machine.on_rst(segment)
-            flow.closed = True
-            if flow.sock is not None:
-                flow.sock.abort()
-            self._flows.pop(key, None)
-            return
-        if segment.is_fin:
-            self._transmit(key, machine.on_fin(segment))
-            flow.client_fin = True
-            if flow.established and not flow.pending \
-                    and flow.sock is not None:
-                flow.sock.close()
-            return
-        if machine.state == TCPState.SYN_RECEIVED:
-            if segment.payload:
-                self._client_bytes(key, flow, machine.on_data(segment))
-            else:
-                machine.on_handshake_ack(segment)
-            return
-        if segment.payload:
-            data = machine.on_data(segment)
-            self._transmit(key, machine.make_ack())
-            self._client_bytes(key, flow, data)
-        elif machine.fin_sent:
-            machine.on_fin_ack(segment)
-            if machine.is_closed:
-                self._flows.pop(key, None)
+    def _on_client_rst(self, flow: _ProxyFlow) -> None:
+        flow.closed = True
+        if flow.sock is not None:
+            flow.sock.abort()
 
-    def _client_bytes(self, key: _FlowKey, flow: _ProxyFlow,
-                      data: bytes) -> None:
-        flow.bytes_up += len(data)
+    def _on_client_fin(self, key, flow: _ProxyFlow) -> None:
+        # Half-close upstream once the buffered bytes are out; until
+        # the upstream connects, _upstream closes it after the flush.
+        flow.client_fin = True
+        if flow.established and not flow.pending \
+                and flow.sock is not None:
+            flow.sock.close()
+
+    def _on_request_bytes(self, key, flow: _ProxyFlow,
+                          data: bytes) -> None:
         self.obs.inc("mbox.bytes_up", len(data))
         if flow.established and flow.sock is not None:
             flow.sock.send(data)
         else:
             flow.pending.extend(data)
 
-    def _transmit(self, key: _FlowKey, segment: TCPSegment) -> None:
-        """Reply toward the client, spoofing the real server's IP."""
-        client_ip, _client_port, server_ip, _server_port = key
-        packet = IPPacket(server_ip, client_ip, PROTO_TCP,
-                          segment.encode(server_ip, client_ip))
-        self.internet.send_to_device(packet, from_server=self)
-
     # -- upstream side (device role) ---------------------------------
-    def _upstream(self, key: _FlowKey, flow: _ProxyFlow):
+    def _upstream(self, key, flow: _ProxyFlow):
         sock = KernelTcpSocket(self, uid=0, isn_rng=self.rng)
         flow.sock = sock
         try:
-            yield sock.connect(flow.server_ip, flow.server_port)
+            yield sock.connect(flow.machine.remote_ip,
+                               flow.machine.remote_port)
         except (ConnectionRefused, ConnectTimeout,
                 NetworkUnreachable):
             self.obs.inc("mbox.upstream_failures")
             if not flow.closed and not flow.machine.is_closed:
                 self._transmit(key, flow.machine.make_rst())
             flow.closed = True
-            self._flows.pop(key, None)
+            self._connections.pop(key, None)
             return
         flow.established = True
         self.obs.inc("mbox.split_connections")
@@ -290,7 +206,6 @@ class TransparentProxy:
             data = self._apply_rewrite(data)
             if flow.closed:
                 return
-            flow.bytes_down += len(data)
             self.obs.inc("mbox.bytes_down", len(data))
             for out in flow.machine.deliver(data):
                 self._transmit(key, out)
@@ -300,7 +215,7 @@ class TransparentProxy:
             if not flow.machine.is_closed:
                 self._transmit(key, flow.machine.make_rst())
             flow.closed = True
-            self._flows.pop(key, None)
+            self._connections.pop(key, None)
         elif flow.machine.state in (TCPState.ESTABLISHED,
                                     TCPState.CLOSE_WAIT):
             self._transmit(key, flow.machine.make_fin())
@@ -357,77 +272,3 @@ class TransparentProxy:
             self.name, self.ip, sorted(self.intercept_ports),
             self.enabled)
 
-
-class DnsInterceptor:
-    """DNS-level interception variant: answers UDP/53 queries locally
-    from a zone snapshot at middlebox RTT, spoofing the resolver's
-    address.  TCP is untouched -- the complement of
-    :class:`TransparentProxy`."""
-
-    def __init__(self, sim: Simulator, internet, zone, *,
-                 ip: str = "198.51.100.2",
-                 oneway_ms: float = DEFAULT_PROXY_ONEWAY_MS,
-                 processing_ms: float = 0.2,
-                 obs: Optional[Observability] = None,
-                 name: str = "dns-mbox"):
-        self.sim = sim
-        self.internet = internet
-        self.zone = zone
-        self.ip = ip
-        self.ips = [ip]
-        self.name = name
-        self.path_oneway = Constant(oneway_ms)
-        self.processing_delay = Constant(processing_ms)
-        self.obs = obs or Observability(sim=sim)
-        self.enabled = False
-        internet.install_middlebox(self)
-
-    def wants(self, packet: IPPacket, server) -> bool:
-        if not self.enabled or server is None:
-            return False
-        if packet.protocol != PROTO_UDP:
-            return False
-        try:
-            datagram = UDPDatagram.decode(packet.payload)
-        except Exception:
-            return False
-        return datagram.dst_port == 53
-
-    def path_oneway_ms(self) -> float:
-        return self.path_oneway.sample()
-
-    def receive(self, packet: IPPacket) -> None:
-        from repro.netstack.dns import (
-            DNSMessage,
-            DNSResourceRecord,
-            RCODE_NXDOMAIN,
-        )
-        if packet.protocol != PROTO_UDP:
-            return
-        datagram = UDPDatagram.decode(packet.payload)
-        try:
-            query = DNSMessage.decode(datagram.payload)
-        except Exception:
-            return
-        if query.is_response or not query.questions:
-            return
-        self.obs.inc("mbox.dns_intercepted")
-        question = query.questions[0]
-        address = self.zone.lookup(question.name)
-        if address is None:
-            response = query.response([], rcode=RCODE_NXDOMAIN)
-        else:
-            response = query.response(
-                [DNSResourceRecord.a_record(question.name, address)])
-        reply = UDPDatagram(datagram.dst_port, datagram.src_port,
-                            response.encode())
-        out = IPPacket(packet.dst_str, packet.src_str, PROTO_UDP,
-                       reply.encode(packet.dst_str, packet.src_str))
-        delay = self.sim.timeout(self.processing_delay.sample())
-        delay.callbacks.append(
-            lambda _evt: self.internet.send_to_device(out,
-                                                      from_server=self))
-
-    def __repr__(self) -> str:
-        return "<DnsInterceptor %s %s enabled=%s>" % (
-            self.name, self.ip, self.enabled)

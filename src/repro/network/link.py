@@ -17,8 +17,8 @@ Two fault hooks exist beyond the steady-state model (driven by
    adding a constant extra one-way delay while a spike fault is active.
 
 Drop counters live in the catalog-enforced metrics registry
-(``link.packets_dropped`` / ``link.burst_drops``); the old
-``packets_dropped`` attribute survives as a read-only view.
+(``link.packets_dropped`` / ``link.burst_drops``), one scope per
+direction: read them with ``direction.obs.value(name)``.
 """
 
 from __future__ import annotations
@@ -81,16 +81,6 @@ class LinkDirection:
         self._burst: Optional[tuple] = None
         self._burst_bad = False
         self._burst_rng: Optional[random.Random] = None
-
-    # -- registry views (the legacy attributes) ------------------------
-
-    @property
-    def packets_dropped(self) -> int:
-        return int(self.obs.value("link.packets_dropped"))
-
-    @property
-    def burst_drops(self) -> int:
-        return int(self.obs.value("link.burst_drops"))
 
     # -- fault hooks ---------------------------------------------------
 
@@ -220,10 +210,6 @@ class AccessLink:
     def clear_latency_spike(self) -> None:
         self.up.clear_latency_spike()
         self.down.clear_latency_spike()
-
-    @property
-    def packets_dropped(self) -> int:
-        return self.up.packets_dropped + self.down.packets_dropped
 
     def __repr__(self) -> str:
         return "<AccessLink %s %s up=%.1fMbps down=%.1fMbps>" % (

@@ -3,6 +3,9 @@
 App servers terminate TCP with the same RFC 793 state machine the
 user-space stack uses (passive open), so the whole path from an app's
 SYN to the server's SYN/ACK is exercised at the wire-format level.
+:class:`AppServer` is the one passive-open TCP endpoint: the collector
+(``repro.backend.server``) and the middlebox proxy
+(``repro.middlebox.proxy``) subclass it and override its hooks.
 
 The default application protocol is a minimal request/response scheme
 rich enough for every experiment:
@@ -26,17 +29,17 @@ from repro.netstack.dns import (
     RCODE_SERVFAIL,
 )
 from repro.netstack.ip import IPPacket, PROTO_TCP, PROTO_UDP
-from repro.netstack.tcp_segment import ACK, SYN, TCPSegment
+from repro.netstack.tcp_segment import ACK, RST, SYN, TCPSegment
 from repro.netstack.tcp_state import (
     TCPState,
     TCPStateError,
     TCPStateMachine,
 )
-
-SYN_ACK_FLAGS = SYN | ACK
 from repro.netstack.udp_datagram import UDPDatagram
 from repro.sim.distributions import Constant, Distribution
 from repro.sim.kernel import Simulator
+
+SYN_ACK_FLAGS = SYN | ACK
 
 _RESPONSE_PAGE = b"HTTP/1.1 200 OK\r\n\r\n" + b"m" * 1000
 
@@ -63,6 +66,9 @@ class _ServerConnection:
 
 class AppServer:
     """A TCP server reachable at one or more IPs."""
+
+    #: The per-connection object kept for each accepted four-tuple.
+    connection_class = _ServerConnection
 
     def __init__(self, sim: Simulator, ips: List[str], name: str = "server",
                  path_oneway: Optional[Distribution] = None,
@@ -116,11 +122,7 @@ class AppServer:
         key = (packet.src_str, segment.src_port,
                packet.dst_str, segment.dst_port)
         if segment.is_syn:
-            if self.outage_mode == OUTAGE_REFUSE:
-                self._refuse(packet, segment, key)
-                return
-            if self.listen_ports is not None and \
-                    segment.dst_port not in self.listen_ports:
+            if self._refuses(segment):
                 self._refuse(packet, segment, key)
                 return
             existing = self._connections.get(key)
@@ -144,10 +146,29 @@ class AppServer:
             # stacks drop these.
             self.bad_segments += 1
 
+    # -- hooks a subclass overrides (the middlebox proxy does) ------------
+    def _refuses(self, segment: TCPSegment) -> bool:
+        """Whether a SYN is answered with RST instead of accepted."""
+        return self.outage_mode == OUTAGE_REFUSE or (
+            self.listen_ports is not None
+            and segment.dst_port not in self.listen_ports)
+
+    def _on_accept(self, key, conn: _ServerConnection) -> None:
+        """Runs once the SYN/ACK is scheduled."""
+
+    def _on_client_rst(self, conn: _ServerConnection) -> None:
+        """Runs after the connection is dropped for a client RST."""
+
+    def _on_client_fin(self, key, conn: _ServerConnection) -> None:
+        """Runs after the client's FIN is ACKed: close right back
+        (typical server close)."""
+        if conn.machine.state == TCPState.CLOSE_WAIT:
+            self._transmit(key, conn.machine.make_fin())
+
+    # -- passive-open TCP --------------------------------------------------
     def _refuse(self, packet: IPPacket, segment: TCPSegment,
                 key) -> None:
-        """No listener on the port: answer the SYN with RST."""
-        from repro.netstack.tcp_segment import RST
+        """Answer a SYN that :meth:`_refuses` with RST."""
         rst = TCPSegment(segment.dst_port, segment.src_port,
                          seq=0, ack=(segment.seq + 1) & 0xFFFFFFFF,
                          flags=RST | ACK)
@@ -168,13 +189,11 @@ class AppServer:
         if segment.is_rst:
             machine.on_rst(segment)
             self._connections.pop(key, None)
+            self._on_client_rst(conn)
             return
         if segment.is_fin:
-            ack = machine.on_fin(segment)
-            self._transmit(key, ack)
-            # Close our side right back (typical server close).
-            if machine.state == TCPState.CLOSE_WAIT:
-                self._transmit(key, machine.make_fin())
+            self._transmit(key, machine.on_fin(segment))
+            self._on_client_fin(key, conn)
             return
         if machine.state == TCPState.SYN_RECEIVED and segment.flags:
             if segment.payload:
@@ -199,7 +218,7 @@ class AppServer:
             remote_ip=packet.dst_str, remote_port=segment.dst_port,
             isn=self.rng.randrange(1 << 32))
         machine.on_syn(segment)
-        self._connections[key] = _ServerConnection(machine)
+        conn = self._connections[key] = self.connection_class(machine)
         self.connections_accepted += 1
         accept_ms = self.accept_delay.sample()
         if self.outage_mode == OUTAGE_SLOW_ACCEPT:
@@ -207,6 +226,7 @@ class AppServer:
         delay = self.sim.timeout(accept_ms)
         delay.callbacks.append(
             lambda _evt: self._transmit(key, machine.make_syn_ack()))
+        self._on_accept(key, conn)
 
     # -- application protocol -------------------------------------------------
     def _on_request_bytes(self, key, conn: _ServerConnection,

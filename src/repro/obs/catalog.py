@@ -476,10 +476,6 @@ CATALOG: Dict[str, MetricSpec] = dict([
        "repro.middlebox.proxy",
        "DNS-over-TCP SYNs on intercepted ports refused with RST (the "
        "split proxy does not speak DNS; never a silent drop)."),
-    _m("mbox.dns_intercepted", COUNTER, "queries",
-       "repro.middlebox.proxy",
-       "UDP DNS queries answered locally by the DNS interception "
-       "variant, spoofing the resolver."),
     _m("mbox.bytes_up", COUNTER, "bytes", "repro.middlebox.proxy",
        "Client payload bytes forwarded to upstream connections."),
     _m("mbox.bytes_down", COUNTER, "bytes", "repro.middlebox.proxy",

@@ -589,19 +589,25 @@ class StoreEngine:
                 force: bool = False) -> bool:
         """Merge segments into one when ``compaction_fanout`` have
         accumulated (or ``force`` with >= 2); apply retention when a
-        horizon and ``now_ms`` are given.  Returns True if a merge
-        happened."""
+        horizon and ``now_ms`` are given, rewriting even a single
+        segment if it holds a window older than the horizon.  Returns
+        True if segments were rewritten."""
+        cutoff = None
+        if self.config.retention_ms is not None and now_ms is not None:
+            cutoff = self.rollup_config.window_of(
+                now_ms - self.config.retention_ms)
         if len(self._segments) < (2 if force
-                                  else self.config.compaction_fanout):
-            self._apply_retention_gauge_only()
+                                  else self.config.compaction_fanout) \
+                and not self._holds_window_before(cutoff):
+            self._update_gauges()
             return False
         merged = RollupStore(config=self.rollup_config)
         old = list(self._segments)
         for name in old:
             with SegmentReader(self._segment_path(name)) as reader:
                 merged.merge(reader.to_store())
-        if self.config.retention_ms is not None and now_ms is not None:
-            self._evict_old_windows(merged, now_ms)
+        if cutoff is not None:
+            self._evict_old_windows(merged, cutoff)
         seq = self._next_seq
         self._next_seq += 1
         name = "seg-%06d.seg" % seq
@@ -616,13 +622,19 @@ class StoreEngine:
         self._update_gauges()
         return True
 
-    def _apply_retention_gauge_only(self) -> None:
-        self._update_gauges()
+    def _holds_window_before(self, cutoff: Optional[int]) -> bool:
+        """Whether any segment's footer lists a window below
+        ``cutoff`` (never, without one)."""
+        if cutoff is None:
+            return False
+        for name in self._segments:
+            with SegmentReader(self._segment_path(name)) as reader:
+                if any(window < cutoff for window in reader.windows()):
+                    return True
+        return False
 
     def _evict_old_windows(self, store: RollupStore,
-                           now_ms: float) -> None:
-        cutoff = self.rollup_config.window_of(
-            now_ms - self.config.retention_ms)
+                           cutoff: int) -> None:
         evicted_windows = set()
         for spec in TABLE_SPECS:
             if not spec.windowed:

@@ -15,7 +15,12 @@ from repro.backend import (
     parse_batch_lines,
 )
 from repro.backend import query as backend_query
-from repro.backend.rollups import BIN_WIDTH_MS, MAX_RTT_MS, N_BINS
+from repro.backend.rollups import (
+    BIN_WIDTH_MS,
+    DEFAULT_WINDOW_MS,
+    MAX_RTT_MS,
+    N_BINS,
+)
 from repro.core.persist import record_to_line
 from repro.core.records import MeasurementKind, MeasurementRecord
 from repro.obs import Observability
@@ -735,8 +740,21 @@ class TestServeCli:
             in capsys.readouterr().out
         assert main(["query", data_dir, "apps", "--top", "3"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 3
+        assert main(["query", data_dir, "windows"]) == 0
+        windows = [row["window"]
+                   for row in json.loads(capsys.readouterr().out)]
+        assert windows[0] < windows[-1] - 1
         assert main(["store", "compact", data_dir,
                      "--retention-days", "28"]) == 0
+        capsys.readouterr()
+        # The horizon is 28 days before the upper edge of the newest
+        # window: no window older than it is left.
+        horizon = int(((windows[-1] + 1) * DEFAULT_WINDOW_MS
+                       - 28 * 24 * 3600 * 1000.0) // DEFAULT_WINDOW_MS)
+        assert main(["query", data_dir, "windows"]) == 0
+        assert [row["window"]
+                for row in json.loads(capsys.readouterr().out)] \
+            == [window for window in windows if window >= horizon]
 
     def test_serve_digest_stable_across_workers(self, tmp_path,
                                                 capsys):

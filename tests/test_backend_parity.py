@@ -77,7 +77,8 @@ class TestBackendParity:
         assert uploader.ack_timeouts >= 1       # loss bit us
         assert uploader.short_acks >= 1         # cap bit us
         assert uploader.busy_backoffs >= 1      # rate limit bit us
-        assert collector.busy_rejections >= 1
+        assert collector.obs.value("backend.busy_rejections") \
+            + collector.obs.value("backend.rate_limited") >= 1
 
         # Exactly-once delivery of the full slice.
         assert len(collector.received) == N_RECORDS

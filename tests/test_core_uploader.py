@@ -239,7 +239,7 @@ class TestNewRecordKinds:
         w.run_process(push())
         assert responses == [b"ACK 4\n", b"ACK 4\n"]
         assert len(w.collector.received) == 4
-        assert w.collector.duplicates == 1
+        assert w.collector.obs.value("backend.duplicate_batches") == 1
 
     def test_final_flush_ships_modality_tail(self, upload_world):
         """A sub-min_batch tail of new-kind records must not be
@@ -298,7 +298,8 @@ class TestCollectorProtocol:
             socket.close()
 
         w.run_process(run())
-        assert w.collector.malformed >= 1
+        assert w.collector.obs.value("backend.malformed_headers") \
+            + w.collector.obs.value("backend.malformed_lines") >= 1
 
     def test_malformed_json_line_skipped(self, upload_world):
         w = upload_world
@@ -317,7 +318,7 @@ class TestCollectorProtocol:
         assert w.run_process(run()) == b"ACK 0\n"
         # The header was sound: the batch was taken, its one line was
         # not a record.
-        assert w.collector.batches == 1
+        assert w.collector.obs.value("backend.batches") == 1
         assert w.collector.obs.value("backend.malformed_lines") == 1
         assert w.collector.obs.value("backend.malformed_headers") == 0
 
@@ -344,7 +345,7 @@ class TestCollectorProtocol:
 
         assert w.run_process(run()) == (b"ACK 0\n", b"ACK 1\n")
         assert w.collector.obs.value("backend.malformed_headers") == 1
-        assert w.collector.batches == 1
+        assert w.collector.obs.value("backend.batches") == 1
         assert len(w.collector.received) == 1
 
     def test_ack_is_prefix_count(self, upload_world):
@@ -373,7 +374,8 @@ class TestCollectorProtocol:
         assert w.run_process(run()) == b"ACK 1\n"
         assert len(w.collector.received) == 1
         assert next(iter(w.collector.received)).rtt_ms == 10.0
-        assert w.collector.malformed >= 1
+        assert w.collector.obs.value("backend.malformed_headers") \
+            + w.collector.obs.value("backend.malformed_lines") >= 1
 
     def test_duplicate_batch_returns_cached_ack(self, upload_world):
         """Replaying a (device_id, batch_seq) -- a lost-ACK retry --
@@ -400,7 +402,7 @@ class TestCollectorProtocol:
         w.run_process(push())
         assert responses == [b"ACK 1\n", b"ACK 1\n"]
         assert len(w.collector.received) == 1      # ingested once
-        assert w.collector.duplicates == 1
+        assert w.collector.obs.value("backend.duplicate_batches") == 1
 
     def test_racing_flush_cannot_double_count_acks(self, world):
         """Regression: stop() while the periodic upload is awaiting a
@@ -426,7 +428,7 @@ class TestCollectorProtocol:
         world.run(until=1_500.0)
         uploader.stop()
         world.run(until=60_000.0)
-        assert backend.duplicates >= 1
+        assert backend.obs.value("backend.duplicate_batches") >= 1
         assert mopeye.obs.value("uploader.stale_acks") >= 1
         assert uploader.uploaded == len(mopeye.store)
         assert len(backend.received) == len(mopeye.store)
@@ -449,7 +451,8 @@ class TestCollectorProtocol:
         uploader.start()
         world.run(until=120_000)
         assert uploader.busy_backoffs >= 1
-        assert collector.busy_rejections >= 1
+        assert collector.obs.value("backend.busy_rejections") \
+            + collector.obs.value("backend.rate_limited") >= 1
         assert uploader.uploaded == len(mopeye.store)
         sent = sorted(round(r.rtt_ms, 9) for r in mopeye.store)
         got = sorted(round(r.rtt_ms, 9) for r in collector.received)

@@ -37,7 +37,7 @@ class TestLossRateBounds:
         direction = LinkDirection(sim, Constant(1.0), loss_rate=1.0,
                                   rng=random.Random(1))
         assert blast(direction) == []
-        assert direction.packets_dropped == 200
+        assert direction.obs.value("link.packets_dropped") == 200
 
     def test_loss_rate_above_one_still_rejected(self):
         sim = Simulator()
@@ -53,7 +53,7 @@ class TestBurstLoss:
         direction = LinkDirection(sim, Constant(1.0))
         direction.set_burst_loss(1.0, 0.0, loss_good=1.0, loss_bad=1.0)
         assert blast(direction) == []
-        assert direction.burst_drops == 200
+        assert direction.obs.value("link.burst_drops") == 200
 
     def test_clear_restores_delivery(self):
         sim = Simulator()
@@ -73,9 +73,10 @@ class TestBurstLoss:
                                  rng=random.Random(42))
         outcomes = []
         for index in range(2000):
-            before = direction.packets_dropped
+            before = direction.obs.value("link.packets_dropped")
             direction.send(index, 10, lambda p: None)
-            outcomes.append(direction.packets_dropped > before)
+            outcomes.append(
+                direction.obs.value("link.packets_dropped") > before)
         sim.run()
         drops = sum(outcomes)
         assert 200 < drops < 1800
@@ -276,7 +277,7 @@ class TestBackendCrashSemantics:
         again = backend.pipeline.handle_batch("dev-crash", 0, payload,
                                               now_ms=1000.0)
         assert again.acked == count
-        assert backend.duplicates == 1
+        assert backend.obs.value("backend.duplicate_batches") == 1
         assert backend.rollups.digest() == ingested
 
     def test_ram_only_backend_loses_everything(self, tmp_path):

@@ -18,12 +18,14 @@ from repro.core.persist import record_to_line
 from repro.core.records import FailureKind, MeasurementKind
 from repro.faults import ChaosRunner, get_scenario, verify_scenario
 from repro.faults.plan import FaultKind
-from repro.middlebox import MiddleboxStats, TransparentProxy
+from repro.middlebox import TransparentProxy
 from repro.middlebox.ablation import (
     ABLATED_KINDS,
     VARIANTS,
     run_imperfection_ablation,
 )
+from repro.netstack.ip import IPPacket, PROTO_TCP
+from repro.netstack.tcp_segment import ACK, FIN, PSH, RST, SYN, TCPSegment
 from repro.network import (
     AccessLink,
     AppServer,
@@ -164,16 +166,17 @@ class TestPortSelectivity:
 
     def test_interception_is_counted(self, runs):
         _off, on = runs
-        stats = MiddleboxStats(on.service.obs)
-        assert stats.intercepted_connects == 6
-        assert stats.split_connections == 6
-        assert stats.bytes_up > 0 and stats.bytes_down > 0
+        obs = on.service.obs
+        assert obs.value("mbox.intercepted_connects") == 6
+        assert obs.value("mbox.split_connections") == 6
+        assert obs.value("mbox.bytes_up") > 0
+        assert obs.value("mbox.bytes_down") > 0
 
     def test_proxy_free_world_touches_no_mbox_counter(self, runs):
         off, _on = runs
-        stats = MiddleboxStats(off.service.obs)
-        assert stats.intercepted_connects == 0
-        assert stats.split_connections == 0
+        obs = off.service.obs
+        assert obs.value("mbox.intercepted_connects") == 0
+        assert obs.value("mbox.split_connections") == 0
 
 
 class TestDnsOverTcp:
@@ -189,12 +192,111 @@ class TestDnsOverTcp:
 
         world.sim.process(workload())
         world.sim.run(until=10000.0)
-        assert MiddleboxStats(world.service.obs).dns_tcp_refused == 1
+        assert world.service.obs.value("mbox.dns_tcp_refused") == 1
         refused = [r for r in world.service.store
                    if r.failure == FailureKind.REFUSED
                    and r.domain == "web.test"]
         assert len(refused) == 1
         assert world.web.failures == 1
+
+
+class WireClient:
+    """A bare TCP client for hand-built segments.  Segments go straight
+    into ``proxy.receive``; the proxy's replies come back through the
+    internet to this endpoint, and a tap keeps what the proxy sends
+    upstream to the origin."""
+
+    IP = "10.9.9.9"
+    PORT = 40001
+    ORIGIN = "198.51.100.10"
+
+    def __init__(self):
+        self.world = MiniWorld(proxy_ports=(INTERCEPTED_PORT,))
+        self.obs = self.world.service.obs
+        self.ip = self.IP
+        self.link = AccessLink(self.world.sim, up_latency=Constant(1.0),
+                               down_latency=Constant(1.0),
+                               operator="wire")
+        self.replies = []
+        self.upstream = []
+        self.world.internet.attach_device(self)
+        self.world.internet.add_tap(self._tap)
+
+    def deliver_from_network(self, packet):
+        self.replies.append(TCPSegment.decode(packet.payload))
+
+    def _tap(self, direction, packet, _now):
+        if direction == "up" and packet.src_str == self.world.proxy.ip:
+            self.upstream.append(TCPSegment.decode(packet.payload))
+
+    def send(self, flags, seq, ack=0, payload=b""):
+        segment = TCPSegment(self.PORT, INTERCEPTED_PORT, seq, ack, flags,
+                             payload=payload)
+        self.world.proxy.receive(IPPacket(
+            self.ip, self.ORIGIN, PROTO_TCP,
+            segment.encode(self.ip, self.ORIGIN)))
+
+    def run(self, ms):
+        self.world.sim.run(until=self.world.sim.now + ms)
+
+    def syn_acks(self):
+        return [s for s in self.replies if s.is_syn_ack]
+
+    def origin(self):
+        return self.world.internet.server_for(self.ORIGIN)
+
+
+class TestProxyHandshakeEdges:
+    """The proxy's client half at its edges, driven segment by segment:
+    a retransmitted SYN, a client RST, a client FIN that beats the
+    upstream connect."""
+
+    def test_retransmitted_syn_gets_the_first_isn_again(self):
+        wire = WireClient()
+        wire.send(SYN, seq=1000)
+        wire.run(10)  # the SYN/ACK is out; say the client lost it
+        wire.send(SYN, seq=1000)
+        wire.run(200)
+        first, again = wire.syn_acks()
+        assert (again.seq, again.ack) == (first.seq, first.ack) \
+            == (first.seq, 1001)
+        assert wire.obs.value("mbox.intercepted_connects") == 1
+        assert wire.obs.value("mbox.split_connections") == 1
+        assert sum(s.is_syn for s in wire.upstream) == 1
+        assert wire.origin().connections_accepted == 1
+
+    def test_client_rst_aborts_upstream_and_drops_the_flow(self):
+        wire = WireClient()
+        wire.send(SYN, seq=1000)
+        wire.run(100)  # upstream connected
+        assert wire.obs.value("mbox.split_connections") == 1
+        isn = wire.syn_acks()[0].seq
+        wire.send(ACK, seq=1001, ack=isn + 1)
+        wire.send(RST | ACK, seq=1001, ack=isn + 1)
+        wire.run(100)
+        assert [s.is_rst for s in wire.upstream] \
+            == [False, False, True]  # SYN, ACK, then the abort
+        # The flow is gone: the same four-tuple is accepted afresh.
+        wire.send(SYN, seq=5000)
+        wire.run(10)
+        assert wire.obs.value("mbox.intercepted_connects") == 2
+        assert wire.syn_acks()[-1].ack == 5001
+
+    def test_fin_before_upstream_connect_closes_after_the_bytes(self):
+        wire = WireClient()
+        wire.send(SYN, seq=1000)
+        wire.run(5)  # SYN/ACK back; the upstream leg is still opening
+        isn = wire.syn_acks()[0].seq
+        wire.send(ACK, seq=1001, ack=isn + 1)
+        wire.send(ACK | PSH, seq=1001, ack=isn + 1, payload=PAYLOAD)
+        wire.send(FIN | ACK, seq=1001 + len(PAYLOAD), ack=isn + 1)
+        assert wire.obs.value("mbox.split_connections") == 0
+        assert not any(s.is_fin for s in wire.upstream)
+        wire.run(200)
+        sent = [s for s in wire.upstream if s.payload or s.is_fin]
+        assert [(s.payload, s.is_fin) for s in sent] \
+            == [(PAYLOAD, False), (b"", True)]
+        assert wire.obs.value("mbox.bytes_up") == len(PAYLOAD)
 
 
 class TestClosedLoop:

@@ -9,8 +9,6 @@ from repro.core.records import MeasurementKind
 from repro.faults.plan import FaultKind
 from repro.faults.scenarios import SCENARIOS
 from repro.middlebox import (
-    ImperfectStats,
-    MiddleboxStats,
     install_imperfect_clock,
     run_imperfection_ablation,
 )
@@ -48,12 +46,6 @@ class TestMetricInventory:
         stale = documented - _catalog_metrics()
         assert not stale, \
             "documented but gone from the catalog: %s" % sorted(stale)
-
-    def test_stats_views_cover_the_catalog(self):
-        """The read-only views expose exactly the catalogued names."""
-        viewed = set(MiddleboxStats._FIELDS.values()) \
-            | set(ImperfectStats._FIELDS.values())
-        assert viewed == _catalog_metrics()
 
 
 class TestKindInventory:

@@ -42,6 +42,29 @@ class TestChecksum:
         assert verify_checksum(data + bytes([checksum >> 8,
                                              checksum & 0xFF]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(min_size=0, max_size=1600))
+    def test_equals_the_rfc1071_loop(self, data):
+        total = rfc1071_sum(data)
+        assert internet_checksum(data) == (~total) & 0xFFFF
+        assert verify_checksum(data) == (total == 0xFFFF)
+        if len(data) % 2 == 0:
+            checksum = internet_checksum(data)
+            assert verify_checksum(data + checksum.to_bytes(2, "big"))
+
+
+def rfc1071_sum(data: bytes) -> int:
+    """The reference: RFC 1071's loop over big-endian 16-bit words,
+    odd input padded with a zero byte, carries folded."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
 
 class TestAddressConversion:
     def test_roundtrip(self):

@@ -64,7 +64,8 @@ class TestLinkDirection:
             direction.send(i, 100, delivered.append)
         sim.run()
         assert 50 < len(delivered) < 150
-        assert direction.packets_dropped == 200 - len(delivered)
+        assert direction.obs.value("link.packets_dropped") \
+            == 200 - len(delivered)
 
     def test_invalid_loss_rate_rejected(self):
         sim = Simulator()

@@ -486,6 +486,27 @@ class TestCompactionAndRetention:
         assert obs.value("store.retention_windows_evicted") > 0
         engine.close()
 
+    def test_retention_rewrites_a_single_segment(self, tmp_path):
+        """One segment is nothing to merge, but a window past the
+        horizon is still evicted; with nothing to evict, or no
+        ``now_ms``, the segment is left as it is."""
+        day = 24 * 3600 * 1000.0
+        engine = StoreEngine(
+            str(tmp_path / "r"), rollup_config=RollupConfig(window_ms=day),
+            config=StoreConfig(flush_threshold_records=None,
+                               retention_ms=10 * day),
+            obs=Observability())
+        engine.append_records(
+            [_rec(rtt=50.0, ts=i * day) for i in range(30)])
+        engine.flush()
+        assert not engine.compact(force=True)
+        assert not engine.compact(now_ms=10 * day, force=True)
+        assert engine.compact(now_ms=30 * day, force=True)
+        assert engine.materialize().windows() == list(range(20, 30))
+        assert len(engine.segment_names()) == 1
+        assert not engine.compact(now_ms=30 * day, force=True)
+        engine.close()
+
 
     def test_retention_sees_windows_not_stored_order(self, tmp_path):
         """Segments lead with the subject; compaction and retention

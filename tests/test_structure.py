@@ -31,6 +31,16 @@ RULES = {
     "fault-specs": (r"\.kind\s*(==|!=|in\b)|FaultKind\.[A-Z]",
                     ("src/repro/faults/injector.py",
                      "src/repro/faults/verify.py")),
+    # One passive-open TCP endpoint: the proxy's client half is an
+    # AppServer and overrides its hooks, never the TCP code itself;
+    # the middlebox package's second copies stay deleted.
+    "one-tcp-endpoint": (
+        r"def (receive|_accept|_refuse|_retransmit_syn_ack"
+        r"|_process_segment|_transmit)\(",
+        ("src/repro/middlebox",)),
+    "one-tcp-endpoint:names": (
+        r"DnsInterceptor|MiddleboxStats|ImperfectStats|dns_intercepted",
+        ("src", "docs", "README.md")),
     # CI runs tier-1 and nothing a contributor does not: every step is
     # pip, pytest or the link check, one command on one line -- no
     # heredoc, no tool script, no `cmp` of two runs.
