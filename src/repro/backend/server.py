@@ -173,16 +173,19 @@ class BackendServer(AppServer):
     def _parse_header(self, key, conn: _ServerConnection,
                       header: bytes) -> bool:
         """Sets ``conn.upload_expected`` (+ batch identity) on success;
-        counts and ACK-0s malformed headers."""
+        counts and ACK-0s malformed headers.  The byte count and the
+        seq are ASCII digits and nothing else: ``int()`` would also
+        take ``-5``, ``+5`` and ``1_0``, and a negative count cuts the
+        next header and its payload into this batch."""
         try:
-            if header.startswith(b"PUSH2 "):
-                _tag, nbytes, seq, device = header.split(b" ", 3)
-                conn.upload_expected = int(nbytes)
+            tag, nbytes, seq, device = header.split(b" ", 3)
+            if tag == b"PUSH2" and nbytes.isdigit() and seq.isdigit():
                 conn.batch_device = device.decode("utf-8")
+                conn.upload_expected = int(nbytes)
                 conn.batch_seq = int(seq)
                 return True
-        except (IndexError, ValueError, UnicodeDecodeError):
-            conn.upload_expected = None
+        except ValueError:      # too few fields, a device not UTF-8
+            pass
         self.obs.inc("backend.malformed_headers")
         self._send_data(key, conn, b"ACK 0\n")
         return False

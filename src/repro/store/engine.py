@@ -118,6 +118,29 @@ CHECKPOINT_KEEP = 2
 #: other device's header is dumped (:meth:`StoreEngine._batch_header`).
 _BATCH_HEADER = '{"acked":%d,"device":%s,"kind":"batch","n":%d,"seq":%d}'
 _BULK_HEADER = '{"kind":"bulk","n":%d,"seq":%d}'
+#: Each envelope header ``kind``'s keys, sorted.
+_ENVELOPE_KEYS = {"batch": ["acked", "device", "kind", "n", "seq"],
+                  "bulk": ["kind", "n", "seq"]}
+
+
+def _is_header(header, n_lines: int) -> bool:
+    """Whether ``header`` is one ``StoreEngine._envelope`` writes over
+    ``n_lines`` lines: a ``batch`` or ``bulk`` object with exactly its
+    kind's keys, every count an ``int`` (not a ``float``, a ``bool``
+    or a string of digits), ``n`` the line count, and a ``device``
+    that can key the dedup map: any JSON scalar, as
+    ``StoreEngine._batch_header`` dumps a device that is no ``str``."""
+    if type(header) is not dict:
+        return False
+    kind = header.get("kind")
+    # A tuple, not the dict: a kind that is a list is just not one.
+    if kind not in ("batch", "bulk"):
+        return False
+    return (sorted(header) == _ENVELOPE_KEYS[kind]
+            and all(type(header.get(name, 0)) is int
+                    for name in ("acked", "n", "seq"))
+            and header["n"] == n_lines
+            and type(header.get("device")) not in (list, dict))
 
 
 def holds_store(path: str) -> bool:
@@ -667,20 +690,26 @@ class StoreEngine:
     def _decode_envelope(payload: bytes, path: str, frame_no: int
                          ) -> Tuple[dict, List[str]]:
         """The one reader of :meth:`_envelope`'s form.  A checksummed
-        frame holding anything else -- another ``kind``, an ``n`` that
-        is not its body's line count, the first writer's object with a
-        ``lines`` array -- is another generation's: refused, never
-        replayed as the lines it happens to have."""
-        head, _newline, body = payload.decode("utf-8").partition("\n")
-        header = json.loads(head)
+        frame holding anything else -- text that is not UTF-8, a
+        header that is not :func:`_is_header`, the first writer's
+        object with a ``lines`` array -- is another generation's:
+        refused, never replayed as the lines it happens to have."""
+        try:
+            text = payload.decode("utf-8")
+        except UnicodeDecodeError:
+            text = ""
+        head, _newline, body = text.partition("\n")
         lines = body.split("\n") if body else []
-        if header.get("kind") not in ("batch", "bulk") or \
-                header.get("n") != len(lines):
-            raise UnsupportedSchema(
-                "WAL %s frame %d" % (path, frame_no), head[:80],
-                "a batch or bulk header with n = its %d lines"
-                % len(lines))
-        return header, lines
+        try:
+            header = json.loads(head)
+        except (ValueError, RecursionError):
+            header = None
+        if _is_header(header, len(lines)):
+            return header, lines
+        raise UnsupportedSchema(
+            "WAL %s frame %d" % (path, frame_no),
+            head[:80] if text else payload[:80],
+            "a batch or bulk header with n = its %d lines" % len(lines))
 
     def recover(self, initial: bool = False,
                 on_record: Optional[
@@ -767,12 +796,10 @@ class StoreEngine:
                         on_record(record)
                 info.wal_records += len(lines)
                 if header["kind"] == "batch":
-                    remember(self.dedup,
-                             (header["device"], int(header["seq"])),
-                             int(header["acked"]))
+                    remember(self.dedup, (header["device"], header["seq"]),
+                             header["acked"])
                 else:
-                    self._bulk_seq = max(self._bulk_seq,
-                                         int(header["seq"]))
+                    self._bulk_seq = max(self._bulk_seq, header["seq"])
             info.wal_frames += len(result.payloads)
             if result.torn or result.corrupt:
                 info.torn_tail |= result.torn

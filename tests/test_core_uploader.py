@@ -346,6 +346,35 @@ class TestCollectorProtocol:
         assert w.run_process(run()) == (b"ACK 0\n", b"ACK 1\n")
         assert w.collector.obs.value("backend.malformed_headers") == 1
         assert w.collector.obs.value("backend.batches") == 1
+
+    @pytest.mark.parametrize("count", [b"-5", b"+5", b"1_0"])
+    def test_byte_count_is_ascii_digits(self, upload_world, count):
+        """``int()`` takes a sign and an underscore.  A
+        ``PUSH2 -5`` header used to be served: its batch was the
+        buffer less five bytes, and the next header and its payload
+        were swallowed into it.  It is a malformed header, and the
+        sound batch after it is served on its own."""
+        from repro.core.persist import record_to_line
+        w = upload_world
+        socket = w.device.create_tcp_socket(w.mopeye.uid,
+                                            protected=True)
+        payload = (record_to_line(MeasurementRecord(
+            kind="TCP", rtt_ms=42.0, timestamp_ms=1.0)) + "\n").encode()
+
+        def run():
+            yield socket.connect("198.51.100.200", 443)
+            socket.send(b"PUSH2 %s 0 phone-a\n" % count)
+            refused = yield socket.recv()
+            socket.send(b"PUSH2 %d 1 phone-a\n" % len(payload))
+            socket.send(payload)
+            served = yield socket.recv()
+            socket.close()
+            return refused, served
+
+        assert w.run_process(run()) == (b"ACK 0\n", b"ACK 1\n")
+        assert w.collector.obs.value("backend.malformed_headers") == 1
+        assert w.collector.obs.value("backend.batches") == 1
+        assert w.collector.obs.value("backend.records_ingested") == 1
         assert len(w.collector.received) == 1
 
     def test_ack_is_prefix_count(self, upload_world):

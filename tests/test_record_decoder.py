@@ -1,15 +1,17 @@
 """The JSONL record decoder (``repro.core.persist.decode_record_lines``)
-and the ingest contract it carries: a batch is decoded in one parse
-that must be indistinguishable from a parse per line, and a line that
-is not a record truncates the batch instead of raising through it."""
+and the ingest contract it carries: each line is parsed by ``orjson``,
+which must be indistinguishable from ``json.loads`` per line, and a
+line that is not a record truncates the batch instead of raising
+through it."""
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backend import IngestPipeline, parse_batch_lines
+from repro.backend import IngestPipeline, ingest, parse_batch_lines
 from repro.backend.rollups import RollupStore
 from repro.core import persist
 from repro.core.persist import (
@@ -171,7 +173,7 @@ def test_record_rejects_non_finite(field, value):
         _rec(**{"rtt" if field == "rtt_ms" else "ts": value})
 
 
-# -- one json.loads per batch -----------------------------------------------
+# -- json.loads only where orjson could read a line differently -------------
 
 @pytest.fixture
 def loads_calls(monkeypatch):
@@ -186,20 +188,24 @@ def loads_calls(monkeypatch):
     return calls
 
 
-def test_clean_batch_costs_one_parse(loads_calls):
+def test_clean_batch_costs_no_stdlib_parse(loads_calls):
     lines = [record_to_line(_rec(rtt=float(i))) for i in range(50)]
     records, raw, truncated = parse_batch_lines(_payload(lines))
-    assert len(loads_calls) == 1
+    assert loads_calls == []
     assert not truncated
     assert [r.rtt_ms for r in records] == [float(i) for i in range(50)]
     assert raw == [line.encode("utf-8") for line in lines]
 
 
-def test_single_line_batch_costs_one_parse(loads_calls):
-    records, raw, truncated = parse_batch_lines(
-        _payload([record_to_line(_rec())]))
-    assert len(loads_calls) == 1
-    assert (len(records), len(raw), truncated) == (1, 1, False)
+def test_big_int_app_uid_costs_one_stdlib_parse(loads_calls):
+    """``orjson`` reads an integer past 64 bits as a ``float``; the one
+    line that holds one in ``app_uid`` is parsed again, exactly."""
+    lines = [record_to_line(_rec(rtt=float(i))) for i in range(5)]
+    lines[2] = record_to_line(_rec(rtt=2.0, app_uid=10 ** 30))
+    records, raw, truncated = parse_batch_lines(_payload(lines))
+    assert loads_calls == [lines[2]]
+    assert (len(records), len(raw), truncated) == (5, 5, False)
+    assert records[2].app_uid == 10 ** 30
 
 
 def test_bad_37th_line_still_acks_36(loads_calls):
@@ -208,11 +214,19 @@ def test_bad_37th_line_still_acks_36(loads_calls):
     records, raw, truncated = parse_batch_lines(_payload(lines))
     assert truncated
     assert len(records) == len(raw) == 36
-    # 36 good lines and the bad one, after at most one array parse.
-    assert len(loads_calls) in (37, 38)
+    # orjson refuses the bad line; json.loads is asked once, and agrees.
+    assert loads_calls == ["{broken"]
 
 
-def test_file_is_read_in_chunks_of_lines(tmp_path, loads_calls):
+def test_file_is_read_in_chunks_of_lines(tmp_path, monkeypatch):
+    calls = []
+    real = persist.decode_record_lines
+
+    def counting(lines):
+        calls.append(len(lines))
+        return real(lines)
+
+    monkeypatch.setattr(persist, "decode_record_lines", counting)
     n = 2 * persist._CHUNK_LINES + 3
     path = str(tmp_path / "ds.jsonl")
     with open(path, "w") as handle:
@@ -220,8 +234,10 @@ def test_file_is_read_in_chunks_of_lines(tmp_path, loads_calls):
             handle.write(record_to_line(_rec(rtt=float(i))) + "\n\n")
     assert [r.rtt_ms for r in iter_jsonl(path)] == \
         [float(i) for i in range(n)]
-    # Blank lines count towards a chunk: 2n lines in all.
-    assert len(loads_calls) == -(-2 * n // persist._CHUNK_LINES)
+    # Blank lines count towards a chunk (2n lines in all), and are
+    # dropped before the decode.
+    assert len(calls) == -(-2 * n // persist._CHUNK_LINES)
+    assert sum(calls) == n
 
 
 def test_iter_jsonl_yields_the_prefix_then_raises(tmp_path):
@@ -249,7 +265,7 @@ def test_wal_replay_refuses_a_line_that_is_not_a_record(tmp_path):
         engine.recover()
 
 
-# -- the array parse is observably a parse per line --------------------------
+# -- the decoder is observably json.loads per line --------------------------
 
 def _reference_record(data):
     """``_record_from_dict`` the slow way: a ``.get`` per optional
@@ -396,3 +412,116 @@ def test_upload_path_keeps_the_prefix_lines_verbatim(lines):
                    for line in cut[:len(expected)]]
     store = RollupStore()
     assert store.add_all(records) == len(records)
+
+
+# -- the array-join decoder this one replaced is the reference --------------
+
+def _each_braced(lines):
+    for line in lines:
+        if line[:1] != "{" or line[-1:] != "}":
+            return False
+    return True
+
+
+def _array_join_decode(lines):
+    """The decoder before ``orjson``: two or more lines parsed by one
+    ``json.loads`` of the lines joined into an array, when every line
+    starts ``{`` and ends ``}`` and the batch holds as many ``{`` as
+    lines (a line's one ``{`` then opens an object that must close on
+    its last character, and the raw newline in the separator makes a
+    string that runs into the next line a parse error); otherwise, or
+    if that parse fails, ``json.loads`` per line."""
+    rows = map(json.loads, lines)
+    n = len(lines)
+    if n > 1:
+        text = "[%s]" % ",\n".join(lines)
+        if text.count("{") == n and _each_braced(lines):
+            try:
+                rows = json.loads(text)
+            except (ValueError, RecursionError):
+                pass
+    records = []
+    try:
+        for row in rows:
+            records.append(persist._record_from_dict(row))
+    except persist._MALFORMED:
+        return records, True
+    return records, False
+
+
+def _canonical_with(**fields):
+    """``record_to_line`` of a record holding values the line form
+    writes but ``orjson`` reads otherwise or not at all."""
+    return record_to_line(_rec(**fields))
+
+
+_BIG_INTS = [str(2 ** 63), str(2 ** 64), str(-2 ** 63 - 1), str(10 ** 30)]
+_NUMBERS = _BIG_INTS + ["443.0", "9" * 400, "1e400", "-1e400", "NaN",
+                        "Infinity", "-Infinity", "0", "443"]
+_TEXTS = ['"\\ud800"', '"a\\udfffb"', '"\\u2028"', '"sep\\u2028x"',
+          '" "', '"ok"']
+_HOSTILE_LINES = st.one_of(
+    st.builds(lambda field, raw: _line(**{field: raw}),
+              st.sampled_from(["app_uid", "dst_port", "rtt_ms",
+                               "timestamp_ms"]),
+              st.sampled_from(_NUMBERS)),
+    st.builds(lambda raw: _line(location=raw), st.sampled_from([
+        "[Infinity, 1]", "[1e400, 2]", "[NaN, -Infinity]",
+        "[%s, 1]" % (10 ** 30), "[%s, 2]" % ("9" * 400)])),
+    st.builds(lambda field, raw: _line(**{field: raw}),
+              st.sampled_from(["operator", "domain", "device_id",
+                               "kind"]),
+              st.sampled_from(_TEXTS)),
+    st.builds(lambda key, first, last: _CANONICAL[:-1]
+              + ', "%s": %s, "%s": %s}' % (key, first, key, last),
+              st.sampled_from(["app_uid", "dst_port", "rtt_ms",
+                               "operator"]),
+              st.sampled_from(_NUMBERS + _TEXTS),
+              st.sampled_from(_NUMBERS + _TEXTS)),
+    st.sampled_from([
+        _canonical_with(app_uid=10 ** 30),
+        _canonical_with(app_uid=-2 ** 63 - 1, dst_port=2 ** 64),
+        _canonical_with(location=(float("nan"), float("inf"))),
+        _canonical_with(location=(float("-inf"), 1.0)),
+        _canonical_with(operator="\ud800", domain=" "),
+    ]))
+_CANONICAL_LINES = st.sampled_from(
+    [_CANONICAL] + [record_to_line(_rec(rtt=float(i), app_uid=i))
+                    for i in range(3)])
+
+
+def _same_as_array_join(lines):
+    records, truncated = decode_record_lines(lines)
+    expected, expected_truncated = _array_join_decode(lines)
+    assert truncated == expected_truncated
+    # By repr: NaN is not equal to itself, and 1 must not pass for 1.0.
+    assert repr(records) == repr(expected)
+    payload = "\n".join(lines).encode("utf-8")
+    with mock.patch.object(ingest, "decode_record_lines",
+                           _array_join_decode):
+        expected_parse = parse_batch_lines(payload)
+    assert repr(parse_batch_lines(payload)) == repr(expected_parse)
+
+
+@given(lines=st.lists(st.one_of(_CANONICAL_LINES, _HOSTILE_LINES),
+                      max_size=6))
+@settings(**_PROPERTY)
+def test_decoder_equals_the_array_join_decoder(lines):
+    _same_as_array_join(lines)
+
+
+@pytest.mark.parametrize("line", [
+    _canonical_with(app_uid=10 ** 30),
+    _canonical_with(dst_port=2 ** 64 + 1),
+    _line(dst_port="443.0"),
+    _line(rtt_ms=str(10 ** 30)),
+    _canonical_with(location=(float("nan"), 1.0)),
+    _line(location="[1e400, 2]"),
+    _line(operator='"\\ud800"'),
+    _CANONICAL[:-1] + ', "app_uid": %d}' % 10 ** 30,
+], ids=["uid-10^30", "port-2^64+1", "port-443.0", "rtt-10^30",
+        "location-nan", "location-1e400", "lone-surrogate",
+        "duplicate-uid"])
+def test_what_orjson_reads_otherwise_is_read_exactly(line):
+    _same_as_array_join([_CANONICAL, line, _CANONICAL])
+    assert repr(decode_record_lines([line])) == repr(_reference([line]))

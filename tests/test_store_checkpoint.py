@@ -416,6 +416,25 @@ class TestEnvelopeGate:
                        separators=(",", ":")).encode()
             + self._body(_records(3, device="dev-other")))
 
+    @pytest.mark.parametrize("head", [
+        b"[1]",
+        b'{"kind":"batch","n":0}',
+        b"\xff\xfe",
+        b'{"kind":"bulk","n":3,"seq":"x"}',
+        b'{"kind":"bulk","n":3,"seq":1.5}',
+        b'{"acked":0,"device":["d"],"kind":"batch","n":0,"seq":1}',
+        b'{"kind":"bulk","n":0,"seq":1,"x":1}',
+    ], ids=["array", "no-device", "not-utf8", "seq-text", "seq-float",
+            "device-list", "extra-key"])
+    def test_unreadable_header_is_refused(self, tmp_path, head):
+        """A header this build's writer cannot have written raised
+        ``AttributeError``, ``KeyError``, ``UnicodeDecodeError``,
+        ``ValueError`` or ``TypeError`` -- or, for ``"seq": 1.5`` and
+        an added key, replayed as if it had been written."""
+        body = (self._body(_records(3, device="dev-other"))
+                if b'"n":3' in head else b"")
+        self._refused(tmp_path, head + body)
+
     def test_empty_batch_envelope_replays(self, tmp_path):
         """``n`` 0 over no body -- the dedup handoff's envelope -- is
         this build's own form."""

@@ -41,6 +41,9 @@ RULES = {
     "one-tcp-endpoint:names": (
         r"DnsInterceptor|MiddleboxStats|ImperfectStats|dns_intercepted",
         ("src", "docs", "README.md")),
+    # Record lines are parsed one at a time (core/persist.py's
+    # decode_record_lines): the array-join parse stays deleted.
+    "one-line-one-parse": (r'_each_braced|",\\n"\.join', ("src",)),
     # CI runs tier-1 and nothing a contributor does not: every step is
     # pip, pytest or the link check, one command on one line -- no
     # heredoc, no tool script, no `cmp` of two runs.
