@@ -58,13 +58,13 @@ def fold_rtts(records: Iterable[MeasurementRecord],
     ``hists[(kind, network_type)]`` on the way: one
     :class:`~repro.backend.rollups.MergeHist` per key, whatever the
     record count.  Failure records pass unfolded, as
-    :meth:`RollupStore.add` skips them: their ``rtt_ms`` is a
+    :meth:`RollupStore.add_all` skips them: their ``rtt_ms`` is a
     time-to-failure, not an RTT."""
     # The backend imports this package, so not at module level.
     from repro.backend.rollups import MergeHist
 
     for record in records:
-        # One unpack, not four reads by name (as RollupStore.add).
+        # One unpack, not four reads by name (as RollupStore.add_all).
         (kind, rtt_ms, _, _, _, _, _, _, network_type, _, _, _, failure,
          _) = record
         if failure is None:

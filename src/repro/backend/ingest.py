@@ -27,7 +27,7 @@ import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs import Observability, get_default
 
@@ -284,23 +284,10 @@ class IngestPipeline:
                       for (device, seq), acked in self._dedup.items()
                       if device == device_id)
 
-    # -- offline entry point -----------------------------------------
-
-    def ingest_records(self, records: Iterable[MeasurementRecord]
-                       ) -> int:
-        """Direct path for trusted offline sources (shard workers):
-        no dedup, no rate limit, no load shed."""
-        n = self.rollups.add_all(records)
-        self.obs.inc("backend.records_ingested", n)
-        self.obs.set_gauge("backend.rollup_groups",
-                           self.rollups.group_count())
-        return n
-
     # -- internals ----------------------------------------------------
 
     def _ingest(self, records: List[MeasurementRecord]) -> None:
-        for record in records:
-            self.rollups.add(record)
+        self.rollups.add_all(records)
         self.obs.inc("backend.records_ingested", len(records))
         self.obs.set_gauge("backend.rollup_groups",
                            self.rollups.group_count())

@@ -34,11 +34,14 @@ Every store has an *epoch* and every :class:`MergeHist` carries the
 epoch of the store that created it; :meth:`RollupStore.clone` copies
 the table dicts (pointers, not histograms) and moves both stores to
 fresh epochs, so every row they share is now foreign to both.  The one
-rule that keeps this safe: a row reachable from a ``RollupStore`` is
-mutated only through :meth:`RollupStore._hist` (``add`` and ``merge``
-both are), which replaces a foreign row with a private copy before
-handing it out.  Readers may hold rows as long as they like.  Epochs
-live in memory only -- nothing serialised carries one.
+rule that keeps this safe: only :meth:`RollupStore._hist` creates a
+row or copies one, and a row reachable from a ``RollupStore`` is
+written in place only once its epoch is that store's --
+:meth:`RollupStore.add_all` checks it and hands any other row to
+``_hist``, ``merge`` always goes through ``_hist``, and ``_hist``
+replaces a foreign row with a private copy before handing it out.
+Readers may hold rows as long as they like.  Epochs live in memory
+only -- nothing serialised carries one.
 """
 
 from __future__ import annotations
@@ -108,6 +111,12 @@ LOG_BINS_PER_DECADE = 2000
 LOG_BIN_FLOOR = 1e-3
 
 
+def linear_bin(value_ms: float) -> int:
+    """Linear-grid bin index for an RTT; :meth:`MergeHist.add_bin`
+    clips it (below the grid to bin 0, past it to overflow)."""
+    return N_BINS if value_ms >= MAX_RTT_MS else int(value_ms / BIN_WIDTH_MS)
+
+
 def log_bin(value: float) -> int:
     """Log-spaced bin index for a modality sample; clipped to the
     shared [0, N_BINS) index space."""
@@ -156,21 +165,13 @@ class MergeHist:
         self.epoch = 0
 
     def add(self, value_ms: float) -> None:
-        if value_ms >= MAX_RTT_MS:
-            self.overflow += 1
-            index = N_BINS - 1
-        else:
-            index = int(value_ms / BIN_WIDTH_MS)
-            if index < 0:
-                index = 0
-        self.bins[index] = self.bins.get(index, 0) + 1
-        self.count += 1
+        self.add_bin(linear_bin(value_ms))
 
     def add_bin(self, index: int) -> None:
-        """Increment a precomputed bin index directly -- how the
-        modality tables drive their log-spaced grid (the caller maps
-        value -> index via :func:`log_bin`).  State and serialisation
-        are identical to linear-grid histograms."""
+        """Increment a precomputed bin index directly: the caller maps
+        value -> index via :func:`linear_bin` or :func:`log_bin`.  An
+        index past the grid counts as overflow in its last bin, one
+        below it lands in bin 0."""
         if index >= N_BINS:
             self.overflow += 1
             index = N_BINS - 1
@@ -319,7 +320,7 @@ class TableSpec(NamedTuple):
     #: The key's parts by name, in the order ``RollupStore`` and every
     #: digest key them.
     key: Tuple[str, ...]
-    #: The record kinds :meth:`RollupStore.add` routes here.
+    #: The record kinds :meth:`RollupStore.add_all` routes here.
     kinds: Tuple[str, ...]
     #: ``linear`` (``BIN_WIDTH_MS`` bins) or ``log`` (:func:`log_bin`).
     grid: str
@@ -387,13 +388,18 @@ def _check_specs() -> None:
 
 _check_specs()
 
+#: Kinds whose tables bin on the linear grid; every other kind's one
+#: table bins on :func:`log_bin`'s.
+_LINEAR_KINDS = frozenset(kind for spec in TABLE_SPECS
+                          if spec.grid == "linear" for kind in spec.kinds)
+
 
 class RollupStore:
     """Live aggregates the backend serves queries from.
 
-    Tables are ``{tuple-key: MergeHist}``; :meth:`add` routes one
-    record into every table it belongs to, :meth:`merge` combines the
-    stores built by parallel ingest workers.
+    Tables are ``{tuple-key: MergeHist}``; :meth:`add_all` routes
+    records into every table each belongs to, :meth:`merge` combines
+    the stores built by parallel ingest workers.
     """
 
     TABLES = tuple(spec.name for spec in TABLE_SPECS)
@@ -417,7 +423,9 @@ class RollupStore:
     def _hist(self, table: str, key: Key) -> MergeHist:
         """The row at ``key``, safe to mutate: created if absent, and
         replaced by a private copy if another store can still see it.
-        Every in-place row write goes through here."""
+        The one place a row is created or copied: :meth:`add_all`
+        writes a row in place only once its epoch is this store's,
+        and hands any other row here."""
         hists = self.tables[table]
         hist = hists.get(key)
         if hist is not None and hist.epoch == self._epoch:
@@ -431,61 +439,6 @@ class RollupStore:
         treated as shared, so the first write to each copies it."""
         self._epoch = next(_EPOCHS)
 
-    def add(self, record: MeasurementRecord) -> None:
-        # One unpack, not eight reads by name: each of those is a
-        # descriptor call on a tuple type.
-        (kind, rtt, timestamp_ms, app_package, _, _, _, domain, tech,
-         operator, _, device_id, failure, _) = record
-        if failure is not None:
-            self.failure_records += 1
-            return
-        self.records += 1
-        window = str(self.config.window_of(timestamp_ms))
-        operator = operator or "unknown"
-        tech = tech or "unknown"
-
-        if kind == MeasurementKind.TCP:
-            self._hist("network", (window, operator, tech, kind)).add(rtt)
-            self._hist("app", (window, app_package or "unknown",
-                               kind)).add(rtt)
-            for suffix in self.config.watch_suffixes:
-                if rules.domain_matches_suffix(domain, suffix):
-                    cls = rules.whatsapp_domain_class(domain)
-                    self._hist("watch_domain",
-                               (suffix, cls, domain)).add(rtt)
-                    self._hist("watch_network",
-                               (suffix, cls, operator, tech)).add(rtt)
-            if domain is not None and tech == NetworkType.LTE:
-                self._hist("lte_domain", (domain, operator)).add(rtt)
-        elif kind == MeasurementKind.DNS:
-            self._hist("network", (window, operator, tech, kind)).add(rtt)
-        elif kind == MeasurementKind.APP_RTT:
-            # App-layer RTT samples land next to the SYN RTTs on the
-            # same linear grid, keyed by kind -- the divergence rule
-            # compares the TCP and APP_RTT rows per operator.  The
-            # first response byte can beat the lazy app mapping, so
-            # the package may still be unknown here (the SYN RTT is
-            # only recorded *after* mapping, hence never is).
-            self._hist("network", (window, operator, tech, kind)).add(rtt)
-            self._hist("app", (window, app_package or "unknown",
-                               kind)).add(rtt)
-        elif kind == MeasurementKind.TPUT_UP or \
-                kind == MeasurementKind.TPUT_DOWN:
-            # rtt_ms carries the throughput sample in KB/s; log grid.
-            self._hist("app_throughput",
-                       (window, app_package or "unknown",
-                        kind)).add_bin(log_bin(rtt))
-        elif kind == MeasurementKind.ENERGY:
-            # rtt_ms carries the flow's attributed energy in mJ.
-            self._hist("app_energy",
-                       (window, app_package or "unknown")
-                       ).add_bin(log_bin(rtt))
-        elif kind == MeasurementKind.AOI:
-            # rtt_ms carries the record-to-ACK staleness in ms.
-            self._hist("aoi",
-                       (window, device_id or "unknown",
-                        tech)).add_bin(log_bin(rtt))
-
     def clear(self) -> None:
         """Empty the store in place (whoever holds it -- a pipeline
         its memtable -- keeps the same object)."""
@@ -494,12 +447,112 @@ class RollupStore:
         for rows in self.tables.values():
             rows.clear()
 
+    def add(self, record: MeasurementRecord) -> None:
+        """:meth:`add_all` over one record.  No ingest path routes a
+        record at a time; this is for tests and one-off callers."""
+        self.add_all((record,))
+
     def add_all(self, records: Iterable[MeasurementRecord]) -> int:
-        n = 0
-        for record in records:
-            self.add(record)
-            n += 1
-        return n
+        """Route each record into every row its kind feeds; returns
+        the count.  The one routing loop: :meth:`add` is this over one
+        record, and every ingest path hands it a batch.
+
+        Per record, one unpack and one bin (one grid per kind,
+        :func:`_check_specs`); per distinct window, one text; per row,
+        one ``get`` and one epoch check, with :meth:`_hist` called
+        only to create or copy the row.  ``records`` must neither
+        clone this store nor read its counts while it is read.  A
+        record that raises has been counted, and a log-grid row made,
+        before the raise -- as a record at a time always left them."""
+        tables = self.tables
+        epoch = self._epoch
+        hist_of = self._hist
+        window_ms = self.config.window_ms
+        suffixes = self.config.watch_suffixes
+        matches = rules.domain_matches_suffix
+        windows: Dict[float, str] = {}
+
+        def row(table, key):
+            # One get and one epoch check; _hist only to create or copy.
+            hist = tables[table].get(key)
+            if hist is None or hist.epoch != epoch:
+                hist = hist_of(table, key)
+            return hist
+
+        # Counted here and added to the store's counts on the way out,
+        # whether or not a record raised.
+        added = failed = 0
+        try:
+            for record in records:
+                # One unpack, not eight reads by name: each of those is a
+                # descriptor call on a tuple type.
+                (kind, rtt, timestamp_ms, app_package, _, _, _, domain,
+                 tech, operator, _, device_id, failure, _) = record
+                if failure is not None:
+                    failed += 1
+                    continue
+                added += 1
+                slot = timestamp_ms // window_ms
+                window = windows.get(slot)
+                if window is None:
+                    window = windows[slot] = str(int(slot))
+                operator = operator or "unknown"
+                tech = tech or "unknown"
+                if kind in _LINEAR_KINDS:
+                    index = linear_bin(rtt)
+
+                if kind == MeasurementKind.TCP:
+                    row("network",
+                        (window, operator, tech, kind)).add_bin(index)
+                    row("app",
+                        (window, app_package or "unknown", kind)
+                        ).add_bin(index)
+                    for suffix in suffixes:
+                        if matches(domain, suffix):
+                            cls = rules.whatsapp_domain_class(domain)
+                            row("watch_domain",
+                                (suffix, cls, domain)).add_bin(index)
+                            row("watch_network",
+                                (suffix, cls, operator, tech)
+                                ).add_bin(index)
+                    if domain is not None and tech == NetworkType.LTE:
+                        row("lte_domain", (domain, operator)).add_bin(index)
+                elif kind == MeasurementKind.DNS:
+                    row("network",
+                        (window, operator, tech, kind)).add_bin(index)
+                elif kind == MeasurementKind.APP_RTT:
+                    # App-layer RTT samples land next to the SYN RTTs on
+                    # the same linear grid, keyed by kind -- the divergence
+                    # rule compares the TCP and APP_RTT rows per operator.
+                    # The first response byte can beat the lazy app
+                    # mapping, so the package may still be unknown here
+                    # (the SYN RTT is only recorded *after* mapping, hence
+                    # never is).
+                    row("network",
+                        (window, operator, tech, kind)).add_bin(index)
+                    row("app",
+                        (window, app_package or "unknown", kind)
+                        ).add_bin(index)
+                # rtt_ms carries a log-grid kind's value; its row is made
+                # before log_bin, which raises past the float range.
+                elif kind == MeasurementKind.TPUT_UP or \
+                        kind == MeasurementKind.TPUT_DOWN:
+                    # The throughput sample in KB/s.
+                    row("app_throughput",
+                        (window, app_package or "unknown", kind)
+                        ).add_bin(log_bin(rtt))
+                elif kind == MeasurementKind.ENERGY:
+                    # The flow's attributed energy in mJ.
+                    row("app_energy", (window, app_package or "unknown")
+                        ).add_bin(log_bin(rtt))
+                elif kind == MeasurementKind.AOI:
+                    # The record-to-ACK staleness in ms.
+                    row("aoi", (window, device_id or "unknown", tech)
+                        ).add_bin(log_bin(rtt))
+        finally:
+            self.records += added
+            self.failure_records += failed
+        return added + failed
 
     # -- merging -----------------------------------------------------
 

@@ -37,6 +37,7 @@ from repro.core.records import (
     MeasurementKind,
     MeasurementRecord,
     MeasurementStore,
+    check_fields,
 )
 
 _FIELDS = MeasurementRecord._fields
@@ -84,6 +85,7 @@ def _record_to_dict(record: MeasurementRecord) -> dict:
 
 
 _fetch_fields = itemgetter(*_FIELDS)
+_new_tuple = tuple.__new__
 
 #: What :func:`_record_from_dict` assumes for a key the row lacks: the
 #: record's own defaults (``kind``, ``rtt_ms`` and ``timestamp_ms``
@@ -110,19 +112,26 @@ def _record_from_dict(data: dict) -> MeasurementRecord:
              network_type or "", operator or "", country or "",
              device_id or ""))
     try:
-        return MeasurementRecord(
-            kind, float(rtt_ms), float(timestamp_ms),
-            app_package or None,
-            int(app_uid) if app_uid not in (None, "") else None,
-            dst_ip, int(dst_port or 0), domain or None, network_type,
-            operator, country, device_id, failure or None, location)
+        rtt_ms = float(rtt_ms)
+        timestamp_ms = float(timestamp_ms)
+        app_uid = int(app_uid) if app_uid not in (None, "") else None
+        dst_port = int(dst_port or 0)
+        failure = failure or None
+        check_fields(kind, rtt_ms, timestamp_ms, failure)
     except ValueError:
         if kind in MeasurementKind.ALL:
             raise
-    # The constructor's is the one test of the kind.  What it refused
-    # may still spell one (lower case, an Enum, bytes off a wire): try
-    # again under the canonical name, which it cannot refuse twice.
-    return _record_from_dict({**data, "kind": _normalize_kind(kind)})
+        # The constructor's checks are the one test of the kind.  What
+        # they refused may still spell one (lower case, an Enum, bytes
+        # off a wire): try again under the canonical name, which they
+        # cannot refuse twice.
+        return _record_from_dict({**data, "kind": _normalize_kind(kind)})
+    # The constructor's checks have passed: build the tuple without
+    # running them a second time.
+    return _new_tuple(MeasurementRecord, (
+        kind, rtt_ms, timestamp_ms, app_package or None, app_uid, dst_ip,
+        dst_port, domain or None, network_type, operator, country,
+        device_id, failure, location))
 
 
 #: What a line that is not a record can raise on its way through
@@ -281,7 +290,10 @@ def encode_chunks(records: Iterable[MeasurementRecord], size: int
                   ) -> Iterator[Tuple[List[MeasurementRecord], bytes]]:
     """``records`` cut into lists of at most ``size``, each beside
     its :func:`encode_batch` -- a stream of any length serialised
-    with no more than ``size`` lines held at once."""
+    with no more than ``size`` lines held at once.  Raises
+    ``ValueError`` for a ``size`` below 1, which would cut none."""
+    if size < 1:
+        raise ValueError("chunk size must be at least 1, not %r" % size)
     records = iter(records)
     while True:
         chunk = list(islice(records, size))

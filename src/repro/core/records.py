@@ -93,17 +93,36 @@ class _RecordFields(NamedTuple):
     location: Optional[tuple] = None  # (lat, lon)
 
 
+def check_fields(kind, rtt_ms, timestamp_ms, failure) -> None:
+    """The four checks every :class:`MeasurementRecord` passes:
+    raises ``ValueError`` for a negative or non-finite RTT, a
+    non-finite timestamp, or a kind or failure kind this build does
+    not know."""
+    # Chained so that NaN, which compares false both ways, fails.
+    if not 0 <= rtt_ms < _INF:
+        raise ValueError("negative or non-finite RTT %r" % rtt_ms)
+    if not _NEG_INF < timestamp_ms < _INF:
+        raise ValueError("non-finite timestamp %r" % timestamp_ms)
+    if kind not in MeasurementKind.ALL:
+        raise ValueError("unknown measurement kind %r" % kind)
+    if failure is not None and failure not in FailureKind.ALL:
+        raise ValueError("unknown failure kind %r" % failure)
+
+
 class MeasurementRecord(_RecordFields):
     """One measurement: an immutable tuple of the fourteen fields
     above, read by name, with no per-instance ``__dict__``.
 
-    Every way to make one runs the four checks in ``__new__``: the
-    constructor, :meth:`_replace` (the one copy-with-changes method;
-    it goes through :meth:`_make`), ``pickle`` and ``copy`` (through
-    ``__getnewargs__``).  Being a tuple, a record also equals a plain
-    tuple of its fields, iterates, and ``json.dumps`` writes it as an
-    array -- :func:`repro.core.persist.record_to_line` is the
-    serialiser, and the decoder refuses an array as malformed.
+    Every way to make one runs the four checks of
+    :func:`check_fields`: the constructor, :meth:`_replace` (the one
+    copy-with-changes method; it goes through :meth:`_make`),
+    ``pickle`` and ``copy`` (through ``__getnewargs__``), and the
+    decoder :func:`repro.core.persist.decode_record_lines`, whose
+    ``_record_from_dict`` calls it and then ``tuple.__new__``.  Being
+    a tuple, a record also equals a plain tuple of its fields,
+    iterates, and ``json.dumps`` writes it as an array --
+    :func:`repro.core.persist.record_to_line` is the serialiser, and
+    the decoder refuses an array as malformed.
     """
 
     __slots__ = ()
@@ -113,15 +132,7 @@ class MeasurementRecord(_RecordFields):
                 network_type="WIFI", operator="unknown",
                 country="unknown", device_id="local", failure=None,
                 location=None):
-        # Chained so that NaN, which compares false both ways, fails.
-        if not 0 <= rtt_ms < _INF:
-            raise ValueError("negative or non-finite RTT %r" % rtt_ms)
-        if not _NEG_INF < timestamp_ms < _INF:
-            raise ValueError("non-finite timestamp %r" % timestamp_ms)
-        if kind not in MeasurementKind.ALL:
-            raise ValueError("unknown measurement kind %r" % kind)
-        if failure is not None and failure not in FailureKind.ALL:
-            raise ValueError("unknown failure kind %r" % failure)
+        check_fields(kind, rtt_ms, timestamp_ms, failure)
         return tuple.__new__(cls, (
             kind, rtt_ms, timestamp_ms, app_package, app_uid, dst_ip,
             dst_port, domain, network_type, operator, country,

@@ -63,6 +63,7 @@ import re
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -110,6 +111,8 @@ GROUP_COMMIT_BYTES = 1 << 20
 #: checkpoint falls back to the previous one -- WAL generations are
 #: only pruned once the *older* retained checkpoint covers them.
 CHECKPOINT_KEEP = 2
+#: Records until a flush or checkpoint with no threshold configured.
+_UNBOUNDED = float("inf")
 
 #: ``json.dumps(header, sort_keys=True, separators=(",", ":"))`` of a
 #: ``batch`` / ``bulk`` envelope header, its values the slots.  Every
@@ -424,6 +427,7 @@ class StoreEngine:
         WAL's 3.5x ingest tax."""
         count = 0
         lines: List[bytes] = []
+        entries = iter(entries)
 
         def _emit() -> None:
             self._bulk_seq += 1
@@ -434,11 +438,21 @@ class StoreEngine:
                     self.wal.pending_bytes >= GROUP_COMMIT_BYTES:
                 self._commit()
 
-        for record, line in entries:
-            self.memtable.add(record)
-            lines.append(line)
-            count += 1
-            self._records_since_checkpoint += 1
+        while True:
+            # A run ends on the record after which an envelope, a flush
+            # or a checkpoint is due, whichever comes first: the
+            # memtable takes it in one add_all, and each of those falls
+            # on the record it would one record at a time.
+            run = min(batch_records - len(lines), self._records_to_flush(),
+                      self._records_to_checkpoint())
+            pairs = list(islice(entries, max(run, 1)))
+            if not pairs:
+                break
+            records, run_lines = zip(*pairs)
+            self.memtable.add_all(records)
+            lines.extend(run_lines)
+            count += len(pairs)
+            self._records_since_checkpoint += len(pairs)
             if len(lines) >= batch_records:
                 _emit()
                 lines = []
@@ -470,20 +484,32 @@ class StoreEngine:
         self._update_gauges()
         return name
 
-    def _over_threshold(self) -> bool:
+    def _records_to_flush(self) -> float:
+        """Records the memtable takes before it is over its flush
+        threshold: none once it is, without end if it has none."""
         threshold = self.config.flush_threshold_records
-        return threshold is not None and \
-            self.memtable.records + self.memtable.failure_records \
-            >= threshold
+        if threshold is None:
+            return _UNBOUNDED
+        return threshold - self.memtable.records \
+            - self.memtable.failure_records
+
+    def _over_threshold(self) -> bool:
+        return self._records_to_flush() <= 0
 
     def _maybe_flush(self) -> None:
         if self._over_threshold():
             self.flush()
 
-    def _checkpoint_due(self) -> bool:
+    def _records_to_checkpoint(self) -> float:
+        """Records taken before a checkpoint is due, as
+        :meth:`_records_to_flush`."""
         interval = self.config.checkpoint_interval_records
-        return interval is not None and \
-            self._records_since_checkpoint >= interval
+        if interval is None:
+            return _UNBOUNDED
+        return interval - self._records_since_checkpoint
+
+    def _checkpoint_due(self) -> bool:
+        return self._records_to_checkpoint() <= 0
 
     def _maybe_checkpoint(self) -> None:
         if self._checkpoint_due():
@@ -790,9 +816,9 @@ class StoreEngine:
                     raise ValueError(
                         "%s: envelope line %d is not a record"
                         % (path, len(records) + 1))
-                for record in records:
-                    self.memtable.add(record)
-                    if on_record is not None:
+                self.memtable.add_all(records)
+                if on_record is not None:
+                    for record in records:
                         on_record(record)
                 info.wal_records += len(lines)
                 if header["kind"] == "batch":

@@ -207,12 +207,39 @@ class TestRollupStore:
         assert store.windows() == [0, 2]
 
 
+class _CreationLog(dict):
+    """A rollup table that logs ``(table, key arity)`` for every row
+    made in it, in the order made across all tables."""
+
+    def __init__(self, name, log):
+        super().__init__()
+        self.name, self.log = name, log
+
+    def __setitem__(self, key, value):
+        self.log.append((self.name, len(key)))
+        super().__setitem__(key, value)
+
+
+def _bins_on_the_grid(store, rtt):
+    """Every row holds one sample, in its table's grid's bin."""
+    from repro.backend import rollups
+    for table, rows in store.tables.items():
+        for key, hist in rows.items():
+            spec = rollups.SPEC_BY_TABLE[table]
+            assert len(key) == len(spec.key)
+            assert (hist.count, hist.overflow) == (1, 0)
+            assert hist.bins == {
+                rollups.log_bin(rtt) if spec.grid == "log"
+                else int(rtt / BIN_WIDTH_MS): 1}
+
+
 class TestAddWorkPerKind:
     """What the wall-clock A/B guards (``modalities``, ``middlebox``)
     protected, as a count: widening the schema puts no work on the
-    kinds that were there before.  One ``add`` touches exactly the
-    rows its kind's tables require, and the log-grid mapping runs
-    once per modality record and never for an RTT kind."""
+    kinds that were there before.  One ``add`` makes exactly the rows
+    its kind's tables require, each keyed as its table is and binned
+    on its table's grid, and the log-grid mapping runs once per
+    modality record and never for an RTT kind."""
 
     @pytest.mark.parametrize("record, tables, log_bins", [
         (_rec(), ["network", "app"], 0),
@@ -237,24 +264,22 @@ class TestAddWorkPerKind:
             self, monkeypatch, record, tables, log_bins):
         from repro.backend import rollups
 
-        touched, mapped = [], []
-        hist_of, log_bin = RollupStore._hist, rollups.log_bin
-
-        def counted_hist(store, table, key):
-            touched.append(table)
-            return hist_of(store, table, key)
+        mapped = []
+        log_bin = rollups.log_bin
 
         def counted_log_bin(value):
             mapped.append(value)
             return log_bin(value)
 
-        monkeypatch.setattr(RollupStore, "_hist", counted_hist)
         monkeypatch.setattr(rollups, "log_bin", counted_log_bin)
         store = RollupStore()
         store.add(record)
-        assert touched == tables
+        assert [name for name in store.TABLES
+                if store.tables[name]] == tables
         assert len(mapped) == log_bins
         assert store.group_count() == len(tables)
+        monkeypatch.undo()
+        _bins_on_the_grid(store, record.rtt_ms)
 
     def test_every_kind_is_counted_above(self):
         from repro.core.records import MeasurementKind
@@ -264,14 +289,14 @@ class TestAddWorkPerKind:
 
 
 class TestAddFollowsTheSpec:
-    """``RollupStore.add`` routes by a hand-written ladder, not by
-    walking ``TABLE_SPECS`` (a table-driven ``add`` measured slower);
+    """``RollupStore.add_all`` routes by a hand-written ladder, not by
+    walking ``TABLE_SPECS`` (a table-driven route measured slower);
     this is what keeps the two from drifting.  A *maximal* record of a
-    kind -- every field set, watched domain, on LTE -- must touch
-    exactly the tables the spec lists for the kind, in the spec's
-    order; a *minimal* one -- every optional field ``None`` -- some of
-    them, in that order; every key as long as the spec's, every bin on
-    the spec's grid."""
+    kind -- every field set, watched domain, on LTE -- must make a row
+    in exactly the tables the spec lists for the kind, in the spec's
+    order; a *minimal* one -- every optional field ``None`` -- in some
+    of them, in that order; every key as long as the spec's, every bin
+    on the spec's grid."""
 
     @staticmethod
     def _records(kind):
@@ -282,45 +307,33 @@ class TestAddFollowsTheSpec:
         return maximal, minimal
 
     @pytest.mark.parametrize("kind", MeasurementKind.ALL)
-    def test_tables_order_arity_and_grid(self, monkeypatch, kind):
+    def test_tables_order_arity_and_grid(self, kind):
         from repro.backend import rollups
 
         wanted = [spec for spec in rollups.TABLE_SPECS
                   if kind in spec.kinds]
         assert wanted
-        touched = []
-        hist_of = RollupStore._hist
-
-        def counted_hist(store, table, key):
-            touched.append((table, len(key)))
-            return hist_of(store, table, key)
-
-        monkeypatch.setattr(RollupStore, "_hist", counted_hist)
         maximal, minimal = self._records(kind)
-        linear_bin = int(37.3 / BIN_WIDTH_MS)
         for record, exact in ((maximal, True), (minimal, False)):
-            del touched[:]
+            made = []
             store = RollupStore()
+            store.tables = {name: _CreationLog(name, made)
+                            for name in store.TABLES}
             store.add(record)
             routes = [(spec.name, len(spec.key)) for spec in wanted]
             if exact:
-                assert touched == routes
+                assert made == routes
             else:
-                assert touched and set(touched) <= set(routes)
-                assert touched == [r for r in routes if r in touched]
-            for table, _arity in touched:
-                (hist,) = store.tables[table].values()
-                grid = rollups.SPEC_BY_TABLE[table].grid
-                assert hist.bins == {
-                    rollups.log_bin(37.3) if grid == "log"
-                    else linear_bin: 1}
-        assert rollups.log_bin(37.3) != linear_bin
+                assert made and set(made) <= set(routes)
+                assert made == [r for r in routes if r in made]
+            _bins_on_the_grid(store, 37.3)
+        assert rollups.log_bin(37.3) != int(37.3 / BIN_WIDTH_MS)
 
 
 class TestDecodeWorkPerLine:
-    """The decoder's per-line work, as a count: one record built per
-    line, and the kind looked at by nobody but the constructor unless
-    the constructor refused it."""
+    """The decoder's per-line work, as a count: the record checks run
+    once per line, and the kind is looked at by nobody but those
+    checks unless they refused it."""
 
     N = 1000
 
@@ -328,23 +341,22 @@ class TestDecodeWorkPerLine:
     def counted(self, monkeypatch):
         from repro.core import persist
 
-        built, normalized = [], []
-        record_type = persist.MeasurementRecord
+        checked, normalized = [], []
+        check = persist.check_fields
         normalize = persist._normalize_kind
 
-        def counted_record(*fields):
-            built.append(fields[0])
-            return record_type(*fields)
+        def counted_check(kind, *fields):
+            checked.append(kind)
+            return check(kind, *fields)
 
         def counted_normalize(kind):
             normalized.append(kind)
             return normalize(kind)
 
-        monkeypatch.setattr(persist, "MeasurementRecord",
-                            counted_record)
+        monkeypatch.setattr(persist, "check_fields", counted_check)
         monkeypatch.setattr(persist, "_normalize_kind",
                             counted_normalize)
-        return built, normalized
+        return checked, normalized
 
     def _lines(self):
         from repro.core.records import MeasurementKind
@@ -355,28 +367,30 @@ class TestDecodeWorkPerLine:
 
     def test_batch_decode_builds_one_record_per_line(self, counted):
         from repro.core.persist import decode_record_lines
-        built, normalized = counted
+        checked, normalized = counted
         records, truncated = decode_record_lines(self._lines())
         assert (len(records), truncated) == (self.N, False)
-        assert len(built) == self.N
+        assert len(checked) == self.N
         assert normalized == []
 
     def test_file_decode_builds_one_record_per_line(self, counted,
                                                     tmp_path):
         from repro.core.persist import iter_jsonl
-        built, normalized = counted
+        checked, normalized = counted
         path = tmp_path / "shard.jsonl"
         path.write_text("\n".join(self._lines()) + "\n")
         assert sum(1 for _ in iter_jsonl(str(path))) == self.N
-        assert len(built) == self.N
+        assert len(checked) == self.N
         assert normalized == []
 
     def test_lower_case_kind_is_normalized_exactly_once(self, counted):
         from repro.core.persist import decode_record_lines
-        _built, normalized = counted
+        checked, normalized = counted
         line = record_to_line(_rec()).replace('"TCP"', '"tcp"')
         records, truncated = decode_record_lines([line])
         assert records == [_rec()] and not truncated
+        # Refused once, then passed under the canonical name.
+        assert checked == ["tcp", "TCP"]
         assert normalized == ["tcp"]
 
 

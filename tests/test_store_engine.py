@@ -9,10 +9,13 @@ import pytest
 
 from repro.backend import query as backend_query
 from repro.backend.rollups import RollupConfig, RollupStore
+from repro.core.persist import encode_chunks
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability
 from repro.store import StoreConfig, StoreEngine
+from repro.store import engine as engine_module
 from repro.store.engine import _MANIFEST_FIELDS, QUARANTINE_DIR
+from repro.store.wal import replay
 from tests.conftest import tree_bytes
 
 
@@ -132,6 +135,103 @@ class TestWritePathAndRecovery:
         assert reopened.rollup_config.window_ms == 1000.0
         assert reopened.memtable.config.window_ms == 1000.0
         reopened.close()
+
+
+def _reference_append_entries(engine, entries, batch_records):
+    """``StoreEngine.append_entries`` as it was: the memtable took one
+    record at a time, and the thresholds were checked after each."""
+    count = 0
+    lines = []
+
+    def _emit():
+        engine._bulk_seq += 1
+        engine.wal.append(engine._envelope(
+            engine_module._BULK_HEADER % (len(lines), engine._bulk_seq),
+            lines))
+        engine._pending_records += len(lines)
+        if engine._pending_records >= engine_module.GROUP_COMMIT_RECORDS \
+                or engine.wal.pending_bytes \
+                >= engine_module.GROUP_COMMIT_BYTES:
+            engine._commit()
+
+    for record, line in entries:
+        engine.memtable.add(record)
+        lines.append(line)
+        count += 1
+        engine._records_since_checkpoint += 1
+        if len(lines) >= batch_records:
+            _emit()
+            lines = []
+        if engine._over_threshold():
+            if lines:
+                _emit()
+                lines = []
+            engine.flush()
+        elif engine._checkpoint_due():
+            if lines:
+                _emit()
+                lines = []
+            engine.checkpoint()
+    if lines:
+        _emit()
+    engine._commit()
+    engine._update_gauges()
+    return count
+
+
+class TestAppendRuns:
+    """``append_entries`` hands the memtable runs of records, each
+    ending where an envelope, a flush or a checkpoint is due: every
+    file it writes is the one the record-at-a-time loop wrote."""
+
+    @staticmethod
+    def _mixed(n):
+        return [_rec(rtt=15.0 + i, ts=i * 3.6e6, app="com.app.%d" % (i % 5),
+                     tech="LTE" if i % 4 else "WIFI",
+                     failure="timeout" if i % 11 == 0 else None)
+                for i in range(n)]
+
+    @pytest.mark.parametrize("batch_records", [1, 7, 512])
+    @pytest.mark.parametrize("flush_at, checkpoint_every",
+                             [(45, 20), (None, 13), (None, None)])
+    def test_runs_write_what_one_record_at_a_time_wrote(
+            self, tmp_path, batch_records, flush_at, checkpoint_every):
+        records = self._mixed(150)
+        found = []
+        for name in ("runs", "reference"):
+            engine, obs = _engine(
+                tmp_path, name, flush_threshold_records=flush_at,
+                checkpoint_interval_records=checkpoint_every)
+            if name == "runs":
+                count = engine.append_records(records, batch_records)
+            else:
+                count = _reference_append_entries(
+                    engine,
+                    [entry for chunk, data in encode_chunks(
+                        records, batch_records)
+                     for entry in zip(chunk, data.splitlines())],
+                    batch_records)
+            envelopes = sum(len(replay(path).payloads)
+                            for path in engine.wal_paths())
+            state = (count, envelopes, engine.wal_bytes(),
+                     engine.memtable.digest(), obs.value("store.flushes"),
+                     obs.value("store.checkpoints"))
+            engine.close()
+            found.append((state, tree_bytes(str(tmp_path / name))))
+        assert found[0] == found[1]
+        if flush_at is not None:
+            assert found[0][0][4] == 150 // flush_at
+
+    @pytest.mark.parametrize("batch_records", [0, -1])
+    def test_batch_size_below_one_is_refused(self, tmp_path,
+                                             batch_records):
+        engine, _obs = _engine(tmp_path)
+        logged = engine.wal_bytes()
+        with pytest.raises(ValueError, match="at least 1"):
+            engine.append_records(_records(5), batch_records)
+        assert engine.memtable.records == 0
+        assert engine.wal_bytes() == logged
+        engine.close()
 
 
 class TestTornAndCorrupt:

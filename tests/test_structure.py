@@ -44,6 +44,11 @@ RULES = {
     # Record lines are parsed one at a time (core/persist.py's
     # decode_record_lines): the array-join parse stays deleted.
     "one-line-one-parse": (r'_each_braced|",\\n"\.join', ("src",)),
+    # Every ingest path hands RollupStore.add_all a batch: no record
+    # reaches the memtable or the pipeline's rollups one at a time.
+    "one-routing-loop": (r"(memtable|rollups)\.add\(",
+                         ("src/repro/backend/ingest.py",
+                          "src/repro/store")),
     # CI runs tier-1 and nothing a contributor does not: every step is
     # pip, pytest or the link check, one command on one line -- no
     # heredoc, no tool script, no `cmp` of two runs.
