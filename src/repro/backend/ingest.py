@@ -157,8 +157,7 @@ class BatchOutcome:
 class IngestPipeline:
     """Validated, idempotent, rate-limited ingestion into rollups."""
 
-    def __init__(self, rollups: Optional[RollupStore] = None,
-                 obs: Optional[Observability] = None,
+    def __init__(self, obs: Optional[Observability] = None,
                  load: Optional[IngestLoadModel] = None,
                  rate_capacity: float = 64.0,
                  rate_refill_per_min: float = 600.0,
@@ -172,12 +171,8 @@ class IngestPipeline:
         #: added to the ACK delay -- durability is paid for in sim
         #: time, not assumed.
         self.store = store
-        if store is not None:
-            if rollups is not None:
-                raise ValueError("pass either rollups or store, "
-                                 "not both")
-            rollups = store.memtable
-        self.rollups = rollups if rollups is not None else RollupStore()
+        self.rollups = (store.memtable if store is not None
+                        else RollupStore())
         self.obs = obs or get_default()
         self.load = load or IngestLoadModel()
         self.rate_capacity = rate_capacity

@@ -39,16 +39,12 @@ class BackendServer(AppServer):
     :class:`IngestPipeline`."""
 
     def __init__(self, sim, ips, name: str = "collector",
-                 pipeline: Optional[IngestPipeline] = None,
-                 rollups: Optional[RollupStore] = None,
                  obs: Optional[Observability] = None,
-                 keep_records: bool = True,
                  max_batch_records: Optional[int] = None,
                  load: Optional[IngestLoadModel] = None,
                  rate_capacity: float = 64.0,
                  rate_refill_per_min: float = 600.0,
                  data_dir: Optional[str] = None,
-                 store=None,
                  store_config=None,
                  node_id: Optional[str] = None,
                  **kwargs):
@@ -71,23 +67,20 @@ class BackendServer(AppServer):
         #: :class:`repro.store.StoreEngine` under that directory;
         #: without one the backend is RAM-only and a crash genuinely
         #: loses everything (no more pretending RAM is durable).
-        if data_dir is not None and store is None:
+        self.store = None
+        if data_dir is not None:
             from repro.store.engine import StoreEngine
-            store = StoreEngine(data_dir, config=store_config,
-                                obs=self.obs)
-        self.store = store
+            self.store = StoreEngine(data_dir, config=store_config,
+                                     obs=self.obs)
 
         def _keep(records):
-            for record in records:
-                self.received.add(record)
+            # Read through self: a crash replaces the mirror.
+            self.received.extend(records)
 
-        self._keep_records = keep_records
-        on_records = _keep if keep_records else None
-        self.pipeline = pipeline or IngestPipeline(
-            rollups=rollups, obs=self.obs, load=load,
-            rate_capacity=rate_capacity,
+        self.pipeline = IngestPipeline(
+            obs=self.obs, load=load, rate_capacity=rate_capacity,
             rate_refill_per_min=rate_refill_per_min,
-            on_records=on_records, store=store)
+            on_records=_keep, store=self.store)
         #: Server-side cap on records ACKed per batch (None = no cap);
         #: exercises the uploader's short-ACK retry tail.
         self.max_batch_records = max_batch_records
@@ -135,8 +128,7 @@ class BackendServer(AppServer):
             # segment exist only as aggregates and cannot be
             # re-materialised (recovery memory stays bounded by the
             # checkpoint interval, not the run length).
-            on_record = self.received.add if self._keep_records else None
-            self.store.recover(on_record=on_record)
+            self.store.recover(on_record=self.received.add)
             self.recoveries += 1
         self.failure_log.append({"node_id": self.node_id,
                                  "event": "restart",

@@ -13,10 +13,6 @@ from repro.netstack.ip import IPPacket, PROTO_TCP
 from repro.netstack.tcp_segment import TCPSegment
 
 
-class SynAckSample(Tuple):
-    pass
-
-
 class TcpdumpCapture:
     """Attach with ``internet.add_tap(capture.tap)``."""
 

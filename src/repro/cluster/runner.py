@@ -42,7 +42,9 @@ from repro.cluster.merge import merge_stores
 from repro.cluster.node import CollectorNode, cluster_node_ip, node_name
 from repro.core import MopEyeService
 from repro.core.uploader import MeasurementUploader
-from repro.faults.chaos import _world_rng
+from repro.faults.chaos import (UPLOADER_ACK_TIMEOUT_MS,
+                                UPLOADER_INTERVAL_MS, UPLOADER_MIN_BATCH,
+                                _world_rng)
 from repro.faults.scenarios import Scenario, ScenarioOperator
 from repro.network import AccessLink
 from repro.obs import Observability
@@ -105,16 +107,13 @@ class ClusterCollector:
         self.coordinator = Coordinator(
             sim, nodes=active, standby=standby,
             fleet=[dev for dev, _operator in scenario.devices()],
-            vnodes=scenario.cluster_vnodes,
-            heartbeat_ms=scenario.cluster_heartbeat_ms,
-            miss_threshold=scenario.cluster_miss_threshold,
             obs=self.obs, on_rehome=on_rehome)
         self.coordinator.install()
         self.uploader = MeasurementUploader(
             service, self.coordinator.home_ip(device_id),
-            interval_ms=scenario.uploader_interval_ms,
-            min_batch=scenario.uploader_min_batch,
-            ack_timeout_ms=scenario.uploader_ack_timeout_ms,
+            interval_ms=UPLOADER_INTERVAL_MS,
+            min_batch=UPLOADER_MIN_BATCH,
+            ack_timeout_ms=UPLOADER_ACK_TIMEOUT_MS,
             isn_rng=_world_rng(seed, device_id, "cluster:isn"))
         self.uploader.start()
         #: What the injector's collector faults act on.

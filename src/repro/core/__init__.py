@@ -33,7 +33,7 @@ from repro.core.mapping import (
     LazyMapper,
     MappingStats,
 )
-from repro.core.service import MopEyeService, RelayStats
+from repro.core.service import MopEyeService
 
 __all__ = [
     "CacheMapper",
@@ -47,7 +47,6 @@ __all__ = [
     "MeasurementStore",
     "MopEyeConfig",
     "MopEyeService",
-    "RelayStats",
     "dataset_digest",
     "iter_jsonl",
     "iter_jsonl_shards",

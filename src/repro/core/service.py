@@ -24,48 +24,12 @@ from repro.core.relay_tcp import FourTuple, TcpClient
 from repro.core.relay_udp import UdpRelay
 from repro.core.tun_reader import TunReader
 from repro.core.tun_writer import TunWriter
-from repro.netstack.ip import IPPacket, PROTO_UDP
+from repro.netstack.ip import IPPacket
 from repro.netstack.tcp_segment import TCPSegment
 from repro.netstack.udp_datagram import UDPDatagram
 from repro.obs import Observability
 from repro.phone.nio import Selector
 from repro.phone.vpn import VpnService
-
-
-class RelayStats:
-    """Read-only view of the relay-wide counters, kept for the
-    evaluation harness's ``service.stats.x`` surface.  The counters
-    themselves live in the service's metrics registry -- there is
-    exactly one stats mechanism (see docs/OBSERVABILITY.md)."""
-
-    _FIELDS = {
-        "syn_packets": "relay.syn_packets",
-        "pure_acks_discarded": "relay.pure_acks_discarded",
-        "orphan_packets": "relay.orphan_packets",
-        "parse_errors": "relay.parse_errors",
-        "state_errors": "relay.state_errors",
-        "connect_failures": "relay.connect_failures",
-        "packets_to_tunnel": "relay.packets_to_tunnel",
-        "udp_datagrams": "udp_relay.datagrams",
-        "bytes_up": "relay.bytes_up",
-        "bytes_down": "relay.bytes_down",
-        "udp_bytes_up": "udp_relay.bytes_up",
-        "udp_bytes_down": "udp_relay.bytes_down",
-    }
-
-    def __init__(self, obs: Optional[Observability] = None):
-        self._obs = obs or Observability()
-
-    def __getattr__(self, name: str) -> int:
-        metric = RelayStats._FIELDS.get(name)
-        if metric is None:
-            raise AttributeError(name)
-        return int(self._obs.value(metric))
-
-    def __repr__(self) -> str:
-        return "<RelayStats %s>" % " ".join(
-            "%s=%d" % (field, getattr(self, field))
-            for field in sorted(self._FIELDS))
 
 
 class MopEyeService:
@@ -93,7 +57,6 @@ class MopEyeService:
         #: stream is unchanged for SYN-only experiments.
         self.app_rtt = app_rtt
         self.obs = obs or Observability(sim=self.sim)
-        self.stats = RelayStats(self.obs)
         self.vpn = VpnService(device, self.config.package)
         self.uid = self.vpn.owner_uid
         self.selector = Selector(device)

@@ -35,7 +35,6 @@ from repro.crowd.campaign import (
     device_stream_rng,
     stable_ip_for_domain,
 )
-from repro.crowd.fleet import FleetRunner, FleetSpec, default_fleet
 from repro.crowd.sharding import (
     ShardedCampaign,
     ShardedRunResult,
@@ -53,9 +52,6 @@ __all__ = [
     "COUNTRY_USERS",
     "CrowdDevice",
     "DomainProfile",
-    "FleetRunner",
-    "FleetSpec",
-    "default_fleet",
     "IspProfile",
     "Population",
     "ShardSpec",

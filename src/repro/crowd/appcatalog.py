@@ -170,10 +170,6 @@ class AppCatalog:
         return self.apps[bisect(
             self._cum_weights, rng.random() * self._total, 0, self._hi)]
 
-    @property
-    def representative_packages(self) -> List[str]:
-        return [a.package for a in representative_apps()]
-
 
 def build_catalog(n_longtail: int = 6250,
                   seed: int = 2016) -> AppCatalog:

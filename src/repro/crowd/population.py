@@ -17,7 +17,7 @@ import math
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.crowd.isps import IspProfile, isps_for_country, wifi_profile_for
 
@@ -196,9 +196,3 @@ class Population:
         for device in self.devices:
             counts[device.country] = counts.get(device.country, 0) + 1
         return counts
-
-    def all_locations(self) -> List[Tuple[float, float]]:
-        out = []
-        for device in self.devices:
-            out.extend(device.locations)
-        return out

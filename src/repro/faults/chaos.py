@@ -1,19 +1,21 @@
 """The chaos runner: one scenario, end to end, deterministically.
 
-Builds one packet-level world per device (fleet-style: real
-AndroidDevice + MopEye relay + servers placed at CRC-32-stable IPs),
-installs a :class:`FaultInjector` wired to that world's components,
-runs the app workload to completion, and streams the tagged
-measurement records into JSON-lines shards -- one shard per device, so
-the merged dataset bytes are identical no matter how many worker
-processes ran.  Worlds differ only in who collects their uploads:
+Builds one packet-level world per device (a real AndroidDevice +
+MopEye relay + servers placed at CRC-32-stable IPs), installs a
+:class:`FaultInjector` wired to that world's components, runs the app
+workload to completion, and streams the tagged measurement records
+into JSON-lines shards -- one shard per device, so the merged dataset
+bytes are identical no matter how many worker processes ran.
+:func:`run_device_world` is the only world builder: a scenario with no
+events is a plain world, which is how the fleet validation builds its
+phones.  Worlds differ only in who collects their uploads:
 nobody, the embedded backend, or a cluster (:mod:`repro.cluster`).
 
 Everything stochastic is string-seeded on ``(seed, device_id, ...)``,
 the same discipline as ``crowd/sharding.py``; worker processes rebuild
 their worlds from ``(scenario name, seed, device index)`` alone, so
 fork and spawn start methods, pool scheduling, and ``PYTHONHASHSEED``
-cannot change a byte of output.  The CI chaos job and the determinism
+cannot change a byte of output.  The pinned digests and the determinism
 tests both lean on this.
 
 No-hang guarantee: the workload races the scenario's ``duration_ms``
@@ -25,7 +27,6 @@ spinning -- a deadlock becomes a test failure, not a hung process.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 import random
@@ -63,6 +64,12 @@ from repro.sim import Constant, LogNormal, Simulator
 
 #: Where the collector lives in backend-enabled scenarios.
 COLLECTOR_IP = "203.0.113.50"
+
+#: Every collector's uploader, embedded or cluster: a batch every
+#: 2 s once 4 records wait, and a batch unACKed after 3 s is resent.
+UPLOADER_INTERVAL_MS = 2_000.0
+UPLOADER_MIN_BATCH = 4
+UPLOADER_ACK_TIMEOUT_MS = 3_000.0
 
 #: Upper bound on one connect+request exchange before the workload
 #: abandons it (the socket may still complete in the background).
@@ -114,9 +121,9 @@ class _Collector:
         service.device.internet.add_server(self.backend)
         self.uploader = MeasurementUploader(
             service, COLLECTOR_IP,
-            interval_ms=scenario.uploader_interval_ms,
-            min_batch=scenario.uploader_min_batch,
-            ack_timeout_ms=scenario.uploader_ack_timeout_ms,
+            interval_ms=UPLOADER_INTERVAL_MS,
+            min_batch=UPLOADER_MIN_BATCH,
+            ack_timeout_ms=UPLOADER_ACK_TIMEOUT_MS,
             emit_aoi=scenario.modalities)
         self.uploader.start()
         #: What the injector's collector faults act on.
@@ -300,54 +307,29 @@ def run_device_world(scenario: Scenario, plan: FaultPlan, seed: int,
                      counts=injector.counts, stats=stats, rollup=rollup)
 
 
-def _merge_counts(total: Dict[str, Dict[str, int]],
-                  part: Dict[str, Dict[str, int]]) -> None:
-    for event_id in sorted(part):
-        entry = total.setdefault(event_id,
-                                 {"activations": 0, "deactivations": 0})
-        entry["activations"] += part[event_id].get("activations", 0)
-        entry["deactivations"] += part[event_id].get("deactivations", 0)
-
-
 def _merge_stats(total: Dict[str, int], part: Dict[str, int]) -> None:
     for key in sorted(part):
         total[key] = total.get(key, 0) + int(part[key])
 
 
-def _run_chaos_shard(task: Tuple[str, int, int, int, str,
-                                 Optional[int]],
+def _run_chaos_shard(task: Tuple[str, int, int, str, Optional[int]],
                      scenario: Optional[Scenario] = None
-                     ) -> Tuple[int, int, str,
-                                Dict[str, Dict[str, int]],
-                                Dict[str, int],
-                                Optional[ShardPart]]:
-    """Worker entry point: one contiguous device range -> one shard
-    and one part of rollups.  Rebuilds everything from (scenario name,
-    seed) so fork and spawn behave identically; the inline path hands
-    in ``scenario`` itself, which need not be a registry one."""
-    scenario_name, seed, device_lo, device_hi, path, cluster_nodes \
-        = task
+                     ) -> Tuple[int, int, Dict[str, Dict[str, int]],
+                                Dict[str, int], Optional[ShardPart]]:
+    """Worker entry point: one device -> one shard and its part of the
+    rollups.  Rebuilds everything from (scenario name, seed) so fork
+    and spawn behave identically; the inline path hands in
+    ``scenario`` itself, which need not be a registry one."""
+    scenario_name, seed, device_index, path, cluster_nodes = task
     if scenario is None:
         scenario = get_scenario(scenario_name)
-    plan = scenario.plan(seed)
-    sha = hashlib.sha256()
-    count = 0
-    counts: Dict[str, Dict[str, int]] = {}
-    stats: Dict[str, int] = {}
-    rollup: Optional[RollupStore] = None
+    run = run_device_world(scenario, scenario.plan(seed), seed,
+                           device_index, cluster_nodes=cluster_nodes)
     with open(path, "wb") as handle:
-        for device_index in range(device_lo, device_hi):
-            run = run_device_world(scenario, plan, seed, device_index,
-                                   cluster_nodes=cluster_nodes)
-            count += write_records(handle, run.records, sha)
-            _merge_counts(counts, run.counts)
-            _merge_stats(stats, run.stats)
-            if rollup is None:
-                rollup = run.rollup
-            elif run.rollup is not None:
-                rollup.merge(run.rollup)
-    return (device_lo, count, sha.hexdigest(), counts, stats,
-            pack_shard_part(rollup) if rollup is not None else None)
+        count = write_records(handle, run.records)
+    return (device_index, count, run.counts, run.stats,
+            pack_shard_part(run.rollup) if run.rollup is not None
+            else None)
 
 
 @dataclass
@@ -422,7 +404,7 @@ class ChaosRunner:
         for stale in list_shards(shard_dir):
             os.remove(stale)
         devices = self.scenario.devices()
-        tasks = [(self.scenario.name, self.seed, index, index + 1,
+        tasks = [(self.scenario.name, self.seed, index,
                   shard_path(shard_dir, index), self.cluster_nodes)
                  for index in range(len(devices))]
         if self.workers == 1:
@@ -442,8 +424,8 @@ class ChaosRunner:
                              plan=plan, ledger=ledger)
         # Every world's collector store is built on the default config.
         config = RollupConfig()
-        for device_lo, count, _sha, counts, stats, part in outcomes:
-            result.paths.append(shard_path(shard_dir, device_lo))
+        for index, count, counts, stats, part in outcomes:
+            result.paths.append(shard_path(shard_dir, index))
             result.records += count
             ledger.record_counts(counts)
             _merge_stats(result.stats, stats)

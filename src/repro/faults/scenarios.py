@@ -52,7 +52,7 @@ Each preset is designed so the faults leave a *diagnosable* footprint
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
@@ -98,17 +98,11 @@ class Scenario:
     #: Sim-time budget per device world; the no-hang watchdog bound.
     duration_ms: float = 3_600_000.0
     with_backend: bool = False
-    uploader_interval_ms: float = 2_000.0
-    uploader_min_batch: int = 4
-    uploader_ack_timeout_ms: float = 3_000.0
     #: Collector nodes in the cluster tier (0 = classic single
     #: collector; >0 hands the world to ``repro.cluster.runner``).
     cluster_nodes: int = 0
     #: Standby nodes available for ``node_join`` rebalances.
     cluster_standby: int = 0
-    cluster_vnodes: int = 32
-    cluster_heartbeat_ms: float = 1_000.0
-    cluster_miss_threshold: int = 3
     #: Emit the beyond-RTT modality records (throughput / energy from
     #: the relay, AoI from the uploader) -- see docs/MODALITIES.md.
     modalities: bool = False

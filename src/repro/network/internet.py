@@ -9,7 +9,7 @@ tcpdump-style observers record as ground truth.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
 from repro.netstack.ip import IPPacket
 from repro.sim.kernel import Simulator
@@ -71,9 +71,6 @@ class Internet:
         is set (fault-injector driven), so installing one cannot move
         a byte on its own."""
         self._middleboxes.append(middlebox)
-
-    def remove_middlebox(self, middlebox) -> None:
-        self._middleboxes.remove(middlebox)
 
     def add_tap(self, tap: Callable[[str, IPPacket, float], None]) -> None:
         """Register a wire observer (e.g. the tcpdump baseline)."""

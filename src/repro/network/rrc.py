@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.network.link import AccessLink
-from repro.sim.distributions import Constant, Distribution, Normal
+from repro.sim.distributions import Distribution, Normal
 from repro.sim.kernel import Simulator
 
 
@@ -160,16 +160,6 @@ class RrcMachine:
             delay = max(0.0, self._busy_until - now)
         self._last_activity = max(now + delay, self._last_activity)
         return delay
-
-    def dwell_snapshot(self) -> dict:
-        """Dwell accounted up to now, current state included."""
-        self._apply_timers()
-        out = dict(self.dwell)
-        out[self.state] += max(0.0, self.sim.now - self._state_since)
-        return {"idle_ms": out[RrcState.IDLE],
-                "low_ms": out[RrcState.LOW],
-                "high_ms": out[RrcState.HIGH],
-                "tail_ms": self.tail_ms}
 
     @property
     def current_state(self) -> str:

@@ -53,7 +53,7 @@ def _m(name: str, kind: str, unit: str, module: str, help: str,
 
 
 CATALOG: Dict[str, MetricSpec] = dict([
-    # -- relay-wide counters (the old RelayStats bag) ----------------------
+    # -- relay-wide counters -----------------------------------------------
     _m("relay.syn_packets", COUNTER, "packets", "repro.core.main_worker",
        "SYNs captured from the tunnel; each starts a TcpClient."),
     _m("relay.pure_acks_discarded", COUNTER, "packets",

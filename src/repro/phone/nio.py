@@ -33,18 +33,12 @@ class SocketChannel:
         self.socket = device.create_tcp_socket(uid, protected=protected,
                                                ipv6=ipv6)
         self.socket.listener = self._on_socket_event
-        self.blocking = True
         self.selector: Optional["Selector"] = None
         self.key: Optional["SelectionKey"] = None
         # Owner-managed write-pending flag: the paper's "socket write
         # event" is triggered by MopEye placing data in the write buffer.
         self.write_requested = False
         self.connected_event: Optional[Event] = None
-
-    # -- configuration ----------------------------------------------------
-    def configure_blocking(self, blocking: bool) -> "SocketChannel":
-        self.blocking = blocking
-        return self
 
     # -- connect ------------------------------------------------------------
     def connect(self, ip: str, port: int) -> Event:

@@ -146,10 +146,6 @@ class WaitNotifyQueue:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def has_waiter(self) -> bool:
-        return self._waiter is not None
-
     def put(self, item: Any) -> Event:
         """Enqueue; the returned event triggers when the producer may
         continue (i.e. after its enqueue + notify cost)."""

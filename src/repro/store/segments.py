@@ -123,12 +123,6 @@ class ReadStats:
     cache_hits: int = 0
     cache_misses: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {"blocks_read": self.blocks_read,
-                "blocks_pruned": self.blocks_pruned,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses}
-
     def delta_since(self, other: "ReadStats") -> "ReadStats":
         return ReadStats(
             blocks_read=self.blocks_read - other.blocks_read,

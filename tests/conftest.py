@@ -126,6 +126,35 @@ def campaign_store():
     return campaign.run()
 
 
+def fleet_store(isp, devices, connects, seed):
+    """The fleet validation: ``devices`` phones on one ISP profile,
+    each running the catalog's first four apps through the chaos
+    world (no faults), so the packet-level relay can be held to the
+    statistical campaign drawn from the same profiles."""
+    from repro.core.records import MeasurementStore
+    from repro.crowd.appcatalog import build_catalog
+    from repro.faults.chaos import run_device_world
+    from repro.faults.scenarios import (Scenario, ScenarioApp,
+                                        ScenarioOperator)
+    apps = tuple(
+        ScenarioApp(app.package, domain.domain,
+                    (domain.path_median_ms + isp.core_penalty_ms) / 2.0,
+                    domain.path_sigma)
+        for app in build_catalog(n_longtail=0).apps[:4]
+        for domain in app.domains[:1])
+    operator = ScenarioOperator(isp.name, isp.network_type,
+                                isp.access_median_ms / 2.0,
+                                isp.access_sigma, devices=devices)
+    scenario = Scenario(name="fleet", description="fleet validation",
+                        operators=(operator,), apps=apps, events=(),
+                        connects=connects, think_ms=(50.0, 400.0))
+    store = MeasurementStore()
+    for index in range(devices):
+        store.extend(run_device_world(scenario, scenario.plan(seed),
+                                      seed, index).records)
+    return store
+
+
 @pytest.fixture(scope="session")
 def chaos_world(tmp_path_factory):
     """``chaos_world(name, seed=7, workers=1)``: one ``ChaosResult``

@@ -72,13 +72,12 @@ class TestCompareStores:
     def test_fleet_vs_campaign_agreement(self, campaign_store):
         """The mechanical fleet tracks the statistical campaign for the
         matching slice (WiFi DNS, USA)."""
-        from repro.crowd.fleet import FleetRunner, default_fleet
         from repro.crowd.isps import wifi_profile_for
-        fleet_store = FleetRunner().run(
-            default_fleet(wifi_profile_for("USA"), n_devices=3,
-                          connects=20))
+        from tests.conftest import fleet_store
+        fleet = fleet_store(wifi_profile_for("USA"), devices=3,
+                            connects=20, seed=7)
         campaign_slice = campaign_store.dns().for_network_type("WIFI")
-        result = compare_stores(fleet_store.dns(), campaign_slice,
+        result = compare_stores(fleet.dns(), campaign_slice,
                                 kinds=("DNS",))
         # Same calibrated median (within 40 %); distributions overlap
         # substantially (KS below 0.45 -- shapes differ in the tails).

@@ -89,14 +89,14 @@ class TestTcpRelay:
         result = w.run_process(main(), until=2e6)
         assert result == b""
         assert app.failures == 1
-        assert w.mopeye.stats.connect_failures == 1
+        assert w.mopeye.obs.value("relay.connect_failures") == 1
         assert len(w.mopeye.store.tcp()) == 0  # failures not recorded
 
     def test_pure_acks_discarded_not_relayed(self, mopeye_world):
         w = mopeye_world
         app = App(w.device, "com.example.app")
         w.run_process(app.request("93.184.216.34", 80, b"x\n"))
-        assert w.mopeye.stats.pure_acks_discarded >= 1
+        assert w.mopeye.obs.value("relay.pure_acks_discarded") >= 1
 
     def test_fin_half_close_completes(self, mopeye_world):
         w = mopeye_world

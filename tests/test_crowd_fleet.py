@@ -5,22 +5,21 @@ This is the test that justifies DESIGN.md's substitution: the crowd
 analyses run over statistically synthesised records, and here we show
 that mechanically relaying real packets through MopEye on devices built
 from the *same* ISP/domain profiles produces compatible distributions.
+The devices are chaos worlds without faults (``conftest.fleet_store``).
 """
 
 import statistics
 
 import pytest
 
-from repro.crowd.fleet import FleetRunner, FleetSpec, default_fleet
 from repro.crowd.isps import isp_by_name, wifi_profile_for
-from repro.network.link import NetworkType
+from tests.conftest import fleet_store
 
 
 @pytest.fixture(scope="module")
 def wifi_fleet_store():
-    isp = wifi_profile_for("USA")
-    runner = FleetRunner()
-    return runner.run(default_fleet(isp, n_devices=4, connects=20))
+    return fleet_store(wifi_profile_for("USA"), devices=4, connects=20,
+                       seed=7)
 
 
 class TestFleetMechanics:
@@ -30,8 +29,8 @@ class TestFleetMechanics:
 
     def test_records_tagged_with_fleet_identity(self, wifi_fleet_store):
         devices = wifi_fleet_store.unique(lambda r: r.device_id)
-        assert devices == {"fleet-00", "fleet-01", "fleet-02",
-                           "fleet-03"}
+        assert devices == {"chaos-wifi-usa-00", "chaos-wifi-usa-01",
+                           "chaos-wifi-usa-02", "chaos-wifi-usa-03"}
 
     def test_apps_attributed(self, wifi_fleet_store):
         packages = wifi_fleet_store.tcp().unique(
@@ -75,11 +74,8 @@ class TestFleetVsCampaign:
     def test_jio_core_penalty_visible_mechanically(self):
         """A mechanical Jio LTE fleet shows the Case-2 signature:
         slow app path, fast DNS."""
-        jio = isp_by_name("Jio 4G")
-        runner = FleetRunner()
-        store = runner.run(default_fleet(jio, n_devices=2,
-                                         network_type=NetworkType.LTE,
-                                         connects=15, seed=31))
+        store = fleet_store(isp_by_name("Jio 4G"), devices=2,
+                            connects=15, seed=31)
         app_median = statistics.median(store.tcp().rtts())
         dns_median = statistics.median(store.dns().rtts())
         assert app_median > 2.5 * dns_median

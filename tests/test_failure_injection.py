@@ -185,7 +185,7 @@ class TestServiceLifecycleFailures:
                                      "93.184.216.34"))
         mopeye.tun.inject_outgoing(packet)
         world.run(until=5000)
-        assert mopeye.stats.orphan_packets == 1
+        assert mopeye.obs.value("relay.orphan_packets") == 1
 
 
 class TestMapperEdgeCases:

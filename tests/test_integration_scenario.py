@@ -122,9 +122,9 @@ class TestDayInTheLife:
         """After the day, no connections linger and counters are
         consistent."""
         assert len(day.mopeye.clients) <= 1  # video may be in teardown
-        stats = day.mopeye.stats
-        assert stats.parse_errors == 0
-        assert stats.state_errors == 0
+        obs = day.mopeye.obs
+        assert obs.value("relay.parse_errors") == 0
+        assert obs.value("relay.state_errors") == 0
 
     def test_battery_and_cpu_accounting_sane(self, day):
         elapsed = day.sim.now - day.mopeye.started_at

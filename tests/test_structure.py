@@ -15,11 +15,20 @@ RULES = {
         r"shardmerge|MODALITY_UNITS"
         r"|(MODALITY|SUBJECT_MAJOR|WINDOWED)_TABLES = \(",
         ("src", "tools")),
-    # One device world and no JSON state file.
+    # One device world (faults/chaos.py's run_device_world, which the
+    # fleet validation runs too), no relay-stats view beside the
+    # registry, and no JSON state file.
     "one-device-world": (
         r"from_snapshot|RollupStore\.load|run_cluster_device_world"
-        r"|serve .*--state",
+        r"|serve .*--state"
+        r"|FleetRunner|FleetSpec|default_fleet|RelayStats",
         ("src", "tools", "docs", "README.md")),
+    # The crowd package synthesises records; it builds no phone and no
+    # network of its own.
+    "crowd-builds-no-world": (
+        r"MopEyeService|AndroidDevice|from repro\.phone"
+        r"|from repro\.network import",
+        ("src/repro/crowd",)),
     # One histogram, the rollups' MergeHist: no second sketch family.
     "one-histogram": (
         r"P2Quantile|ReservoirSample|StreamingCDF|StreamingGroups",
