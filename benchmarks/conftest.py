@@ -18,5 +18,15 @@ def crowd_store():
 
 
 @pytest.fixture(scope="session")
+def crowd_rollups(crowd_store):
+    """``crowd_store`` folded into rollups, as a collector would serve
+    it: what the Case 1 and Case 2 benches diagnose."""
+    from repro.backend.rollups import RollupStore
+    rollups = RollupStore()
+    rollups.add_all(crowd_store)
+    return rollups
+
+
+@pytest.fixture(scope="session")
 def bench_scale():
     return BENCH_SCALE

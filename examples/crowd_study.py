@@ -16,11 +16,10 @@ from repro.analysis import (
     country_distribution,
     format_table,
     isp_dns_table,
-    jio_analysis,
     measurements_per_app,
     measurements_per_user,
     representative_app_table,
-    whatsapp_analysis,
+    rules,
 )
 from repro.analysis.coverage import dataset_statistics
 from repro.analysis.dnsperf import dns_medians
@@ -28,6 +27,8 @@ from repro.analysis.perapp import (
     raw_rtt_medians,
     representative_packages_table_spec,
 )
+from repro.backend import (ChatDomainDegradationRule, RollupStore,
+                           isp_summary)
 from repro.crowd import Campaign, CampaignConfig
 
 
@@ -74,15 +75,20 @@ def main(scale: float = 0.02) -> None:
         [[r["isp"], r["country"], r["count"], r["median_ms"]]
          for r in isp_dns_table(store)]))
 
+    # The case studies read the rollups a collector would serve.
+    rollups = RollupStore()
+    rollups.add_all(store)
+
     print("\n== Case 1: Whatsapp ==")
-    whatsapp = whatsapp_analysis(store, scale=scale)
+    whatsapp = ChatDomainDegradationRule().summarise(
+        rollups, rules.WHATSAPP_SUFFIX, scale)
     print("  chat-domain median %.0f ms (paper 261), CDN median "
           "%.0f ms, app median %.0f ms (paper 133)"
           % (whatsapp["chat_median_ms"], whatsapp["cdn_median_ms"],
              whatsapp["app_median_ms"]))
 
     print("\n== Case 2: Jio ==")
-    jio = jio_analysis(store, scale=scale, min_domain_count=50)
+    jio = isp_summary(rollups, "Jio 4G", scale, min_domain_count=50)
     print("  app median %.0f ms (paper 281) vs DNS median %.0f ms "
           "(paper 59); %d/%d domains faster on non-Jio LTE by "
           "%.0f ms on average (paper 63/71 by 138 ms)"

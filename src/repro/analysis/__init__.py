@@ -35,14 +35,6 @@ from repro.analysis.dnsperf import (
     isp_dns_cdfs,
     isp_dns_table,
 )
-from repro.analysis.casestudies import jio_analysis, whatsapp_analysis
-from repro.analysis.diagnosis import (
-    Finding,
-    Verdict,
-    diagnose_all,
-    diagnose_app,
-    diagnose_operator,
-)
 from repro.analysis.asciiplot import (
     render_bars,
     render_cdf,
@@ -70,16 +62,11 @@ from repro.analysis.validation import (
 )
 
 __all__ = [
-    "Finding",
-    "Verdict",
     "app_rtt_cdfs",
     "dataset_statistics",
     "fold_rtts",
     "folded_dns_medians",
     "folded_rtt_medians",
-    "diagnose_all",
-    "diagnose_app",
-    "diagnose_operator",
     "render_bars",
     "render_cdf",
     "render_histogram",
@@ -101,7 +88,6 @@ __all__ = [
     "fraction_below",
     "isp_dns_cdfs",
     "isp_dns_table",
-    "jio_analysis",
     "load_trace",
     "location_scatter",
     "measurements_per_app",
@@ -113,5 +99,4 @@ __all__ = [
     "render_time_budget",
     "representative_app_table",
     "time_budget",
-    "whatsapp_analysis",
 ]

@@ -1,12 +1,15 @@
 """Shared case-study rule logic (section 4.2.2).
 
-The offline analyses (:mod:`repro.analysis.casestudies`) and the
-backend's online detector (:mod:`repro.backend.detector`) must agree on
-what *counts* as each case study: how WhatsApp domains split into chat
-vs CDN, which latency bands the paper's tables use, and the thresholds
-that turn summary numbers into a verdict.  That logic lives here, once,
-imported by both sides -- so a threshold tweak cannot desynchronise the
-offline store-based analysis from the streaming backend.
+The one diagnosis (:mod:`repro.backend.detector`: its rules, its case
+summaries and ``diagnose_*``) reads a ``RollupStore``; what *counts* as
+each finding is decided here: how WhatsApp domains split into chat vs
+CDN, which latency bands the paper's tables use, and the thresholds
+and verdict functions that turn summary numbers into a verdict.  The
+faults package's ledger checks use the same functions.
+
+Every median fed in is a rollup median, ``MergeHist.median()``: the
+*lower* median -- the ceil(n/2)-th smallest value, interpolated inside
+its 0.25 ms bin -- not the mean of the two middle values.
 
 This module imports nothing above the standard library: it is safe to
 use from any layer.
@@ -186,6 +189,41 @@ def isp_anomaly_verdict(app_median_ms: float, dns_median_ms: float,
     return True
 
 
+# -- per-subject diagnosis: one app or operator against its peers -----------
+
+#: A subject is slow when its median exceeds its peers' by this factor.
+SLOW_FACTOR = 1.6
+
+
+class Verdict:
+    HEALTHY = "HEALTHY"
+    SERVER_SIDE = "SERVER_SIDE"      # app's servers are far/slow
+    CORE_NETWORK = "CORE_NETWORK"    # ISP core (Jio pattern)
+    ACCESS_NETWORK = "ACCESS_NETWORK"  # radio/first hop (2G pattern)
+    INSUFFICIENT_DATA = "INSUFFICIENT_DATA"
+
+
+def app_verdict(app_median_ms: float, peer_median_ms: float) -> str:
+    """An app slow beside its peers is slow at its servers (the
+    Whatsapp/SoftLayer pattern)."""
+    if app_median_ms <= SLOW_FACTOR * peer_median_ms:
+        return Verdict.HEALTHY
+    return Verdict.SERVER_SIDE
+
+
+def operator_verdict(app_median_ms: float, peer_app_median_ms: float,
+                     dns_median_ms: float,
+                     peer_dns_median_ms: float) -> str:
+    """Case 2's recipe against the other operators: app and DNS RTT
+    both slow is the access network (the 2G pattern); app RTT slow,
+    DNS normal is the core network (the Jio pattern)."""
+    if app_median_ms <= SLOW_FACTOR * peer_app_median_ms:
+        return Verdict.HEALTHY
+    if dns_median_ms > SLOW_FACTOR * peer_dns_median_ms:
+        return Verdict.ACCESS_NETWORK
+    return Verdict.CORE_NETWORK
+
+
 __all__ = [
     "CDN",
     "CHAT",
@@ -203,8 +241,11 @@ __all__ = [
     "PROXY_DIVERGENCE_RATIO",
     "PROXY_MIN_APP_SAMPLES",
     "PROXY_MIN_GAP_MS",
+    "SLOW_FACTOR",
+    "Verdict",
     "WHATSAPP_CDN_PREFIXES",
     "WHATSAPP_SUFFIX",
+    "app_verdict",
     "chat_degradation_verdict",
     "coexistence_verdict",
     "domain_matches_suffix",
@@ -212,5 +253,6 @@ __all__ = [
     "jio_domain_bands",
     "proxy_divergence_verdict",
     "network_band",
+    "operator_verdict",
     "whatsapp_domain_class",
 ]

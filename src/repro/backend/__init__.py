@@ -10,7 +10,8 @@ validated and deduplicated by
 windowed mergeable histograms
 (:class:`~repro.backend.rollups.RollupStore`), scanned by the
 :class:`~repro.backend.detector.OnlineDetector` for the section 4.2.2
-case studies, and served by :mod:`repro.backend.query`.
+case studies (the one diagnosis: the chaos oracles' ``diagnose_*``
+read the same rollups), and served by :mod:`repro.backend.query`.
 
 Determinism contract: rollup state is integer-only and merging is
 commutative, so the rollup digest is byte-identical across ingest
@@ -20,9 +21,14 @@ dataset digest meets.
 
 from repro.backend.detector import (
     ChatDomainDegradationRule,
+    Diagnosis,
     Finding,
     IspRttAnomalyRule,
     OnlineDetector,
+    diagnose_all,
+    diagnose_app,
+    diagnose_operator,
+    isp_summary,
 )
 from repro.backend.ingest import (
     BatchOutcome,
@@ -43,6 +49,7 @@ __all__ = [
     "BackendServer",
     "BatchOutcome",
     "ChatDomainDegradationRule",
+    "Diagnosis",
     "Finding",
     "IngestLoadModel",
     "IngestPipeline",
@@ -52,6 +59,10 @@ __all__ = [
     "RollupConfig",
     "RollupStore",
     "TokenBucket",
+    "diagnose_all",
+    "diagnose_app",
+    "diagnose_operator",
     "ingest_shard_files",
+    "isp_summary",
     "parse_batch_lines",
 ]

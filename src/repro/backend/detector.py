@@ -1,25 +1,27 @@
-"""Online re-derivation of the section 4.2.2 case studies.
+"""The one diagnosis: the section 4.2.2 recipe over a ``RollupStore``.
 
-The offline analyses discovered two stories in the collected data:
-WhatsApp's SoftLayer chat domains underperforming in most networks
-(Case 1), and Jio's LTE serving apps slowly while its DNS stays fast
-(Case 2).  The detector re-derives both from the backend's *live
-rollups* -- no raw records -- using the same taxonomy and thresholds
-(:mod:`repro.analysis.rules`) as the offline code, so the two paths
-cannot disagree about what constitutes a finding.
+Everything here reads the rollups the backend serves, through
+``fold``, ``table`` and ``iter_table`` -- never a side copy of the
+records -- and judges them with :mod:`repro.analysis.rules`:
 
-Rules are generic, not hard-coded to the paper's subjects: the chat
-rule fires for any configured watch suffix whose non-CDN domains
-degrade, and the ISP rule scans *every* LTE operator for the
-slow-app/fast-DNS signature corroborated by cross-ISP comparison.
+* the :class:`OnlineDetector`'s rules: Case 1
+  (:meth:`ChatDomainDegradationRule.summarise`), Case 2
+  (:func:`isp_summary`), coexistence and proxy divergence.  They are
+  generic: the chat rule fires for any watch suffix whose non-CDN
+  domains degrade, the ISP rule scans *every* LTE operator;
+* :func:`diagnose_app`, :func:`diagnose_operator` and
+  :func:`diagnose_all`: one subject against the merge of its peers,
+  localised to the app's servers, the ISP's core or the access
+  network.  The chaos oracles (``repro.faults``) judge these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis import rules
+from repro.analysis.rules import Verdict
 from repro.core.records import MeasurementKind
 from repro.network.link import NetworkType
 from repro.obs import Observability, get_default
@@ -41,7 +43,7 @@ class Finding:
                 "summary": self.summary}
 
 
-def _merged(hists: List[MergeHist]) -> MergeHist:
+def _merged(hists: Iterable[MergeHist]) -> MergeHist:
     out = MergeHist()
     for hist in hists:
         out.merge(hist)
@@ -53,17 +55,16 @@ class ChatDomainDegradationRule:
     networks while its CDN-class domains stay fast."""
 
     name = "chat_domain_degradation"
-
-    def __init__(self, min_network_count: int = 100,
-                 top_networks: int = 20) -> None:
-        self.min_network_count = min_network_count
-        self.top_networks = top_networks
+    #: A network ranks with this many full-scale chat samples; the
+    #: bands count the most-accessed of those.
+    min_network_count = 100
+    top_networks = 20
 
     def evaluate(self, rollups: RollupStore, scale: float
                  ) -> List[Finding]:
         findings: List[Finding] = []
         for suffix in rollups.config.watch_suffixes:
-            summary = self._summarise(rollups, suffix, scale)
+            summary = self.summarise(rollups, suffix, scale)
             if summary is None:
                 continue
             if summary["degraded"]:
@@ -73,36 +74,32 @@ class ChatDomainDegradationRule:
                     summary=summary))
         return findings
 
-    def _summarise(self, rollups: RollupStore, suffix: str,
-                   scale: float) -> Optional[Dict[str, object]]:
-        chat_hists = {
-            domain: hist for (domain,), hist in rollups.fold(
-                "watch_domain", by=("domain",), suffix=suffix,
-                domain_class=rules.CHAT).items()}
+    def summarise(self, rollups: RollupStore, suffix: str,
+                  scale: float) -> Optional[Dict[str, object]]:
+        """Case 1's talking points for one watch suffix: the chat and
+        CDN medians, how many chat domains have a median over 200 ms,
+        and the per-network bands over the most-accessed networks.
+        ``None`` when the suffix has no chat-class sample."""
+        domains = rollups.fold("watch_domain", by=("domain_class", "domain"),
+                               suffix=suffix)
+        chat_hists = {domain: hist for (cls, domain), hist
+                      in domains.items() if cls == rules.CHAT}
         if not chat_hists:
             return None
 
-        chat_all = _merged(list(chat_hists.values()))
-        cdn_all = _merged([
-            hist for (cls,), hist in rollups.fold(
-                "watch_domain", by=("domain_class",),
-                suffix=suffix).items()
-            if cls != rules.CHAT])
+        chat_all = _merged(chat_hists.values())
+        cdn_all = _merged(hist for (cls, _), hist in domains.items()
+                          if cls != rules.CHAT)
         chat_median = chat_all.median()
         cdn_median = cdn_all.median() if cdn_all.count else None
 
         # Every observed chat domain counts, however few its samples:
-        # the offline analysis does the same, and at full scale the
-        # paper's 331-domain population dominates either way.
-        domain_medians = {domain: hist.median()
-                          for domain, hist in chat_hists.items()}
-        over_200 = sum(1 for m in domain_medians.values()
-                       if m > rules.CHAT_DEGRADED_MEDIAN_MS)
-        over_200_share = (over_200 / len(domain_medians)
-                          if domain_medians else 0.0)
+        # at full scale the paper's 331-domain population dominates.
+        over_200 = sum(1 for hist in chat_hists.values()
+                       if hist.median() > rules.CHAT_DEGRADED_MEDIAN_MS)
+        over_200_share = over_200 / len(chat_hists)
 
-        # Per-network medians over the chat class (the 20-network
-        # table).
+        # Per-network chat medians (the 20-network table).
         per_network = rollups.fold(
             "watch_network", by=("operator", "network_type"),
             suffix=suffix, domain_class=rules.CHAT)
@@ -119,11 +116,13 @@ class ChatDomainDegradationRule:
 
         return {
             "suffix": suffix,
+            "total_domains": len(domains),
             "chat_domains": len(chat_hists),
             "chat_median_ms": chat_median,
             "cdn_median_ms": cdn_median,
+            "app_median_ms": _merged((chat_all, cdn_all)).median(),
             "chat_domains_over_200ms": over_200,
-            "chat_domain_count_with_median": len(domain_medians),
+            "chat_domain_count_with_median": len(chat_hists),
             "over_200_share": over_200_share,
             "network_bands": bands,
             "networks_ranked": len(ranked),
@@ -132,92 +131,94 @@ class ChatDomainDegradationRule:
         }
 
 
+def _lte_rows(rollups: RollupStore):
+    """LTE hists per (operator, kind), and per operator by domain."""
+    networks = rollups.fold("network", by=("operator", "kind"),
+                            network_type=NetworkType.LTE)
+    domains: Dict[str, Dict[str, MergeHist]] = {}
+    for (domain, operator), hist in rollups.iter_table("lte_domain"):
+        domains.setdefault(operator, {})[domain] = hist
+    return networks, domains
+
+
+def isp_summary(rollups: RollupStore, operator: str, scale: float,
+                min_domain_count: int = 100
+                ) -> Optional[Dict[str, object]]:
+    """Case 2 for one LTE operator: its app and DNS medians, the bands
+    of its per-domain medians, and how many of those domains are
+    faster on the other LTE operators (merged), by how much.  A domain
+    counts with ``min_domain_count * scale`` samples on either side.
+    ``None`` when the operator has no LTE app or DNS sample."""
+    return _isp_summary(*_lte_rows(rollups), operator, scale,
+                        min_domain_count)
+
+
+def _isp_summary(networks, domains, operator: str, scale: float,
+                 min_domain_count: int) -> Optional[Dict[str, object]]:
+    app_hist = networks.get((operator, MeasurementKind.TCP))
+    dns_hist = networks.get((operator, MeasurementKind.DNS))
+    if app_hist is None or dns_hist is None:
+        return None
+    app_median, dns_median = app_hist.median(), dns_hist.median()
+    min_count = min_domain_count * scale
+    domain_medians = {domain: hist.median() for domain, hist
+                      in domains.get(operator, {}).items()
+                      if hist.count >= min_count}
+    comparable = faster_elsewhere = 0
+    gap_sum = 0.0
+    for domain in sorted(domain_medians):
+        other = _merged(rows[domain] for other_op, rows in domains.items()
+                        if other_op != operator and domain in rows)
+        if other.count < min_count:
+            continue
+        comparable += 1
+        gap = domain_medians[domain] - other.median()
+        if gap > 0:
+            faster_elsewhere += 1
+            gap_sum += gap
+    mean_gap = gap_sum / faster_elsewhere if faster_elsewhere else 0.0
+    return {
+        "operator": operator,
+        "app_median_ms": app_median,
+        "dns_median_ms": dns_median,
+        "app_rtt_count": app_hist.count,
+        "domains_analysed": len(domain_medians),
+        "domain_bands": rules.jio_domain_bands(domain_medians.values()),
+        "comparable_domains": comparable,
+        "domains_faster_elsewhere": faster_elsewhere,
+        "mean_gap_ms": mean_gap,
+        "anomalous": rules.isp_anomaly_verdict(
+            app_median, dns_median, comparable, faster_elsewhere,
+            mean_gap),
+    }
+
+
 class IspRttAnomalyRule:
     """Case 2: an LTE operator whose app RTT median far exceeds its
     DNS median, with the same domains faster on other LTE networks."""
 
     name = "isp_rtt_anomaly"
-
-    def __init__(self, min_domain_count: int = 100,
-                 min_samples: int = 500) -> None:
-        self.min_domain_count = min_domain_count
-        self.min_samples = min_samples
+    #: Full-scale sample floors: a domain's, and an operator's LTE
+    #: app RTTs'.
+    min_domain_count = 100
+    min_samples = 500
 
     def evaluate(self, rollups: RollupStore, scale: float
                  ) -> List[Finding]:
-        # LTE hists per operator, merged across windows.
-        app = rollups.fold("network", by=("operator",),
-                           network_type=NetworkType.LTE,
-                           kind=MeasurementKind.TCP)
-        dns = rollups.fold("network", by=("operator",),
-                           network_type=NetworkType.LTE,
-                           kind=MeasurementKind.DNS)
-        lte_domains = rollups.table("lte_domain")
-        min_count = self.min_domain_count * scale
-        min_samples = self.min_samples * scale
-
-        # Per-operator per-domain hists, one pass over the table.
-        by_operator: Dict[str, Dict[str, MergeHist]] = {}
-        for key in sorted(lte_domains):
-            domain, operator = key
-            by_operator.setdefault(operator, {})[domain] = \
-                lte_domains[key]
-
+        networks, domains = _lte_rows(rollups)
         findings: List[Finding] = []
-        for (operator,), app_hist in sorted(app.items()):
-            dns_hist = dns.get((operator,))
-            if dns_hist is None or app_hist.count < min_samples:
+        for (operator, kind), app_hist in sorted(networks.items()):
+            if kind != MeasurementKind.TCP \
+                    or app_hist.count < self.min_samples * scale:
                 continue
-            app_median = app_hist.median()
-            dns_median = dns_hist.median()
-
-            domains = by_operator.get(operator, {})
-            domain_medians = {
-                domain: hist.median()
-                for domain, hist in domains.items()
-                if hist.count >= min_count}
-
-            comparable = 0
-            faster_elsewhere = 0
-            gap_sum = 0.0
-            for domain in sorted(domain_medians):
-                other = MergeHist()
-                for other_op, other_domains in by_operator.items():
-                    if other_op == operator:
-                        continue
-                    hist = other_domains.get(domain)
-                    if hist is not None:
-                        other.merge(hist)
-                if other.count < min_count:
-                    continue
-                comparable += 1
-                gap = domain_medians[domain] - other.median()
-                if gap > 0:
-                    faster_elsewhere += 1
-                    gap_sum += gap
-            mean_gap = (gap_sum / faster_elsewhere
-                        if faster_elsewhere else 0.0)
-
-            if rules.isp_anomaly_verdict(app_median, dns_median,
-                                         comparable, faster_elsewhere,
-                                         mean_gap):
+            summary = _isp_summary(networks, domains, operator, scale,
+                                   self.min_domain_count)
+            if summary is not None and summary["anomalous"]:
                 findings.append(Finding(
                     rule=self.name,
                     subject="%s/%s" % (operator, NetworkType.LTE),
                     detected_at_records=rollups.records,
-                    summary={
-                        "operator": operator,
-                        "app_median_ms": app_median,
-                        "dns_median_ms": dns_median,
-                        "app_rtt_count": app_hist.count,
-                        "domains_analysed": len(domain_medians),
-                        "domain_bands": rules.jio_domain_bands(
-                            domain_medians.values()),
-                        "comparable_domains": comparable,
-                        "domains_faster_elsewhere": faster_elsewhere,
-                        "mean_gap_ms": mean_gap,
-                        "anomalous": True,
-                    }))
+                    summary=summary))
         return findings
 
 
@@ -319,31 +320,17 @@ class ProxyDivergenceRule:
 
 
 class OnlineDetector:
-    """Periodically evaluates the rules against live rollups and keeps
-    the earliest detection per (rule, subject)."""
+    """Evaluates the rules against live rollups and keeps the earliest
+    detection per (rule, subject)."""
 
     def __init__(self, rollups: RollupStore, scale: float = 1.0,
-                 check_interval_records: int = 50_000,
-                 obs: Optional[Observability] = None,
-                 rules_: Optional[List[object]] = None) -> None:
+                 obs: Optional[Observability] = None) -> None:
         self.rollups = rollups
         self.scale = scale
-        self.check_interval_records = check_interval_records
         self.obs = obs or get_default()
-        self.rules = rules_ if rules_ is not None else [
-            ChatDomainDegradationRule(), IspRttAnomalyRule(),
-            CoexistenceRule(), ProxyDivergenceRule()]
+        self.rules = [ChatDomainDegradationRule(), IspRttAnomalyRule(),
+                      CoexistenceRule(), ProxyDivergenceRule()]
         self.findings: Dict[Tuple[str, str], Finding] = {}
-        self._next_check = check_interval_records
-
-    def maybe_evaluate(self) -> List[Finding]:
-        """Cheap gate for the streaming path: evaluate only every
-        ``check_interval_records`` ingested records."""
-        if self.rollups.records < self._next_check:
-            return []
-        while self._next_check <= self.rollups.records:
-            self._next_check += self.check_interval_records
-        return self.evaluate()
 
     def evaluate(self) -> List[Finding]:
         """Run every rule now; returns findings new to this run."""
@@ -363,3 +350,112 @@ class OnlineDetector:
     def report(self) -> List[Dict[str, object]]:
         return [self.findings[key].to_dict()
                 for key in sorted(self.findings)]
+
+
+# -- per-subject diagnosis ----------------------------------------------
+
+@dataclass
+class Diagnosis:
+    """One app or operator judged against its peers."""
+    subject: str                  # app package or operator name
+    kind: str                     # "app" | "operator"
+    verdict: str
+    median_ms: Optional[float] = None
+    baseline_ms: Optional[float] = None
+    evidence: List[str] = field(default_factory=list)
+
+    @property
+    def slowdown(self) -> Optional[float]:
+        if self.median_ms is None or not self.baseline_ms:
+            return None
+        return self.median_ms / self.baseline_ms
+
+
+def _apps(rollups: RollupStore) -> Dict[Tuple[str, ...], MergeHist]:
+    return rollups.fold("app", by=("app_package",),
+                        kind=MeasurementKind.TCP)
+
+
+def _networks(rollups: RollupStore) -> Dict[Tuple[str, ...], MergeHist]:
+    return rollups.fold("network",
+                        by=("operator", "network_type", "kind"))
+
+
+def diagnose_app(rollups: RollupStore, package: str,
+                 min_samples: int = 30) -> Diagnosis:
+    """Localise an app's slowness: its median connect RTT against the
+    merge of every other app's.  A slow app whose peers are fast has a
+    server-side problem -- its servers are far from users (the
+    Whatsapp/SoftLayer pattern)."""
+    return _diagnose_app(_apps(rollups), package, min_samples)
+
+
+def _diagnose_app(apps, package: str, min_samples: int) -> Diagnosis:
+    app = apps.get((package,))
+    peers = _merged(hist for key, hist in apps.items()
+                    if key != (package,))
+    if app is None or app.count < min_samples or not peers.count:
+        return Diagnosis(package, "app", Verdict.INSUFFICIENT_DATA)
+    median, peer_median = app.median(), peers.median()
+    return Diagnosis(
+        package, "app", rules.app_verdict(median, peer_median),
+        median_ms=median, baseline_ms=peer_median,
+        evidence=["median %.0f ms vs %.0f ms for other apps (%.1fx)"
+                  % (median, peer_median, median / peer_median)])
+
+
+def diagnose_operator(rollups: RollupStore, operator: str,
+                      min_samples: int = 30) -> Diagnosis:
+    """Localise an operator's slowness with the Case 2 recipe: its app
+    and DNS medians against the merge of every other operator on the
+    network types it was measured on
+    (:func:`repro.analysis.rules.operator_verdict`)."""
+    return _diagnose_operator(_networks(rollups), operator, min_samples)
+
+
+_OPERATOR_EVIDENCE = {
+    Verdict.HEALTHY: "in line with peers",
+    Verdict.ACCESS_NETWORK: "both inflated: first hop / radio",
+    Verdict.CORE_NETWORK: "local DNS is fast, the core path is not -- "
+                          "the Jio pattern",
+}
+
+
+def _diagnose_operator(networks, operator: str,
+                       min_samples: int) -> Diagnosis:
+    tcp, dns = MeasurementKind.TCP, MeasurementKind.DNS
+    types = {tech for op, tech, _ in networks if op == operator}
+    own = {tcp: MergeHist(), dns: MergeHist()}
+    peer = {tcp: MergeHist(), dns: MergeHist()}
+    for (op, tech, kind), hist in networks.items():
+        if kind in own and tech in types:
+            (own if op == operator else peer)[kind].merge(hist)
+    if own[tcp].count < min_samples or own[dns].count < min_samples // 3 \
+            or not peer[tcp].count or not peer[dns].count:
+        return Diagnosis(operator, "operator", Verdict.INSUFFICIENT_DATA)
+    medians = (own[tcp].median(), peer[tcp].median(), own[dns].median(),
+               peer[dns].median())
+    verdict = rules.operator_verdict(*medians)
+    return Diagnosis(
+        operator, "operator", verdict, median_ms=medians[0],
+        baseline_ms=medians[1],
+        evidence=["app RTT %.0f ms (peers %.0f ms), DNS RTT %.0f ms "
+                  "(peers %.0f ms): " % medians
+                  + _OPERATOR_EVIDENCE[verdict]])
+
+
+def diagnose_all(rollups: RollupStore, min_samples: int = 200,
+                 top: int = 20) -> List[Diagnosis]:
+    """Sweep apps and operators; return the non-healthy diagnoses
+    ranked by slowdown factor."""
+    apps, networks = _apps(rollups), _networks(rollups)
+    # "unknown" is what the rollups key a record without a package by.
+    subjects = [_diagnose_app(apps, package, min_samples)
+                for (package,), hist in apps.items()
+                if package != "unknown" and hist.count >= min_samples]
+    subjects += [_diagnose_operator(networks, operator, min_samples)
+                 for operator in sorted({op for op, _, _ in networks})]
+    found = [d for d in subjects if d.verdict not in (
+        Verdict.HEALTHY, Verdict.INSUFFICIENT_DATA)]
+    found.sort(key=lambda d: -(d.slowdown or 0))
+    return found[:top]

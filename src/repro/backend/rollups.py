@@ -215,6 +215,9 @@ class MergeHist:
         return self.quantile_indices((q,))[0] * BIN_WIDTH_MS
 
     def median(self) -> float:
+        """The *lower* median -- the ceil(n/2)-th smallest value, read
+        inside its bin, so within one ``BIN_WIDTH_MS`` of it -- not
+        the mean of the two middle values."""
         return self.quantile(0.5)
 
     def merge(self, other: "MergeHist") -> None:

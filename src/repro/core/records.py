@@ -227,12 +227,6 @@ class MeasurementStore:
     def for_operator(self, operator: str) -> "MeasurementStore":
         return self.filter(lambda r: r.operator == operator)
 
-    def for_domain_suffix(self, suffix: str) -> "MeasurementStore":
-        suffix = suffix.lstrip("*").lstrip(".")
-        return self.filter(
-            lambda r: r.domain is not None
-            and (r.domain == suffix or r.domain.endswith("." + suffix)))
-
     # -- aggregates -----------------------------------------------------------
     def rtts(self) -> List[float]:
         return [r.rtt_ms for r in self._records]
@@ -249,12 +243,6 @@ class MeasurementStore:
 
     def by_operator(self) -> Dict[str, "MeasurementStore"]:
         return self.group_by(lambda r: r.operator)
-
-    def by_domain(self) -> Dict[Optional[str], "MeasurementStore"]:
-        return self.group_by(lambda r: r.domain)
-
-    def by_device(self) -> Dict[str, "MeasurementStore"]:
-        return self.group_by(lambda r: r.device_id)
 
     def unique(self, key: Callable[[MeasurementRecord], object]) -> set:
         return {key(r) for r in self._records}

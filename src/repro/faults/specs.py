@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import rules
-from repro.analysis.diagnosis import (Finding, Verdict, diagnose_app,
-                                     diagnose_operator)
+from repro.analysis.rules import Verdict
+from repro.backend.detector import (Diagnosis, diagnose_app,
+                                    diagnose_operator)
+from repro.backend.rollups import RollupStore
 from repro.core.records import (FailureKind, MeasurementKind,
-                                MeasurementRecord, MeasurementStore)
+                                MeasurementRecord)
 from repro.crowd.campaign import stable_ip_for_domain
 from repro.faults.ledger import LedgerEntry
 from repro.faults.plan import FaultEvent, FaultKind
@@ -28,6 +30,10 @@ from repro.faults.scenarios import Scenario
 from repro.middlebox.imperfect import install_imperfect_clock
 from repro.network.link import NetworkType
 from repro.phone.download_manager import DownloadManager
+
+#: The diagnosis's sample threshold, scaled for the preset worlds (a
+#: few devices), not the paper's 200-sample crowd threshold.
+MIN_SAMPLES = 12
 
 #: Evidence may trail the fault window (a SYN sent just before the
 #: window closes fails just after it).
@@ -187,12 +193,10 @@ class Evidence:
     """What one chaos run produced, as every row's ``check`` and
     ``explains`` read it."""
     scenario: Scenario
-    store: MeasurementStore
+    rollups: RollupStore
     records: List[MeasurementRecord]
     stats: Dict[str, int]
-    findings: List[Finding]
-    min_samples: int
-    slow_factor: float
+    findings: List[Diagnosis]
 
     def stat(self, name: str, default: int = 0) -> int:
         return self.stats.get(name, default)
@@ -242,9 +246,8 @@ def _check_operator_flagged(ev: Evidence, entry: LedgerEntry):
     not the surviving DNS samples (CORE); a spike inflates both
     (ACCESS)."""
     operator = entry.scope.get("operator")
-    verdict = diagnose_operator(ev.store, operator,
-                                min_samples=ev.min_samples,
-                                slow_factor=ev.slow_factor).verdict
+    verdict = diagnose_operator(ev.rollups, operator,
+                                MIN_SAMPLES).verdict
     return (verdict in (Verdict.ACCESS_NETWORK, Verdict.CORE_NETWORK),
             "operator %s diagnosed %s" % (operator, verdict))
 
@@ -253,9 +256,7 @@ def _check_server_outage(ev: Evidence, entry: LedgerEntry):
     domain, mode = entry.scope.get("domain"), _mode(entry, "refuse")
     if mode == "slow_accept":
         package = ev.package(domain)
-        verdict = diagnose_app(ev.store, package,
-                               min_samples=ev.min_samples,
-                               slow_factor=ev.slow_factor).verdict
+        verdict = diagnose_app(ev.rollups, package, MIN_SAMPLES).verdict
         return (verdict == Verdict.SERVER_SIDE,
                 "app %s diagnosed %s" % (package, verdict))
     failure = (FailureKind.REFUSED if mode == "refuse"

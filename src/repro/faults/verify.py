@@ -4,7 +4,8 @@ Each activated ledger entry is checked for the evidence the
 measurement/diagnosis pipeline *should* show if the injection worked
 and the analysis localises it correctly -- its kind's ``check`` in
 :data:`repro.faults.specs.FAULT_SPECS` (docs/FAULTS.md tabulates what
-each looks for).
+each looks for).  The diagnosis judges the collector's rollups, or
+a world without one on the rollups of its own records.
 
 Recall is the fraction of activated faults whose evidence shows up;
 precision is the fraction of non-healthy diagnosis findings that some
@@ -17,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.analysis.diagnosis import Finding, diagnose_all
+from repro.backend.detector import Diagnosis, diagnose_all
+from repro.backend.rollups import RollupStore
 from repro.faults.scenarios import Scenario, get_scenario
-from repro.faults.specs import SPEC_BY_KIND, Evidence
+from repro.faults.specs import MIN_SAMPLES, SPEC_BY_KIND, Evidence
 
 
 @dataclass
@@ -36,7 +38,7 @@ class VerificationReport:
     scenario_name: str
     seed: int
     checks: List[EntryCheck] = field(default_factory=list)
-    findings: List[Finding] = field(default_factory=list)
+    findings: List[Diagnosis] = field(default_factory=list)
     unexplained: List[str] = field(default_factory=list)
 
     @property
@@ -72,19 +74,19 @@ def _recall(checks: List[EntryCheck]) -> float:
     return sum(1 for c in checks if c.matched) / len(checks)
 
 
-def verify_scenario(result, scenario: Optional[Scenario] = None,
-                    min_samples: int = 12,
-                    slow_factor: float = 1.6) -> VerificationReport:
+def verify_scenario(result, scenario: Optional[Scenario] = None
+                    ) -> VerificationReport:
     """Score a :class:`~repro.faults.chaos.ChaosResult` against its
-    ledger.  ``min_samples`` is scaled for the preset worlds (a few
-    devices), not the paper's 200-sample crowd threshold."""
-    store = result.load()
+    ledger."""
+    records = list(result.iter_records())
+    rollups = result.rollups
+    if rollups is None:
+        rollups = RollupStore()
+        rollups.add_all(records)
     evidence = Evidence(
         scenario=scenario or get_scenario(result.scenario_name),
-        store=store, records=list(store), stats=result.stats,
-        findings=diagnose_all(store, min_samples=min_samples,
-                              slow_factor=slow_factor, top=50),
-        min_samples=min_samples, slow_factor=slow_factor)
+        rollups=rollups, records=records, stats=result.stats,
+        findings=diagnose_all(rollups, min_samples=MIN_SAMPLES, top=50))
     report = VerificationReport(scenario_name=result.scenario_name,
                                 seed=result.seed,
                                 findings=evidence.findings)

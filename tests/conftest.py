@@ -126,6 +126,16 @@ def campaign_store():
     return campaign.run()
 
 
+@pytest.fixture(scope="session")
+def campaign_rollups(campaign_store):
+    """``campaign_store`` folded into rollups: what a collector that
+    ingested the campaign would serve the diagnosis."""
+    from repro.backend.rollups import RollupStore
+    rollups = RollupStore()
+    rollups.add_all(campaign_store)
+    return rollups
+
+
 def fleet_store(isp, devices, connects, seed):
     """The fleet validation: ``devices`` phones on one ISP profile,
     each running the catalog's first four apps through the chaos

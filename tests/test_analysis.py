@@ -13,7 +13,6 @@ from repro.analysis import (
     fraction_below,
     isp_dns_cdfs,
     isp_dns_table,
-    jio_analysis,
     location_scatter,
     measurements_per_app,
     measurements_per_user,
@@ -21,14 +20,16 @@ from repro.analysis import (
     per_app_median_cdf,
     percentile,
     representative_app_table,
-    whatsapp_analysis,
 )
+from repro.analysis import rules
 from repro.analysis.coverage import dataset_statistics
 from repro.analysis.dnsperf import dns_medians, isp_dns_profile
 from repro.analysis.perapp import (
     raw_rtt_medians,
     representative_packages_table_spec,
 )
+from repro.backend.detector import ChatDomainDegradationRule, isp_summary
+from repro.backend.rollups import BIN_WIDTH_MS, RollupStore
 from tests.conftest import CAMPAIGN_SCALE
 
 
@@ -188,8 +189,9 @@ class TestDns:
 
 
 class TestCaseStudies:
-    def test_whatsapp_case(self, campaign_store):
-        result = whatsapp_analysis(campaign_store, scale=CAMPAIGN_SCALE)
+    def test_whatsapp_case(self, campaign_rollups):
+        result = ChatDomainDegradationRule().summarise(
+            campaign_rollups, rules.WHATSAPP_SUFFIX, CAMPAIGN_SCALE)
         assert result["total_domains"] > 100
         assert result["chat_median_ms"] > 200
         assert result["cdn_median_ms"] < 100
@@ -200,18 +202,44 @@ class TestCaseStudies:
         # noisy per-domain medians dip below more often.
         assert result["chat_domains_over_200ms"] / most > 0.6
 
-    def test_jio_case(self, campaign_store):
-        result = jio_analysis(campaign_store, scale=CAMPAIGN_SCALE,
-                              min_domain_count=50)
+    def test_jio_case(self, campaign_rollups):
+        result = isp_summary(campaign_rollups, "Jio 4G", CAMPAIGN_SCALE,
+                             min_domain_count=50)
         assert result["app_median_ms"] > 200
         assert result["dns_median_ms"] < 100
         assert result["domains_faster_elsewhere"] > 0
         assert result["mean_gap_ms"] > 50
 
     def test_whatsapp_requires_data(self):
-        from repro.core.records import MeasurementStore
-        with pytest.raises(ValueError):
-            whatsapp_analysis(MeasurementStore())
+        assert ChatDomainDegradationRule().summarise(
+            RollupStore(), rules.WHATSAPP_SUFFIX, 1.0) is None
+
+    def test_chat_domain_medians_are_lower_medians(self, campaign_store,
+                                                   campaign_rollups):
+        """A rollup median is the lower median -- the ceil(n/2)-th
+        value, read inside its bin -- not numpy's mean of the two
+        middle values, which a 3-sample chat domain can put tens of
+        ms away.  Every Case 1 chat-domain median is within one bin
+        of its records' exact lower median."""
+        rtts = {}
+        for r in campaign_store.tcp():
+            if rules.domain_matches_suffix(r.domain,
+                                           rules.WHATSAPP_SUFFIX) \
+                    and rules.whatsapp_domain_class(r.domain) == rules.CHAT:
+                rtts.setdefault(r.domain, []).append(r.rtt_ms)
+        hists = campaign_rollups.fold(
+            "watch_domain", by=("domain",), suffix=rules.WHATSAPP_SUFFIX,
+            domain_class=rules.CHAT)
+        assert sorted(domain for (domain,) in hists) == sorted(rtts)
+        over_200 = 0
+        for domain, values in rtts.items():
+            values.sort()
+            lower = values[(len(values) - 1) // 2]
+            assert abs(hists[(domain,)].median() - lower) <= BIN_WIDTH_MS
+            over_200 += lower > rules.CHAT_DEGRADED_MEDIAN_MS
+        result = ChatDomainDegradationRule().summarise(
+            campaign_rollups, rules.WHATSAPP_SUFFIX, CAMPAIGN_SCALE)
+        assert result["chat_domains_over_200ms"] == over_200
 
 
 class TestReport:

@@ -674,19 +674,6 @@ class TestOnlineDetector:
                                   obs=Observability())
         assert detector.evaluate() == []
 
-    def test_maybe_evaluate_gates_on_record_count(self):
-        rollups = RollupStore()
-        detector = OnlineDetector(rollups, scale=0.01,
-                                  check_interval_records=10,
-                                  obs=Observability())
-        for i in range(9):
-            rollups.add(_rec(rtt=float(i + 1)))
-            assert detector.maybe_evaluate() == []
-        assert detector.obs.value("backend.detector_evaluations") == 0
-        rollups.add(_rec(rtt=10.0))
-        detector.maybe_evaluate()
-        assert detector.obs.value("backend.detector_evaluations") == 1
-
     def test_first_detection_record_count_is_kept(self):
         rollups = RollupStore()
         rollups.add_all(_detector_records())

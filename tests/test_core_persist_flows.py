@@ -330,11 +330,9 @@ class TestRecordValidation:
         assert len(store.tcp().for_app("com.whatsapp")) == 1
         assert len(store.dns().for_network_type("WIFI")) == 1
         assert len(store.for_operator("Verizon")) == 1
-        assert len(store.for_domain_suffix("whatsapp.net")) == 1
-        assert len(store.for_domain_suffix("*.whatsapp.net")) == 1
 
     def test_group_by_and_unique(self):
         store = sample_store()
-        assert set(store.by_device()) == {"device-00001",
-                                          "device-00002"}
+        assert set(store.group_by(lambda r: r.device_id)) == {
+            "device-00001", "device-00002"}
         assert store.unique(lambda r: r.country) == {"USA"}

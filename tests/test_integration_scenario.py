@@ -2,13 +2,16 @@
 
 One simulated phone runs MopEye while a browser, a messenger, a video
 app and a speed-test generate traffic across several servers; the
-uploader ships measurements to a collection backend; and the analysis
-layer diagnoses the deliberately-slow app from the collected records.
+uploader ships measurements to a collection backend; and the
+diagnosis finds the deliberately-slow app in the rollups of the
+collected records.
 """
 
 import pytest
 
-from repro.analysis.diagnosis import Verdict, diagnose_app
+from repro.analysis.rules import Verdict
+from repro.backend.detector import diagnose_app
+from repro.backend.rollups import RollupStore
 from repro.backend.server import BackendServer
 from repro.core import MopEyeService
 from repro.core.uploader import MeasurementUploader
@@ -105,11 +108,13 @@ class TestDayInTheLife:
         assert day.uploader.uploaded > 10
 
     def test_diagnosis_finds_the_laggard(self, day):
-        finding = diagnose_app(day.collector.received,
-                               "com.laggard.app", min_samples=10)
+        rollups = RollupStore()
+        rollups.add_all(day.collector.received)
+        finding = diagnose_app(rollups, "com.laggard.app",
+                               min_samples=10)
         assert finding.verdict == Verdict.SERVER_SIDE
-        fast = diagnose_app(day.collector.received,
-                            "com.fast.messenger", min_samples=10)
+        fast = diagnose_app(rollups, "com.fast.messenger",
+                            min_samples=10)
         assert fast.verdict == Verdict.HEALTHY
 
     def test_flows_track_video_volume(self, day):

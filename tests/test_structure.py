@@ -58,6 +58,15 @@ RULES = {
     "one-routing-loop": (r"(memtable|rollups)\.add\(",
                          ("src/repro/backend/ingest.py",
                           "src/repro/store")),
+    # One diagnosis, over the rollups the system serves
+    # (backend/detector.py): no record-list copy of the case studies
+    # or the per-subject verdicts, and no second slowness threshold
+    # beside analysis/rules.py's SLOW_FACTOR.
+    "one-diagnosis": (
+        r"repro\.analysis\.(diagnosis|casestudies)|whatsapp_analysis"
+        r"|jio_analysis|slow_factor",
+        ("src", "tools", "docs", "README.md", "DESIGN.md", "examples",
+         "benchmarks")),
     # CI runs tier-1 and nothing a contributor does not: every step is
     # pip, pytest or the link check, one command on one line -- no
     # heredoc, no tool script, no `cmp` of two runs.
