@@ -24,7 +24,6 @@ from repro.network.link import NetworkType
 from repro.sim.distributions import (
     Distribution,
     LogNormal,
-    Mixture,
     Shifted,
 )
 
@@ -58,15 +57,6 @@ class IspProfile:
         return LogNormal(max(1.0, self.legacy_dns_median_ms
                              - self.dns_floor_ms),
                          0.55, shift=self.dns_floor_ms).bind(rng)
-
-    def dns_distribution(self, rng: random.Random) -> Distribution:
-        """The operator's overall DNS RTT mix (Figure 11 shape)."""
-        lte = self.lte_dns_distribution(rng)
-        if self.lte_share >= 1.0:
-            return lte
-        legacy = self.legacy_dns_distribution(rng)
-        return Mixture([(self.lte_share, lte),
-                        (1.0 - self.lte_share, legacy)]).bind(rng)
 
     def access_distribution(self, rng: random.Random) -> Distribution:
         base = LogNormal(self.access_median_ms, self.access_sigma)

@@ -186,13 +186,3 @@ class Population:
                     else min(1.0, max(0.3, self.rng.gauss(0.72,
                                                           0.10)))),
                 locations=self._locations_for(country, n_locations)))
-
-    # -- views ------------------------------------------------------------------
-    def devices_in(self, country: str) -> List[CrowdDevice]:
-        return [d for d in self.devices if d.country == country]
-
-    def country_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for device in self.devices:
-            counts[device.country] = counts.get(device.country, 0) + 1
-        return counts

@@ -71,9 +71,6 @@ class GroundTruthLedger:
             entry.deactivations += int(
                 counts[event_id].get("deactivations", 0))
 
-    def by_kind(self, kind: str) -> List[LedgerEntry]:
-        return [e for e in self.entries if e.kind == kind]
-
     def activated(self) -> List[LedgerEntry]:
         return [e for e in self.entries if e.activations > 0]
 

@@ -294,13 +294,14 @@ CATALOG: Dict[str, MetricSpec] = dict([
        max_x=120000.0, n_bins=1200, volatile=True),
     # -- storage engine ----------------------------------------------------
     _m("store.wal_appends", COUNTER, "frames", "repro.store.wal",
-       "WAL frames made durable by a group commit."),
+       "WAL frames (one uploaded batch each) made durable by a "
+       "commit."),
     _m("store.wal_bytes", COUNTER, "bytes", "repro.store.wal",
        "Framed bytes written to the WAL (header + payload)."),
     _m("store.wal_fsyncs", COUNTER, "fsyncs", "repro.store.wal",
-       "Group commits issued; each is one modelled fsync barrier."),
+       "WAL commits issued; each is one modelled fsync barrier."),
     _m("store.wal_commit_cost_ms", HISTOGRAM, "ms", "repro.store.wal",
-       "Modelled sim-time cost per group commit (FsyncModel); charged "
+       "Modelled sim-time cost per WAL commit (FsyncModel); charged "
        "to the batch ACK.", max_x=500.0, n_bins=1000),
     _m("store.wal_replayed_frames", COUNTER, "frames",
        "repro.store.engine",

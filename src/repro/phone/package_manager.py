@@ -7,7 +7,7 @@ and results are cacheable by the caller.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 class PackageManager:
@@ -26,12 +26,6 @@ class PackageManager:
         self._by_package[package] = uid
         return uid
 
-    def install_system(self, package: str, uid: int) -> int:
-        """Register a system package at a fixed UID (e.g. netd)."""
-        self._by_uid[uid] = package
-        self._by_package[package] = uid
-        return uid
-
     def name_for_uid(self, uid: int) -> Optional[str]:
         """``getPackagesForUid``-style lookup (cost charged by caller
         via ``device.costs.uid_lookup``)."""
@@ -40,9 +34,6 @@ class PackageManager:
 
     def uid_for_name(self, package: str) -> Optional[int]:
         return self._by_package.get(package)
-
-    def installed_packages(self) -> List[str]:
-        return sorted(self._by_package)
 
     def __len__(self) -> int:
         return len(self._by_package)

@@ -59,10 +59,6 @@ class TunDevice:
                 % (self.BLOCKING_API_MIN_SDK, self.device.sdk))
         self.blocking = blocking
 
-    def set_blocking_via_fcntl(self, blocking: bool) -> None:
-        """Native ``fcntl(F_SETFL)``; available on every version."""
-        self.blocking = blocking
-
     def set_blocking_via_reflection(self, blocking: bool) -> None:
         """Java reflection into ``libcore.io.IoUtils.setBlocking``,
         present since Android's inception (section 3.1)."""

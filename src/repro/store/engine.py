@@ -3,23 +3,26 @@
 A miniature LSM tree shaped for the rollup workload:
 
 * writes land in the **memtable** (a live
-  :class:`~repro.backend.rollups.RollupStore`) and are made durable by
-  an envelope appended to the :mod:`WAL <repro.store.wal>` before the
-  batch is acknowledged;
+  :class:`~repro.backend.rollups.RollupStore`).  An uploaded batch is
+  made durable by an envelope appended to the :mod:`WAL
+  <repro.store.wal>` before it is acknowledged; a bulk load
+  (:meth:`StoreEngine.append_records`) writes no envelope and is made
+  durable by the flushes and the one checkpoint that end it;
 * the WAL is a sequence of **generations**, one file each
   (``wal.log`` is generation 0; later files are
-  ``wal-g<gen>-s00.log``).  Envelopes carry the records as raw JSONL
+  ``wal-g<gen>-s00.log``).  An envelope is one batch: its raw JSONL
   bytes after a one-line JSON header -- no per-record
-  re-serialisation, no JSON-in-JSON escaping -- and the bulk path
-  group-commits on byte *and* record thresholds
-  (``GROUP_COMMIT_BYTES``, ``GROUP_COMMIT_RECORDS``);
-* a periodic **checkpoint** (every ``checkpoint_interval_records``)
-  seals the current WAL generation, snapshots the memtable + dedup
-  seeds atomically (checkpoint file + manifest), and prunes WAL
-  generations the *previous* retained checkpoint already covers
-  (``CHECKPOINT_KEEP`` = 2 stay on disk) -- recovery replay is bounded
-  by the checkpoint interval, not the run length, and a torn newest
-  checkpoint still falls back to the older one plus a longer replay;
+  re-serialisation, no JSON-in-JSON escaping -- committed by one
+  fsync;
+* a **checkpoint** (every ``checkpoint_interval_records``, and at the
+  end of every bulk load) seals the current WAL generation, snapshots
+  the memtable + dedup seeds atomically (checkpoint file + manifest),
+  and prunes WAL generations the *previous* retained checkpoint
+  already covers (``CHECKPOINT_KEEP`` = 2 stay on disk) -- recovery
+  replay is bounded by the checkpoint interval, not the run length,
+  and a torn newest checkpoint still falls back to the older one plus
+  a longer replay (a bulk-loaded record has no WAL copy: a corrupt
+  newest checkpoint quarantines it, as a corrupt segment would);
 * when the memtable grows past ``flush_threshold_records`` it is
   frozen into an immutable :mod:`segment <repro.store.segments>`, the
   manifest is updated (segment list, dedup seeds, findings), and the
@@ -70,8 +73,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.backend.dedup import remember
 from repro.backend.rollups import (TABLE_SPECS, RollupConfig,
                                    RollupStore, UnsupportedSchema)
-from repro.core.persist import (decode_record_lines, encode_batch,
-                                encode_chunks)
+from repro.core.persist import decode_record_lines, encode_batch
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability, get_default
 from repro.store.checkpoint import (
@@ -93,20 +95,17 @@ SEGMENT_DIR = "segments"
 QUARANTINE_DIR = "quarantine"
 #: The one manifest written and read: every key ``_write_manifest``
 #: writes is required; any other schema is ``UnsupportedSchema``.
-MANIFEST_SCHEMA = 2
-_MANIFEST_FIELDS = ("next_seq", "next_ckpt", "bulk_seq",
-                    "wal_covered_gen", "segments", "checkpoints",
-                    "config", "dedup", "findings", "meta")
+MANIFEST_SCHEMA = 3
+_MANIFEST_FIELDS = ("next_seq", "next_ckpt", "wal_covered_gen",
+                    "segments", "checkpoints", "config", "dedup",
+                    "findings", "meta")
 
 #: One file per generation, always stripe ``s00``; the stripe field
 #: stays in the name so directories striped by older builds open.
-_WAL_FILE_RE = re.compile(r"^wal-g(\d{6})-s(\d{2})\.log$")
+#: ``%06d`` pads the generation to six digits and no more, so a
+#: generation past 999,999 is named -- and found -- with seven.
+_WAL_FILE_RE = re.compile(r"^wal-g(\d{6,})-s(\d{2})\.log$")
 
-#: Bulk-append path: one fsync once this many *records* (not
-#: envelopes) are buffered ...
-GROUP_COMMIT_RECORDS = 16_384
-#: ... or once this many framed bytes are, whichever first.
-GROUP_COMMIT_BYTES = 1 << 20
 #: Checkpoints retained on disk.  Keeping two means a torn newest
 #: checkpoint falls back to the previous one -- WAL generations are
 #: only pruned once the *older* retained checkpoint covers them.
@@ -114,36 +113,30 @@ CHECKPOINT_KEEP = 2
 #: Records until a flush or checkpoint with no threshold configured.
 _UNBOUNDED = float("inf")
 
-#: ``json.dumps(header, sort_keys=True, separators=(",", ":"))`` of a
-#: ``batch`` / ``bulk`` envelope header, its values the slots.  Every
-#: count is an ``int`` by then; a ``batch`` device that is a ``str``
-#: goes through the encoder's own ``encode_basestring_ascii``, and any
-#: other device's header is dumped (:meth:`StoreEngine._batch_header`).
+#: ``json.dumps(header, sort_keys=True, separators=(",", ":"))`` of an
+#: envelope header, its values the slots.  Every count is an ``int`` by
+#: then; a device that is a ``str`` goes through the encoder's own
+#: ``encode_basestring_ascii``, and any other device's header is dumped
+#: (:meth:`StoreEngine._batch_header`).
 _BATCH_HEADER = '{"acked":%d,"device":%s,"kind":"batch","n":%d,"seq":%d}'
-_BULK_HEADER = '{"kind":"bulk","n":%d,"seq":%d}'
-#: Each envelope header ``kind``'s keys, sorted.
-_ENVELOPE_KEYS = {"batch": ["acked", "device", "kind", "n", "seq"],
-                  "bulk": ["kind", "n", "seq"]}
+#: The envelope header's keys, sorted.
+_ENVELOPE_KEYS = ["acked", "device", "kind", "n", "seq"]
 
 
 def _is_header(header, n_lines: int) -> bool:
     """Whether ``header`` is one ``StoreEngine._envelope`` writes over
-    ``n_lines`` lines: a ``batch`` or ``bulk`` object with exactly its
-    kind's keys, every count an ``int`` (not a ``float``, a ``bool``
-    or a string of digits), ``n`` the line count, and a ``device``
-    that can key the dedup map: any JSON scalar, as
-    ``StoreEngine._batch_header`` dumps a device that is no ``str``."""
-    if type(header) is not dict:
-        return False
-    kind = header.get("kind")
-    # A tuple, not the dict: a kind that is a list is just not one.
-    if kind not in ("batch", "bulk"):
-        return False
-    return (sorted(header) == _ENVELOPE_KEYS[kind]
-            and all(type(header.get(name, 0)) is int
+    ``n_lines`` lines: a ``batch`` object with exactly its keys, every
+    count an ``int`` (not a ``float``, a ``bool`` or a string of
+    digits), ``n`` the line count, and a ``device`` that can key the
+    dedup map: any JSON scalar, as ``StoreEngine._batch_header`` dumps
+    a device that is no ``str``."""
+    return (type(header) is dict
+            and header.get("kind") == "batch"
+            and sorted(header) == _ENVELOPE_KEYS
+            and all(type(header[name]) is int
                     for name in ("acked", "n", "seq"))
             and header["n"] == n_lines
-            and type(header.get("device")) not in (list, dict))
+            and type(header["device"]) not in (list, dict))
 
 
 def holds_store(path: str) -> bool:
@@ -177,9 +170,10 @@ class StoreConfig:
         #: Evict windowed rows older than this horizon (``None`` keeps
         #: everything; the CLI maps ``--retention-days`` onto it).
         self.retention_ms = retention_ms
-        #: Checkpoint the memtable every this many logged records
-        #: (``None`` disables checkpoints; recovery then replays the
-        #: whole WAL).
+        #: Checkpoint the memtable every this many records taken
+        #: (``None`` disables the periodic checkpoints; recovery then
+        #: replays the whole WAL).  A bulk load also ends in one
+        #: checkpoint, whatever this is.
         self.checkpoint_interval_records = checkpoint_interval_records
         #: Rows per zone-mapped segment block.  Smaller blocks prune
         #: harder (a point read decodes less); larger blocks compress
@@ -246,14 +240,12 @@ class StoreEngine:
         self._checkpoints: List[dict] = []      # {"name","covers_gen"}
         self._next_seq = 1
         self._next_ckpt = 1
-        self._bulk_seq = 0
         #: Highest WAL generation whose frames are already durable in
         #: segments (set by flush; persisted in the manifest).
         self._covered_gen = -1
         self._wal_gen = 0
         #: The active generation's log; ``recover`` opens it.
         self.wal: Optional[WriteAheadLog] = None
-        self._pending_records = 0
         self._records_since_checkpoint = 0
         self.last_recovery: Optional[RecoveryInfo] = None
         self.recoveries = 0
@@ -319,7 +311,6 @@ class StoreEngine:
             "schema": MANIFEST_SCHEMA,
             "next_seq": self._next_seq,
             "next_ckpt": self._next_ckpt,
-            "bulk_seq": self._bulk_seq,
             "wal_covered_gen": self._covered_gen,
             "segments": list(self._segments),
             "checkpoints": list(self._checkpoints),
@@ -361,7 +352,7 @@ class StoreEngine:
     @staticmethod
     def _envelope(head: str, lines: List[bytes]) -> bytes:
         """The envelope: one canonical-JSON header line (``kind``
-        ``batch`` or ``bulk``, ``n`` the lines that follow), then the
+        ``batch``, ``n`` the lines that follow), then the
         raw record lines verbatim.  No re-serialisation, no
         JSON-in-JSON escaping -- the frame CRC covers the lot."""
         if lines:
@@ -371,7 +362,7 @@ class StoreEngine:
     @staticmethod
     def _batch_header(device_id: str, batch_seq: int, acked: int,
                       n: int) -> str:
-        """A ``batch`` envelope's header line: formatted for a
+        """An envelope's header line: formatted for a
         ``str`` device (``batch_seq`` and ``acked`` are ``int``
         already), dumped for any other."""
         if type(device_id) is str:
@@ -399,82 +390,45 @@ class StoreEngine:
         self.wal.append(self._envelope(
             self._batch_header(device_id, batch_seq, acked, len(lines)),
             lines))
-        cost = self._commit()
+        cost = self.wal.commit()
         self._records_since_checkpoint += len(lines)
         self._maybe_flush()
         self._maybe_checkpoint()
         return cost
 
-    def append_records(self, records: Iterable[MeasurementRecord],
-                       batch_records: int = 512) -> int:
-        """Bulk ingest for trusted offline sources: records go through
-        the memtable *and* the WAL (group commit on record/byte
-        thresholds), serialised ``batch_records`` at a time."""
-        return self.append_entries(
-            (entry for chunk, data in encode_chunks(records,
-                                                    batch_records)
-             for entry in zip(chunk, data.splitlines())),
-            batch_records=batch_records)
-
-    def append_entries(self,
-                       entries: Iterable[Tuple[MeasurementRecord,
-                                               bytes]],
-                       batch_records: int = 512) -> int:
-        """Bulk ingest of ``(record, raw_line_bytes)`` pairs: callers
-        that already hold the canonical JSONL bytes (shard files,
-        upload payloads) pass them through, and nothing here
-        serialises a record -- that re-serialisation was most of the
-        WAL's 3.5x ingest tax."""
+    def append_records(self, records: Iterable[MeasurementRecord]
+                       ) -> int:
+        """Bulk ingest for trusted offline sources (a campaign import).
+        The memtable takes the records in runs cut only where a flush
+        or a checkpoint falls due, on the record it falls due, and the
+        call ends in one :meth:`checkpoint` (none when a flush or
+        checkpoint has just taken its last record).  No record is
+        serialised and no envelope written: a call that has returned
+        is durable in a checkpoint or a segment, and one O(memtable)
+        checkpoint costs less than O(call) JSONL did.  Returns the
+        count taken."""
+        records = iter(records)
         count = 0
-        lines: List[bytes] = []
-        entries = iter(entries)
-
-        def _emit() -> None:
-            self._bulk_seq += 1
-            self.wal.append(self._envelope(
-                _BULK_HEADER % (len(lines), self._bulk_seq), lines))
-            self._pending_records += len(lines)
-            if self._pending_records >= GROUP_COMMIT_RECORDS or \
-                    self.wal.pending_bytes >= GROUP_COMMIT_BYTES:
-                self._commit()
-
         while True:
-            # A run ends on the record after which an envelope, a flush
-            # or a checkpoint is due, whichever comes first: the
-            # memtable takes it in one add_all, and each of those falls
-            # on the record it would one record at a time.
-            run = min(batch_records - len(lines), self._records_to_flush(),
+            # A run ends on the record after which a flush or a
+            # checkpoint is due: the memtable takes it in one add_all,
+            # and each falls on the record it would one at a time.
+            run = min(self._records_to_flush(),
                       self._records_to_checkpoint())
-            pairs = list(islice(entries, max(run, 1)))
-            if not pairs:
-                break
-            records, run_lines = zip(*pairs)
-            self.memtable.add_all(records)
-            lines.extend(run_lines)
-            count += len(pairs)
-            self._records_since_checkpoint += len(pairs)
-            if len(lines) >= batch_records:
-                _emit()
-                lines = []
+            run = None if run == _UNBOUNDED else max(run, 1)
+            taken = self.memtable.add_all(islice(records, run))
+            count += taken
+            self._records_since_checkpoint += taken
             if self._over_threshold():
-                if lines:
-                    _emit()
-                    lines = []
                 self.flush()
             elif self._checkpoint_due():
-                if lines:
-                    _emit()
-                    lines = []
                 self.checkpoint()
-        if lines:
-            _emit()
-        self._commit()
+            if run is None or taken < run:
+                break
+        if count and self._records_since_checkpoint:
+            self.checkpoint()
         self._update_gauges()
         return count
-
-    def _commit(self) -> float:
-        self._pending_records = 0
-        return self.wal.commit()
 
     def bulk_load(self, store: RollupStore) -> str:
         """Import a whole RollupStore as one segment, bypassing the
@@ -548,7 +502,6 @@ class StoreEngine:
         self._wal_gen = gen
         self.wal = WriteAheadLog(self._wal_path(), obs=self.obs,
                                  fsync=self.config.fsync)
-        self._pending_records = 0
 
     def _prune_wal_files(self) -> None:
         """Delete WAL generations recovery can never need: those at or
@@ -573,7 +526,7 @@ class StoreEngine:
         empty memtable.  Returns the segment name."""
         if self._memtable_empty():
             return None
-        self._commit()
+        self.wal.commit()
         self._covered_gen = self._seal_and_rotate()
         stale_checkpoints = self._checkpoints
         self._checkpoints = []
@@ -599,7 +552,7 @@ class StoreEngine:
         commit + seal the active generation first (the snapshot then
         covers exactly generations ``<= sealed``), write the
         checkpoint file atomically, publish it in the manifest
-        (with the dedup seeds and bulk-seq watermark), and only then
+        (with the dedup seeds), and only then
         delete what is no longer needed.  Die before the manifest
         rename and recovery uses the previous checkpoint + the full
         tail; die before the deletions and recovery ignores (then
@@ -608,7 +561,7 @@ class StoreEngine:
         if self._memtable_empty():
             self._records_since_checkpoint = 0
             return None
-        self._commit()
+        self.wal.commit()
         sealed = self._seal_and_rotate()
         name = "ckpt-%06d.ckpt" % self._next_ckpt
         self._next_ckpt += 1
@@ -710,7 +663,6 @@ class StoreEngine:
         self._segments = []
         self._checkpoints = []
         self._next_seq = 1
-        self._pending_records = 0
 
     @staticmethod
     def _decode_envelope(payload: bytes, path: str, frame_no: int
@@ -735,7 +687,7 @@ class StoreEngine:
         raise UnsupportedSchema(
             "WAL %s frame %d" % (path, frame_no),
             head[:80] if text else payload[:80],
-            "a batch or bulk header with n = its %d lines" % len(lines))
+            "a batch header with n = its %d lines" % len(lines))
 
     def recover(self, initial: bool = False,
                 on_record: Optional[
@@ -760,7 +712,6 @@ class StoreEngine:
         self._checkpoints = []
         self._next_seq = 1
         self._next_ckpt = 1
-        self._bulk_seq = 0
         self._covered_gen = -1
 
         manifest = self._load_manifest()
@@ -772,7 +723,6 @@ class StoreEngine:
                 self.memtable.config = self.rollup_config
             self._next_seq = int(manifest["next_seq"])
             self._next_ckpt = int(manifest["next_ckpt"])
-            self._bulk_seq = int(manifest["bulk_seq"])
             self._covered_gen = int(manifest["wal_covered_gen"])
             self.meta = dict(manifest["meta"])
             self.findings.extend(manifest["findings"])
@@ -821,11 +771,8 @@ class StoreEngine:
                     for record in records:
                         on_record(record)
                 info.wal_records += len(lines)
-                if header["kind"] == "batch":
-                    remember(self.dedup, (header["device"], header["seq"]),
-                             header["acked"])
-                else:
-                    self._bulk_seq = max(self._bulk_seq, header["seq"])
+                remember(self.dedup, (header["device"], header["seq"]),
+                         header["acked"])
             info.wal_frames += len(result.payloads)
             if result.torn or result.corrupt:
                 info.torn_tail |= result.torn

@@ -1,12 +1,13 @@
-"""The write-ahead log: durability for everything the memtable holds.
+"""The write-ahead log: durability for every uploaded batch.
 
 Every accepted batch becomes one envelope (a JSON header line and the
 batch's raw JSONL) appended to the active generation's file -- ``MAGIC``,
-then CRC frames (see :mod:`repro.store.encoding`).  Appends
-buffer in memory; :meth:`WriteAheadLog.commit` writes the buffered
-frames and issues one fsync for the whole group -- group commit, the
-classic trade of latency for throughput.  The sim-time price of that
-fsync comes from :class:`FsyncModel` (the same shape as
+then CRC frames (see :mod:`repro.store.encoding`).  There is one kind
+of envelope: a bulk load writes none and is made durable by a
+checkpoint (:meth:`repro.store.engine.StoreEngine.append_records`).
+Appends buffer in memory; :meth:`WriteAheadLog.commit` writes the
+buffered frames and issues one fsync for them.  The sim-time price of
+that fsync comes from :class:`FsyncModel` (the same shape as
 ``IngestLoadModel``: a base cost plus a marginal per-kilobyte cost)
 and is returned to the caller, which charges it to the batch ACK --
 durable backends are slower backends, and the uploader's ACK-latency
@@ -45,7 +46,7 @@ MAGIC = b"MOPWAL1\n"
 
 
 class FsyncModel:
-    """Sim-time cost of one group-commit fsync.
+    """Sim-time cost of one commit's fsync.
 
     ``base_ms`` is the fixed price of the barrier (journal flush,
     device cache flush); ``per_kb_ms`` the marginal cost of the dirty
@@ -105,9 +106,9 @@ def replay(path: str) -> ReplayResult:
 
 
 class WriteAheadLog:
-    """Append-only frame log with group commit.
+    """Append-only frame log.
 
-    ``append`` buffers; ``commit`` makes the buffered group durable
+    ``append`` buffers; ``commit`` makes the buffered frames durable
     and returns the modelled fsync cost in sim-ms.  Nothing buffered
     survives :meth:`crash`.
     """
@@ -119,7 +120,6 @@ class WriteAheadLog:
         self.obs = obs or get_default()
         self.fsync = fsync or FsyncModel()
         self._pending: List[bytes] = []
-        self._pending_bytes = 0
         self._handle = None
         self._open()
 
@@ -137,29 +137,20 @@ class WriteAheadLog:
     def pending(self) -> int:
         return len(self._pending)
 
-    @property
-    def pending_bytes(self) -> int:
-        """Framed bytes buffered but not yet committed -- what the
-        engine's byte-threshold group commit watches."""
-        return self._pending_bytes
-
     def append(self, payload: bytes) -> None:
         """Buffer one record; durable only after :meth:`commit`."""
         if self._handle is None:
             raise RuntimeError("WAL is closed")
-        framed = frame(payload)
-        self._pending.append(framed)
-        self._pending_bytes += len(framed)
+        self._pending.append(frame(payload))
 
     def commit(self) -> float:
-        """Write and fsync the buffered group.  Returns the modelled
+        """Write and fsync the buffered frames.  Returns the modelled
         sim-time cost; 0.0 when nothing was pending."""
         if not self._pending:
             return 0.0
         blob = b"".join(self._pending)
         count = len(self._pending)
         self._pending = []
-        self._pending_bytes = 0
         self._handle.write(blob)
         self._handle.flush()
         os.fsync(self._handle.fileno())
@@ -176,7 +167,6 @@ class WriteAheadLog:
         """The process dies: the uncommitted buffer is gone, the file
         keeps only what commit() already forced out."""
         self._pending = []
-        self._pending_bytes = 0
         if self._handle is not None:
             self._handle.close()
             self._handle = None
@@ -192,7 +182,6 @@ class WriteAheadLog:
         """Truncate after a segment flush: everything logged so far is
         now durable in a segment, the log restarts empty."""
         self._pending = []
-        self._pending_bytes = 0
         if self._handle is not None:
             self._handle.close()
         with open(self.path, "wb") as handle:

@@ -33,6 +33,22 @@ def tree_bytes(root):
     return found
 
 
+def log_records(engine, records, per_batch=None, device="dev-1",
+                first_seq=0):
+    """``records`` into ``engine`` as the ingest pipeline takes an
+    upload: the memtable takes each batch, then ``log_batch`` writes
+    its WAL envelope -- one per ``per_batch`` records, one for all
+    without -- and commits it.  Batch ``i`` is ``(device, first_seq +
+    i)``."""
+    records = list(records)
+    size = per_batch or max(1, len(records))
+    for seq, start in enumerate(range(0, len(records), size),
+                                first_seq):
+        batch = records[start:start + size]
+        engine.memtable.add_all(batch)
+        engine.log_batch(device, seq, len(batch), batch)
+
+
 def hand_built_row_block(raw_keys, key_len=None):
     """A row block made by hand from raw key bytes *in the order
     given* (each with the same one-sample histogram: 8.0 ms, bin 32),

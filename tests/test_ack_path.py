@@ -252,9 +252,9 @@ class TestEnvelopeHeader:
         assert head == _dumped(device, 3, 2, 2)
 
     def test_the_wal_holds_the_canonical_headers(self, tmp_path):
-        """Through ``log_batch`` (a bool seq is an int by then) and
-        ``append_records``: every header line is the canonical dump,
-        and recovery reads the batch identities back."""
+        """Through ``log_batch`` (a bool seq is an int by then), the
+        one writer of envelopes: every header line is the canonical
+        dump, and recovery reads the batch identities back."""
         record = MeasurementRecord(
             kind="TCP", rtt_ms=5.0, timestamp_ms=0.0, app_package="a",
             app_uid=1, dst_ip="203.0.113.1", dst_port=443, domain=None,
@@ -265,17 +265,16 @@ class TestEnvelopeHeader:
                                  flush_threshold_records=None))
         engine.log_batch('q"é', True, 1, [record])
         engine.log_batch(_Device("sub"), 5, 0, [], lines=[])
-        engine.append_records([record, record])
+        engine.log_batch("d", 2, 2, [record, record])
         engine.close()
         (path,) = engine.wal_paths()
         heads = [payload.split(b"\n", 1)[0].decode()
                  for payload in replay(path).payloads]
-        assert heads == [
-            _dumped('q"é', 1, 1, 1), _dumped("sub", 5, 0, 0),
-            json.dumps({"kind": "bulk", "n": 2, "seq": 1},
-                       sort_keys=True, separators=(",", ":"))]
+        assert heads == [_dumped('q"é', 1, 1, 1), _dumped("sub", 5, 0, 0),
+                         _dumped("d", 2, 2, 2)]
         reopened = StoreEngine(str(tmp_path), obs=Observability())
-        assert dict(reopened.dedup) == {('q"é', 1): 1, ("sub", 5): 0}
+        assert dict(reopened.dedup) == {('q"é', 1): 1, ("sub", 5): 0,
+                                        ("d", 2): 2}
         reopened.close()
 
 
@@ -346,16 +345,16 @@ class TestMetricFastPath:
 #: its ``BatchOutcome`` reprs and its obs snapshot -- as written before
 #: the ACK path lost its bookkeeping.
 _PINNED_STORE = (
-    {"MANIFEST.json": "9da6c6660d25bdeb941f5530ad4be2b1"
-                      "34052a08e3421bf541a0b996e8381020",
+    {"MANIFEST.json": "4d5c82a689fdf8f021482270ea83b5eb"
+                      "b58c2eb5301ad2f89f271a68de9a86f9",
      "ckpt-000001.ckpt": "07731a228a4e4b71c528c8db0626a686"
                          "3f974c90b279858794d559cfde4cd5c8",
      "wal-g000001-s00.log": "875a1b36ee2f0abaa071ab528e85fa6d"
                             "624e042319c77a5840b682a3edb88058",
      "wal.log": "008f28fcf50643c33c146c82b5cd69c2"
                 "a396a57eb4ffc220064405cd6876ffc9"},
-    {"MANIFEST.json": "5b3fb0c4fd601141e86b12baf217db1d"
-                      "3c4508c89ec75d315156b00d36027704",
+    {"MANIFEST.json": "83a5847e6f81505196d50c9a82049125"
+                      "b99a8278a58bd72576784016a9a53d3c",
      os.path.join("segments", "seg-000001.seg"):
          "73f7562b86b8a26918aa7c201d5d034e"
          "61616c58be18e8e44c538e88c308e851",

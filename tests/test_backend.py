@@ -434,12 +434,14 @@ class TestEncodeWorkPerRecord:
                            for record in records).encode()
         if path == "encode_batch":
             return encode_batch(records)
+        # The store's one serialising write: a batch logged without
+        # the lines it came in (a bulk load serialises nothing).
         engine = StoreEngine(str(root / "store"), obs=Observability())
-        engine.append_records(records)
+        engine.log_batch("dev-1", 0, len(records), records)
         engine.close()
         return (root / "store" / "wal.log").read_bytes()
 
-    PATHS = ["record_to_line", "encode_batch", "append_records"]
+    PATHS = ["record_to_line", "encode_batch", "log_batch"]
 
     @pytest.mark.parametrize("path", PATHS)
     def test_ordinary_records_are_never_dumped(self, counted, path,

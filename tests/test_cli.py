@@ -309,7 +309,8 @@ class TestQuery:
             kind="TCP", rtt_ms=20.0, timestamp_ms=0.0,
             app_package="com.app.00", operator="Op0",
             network_type="WIFI", device_id="dev-1")])
-        path = engine._checkpoint_path(engine.checkpoint())
+        # The load ends in the checkpoint that commits it.
+        path = engine._checkpoint_path(engine.checkpoint_names()[-1])
         engine.close()
         _restamp_checkpoint(path, 2)
         before = tree_bytes(data_dir)
@@ -340,8 +341,8 @@ class TestQuery:
         for path, other, told in (
                 (wal, b"MOPWAL0\n" + frames[8:], "MOPWAL0"),
                 (manifest,
-                 published.replace('"schema":2', '"schema":1').encode(),
-                 "schema 1 ")):
+                 published.replace('"schema":3', '"schema":2').encode(),
+                 "schema 2 ")):
             sound = open(path, "rb").read()
             open(path, "wb").write(other)
             for argv in (["store", "inspect", data_dir],

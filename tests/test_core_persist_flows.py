@@ -162,12 +162,6 @@ class TestOneWriter:
         assert _sha((tmp_path / "batch" / "wal.log").read_bytes()) \
             == ("923381126d7657ca52d3068de8654e71"
                 "be8b2b31df10e2817fd1d9b9cde5ccda")
-        engine = StoreEngine(str(tmp_path / "bulk"))
-        engine.append_records(iter(records), batch_records=16)
-        engine.close()
-        assert _sha((tmp_path / "bulk" / "wal.log").read_bytes()) \
-            == ("0380312f51cc94191f1e1a9731b63815"
-                "05ec90649c8cf360526bb3310f447f15")
 
     def test_write_records_hashes_what_it_writes(self, tmp_path):
         from repro.core.persist import (_WRITE_CHUNK, encode_batch,

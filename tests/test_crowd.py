@@ -1,6 +1,7 @@
 """Tests for the synthetic crowdsourcing layer."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -36,13 +37,6 @@ class TestIsps:
         cricket = isp_by_name("Cricket")
         assert cricket.lte_share < 0.5
         assert cricket.dns_floor_ms >= 40
-
-    def test_dns_distribution_median_tracks_profile(self):
-        rng = random.Random(0)
-        verizon = isp_by_name("Verizon")
-        samples = sorted(verizon.dns_distribution(rng).sample()
-                         for _ in range(4001))
-        assert abs(samples[2000] - 46) < 10
 
     def test_access_distribution_includes_core_penalty(self):
         rng = random.Random(0)
@@ -107,13 +101,13 @@ class TestPopulation:
 
     def test_top_countries_match_figure7(self):
         population = Population(seed=1)
-        counts = population.country_counts()
+        counts = Counter(d.country for d in population.devices)
         for country, expected in COUNTRY_USERS[:5]:
             assert abs(counts[country] - expected) <= 1
 
     def test_many_countries(self):
         population = Population(seed=1)
-        assert len(population.country_counts()) > 90
+        assert len({d.country for d in population.devices}) > 90
 
     def test_activity_heavy_tailed(self):
         population = Population(seed=1)
@@ -123,7 +117,10 @@ class TestPopulation:
 
     def test_locations_within_country_box(self):
         population = Population(seed=1)
-        for device in population.devices_in("Singapore"):
+        singapore = [d for d in population.devices
+                     if d.country == "Singapore"]
+        assert singapore
+        for device in singapore:
             for lat, lon in device.locations:
                 assert 1.0 < lat < 2.0
                 assert 103.0 < lon < 104.5

@@ -136,9 +136,7 @@ class TestGroundTruthLedger:
         ledger.save(path)
         assert GroundTruthLedger.load(path).digest() == ledger.digest()
 
-    def test_activated_and_by_kind(self):
+    def test_activated(self):
         ledger = GroundTruthLedger.from_plan(small_plan())
         ledger.record_counts({"e-early": {"activations": 1}})
         assert [e.event_id for e in ledger.activated()] == ["e-early"]
-        assert [e.event_id
-                for e in ledger.by_kind("server_outage")] == ["e-late"]

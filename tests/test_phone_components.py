@@ -29,20 +29,8 @@ class TestPackageManager:
         uid = pm.install("com.app.a")
         assert pm.install("com.app.a") == uid
 
-    def test_system_package_fixed_uid(self, world):
-        pm = world.device.packages
-        assert pm.install_system("netd", 1051) == 1051
-        assert pm.name_for_uid(1051) == "netd"
-
     def test_unknown_uid_is_none(self, world):
         assert world.device.packages.name_for_uid(99999) is None
-
-    def test_installed_packages_sorted(self, world):
-        pm = world.device.packages
-        pm.install("com.z")
-        pm.install("com.a")
-        packages = pm.installed_packages()
-        assert packages == sorted(packages)
 
 
 class TestDownloadManager:

@@ -112,11 +112,6 @@ class TestTunBlockingGates:
         tun.set_blocking_via_reflection(True)
         assert tun.blocking
 
-    def test_fcntl_shim_works_anywhere(self, world):
-        _vpn, tun = establish(world)
-        tun.set_blocking_via_fcntl(True)
-        assert tun.blocking
-
     def test_nonblocking_read_requires_try_read(self, world):
         from repro.phone import TunError
         _vpn, tun = establish(world)

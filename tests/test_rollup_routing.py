@@ -220,9 +220,12 @@ def test_each_path_routes_batches(tmp_path, routes):
     assert batches == [12] * 5 + [0]
     assert engine.last_recovery.wal_frames == len(batches)
 
-    # append_entries: one add_all per run, the runs cut by the batch.
+    # append_records: one add_all per run, the runs cut where a flush
+    # or a checkpoint falls due.
+    engine.config.flush_threshold_records = 25
+    engine.flush()
     del batches[:]
-    engine.append_records(records, batch_records=7)
-    assert batches == [7] * 8 + [4]
+    engine.append_records(records)
+    assert batches == [25, 25, 10]
     assert singles == []
     engine.close()

@@ -17,6 +17,7 @@ from repro.backend.rollups import MergeHist, RollupStore
 from repro.core.records import MeasurementRecord
 from repro.store import BlockCache, StoreConfig, StoreEngine
 from repro.store.segments import ReadStats, SegmentReader, write_segment
+from tests.conftest import log_records
 
 DAY_MS = 24 * 3600 * 1000.0
 
@@ -92,7 +93,7 @@ def test_shared_rows_behave_like_deep_copies(ops):
 
         def write(index, records):
             if index == 0:
-                engine.append_records(records)
+                log_records(engine, records)
                 durable.add_all(records)
             else:
                 stores[index].add_all(records)
@@ -216,11 +217,11 @@ def test_recovered_memtable_is_written_in_place(tmp_path, copies):
     engine = StoreEngine(
         str(tmp_path / "store"),
         config=StoreConfig(flush_threshold_records=None))
-    engine.append_records(_rec(app="com.app.%03d" % i)
-                          for i in range(60))
+    log_records(engine, (_rec(app="com.app.%03d" % i)
+                         for i in range(60)))
     engine.checkpoint()
-    engine.append_records(_rec(app="com.app.%03d" % i)
-                          for i in range(30, 90))
+    log_records(engine, (_rec(app="com.app.%03d" % i)
+                         for i in range(30, 90)), first_seq=1)
     engine.crash()
     info = engine.recover()
     assert (info.checkpoint_records, info.wal_records) == (60, 60)

@@ -23,7 +23,7 @@ from repro.store.checkpoint import (
 )
 from repro.store.engine import QUARANTINE_DIR
 from repro.store.segments import UnsupportedSchema
-from tests.conftest import hand_built_row_block, tree_bytes
+from tests.conftest import hand_built_row_block, log_records, tree_bytes
 
 
 def _rec(kind="TCP", rtt=100.0, ts=0.0, domain=None, operator="OpA",
@@ -72,7 +72,7 @@ class TestBoundedReplay:
         records = _records(1010)
         engine, obs = _engine(tmp_path, flush_threshold_records=None,
                               checkpoint_interval_records=100)
-        engine.append_records(records, batch_records=25)
+        log_records(engine, records, per_batch=25)
         assert obs.value("store.checkpoints") >= 9
         engine.crash()
         info = engine.recover()
@@ -89,7 +89,8 @@ class TestBoundedReplay:
                                checkpoint_interval_records=None)
         records = _records(300)
         for start in range(0, 300, 100):
-            engine.append_records(records[start:start + 100])
+            log_records(engine, records[start:start + 100],
+                        first_seq=start)
             engine.checkpoint()
         on_disk = [name for name in os.listdir(engine.data_dir)
                    if name.endswith(".ckpt")]
@@ -107,9 +108,9 @@ class TestBoundedReplay:
         engine, _obs = _engine(tmp_path, flush_threshold_records=None,
                                checkpoint_interval_records=None)
         records = _records(120)
-        engine.append_records(records[:80])
+        log_records(engine, records[:80])
         engine.checkpoint()
-        engine.append_records(records[80:])
+        log_records(engine, records[80:], first_seq=1)
         engine.flush()
         assert engine.checkpoint_names() == []
         assert not [name for name in os.listdir(engine.data_dir)
@@ -131,7 +132,7 @@ class TestCrashWindows:
         records = _records(90)
         engine, _obs = _engine(tmp_path, flush_threshold_records=None,
                                checkpoint_interval_records=None)
-        engine.append_records(records)
+        log_records(engine, records)
         monkeypatch.setattr(engine, "_write_manifest", lambda: None)
         name = engine.checkpoint()
         monkeypatch.undo()
@@ -151,9 +152,9 @@ class TestCrashWindows:
         records = _records(200)
         engine, _obs = _engine(tmp_path, flush_threshold_records=None,
                                checkpoint_interval_records=None)
-        engine.append_records(records[:100])
+        log_records(engine, records[:100])
         engine.checkpoint()
-        engine.append_records(records[100:])
+        log_records(engine, records[100:], first_seq=1)
         monkeypatch.setattr(engine, "_prune_wal_files", lambda: None)
         engine.checkpoint()
         monkeypatch.undo()
@@ -171,12 +172,11 @@ class TestCrashWindows:
         records = _records(180)
         engine, obs = _engine(tmp_path, flush_threshold_records=None,
                               checkpoint_interval_records=None)
-        engine.append_records(records[:100])
+        log_records(engine, records[:100])
         first = engine.checkpoint()
-        engine.append_records(records[100:150])
+        log_records(engine, records[100:150], first_seq=1)
         second = engine.checkpoint()
-        engine.append_records(records[150:])
-        engine._commit()
+        log_records(engine, records[150:], first_seq=2)
         _corrupt_tail(os.path.join(engine.data_dir, second))
         engine.crash()
         info = engine.recover()
@@ -194,10 +194,9 @@ class TestCrashWindows:
         records = _records(130)
         engine, _obs = _engine(tmp_path, flush_threshold_records=None,
                                checkpoint_interval_records=None)
-        engine.append_records(records[:100])
+        log_records(engine, records[:100])
         name = engine.checkpoint()
-        engine.append_records(records[100:])
-        engine._commit()
+        log_records(engine, records[100:], first_seq=1)
         _corrupt_tail(os.path.join(engine.data_dir, name))
         engine.crash()
         info = engine.recover()
@@ -208,6 +207,119 @@ class TestCrashWindows:
         assert info.checkpoints_quarantined == 1
         assert info.wal_records == 130
         assert engine.memtable.digest() == _reference(records).digest()
+
+
+class _Crash(Exception):
+    """The process dies at this call."""
+
+
+class TestBulkLoadCrashPoints:
+    """Every fsync and every rename one ``append_records`` call makes
+    is a crash point.  Whichever one the process dies at, recovery
+    comes back to one of the call's durable boundaries -- before it,
+    after a flush or checkpoint inside it, or after it -- and every
+    upload ACKed before the call is there."""
+
+    #: A flush at 50 records and a checkpoint every 20: the uploads
+    #: leave a checkpoint and a WAL tail, and the load below takes
+    #: a checkpoint, a flush, two checkpoints and the one that ends it.
+    CONFIG = dict(flush_threshold_records=50,
+                  checkpoint_interval_records=20)
+    UPLOADS = _records(30, device="dev-up")
+    LOAD = _records(70, device="dev-load")
+    BOUNDARIES = (0, 10, 20, 40, 60, 70)
+
+    def _store(self, root):
+        engine = StoreEngine(root, config=StoreConfig(**self.CONFIG),
+                             obs=Observability())
+        log_records(engine, self.UPLOADS, per_batch=10, device="dev-up")
+        assert engine.checkpoint_names() and engine.wal_bytes() > 16
+        return engine
+
+    @staticmethod
+    def _at_the_kth(patch, k, calls):
+        """Count every ``os.fsync`` and ``os.replace``; with ``k``,
+        raise in place of the ``k``-th."""
+        def hook(real):
+            def call(*args):
+                calls.append(real.__name__)
+                if len(calls) == k:
+                    raise _Crash(real.__name__)
+                return real(*args)
+            return call
+        patch.setattr(os, "fsync", hook(os.fsync))
+        patch.setattr(os, "replace", hook(os.replace))
+
+    def test_every_crash_point_recovers_a_durable_boundary(
+            self, tmp_path, monkeypatch):
+        # The boundaries are the load's prefixes where a flush or a
+        # checkpoint falls due, and its end.
+        states = [_reference(self.UPLOADS + self.LOAD[:m]).digest()
+                  for m in self.BOUNDARIES]
+        engine = self._store(str(tmp_path / "whole"))
+        seen = [engine.materialize().digest()]
+        for name in ("flush", "checkpoint"):
+            def durable(real=getattr(engine, name)):
+                result = real()
+                seen.append(engine.materialize().digest())
+                return result
+            monkeypatch.setattr(engine, name, durable)
+        calls = []
+        with monkeypatch.context() as patch:
+            self._at_the_kth(patch, None, calls)
+            assert engine.append_records(iter(self.LOAD)) == 70
+        assert seen == states
+        assert calls.count("fsync") >= 5 and calls.count("replace") >= 5
+        engine.close()
+
+        recovered = set()
+        for k in range(1, len(calls) + 1):
+            engine = self._store(str(tmp_path / ("crash-%02d" % k)))
+            with monkeypatch.context() as patch:
+                self._at_the_kth(patch, k, [])
+                with pytest.raises(_Crash):
+                    engine.append_records(iter(self.LOAD))
+            engine.crash()
+            engine.recover()
+            digest = engine.materialize().digest()
+            assert digest in states, "crash at call %d (%s)" % (
+                k, calls[k - 1])
+            recovered.add(digest)
+            for seq in range(3):
+                assert engine.dedup[("dev-up", seq)] == 10
+            engine.close()
+        # The crash points reach every boundary but the last.
+        assert recovered == set(states[:-1])
+
+
+class TestGenerationNames:
+    def test_a_generation_past_999999_is_found(self, tmp_path):
+        """``wal-g%06d`` is seven digits from generation 1,000,000 on,
+        and the discovery pattern took exactly six: recovery and
+        ``holds_store`` did not see that file, and the ACKed batch
+        logged into it was gone after a crash."""
+        from repro.store.engine import holds_store
+        engine, _obs = _engine(tmp_path, flush_threshold_records=None)
+        engine.wal.close()
+        engine._open_wal(999_999)
+        records = _records(2, device="dev")
+        log_records(engine, records[:1], device="dev", first_seq=1)
+        engine.checkpoint()
+        newest = os.path.join(engine.data_dir, "wal-g1000000-s00.log")
+        assert engine._wal_path() == newest
+        log_records(engine, records[1:], device="dev", first_seq=2)
+        engine.crash()
+        info = engine.recover()
+        assert (info.wal_files, info.wal_records) == (1, 1)
+        assert engine.memtable.digest() == _reference(records).digest()
+        assert (engine.dedup[("dev", 1)], engine.dedup[("dev", 2)]) \
+            == (1, 1)
+        assert engine.wal_paths() == [newest]
+        engine.close()
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        os.replace(newest, str(alone / "wal-g1000000-s00.log"))
+        assert holds_store(str(alone))
 
 
 class TestRowOrder:
@@ -354,7 +466,7 @@ class TestDedupAndStreaming:
                                                         tmp_path):
         engine, _obs = _engine(tmp_path, flush_threshold_records=None)
         records = _records(40)
-        engine.append_records(records)
+        log_records(engine, records)
         engine.crash()
         seen = []
         info = engine.recover(on_record=seen.append)
@@ -362,6 +474,12 @@ class TestDedupAndStreaming:
         assert len(seen) == 40
         assert not hasattr(info, "replayed_records")
         assert _reference(seen).digest() == _reference(records).digest()
+
+
+#: A sound envelope header over three lines, for the gate's tests to
+#: break one way at a time.
+_BATCH = {"acked": 3, "device": "dev-other", "kind": "batch", "n": 3,
+          "seq": 99}
 
 
 class TestEnvelopeGate:
@@ -373,7 +491,7 @@ class TestEnvelopeGate:
     def _refused(self, tmp_path, payload):
         engine, _obs = _engine(tmp_path, flush_threshold_records=None)
         sound = _records(20)
-        engine.append_records(sound)
+        log_records(engine, sound)
         engine.wal.append(payload)
         engine.wal.commit()
         engine.close()
@@ -404,12 +522,16 @@ class TestEnvelopeGate:
             envelope, sort_keys=True, separators=(",", ":")).encode())
 
     @pytest.mark.parametrize("header", [
-        {"kind": "bulk", "n": 2, "seq": 99},          # n != body lines
-        {"kind": "bulk", "seq": 99},                  # no n at all
-        {"kind": "snapshot", "n": 3, "seq": 99},      # unknown kind
-        {"n": 3, "seq": 99},                          # no kind
-    ], ids=["short-n", "no-n", "unknown-kind", "no-kind"])
+        dict(_BATCH, n=2),                            # n != body lines
+        {k: v for k, v in _BATCH.items() if k != "n"},  # no n at all
+        dict(_BATCH, kind="snapshot"),                # unknown kind
+        {k: v for k, v in _BATCH.items() if k != "kind"},  # no kind
+        {"kind": "bulk", "n": 3, "seq": 99},          # the bulk load's
+    ], ids=["short-n", "no-n", "unknown-kind", "no-kind", "bulk"])
     def test_header_not_this_builds_is_refused(self, tmp_path, header):
+        """The last generation's ``bulk`` envelope is one of these:
+        a bulk load writes no envelope any more, and the frame is
+        refused like any other generation's."""
         self._refused(
             tmp_path,
             json.dumps(header, sort_keys=True,
@@ -420,10 +542,10 @@ class TestEnvelopeGate:
         b"[1]",
         b'{"kind":"batch","n":0}',
         b"\xff\xfe",
-        b'{"kind":"bulk","n":3,"seq":"x"}',
-        b'{"kind":"bulk","n":3,"seq":1.5}',
+        b'{"acked":3,"device":"d","kind":"batch","n":3,"seq":"x"}',
+        b'{"acked":3,"device":"d","kind":"batch","n":3,"seq":1.5}',
         b'{"acked":0,"device":["d"],"kind":"batch","n":0,"seq":1}',
-        b'{"kind":"bulk","n":0,"seq":1,"x":1}',
+        b'{"acked":0,"device":"d","kind":"batch","n":0,"seq":1,"x":1}',
     ], ids=["array", "no-device", "not-utf8", "seq-text", "seq-float",
             "device-list", "extra-key"])
     def test_unreadable_header_is_refused(self, tmp_path, head):
@@ -463,9 +585,8 @@ class TestStripedDirectories:
                 str(root / ("wal-g000003-s%02d.log" % stripe)),
                 obs=Observability())
             wal.append(StoreEngine._envelope(
-                json.dumps({"kind": "bulk", "n": len(records),
-                            "seq": stripe + 1},
-                           sort_keys=True, separators=(",", ":")),
+                StoreEngine._batch_header("dev-%d" % stripe, 1,
+                                          len(records), len(records)),
                 [record_to_line(r).encode() for r in records]))
             wal.close()
         engine = StoreEngine(
@@ -477,7 +598,7 @@ class TestStripedDirectories:
             == _reference(stripes[0] + stripes[1]).digest()
         assert engine._wal_path() == str(root / "wal-g000003-s00.log")
         engine.checkpoint()
-        engine.append_records(_records(5, device="dev-c"))
+        log_records(engine, _records(5, device="dev-c"), device="dev-c")
         engine.checkpoint()
         assert [os.path.basename(path) for path in engine.wal_paths()] \
             == ["wal-g000004-s00.log", "wal-g000005-s00.log"]

@@ -9,14 +9,13 @@ import pytest
 
 from repro.backend import query as backend_query
 from repro.backend.rollups import RollupConfig, RollupStore
-from repro.core.persist import encode_chunks
+from repro.core import persist
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability
 from repro.store import StoreConfig, StoreEngine
-from repro.store import engine as engine_module
 from repro.store.engine import _MANIFEST_FIELDS, QUARANTINE_DIR
 from repro.store.wal import replay
-from tests.conftest import tree_bytes
+from tests.conftest import log_records, tree_bytes
 
 
 def _rec(kind="TCP", rtt=100.0, ts=0.0, domain=None, operator="OpA",
@@ -59,7 +58,7 @@ class TestWritePathAndRecovery:
     def test_recovery_replays_the_wal_exactly(self, tmp_path):
         engine, obs = _engine(tmp_path, flush_threshold_records=None)
         records = _records(80)
-        engine.append_records(records)
+        log_records(engine, records)
         reference = RollupStore()
         reference.add_all(records)
         before = engine.memtable.digest()
@@ -91,8 +90,9 @@ class TestWritePathAndRecovery:
     def test_uncommitted_tail_is_genuinely_lost(self, tmp_path):
         engine, _obs = _engine(tmp_path,
                                flush_threshold_records=None)
-        engine.append_records(_records(30))
-        engine.wal.append(b'{"kind":"bulk","n":0,"seq":99}')
+        log_records(engine, _records(30))
+        engine.wal.append(
+            b'{"acked":0,"device":"dev-1","kind":"batch","n":0,"seq":99}')
         engine.crash()                        # buffer never committed
         info = engine.recover()
         assert info.wal_records == 30
@@ -137,52 +137,30 @@ class TestWritePathAndRecovery:
         reopened.close()
 
 
-def _reference_append_entries(engine, entries, batch_records):
-    """``StoreEngine.append_entries`` as it was: the memtable took one
-    record at a time, and the thresholds were checked after each."""
+def _reference_append_records(engine, records):
+    """``StoreEngine.append_records`` one record at a time: the
+    thresholds checked after each record, and one checkpoint to end a
+    call whose last record no flush or checkpoint took."""
     count = 0
-    lines = []
-
-    def _emit():
-        engine._bulk_seq += 1
-        engine.wal.append(engine._envelope(
-            engine_module._BULK_HEADER % (len(lines), engine._bulk_seq),
-            lines))
-        engine._pending_records += len(lines)
-        if engine._pending_records >= engine_module.GROUP_COMMIT_RECORDS \
-                or engine.wal.pending_bytes \
-                >= engine_module.GROUP_COMMIT_BYTES:
-            engine._commit()
-
-    for record, line in entries:
+    for record in records:
         engine.memtable.add(record)
-        lines.append(line)
         count += 1
         engine._records_since_checkpoint += 1
-        if len(lines) >= batch_records:
-            _emit()
-            lines = []
         if engine._over_threshold():
-            if lines:
-                _emit()
-                lines = []
             engine.flush()
         elif engine._checkpoint_due():
-            if lines:
-                _emit()
-                lines = []
             engine.checkpoint()
-    if lines:
-        _emit()
-    engine._commit()
+    if count and engine._records_since_checkpoint:
+        engine.checkpoint()
     engine._update_gauges()
     return count
 
 
 class TestAppendRuns:
-    """``append_entries`` hands the memtable runs of records, each
-    ending where an envelope, a flush or a checkpoint is due: every
-    file it writes is the one the record-at-a-time loop wrote."""
+    """``append_records`` hands the memtable runs of records, each
+    ending where a flush or a checkpoint is due: every file it writes
+    is the one the record-at-a-time loop wrote, whatever the calls a
+    load is cut into."""
 
     @staticmethod
     def _mixed(n):
@@ -191,26 +169,20 @@ class TestAppendRuns:
                      failure="timeout" if i % 11 == 0 else None)
                 for i in range(n)]
 
-    @pytest.mark.parametrize("batch_records", [1, 7, 512])
+    @pytest.mark.parametrize("per_call", [1, 7, 512])
     @pytest.mark.parametrize("flush_at, checkpoint_every",
                              [(45, 20), (None, 13), (None, None)])
     def test_runs_write_what_one_record_at_a_time_wrote(
-            self, tmp_path, batch_records, flush_at, checkpoint_every):
-        records = self._mixed(150)
+            self, tmp_path, per_call, flush_at, checkpoint_every):
+        records = self._mixed(90)
         found = []
-        for name in ("runs", "reference"):
+        for name, append in (("runs", StoreEngine.append_records),
+                             ("reference", _reference_append_records)):
             engine, obs = _engine(
                 tmp_path, name, flush_threshold_records=flush_at,
                 checkpoint_interval_records=checkpoint_every)
-            if name == "runs":
-                count = engine.append_records(records, batch_records)
-            else:
-                count = _reference_append_entries(
-                    engine,
-                    [entry for chunk, data in encode_chunks(
-                        records, batch_records)
-                     for entry in zip(chunk, data.splitlines())],
-                    batch_records)
+            count = sum(append(engine, iter(records[start:start + per_call]))
+                        for start in range(0, len(records), per_call))
             envelopes = sum(len(replay(path).payloads)
                             for path in engine.wal_paths())
             state = (count, envelopes, engine.wal_bytes(),
@@ -219,25 +191,68 @@ class TestAppendRuns:
             engine.close()
             found.append((state, tree_bytes(str(tmp_path / name))))
         assert found[0] == found[1]
+        assert found[0][0][:2] == (90, 0)
         if flush_at is not None:
-            assert found[0][0][4] == 150 // flush_at
+            assert found[0][0][4] == 90 // flush_at
 
-    @pytest.mark.parametrize("batch_records", [0, -1])
-    def test_batch_size_below_one_is_refused(self, tmp_path,
-                                             batch_records):
-        engine, _obs = _engine(tmp_path)
-        logged = engine.wal_bytes()
-        with pytest.raises(ValueError, match="at least 1"):
-            engine.append_records(_records(5), batch_records)
-        assert engine.memtable.records == 0
-        assert engine.wal_bytes() == logged
+
+class TestBulkLoadCommits:
+    """A bulk load writes no WAL envelope and serialises no record;
+    it is durable once the call returns, in a checkpoint or a
+    segment, beside the uploads the WAL holds."""
+
+    @pytest.mark.parametrize("flush_at, checkpoint_every",
+                             [(45, 20), (None, 13), (None, None)])
+    def test_uploads_around_a_load_recover_to_the_reference(
+            self, tmp_path, flush_at, checkpoint_every):
+        records = _records(150)
+        engine, _obs = _engine(
+            tmp_path, flush_threshold_records=flush_at,
+            checkpoint_interval_records=checkpoint_every)
+        log_records(engine, records[:30], device="dev-up")
+        assert engine.append_records(iter(records[30:120])) == 90
+        log_records(engine, records[120:], device="dev-up", first_seq=1)
+        engine.crash()
+        engine.recover()
+        reference = RollupStore()
+        reference.add_all(records)
+        assert engine.materialize().digest() == reference.digest()
+        assert engine.dedup == {("dev-up", 0): 30, ("dev-up", 1): 30}
+        engine.close()
+
+    def test_a_load_writes_no_frame_and_serialises_nothing(
+            self, tmp_path, monkeypatch):
+        dumped = []
+        to_line = persist.record_to_line
+        monkeypatch.setattr(persist, "record_to_line",
+                            lambda record: dumped.append(record)
+                            or to_line(record))
+        engine, obs = _engine(tmp_path, flush_threshold_records=None)
+        assert engine.append_records(_records(80)) == 80
+        assert dumped == []
+        # Each WAL file, the sealed one and the active one, is its
+        # magic and no frame.
+        assert engine.wal_bytes() == 8 * len(engine.wal_paths()) == 16
+        assert (obs.value("store.wal_appends"),
+                obs.value("store.checkpoints")) == (0, 1)
+        # Committed by the checkpoint: nothing is left to replay.
+        engine.crash()
+        info = engine.recover()
+        assert (info.checkpoint_records, info.wal_records) == (80, 0)
+        engine.close()
+
+    def test_an_empty_load_commits_nothing(self, tmp_path):
+        engine, obs = _engine(tmp_path)
+        assert engine.append_records([]) == 0
+        assert obs.value("store.checkpoints") == 0
+        assert engine.checkpoint_names() == []
         engine.close()
 
 
 class TestTornAndCorrupt:
     def test_torn_wal_tail_truncated_and_reported(self, tmp_path):
         engine, obs = _engine(tmp_path, flush_threshold_records=None)
-        engine.append_records(_records(40), batch_records=10)
+        log_records(engine, _records(40), per_batch=10)
         engine.close()
         wal_path = engine._wal_path()
         size = os.path.getsize(wal_path)
@@ -251,7 +266,7 @@ class TestTornAndCorrupt:
         # The tail was cut at the last valid frame: a fresh replay is
         # clean and new appends land after it.
         assert os.path.getsize(wal_path) < size
-        recovered.append_records(_records(5))
+        log_records(recovered, _records(5), first_seq=4)
         recovered.crash()
         assert recovered.recover().wal_records == 35
         recovered.close()
@@ -360,8 +375,9 @@ class TestOneGeneration:
         """Segments, checkpoints and a WAL tail under one manifest."""
         engine, _obs = _engine(tmp_path, flush_threshold_records=60,
                                checkpoint_interval_records=25)
-        engine.append_records(_records(150), batch_records=10)
+        log_records(engine, _records(150), per_batch=5)
         assert engine.segment_names() and engine.checkpoint_names()
+        assert engine.wal_bytes() > 8 * len(engine.wal_paths())
         digest = engine.materialize().digest()
         engine.close()
         return engine.data_dir, digest
@@ -375,7 +391,7 @@ class TestOneGeneration:
         assert tree_bytes(root) == before
         assert not os.path.exists(os.path.join(root, QUARANTINE_DIR))
 
-    @pytest.mark.parametrize("schema", [1, 3])
+    @pytest.mark.parametrize("schema", [1, 2, 4])
     def test_other_schema_manifest_is_refused(self, tmp_path, schema):
         from repro.store import UnsupportedSchema
         root, digest = self._store(tmp_path)
@@ -386,15 +402,15 @@ class TestOneGeneration:
         manifest["schema"] = schema
         json.dump(manifest, open(path, "w"))
         self._refused(root, UnsupportedSchema, path,
-                      "schema %d " % schema, "only schema 2")
-        manifest["schema"] = 2
+                      "schema %d " % schema, "only schema 3")
+        manifest["schema"] = 3
         json.dump(manifest, open(path, "w"))
         reopened = StoreEngine(root, obs=Observability())
         assert reopened.materialize().digest() == digest
         reopened.close()
 
     @pytest.mark.parametrize("field", [
-        "next_ckpt", "bulk_seq", "wal_covered_gen", "checkpoints",
+        "next_ckpt", "wal_covered_gen", "checkpoints",
         "dedup", "config"])
     def test_manifest_lacking_a_field_is_refused(self, tmp_path, field):
         """The fields a schema-1 manifest did without used to default
@@ -450,9 +466,7 @@ class TestOneGeneration:
         # One dedup LRU, one capacity, whoever writes the map.
         assert dedup.DEDUP_CAPACITY == 4096
         assert ingest.remember is engine_module.remember is dedup.remember
-        assert (engine_module.GROUP_COMMIT_RECORDS,
-                engine_module.GROUP_COMMIT_BYTES,
-                engine_module.CHECKPOINT_KEEP) == (16_384, 1 << 20, 2)
+        assert engine_module.CHECKPOINT_KEEP == 2
 
 
 class TestCompactionAndRetention:

@@ -67,6 +67,13 @@ RULES = {
         r"|jio_analysis|slow_factor",
         ("src", "tools", "docs", "README.md", "DESIGN.md", "examples",
          "benchmarks")),
+    # One WAL envelope kind, the uploaded batch's: a bulk load is
+    # committed by a checkpoint, so no bulk envelope, no group-commit
+    # thresholds and no bulk serialiser come back to the store.
+    "one-envelope-kind": (
+        r'_BULK_HEADER|GROUP_COMMIT_|encode_chunks|"bulk"'
+        r"|append_entries|bulk_seq",
+        ("src/repro/store",)),
     # CI runs tier-1 and nothing a contributor does not: every step is
     # pip, pytest or the link check, one command on one line -- no
     # heredoc, no tool script, no `cmp` of two runs.
