@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],

@@ -8,7 +8,7 @@ volumes (deployment growth / retention view) and per-period medians
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

@@ -9,7 +9,7 @@ numpy (no scipy dependency needed for the statistic itself).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 

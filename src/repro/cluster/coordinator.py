@@ -94,9 +94,6 @@ class Coordinator:
 
     # -- routing -------------------------------------------------------
 
-    def home_of(self, device_id: str) -> str:
-        return self._placement[device_id]
-
     def home_ip(self, device_id: str) -> str:
         return self.nodes[self._placement[device_id]].ip
 

@@ -7,7 +7,7 @@ baseline system's behaviour (ToyVpn, PrivacyGuard, Haystack).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

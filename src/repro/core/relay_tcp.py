@@ -12,11 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.records import (
-    FailureKind,
-    MeasurementKind,
-    MeasurementRecord,
-)
+from repro.core.records import FailureKind
 from repro.netstack.tcp_segment import TCPSegment
 from repro.netstack.tcp_state import TCPState, TCPStateMachine
 from repro.phone.ktcp import (

@@ -12,7 +12,6 @@ forwards, which is how TCP measurements get their ``domain`` label.
 
 from __future__ import annotations
 
-from repro.core.records import MeasurementKind, MeasurementRecord
 from repro.netstack.dns import DNSMessage, QTYPE_A
 from repro.netstack.ip import IPPacket, PROTO_UDP
 from repro.netstack.udp_datagram import UDPDatagram

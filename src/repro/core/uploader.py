@@ -125,10 +125,6 @@ class MeasurementUploader:
         return int(self.obs.value("uploader.ack_timeouts"))
 
     @property
-    def final_flushes(self) -> int:
-        return int(self.obs.value("uploader.final_flush"))
-
-    @property
     def rehomes(self) -> int:
         """Times the home collector changed under this uploader."""
         return int(self.obs.value("uploader.rehomes"))

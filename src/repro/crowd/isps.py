@@ -17,8 +17,8 @@ Each :class:`IspProfile` models one operator's network:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.network.link import NetworkType
 from repro.sim.distributions import (

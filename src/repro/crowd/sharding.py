@@ -25,7 +25,7 @@ import os
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.obs import Observability, get_default
 

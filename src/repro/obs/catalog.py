@@ -17,7 +17,7 @@ seed => same bytes, regardless of ``PYTHONHASHSEED`` or machine) holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 COUNTER = "counter"
 GAUGE = "gauge"

@@ -23,7 +23,7 @@ Design constraints (see docs/OBSERVABILITY.md):
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Union
 
 from repro.obs.catalog import (
     COUNTER,

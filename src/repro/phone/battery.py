@@ -17,7 +17,7 @@ absolute scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.network.link import NetworkType
 

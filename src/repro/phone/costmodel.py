@@ -13,10 +13,8 @@ from typing import Optional
 
 from repro.sim.distributions import (
     Constant,
-    Distribution,
     LogNormal,
     Mixture,
-    Normal,
     Uniform,
 )
 

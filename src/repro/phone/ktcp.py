@@ -18,7 +18,7 @@ makes the connect() duration the wire RTT plus only local issue costs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 from repro.netstack.ip import IPPacket, PROTO_TCP, PROTO_UDP
 from repro.netstack.tcp_segment import ACK, FIN, PSH, RST, SYN, TCPSegment

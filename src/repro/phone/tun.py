@@ -17,7 +17,7 @@ Blocking semantics follow section 3.1 exactly:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Deque, Optional
 
 from repro.netstack.ip import IPPacket
 from repro.sim.kernel import Event, Simulator

@@ -56,6 +56,7 @@ from repro.store.blockcache import DEFAULT_CACHE_BYTES, BlockCache
 from repro.store.segments import (
     ReadStats,
     SegmentCorruption,
+    merged_rollups,
     prefix_range,
     stored_order,
     stored_text,
@@ -201,11 +202,10 @@ class ReadView:
         """Segments (seq order) + memtable merged into one store;
         cached -- the view is immutable, so once is enough."""
         if self._materialized is None:
-            merged = RollupStore(config=self.memtable.config,
-                                 meta=self.meta)
             try:
-                for reader in self.readers:
-                    merged.merge(reader.to_store())
+                merged = merged_rollups(self.readers,
+                                        self.memtable.config,
+                                        meta=self.meta)
             except SegmentCorruption as exc:
                 raise QueryError(str(exc))
             merged.merge(self.memtable)

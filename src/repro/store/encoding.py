@@ -44,7 +44,8 @@ import zlib
 from bisect import bisect_left
 from itertools import accumulate, chain, islice
 from operator import ge
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -140,7 +141,6 @@ def encode_block(rows: Sequence[Tuple[str, MergeHist]]) -> bytes:
     module docstring has the layout).  Raises ``ValueError`` for a row
     :func:`decode_block` would not hand back: a count that is negative
     or past 63 bits, an empty bin, a bin index off the grid."""
-    raws = [text.encode("utf-8") for text, _hist in rows]
     bins = [hist.bins for _text, hist in rows]
     index = _uint64(list(chain.from_iterable(bins)))
     if len(index) and int(index.max()) >= N_BINS:
@@ -151,21 +151,36 @@ def encode_block(rows: Sequence[Tuple[str, MergeHist]]) -> bytes:
     # one sort of row * N_BINS + index, keys that are all distinct.
     order = np.argsort(np.repeat(np.arange(len(rows)), lengths) * N_BINS
                        + index)
-    index = index[order]
-    deltas = index.copy()
-    deltas[1:] -= index[:-1] + 1
-    starts = (np.cumsum(lengths) - lengths)[lengths > 0]
-    deltas[starts] = index[starts]
+    return encode_columns(
+        [text for text, _hist in rows],
+        _uint64([hist.count for _text, hist in rows]),
+        _uint64([hist.overflow for _text, hist in rows]),
+        lengths, index[order],
+        _uint64(list(chain.from_iterable(map(dict.values, bins))))[order])
+
+
+def encode_columns(texts: Sequence[str], counts: np.ndarray,
+                   overflows: np.ndarray, n_bins: np.ndarray,
+                   indices: np.ndarray, bin_counts: np.ndarray) -> bytes:
+    """The column half of :func:`encode_block`: rows given as the
+    columns :func:`decode_columns` hands back -- texts strictly
+    ascending, per row its count, overflow and number of bins, per bin
+    its index (ascending within a row, on the grid) and its count
+    (``>= 1``) -- as one block payload.  Raises ``ValueError`` for a
+    value no column holds: past 63 bits, or an empty bin."""
+    raws = [text.encode("utf-8") for text in texts]
     keys = b"".join(raws)
+    deltas = indices.copy()
+    deltas[1:] -= indices[:-1] + 1
+    starts = (np.cumsum(n_bins) - n_bins)[n_bins > 0]
+    deltas[starts] = indices[starts]
     return b"".join((
-        _BLOCK_HEAD.pack(len(rows), len(keys)), keys,
+        _BLOCK_HEAD.pack(len(texts), len(keys)), keys,
         _encode_column(_uint64([len(raw) for raw in raws])),
-        _encode_column(_uint64([hist.count for _text, hist in rows])),
-        _encode_column(_uint64([hist.overflow for _text, hist in rows])),
-        _encode_column(lengths.astype(np.uint64)),
+        _encode_column(counts), _encode_column(overflows),
+        _encode_column(n_bins.astype(np.uint64)),
         _encode_column(deltas.astype(np.uint64)),
-        _encode_column(_uint64(list(chain.from_iterable(
-            map(dict.values, bins))))[order] - np.uint64(1))))
+        _encode_column(bin_counts - np.uint64(1))))
 
 
 def _decode_column(payload: bytes, pos: int, n: int
@@ -192,6 +207,22 @@ def _decode_column(payload: bytes, pos: int, n: int
     return column, end
 
 
+class Columns(NamedTuple):
+    """Rows as columns -- one payload's, as :func:`decode_columns`
+    checked them, or one table of merged segments: ``texts`` strictly
+    ascending, per row ``counts``, ``overflows`` and ``n_bins``, per
+    bin its absolute ``indices`` (int64, ascending within a row) and
+    ``bin_counts`` (uint64, each ``>= 1``); row ``i``'s bins are
+    ``[bounds[i], bounds[i + 1])``."""
+    texts: List[str]
+    counts: np.ndarray
+    overflows: np.ndarray
+    n_bins: np.ndarray
+    bounds: List[int]
+    indices: np.ndarray
+    bin_counts: np.ndarray
+
+
 class Block:
     """One decoded payload -- a segment block or a whole checkpoint
     table -- every check already made, no row built yet.
@@ -206,18 +237,16 @@ class Block:
     __slots__ = ("texts", "_counts", "_overflows", "_bounds", "_indices",
                  "_bin_counts", "_hists")
 
-    def __init__(self, texts: List[str], counts: List[int],
-                 overflows: List[int], bounds: List[int],
-                 indices: List[int], bin_counts: List[int]) -> None:
-        self.texts = texts
-        self._counts = counts
-        self._overflows = overflows
+    def __init__(self, columns: Columns) -> None:
+        self.texts = columns.texts
+        self._counts = columns.counts.tolist()
+        self._overflows = columns.overflows.tolist()
         #: Row ``i``'s bins are ``[_bounds[i], _bounds[i + 1])`` of
         #: ``_indices`` and ``_bin_counts``.
-        self._bounds = bounds
-        self._indices = indices
-        self._bin_counts = bin_counts
-        self._hists: List[Optional[MergeHist]] = [None] * len(texts)
+        self._bounds = columns.bounds
+        self._indices = columns.indices.tolist()
+        self._bin_counts = columns.bin_counts.tolist()
+        self._hists: List[Optional[MergeHist]] = [None] * len(self.texts)
 
     def hist(self, i: int) -> MergeHist:
         """Row ``i``'s histogram."""
@@ -252,9 +281,18 @@ class Block:
 
 def decode_block(payload: bytes, expected_rows: Optional[int] = None
                  ) -> Block:
+    """:func:`decode_columns`, as a :class:`Block` that can hand out
+    any row without raising."""
+    return Block(decode_columns(payload, expected_rows))
+
+
+def decode_columns(payload: bytes, expected_rows: Optional[int] = None
+                   ) -> Columns:
     """Check one inflated payload -- a segment block or a whole
-    checkpoint table -- **completely**, and return it as a
-    :class:`Block` that can hand out any row without raising.
+    checkpoint table -- **completely**, and return its
+    :class:`Columns`: the one decoder, behind :func:`decode_block`
+    and the column merge of segments
+    (:func:`repro.store.segments.merge_segments`).
 
     A block stays keyed as it is stored, ordered and looked up: the
     reader already holds the stored text of every key it asks for, so
@@ -338,13 +376,13 @@ def decode_block(payload: bytes, expected_rows: Optional[int] = None
     indices -= np.repeat(running[bounds[:-1]], n_bins.astype(np.int64))
     if bounds[-1] and int(indices.max()) >= N_BINS:
         raise ValueError("a bin index outside [0, %d)" % N_BINS)
-    return Block(texts, counts.tolist(), overflows.tolist(), bounds,
-                 indices.tolist(),
-                 (bin_counts.astype(np.uint64) + np.uint64(1)).tolist())
+    return Columns(texts, counts, overflows, n_bins, bounds, indices,
+                   bin_counts.astype(np.uint64) + np.uint64(1))
 
 
 __all__ = [
-    "Block", "FRAME_CORRUPT", "FRAME_END", "FRAME_HEADER_BYTES",
-    "FRAME_OK", "FRAME_TORN", "decode_block", "encode_block", "frame",
+    "Block", "Columns", "FRAME_CORRUPT", "FRAME_END",
+    "FRAME_HEADER_BYTES", "FRAME_OK", "FRAME_TORN", "decode_block",
+    "decode_columns", "encode_block", "encode_columns", "frame",
     "pack_u64", "read_frame", "unpack_u64",
 ]

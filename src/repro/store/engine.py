@@ -28,9 +28,11 @@ A miniature LSM tree shaped for the rollup workload:
   manifest is updated (segment list, dedup seeds, findings), and the
   WAL + checkpoints restart empty -- the segment now carries that
   data;
-* **compaction** merges accumulated segments into one (histogram merge
-  is commutative, so this is pure bookkeeping) and the **retention**
-  pass drops windowed rows older than the configured horizon;
+* **compaction** merges accumulated segments into one, block columns
+  folded as they are stored (:func:`~repro.store.segments.merge_segments`:
+  histogram merge is commutative, so this is pure bookkeeping), and the
+  **retention** pass drops windowed rows older than the configured
+  horizon;
 * **recovery** rebuilds the live state from disk alone: load the
   manifest, check every segment (quarantining any that fails its
   checksums), load the newest valid checkpoint (quarantining torn
@@ -65,14 +67,15 @@ import os
 import re
 import time
 from collections import OrderedDict
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.backend.dedup import remember
-from repro.backend.rollups import (TABLE_SPECS, RollupConfig,
-                                   RollupStore, UnsupportedSchema)
+from repro.backend.rollups import (RollupConfig, RollupStore,
+                                   UnsupportedSchema)
 from repro.core.persist import decode_record_lines, encode_batch
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability, get_default
@@ -85,6 +88,8 @@ from repro.store.segments import (
     DEFAULT_BLOCK_ROWS,
     SegmentCorruption,
     SegmentReader,
+    merge_segments,
+    merged_rollups,
     write_segment,
 )
 from repro.store.wal import FsyncModel, WriteAheadLog, replay
@@ -212,7 +217,8 @@ class StoreEngine:
           wal-gNNNNNN-s00.log  later generations
           ckpt-NNNNNN.ckpt     periodic memtable checkpoints
           segments/seg-NNNNNN.seg
-          quarantine/          files that failed their checksums
+          quarantine/          files that failed their checksums, and
+                               segments no manifest was there to list
     """
 
     def __init__(self, data_dir: str,
@@ -603,19 +609,18 @@ class StoreEngine:
                 and not self._holds_window_before(cutoff):
             self._update_gauges()
             return False
-        merged = RollupStore(config=self.rollup_config)
+        with ExitStack() as stack:
+            merged = merge_segments(self._readers(stack),
+                                    self.rollup_config, cutoff)
+        if merged.evicted_windows:
+            self.obs.inc("store.retention_windows_evicted",
+                         merged.evicted_windows)
         old = list(self._segments)
-        for name in old:
-            with SegmentReader(self._segment_path(name)) as reader:
-                merged.merge(reader.to_store())
-        if cutoff is not None:
-            self._evict_old_windows(merged, cutoff)
         seq = self._next_seq
         self._next_seq += 1
         name = "seg-%06d.seg" % seq
-        write_segment(self._segment_path(name), merged, seq,
-                      obs=self.obs,
-                      block_rows=self.config.segment_block_rows)
+        merged.write(self._segment_path(name), seq, obs=self.obs,
+                     block_rows=self.config.segment_block_rows)
         self._segments = [name]
         self._write_manifest()
         for stale in old:
@@ -623,6 +628,11 @@ class StoreEngine:
         self.obs.inc("store.compactions")
         self._update_gauges()
         return True
+
+    def _readers(self, stack: ExitStack) -> List[SegmentReader]:
+        """One reader per live segment, each closed with ``stack``."""
+        return [stack.enter_context(SegmentReader(self._segment_path(name)))
+                for name in self._segments]
 
     def _holds_window_before(self, cutoff: Optional[int]) -> bool:
         """Whether any segment's footer lists a window below
@@ -634,20 +644,6 @@ class StoreEngine:
                 if any(window < cutoff for window in reader.windows()):
                     return True
         return False
-
-    def _evict_old_windows(self, store: RollupStore,
-                           cutoff: int) -> None:
-        evicted_windows = set()
-        for spec in TABLE_SPECS:
-            if not spec.windowed:
-                continue
-            rows = store.tables[spec.name]
-            for key in [k for k in rows if int(k[0]) < cutoff]:
-                evicted_windows.add(int(key[0]))
-                del rows[key]
-        if evicted_windows:
-            self.obs.inc("store.retention_windows_evicted",
-                         len(evicted_windows))
 
     # -- crash + recovery ----------------------------------------------
 
@@ -740,7 +736,7 @@ class StoreEngine:
         covered = self._covered_gen
         if manifest_dirty:
             self._write_manifest()
-        self._sweep_orphan_checkpoints()
+        self._sweep_orphans(manifest is not None)
 
         wal_files = self._discover_wal_files()
         live_files: List[Tuple[int, int, str]] = []
@@ -817,7 +813,7 @@ class StoreEngine:
                 try:
                     loaded_store, covers = read_checkpoint(path)
                 except CheckpointCorruption:
-                    self._quarantine_checkpoint(entry["name"])
+                    self._quarantine(path)
                     info.checkpoints_quarantined += 1
                     continue
                 info.checkpoint_loaded = entry["name"]
@@ -834,29 +830,42 @@ class StoreEngine:
                          info.checkpoints_quarantined)
         return info.checkpoints_quarantined > 0
 
-    def _quarantine_checkpoint(self, name: str) -> None:
+    def _quarantine(self, path: str) -> None:
+        """Move ``path``, if it is there, into ``quarantine/``."""
         quarantine = os.path.join(self.data_dir, QUARANTINE_DIR)
         os.makedirs(quarantine, exist_ok=True)
-        path = self._checkpoint_path(name)
         if os.path.exists(path):
-            os.replace(path, os.path.join(quarantine, name))
+            os.replace(path, os.path.join(quarantine,
+                                          os.path.basename(path)))
 
-    def _sweep_orphan_checkpoints(self) -> None:
-        """Delete checkpoint files the manifest does not reference --
-        leftovers of a crash between a checkpoint/flush write and its
-        manifest publish or deletions."""
-        valid = {entry["name"] for entry in self._checkpoints}
-        try:
-            names = os.listdir(self.data_dir)
-        except OSError:
-            return
-        for name in names:
-            if (name.endswith(".ckpt") or name.endswith(".ckpt.tmp")) \
-                    and name not in valid:
-                try:
-                    os.remove(os.path.join(self.data_dir, name))
-                except OSError:
-                    pass
+    def _sweep_orphans(self, manifest_loaded: bool) -> None:
+        """Clear away what a crash between a write and its manifest
+        publish, or between the publish and its deletions, left
+        behind: every ``.tmp`` and every checkpoint the manifest does
+        not list are deleted, and so is every segment it does not
+        list -- when a manifest was loaded.  Without one, an unlisted
+        segment may hold the only copy of flushed data (its WAL
+        pruned), so it is moved to ``quarantine/``, which the sweep
+        never touches, instead."""
+        for folder, listed, suffix in (
+                (self.data_dir, {entry["name"]
+                                 for entry in self._checkpoints}, ".ckpt"),
+                (os.path.join(self.data_dir, SEGMENT_DIR),
+                 set(self._segments), ".seg")):
+            try:
+                names = os.listdir(folder)
+            except OSError:
+                continue
+            for name in names:
+                path = os.path.join(folder, name)
+                orphan = name.endswith(suffix) and name not in listed
+                if orphan and suffix == ".seg" and not manifest_loaded:
+                    self._quarantine(path)
+                elif orphan or name.endswith(".tmp"):
+                    try:
+                        os.remove(path)
+                    except OSError:
+                        pass
 
     def _check_segment(self, name: str) -> bool:
         """Full checksum pass; quarantine the file on failure
@@ -867,10 +876,7 @@ class StoreEngine:
                 reader.verify()
             return True
         except SegmentCorruption:
-            quarantine = os.path.join(self.data_dir, QUARANTINE_DIR)
-            os.makedirs(quarantine, exist_ok=True)
-            if os.path.exists(path):
-                os.replace(path, os.path.join(quarantine, name))
+            self._quarantine(path)
             return False
 
     # -- the read path -------------------------------------------------
@@ -878,11 +884,9 @@ class StoreEngine:
     def materialize(self) -> RollupStore:
         """Segments (seq order) + memtable, merged into one
         RollupStore -- the read path queries run against."""
-        merged = RollupStore(config=self.rollup_config,
-                             meta=self.meta)
-        for name in self._segments:
-            with SegmentReader(self._segment_path(name)) as reader:
-                merged.merge(reader.to_store())
+        with ExitStack() as stack:
+            merged = merged_rollups(self._readers(stack),
+                                    self.rollup_config, meta=self.meta)
         merged.merge(self.memtable)
         return merged
 

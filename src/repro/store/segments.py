@@ -61,14 +61,20 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import accumulate, chain, compress, islice
+from operator import itemgetter, ne
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
+
+import numpy as np
 
 from repro.backend.rollups import (
+    N_BINS,
     Key,
     MergeHist,
     RollupConfig,
@@ -83,8 +89,11 @@ from repro.obs import Observability
 from repro.store.encoding import (
     FRAME_OK,
     Block,
+    Columns,
     decode_block,
+    decode_columns,
     encode_block,
+    encode_columns,
     frame,
     pack_u64,
     read_frame,
@@ -183,35 +192,39 @@ def sorted_rows(table: Dict[Key, MergeHist], name: Optional[str] = None
     return sorted(zip(texts, table.values()), key=itemgetter(0))
 
 
-def write_segment(path: str, store: RollupStore, seq: int,
-                  obs: Optional[Observability] = None,
-                  block_rows: int = DEFAULT_BLOCK_ROWS) -> int:
-    """Write ``store`` as segment ``seq`` at ``path`` (atomically),
-    rows in stored order, each block zone-mapped by its first and
-    last stored text.  Returns the file size in bytes."""
-    block_rows = max(1, int(block_rows))
+#: One block as written: its payload, rows, first and last text.
+_BlockOut = Tuple[bytes, int, str, str]
+
+
+def _write_file(path: str, seq: int, config: RollupConfig, records: int,
+                failure_records: int, windows: List[int],
+                blocks_of: Callable[[str], Iterable[_BlockOut]],
+                obs: Optional[Observability]) -> int:
+    """The one segment writer: every table's blocks (``blocks_of``
+    each name, in stored order) deflated and framed, then the footer,
+    assembled in a ``.tmp`` sibling and renamed to ``path``.  Returns
+    the file size in bytes."""
     parts = [MAGIC]
     offset = len(MAGIC)
     index: Dict[str, Dict[str, object]] = {}
     for name in RollupStore.TABLES:
-        rows = sorted_rows(store.tables[name], name)
         blocks: List[Dict[str, object]] = []
-        for start in range(0, len(rows), block_rows):
-            chunk = rows[start:start + block_rows]
-            block = frame(zlib.compress(encode_block(chunk), 9))
+        total = 0
+        for payload, rows, low, high in blocks_of(name):
+            block = frame(zlib.compress(payload, 9))
             parts.append(block)
             blocks.append({"offset": offset, "length": len(block),
-                           "rows": len(chunk),
-                           "min": chunk[0][0], "max": chunk[-1][0]})
+                           "rows": rows, "min": low, "max": high})
             offset += len(block)
-        index[name] = {"rows": len(rows), "blocks": blocks}
+            total += rows
+        index[name] = {"rows": total, "blocks": blocks}
     footer = {
         "schema": SEGMENT_SCHEMA,
         "seq": int(seq),
-        "config": store.config.to_dict(),
-        "records": store.records,
-        "failure_records": store.failure_records,
-        "windows": store.windows(),
+        "config": config.to_dict(),
+        "records": records,
+        "failure_records": failure_records,
+        "windows": windows,
         "tables": index,
     }
     footer_frame = frame(json.dumps(footer, sort_keys=True,
@@ -229,6 +242,218 @@ def write_segment(path: str, store: RollupStore, seq: int,
     if obs is not None:
         obs.inc("store.segment_writes")
     return len(blob)
+
+
+def write_segment(path: str, store: RollupStore, seq: int,
+                  obs: Optional[Observability] = None,
+                  block_rows: int = DEFAULT_BLOCK_ROWS) -> int:
+    """Write ``store`` as segment ``seq`` at ``path`` (atomically),
+    rows in stored order, each block zone-mapped by its first and
+    last stored text.  Returns the file size in bytes."""
+    block_rows = max(1, int(block_rows))
+
+    def blocks_of(name: str) -> Iterator[_BlockOut]:
+        rows = sorted_rows(store.tables[name], name)
+        for start in range(0, len(rows), block_rows):
+            chunk = rows[start:start + block_rows]
+            yield encode_block(chunk), len(chunk), chunk[0][0], \
+                chunk[-1][0]
+
+    return _write_file(path, seq, store.config, store.records,
+                       store.failure_records, store.windows(),
+                       blocks_of, obs)
+
+
+# -- the column merge of segments -------------------------------------------
+
+#: A subject-major text's window: the second stored part, after a
+#: subject whose ``|`` and ``\\`` are escaped (a window holds neither).
+_WINDOW_AFTER_SUBJECT = re.compile(r"(?:[^\\|]|\\.)*\|([^|]*)")
+
+
+def _window_texts(name: str, texts: Sequence[str]) -> List[str]:
+    """The window part of each stored text of windowed table
+    ``name``: the second part of a subject-major table, the first
+    otherwise."""
+    if SPEC_BY_TABLE[name].subject_major:
+        return [_WINDOW_AFTER_SUBJECT.match(text).group(1)
+                for text in texts]
+    return [text.partition(_SEP)[0] for text in texts]
+
+
+def _sum_runs(column: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``column`` (uint64, each value at most 2**63) summed over the
+    runs that begin at ``starts``, exactly: in uint64 where no sum can
+    reach 2**63, else in Python ints -- a sum past 64 bits raises the
+    encoder's ``ValueError``, one past 63 is left to the encoder."""
+    if not len(column):
+        return column
+    longest = int(np.diff(starts, append=len(column)).max())
+    if longest > 1 and int(column.max()) * longest >> 63:
+        sums = np.add.reduceat(column.astype(object), starts)
+        if max(sums) >> 64:
+            raise ValueError("a column holds only values in [0, 2**63)")
+        return sums.astype(np.uint64)
+    return np.add.reduceat(column, starts)
+
+
+def _merge_table(name: str, readers: Sequence["SegmentReader"],
+                 cutoff: Optional[int] = None) -> Columns:
+    """Table ``name`` of every segment ``readers`` read -- its blocks,
+    each segment's ascending by text -- as one table: concatenated,
+    ordered by text, equal texts folded by one sort-and-reduce over
+    ``(row, bin index)``, and, given a ``cutoff``, the rows of a
+    windowed table whose window is below it dropped.  No key is split
+    and no histogram built."""
+    parts: List[Columns] = [columns for reader in readers
+                            for columns in reader.columns(name)]
+
+    def joined(field: str, dtype) -> np.ndarray:
+        return np.concatenate([
+            getattr(part, field).astype(dtype, copy=False)
+            for part in parts]) if parts else np.zeros(0, dtype)
+
+    texts: List[str] = list(chain.from_iterable(
+        part.texts for part in parts))
+    counts = joined("counts", np.uint64)
+    overflows = joined("overflows", np.uint64)
+    n_bins = joined("n_bins", np.int64)
+    indices = joined("indices", np.int64)
+    bin_counts = joined("bin_counts", np.uint64)
+    if cutoff is not None and SPEC_BY_TABLE[name].windowed and texts:
+        keep = np.fromiter((int(window) >= cutoff for window
+                            in _window_texts(name, texts)),
+                           bool, len(texts))
+        texts = list(compress(texts, keep.tolist()))
+        counts, overflows = counts[keep], overflows[keep]
+        bins_kept = np.repeat(keep, n_bins)
+        n_bins = n_bins[keep]
+        indices, bin_counts = indices[bins_kept], bin_counts[bins_kept]
+    if not texts:
+        return Columns([], counts, overflows, n_bins, [0], indices,
+                       bin_counts)
+
+    # Rows by text (each part is one ascending run, which the sort
+    # takes as it finds it), then one group per distinct text.
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    ordered = [texts[at] for at in order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = np.fromiter(map(ne, islice(ordered, 1, None), ordered),
+                            bool, len(ordered) - 1)
+    starts = np.flatnonzero(first)
+    order = np.asarray(order, dtype=np.int64)
+    counts = _sum_runs(counts[order], starts)
+    overflows = _sum_runs(overflows[order], starts)
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+
+    # Every bin under its row's group, then ascending (group, index):
+    # equal pairs are one bin, summed.
+    pairs = np.repeat(group, n_bins) * N_BINS + indices
+    by_pair = np.argsort(pairs)
+    pairs = pairs[by_pair]
+    first_pair = np.ones(len(pairs), dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=first_pair[1:])
+    pair_starts = np.flatnonzero(first_pair)
+    bin_counts = _sum_runs(bin_counts[by_pair], pair_starts)
+    pairs = pairs[pair_starts]
+    rows_of = pairs // N_BINS
+    n_bins = np.bincount(rows_of, minlength=len(starts))
+    return Columns(
+        list(compress(ordered, first.tolist())), counts, overflows,
+        n_bins, [0, *accumulate(n_bins.tolist())],
+        pairs - rows_of * N_BINS, bin_counts)
+
+
+class MergedSegments(NamedTuple):
+    """Segments merged as columns (:func:`merge_segments`): what one
+    segment of their content holds, before it is written
+    (:meth:`write`)."""
+    config: RollupConfig
+    records: int
+    failure_records: int
+    #: The windows left, ascending.
+    windows: List[int]
+    #: The windows retention dropped.
+    evicted_windows: int
+    tables: Dict[str, Columns]
+
+    def write(self, path: str, seq: int,
+              obs: Optional[Observability] = None,
+              block_rows: int = DEFAULT_BLOCK_ROWS) -> int:
+        """Write the merge as segment ``seq`` at ``path``: the bytes
+        :func:`write_segment` writes for a store of the same content.
+        Returns the file size in bytes."""
+        block_rows = max(1, int(block_rows))
+
+        def blocks_of(name: str) -> Iterator[_BlockOut]:
+            table = self.tables[name]
+            texts, bounds = table.texts, table.bounds
+            for start in range(0, len(texts), block_rows):
+                end = min(start + block_rows, len(texts))
+                low, high = bounds[start], bounds[end]
+                yield encode_columns(
+                    texts[start:end], table.counts[start:end],
+                    table.overflows[start:end], table.n_bins[start:end],
+                    table.indices[low:high],
+                    table.bin_counts[low:high]), \
+                    end - start, texts[start], texts[end - 1]
+
+        return _write_file(path, seq, self.config, self.records,
+                           self.failure_records, self.windows,
+                           blocks_of, obs)
+
+
+def _merged_counts(readers: Sequence["SegmentReader"],
+                   config: RollupConfig) -> Tuple[int, int]:
+    """The ``records`` and ``failure_records`` of every segment
+    ``readers`` read, summed; ``ValueError`` when one was written
+    under another ``config``."""
+    for reader in readers:
+        if reader.config.to_dict() != config.to_dict():
+            raise ValueError("cannot merge rollups with different configs")
+    return (sum(reader.records for reader in readers),
+            sum(reader.failure_records for reader in readers))
+
+
+def merge_segments(readers: Sequence["SegmentReader"],
+                   config: RollupConfig,
+                   cutoff: Optional[int] = None) -> MergedSegments:
+    """The segments ``readers`` read, merged as they are stored --
+    every block checked whole by :func:`decode_columns`, its columns
+    concatenated and folded per table (:func:`_merge_table`), no
+    :class:`RollupStore`, key tuple or histogram built -- with the
+    windows below ``cutoff`` dropped when one is given.  Raises
+    ``ValueError`` when a segment was written under another
+    ``config``, :class:`SegmentCorruption` on a block that fails its
+    checks."""
+    records, failure_records = _merged_counts(readers, config)
+    tables = {name: _merge_table(name, readers, cutoff)
+              for name in RollupStore.TABLES}
+    windows = sorted({window for reader in readers
+                      for window in reader.windows()})
+    kept = [window for window in windows
+            if cutoff is None or window >= cutoff]
+    return MergedSegments(config, records, failure_records, kept,
+                          len(windows) - len(kept), tables)
+
+
+def merged_rollups(readers: Sequence["SegmentReader"],
+                   config: RollupConfig,
+                   meta: Optional[Dict[str, object]] = None
+                   ) -> RollupStore:
+    """The segments ``readers`` read, as one :class:`RollupStore` of
+    its own rows: merged as :func:`merge_segments` merges them, a
+    table at a time, then each merged text split once and each
+    histogram built once."""
+    store = RollupStore(config=config, meta=meta)
+    store.records, store.failure_records = _merged_counts(readers,
+                                                          config)
+    for name in RollupStore.TABLES:
+        store.tables[name] = {
+            stored_order(name, _decode_key(text)): hist
+            for text, hist in Block(_merge_table(name, readers)).rows()}
+    return store
 
 
 def prefix_range(prefix_parts: Tuple[str, ...]
@@ -254,11 +479,12 @@ class SegmentReader:
     on first access.  Point reads (:meth:`get`, :meth:`get_many`) and
     prefix ranges (:meth:`scan_prefixes`) consult the footer's zone
     maps and open only the blocks that can match; a full scan
-    (:meth:`iter_table`, :meth:`to_store`) opens them all.  Keys go in
+    (:meth:`iter_table`, :meth:`columns`) opens them all.  Keys go in
     and come out as ``RollupStore`` has them; texts and ranges are in
     stored order.  Decoded blocks go through the shared
     :class:`~repro.store.blockcache.BlockCache` when one is supplied,
-    else a private per-reader cache.  Any structural or checksum
+    else a private per-reader cache; :meth:`columns` reads past both.
+    Any structural or checksum
     failure raises :class:`SegmentCorruption`.
 
     The reader keeps its file handle open for its whole life, so a
@@ -374,13 +600,16 @@ class SegmentReader:
 
     # -- block loading -------------------------------------------------
 
-    def _load_block(self, name: str, index: int) -> Block:
-        """One decoded block, checked whole and no row built
-        (:func:`~repro.store.encoding.decode_block`)."""
+    def _count_read(self) -> None:
         if self.stats is not None:
             self.stats.blocks_read += 1
         if self.obs is not None:
             self.obs.inc("store.blocks_read")
+
+    def _load_block(self, name: str, index: int) -> Block:
+        """One decoded block, checked whole and no row built
+        (:func:`~repro.store.encoding.decode_block`)."""
+        self._count_read()
         if self.cache is not None:
             cache_key = (self._cache_prefix, name, index)
             block = self.cache.get(cache_key)
@@ -400,8 +629,11 @@ class SegmentReader:
             self._local[local_key] = block
         return block
 
-    def _decode_block(self, name: str, index: int
-                      ) -> Tuple[Block, int]:
+    def _decode_block(self, name: str, index: int,
+                      decode: Callable = decode_block) -> Tuple[object, int]:
+        """Block ``index`` of table ``name`` read, checksummed,
+        inflated and handed to ``decode``; returns what it made and
+        the inflated size."""
         entry = self._tables[name]["blocks"][index]
         buffer = self._read_at(int(entry["offset"]),
                                int(entry["length"]))
@@ -417,7 +649,7 @@ class SegmentReader:
                 "table %r block %d undeflatable in %s: %s"
                 % (name, index, self.path, exc))
         try:
-            block = decode_block(payload, int(entry["rows"]))
+            block = decode(payload, int(entry["rows"]))
         except ValueError as exc:
             raise SegmentCorruption(
                 "table %r block %d rows undecodable in %s: %s"
@@ -536,29 +768,14 @@ class SegmentReader:
             for text, hist in self._load_block(name, index).rows():
                 yield stored_order(name, _decode_key(text)), hist
 
-    def table(self, name: str) -> Dict[Key, MergeHist]:
-        """The whole table under its key tuples, merged across its
-        blocks (a full scan that splits every key).  The dict is the
-        caller's; the rows are the block cache's own and every later
-        reader sees them -- read, never write."""
-        merged: Dict[Key, MergeHist] = {}
+    def columns(self, name: str) -> Iterator[Columns]:
+        """Every block of the table as its checked columns
+        (:func:`~repro.store.encoding.decode_columns`), in stored
+        order, read past the block cache: what
+        :func:`merge_segments` folds."""
         for index in range(len(self._tables[name]["blocks"])):
-            for text, hist in self._load_block(name, index).rows():
-                merged[stored_order(name, _decode_key(text))] = hist
-        return merged
-
-    def to_store(self) -> RollupStore:
-        """Materialise the whole segment as a RollupStore.  Its rows
-        are the block cache's own, so the store starts on a fresh
-        epoch: a write to it copies the row first instead of changing
-        the cached block under every later reader."""
-        store = RollupStore(config=self.config)
-        store.records = self.records
-        store.failure_records = self.failure_records
-        for name in RollupStore.TABLES:
-            store.tables[name] = self.table(name)
-        store.share_rows()
-        return store
+            self._count_read()
+            yield self._decode_block(name, index, decode_columns)[0]
 
     def verify(self) -> None:
         """Force-check every block -- checksum, then everything
@@ -573,8 +790,8 @@ class SegmentReader:
         return self._size
 
 
-__all__ = ["DEFAULT_BLOCK_ROWS", "MAGIC", "ReadStats", "SEGMENT_SCHEMA",
-           "SegmentCorruption", "SegmentReader", "TAIL_MAGIC",
-           "UnsupportedSchema", "prefix_range",
-           "sorted_rows", "stored_order", "stored_text",
-           "write_segment"]
+__all__ = ["DEFAULT_BLOCK_ROWS", "MAGIC", "MergedSegments", "ReadStats",
+           "SEGMENT_SCHEMA", "SegmentCorruption", "SegmentReader",
+           "TAIL_MAGIC", "UnsupportedSchema", "merge_segments",
+           "merged_rollups", "prefix_range", "sorted_rows",
+           "stored_order", "stored_text", "write_segment"]

@@ -49,6 +49,21 @@ def log_records(engine, records, per_batch=None, device="dev-1",
         engine.log_batch(device, seq, len(batch), batch)
 
 
+def segment_store(reader):
+    """A segment read back as a ``RollupStore``, row by row through
+    ``iter_table`` -- each key split, each histogram built: the
+    reference the column merge of segments is held to."""
+    from repro.backend.rollups import RollupStore
+
+    store = RollupStore(config=reader.config)
+    store.records = reader.records
+    store.failure_records = reader.failure_records
+    for name in RollupStore.TABLES:
+        store.tables[name] = {key: hist.copy()
+                              for key, hist in reader.iter_table(name)}
+    return store
+
+
 def hand_built_row_block(raw_keys, key_len=None):
     """A row block made by hand from raw key bytes *in the order
     given* (each with the same one-sample histogram: 8.0 ms, bin 32),

@@ -83,7 +83,7 @@ class TestHeartbeats:
                  if e.kind == "failover"][0].details["moved"]
         assert set(m for m, _ in rehomed) == set(moved)
         for device in moved:
-            assert coordinator.home_of(device) != "node-01"
+            assert coordinator.ring.node_for(device) != "node-01"
 
     def test_epoch_bumps_on_membership_change(self, tmp_path):
         sim, coordinator, _ = _cluster(tmp_path)
@@ -111,7 +111,7 @@ class TestPartitionSemantics:
         coordinator.partition_node("node-00")
         coordinator.heal_node("node-00")
         owned = [d for d in FLEET
-                 if coordinator.home_of(d) == "node-00"]
+                 if coordinator.ring.node_for(d) == "node-00"]
         assert sorted(d for d, _ in rehomed) == sorted(owned)
 
     def test_heal_of_failed_node_is_rejected(self, tmp_path):
@@ -132,7 +132,7 @@ class TestJoin:
                  if e.kind == "join"][0].details["moved"]
         assert moved  # 12 devices over 3->4 nodes: someone moves
         for device in moved:
-            assert coordinator.home_of(device) == joiner
+            assert coordinator.ring.node_for(device) == joiner
         assert set(m for m, _ in rehomed) == set(moved)
 
     def test_join_hands_off_live_dedup(self, tmp_path):
@@ -140,7 +140,7 @@ class TestJoin:
         # Seed every old owner with an acked batch per device, as if
         # the campaign had been running.
         for device in FLEET:
-            owner = coordinator.nodes[coordinator.home_of(device)]
+            owner = coordinator.nodes[coordinator.ring.node_for(device)]
             owner.backend.pipeline.adopt_dedup(device, 0, 3)
         joiner = node_name(3)
         coordinator.join_node(joiner)
@@ -159,14 +159,14 @@ class TestFailoverHandoff:
         victim_id = "node-01"
         victim = coordinator.nodes[victim_id]
         device = next(d for d in FLEET
-                      if coordinator.home_of(d) == victim_id)
+                      if coordinator.ring.node_for(d) == victim_id)
         outcome = victim.backend.pipeline.handle_batch(
             device, 0, _payload(device), now_ms=0.0)
         assert outcome.status == "ack" and outcome.acked == 1
         coordinator.fail_node(victim_id)
         sim.run(until=5_000.0)
         assert not coordinator.is_active(victim_id)
-        successor = coordinator.nodes[coordinator.home_of(device)]
+        successor = coordinator.nodes[coordinator.ring.node_for(device)]
         # The replayed batch identity is already known -> duplicate.
         assert not successor.backend.pipeline.adopt_dedup(device, 0, 1)
         # And the global merge still sees the dead node's record.

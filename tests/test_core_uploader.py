@@ -108,7 +108,7 @@ class TestUploader:
         assert uploader.uploaded == 0      # below min_batch: held back
         uploader.stop()
         w.run(until=40000)
-        assert uploader.final_flushes >= 1
+        assert uploader.obs.value("uploader.final_flush") >= 1
         assert uploader.uploaded == len(w.mopeye.store)
         assert uploader._pending() == []
         assert len(w.collector.received) == len(w.mopeye.store)
@@ -126,7 +126,7 @@ class TestUploader:
         w.device.link.network_type = NetworkType.LTE
         uploader.stop()
         w.run(until=20000)
-        assert uploader.final_flushes == 0
+        assert uploader.obs.value("uploader.final_flush") == 0
         assert uploader.uploaded == 0
         assert len(uploader._pending()) >= 3
 
@@ -254,7 +254,7 @@ class TestNewRecordKinds:
         assert uploader.uploaded == 0
         uploader.stop()
         w.run(until=40000)
-        assert uploader.final_flushes >= 1
+        assert uploader.obs.value("uploader.final_flush") >= 1
         assert uploader.uploaded == len(w.mopeye.store)
         assert len(w.collector.received) == len(w.mopeye.store)
 

@@ -46,6 +46,7 @@ from repro.store.segments import (
     stored_text,
     write_segment,
 )
+from tests.conftest import segment_store
 
 DAY_MS = 24 * 3600 * 1000.0
 CEILING = "\U0010ffff"
@@ -577,7 +578,7 @@ def test_histograms_are_built_only_for_rows_that_leave_the_reader(
                for key, hist in hits.items())
     assert len(dict(reader.iter_table("network"))) == 256
     assert len(built) == 256
-    assert reader.to_store().digest() == store.digest()
+    assert segment_store(reader).digest() == store.digest()
     assert len(built) == 256 and reader.stats.cache_misses == 1
     reader.close()
 

@@ -3,8 +3,8 @@
 ``clone()`` shares every histogram and leaves the copy to whichever
 store writes a row first.  Three angles on that contract: a model test
 against the deep copy it replaced, counts of the copies actually made,
-and the same protection for the block cache's rows behind
-``SegmentReader.to_store()``."""
+and the same protection for the block cache's rows behind a view's
+``materialize()``."""
 
 import tempfile
 
@@ -17,7 +17,8 @@ from repro.backend.rollups import MergeHist, RollupStore
 from repro.core.records import MeasurementRecord
 from repro.store import BlockCache, StoreConfig, StoreEngine
 from repro.store.segments import ReadStats, SegmentReader, write_segment
-from tests.conftest import log_records
+from repro.serve import ReadView
+from tests.conftest import log_records, segment_store
 
 DAY_MS = 24 * 3600 * 1000.0
 
@@ -240,28 +241,30 @@ def _rows(store):
 
 
 @pytest.mark.parametrize("write", ["add", "merge"])
-def test_writing_a_to_store_result_leaves_the_cache_alone(tmp_path,
-                                                          write):
-    """``to_store()`` hands out the block cache's own histograms in a
-    writable store.  A write to that store must land on a copy: the
-    next reader of the same blocks through the same cache still sees
-    what is on disk."""
+def test_writing_a_materialized_store_leaves_the_cache_alone(tmp_path,
+                                                             write):
+    """A view's ``materialize()`` is a writable store over segments
+    whose blocks sit in a shared cache.  Its rows are its own, built
+    from the merged columns: a write to it leaves the cached rows as
+    they are on disk for the next reader of the same blocks."""
     source = _many_groups(40)
     path = str(tmp_path / "seg-000001.seg")
     write_segment(path, source, 1, block_rows=8)
     on_disk = _rows(source)
     cache = BlockCache(1 << 20)
     with SegmentReader(path, cache=cache) as reader:
-        loaded = reader.to_store()
-        if write == "add":
-            loaded.add_all(_rec(app="com.app.%03d" % i, window=i % 3,
-                                operator="Op%d" % (i % 7))
-                           for i in range(40))
-        else:
-            loaded.merge(source)
-        assert loaded.records == 2 * source.records
-        assert _rows(loaded) != on_disk
+        assert _rows(segment_store(reader)) == on_disk   # fills the cache
+        with ReadView([reader], RollupStore()) as view:
+            loaded = view.materialize()
+            if write == "add":
+                loaded.add_all(_rec(app="com.app.%03d" % i, window=i % 3,
+                                    operator="Op%d" % (i % 7))
+                               for i in range(40))
+            else:
+                loaded.merge(source)
+            assert loaded.records == 2 * source.records
+            assert _rows(loaded) != on_disk
     stats = ReadStats()
     with SegmentReader(path, cache=cache, stats=stats) as again:
-        assert _rows(again.to_store()) == on_disk
+        assert _rows(segment_store(again)) == on_disk
     assert stats.cache_hits > 0 and stats.cache_misses == 0

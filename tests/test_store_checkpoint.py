@@ -144,6 +144,87 @@ class TestCrashWindows:
         assert not os.path.exists(os.path.join(engine.data_dir, name))
         assert engine.memtable.digest() == _reference(records).digest()
 
+    @pytest.mark.parametrize("write", ["flush", "compact"])
+    def test_a_segment_renamed_but_never_published_is_swept(
+            self, tmp_path, monkeypatch, write):
+        """Die at the manifest's rename, after a flush or a compaction
+        has renamed its segment into place: the segment is listed
+        nowhere and ``MANIFEST.json.tmp`` is left beside the manifest.
+        Recovery must delete both and come up with every record, and
+        leave on disk only what the manifest lists."""
+        records = _records(90)
+        engine, _obs = _engine(tmp_path, flush_threshold_records=None,
+                               checkpoint_interval_records=None)
+        for seq in (0, 1):
+            log_records(engine, records[30 * seq:30 * seq + 30],
+                        first_seq=seq)
+            engine.flush()
+        log_records(engine, records[60:], first_seq=2)
+        renamed = os.replace
+
+        def replace(source, target):
+            if os.path.basename(target) == "MANIFEST.json":
+                raise OSError("died at the manifest's rename")
+            return renamed(source, target)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError):
+            if write == "flush":
+                engine.flush()
+            else:
+                engine.compact(force=True)
+        monkeypatch.undo()
+        segments = os.path.join(engine.data_dir, "segments")
+        assert len(os.listdir(segments)) == 3
+        engine.crash()
+        engine.recover()
+        assert sorted(os.listdir(segments)) == engine.segment_names()
+        assert sorted(os.listdir(engine.data_dir)) == sorted(
+            ["MANIFEST.json", "segments"]
+            + [os.path.basename(path) for path in engine.wal_paths()])
+        assert engine.materialize().digest() \
+            == _reference(records).digest()
+        assert engine.flush() is not None
+        assert engine.materialize().digest() \
+            == _reference(records).digest()
+        engine.close()
+
+    def test_a_lost_manifest_leaves_the_segments_recoverable(
+            self, tmp_path):
+        """With ``MANIFEST.json`` gone after two flushes, the segments
+        hold the only copy of the flushed records (their WAL pruned):
+        recovery lists none of them but must not delete them -- they
+        go to ``quarantine/`` byte for byte, out of the way of the
+        next flush's names."""
+        records = _records(60)
+        engine, _obs = _engine(tmp_path, flush_threshold_records=None,
+                               checkpoint_interval_records=None)
+        for seq in (0, 1):
+            log_records(engine, records[30 * seq:30 * seq + 30],
+                        first_seq=seq)
+            engine.flush()
+        segments = os.path.join(engine.data_dir, "segments")
+        before = {}
+        for name in os.listdir(segments):
+            with open(os.path.join(segments, name), "rb") as handle:
+                before[name] = handle.read()
+        assert len(before) == 2
+        engine.crash()
+        os.remove(os.path.join(engine.data_dir, "MANIFEST.json"))
+        engine.recover()
+        assert engine.segment_names() == []
+        assert os.listdir(segments) == []
+        quarantine = os.path.join(engine.data_dir, QUARANTINE_DIR)
+        after = {}
+        for name in os.listdir(quarantine):
+            with open(os.path.join(quarantine, name), "rb") as handle:
+                after[name] = handle.read()
+        assert after == before
+        log_records(engine, records[:30], first_seq=0)
+        engine.flush()
+        assert sorted(os.listdir(quarantine)) == sorted(before)
+        engine.close()
+
     def test_crash_before_wal_pruning_cleans_stale_generations(
             self, tmp_path, monkeypatch):
         """Die after the manifest publish but before the covered WAL

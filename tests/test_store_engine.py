@@ -663,6 +663,154 @@ class TestCompactionAndRetention:
         engine.close()
 
 
+class TestCompactionEdgeCases:
+    """Compaction cases a random store seldom reaches, each with the
+    outcome the row-by-row merge had: the counters, the bytes a flush
+    of the merged content writes, and what a refused or failed merge
+    leaves on disk."""
+
+    DAY = 24 * 3600 * 1000.0
+
+    def _segments(self, tmp_path, records, per_segment, **config):
+        obs = Observability()
+        engine = StoreEngine(
+            str(tmp_path / "store"),
+            rollup_config=RollupConfig(window_ms=self.DAY),
+            config=StoreConfig(flush_threshold_records=None, **config),
+            obs=obs)
+        for start in range(0, len(records), per_segment):
+            engine.append_records(records[start:start + per_segment])
+            engine.flush()
+        return engine, obs
+
+    def _flushed_bytes(self, tmp_path, store, seq):
+        """What a flush of ``store`` as segment ``seq`` writes."""
+        from repro.store.segments import write_segment
+        path = str(tmp_path / "reference.seg")
+        write_segment(path, store, seq)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+    def _compacted_bytes(self, engine):
+        [name] = engine.segment_names()
+        with open(engine._segment_path(name), "rb") as handle:
+            return name, handle.read()
+
+    @pytest.mark.parametrize("kind, tables", [
+        ("TCP", ("network", "app")),     # subject-major: window second
+        ("AOI", ("aoi",)),               # window-first
+    ])
+    def test_retention_evicts_and_counts_as_before(self, tmp_path, kind,
+                                                   tables):
+        records = [_rec(kind=kind, rtt=20.0 + i, ts=(i % 10) * self.DAY,
+                        app="com.app.%d" % (i % 3),
+                        operator="Op%d" % (i % 2))
+                   for i in range(60)]
+        engine, obs = self._segments(tmp_path, records, 20,
+                                     retention_ms=5 * self.DAY)
+        assert obs.value("store.segment_writes") == 3
+        assert engine.compact(now_ms=10 * self.DAY)
+        assert obs.value("store.retention_windows_evicted") == 5
+        assert obs.value("store.compactions") == 1
+        assert obs.value("store.segment_writes") == 4
+        reference = RollupStore(config=RollupConfig(window_ms=self.DAY))
+        reference.add_all(records)
+        for table in tables:
+            rows = reference.tables[table]
+            evicted = [key for key in rows if int(key[0]) < 5]
+            assert evicted
+            for key in evicted:
+                del rows[key]
+        name, data = self._compacted_bytes(engine)
+        assert data == self._flushed_bytes(tmp_path, reference,
+                                           int(name[4:10]))
+        assert engine.materialize().windows() == [5, 6, 7, 8, 9]
+        engine.close()
+
+    def test_escaped_and_non_ascii_key_parts(self, tmp_path):
+        """Parts holding ``|``, ``\\`` and text past ASCII -- stored
+        escaped, in utf-8 -- merge into the bytes a flush of the
+        merged store writes, and come back as the keys they were."""
+        awkward = ["a|b", "c\\d", "\\|", "caf\u00e9", "\u4e2d|\u6587",
+                   "\U0001f600", "|", "\\"]
+        records = [_rec(rtt=10.0 + i, ts=(i % 4) * self.DAY,
+                        app=awkward[i % 8],
+                        operator=awkward[(i + 3) % 8],
+                        domain="x%s.example" % awkward[(i + 5) % 8],
+                        tech="LTE" if i % 2 else "WIFI")
+                   for i in range(96)]
+        engine, obs = self._segments(tmp_path, records, 24,
+                                     retention_ms=2 * self.DAY)
+        assert engine.compact(now_ms=3 * self.DAY)
+        assert obs.value("store.retention_windows_evicted") == 1
+        reference = RollupStore(config=RollupConfig(window_ms=self.DAY))
+        reference.add_all(records)
+        for table in ("network", "app"):
+            rows = reference.tables[table]
+            for key in [key for key in rows if key[0] == "0"]:
+                del rows[key]
+        name, data = self._compacted_bytes(engine)
+        assert data == self._flushed_bytes(tmp_path, reference,
+                                           int(name[4:10]))
+        assert engine.materialize().digest() == reference.digest()
+        engine.crash()
+        engine.recover()
+        assert engine.materialize().digest() == reference.digest()
+        engine.close()
+
+    def test_segment_of_another_config_is_refused(self, tmp_path):
+        """A segment flushed under another rollup config: the merge is
+        refused with the error it always raised, and the manifest, the
+        segment list and the next segment number stay as they were."""
+        root = str(tmp_path / "store")
+        other = StoreEngine(root, rollup_config=RollupConfig(
+            window_ms=self.DAY), config=StoreConfig(
+                flush_threshold_records=None), obs=Observability())
+        other.append_records(_records(30))
+        other.flush()
+        other.close()
+        engine = StoreEngine(root, rollup_config=RollupConfig(),
+                             config=StoreConfig(
+                                 flush_threshold_records=None),
+                             obs=Observability())
+        engine.append_records(_records(30))
+        engine.flush()
+        names, next_seq = engine.segment_names(), engine._next_seq
+        before = tree_bytes(root)
+        with pytest.raises(ValueError,
+                           match="cannot merge rollups with different "
+                                 "configs"):
+            engine.compact(force=True)
+        assert tree_bytes(root) == before
+        assert engine.segment_names() == names
+        assert engine._next_seq == next_seq
+        engine.close()
+
+    def test_corrupt_block_in_one_input(self, tmp_path):
+        """A block of one input fails its checksum after recovery
+        checked it: compaction raises ``SegmentCorruption`` and leaves
+        the inputs and the manifest as it found them."""
+        from repro.store.segments import SegmentCorruption, SegmentReader
+        engine, obs = self._segments(tmp_path, _records(90), 30)
+        names, next_seq = engine.segment_names(), engine._next_seq
+        path = engine._segment_path(names[1])
+        with SegmentReader(path) as reader:
+            entry = reader.blocks("app")[0]
+        with open(path, "r+b") as handle:
+            handle.seek(entry["offset"] + 10)
+            byte = handle.read(1)
+            handle.seek(entry["offset"] + 10)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+        before = tree_bytes(engine.data_dir)
+        with pytest.raises(SegmentCorruption):
+            engine.compact(force=True)
+        assert tree_bytes(engine.data_dir) == before
+        assert engine.segment_names() == names
+        assert engine._next_seq == next_seq
+        assert obs.value("store.compactions") == 0
+        engine.close()
+
+
 class TestReadPathParity:
     def test_queries_identical_from_segments_and_memtable(self,
                                                           tmp_path):

@@ -35,6 +35,7 @@ from repro.store.checkpoint import read_checkpoint, write_checkpoint
 from repro.store.encoding import decode_block, encode_block
 from repro.store.segments import (
     SegmentReader,
+    merged_rollups,
     sorted_rows,
     stored_order,
     stored_text,
@@ -84,7 +85,7 @@ def _read_back(store, tmp_path):
     write_segment(seg, store, seq=1)
     write_checkpoint(ckpt, store, covers_gen=0)
     with SegmentReader(seg) as reader:
-        from_segment = reader.to_store()
+        from_segment = merged_rollups([reader], reader.config)
     return from_segment, read_checkpoint(ckpt)[0]
 
 
@@ -109,7 +110,9 @@ class TestSnapshotRoundTrip:
         store = _store_of(records)
         seg = str(tmp_path / "seg.seg")
         write_segment(seg, store, seq=1)
-        assert SegmentReader(seg).to_store().digest() == store.digest()
+        with SegmentReader(seg) as reader:
+            assert merged_rollups([reader], reader.config) \
+                .digest() == store.digest()
 
     def test_empty_store_round_trips(self, tmp_path):
         store = RollupStore()

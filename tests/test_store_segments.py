@@ -24,6 +24,7 @@ from repro.store.segments import (
     SegmentReader,
     TAIL_MAGIC,
     UnsupportedSchema,
+    merged_rollups,
     prefix_range,
     stored_text,
     write_segment,
@@ -121,7 +122,7 @@ class TestSegmentRoundTrip:
         assert obs.value("store.segment_writes") == 1
         reader = SegmentReader(path)
         assert reader.seq == 7
-        loaded = reader.to_store()
+        loaded = merged_rollups([reader], reader.config)
         assert loaded.digest() == store.digest()
         assert loaded.records == store.records
         assert loaded.failure_records == store.failure_records
@@ -168,7 +169,8 @@ class TestSegmentRoundTrip:
         store = RollupStore(config=RollupConfig(window_ms=1000.0))
         path = str(tmp_path / "empty.seg")
         write_segment(path, store, seq=1)
-        loaded = SegmentReader(path).to_store()
+        with SegmentReader(path) as reader:
+            loaded = merged_rollups([reader], reader.config)
         assert loaded.digest() == store.digest()
         assert loaded.records == 0
 
@@ -544,7 +546,7 @@ class TestSchemaWidening:
                 dict(footer["tables"]["network"])
         _rewrite_footer(path, widen)
         reader = SegmentReader(path)
-        loaded = reader.to_store()
+        loaded = merged_rollups([reader], reader.config)
         assert "flux_capacitor" not in loaded.tables
         assert loaded.digest() == store.digest()
 

@@ -1,6 +1,8 @@
 """Structural rules: shapes the code was simplified away from stay gone.
-Each rule's regex must match no line under its paths (from the root)."""
+Each rule's regex must match no line under its paths (from the root);
+no module imports a name it never uses."""
 
+import ast
 import os
 import re
 
@@ -110,3 +112,46 @@ def test_no_line_matches(rule):
                             os.path.relpath(name, ROOT), number,
                             line.strip()))
     assert not hits, "\n".join(hits)
+
+
+def _names_read(tree):
+    """Every name ``tree`` reads, counting names inside string
+    constants that parse as expressions (quoted annotations,
+    ``__all__`` entries)."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            read.update(name.id for name in ast.walk(inner)
+                        if isinstance(name, ast.Name))
+    return read
+
+
+def test_every_top_level_import_is_used():
+    """No module under ``src/repro`` imports at its top level a name
+    it never uses.  A package ``__init__`` imports to re-export, and
+    is exempt."""
+    unused = []
+    for name in _files("src/repro"):
+        if not name.endswith(".py") or \
+                os.path.basename(name) == "__init__.py":
+            continue
+        with open(name, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        read = _names_read(tree)
+        for statement in tree.body:
+            if not isinstance(statement, (ast.Import, ast.ImportFrom)) \
+                    or getattr(statement, "module", None) == "__future__":
+                continue
+            for alias in statement.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append("%s:%d: %s" % (
+                        os.path.relpath(name, ROOT), statement.lineno,
+                        bound))
+    assert not unused, "\n".join(unused)
