@@ -286,8 +286,7 @@ def cmd_serve(args) -> int:
         engine.meta.update(rollups.meta)
         engine.findings = list(findings)
         engine.bulk_load(rollups)
-        segment_bytes = sum(reader.size_bytes()
-                            for reader in engine.segment_readers())
+        segment_bytes = engine.segment_bytes()
         json_bytes = len(rollups.to_json()) + 1
         ratio = json_bytes / segment_bytes if segment_bytes else 0.0
         print("stored %d segment(s) under %s: %d bytes "
@@ -564,26 +563,30 @@ def _print_store_summary(engine) -> None:
     from repro.store.wal import replay
 
     info = engine.last_recovery
-    readers = engine.segment_readers()
     parts_width = max(len(",".join(spec.key)) for spec in TABLE_SPECS)
     print("data dir:       %s" % engine.data_dir)
-    print("segments:       %d" % len(readers))
-    for reader in readers:
-        footer = reader.footer
-        print("  seq %-4d %-16s %8d bytes  %7d records  schema %d"
-              % (footer["seq"],
-                 os.path.basename(reader.path),
-                 reader.size_bytes(), footer["records"],
-                 footer["schema"]))
-        for spec in TABLE_SPECS:
-            blocks = reader.blocks(spec.name)
-            if not blocks:
-                continue
-            print("    %-15s parts %-*s %6d rows %3d blocks  %s .. %s"
-                  % (spec.name, parts_width,
-                     ",".join(stored_order(spec.name, spec.key)),
-                     reader.rows(spec.name), len(blocks),
-                     blocks[0]["min"], blocks[-1]["max"]))
+    print("segments:       %d" % len(engine.segment_names()))
+    readers = engine.segment_readers()
+    try:
+        for reader in readers:
+            footer = reader.footer
+            print("  seq %-4d %-16s %8d bytes  %7d records  schema %d"
+                  % (footer["seq"],
+                     os.path.basename(reader.path),
+                     reader.size_bytes(), footer["records"],
+                     footer["schema"]))
+            for spec in TABLE_SPECS:
+                blocks = reader.blocks(spec.name)
+                if not blocks:
+                    continue
+                print("    %-15s parts %-*s %6d rows %3d blocks  %s .. %s"
+                      % (spec.name, parts_width,
+                         ",".join(stored_order(spec.name, spec.key)),
+                         reader.rows(spec.name), len(blocks),
+                         blocks[0]["min"], blocks[-1]["max"]))
+    finally:
+        for reader in readers:
+            reader.close()
     frames = sum(len(replay(path).payloads)
                  for path in engine.wal_paths())
     print("wal:            %d file(s), %d frame(s), %d bytes%s"

@@ -7,17 +7,21 @@ query that reads "whatever the engine has right now" can tear -- half
 its rows from a pre-compaction segment, half from the merged
 replacement.  This module gives every query a **pinned view** instead:
 
-* :meth:`QueryEngine.snapshot` opens one
-  :class:`~repro.store.segments.SegmentReader` per live segment and
-  clones the memtable.  The readers hold open file descriptors, so
-  even after compaction or retention *unlinks* a segment file the
-  pinned bytes keep serving (POSIX semantics).  The clone shares the
-  memtable's histograms copy-on-write
+* :meth:`QueryEngine.snapshot` pins the engine's own reader of
+  every live segment (:meth:`StoreEngine.segment_readers
+  <repro.store.engine.StoreEngine.segment_readers>`) and clones the
+  memtable.  The engine opened each segment once -- recovery's
+  checksum pass, or the first use of one written since -- so a pin
+  opens and reads nothing: it binds the view's block cache and read
+  stats to the shared descriptor and parsed footer.  A pin keeps the
+  descriptor open, so even after compaction or retention *unlinks* a
+  segment file the pinned bytes keep serving (POSIX semantics).  The
+  clone shares the memtable's histograms copy-on-write
   (:meth:`~repro.backend.rollups.RollupStore.clone`): ingest copies a
   row the view can see before its first write to it, and a flush
   empties the live table dicts, not the view's.  So a snapshot costs
-  the open descriptors plus eight dict copies, whatever the memtable
-  holds, and the view reads rows without ever writing one.  A
+  one small object per segment plus eight dict copies, whatever the
+  store holds, and the view reads rows without ever writing one.  A
   :class:`ReadView` therefore answers every query from exactly the
   state that existed at snapshot time -- ingest, flush, compaction
   and retention racing the reader cannot tear a result.
@@ -149,7 +153,8 @@ class ReadView:
     byte-identity check the tests and perf guard run).
 
     Views must be closed (or used as context managers): close()
-    releases the pinned file descriptors.
+    unpins the segments, and a segment the engine has retired since
+    closes its descriptor with the last view that pinned it.
     """
 
     def __init__(self, readers: List, memtable: RollupStore,
@@ -547,10 +552,11 @@ class QueryEngine:
         self.cache = BlockCache(cache_bytes, obs=self.obs)
 
     def snapshot(self) -> ReadView:
-        """Pin the current state: open readers over the live segments
-        and clone the memtable (shared rows, copied by whichever side
-        writes one first).  Raises :class:`QueryError` if a listed
-        segment cannot be opened."""
+        """Pin the current state: a pin of the engine's reader of every
+        live segment -- no file opened or read for one the engine has
+        open -- and a clone of the memtable (shared rows, copied by
+        whichever side writes one first).  Raises :class:`QueryError`
+        if a listed segment the engine has not opened yet cannot be."""
         stats = ReadStats()
         try:
             readers = self.engine.segment_readers(

@@ -67,7 +67,6 @@ import os
 import re
 import time
 from collections import OrderedDict
-from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -242,7 +241,14 @@ class StoreEngine:
         #: Opaque caller state persisted at flush (detector findings).
         self.findings: List[dict] = []
         self.meta: Dict[str, object] = {}
-        self._segments: List[str] = []          # file names, seq order
+        #: Live segment file names, seq order, each to its size in
+        #: bytes (as written, or as recovery opened it).
+        self._segments: Dict[str, int] = {}
+        #: The engine's one reader per live segment it has used:
+        #: opened by recovery's checksum pass or on first use, shared
+        #: by every view (:meth:`segment_readers`), closed when the
+        #: segment is retired or the engine closes or crashes.
+        self._open: Dict[str, SegmentReader] = {}
         self._checkpoints: List[dict] = []      # {"name","covers_gen"}
         self._next_seq = 1
         self._next_ckpt = 1
@@ -250,6 +256,10 @@ class StoreEngine:
         #: segments (set by flush; persisted in the manifest).
         self._covered_gen = -1
         self._wal_gen = 0
+        #: Every WAL file on disk as ``(gen, shard, path)``: what
+        #: recovery found, each generation opened since, less those
+        #: pruned.
+        self._wal_files: List[Tuple[int, int, str]] = []
         #: The active generation's log; ``recover`` opens it.
         self.wal: Optional[WriteAheadLog] = None
         self._records_since_checkpoint = 0
@@ -489,7 +499,7 @@ class StoreEngine:
         nbytes = write_segment(self._segment_path(name), store, seq,
                                obs=self.obs,
                                block_rows=self.config.segment_block_rows)
-        self._segments.append(name)
+        self._segments[name] = nbytes
         self.obs.inc("store.flushes")
         self.obs.inc("store.segment_flush_bytes", nbytes)
         self._write_manifest()
@@ -508,6 +518,8 @@ class StoreEngine:
         self._wal_gen = gen
         self.wal = WriteAheadLog(self._wal_path(), obs=self.obs,
                                  fsync=self.config.fsync)
+        if (gen, 0, self.wal.path) not in self._wal_files:
+            self._wal_files.append((gen, 0, self.wal.path))
 
     def _prune_wal_files(self) -> None:
         """Delete WAL generations recovery can never need: those at or
@@ -518,12 +530,17 @@ class StoreEngine:
         if len(self._checkpoints) >= 2:
             horizon = max(horizon,
                           int(self._checkpoints[-2]["covers_gen"]))
-        for gen, _shard, path in self._discover_wal_files():
+        kept: List[Tuple[int, int, str]] = []
+        for entry in self._wal_files:
+            gen, _shard, path = entry
             if gen <= horizon and gen < self._wal_gen:
                 try:
                     os.remove(path)
+                    continue
                 except OSError:
                     pass
+            kept.append(entry)
+        self._wal_files = kept
 
     def flush(self) -> Optional[str]:
         """Freeze the memtable into a segment; the WAL rotates to a
@@ -609,9 +626,8 @@ class StoreEngine:
                 and not self._holds_window_before(cutoff):
             self._update_gauges()
             return False
-        with ExitStack() as stack:
-            merged = merge_segments(self._readers(stack),
-                                    self.rollup_config, cutoff)
+        merged = merge_segments(self._live_readers(), self.rollup_config,
+                                cutoff)
         if merged.evicted_windows:
             self.obs.inc("store.retention_windows_evicted",
                          merged.evicted_windows)
@@ -619,31 +635,45 @@ class StoreEngine:
         seq = self._next_seq
         self._next_seq += 1
         name = "seg-%06d.seg" % seq
-        merged.write(self._segment_path(name), seq, obs=self.obs,
-                     block_rows=self.config.segment_block_rows)
-        self._segments = [name]
+        nbytes = merged.write(self._segment_path(name), seq, obs=self.obs,
+                              block_rows=self.config.segment_block_rows)
+        self._segments = {name: nbytes}
         self._write_manifest()
         for stale in old:
             os.remove(self._segment_path(stale))
+        self._release(old)
         self.obs.inc("store.compactions")
         self._update_gauges()
         return True
 
-    def _readers(self, stack: ExitStack) -> List[SegmentReader]:
-        """One reader per live segment, each closed with ``stack``."""
-        return [stack.enter_context(SegmentReader(self._segment_path(name)))
-                for name in self._segments]
+    def _reader(self, name: str) -> SegmentReader:
+        """The engine's reader of live segment ``name``, opened on
+        first use -- the one place the engine opens a segment."""
+        reader = self._open.get(name)
+        if reader is None:
+            reader = self._open[name] = SegmentReader(
+                self._segment_path(name))
+        return reader
+
+    def _live_readers(self) -> List[SegmentReader]:
+        """The engine's reader of every live segment, seq order."""
+        return [self._reader(name) for name in self._segments]
+
+    def _release(self, names: Iterable[str]) -> None:
+        """Drop the engine's pin on each named segment's reader: its
+        descriptor closes now, or with the last view that pins it."""
+        for name in list(names):
+            reader = self._open.pop(name, None)
+            if reader is not None:
+                reader.close()
 
     def _holds_window_before(self, cutoff: Optional[int]) -> bool:
         """Whether any segment's footer lists a window below
         ``cutoff`` (never, without one)."""
         if cutoff is None:
             return False
-        for name in self._segments:
-            with SegmentReader(self._segment_path(name)) as reader:
-                if any(window < cutoff for window in reader.windows()):
-                    return True
-        return False
+        return any(window < cutoff for reader in self._live_readers()
+                   for window in reader.windows())
 
     # -- crash + recovery ----------------------------------------------
 
@@ -656,7 +686,8 @@ class StoreEngine:
         self.memtable.clear()
         self.dedup.clear()
         del self.findings[:]
-        self._segments = []
+        self._release(self._open)
+        self._segments = {}
         self._checkpoints = []
         self._next_seq = 1
 
@@ -697,6 +728,16 @@ class StoreEngine:
         (when given) and is then dropped -- only counts are kept.
         A sound manifest, WAL, checkpoint or segment of another
         generation raises ``UnsupportedSchema``, left as found."""
+        self._release(self._open)
+        try:
+            return self._recover(initial, on_record)
+        except BaseException:
+            self._release(self._open)
+            raise
+
+    def _recover(self, initial: bool,
+                 on_record: Optional[Callable[[MeasurementRecord], None]]
+                 ) -> RecoveryInfo:
         started = time.time()
         info = RecoveryInfo()
         if self.wal is not None:
@@ -704,7 +745,7 @@ class StoreEngine:
         self.memtable.clear()
         self.dedup.clear()
         del self.findings[:]
-        self._segments = []
+        self._segments = {}
         self._checkpoints = []
         self._next_seq = 1
         self._next_ckpt = 1
@@ -726,7 +767,6 @@ class StoreEngine:
                 remember(self.dedup, (device, int(seq)), int(acked))
             for name in manifest["segments"]:
                 if self._check_segment(name):
-                    self._segments.append(name)
                     info.segments_loaded += 1
                 else:
                     info.segments_quarantined += 1
@@ -751,6 +791,7 @@ class StoreEngine:
                 continue
             live_files.append((gen, shard, path))
         info.wal_files = len(live_files)
+        self._wal_files = list(live_files)
         torn_files = 0
         for gen, shard, path in live_files:
             result = replay(path)
@@ -868,83 +909,92 @@ class StoreEngine:
                         pass
 
     def _check_segment(self, name: str) -> bool:
-        """Full checksum pass; quarantine the file on failure
-        (``UnsupportedSchema`` is not one, and goes through)."""
-        path = self._segment_path(name)
+        """Open the engine's reader of ``name`` and check every block
+        through a pin of it (the blocks it decodes go with the pin);
+        a sound segment goes live, a corrupt one is released and
+        quarantined (``UnsupportedSchema`` is not corrupt, and goes
+        through)."""
         try:
-            with SegmentReader(path) as reader:
-                reader.verify()
-            return True
+            reader = self._reader(name)
+            with reader.pin() as check:
+                check.verify()
         except SegmentCorruption:
-            self._quarantine(path)
+            self._release([name])
+            self._quarantine(self._segment_path(name))
             return False
+        self._segments[name] = reader.size_bytes()
+        return True
 
     # -- the read path -------------------------------------------------
 
     def materialize(self) -> RollupStore:
         """Segments (seq order) + memtable, merged into one
         RollupStore -- the read path queries run against."""
-        with ExitStack() as stack:
-            merged = merged_rollups(self._readers(stack),
-                                    self.rollup_config, meta=self.meta)
+        merged = merged_rollups(self._live_readers(), self.rollup_config,
+                                meta=self.meta)
         merged.merge(self.memtable)
         return merged
 
     def segment_readers(self, cache=None, obs=None,
                         stats=None) -> List[SegmentReader]:
-        """Open one reader per live segment (seq order).  The caller
-        owns the readers -- and with them a pinned view: the open file
-        handles keep serving even after compaction or retention
-        unlinks the files.  Pass a shared
-        :class:`~repro.store.blockcache.BlockCache` and a
-        :class:`~repro.store.segments.ReadStats` to share decoded
-        blocks and account reads (the serving tier does both)."""
+        """A pin of the engine's reader of every live segment (seq
+        order): no file is opened for a segment the engine has open
+        already, and none is re-read.  Each pinned reader reads
+        through ``cache`` into ``stats`` and ``obs`` (the serving
+        tier passes its shared
+        :class:`~repro.store.blockcache.BlockCache` and a view's
+        :class:`~repro.store.segments.ReadStats`) and keeps its
+        segment's descriptor open -- past compaction, retention,
+        :meth:`crash` and :meth:`close` -- until the caller closes
+        it."""
         readers: List[SegmentReader] = []
         try:
             for name in self._segments:
-                readers.append(
-                    SegmentReader(self._segment_path(name),
-                                  cache=cache, obs=obs, stats=stats))
-        except SegmentCorruption:
+                readers.append(self._reader(name).pin(
+                    cache=cache, obs=obs, stats=stats))
+        except BaseException:
             for reader in readers:
                 reader.close()
             raise
         return readers
 
+    def segment_bytes(self) -> int:
+        """The live segments' size on disk."""
+        return sum(self._segments.values())
+
     def disk_bytes(self) -> int:
-        total = self.wal_bytes()
+        total = self.wal_bytes() + self.segment_bytes()
         for entry in self._checkpoints:
             try:
                 total += os.path.getsize(
                     self._checkpoint_path(entry["name"]))
             except OSError:
                 pass
-        for name in self._segments:
-            try:
-                total += os.path.getsize(self._segment_path(name))
-            except OSError:
-                pass
         return total
 
     def _update_gauges(self) -> None:
+        """From what the engine keeps: no file is opened, listed or
+        stat'ed."""
         self.obs.set_gauge("store.segments", float(len(self._segments)))
-        segment_bytes = 0
-        for name in self._segments:
-            try:
-                segment_bytes += os.path.getsize(
-                    self._segment_path(name))
-            except OSError:
-                pass
-        self.obs.set_gauge("store.segment_bytes", float(segment_bytes))
+        self.obs.set_gauge("store.segment_bytes",
+                           float(self.segment_bytes()))
         self.obs.set_gauge(
             "store.memtable_records",
             float(self.memtable.records
                   + self.memtable.failure_records))
-        self.obs.set_gauge("store.wal_files",
-                           float(len(self._discover_wal_files())))
+        self.obs.set_gauge("store.wal_files", float(len(self._wal_files)))
 
     def close(self) -> None:
+        """Close the WAL and drop the engine's pin on every segment
+        (a view still open keeps its own)."""
         self.wal.close()
+        self._release(self._open)
+
+    def __enter__(self) -> "StoreEngine":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
 
 __all__ = ["MANIFEST_NAME", "QUARANTINE_DIR", "RecoveryInfo",

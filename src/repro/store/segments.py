@@ -37,9 +37,11 @@ into its key tuple, and a histogram built from the columns, only for
 a row that leaves the reader (docs/STORAGE.md has the table of who
 splits and builds what).
 
-Reads go through an open file handle (``seek`` + bounded ``read`` per
-block), never a whole-file slurp: a pinned reader touches only the
-blocks its queries need, and -- because the handle stays open -- keeps
+Reads go by offset through an open descriptor (one ``os.pread`` per
+block), never a whole-file slurp, and every reader of one file shares
+that descriptor and its parsed footer (:meth:`SegmentReader.pin`): a
+pinned reader touches only the blocks its queries need, and --
+because the descriptor stays open while any reader holds it -- keeps
 serving a consistent view even after compaction or retention has
 unlinked the file (the snapshot-isolation contract in
 :mod:`repro.serve`).
@@ -472,89 +474,68 @@ def prefix_range(prefix_parts: Tuple[str, ...]
     return encoded + _SEP, encoded + chr(ord(_SEP) + 1)
 
 
-class SegmentReader:
-    """Block-granular random access over one segment file.
+class _SegmentFile:
+    """One open segment file: the descriptor, the validated footer and
+    the zone-map index -- everything about a segment that does not
+    depend on who reads it, and nothing that does (no block cache,
+    read accounting or registry).  Blocks are read by offset
+    (``os.pread``), so any number of :class:`SegmentReader` objects
+    share one without a file position between them.  Each reader over
+    it holds a pin; the descriptor closes with the last."""
 
-    The footer is validated on open; row blocks are CRC-checked lazily
-    on first access.  Point reads (:meth:`get`, :meth:`get_many`) and
-    prefix ranges (:meth:`scan_prefixes`) consult the footer's zone
-    maps and open only the blocks that can match; a full scan
-    (:meth:`iter_table`, :meth:`columns`) opens them all.  Keys go in
-    and come out as ``RollupStore`` has them; texts and ranges are in
-    stored order.  Decoded blocks go through the shared
-    :class:`~repro.store.blockcache.BlockCache` when one is supplied,
-    else a private per-reader cache; :meth:`columns` reads past both.
-    Any structural or checksum
-    failure raises :class:`SegmentCorruption`.
-
-    The reader keeps its file handle open for its whole life, so a
-    segment deleted by compaction or retention keeps serving the
-    pinned bytes (POSIX unlink semantics) -- close() releases it.
-    """
-
-    def __init__(self, path: str, cache=None,
-                 obs: Optional[Observability] = None,
-                 stats: Optional[ReadStats] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.cache = cache
-        self.obs = obs
-        self.stats = stats
         try:
-            self._handle = open(path, "rb")
-            self._size = os.fstat(self._handle.fileno()).st_size
+            # Unbuffered: every read is one pread of exactly a block.
+            self._handle = open(path, "rb", 0)
+            self.size = os.fstat(self._handle.fileno()).st_size
         except OSError as exc:
             raise SegmentCorruption("unreadable segment %s: %s"
                                     % (path, exc))
-        self._cache_prefix = os.path.abspath(path)
-        self._local: Dict[Tuple[str, int], Block] = {}
+        self._pins = 1
         try:
             self.footer = self._load_footer()
-        except (SegmentCorruption, UnsupportedSchema):
+            self.seq = int(self.footer["seq"])
+            self.records = int(self.footer["records"])
+            self.failure_records = int(self.footer["failure_records"])
+            self.config = RollupConfig.from_dict(self.footer["config"])
+        except BaseException:
             self._handle.close()
             raise
-        self.seq = int(self.footer["seq"])
-        self.records = int(self.footer["records"])
-        self.failure_records = int(self.footer["failure_records"])
-        self.config = RollupConfig.from_dict(self.footer["config"])
-        self._tables = self.footer["tables"]
+        self.cache_prefix = os.path.abspath(path)
+        self.tables = self.footer["tables"]
         #: Per table, every block's zone-map ``max`` in block order --
-        #: ascending, so :meth:`get` bisects it.  Filled by a table's
-        #: first point read, not here: every snapshot opens every
-        #: segment, and panels never call ``get``.
-        self._block_maxes: Dict[str, List[str]] = {}
+        #: ascending, so :meth:`SegmentReader.get` bisects it.  Filled
+        #: by a table's first point read, not here: panels never call
+        #: ``get``.
+        self.block_maxes: Dict[str, List[str]] = {}
 
-    # -- lifecycle -----------------------------------------------------
+    def pin(self) -> None:
+        self._pins += 1
 
-    def close(self) -> None:
-        self._handle.close()
+    def unpin(self) -> None:
+        self._pins -= 1
+        if self._pins == 0:
+            self._handle.close()
 
-    def __enter__(self) -> "SegmentReader":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    # -- structure -----------------------------------------------------
-
-    def _read_at(self, offset: int, length: int) -> bytes:
-        self._handle.seek(offset)
-        return self._handle.read(length)
+    def read_at(self, offset: int, length: int) -> bytes:
+        return os.pread(self._handle.fileno(), length, offset)
 
     def _load_footer(self) -> Dict[str, object]:
-        if self._size < len(MAGIC) + 16:
+        if self.size < len(MAGIC) + 16:
             raise SegmentCorruption("segment %s is too short"
                                     % self.path)
-        if self._read_at(0, len(MAGIC)) != MAGIC:
+        if self.read_at(0, len(MAGIC)) != MAGIC:
             raise SegmentCorruption("bad segment magic in %s" % self.path)
-        tail = self._read_at(self._size - 16, 16)
+        tail = self.read_at(self.size - 16, 16)
         if tail[8:] != TAIL_MAGIC:
             raise SegmentCorruption("bad tail magic in %s" % self.path)
         footer_offset = unpack_u64(tail, 0)
-        if not len(MAGIC) <= footer_offset < self._size - 16:
+        if not len(MAGIC) <= footer_offset < self.size - 16:
             raise SegmentCorruption("footer offset out of range in %s"
                                     % self.path)
-        buffer = self._read_at(footer_offset,
-                               self._size - 16 - footer_offset)
+        buffer = self.read_at(footer_offset,
+                              self.size - 16 - footer_offset)
         payload, end, status = read_frame(buffer, 0)
         if status != FRAME_OK or end != len(buffer):
             raise SegmentCorruption("footer frame invalid in %s"
@@ -567,8 +548,7 @@ class SegmentReader:
         if footer.get("schema") != SEGMENT_SCHEMA:
             raise UnsupportedSchema("segment %s" % self.path,
                                     footer.get("schema"), SEGMENT_SCHEMA)
-        # Every snapshot opens every segment: the getters keep this
-        # to one C call a block.
+        # The getters keep the check to one C call a block.
         try:
             _FOOTER_FIELDS(footer)
             tables = footer["tables"]
@@ -585,6 +565,80 @@ class SegmentReader:
                 "footer of %s lacks a field its writer writes: %s"
                 % (self.path, exc))
         return footer
+
+
+class SegmentReader:
+    """Block-granular random access over one segment file.
+
+    ``SegmentReader(path)`` opens the file and validates its footer;
+    row blocks are CRC-checked lazily on first access.  :meth:`pin`
+    hands out another reader over the *same* open file -- no I/O, the
+    footer and zone maps parsed once -- bound to its own block cache,
+    :class:`ReadStats` and registry: the engine opens each live
+    segment once and gives every view a pin (docs/STORAGE.md, "Who
+    opens a segment").  Point reads (:meth:`get`, :meth:`get_many`)
+    and prefix ranges (:meth:`scan_prefixes`) consult the footer's
+    zone maps and open only the blocks that can match; a full scan
+    (:meth:`iter_table`, :meth:`columns`) opens them all.  Keys go in
+    and come out as ``RollupStore`` has them; texts and ranges are in
+    stored order.  Decoded blocks go through the shared
+    :class:`~repro.store.blockcache.BlockCache` when one is supplied,
+    else a private per-reader cache; :meth:`columns` reads past both.
+    Any structural or checksum failure raises
+    :class:`SegmentCorruption`.
+
+    The file stays open until the last reader over it closes, so a
+    segment deleted by compaction or retention keeps serving the
+    pinned bytes (POSIX unlink semantics).
+    """
+
+    def __init__(self, path: str, cache=None,
+                 obs: Optional[Observability] = None,
+                 stats: Optional[ReadStats] = None) -> None:
+        self._bind(_SegmentFile(path), cache, obs, stats)
+
+    def _bind(self, file: _SegmentFile, cache,
+              obs: Optional[Observability],
+              stats: Optional[ReadStats]) -> None:
+        self._file = file
+        self.path = file.path
+        self.footer = file.footer
+        self.seq = file.seq
+        self.records = file.records
+        self.failure_records = file.failure_records
+        self.config = file.config
+        self._tables = file.tables
+        self.cache = cache
+        self.obs = obs
+        self.stats = stats
+        self._local: Dict[Tuple[str, int], Block] = {}
+        self._closed = False
+
+    # -- lifecycle -----------------------------------------------------
+
+    def pin(self, cache=None, obs: Optional[Observability] = None,
+            stats: Optional[ReadStats] = None) -> "SegmentReader":
+        """Another reader over this one's open file, reading through
+        ``cache`` into ``stats`` and ``obs``; it keeps the file open
+        until it is closed, whoever else closes.  Opens nothing."""
+        self._file.pin()
+        reader = SegmentReader.__new__(SegmentReader)
+        reader._bind(self._file, cache, obs, stats)
+        return reader
+
+    def close(self) -> None:
+        """Drop this reader's pin (once); the last closes the file."""
+        if not self._closed:
+            self._closed = True
+            self._file.unpin()
+
+    def __enter__(self) -> "SegmentReader":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    # -- structure -----------------------------------------------------
 
     def blocks(self, name: str) -> List[Dict[str, object]]:
         """Block metadata (offset, length, rows, zone-map min/max)."""
@@ -611,7 +665,7 @@ class SegmentReader:
         (:func:`~repro.store.encoding.decode_block`)."""
         self._count_read()
         if self.cache is not None:
-            cache_key = (self._cache_prefix, name, index)
+            cache_key = (self._file.cache_prefix, name, index)
             block = self.cache.get(cache_key)
             if block is not None:
                 if self.stats is not None:
@@ -635,8 +689,8 @@ class SegmentReader:
         inflated and handed to ``decode``; returns what it made and
         the inflated size."""
         entry = self._tables[name]["blocks"][index]
-        buffer = self._read_at(int(entry["offset"]),
-                               int(entry["length"]))
+        buffer = self._file.read_at(int(entry["offset"]),
+                                    int(entry["length"]))
         payload, _end, status = read_frame(buffer, 0)
         if status != FRAME_OK:
             raise SegmentCorruption(
@@ -675,9 +729,9 @@ class SegmentReader:
         opens at most one block."""
         blocks = self._tables[name]["blocks"]
         encoded = stored_text(name, tuple(key))
-        maxes = self._block_maxes.get(name)
+        maxes = self._file.block_maxes.get(name)
         if maxes is None:
-            maxes = self._block_maxes[name] = [
+            maxes = self._file.block_maxes[name] = [
                 block["max"] for block in blocks]
         index = bisect_left(maxes, encoded)
         if index < len(blocks) and \
@@ -787,7 +841,7 @@ class SegmentReader:
                 self._load_block(name, index)
 
     def size_bytes(self) -> int:
-        return self._size
+        return self._file.size
 
 
 __all__ = ["DEFAULT_BLOCK_ROWS", "MAGIC", "MergedSegments", "ReadStats",

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro.__main__ import main
+from tests.conftest import CLOSES_WHAT_IT_OPENS
 
 
 class TestDemo:
@@ -243,6 +244,7 @@ class TestQuery:
                 operator="Op%d" % ((i // 5) % 3), country="US",
                 device_id="dev-1")
             for i in range(160)])
+        engine.close()
         return str(tmp_path / "store")
 
     def test_query_views_render(self, data_dir, capsys):
@@ -521,6 +523,24 @@ class TestQuery:
         assert main(["query", data_dir, "summary", "--cache-mb",
                      "-1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestClosesWhatItOpens:
+    """Every engine, view and segment reader a command opens, it
+    closes: a file left open fails the test."""
+
+    pytestmark = CLOSES_WHAT_IT_OPENS
+
+    def test_serve_then_store_and_query_commands(self, tmp_path, capsys):
+        data_dir = str(tmp_path / "store")
+        assert main(["serve", "--scale", "0.002", "--data-dir",
+                     data_dir]) == 0
+        assert "stored 1 segment(s)" in capsys.readouterr().out
+        for action in ("inspect", "compact"):
+            assert main(["store", action, data_dir]) == 0
+            assert "  seq " in capsys.readouterr().out
+        assert main(["query", data_dir, "summary"]) == 0
+        assert json.loads(capsys.readouterr().out)["records"] > 0
 
 
 class TestArgs:

@@ -1,8 +1,10 @@
 """Serving-tier tests: snapshot isolation against a mutating engine,
-pruned-vs-scan byte identity (reading strictly fewer blocks), the
-shared block cache, clean errors on corrupt segments, and the
-deterministic dashboard workload."""
+one shared reader per live segment (a snapshot opens no file), pruned-
+vs-scan byte identity (reading strictly fewer blocks), the shared
+block cache, clean errors on corrupt segments, and the deterministic
+dashboard workload."""
 
+import builtins
 import json
 import os
 
@@ -13,6 +15,9 @@ from repro.obs import Observability
 from repro.serve import DashboardWorkload, QueryEngine, QueryError, ReadView
 from repro.store import BlockCache, StoreConfig, StoreEngine
 from repro.store.engine import SEGMENT_DIR
+from tests.conftest import CLOSES_WHAT_IT_OPENS
+
+pytestmark = CLOSES_WHAT_IT_OPENS
 
 DAY_MS = 24 * 3600 * 1000.0
 
@@ -64,6 +69,7 @@ class TestSnapshotIsolation:
         assert after_live.records > before["records"]
         assert view.summary() == before
         view.close()
+        engine.close()
 
     def test_view_survives_compaction_unlinking_its_files(
             self, tmp_path):
@@ -88,6 +94,7 @@ class TestSnapshotIsolation:
         assert fresh.summary()["digest"] == summary_before["digest"]
         fresh.close()
         view.close()
+        engine.close()
 
     def test_view_survives_flush_and_retention(self, tmp_path):
         engine, obs = _engine(tmp_path,
@@ -118,6 +125,7 @@ class TestSnapshotIsolation:
                 panel_before
         finally:
             view.close()
+        engine.close()
 
     def test_memtable_clone_is_deep(self, tmp_path):
         """Deep as the view sees it, and paid for by the writer: the
@@ -139,6 +147,7 @@ class TestSnapshotIsolation:
         assert copied() > 0
         assert _canonical(view.app_panel("com.app.01")) == hist_before
         view.close()
+        engine.close()
 
     def test_digest_stable_across_snapshot_generations(self, tmp_path):
         """Racing flush + compaction between snapshots must never
@@ -161,6 +170,7 @@ class TestSnapshotIsolation:
         digests.add(view.summary()["digest"])
         view.close()
         assert len(digests) == 1
+        engine.close()
 
 
 class TestPrunedVersusScan:
@@ -190,6 +200,7 @@ class TestPrunedVersusScan:
             assert mid.delta_since(before).blocks_read \
                 < after.delta_since(mid).blocks_read
         view.close()
+        engine.close()
 
     def test_cached_blocks_are_walked_not_resorted(self, tmp_path,
                                                    monkeypatch):
@@ -242,6 +253,7 @@ class TestPrunedVersusScan:
         assert _canonical(view.network_panel("Op2")) \
             == _canonical(view.network_panel("Op2", scan=True))
         view.close()
+        engine.close()
 
     def test_modality_sections_byte_identical_pruned_vs_scan(
             self, tmp_path):
@@ -280,6 +292,7 @@ class TestPrunedVersusScan:
             assert pruned["aoi"]["median_ms"] == \
                 pytest.approx(2500.5, rel=0.01)
         view.close()
+        engine.close()
 
     def test_modality_sections_null_without_modality_records(
             self, tmp_path):
@@ -295,6 +308,7 @@ class TestPrunedVersusScan:
         assert panel["energy"] is None
         assert panel["aoi"] is None
         view.close()
+        engine.close()
 
     def test_panel_subject_with_no_data_is_empty_both_ways(
             self, tmp_path):
@@ -306,6 +320,7 @@ class TestPrunedVersusScan:
         assert pruned == scanned
         assert pruned["windows"] == [] and pruned["overall"] is None
         view.close()
+        engine.close()
 
     def test_point_reads_merge_across_segments_and_memtable(
             self, tmp_path):
@@ -322,6 +337,7 @@ class TestPrunedVersusScan:
             assert merged.count == hist.count
         assert view.get("app", ("0", "com.nope", "TCP")) is None
         view.close()
+        engine.close()
 
     def test_scan_views_match_engine_materialize(self, tmp_path):
         engine, obs = _engine(tmp_path)
@@ -338,6 +354,7 @@ class TestPrunedVersusScan:
         assert view.window_series() == backend_query.windows(reference)
         assert view.cases() == backend_query.cases(reference)
         view.close()
+        engine.close()
 
     def test_table_rows_and_unknown_table(self, tmp_path):
         engine, obs = _engine(tmp_path)
@@ -352,6 +369,160 @@ class TestPrunedVersusScan:
         with pytest.raises(QueryError, match="unknown table"):
             view.table_rows("bogus")
         view.close()
+        engine.close()
+
+
+#: Where this process lists its open descriptors (Linux).
+_PROC_FDS = "/proc/self/fd"
+
+
+def _segment_fds(engine):
+    """What every descriptor this process holds under the engine's
+    ``segments/`` points at -- an unlinked file as ``<path>
+    (deleted)`` -- sorted."""
+    folder = os.path.realpath(os.path.join(engine.data_dir,
+                                           SEGMENT_DIR)) + os.sep
+    found = []
+    for fd in os.listdir(_PROC_FDS):
+        try:
+            target = os.readlink(os.path.join(_PROC_FDS, fd))
+        except OSError:
+            continue                    # the listing's own descriptor
+        if target.startswith(folder):
+            found.append(target)
+    return sorted(found)
+
+
+def _real(paths):
+    return sorted(os.path.realpath(path) for path in paths)
+
+
+class _FileCalls:
+    """Every call, while installed, that opens, reads, stats or lists
+    a file."""
+
+    CALLS = ((builtins, "open"), (os, "open"), (os, "pread"),
+             (os, "fstat"), (os, "stat"), (os, "listdir"))
+
+    def __init__(self, monkeypatch):
+        self.seen = []
+        for owner, name in self.CALLS:
+            monkeypatch.setattr(owner, name,
+                                self._counting(name, getattr(owner, name)))
+
+    def _counting(self, name, call):
+        def counted(*args, **kwargs):
+            self.seen.append((name, args[0] if args else None))
+            return call(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.skipif(not os.path.isdir(_PROC_FDS),
+                    reason="counts descriptors in /proc/self/fd")
+class TestOneReaderPerSegment:
+    """The engine opens each live segment once -- recovery's checksum
+    pass, or the first use of one written since -- and every view
+    pins that reader: a snapshot opens and reads no file, V views over
+    S segments hold S descriptors, and a descriptor closes with the
+    last holder of its segment."""
+
+    def _answers(self, view):
+        return _canonical([view.summary(), view.window_series(),
+                           view.app_panel("com.app.01"),
+                           view.network_panel("Op2")])
+
+    def test_a_snapshot_opens_no_file(self, tmp_path, monkeypatch):
+        engine, obs = _engine(tmp_path)
+        engine.append_records(_records(600))
+        assert len(engine.segment_names()) >= 3
+        queries = QueryEngine(engine, obs=obs)
+        with queries.snapshot() as first:  # opens the flushed ones
+            expected = self._answers(first)
+        calls = _FileCalls(monkeypatch)
+        view = queries.snapshot()
+        monkeypatch.undo()
+        assert calls.seen == []
+        assert self._answers(view) == expected
+        view.close()
+        engine.close()
+
+    def test_a_recovered_engine_has_its_segments_open(self, tmp_path,
+                                                      monkeypatch):
+        engine, obs = _engine(tmp_path)
+        engine.append_records(_records(600))
+        names = engine.segment_names()
+        engine.close()
+        with StoreEngine(engine.data_dir, obs=obs) as recovered:
+            assert recovered.segment_names() == names
+            assert _segment_fds(recovered) == _real(
+                recovered._segment_path(name) for name in names)
+            calls = _FileCalls(monkeypatch)
+            view = QueryEngine(recovered, obs=obs).snapshot()
+            monkeypatch.undo()
+            assert calls.seen == []
+            assert len(view.readers) == len(names)
+            view.close()
+        assert _segment_fds(recovered) == []
+
+    def test_views_share_one_descriptor_per_segment(self, tmp_path):
+        engine, obs = _engine(tmp_path)
+        engine.append_records(_records(600))
+        queries = QueryEngine(engine, obs=obs)
+        paths = _real(engine._segment_path(name)
+                      for name in engine.segment_names())
+        views = [queries.snapshot() for _ in range(4)]
+        assert _segment_fds(engine) == paths
+        answers = {self._answers(view) for view in views}
+        assert len(answers) == 1
+        for view in views:
+            view.close()
+        assert _segment_fds(engine) == paths    # the engine's own
+        engine.close()
+        assert _segment_fds(engine) == []
+
+    def test_a_pinned_view_outlives_compaction_with_retention(
+            self, tmp_path):
+        engine, obs = _engine(tmp_path, flush_threshold_records=None,
+                              retention_ms=40 * DAY_MS)
+        for start in range(0, 600, 200):
+            engine.append_records(_records(200, offset=start))
+            engine.flush()
+        queries = QueryEngine(engine, obs=obs)
+        view = queries.snapshot()
+        before = self._answers(view)
+        retired = _real(reader.path for reader in view.readers)
+        assert len(retired) == 3
+        assert engine.compact(now_ms=70 * DAY_MS)
+        assert obs.value("store.retention_windows_evicted") == 1
+        # Unlinked, and open only through the view's pins.
+        assert not any(os.path.exists(path) for path in retired)
+        assert _segment_fds(engine) == [path + " (deleted)"
+                                        for path in retired]
+        assert self._answers(view) == before
+        fresh = queries.snapshot()
+        assert self._answers(fresh) != before
+        assert _segment_fds(engine) == sorted(_real(
+            [engine._segment_path(engine.segment_names()[0])])
+            + [path + " (deleted)" for path in retired])
+        view.close()
+        assert _segment_fds(engine) == _real(
+            [engine._segment_path(engine.segment_names()[0])])
+        fresh.close()
+        engine.close()
+
+    @pytest.mark.parametrize("end", ["crash", "close"])
+    def test_crash_and_close_drop_the_engines_pins(self, tmp_path, end):
+        engine, obs = _engine(tmp_path)
+        engine.append_records(_records(600))
+        view = QueryEngine(engine, obs=obs).snapshot()
+        before = self._answers(view)
+        pinned = _segment_fds(engine)
+        getattr(engine, end)()
+        assert _segment_fds(engine) == pinned   # the view's pins
+        assert self._answers(view) == before
+        view.close()
+        assert _segment_fds(engine) == []
+        engine.close()
 
 
 class TestCorruptSegments:
@@ -378,6 +549,7 @@ class TestCorruptSegments:
             view.app_panel("com.app.00")
         assert os.path.basename(path) in str(excinfo.value)
         view.close()
+        engine.close()
 
     def test_recovery_quarantines_then_queries_succeed(self, tmp_path):
         engine, obs = _engine(tmp_path)
@@ -389,6 +561,7 @@ class TestCorruptSegments:
         panel = view.app_panel("com.app.00")
         assert panel == view.app_panel("com.app.00", scan=True)
         view.close()
+        engine.close()
 
     def test_missing_segment_file_fails_the_snapshot(self, tmp_path):
         engine, obs = _engine(tmp_path)
@@ -397,6 +570,7 @@ class TestCorruptSegments:
         os.remove(os.path.join(engine.data_dir, SEGMENT_DIR, name))
         with pytest.raises(QueryError, match="unreadable"):
             QueryEngine(engine, obs=obs).snapshot()
+        engine.close()
 
 
 class TestBlockCache:
@@ -441,6 +615,7 @@ class TestBlockCache:
         assert obs.value("store.cache.hits") \
             == view.stats.cache_hits
         view.close()
+        engine.close()
 
 
 class TestDashboardWorkload:
@@ -459,6 +634,7 @@ class TestDashboardWorkload:
         assert reports[0]["panels"] == 24
         assert reports[0]["app_panels"] \
             + reports[0]["network_panels"] == 24
+        engine.close()
 
     def test_different_seeds_differ(self, tmp_path):
         engine, obs = _engine(tmp_path)
@@ -468,6 +644,7 @@ class TestDashboardWorkload:
         two = DashboardWorkload(view, seed=2, panels=24).run()
         assert one["results_digest"] != two["results_digest"]
         view.close()
+        engine.close()
 
     def test_latency_is_optional_and_volatile_only(self, tmp_path):
         engine, obs = _engine(tmp_path)
@@ -480,6 +657,7 @@ class TestDashboardWorkload:
         assert set(timed["latency_ms"]) == {"p50", "p99", "max"}
         assert obs.value("serve.query_latency_ms") is not None
         view.close()
+        engine.close()
 
     def test_verify_against_scan_holds(self, tmp_path):
         engine, obs = _engine(tmp_path)
@@ -491,6 +669,7 @@ class TestDashboardWorkload:
         assert result["pruned_blocks_read"] \
             < result["scan_blocks_read"]
         view.close()
+        engine.close()
 
     def test_workload_counts_queries_in_the_catalog(self, tmp_path):
         engine, obs = _engine(tmp_path)
@@ -500,6 +679,7 @@ class TestDashboardWorkload:
         assert obs.value("serve.queries") >= 10
         assert obs.value("serve.snapshots") == 1
         view.close()
+        engine.close()
 
 
 class TestJsonStateViews:
@@ -520,3 +700,4 @@ class TestJsonStateViews:
             == _canonical(memory_view.network_panel("Op1"))
         view.close()
         memory_view.close()
+        engine.close()

@@ -23,7 +23,11 @@ from repro.store.checkpoint import (
 )
 from repro.store.engine import QUARANTINE_DIR
 from repro.store.segments import UnsupportedSchema
-from tests.conftest import hand_built_row_block, log_records, tree_bytes
+from tests.conftest import (CLOSES_WHAT_IT_OPENS, hand_built_row_block,
+                            log_records, read_file, tree_bytes,
+                            write_file)
+
+pytestmark = CLOSES_WHAT_IT_OPENS
 
 
 def _rec(kind="TCP", rtt=100.0, ts=0.0, domain=None, operator="OpA",
@@ -82,6 +86,7 @@ class TestBoundedReplay:
         assert info.checkpoint_records + info.wal_records == 1010
         assert engine.memtable.records == 1010
         assert engine.memtable.digest() == _reference(records).digest()
+        engine.close()
 
     def test_retention_keeps_two_checkpoints_and_prunes_wal(self,
                                                             tmp_path):
@@ -103,6 +108,7 @@ class TestBoundedReplay:
         engine.crash()
         engine.recover()
         assert engine.memtable.digest() == _reference(records).digest()
+        engine.close()
 
     def test_flush_supersedes_checkpoints(self, tmp_path):
         engine, _obs = _engine(tmp_path, flush_threshold_records=None,
@@ -121,6 +127,7 @@ class TestBoundedReplay:
         assert info.wal_records == 0
         assert engine.materialize().digest() == \
             _reference(records).digest()
+        engine.close()
 
 
 class TestCrashWindows:
@@ -143,6 +150,7 @@ class TestCrashWindows:
         assert info.wal_records == 90
         assert not os.path.exists(os.path.join(engine.data_dir, name))
         assert engine.memtable.digest() == _reference(records).digest()
+        engine.close()
 
     @pytest.mark.parametrize("write", ["flush", "compact"])
     def test_a_segment_renamed_but_never_published_is_swept(
@@ -247,6 +255,7 @@ class TestCrashWindows:
         assert engine.memtable.records == 200
         assert engine.memtable.digest() == _reference(records).digest()
         assert len(engine.wal_paths()) < stale
+        engine.close()
 
     def test_torn_checkpoint_falls_back_to_the_previous(self,
                                                         tmp_path):
@@ -269,6 +278,7 @@ class TestCrashWindows:
         assert os.path.exists(os.path.join(
             engine.data_dir, QUARANTINE_DIR, second))
         assert obs.value("store.checkpoints_quarantined") == 1
+        engine.close()
 
     def test_single_torn_checkpoint_falls_back_to_full_wal(self,
                                                            tmp_path):
@@ -288,6 +298,7 @@ class TestCrashWindows:
         assert info.checkpoints_quarantined == 1
         assert info.wal_records == 130
         assert engine.memtable.digest() == _reference(records).digest()
+        engine.close()
 
 
 class _Crash(Exception):
@@ -415,13 +426,12 @@ class TestRowOrder:
         for hand-built rows."""
         path = str(tmp_path / "hand.ckpt")
         write_checkpoint(path, RollupStore(), covers_gen=1)
-        data = open(path, "rb").read()
+        data = read_file(path)
         _header, tables_at, _status = encoding.read_frame(
             data, len(MAGIC))
         _empty, rest_at, _status = encoding.read_frame(data, tables_at)
         block = hand_built_row_block(raw_keys)
-        open(path, "wb").write(data[:tables_at] + block
-                               + data[rest_at:])
+        write_file(path, data[:tables_at] + block + data[rest_at:])
         return path
 
     def test_hand_built_table_in_key_order_reads(self, tmp_path):
@@ -470,13 +480,12 @@ class TestRowOrder:
 def _edit_header(path, edit):
     """Rewrite a checkpoint's header frame as ``edit`` leaves it,
     every table frame after it as written."""
-    data = open(path, "rb").read()
+    data = read_file(path)
     payload, tables_at, _status = encoding.read_frame(data, len(MAGIC))
     header = json.loads(payload)
     edit(header)
-    open(path, "wb").write(
-        MAGIC + encoding.frame(json.dumps(
-            header, sort_keys=True, separators=(",", ":")).encode())
+    write_file(path, MAGIC + encoding.frame(json.dumps(
+        header, sort_keys=True, separators=(",", ":")).encode())
         + data[tables_at:])
 
 
@@ -512,13 +521,13 @@ class TestSchemaGate:
         engine.close()
         newest = os.path.join(engine.data_dir, names[-1])
         _restamp_checkpoint(newest, 1)
-        before = open(newest, "rb").read()
+        before = read_file(newest)
         with pytest.raises(UnsupportedSchema, match=names[-1]):
             StoreEngine(engine.data_dir, obs=Observability())
-        assert open(newest, "rb").read() == before
+        assert read_file(newest) == before
         assert not os.path.exists(
             os.path.join(engine.data_dir, QUARANTINE_DIR))
-        manifest = json.load(open(
+        manifest = json.loads(read_file(
             os.path.join(engine.data_dir, "MANIFEST.json")))
         assert [entry["name"] for entry in manifest["checkpoints"]] \
             == names
@@ -542,6 +551,7 @@ class TestDedupAndStreaming:
         for seq, (device, _records_) in enumerate(batches):
             assert engine.dedup[(device, seq)] == 10
         assert engine.memtable.records == 30
+        engine.close()
 
     def test_recovery_streams_records_through_on_record(self,
                                                         tmp_path):
@@ -555,6 +565,7 @@ class TestDedupAndStreaming:
         assert len(seen) == 40
         assert not hasattr(info, "replayed_records")
         assert _reference(seen).digest() == _reference(records).digest()
+        engine.close()
 
 
 #: A sound envelope header over three lines, for the gate's tests to
@@ -647,6 +658,7 @@ class TestEnvelopeGate:
         info = engine.recover()
         assert (info.wal_frames, info.wal_records) == (1, 0)
         assert engine.dedup[("dev-9", 4)] == 7
+        engine.close()
 
 
 class TestStripedDirectories:

@@ -2,6 +2,7 @@
 quarantine, and read-path parity (queries over segments + memtable
 must equal queries over the equivalent in-memory store)."""
 
+import builtins
 import json
 import os
 
@@ -15,7 +16,10 @@ from repro.obs import Observability
 from repro.store import StoreConfig, StoreEngine
 from repro.store.engine import _MANIFEST_FIELDS, QUARANTINE_DIR
 from repro.store.wal import replay
-from tests.conftest import log_records, tree_bytes
+from tests.conftest import (CLOSES_WHAT_IT_OPENS, log_records, read_file,
+                            tree_bytes)
+
+pytestmark = CLOSES_WHAT_IT_OPENS
 
 
 def _rec(kind="TCP", rtt=100.0, ts=0.0, domain=None, operator="OpA",
@@ -36,6 +40,16 @@ def _records(n=120, window_ms=None):
                  operator="Op%d" % (i % 2)) for i in range(n)]
 
 
+def _load_json(path):
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def _dump_json(value, path):
+    with open(path, "w") as handle:
+        json.dump(value, handle)
+
+
 def _engine(tmp_path, name="store", **config):
     obs = Observability()
     engine = StoreEngine(str(tmp_path / name),
@@ -54,6 +68,7 @@ class TestWritePathAndRecovery:
         assert engine.memtable.records == 0
         assert engine.memtable.group_count() == 0
         assert not engine.dedup and not engine.findings
+        engine.close()
 
     def test_recovery_replays_the_wal_exactly(self, tmp_path):
         engine, obs = _engine(tmp_path, flush_threshold_records=None)
@@ -70,6 +85,7 @@ class TestWritePathAndRecovery:
         assert engine.recoveries == 1
         assert obs.value("store.recoveries") == 1
         assert obs.value("store.wal_replayed_records") >= 80
+        engine.close()
 
     def test_log_batch_charges_fsync_cost_and_seeds_dedup(self,
                                                           tmp_path):
@@ -86,6 +102,7 @@ class TestWritePathAndRecovery:
         # (device, seq) hits the dedup cache, not the memtable.
         assert engine.dedup[("dev-1", 0)] == 10
         assert engine.memtable.records == 10
+        engine.close()
 
     def test_uncommitted_tail_is_genuinely_lost(self, tmp_path):
         engine, _obs = _engine(tmp_path,
@@ -96,6 +113,7 @@ class TestWritePathAndRecovery:
         engine.crash()                        # buffer never committed
         info = engine.recover()
         assert info.wal_records == 30
+        engine.close()
 
     def test_flush_moves_memtable_into_a_segment(self, tmp_path):
         engine, obs = _engine(tmp_path, flush_threshold_records=None)
@@ -114,6 +132,7 @@ class TestWritePathAndRecovery:
         assert info.wal_records == 0
         assert info.segments_loaded == 1
         assert engine.materialize().digest() == digest
+        engine.close()
 
     def test_auto_flush_at_threshold(self, tmp_path):
         engine, _obs = _engine(tmp_path, flush_threshold_records=25)
@@ -122,6 +141,7 @@ class TestWritePathAndRecovery:
         reference = RollupStore()
         reference.add_all(_records(80))
         assert engine.materialize().digest() == reference.digest()
+        engine.close()
 
     def test_reopened_dir_adopts_manifest_config(self, tmp_path):
         config = RollupConfig(window_ms=1000.0)
@@ -306,10 +326,12 @@ class TestTornAndCorrupt:
         name = engine.flush()
         path = engine._segment_path(name)
         engine.close()
-        data = bytearray(open(path, "rb").read())
-        at = data.rindex(b'"min":"Op0|')
-        data[at + len(b'"min":"O')] ^= 0x01          # Op0 -> Oq0
-        open(path, "wb").write(bytes(data))
+        with open(path, "r+b") as handle:
+            data = bytearray(handle.read())
+            at = data.rindex(b'"min":"Op0|')
+            data[at + len(b'"min":"O')] ^= 0x01      # Op0 -> Oq0
+            handle.seek(0)
+            handle.write(bytes(data))
         recovered = StoreEngine(str(tmp_path / "store"),
                                 obs=Observability())
         assert recovered.last_recovery.segments_quarantined == 1
@@ -396,15 +418,15 @@ class TestOneGeneration:
         from repro.store import UnsupportedSchema
         root, digest = self._store(tmp_path)
         path = os.path.join(root, "MANIFEST.json")
-        manifest = json.load(open(path))
+        manifest = _load_json(path)
         # What is required is exactly what is written.
         assert set(manifest) == {"schema", *_MANIFEST_FIELDS}
         manifest["schema"] = schema
-        json.dump(manifest, open(path, "w"))
+        _dump_json(manifest, path)
         self._refused(root, UnsupportedSchema, path,
                       "schema %d " % schema, "only schema 3")
         manifest["schema"] = 3
-        json.dump(manifest, open(path, "w"))
+        _dump_json(manifest, path)
         reopened = StoreEngine(root, obs=Observability())
         assert reopened.materialize().digest() == digest
         reopened.close()
@@ -418,9 +440,9 @@ class TestOneGeneration:
         replayed over the segments that already hold it)."""
         root, _digest = self._store(tmp_path)
         path = os.path.join(root, "MANIFEST.json")
-        manifest = json.load(open(path))
+        manifest = _load_json(path)
         del manifest[field]
-        json.dump(manifest, open(path, "w"))
+        _dump_json(manifest, path)
         self._refused(root, ValueError, path, field)
 
     def test_other_generation_wal_is_refused_not_reset(self, tmp_path):
@@ -486,6 +508,7 @@ class TestCompactionAndRetention:
         engine.crash()
         engine.recover()
         assert engine.materialize().digest() == digest
+        engine.close()
 
     @pytest.mark.parametrize("schema", [2, 3, 4, 6])
     def test_other_schema_segment_stops_recovery_untouched(
@@ -508,21 +531,21 @@ class TestCompactionAndRetention:
         engine.close()
         root = str(tmp_path / "store")
         path = os.path.join(root, SEGMENT_DIR, names[1])
-        manifest = open(os.path.join(root, "MANIFEST.json")).read()
+        manifest = read_file(os.path.join(root, "MANIFEST.json"))
 
         def restamp(to):
             def mutate(footer):
                 footer["schema"] = to
             _rewrite_footer(path, mutate)
         restamp(schema)
-        before = open(path, "rb").read()
+        before = read_file(path)
         with pytest.raises(UnsupportedSchema) as refused:
             StoreEngine(root, obs=Observability())
         for told in (path, "schema %d " % schema, "only schema 5"):
             assert told in str(refused.value)
-        assert open(path, "rb").read() == before
+        assert read_file(path) == before
         assert not os.path.exists(os.path.join(root, QUARANTINE_DIR))
-        assert open(os.path.join(root, "MANIFEST.json")).read() \
+        assert read_file(os.path.join(root, "MANIFEST.json")) \
             == manifest
         # Nothing was lost: with the footer as written the store
         # opens and holds everything.
@@ -578,6 +601,7 @@ class TestCompactionAndRetention:
         assert not engine.compact(force=True)  # one segment: nothing
         engine.flush()
         assert engine.compact(force=True)
+        engine.close()
 
     def test_retention_evicts_old_windows(self, tmp_path):
         day = 24 * 3600 * 1000.0
@@ -663,6 +687,53 @@ class TestCompactionAndRetention:
         engine.close()
 
 
+class TestGaugesTouchNoFile:
+    """``compact()`` with nothing to do -- the serving loop asks after
+    every few batches -- and the gauges every write refreshes read
+    what the engine keeps: no segment is opened again and no file
+    stat'ed or directory listed."""
+
+    def test_a_no_op_compaction_opens_stats_and_lists_nothing(
+            self, tmp_path, monkeypatch):
+        day = 24 * 3600 * 1000.0
+        engine, obs = _engine(tmp_path, flush_threshold_records=None,
+                              compaction_fanout=10,
+                              checkpoint_interval_records=None,
+                              retention_ms=400 * day)
+        for start in range(0, 90, 30):
+            log_records(engine, _records(90)[start:start + 30],
+                        first_seq=start)
+            engine.flush()
+        assert not engine.compact(now_ms=90 * day)   # opens all three
+        touched = []
+        for owner, name in ((builtins, "open"), (os, "open"),
+                            (os, "stat"), (os, "listdir")):
+            call = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name,
+                lambda *args, _call=call, **kwargs:
+                touched.append(args[0]) or _call(*args, **kwargs))
+        for _ in range(5):
+            assert not engine.compact(now_ms=90 * day)
+        monkeypatch.undo()
+        assert touched == []
+        self._assert_gauges(engine, obs)
+        for write in (engine.checkpoint, engine.flush,
+                      lambda: engine.compact(force=True)):
+            log_records(engine, _records(5), first_seq=100)
+            write()
+            self._assert_gauges(engine, obs)
+        engine.close()
+
+    @staticmethod
+    def _assert_gauges(engine, obs):
+        assert obs.value("store.segments") == len(engine.segment_names())
+        assert obs.value("store.segment_bytes") == sum(
+            os.path.getsize(engine._segment_path(name))
+            for name in engine.segment_names())
+        assert obs.value("store.wal_files") == len(engine.wal_paths())
+
+
 class TestCompactionEdgeCases:
     """Compaction cases a random store seldom reaches, each with the
     outcome the row-by-row merge had: the counters, the bytes a flush
@@ -688,13 +759,11 @@ class TestCompactionEdgeCases:
         from repro.store.segments import write_segment
         path = str(tmp_path / "reference.seg")
         write_segment(path, store, seq)
-        with open(path, "rb") as handle:
-            return handle.read()
+        return read_file(path)
 
     def _compacted_bytes(self, engine):
         [name] = engine.segment_names()
-        with open(engine._segment_path(name), "rb") as handle:
-            return name, handle.read()
+        return name, read_file(engine._segment_path(name))
 
     @pytest.mark.parametrize("kind, tables", [
         ("TCP", ("network", "app")),     # subject-major: window second
@@ -842,8 +911,10 @@ class TestReadPathParity:
         engine, _obs = _engine(tmp_path, flush_threshold_records=None)
         engine.append_records(records)
         engine.flush()
-        segment_bytes = sum(reader.size_bytes()
-                            for reader in engine.segment_readers())
+        segment_bytes = engine.segment_bytes()
+        assert segment_bytes == sum(
+            os.path.getsize(engine._segment_path(name))
+            for name in engine.segment_names())
         json_bytes = len(engine.materialize().to_json())
         assert json_bytes >= 2.5 * segment_bytes
         engine.close()

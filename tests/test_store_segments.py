@@ -29,7 +29,10 @@ from repro.store.segments import (
     stored_text,
     write_segment,
 )
-from tests.conftest import hand_built_row_block
+from tests.conftest import (CLOSES_WHAT_IT_OPENS, hand_built_row_block,
+                            read_file, write_file)
+
+pytestmark = CLOSES_WHAT_IT_OPENS
 
 
 def _rec(kind="TCP", rtt=100.0, ts=0.0, domain=None, operator="OpA",
@@ -120,9 +123,9 @@ class TestSegmentRoundTrip:
         nbytes = write_segment(path, store, seq=7, obs=obs)
         assert nbytes == (tmp_path / "seg.seg").stat().st_size
         assert obs.value("store.segment_writes") == 1
-        reader = SegmentReader(path)
-        assert reader.seq == 7
-        loaded = merged_rollups([reader], reader.config)
+        with SegmentReader(path) as reader:
+            assert reader.seq == 7
+            loaded = merged_rollups([reader], reader.config)
         assert loaded.digest() == store.digest()
         assert loaded.records == store.records
         assert loaded.failure_records == store.failure_records
@@ -141,6 +144,7 @@ class TestSegmentRoundTrip:
         assert hist is not None
         assert hist.bins == store.tables["app"][key].bins
         assert reader.get("app", ("9999", "com.nope", "TCP")) is None
+        reader.close()
 
     def test_reads_touch_only_the_indexed_block(self, tmp_path):
         """Corrupting one table's block must not break point reads on
@@ -162,8 +166,10 @@ class TestSegmentRoundTrip:
         assert reader.get("app", key) is not None
         with pytest.raises(SegmentCorruption):
             reader.iter_table("network").__next__()
-        with pytest.raises(SegmentCorruption):
-            SegmentReader(path).verify()
+        reader.close()
+        with SegmentReader(path) as whole, \
+                pytest.raises(SegmentCorruption):
+            whole.verify()
 
     def test_empty_store_round_trips(self, tmp_path):
         store = RollupStore(config=RollupConfig(window_ms=1000.0))
@@ -183,25 +189,24 @@ class TestSegmentCorruption:
 
     def test_truncated_file_rejected(self, tmp_path):
         path = self._segment(tmp_path)
-        data = open(path, "rb").read()
-        with open(path, "wb") as handle:
-            handle.write(data[:len(data) // 2])
+        data = read_file(path)
+        write_file(path, data[:len(data) // 2])
         with pytest.raises(SegmentCorruption):
             SegmentReader(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = self._segment(tmp_path)
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(read_file(path))
         data[0] ^= 0xFF
-        open(path, "wb").write(bytes(data))
+        write_file(path, bytes(data))
         with pytest.raises(SegmentCorruption, match="magic"):
             SegmentReader(path)
 
     def test_footer_checksum_failure_rejected(self, tmp_path):
         path = self._segment(tmp_path)
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(read_file(path))
         data[-20] ^= 0xFF                     # inside the footer frame
-        open(path, "wb").write(bytes(data))
+        write_file(path, bytes(data))
         with pytest.raises(SegmentCorruption):
             SegmentReader(path)
 
@@ -216,14 +221,14 @@ class TestSegmentCorruption:
             def restamp(footer):
                 footer["schema"] = schema
             _rewrite_footer(path, restamp)
-            before = open(path, "rb").read()
+            before = read_file(path)
             with pytest.raises(UnsupportedSchema) as refused:
                 SegmentReader(path)
             assert not isinstance(refused.value, SegmentCorruption)
             for told in (path, repr(schema),
                          "schema %d" % SEGMENT_SCHEMA):
                 assert told in str(refused.value)
-            assert open(path, "rb").read() == before
+            assert read_file(path) == before
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(SegmentCorruption, match="unreadable"):
@@ -246,10 +251,11 @@ class TestSegmentCorruption:
     def test_hand_built_block_in_key_order_reads(self, tmp_path):
         path = self._dns_only_segment(
             tmp_path, [b"OpA|0|WIFI|DNS", b"OpB|0|WIFI|DNS"])
-        reader = SegmentReader(path)
-        reader.verify()
-        assert [key for key, _hist in reader.iter_table("network")] \
-            == [("0", "OpA", "WIFI", "DNS"), ("0", "OpB", "WIFI", "DNS")]
+        with SegmentReader(path) as reader:
+            reader.verify()
+            assert [key for key, _hist in reader.iter_table("network")] \
+                == [("0", "OpA", "WIFI", "DNS"),
+                    ("0", "OpB", "WIFI", "DNS")]
 
     @pytest.mark.parametrize("raw_keys", [
         [b"OpB|0|WIFI|DNS", b"OpA|0|WIFI|DNS"],      # descending
@@ -275,6 +281,7 @@ class TestSegmentCorruption:
         with pytest.raises(SegmentCorruption,
                            match="rows out of key order"):
             reader.verify()
+        reader.close()
 
     @pytest.mark.parametrize("raw_keys", [
         [b"OpA|0|WIFI|DNS", b"Op\\B|0|WIFI|DNS"],   # needless escape
@@ -296,14 +303,16 @@ class TestSegmentCorruption:
         with pytest.raises(SegmentCorruption,
                            match="not in canonical form"):
             reader.get("network", ("0", "OpA", "WIFI", "DNS"))
+        reader.close()
 
     def test_key_length_past_the_payload_rejected(self, tmp_path):
         path = self._dns_only_segment(
             tmp_path, [b"OpA|0|WIFI|DNS", b"OpB|0|WIFI|DNS"],
             key_len=200)
-        with pytest.raises(SegmentCorruption,
-                           match="key lengths do not sum"):
-            SegmentReader(path).verify()
+        with SegmentReader(path) as reader, \
+                pytest.raises(SegmentCorruption,
+                              match="key lengths do not sum"):
+            reader.verify()
 
 
 class TestZoneMaps:
@@ -333,6 +342,7 @@ class TestZoneMaps:
                     # maps binary-searchable.
                     assert block["min"] > previous_max
                 previous_max = block["max"]
+        reader.close()
 
     def test_point_read_opens_at_most_one_block(self, tmp_path):
         store, reader, stats = self._reader(tmp_path, block_rows=8)
@@ -346,6 +356,7 @@ class TestZoneMaps:
             delta = stats.delta_since(before)
             assert delta.blocks_read == 1
             assert delta.blocks_pruned == total - 1
+        reader.close()
 
     def test_missing_key_reads_zero_blocks(self, tmp_path):
         _store, reader, stats = self._reader(tmp_path, block_rows=8)
@@ -353,6 +364,7 @@ class TestZoneMaps:
         assert reader.get("app", ("99999", "zzz.nope", "TCP")) is None
         assert stats.blocks_read == 0
         assert stats.blocks_pruned == len(reader.blocks("app"))
+        reader.close()
 
     def test_point_read_bisects_the_zone_maps(self, tmp_path,
                                               monkeypatch):
@@ -391,6 +403,7 @@ class TestZoneMaps:
         assert any(block["max"] < stored_text("app", key) < later["min"]
                    for key in absent
                    for block, later in zip(blocks, blocks[1:]))
+        reader.close()
 
     def test_scan_prefix_matches_filtered_full_scan(self, tmp_path):
         """A stored prefix -- one subject, or a subject and a window
@@ -416,10 +429,12 @@ class TestZoneMaps:
             # and no other.
             assert delta.blocks_read <= -(-len(expected) // 4) + 1
             assert delta.blocks_read + delta.blocks_pruned == total
+        reader.close()
 
     def test_footer_lists_the_windows(self, tmp_path):
         store, reader, _stats = self._reader(tmp_path)
         assert reader.windows() == store.windows()
+        reader.close()
 
     def test_v1_monolithic_footer_is_refused_untouched(self, tmp_path):
         """A PR-5 segment (schema 1: one unindexed block per table,
@@ -428,10 +443,10 @@ class TestZoneMaps:
         before any of that is looked at -- and not as corruption."""
         path = str(tmp_path / "seg.seg")
         _write_v1_segment(path, _populated_store(), seq=1)
-        before = open(path, "rb").read()
+        before = read_file(path)
         with pytest.raises(UnsupportedSchema, match="schema 1 "):
             SegmentReader(path)
-        assert open(path, "rb").read() == before
+        assert read_file(path) == before
 
     def test_shared_cache_decodes_each_block_once(self, tmp_path):
         cache = BlockCache(capacity_bytes=1 << 20)
@@ -450,6 +465,8 @@ class TestZoneMaps:
         key = next(iter(sorted(store.tables["app"])))
         assert other.get("app", key) is not None
         assert other_stats.cache_misses == 0
+        other.close()
+        reader.close()
 
     def test_order_is_by_encoded_key(self, tmp_path):
         """Rows sort by the stored key text (what the zone maps
@@ -465,12 +482,13 @@ class TestZoneMaps:
         assert apps == sorted(apps) and len(set(apps)) == 6
         windows = [key[0] for key, _hist in reader.iter_table("app")]
         assert windows != sorted(windows)
+        reader.close()
 
 
 def _swap_the_network_block(path, block):
     """Put ``block`` where the one row block of a segment holding two
     ``network`` rows and nothing else is, indexed like a written one."""
-    data = open(path, "rb").read()
+    data = read_file(path)
     offset = encoding.unpack_u64(data, len(data) - 16)
     payload, _end, _status = encoding.read_frame(data, offset)
     footer = json.loads(payload)
@@ -481,17 +499,14 @@ def _swap_the_network_block(path, block):
     body = data[:entry["offset"]] + block
     footer_frame = encoding.frame(json.dumps(
         footer, sort_keys=True, separators=(",", ":")).encode())
-    open(path, "wb").write(body + footer_frame
-                           + encoding.pack_u64(len(body)) + data[-8:])
+    write_file(path, body + footer_frame + encoding.pack_u64(len(body))
+           + data[-8:])
 
 
 def _rewrite_footer(path, mutate):
     """Re-frame the footer JSON after ``mutate(footer)`` edits it in
     place, preserving the block payload bytes before it."""
-    import json
-
-    from repro.store import encoding
-    data = open(path, "rb").read()
+    data = read_file(path)
     offset = encoding.unpack_u64(data, len(data) - 16)
     payload, _end, _status = encoding.read_frame(data, offset)
     footer = json.loads(payload)
@@ -500,7 +515,7 @@ def _rewrite_footer(path, mutate):
                              separators=(",", ":")).encode()
     blob = (data[:offset] + encoding.frame(new_payload)
             + encoding.pack_u64(offset) + data[-8:])
-    open(path, "wb").write(blob)
+    write_file(path, blob)
 
 
 class TestSchemaWidening:
@@ -519,10 +534,10 @@ class TestSchemaWidening:
             for name in ("app_throughput", "app_energy", "aoi"):
                 del footer["tables"][name]
         _rewrite_footer(path, downgrade)
-        before = open(path, "rb").read()
+        before = read_file(path)
         with pytest.raises(UnsupportedSchema, match="schema 2 "):
             SegmentReader(path)
-        assert open(path, "rb").read() == before
+        assert read_file(path) == before
 
     def test_current_schema_footer_lacking_a_table_is_corrupt(
             self, tmp_path):
@@ -545,8 +560,8 @@ class TestSchemaWidening:
             footer["tables"]["flux_capacitor"] = \
                 dict(footer["tables"]["network"])
         _rewrite_footer(path, widen)
-        reader = SegmentReader(path)
-        loaded = merged_rollups([reader], reader.config)
+        with SegmentReader(path) as reader:
+            loaded = merged_rollups([reader], reader.config)
         assert "flux_capacitor" not in loaded.tables
         assert loaded.digest() == store.digest()
 
@@ -594,7 +609,8 @@ class TestFooterFields:
     def test_what_is_required_is_what_is_written(self, tmp_path):
         path = str(tmp_path / "whole.seg")
         write_segment(path, _populated_store(), seq=1, block_rows=8)
-        footer = SegmentReader(path).footer
+        with SegmentReader(path) as reader:
+            footer = reader.footer
         for found, required in (
                 (footer, ("schema", *self.FIELDS[()])),
                 (footer["tables"]["app"], self.FIELDS["tables", "app"]),
@@ -615,4 +631,4 @@ class TestDeterminism:
         path_b = str(tmp_path / "b.seg")
         write_segment(path_a, one, seq=1)
         write_segment(path_b, two, seq=1)
-        assert open(path_a, "rb").read() == open(path_b, "rb").read()
+        assert read_file(path_a) == read_file(path_b)

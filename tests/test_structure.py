@@ -114,6 +114,25 @@ def test_no_line_matches(rule):
     assert not hits, "\n".join(hits)
 
 
+def test_one_segment_opening_site():
+    """Outside ``store/segments.py`` a segment file is opened at one
+    site: the engine's reader of a live segment
+    (``StoreEngine._reader``), which recovery, compaction, retention
+    and every view then share -- a view pins it, it opens nothing."""
+    sites = []
+    for name in _files("src/repro"):
+        relative = os.path.relpath(name, ROOT).replace(os.sep, "/")
+        if not name.endswith(".py") or \
+                relative == "src/repro/store/segments.py":
+            continue
+        with open(name, encoding="utf-8") as handle:
+            sites.extend("%s:%d" % (relative, number)
+                         for number, line in enumerate(handle, 1)
+                         if "SegmentReader(" in line)
+    assert [site.partition(":")[0] for site in sites] \
+        == ["src/repro/store/engine.py"], sites
+
+
 def _names_read(tree):
     """Every name ``tree`` reads, counting names inside string
     constants that parse as expressions (quoted annotations,
