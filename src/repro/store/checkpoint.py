@@ -41,8 +41,9 @@ from typing import Optional, Tuple
 from repro.backend.rollups import (RollupConfig, RollupStore,
                                    UnsupportedSchema)
 from repro.obs import Observability
-from repro.store.encoding import (FRAME_OK, decode_block, encode_block,
-                                  frame, read_frame)
+from repro.store.encoding import (FRAME_OK, decode_block,
+                                  deflate_frames, encode_block, frame,
+                                  read_frame)
 from repro.store.segments import sorted_rows
 
 MAGIC = b"MOPCKP1\n"
@@ -74,15 +75,14 @@ def write_checkpoint(path: str, store: RollupStore, covers_gen: int,
         "failure_records": store.failure_records,
         "tables": list(RollupStore.TABLES),
     }
-    parts = [MAGIC,
-             frame(json.dumps(header, sort_keys=True,
-                              separators=(",", ":")).encode())]
-    for name in RollupStore.TABLES:
-        payload = encode_block(sorted_rows(store.tables[name]))
-        parts.append(frame(zlib.compress(payload,
-                                         CHECKPOINT_DEFLATE_LEVEL)))
-    parts.append(TAIL_MAGIC)
-    blob = b"".join(parts)
+    blob = b"".join([
+        MAGIC,
+        frame(json.dumps(header, sort_keys=True,
+                         separators=(",", ":")).encode()),
+        *deflate_frames([encode_block(sorted_rows(store.tables[name]))
+                         for name in RollupStore.TABLES],
+                        CHECKPOINT_DEFLATE_LEVEL),
+        TAIL_MAGIC])
     tmp = path + ".tmp"
     with open(tmp, "wb") as handle:
         handle.write(blob)

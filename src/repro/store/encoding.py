@@ -1,6 +1,6 @@
 """Byte-level codecs shared by the WAL, segment and checkpoint formats.
 
-Two pieces:
+Three pieces:
 
 * **CRC frames** -- every durable payload is wrapped in
   ``u32 LE length + u32 LE crc32 + payload``.  The reader classifies
@@ -35,11 +35,20 @@ Two pieces:
   ``np.frombuffer``, a block is checked whole without a
   :class:`~repro.backend.rollups.MergeHist` being built -- a
   :class:`Block` builds a row's on first request, for that row only.
+* **block deflate** -- :func:`deflate_frames`, the one place segment
+  and checkpoint blocks are deflated and framed: each block on its
+  own, at its writer's level, on the calling thread and -- when the
+  blocks are big enough and the process may use a second CPU -- one
+  helper thread beside it (``zlib`` releases the GIL while it
+  deflates).  A block's bytes depend only on its payload and the
+  level, so the file is the same whichever thread deflated what.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 import zlib
 from bisect import bisect_left
 from itertools import accumulate, chain, islice
@@ -77,6 +86,67 @@ def frame(payload: bytes) -> bytes:
     return (_U32.pack(len(payload))
             + _U32.pack(zlib.crc32(payload) & 0xFFFFFFFF)
             + payload)
+
+
+#: Payload bytes, summed over one :func:`deflate_frames` call, from
+#: which a helper thread deflates beside the caller.  Starting and
+#: joining one costs 0.08-0.15 ms; columnar blocks deflate at about
+#: 100 KB/ms at level 1 and 27 KB/ms at level 9 (one core of a 2-CPU
+#: x86-64 host).  At 32 KiB half of a level-1 deflate is worth about
+#: the thread; at level 9 (every segment) it is worth five.
+PARALLEL_DEFLATE_MIN_BYTES = 32 * 1024
+
+
+def _may_use_two_cpus() -> bool:
+    """Whether this process may run on a second CPU."""
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:      # a platform without affinity masks
+        return (os.cpu_count() or 1) > 1
+
+
+def deflate_frames(payloads: Sequence[bytes], level: int) -> List[bytes]:
+    """Each of ``payloads`` deflated on its own at ``level`` and
+    framed, in order: ``[frame(zlib.compress(p, level)) for p in
+    payloads]``, byte for byte.
+
+    From :data:`PARALLEL_DEFLATE_MIN_BYTES` of payload, and when the
+    process may use a second CPU, one helper thread shares the work
+    with the caller: each takes the next block, largest first, from
+    one shared iterator (its ``next`` holds the GIL) and keeps the
+    result at the block's index.  The helper is started and joined
+    within the call, so no thread outlives it -- nothing is left
+    running when the caller forks.  An exception raised on either
+    thread stops both from taking more blocks and is raised here,
+    after the join."""
+    if len(payloads) < 2 \
+            or sum(map(len, payloads)) < PARALLEL_DEFLATE_MIN_BYTES \
+            or not _may_use_two_cpus():
+        return [frame(zlib.compress(payload, level))
+                for payload in payloads]
+    framed: List[Optional[bytes]] = [None] * len(payloads)
+    taken = iter(sorted(range(len(payloads)),
+                        key=lambda i: -len(payloads[i])))
+    failed: List[BaseException] = []
+
+    def work() -> None:
+        try:
+            for i in taken:
+                if failed:
+                    return
+                framed[i] = frame(zlib.compress(payloads[i], level))
+        except BaseException as exc:
+            failed.append(exc)
+
+    helper = threading.Thread(target=work, name="deflate-frames")
+    helper.start()
+    try:
+        work()
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+    return framed
 
 
 def read_frame(data: bytes, pos: int) -> Tuple[bytes, int, str]:
@@ -382,7 +452,8 @@ def decode_columns(payload: bytes, expected_rows: Optional[int] = None
 
 __all__ = [
     "Block", "Columns", "FRAME_CORRUPT", "FRAME_END",
-    "FRAME_HEADER_BYTES", "FRAME_OK", "FRAME_TORN", "decode_block",
-    "decode_columns", "encode_block", "encode_columns", "frame",
+    "FRAME_HEADER_BYTES", "FRAME_OK", "FRAME_TORN",
+    "PARALLEL_DEFLATE_MIN_BYTES", "decode_block", "decode_columns",
+    "deflate_frames", "encode_block", "encode_columns", "frame",
     "pack_u64", "read_frame", "unpack_u64",
 ]

@@ -72,6 +72,8 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+import orjson
+
 from repro.backend.dedup import remember
 from repro.backend.rollups import (RollupConfig, RollupStore,
                                    UnsupportedSchema)
@@ -125,6 +127,44 @@ _UNBOUNDED = float("inf")
 _BATCH_HEADER = '{"acked":%d,"device":%s,"kind":"batch","n":%d,"seq":%d}'
 #: The envelope header's keys, sorted.
 _ENVELOPE_KEYS = ["acked", "device", "kind", "n", "seq"]
+
+
+#: A run of digits this long may be an integer outside
+#: ``[-2**63, 2**64)``, which orjson reads as a ``float``.
+_WIDE_INT = re.compile(rb"[0-9]{19}")
+
+
+def _dump_manifest(manifest: dict) -> bytes:
+    """The manifest's JSON, keys sorted, no spaces, ASCII, dumped by
+    orjson: the bytes ``json.dumps(manifest, sort_keys=True,
+    separators=(",", ":"))`` writes for ``str`` keys, ASCII text and
+    64-bit ints.  A float may be spelt otherwise (``1e-05`` as
+    ``0.00001``) and a DEL left unescaped; either reads back equal.
+    A manifest orjson refuses (a lone surrogate, an int past 64 bits,
+    a key that is no ``str``), writes as non-ASCII, or writes ``null``
+    into (which is also how it writes a ``NaN``) is dumped by the
+    stdlib."""
+    try:
+        blob = orjson.dumps(manifest, option=orjson.OPT_SORT_KEYS)
+    except orjson.JSONEncodeError:
+        blob = b""
+    if not blob or not blob.isascii() or b"null" in blob:
+        blob = json.dumps(manifest, sort_keys=True,
+                          separators=(",", ":")).encode()
+    return blob
+
+
+def _load_manifest_bytes(blob: bytes):
+    """``json.loads(blob)``, parsed by orjson where it reads the same:
+    a manifest it refuses (``NaN``, a lone-surrogate escape) or may
+    hold an integer it would read as a ``float`` is parsed by the
+    stdlib."""
+    if not _WIDE_INT.search(blob):
+        try:
+            return orjson.loads(blob)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(blob)
 
 
 def _is_header(header, n_lines: int) -> bool:
@@ -336,19 +376,18 @@ class StoreEngine:
             "findings": self.findings,
             "meta": {k: self.meta[k] for k in sorted(self.meta)},
         }
-        blob = json.dumps(manifest, sort_keys=True,
-                          separators=(",", ":"))
+        blob = _dump_manifest(manifest)
         tmp = self._manifest_path() + ".tmp"
-        with open(tmp, "w") as handle:
-            handle.write(blob + "\n")
+        with open(tmp, "wb") as handle:
+            handle.write(blob + b"\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self._manifest_path())
 
     def _load_manifest(self) -> Optional[dict]:
         try:
-            with open(self._manifest_path()) as handle:
-                manifest = json.load(handle)
+            with open(self._manifest_path(), "rb") as handle:
+                manifest = _load_manifest_bytes(handle.read())
         except FileNotFoundError:
             return None
         if manifest.get("schema") != MANIFEST_SCHEMA:

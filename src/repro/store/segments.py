@@ -94,6 +94,7 @@ from repro.store.encoding import (
     Columns,
     decode_block,
     decode_columns,
+    deflate_frames,
     encode_block,
     encode_columns,
     frame,
@@ -203,17 +204,22 @@ def _write_file(path: str, seq: int, config: RollupConfig, records: int,
                 blocks_of: Callable[[str], Iterable[_BlockOut]],
                 obs: Optional[Observability]) -> int:
     """The one segment writer: every table's blocks (``blocks_of``
-    each name, in stored order) deflated and framed, then the footer,
-    assembled in a ``.tmp`` sibling and renamed to ``path``.  Returns
-    the file size in bytes."""
+    each name, in stored order) deflated at level 9 and framed
+    (:func:`~repro.store.encoding.deflate_frames`, all of the file's
+    blocks in one call), then the footer, assembled in a ``.tmp``
+    sibling and renamed to ``path``.  Returns the file size in
+    bytes."""
+    tables = [(name, list(blocks_of(name))) for name in RollupStore.TABLES]
+    framed = iter(deflate_frames(
+        [payload for _name, written in tables
+         for payload, _rows, _low, _high in written], 9))
     parts = [MAGIC]
     offset = len(MAGIC)
     index: Dict[str, Dict[str, object]] = {}
-    for name in RollupStore.TABLES:
+    for name, written in tables:
         blocks: List[Dict[str, object]] = []
         total = 0
-        for payload, rows, low, high in blocks_of(name):
-            block = frame(zlib.compress(payload, 9))
+        for (_payload, rows, low, high), block in zip(written, framed):
             parts.append(block)
             blocks.append({"offset": offset, "length": len(block),
                            "rows": rows, "min": low, "max": high})

@@ -4,6 +4,7 @@ refused whole), and end-to-end worker parity for
 ``ingest_shard_files``."""
 
 import itertools
+import os
 
 import pytest
 
@@ -16,6 +17,9 @@ from repro.backend.ingest import (
 from repro.backend.rollups import RollupConfig, RollupStore
 from repro.core import save_jsonl_shards
 from repro.core.records import MeasurementRecord
+from tests.conftest import CLOSES_WHAT_IT_OPENS
+
+pytestmark = CLOSES_WHAT_IT_OPENS
 
 
 def _rec(i, device="dev-1"):
@@ -97,7 +101,7 @@ class TestChunkBalancing:
         assert sorted(p for chunk in chunks for p in chunk) == \
             sorted(paths)
         assert len(chunks) == 3
-        sizes = [sum(len(open(p, "rb").read()) for p in chunk)
+        sizes = [sum(os.path.getsize(p) for p in chunk)
                  for chunk in chunks]
         assert max(sizes) <= 510       # LPT keeps the spread tight
 

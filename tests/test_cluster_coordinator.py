@@ -14,6 +14,9 @@ from repro.cluster import (
 from repro.core.persist import record_to_line
 from repro.core.records import MeasurementRecord
 from repro.sim import Simulator
+from tests.conftest import CLOSES_WHAT_IT_OPENS
+
+pytestmark = CLOSES_WHAT_IT_OPENS
 
 FLEET = ["device-%02d" % i for i in range(12)]
 
@@ -35,18 +38,31 @@ def _node(sim, index, tmp_path):
         data_dir=str(tmp_path / node_id))
 
 
-def _cluster(tmp_path, active=3, standby=0, **kwargs):
-    sim = Simulator()
-    nodes = dict(_node(sim, i, tmp_path) for i in range(active))
-    spares = dict(_node(sim, active + i, tmp_path)
-                  for i in range(standby))
-    rehomed = []
-    coordinator = Coordinator(
-        sim, nodes=nodes, standby=spares, fleet=FLEET,
-        on_rehome=lambda device, ip: rehomed.append((device, ip)),
-        **kwargs)
-    coordinator.install()
-    return sim, coordinator, rehomed
+@pytest.fixture()
+def cluster(tmp_path):
+    """A factory of ``(sim, coordinator, rehomed)``: ``active`` nodes
+    and ``standby`` spares under one coordinator.  Every node it made
+    is closed when the test ends."""
+    made = []
+
+    def make(active=3, standby=0, **kwargs):
+        sim = Simulator()
+        nodes = dict(_node(sim, i, tmp_path) for i in range(active))
+        spares = dict(_node(sim, active + i, tmp_path)
+                      for i in range(standby))
+        made.extend(nodes.values())
+        made.extend(spares.values())
+        rehomed = []
+        coordinator = Coordinator(
+            sim, nodes=nodes, standby=spares, fleet=FLEET,
+            on_rehome=lambda device, ip: rehomed.append((device, ip)),
+            **kwargs)
+        coordinator.install()
+        return sim, coordinator, rehomed
+
+    yield make
+    for node in made:
+        node.close()
 
 
 class TestAddressPlan:
@@ -61,16 +77,16 @@ class TestAddressPlan:
 
 
 class TestHeartbeats:
-    def test_healthy_cluster_never_fails_over(self, tmp_path):
-        sim, coordinator, rehomed = _cluster(tmp_path)
+    def test_healthy_cluster_never_fails_over(self, cluster):
+        sim, coordinator, rehomed = cluster()
         sim.run(until=10_000.0)
         assert coordinator.event_counts().get("failover", 0) == 0
         assert int(coordinator.obs.value("cluster.heartbeats")) == 30
         assert not rehomed
 
-    def test_failed_node_detected_after_threshold(self, tmp_path):
-        sim, coordinator, rehomed = _cluster(
-            tmp_path, heartbeat_ms=1_000.0, miss_threshold=3)
+    def test_failed_node_detected_after_threshold(self, cluster):
+        sim, coordinator, rehomed = cluster(
+            heartbeat_ms=1_000.0, miss_threshold=3)
         coordinator.fail_node("node-01")
         sim.run(until=10_000.0)
         counts = coordinator.event_counts()
@@ -85,8 +101,8 @@ class TestHeartbeats:
         for device in moved:
             assert coordinator.ring.node_for(device) != "node-01"
 
-    def test_epoch_bumps_on_membership_change(self, tmp_path):
-        sim, coordinator, _ = _cluster(tmp_path)
+    def test_epoch_bumps_on_membership_change(self, cluster):
+        sim, coordinator, _ = cluster()
         assert coordinator.epoch == 1  # bootstrap push
         coordinator.fail_node("node-00")
         sim.run(until=5_000.0)
@@ -96,8 +112,8 @@ class TestHeartbeats:
 
 
 class TestPartitionSemantics:
-    def test_partition_never_fails_over(self, tmp_path):
-        sim, coordinator, rehomed = _cluster(tmp_path)
+    def test_partition_never_fails_over(self, cluster):
+        sim, coordinator, rehomed = cluster()
         coordinator.partition_node("node-00")
         sim.run(until=15_000.0)
         counts = coordinator.event_counts()
@@ -106,24 +122,24 @@ class TestPartitionSemantics:
         assert coordinator.is_active("node-00")
 
     def test_heal_redrives_the_partitioned_nodes_devices(
-            self, tmp_path):
-        sim, coordinator, rehomed = _cluster(tmp_path)
+            self, cluster):
+        sim, coordinator, rehomed = cluster()
         coordinator.partition_node("node-00")
         coordinator.heal_node("node-00")
         owned = [d for d in FLEET
                  if coordinator.ring.node_for(d) == "node-00"]
         assert sorted(d for d, _ in rehomed) == sorted(owned)
 
-    def test_heal_of_failed_node_is_rejected(self, tmp_path):
-        sim, coordinator, _ = _cluster(tmp_path)
+    def test_heal_of_failed_node_is_rejected(self, cluster):
+        sim, coordinator, _ = cluster()
         coordinator.fail_node("node-00")
         with pytest.raises(RuntimeError):
             coordinator.heal_node("node-00")
 
 
 class TestJoin:
-    def test_join_moves_devices_onto_the_joiner(self, tmp_path):
-        sim, coordinator, rehomed = _cluster(tmp_path, standby=1)
+    def test_join_moves_devices_onto_the_joiner(self, cluster):
+        sim, coordinator, rehomed = cluster(standby=1)
         joiner = node_name(3)
         assert coordinator.is_standby(joiner)
         coordinator.join_node(joiner)
@@ -135,8 +151,8 @@ class TestJoin:
             assert coordinator.ring.node_for(device) == joiner
         assert set(m for m, _ in rehomed) == set(moved)
 
-    def test_join_hands_off_live_dedup(self, tmp_path):
-        sim, coordinator, _ = _cluster(tmp_path, standby=1)
+    def test_join_hands_off_live_dedup(self, cluster):
+        sim, coordinator, _ = cluster(standby=1)
         # Seed every old owner with an acked batch per device, as if
         # the campaign had been running.
         for device in FLEET:
@@ -152,10 +168,10 @@ class TestJoin:
 
 
 class TestFailoverHandoff:
-    def test_durable_dedup_survives_the_crash(self, tmp_path):
+    def test_durable_dedup_survives_the_crash(self, cluster):
         """A batch the dead node ingested (WAL-committed) is absorbed
         as a duplicate by its successor after failover."""
-        sim, coordinator, _ = _cluster(tmp_path)
+        sim, coordinator, _ = cluster()
         victim_id = "node-01"
         victim = coordinator.nodes[victim_id]
         device = next(d for d in FLEET

@@ -5,15 +5,18 @@ must equal queries over the equivalent in-memory store)."""
 import builtins
 import json
 import os
+from unittest import mock
 
 import pytest
 
 from repro.backend import query as backend_query
+from repro.backend.dedup import remember
 from repro.backend.rollups import RollupConfig, RollupStore
 from repro.core import persist
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability
 from repro.store import StoreConfig, StoreEngine
+from repro.store import engine as engine_module
 from repro.store.engine import _MANIFEST_FIELDS, QUARANTINE_DIR
 from repro.store.wal import replay
 from tests.conftest import (CLOSES_WHAT_IT_OPENS, log_records, read_file,
@@ -476,7 +479,6 @@ class TestOneGeneration:
 
         from repro.backend import dedup, ingest
         from repro.backend.ingest import IngestPipeline
-        from repro.store import engine as engine_module
 
         assert list(inspect.signature(
             StoreConfig.__init__).parameters)[1:] == [
@@ -489,6 +491,82 @@ class TestOneGeneration:
         assert dedup.DEDUP_CAPACITY == 4096
         assert ingest.remember is engine_module.remember is dedup.remember
         assert engine_module.CHECKPOINT_KEEP == 2
+
+
+#: A manifest's caller state, by what it holds: each value is one the
+#: two encoders write differently, or one orjson refuses.
+_MANIFEST_FALLBACKS = {
+    "lone-surrogate-device": {"device": "dev-\ud800"},
+    "non-ascii-device": {"device": "d\u00e9v"},
+    "int-past-64-bits": {"meta": {"acks": 1 << 64}},
+    "negative-int-past-64-bits": {"meta": {"acks": -(1 << 63) - 1}},
+    "nan-finding": {"findings": [{"rule": "r", "summary": {
+        "median_ms": float("nan")}}]},
+    "none-in-meta": {"meta": {"owner": None}},
+}
+
+
+class TestManifestEncoder:
+    """The manifest is dumped and read by orjson, and by the stdlib
+    wherever the two would write or read it differently."""
+
+    def _round_trip(self, tmp_path, monkeypatch, device="dev-1",
+                    meta=None, findings=()):
+        """Write a manifest holding ``device``'s batch identity,
+        ``meta`` and ``findings``; return its bytes, how many times the
+        engine called ``json.dumps``, and the state a recovery of it
+        reads back."""
+        used = mock.Mock(wraps=json)
+        monkeypatch.setattr(engine_module, "json", used)
+        engine, _obs = _engine(tmp_path)
+        remember(engine.dedup, (device, 7), 3)
+        remember(engine.dedup, ("dev-2", 1), 1)
+        engine.meta.update(meta or {})
+        engine.findings.extend(findings)
+        engine._write_manifest()
+        written = (list(engine.dedup.items()), engine.meta,
+                   engine.findings)
+        engine.close()
+        blob = read_file(os.path.join(engine.data_dir, "MANIFEST.json"))
+        with StoreEngine(engine.data_dir, obs=Observability()) as again:
+            read = (list(again.dedup.items()), again.meta, again.findings)
+        # json.dumps tells an int from a float and writes NaN as NaN.
+        assert json.dumps(read, sort_keys=True) \
+            == json.dumps(written, sort_keys=True)
+        return blob, used.dumps.call_count
+
+    @staticmethod
+    def _stdlib(blob):
+        return (json.dumps(json.loads(blob), sort_keys=True,
+                           separators=(",", ":")) + "\n").encode()
+
+    def test_an_ordinary_manifest_is_the_stdlib_bytes(self, tmp_path,
+                                                      monkeypatch):
+        blob, dumps = self._round_trip(
+            tmp_path, monkeypatch, meta={"source": "crowd", "n": 3},
+            findings=[{"rule": "r", "subject": "Jio/LTE", "summary": {
+                "median_ms": 162.25, "anomalous": True, "n": 2 ** 40}}])
+        assert dumps == 0
+        assert blob == self._stdlib(blob)
+
+    @pytest.mark.parametrize("case", sorted(_MANIFEST_FALLBACKS))
+    def test_the_stdlib_writes_what_orjson_would_not(
+            self, tmp_path, monkeypatch, case):
+        blob, dumps = self._round_trip(tmp_path, monkeypatch,
+                                       **_MANIFEST_FALLBACKS[case])
+        assert dumps == 1
+        assert blob.isascii()
+        assert blob == self._stdlib(blob)
+
+    def test_a_float_spelt_otherwise_reads_back_equal(self, tmp_path,
+                                                      monkeypatch):
+        blob, dumps = self._round_trip(
+            tmp_path, monkeypatch,
+            findings=[{"rule": "r", "summary": {"share": 1e-05,
+                                                "big": 1e16}}])
+        assert dumps == 0
+        assert b'"share":0.00001' in blob
+        assert blob != self._stdlib(blob)
 
 
 class TestCompactionAndRetention:
