@@ -314,7 +314,7 @@ def _balance_chunks(paths: List[str], workers: int) -> List[List[str]]:
 
 #: A store as it crosses ``fork`` -- forked ingest's chunks and the
 #: chaos runner's device worlds alike: the two record counters and
-#: every table as the block payload a checkpoint stores it as.
+#: every table as one block payload, rows as keyed.
 ShardPart = Tuple[int, int, Dict[str, bytes]]
 
 

@@ -348,11 +348,11 @@ CATALOG: Dict[str, MetricSpec] = dict([
        "repro.store.engine",
        "Wall-clock time of the last recovery replay.", volatile=True),
     _m("store.checkpoints", COUNTER, "checkpoints",
-       "repro.store.checkpoint",
+       "repro.store.segments",
        "Checkpoint files written (memtable snapshots that bound WAL "
        "replay at recovery)."),
     _m("store.checkpoint_bytes", COUNTER, "bytes",
-       "repro.store.checkpoint",
+       "repro.store.segments",
        "Bytes written by checkpoint snapshots (tmp+rename writes, "
        "quarantined files included)."),
     _m("store.checkpoint_records", GAUGE, "records",

@@ -9,24 +9,20 @@ memtable, tiered compaction, retention, and crash recovery.  See
 """
 
 from repro.store.blockcache import BlockCache, DEFAULT_CACHE_BYTES
-from repro.store.checkpoint import (
-    CheckpointCorruption,
-    read_checkpoint,
-    write_checkpoint,
-)
 from repro.store.engine import RecoveryInfo, StoreConfig, StoreEngine
 from repro.store.segments import (
     ReadStats,
     SegmentCorruption,
     SegmentReader,
     UnsupportedSchema,
+    read_checkpoint,
+    write_checkpoint,
     write_segment,
 )
 from repro.store.wal import FsyncModel, WriteAheadLog, replay
 
 __all__ = [
     "BlockCache",
-    "CheckpointCorruption",
     "DEFAULT_CACHE_BYTES",
     "FsyncModel",
     "ReadStats",

@@ -1,4 +1,4 @@
-"""Byte-level codecs shared by the WAL, segment and checkpoint formats.
+"""Byte-level codecs shared by the WAL and segment formats.
 
 Three pieces:
 
@@ -12,8 +12,9 @@ Three pieces:
   truncates them; checksum failures are never expected and must be
   surfaced, not silently dropped.
 * **block codec** -- :func:`encode_block` / :func:`decode_block`, the
-  one writer and the one reader of the columnar row payload that
-  segment blocks and checkpoint tables share::
+  one writer and the one reader of the columnar row payload of every
+  segment block (a checkpoint is a segment file) and forked-ingest
+  table::
 
       u32 LE n_rows, u32 LE key_bytes
       key_bytes bytes           the rows' key texts (utf-8), concatenated
@@ -36,7 +37,7 @@ Three pieces:
   :class:`~repro.backend.rollups.MergeHist` being built -- a
   :class:`Block` builds a row's on first request, for that row only.
 * **block deflate** -- :func:`deflate_frames`, the one place segment
-  and checkpoint blocks are deflated and framed: each block on its
+  blocks are deflated and framed: each block on its
   own, at its writer's level, on the calling thread and -- when the
   blocks are big enough and the process may use a second CPU -- one
   helper thread beside it (``zlib`` releases the GIL while it
@@ -294,7 +295,7 @@ class Columns(NamedTuple):
 
 
 class Block:
-    """One decoded payload -- a segment block or a whole checkpoint
+    """One decoded payload -- a segment block or a forked-ingest
     table -- every check already made, no row built yet.
 
     ``texts`` are the rows' stored key texts, strictly ascending (what
@@ -343,8 +344,9 @@ class Block:
 
     def keyed(self) -> Dict[Key, MergeHist]:
         """Every row under its key tuple, each text split as it is
-        stored -- a whole table written as keyed: a checkpoint's, or a
-        forked-ingest part's."""
+        stored: the key as keyed where it was written so (a
+        forked-ingest part's tables), in stored order otherwise (a
+        checkpoint's, which swaps it back)."""
         return dict(zip(map(_decode_key, self.texts),
                         map(self.hist, range(len(self.texts)))))
 
@@ -358,8 +360,8 @@ def decode_block(payload: bytes, expected_rows: Optional[int] = None
 
 def decode_columns(payload: bytes, expected_rows: Optional[int] = None
                    ) -> Columns:
-    """Check one inflated payload -- a segment block or a whole
-    checkpoint table -- **completely**, and return its
+    """Check one inflated payload -- a segment block or a forked-ingest
+    table -- **completely**, and return its
     :class:`Columns`: the one decoder, behind :func:`decode_block`
     and the column merge of segments
     (:func:`repro.store.segments.merge_segments`).
@@ -372,7 +374,7 @@ def decode_columns(payload: bytes, expected_rows: Optional[int] = None
     (:func:`repro.store.segments.stored_order`), for that row only.
 
     Rows are written sorted by that text (``sorted_rows``; a
-    checkpoint's is the key as keyed), and utf-8 byte order is
+    forked-ingest table's is the key as keyed), and utf-8 byte order is
     code-point order, so the texts must be strictly ascending; a
     payload where they are not is rejected, whichever file it is.
     Readers lean on that: :class:`~repro.store.segments.SegmentReader`

@@ -16,8 +16,10 @@ A miniature LSM tree shaped for the rollup workload:
   fsync;
 * a **checkpoint** (every ``checkpoint_interval_records``, and at the
   end of every bulk load) seals the current WAL generation, snapshots
-  the memtable + dedup seeds atomically (checkpoint file + manifest),
-  and prunes WAL generations the *previous* retained checkpoint
+  the memtable + dedup seeds atomically (a checkpoint file -- a
+  segment file, :func:`~repro.store.segments.write_checkpoint` -- and
+  the manifest, which records the WAL generation it covers), and
+  prunes WAL generations the *previous* retained checkpoint
   already covers (``CHECKPOINT_KEEP`` = 2 stay on disk) -- recovery
   replay is bounded by the checkpoint interval, not the run length,
   and a torn newest checkpoint still falls back to the older one plus
@@ -80,17 +82,14 @@ from repro.backend.rollups import (RollupConfig, RollupStore,
 from repro.core.persist import decode_record_lines, encode_batch
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability, get_default
-from repro.store.checkpoint import (
-    CheckpointCorruption,
-    read_checkpoint,
-    write_checkpoint,
-)
 from repro.store.segments import (
     DEFAULT_BLOCK_ROWS,
     SegmentCorruption,
     SegmentReader,
     merge_segments,
     merged_rollups,
+    read_checkpoint,
+    write_checkpoint,
     write_segment,
 )
 from repro.store.wal import FsyncModel, WriteAheadLog, replay
@@ -100,8 +99,10 @@ WAL_NAME = "wal.log"
 SEGMENT_DIR = "segments"
 QUARANTINE_DIR = "quarantine"
 #: The one manifest written and read: every key ``_write_manifest``
-#: writes is required; any other schema is ``UnsupportedSchema``.
-MANIFEST_SCHEMA = 3
+#: writes is required; any other schema is ``UnsupportedSchema``
+#: (3 listed checkpoints in a container of their own, not segment
+#: files).
+MANIFEST_SCHEMA = 4
 _MANIFEST_FIELDS = ("next_seq", "next_ckpt", "wal_covered_gen",
                     "segments", "checkpoints", "config", "dedup",
                     "findings", "meta")
@@ -254,7 +255,8 @@ class StoreEngine:
                                dedup seeds, WAL coverage watermark
           wal.log              WAL generation 0
           wal-gNNNNNN-s00.log  later generations
-          ckpt-NNNNNN.ckpt     periodic memtable checkpoints
+          ckpt-NNNNNN.ckpt     periodic memtable checkpoints, each a
+                               segment file
           segments/seg-NNNNNN.seg
           quarantine/          files that failed their checksums, and
                                segments no manifest was there to list
@@ -625,10 +627,11 @@ class StoreEngine:
             return None
         self.wal.commit()
         sealed = self._seal_and_rotate()
-        name = "ckpt-%06d.ckpt" % self._next_ckpt
+        seq = self._next_ckpt
         self._next_ckpt += 1
-        write_checkpoint(self._checkpoint_path(name), self.memtable,
-                         covers_gen=sealed, obs=self.obs)
+        name = "ckpt-%06d.ckpt" % seq
+        write_checkpoint(self._checkpoint_path(name), self.memtable, seq,
+                         obs=self.obs)
         self.obs.set_gauge(
             "store.checkpoint_records",
             float(self.memtable.records
@@ -891,15 +894,16 @@ class StoreEngine:
             if loaded_store is None:
                 path = self._checkpoint_path(entry["name"])
                 try:
-                    loaded_store, covers = read_checkpoint(path)
-                except CheckpointCorruption:
+                    loaded_store = read_checkpoint(path)
+                except SegmentCorruption:
                     self._quarantine(path)
                     info.checkpoints_quarantined += 1
                     continue
                 info.checkpoint_loaded = entry["name"]
                 info.checkpoint_records = (loaded_store.records
                                            + loaded_store.failure_records)
-                self._covered_gen = max(self._covered_gen, int(covers))
+                self._covered_gen = max(self._covered_gen,
+                                        int(entry["covers_gen"]))
             survivors.append(entry)
         survivors.reverse()
         self._checkpoints = survivors

@@ -57,6 +57,12 @@ recovery lets through with the file left where it is.
 Writes are atomic: the segment is assembled in a ``.tmp`` sibling and
 renamed into place, so a crash mid-flush leaves no half-segment for
 recovery to misread.
+
+A checkpoint (:func:`write_checkpoint`) is a segment file too: the
+memtable, numbered by its checkpoint, each table one block deflated
+at ``CHECKPOINT_DEFLATE_LEVEL``, and read back whole
+(:func:`read_checkpoint`) -- the same checks, the same
+:class:`SegmentCorruption`, the same schema gate.
 """
 
 from __future__ import annotations
@@ -109,6 +115,12 @@ TAIL_MAGIC = b"MOPSEGF1"
 #: window-first, 4 rows as interleaved varints); any other is refused,
 #: :class:`UnsupportedSchema`.
 SEGMENT_SCHEMA = 5
+#: Deflate levels.  A segment is written once and read for good; a
+#: checkpoint's tables are whole-table blocks in a file the next flush
+#: deletes, where level 9 would be over half of its write time for a
+#: tenth fewer bytes.
+SEGMENT_DEFLATE_LEVEL = 9
+CHECKPOINT_DEFLATE_LEVEL = 1
 #: Default rows per zone-mapped block.  Small enough that a point
 #: query decodes a few KB, large enough that zlib still has a real
 #: window to compress over.
@@ -161,12 +173,26 @@ def stored_text(name: str, key: Key) -> str:
     return _encode_key(stored_order(name, key))
 
 
+def _key_swap(name: str, keys: Iterable[Key]
+              ) -> Optional[Callable[[Key], Key]]:
+    """:func:`stored_order` for the keys of table ``name``, or None
+    where it changes none: one ``itemgetter`` when every key has the
+    table's full width, else ``stored_order`` itself."""
+    spec = SPEC_BY_TABLE[name]
+    if not spec.subject_major:
+        return None
+    width = len(spec.key)
+    if set(map(len, keys)) == {width}:
+        return itemgetter(1, 0, *range(2, width))
+    return partial(stored_order, name)
+
+
 def sorted_rows(table: Dict[Key, MergeHist], name: Optional[str] = None
                 ) -> List[Tuple[str, MergeHist]]:
     """``(text, hist)`` per row, strictly ascending by text: each key's
-    :func:`stored_text` in table ``name`` (segment blocks), or its
-    ``_encode_key`` as keyed when ``name`` is None (checkpoint tables
-    and forked-ingest parts: they are only ever read whole).
+    :func:`stored_text` in table ``name`` (segment and checkpoint
+    blocks), or its ``_encode_key`` as keyed when ``name`` is None
+    (forked-ingest parts: they are only ever read whole).
 
     The texts are the plain ``|`` joins unless some part holds a ``|``
     or a ``\\``, and the whole table shows whether one does: no
@@ -174,12 +200,7 @@ def sorted_rows(table: Dict[Key, MergeHist], name: Optional[str] = None
     there.  A table where one does has every key encoded on its own
     (``_encode_key``)."""
     keys = table.keys()
-    swap = None
-    if name is not None and SPEC_BY_TABLE[name].subject_major:
-        width = len(SPEC_BY_TABLE[name].key)
-        swap = itemgetter(1, 0, *range(2, width)) \
-            if set(map(len, keys)) == {width} \
-            else partial(stored_order, name)
+    swap = None if name is None else _key_swap(name, keys)
 
     def stored():
         # Lazily: a swapped key lives only until its text is made.  A
@@ -202,9 +223,9 @@ _BlockOut = Tuple[bytes, int, str, str]
 def _write_file(path: str, seq: int, config: RollupConfig, records: int,
                 failure_records: int, windows: List[int],
                 blocks_of: Callable[[str], Iterable[_BlockOut]],
-                obs: Optional[Observability]) -> int:
+                level: int, obs: Optional[Observability]) -> int:
     """The one segment writer: every table's blocks (``blocks_of``
-    each name, in stored order) deflated at level 9 and framed
+    each name, in stored order) deflated at ``level`` and framed
     (:func:`~repro.store.encoding.deflate_frames`, all of the file's
     blocks in one call), then the footer, assembled in a ``.tmp``
     sibling and renamed to ``path``.  Returns the file size in
@@ -212,7 +233,7 @@ def _write_file(path: str, seq: int, config: RollupConfig, records: int,
     tables = [(name, list(blocks_of(name))) for name in RollupStore.TABLES]
     framed = iter(deflate_frames(
         [payload for _name, written in tables
-         for payload, _rows, _low, _high in written], 9))
+         for payload, _rows, _low, _high in written], level))
     parts = [MAGIC]
     offset = len(MAGIC)
     index: Dict[str, Dict[str, object]] = {}
@@ -252,14 +273,13 @@ def _write_file(path: str, seq: int, config: RollupConfig, records: int,
     return len(blob)
 
 
-def write_segment(path: str, store: RollupStore, seq: int,
-                  obs: Optional[Observability] = None,
-                  block_rows: int = DEFAULT_BLOCK_ROWS) -> int:
-    """Write ``store`` as segment ``seq`` at ``path`` (atomically),
-    rows in stored order, each block zone-mapped by its first and
-    last stored text.  Returns the file size in bytes."""
-    block_rows = max(1, int(block_rows))
-
+def _write_store(path: str, store: RollupStore, seq: int,
+                 block_rows: int, level: int,
+                 obs: Optional[Observability]) -> int:
+    """``store`` as segment file ``seq`` at ``path`` (atomically),
+    rows in stored order, ``block_rows`` a block, each block
+    zone-mapped by its first and last stored text and deflated at
+    ``level``.  Returns the file size in bytes."""
     def blocks_of(name: str) -> Iterator[_BlockOut]:
         rows = sorted_rows(store.tables[name], name)
         for start in range(0, len(rows), block_rows):
@@ -269,7 +289,32 @@ def write_segment(path: str, store: RollupStore, seq: int,
 
     return _write_file(path, seq, store.config, store.records,
                        store.failure_records, store.windows(),
-                       blocks_of, obs)
+                       blocks_of, level, obs)
+
+
+def write_segment(path: str, store: RollupStore, seq: int,
+                  obs: Optional[Observability] = None,
+                  block_rows: int = DEFAULT_BLOCK_ROWS) -> int:
+    """Write ``store`` as segment ``seq`` at ``path`` (atomically),
+    ``block_rows`` rows a block.  Returns the file size in bytes."""
+    return _write_store(path, store, seq, max(1, int(block_rows)),
+                        SEGMENT_DEFLATE_LEVEL, obs)
+
+
+def write_checkpoint(path: str, store: RollupStore, seq: int,
+                     obs: Optional[Observability] = None) -> int:
+    """Write the memtable ``store`` as checkpoint ``seq`` at ``path``
+    (atomically): a segment file whose every table is one block,
+    deflated at ``CHECKPOINT_DEFLATE_LEVEL``.  Counted as a
+    checkpoint, not a segment write.  Returns the file size in
+    bytes."""
+    nbytes = _write_store(path, store, seq,
+                          max([1, *map(len, store.tables.values())]),
+                          CHECKPOINT_DEFLATE_LEVEL, None)
+    if obs is not None:
+        obs.inc("store.checkpoints")
+        obs.inc("store.checkpoint_bytes", nbytes)
+    return nbytes
 
 
 # -- the column merge of segments -------------------------------------------
@@ -409,7 +454,7 @@ class MergedSegments(NamedTuple):
 
         return _write_file(path, seq, self.config, self.records,
                            self.failure_records, self.windows,
-                           blocks_of, obs)
+                           blocks_of, SEGMENT_DEFLATE_LEVEL, obs)
 
 
 def _merged_counts(readers: Sequence["SegmentReader"],
@@ -850,8 +895,31 @@ class SegmentReader:
         return self._file.size
 
 
-__all__ = ["DEFAULT_BLOCK_ROWS", "MAGIC", "MergedSegments", "ReadStats",
-           "SEGMENT_SCHEMA", "SegmentCorruption", "SegmentReader",
-           "TAIL_MAGIC", "UnsupportedSchema", "merge_segments",
-           "merged_rollups", "prefix_range", "sorted_rows",
-           "stored_order", "stored_text", "write_segment"]
+def read_checkpoint(path: str) -> RollupStore:
+    """Load a checkpoint whole: every block checked and decoded
+    (:func:`~repro.store.encoding.decode_columns`), every row keyed as
+    ``RollupStore`` keys it.  Raises :class:`SegmentCorruption` on any
+    defect (the engine quarantines the file and falls back to the
+    previous checkpoint), ``UnsupportedSchema`` on a sound file of
+    another schema."""
+    with SegmentReader(path) as reader:
+        store = RollupStore(config=reader.config)
+        store.records = reader.records
+        store.failure_records = reader.failure_records
+        for name in RollupStore.TABLES:
+            table: Dict[Key, MergeHist] = {}
+            for columns in reader.columns(name):
+                table.update(Block(columns).keyed())
+            swap = _key_swap(name, table)
+            store.tables[name] = table if swap is None else \
+                dict(zip(map(swap, table), table.values()))
+    return store
+
+
+__all__ = ["CHECKPOINT_DEFLATE_LEVEL", "DEFAULT_BLOCK_ROWS", "MAGIC",
+           "MergedSegments", "ReadStats", "SEGMENT_SCHEMA",
+           "SegmentCorruption", "SegmentReader", "TAIL_MAGIC",
+           "UnsupportedSchema", "merge_segments",
+           "merged_rollups", "prefix_range", "read_checkpoint",
+           "sorted_rows", "stored_order", "stored_text",
+           "write_checkpoint", "write_segment"]

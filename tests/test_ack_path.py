@@ -345,16 +345,16 @@ class TestMetricFastPath:
 #: its ``BatchOutcome`` reprs and its obs snapshot -- as written before
 #: the ACK path lost its bookkeeping.
 _PINNED_STORE = (
-    {"MANIFEST.json": "4d5c82a689fdf8f021482270ea83b5eb"
-                      "b58c2eb5301ad2f89f271a68de9a86f9",
-     "ckpt-000001.ckpt": "07731a228a4e4b71c528c8db0626a686"
-                         "3f974c90b279858794d559cfde4cd5c8",
+    {"MANIFEST.json": "9ae6e05b8464cb4fa6b79dddf5d67287"
+                      "6fad520e2a1cf79cb7a62b4edd409fad",
+     "ckpt-000001.ckpt": "50382069613f9bc7610c35663fdd6bf5"
+                         "c5fb52cc3fa2ff8beb8f77e5a5bed541",
      "wal-g000001-s00.log": "875a1b36ee2f0abaa071ab528e85fa6d"
                             "624e042319c77a5840b682a3edb88058",
      "wal.log": "008f28fcf50643c33c146c82b5cd69c2"
                 "a396a57eb4ffc220064405cd6876ffc9"},
-    {"MANIFEST.json": "83a5847e6f81505196d50c9a82049125"
-                      "b99a8278a58bd72576784016a9a53d3c",
+    {"MANIFEST.json": "93fbebed2a616c9cf47f909a4e0fc07b"
+                      "5f1ca394b7ff77dd637f8a7f5f2df016",
      os.path.join("segments", "seg-000001.seg"):
          "73f7562b86b8a26918aa7c201d5d034e"
          "61616c58be18e8e44c538e88c308e851",
@@ -363,8 +363,8 @@ _PINNED_STORE = (
 )
 _PINNED_OUTCOMES = (263, "f092a2a25d9e84d451f83769dcadecab"
                          "f25dd67d28fc750f72e8a889f7dbaf3d")
-_PINNED_OBS = ("8c9cbf2e728bec85b04c68e6210bd805"
-               "bdf75ea703944fe638f43dc5027aee7c")
+_PINNED_OBS = ("4b6361250c23181d7aa91cca6d2d6a9d"
+               "9e6c26793c425ab32934f39950472081")
 
 
 def _file_digests(root):

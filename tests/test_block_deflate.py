@@ -19,13 +19,11 @@ import pytest
 
 from repro.backend.rollups import RollupStore
 from repro.crowd import Campaign, CampaignConfig
-from repro.store import StoreConfig, StoreEngine, checkpoint, encoding, \
-    segments
-from repro.store.checkpoint import write_checkpoint
+from repro.store import StoreConfig, StoreEngine, encoding, segments
 from repro.store.encoding import (PARALLEL_DEFLATE_MIN_BYTES,
                                   deflate_frames, frame)
 from repro.store.segments import SegmentReader, merge_segments, \
-    write_segment
+    write_checkpoint, write_segment
 from tests.conftest import CLOSES_WHAT_IT_OPENS, read_file, tree_bytes
 
 pytestmark = CLOSES_WHAT_IT_OPENS
@@ -220,7 +218,6 @@ class TestEveryWriter:
         sequential deflate writes."""
         written = _fill(str(tmp_path / "helper"), records)
         monkeypatch.setattr(segments, "deflate_frames", _sequential)
-        monkeypatch.setattr(checkpoint, "deflate_frames", _sequential)
         assert written == _fill(str(tmp_path / "reference"), records)
         names = {name for tree in written for name in tree}
         assert any(name.endswith(".seg") for name in names)
@@ -252,7 +249,6 @@ class TestEveryWriter:
             write_all(str(tmp_path / "helper"))
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(segments, "deflate_frames", _sequential)
-                patch.setattr(checkpoint, "deflate_frames", _sequential)
                 write_all(str(tmp_path / "reference"))
         finally:
             for reader in readers:

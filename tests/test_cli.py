@@ -343,7 +343,7 @@ class TestQuery:
         for path, other, told in (
                 (wal, b"MOPWAL0\n" + frames[8:], "MOPWAL0"),
                 (manifest,
-                 published.replace('"schema":3', '"schema":2').encode(),
+                 published.replace('"schema":4', '"schema":2').encode(),
                  "schema 2 ")):
             sound = open(path, "rb").read()
             open(path, "wb").write(other)

@@ -12,20 +12,20 @@ from repro.core.persist import record_to_line
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability
 from repro.store import StoreConfig, StoreEngine
-from repro.store import encoding
-from repro.store.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    MAGIC,
+from repro.store.engine import QUARANTINE_DIR
+from repro.store.segments import (
+    SEGMENT_SCHEMA,
     TAIL_MAGIC,
-    CheckpointCorruption,
+    SegmentCorruption,
+    SegmentReader,
+    UnsupportedSchema,
+    merged_rollups,
     read_checkpoint,
     write_checkpoint,
 )
-from repro.store.engine import QUARANTINE_DIR
-from repro.store.segments import UnsupportedSchema
-from tests.conftest import (CLOSES_WHAT_IT_OPENS, hand_built_row_block,
-                            log_records, read_file, tree_bytes,
-                            write_file)
+from tests.conftest import (CLOSES_WHAT_IT_OPENS, log_records, read_file,
+                            tree_bytes)
+from tests.test_store_segments import _rewrite_footer
 
 pytestmark = CLOSES_WHAT_IT_OPENS
 
@@ -264,6 +264,11 @@ class TestCrashWindows:
                               checkpoint_interval_records=None)
         log_records(engine, records[:100])
         first = engine.checkpoint()
+        # A checkpoint is a segment file of the memtable.
+        with SegmentReader(os.path.join(engine.data_dir, first)) \
+                as reader:
+            assert merged_rollups([reader], reader.config).digest() \
+                == engine.memtable.digest()
         log_records(engine, records[100:150], first_seq=1)
         second = engine.checkpoint()
         log_records(engine, records[150:], first_seq=2)
@@ -414,101 +419,28 @@ class TestGenerationNames:
         assert holds_store(str(alone))
 
 
-class TestRowOrder:
-    """Checkpoint tables go through the segment blocks' row decoder
-    and are held to the same rule: texts -- here the key as keyed,
-    window first -- strictly ascending.
-    A CRC-valid table in any other order -- the first writer's tuple
-    order, a repeated key -- is the checkpoint's typed corruption."""
-
-    def _checkpoint(self, tmp_path, raw_keys):
-        """An empty store's checkpoint with its first table swapped
-        for hand-built rows."""
-        path = str(tmp_path / "hand.ckpt")
-        write_checkpoint(path, RollupStore(), covers_gen=1)
-        data = read_file(path)
-        _header, tables_at, _status = encoding.read_frame(
-            data, len(MAGIC))
-        _empty, rest_at, _status = encoding.read_frame(data, tables_at)
-        block = hand_built_row_block(raw_keys)
-        write_file(path, data[:tables_at] + block + data[rest_at:])
-        return path
-
-    def test_hand_built_table_in_key_order_reads(self, tmp_path):
-        path = self._checkpoint(
-            tmp_path, [b"0|OpA|WIFI|DNS", b"0|OpB|WIFI|DNS"])
-        store, covers_gen = read_checkpoint(path)
-        assert covers_gen == 1
-        assert list(store.tables[RollupStore.TABLES[0]]) \
-            == [("0", "OpA", "WIFI", "DNS"), ("0", "OpB", "WIFI", "DNS")]
-
-    def test_first_writers_row_order_is_corruption(self, tmp_path):
-        """Tuple order: window 1 before window 10, OpA before OpA2 --
-        the reverse of text order, ``|`` sorting above digits and
-        letters.  Schema 1 let such a table through and sorted it;
-        since schema 2 checkpoints are held to the segments' strict
-        ascent."""
-        raw_keys = [b"1|OpA|WIFI|DNS", b"1|OpA2|WIFI|DNS",
-                    b"10|OpA|WIFI|DNS"]
-        assert raw_keys != sorted(raw_keys)
-        with pytest.raises(CheckpointCorruption,
-                           match="rows out of key order"):
-            read_checkpoint(self._checkpoint(tmp_path, raw_keys))
-        read_checkpoint(self._checkpoint(tmp_path, sorted(raw_keys)))
-
-    @pytest.mark.parametrize("raw_keys", [
-        [b"0|Op\\B|WIFI|DNS"],                      # needless escape
-        [b"0|OpB|WIFI|DNS\\"],                      # lone backslash
-        [b"0|Op\\A|WIFI|DNS", b"0|OpA|WIFI|DNS"],   # one key, twice
-    ], ids=["needless-escape", "trailing-backslash", "same-key-pair"])
-    def test_key_text_no_writer_produces_rejected(self, tmp_path,
-                                                  raw_keys):
-        path = self._checkpoint(tmp_path, raw_keys)
-        with pytest.raises(CheckpointCorruption,
-                           match="not in canonical form"):
-            read_checkpoint(path)
-
-    def test_table_repeating_a_key_rejected(self, tmp_path):
-        path = self._checkpoint(
-            tmp_path, [b"0|OpA|WIFI|DNS", b"0|OpB|WIFI|DNS",
-                       b"0|OpB|WIFI|DNS"])
-        with pytest.raises(CheckpointCorruption,
-                           match="rows out of key order"):
-            read_checkpoint(path)
-
-
-def _edit_header(path, edit):
-    """Rewrite a checkpoint's header frame as ``edit`` leaves it,
-    every table frame after it as written."""
-    data = read_file(path)
-    payload, tables_at, _status = encoding.read_frame(data, len(MAGIC))
-    header = json.loads(payload)
-    edit(header)
-    write_file(path, MAGIC + encoding.frame(json.dumps(
-        header, sort_keys=True, separators=(",", ":")).encode())
-        + data[tables_at:])
-
-
 def _restamp_checkpoint(path, schema):
-    _edit_header(path, lambda header: header.update(schema=schema))
+    """Stamp the footer of checkpoint ``path`` -- a segment file --
+    with ``schema``, every block as written."""
+    _rewrite_footer(path, lambda footer: footer.update(schema=schema))
 
 
 class TestSchemaGate:
     """A sound checkpoint of another schema is not a torn one: it is
     refused by its own error, recovery stops, and nothing is moved."""
 
-    @pytest.mark.parametrize("schema", [1, 2, CHECKPOINT_SCHEMA + 1])
+    @pytest.mark.parametrize("schema", [1, 2, 4])
     def test_other_schema_is_unsupported_not_corrupt(self, tmp_path,
                                                      schema):
         path = str(tmp_path / "other.ckpt")
-        write_checkpoint(path, _reference(_records(30)), covers_gen=1)
+        write_checkpoint(path, _reference(_records(30)), 1)
         _restamp_checkpoint(path, schema)
         before = tree_bytes(str(tmp_path))
         with pytest.raises(UnsupportedSchema) as refused:
             read_checkpoint(path)
-        assert not isinstance(refused.value, CheckpointCorruption)
+        assert not isinstance(refused.value, SegmentCorruption)
         for told in (path, "schema %d " % schema,
-                     "schema %d;" % CHECKPOINT_SCHEMA):
+                     "schema %d;" % SEGMENT_SCHEMA):
             assert told in str(refused.value)
         assert tree_bytes(str(tmp_path)) == before
 
@@ -696,51 +628,3 @@ class TestStripedDirectories:
         assert [os.path.basename(path) for path in engine.wal_paths()] \
             == ["wal-g000004-s00.log", "wal-g000005-s00.log"]
         engine.close()
-
-
-class TestSchemaWidening:
-    """The header's ``tables`` list is the read contract, held to the
-    segment footer's rule: a header of this schema that lacks a
-    rollup table (the five-table checkpoints taken before PR 9
-    widened ``RollupStore.TABLES``) or a counter is corrupt, not
-    "loads empty"; one naming a table this build does not know is
-    decoded (to keep frame positions honest) and dropped."""
-
-    OLD_TABLES = ("network", "app", "watch_domain", "watch_network",
-                  "lte_domain")
-
-    def test_header_lacking_a_table_is_corrupt(self, tmp_path,
-                                               monkeypatch):
-        path = str(tmp_path / "old.ckpt")
-        with monkeypatch.context() as patch:
-            patch.setattr(RollupStore, "TABLES", self.OLD_TABLES)
-            write_checkpoint(path, _reference(_records(90)),
-                             covers_gen=3)
-        with pytest.raises(CheckpointCorruption,
-                           match="every rollup table"):
-            read_checkpoint(path)
-
-    @pytest.mark.parametrize(
-        "field", ["failure_records", "records", "covers_gen", "tables"])
-    def test_header_lacking_a_field_is_corrupt(self, tmp_path, field):
-        path = str(tmp_path / "short.ckpt")
-        write_checkpoint(path, _reference(_records(30)), covers_gen=1)
-        _edit_header(path, lambda header: header.pop(field))
-        with pytest.raises(CheckpointCorruption, match=field):
-            read_checkpoint(path)
-
-    def test_unknown_header_table_decoded_and_dropped(self, tmp_path,
-                                                      monkeypatch):
-        records = _records(60)
-        store = _reference(records)
-        store.tables["flux_capacitor"] = \
-            dict(store.tables["network"])
-        path = str(tmp_path / "future.ckpt")
-        with monkeypatch.context() as patch:
-            patch.setattr(RollupStore, "TABLES",
-                          RollupStore.TABLES + ("flux_capacitor",))
-            write_checkpoint(path, store, covers_gen=1)
-        del store.tables["flux_capacitor"]
-        loaded, _covers_gen = read_checkpoint(path)
-        assert "flux_capacitor" not in loaded.tables
-        assert loaded.digest() == store.digest()

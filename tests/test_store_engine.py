@@ -17,7 +17,8 @@ from repro.core.records import MeasurementRecord
 from repro.obs import Observability
 from repro.store import StoreConfig, StoreEngine
 from repro.store import engine as engine_module
-from repro.store.engine import _MANIFEST_FIELDS, QUARANTINE_DIR
+from repro.store.engine import (_MANIFEST_FIELDS, MANIFEST_SCHEMA,
+                                QUARANTINE_DIR)
 from repro.store.wal import replay
 from tests.conftest import (CLOSES_WHAT_IT_OPENS, log_records, read_file,
                             tree_bytes)
@@ -416,7 +417,9 @@ class TestOneGeneration:
         assert tree_bytes(root) == before
         assert not os.path.exists(os.path.join(root, QUARANTINE_DIR))
 
-    @pytest.mark.parametrize("schema", [1, 2, 4])
+    #: 3 is the last one: its checkpoints were not segment files, and
+    #: read as segments they would be quarantined as corrupt.
+    @pytest.mark.parametrize("schema", [1, 2, 3, MANIFEST_SCHEMA + 1])
     def test_other_schema_manifest_is_refused(self, tmp_path, schema):
         from repro.store import UnsupportedSchema
         root, digest = self._store(tmp_path)
@@ -427,8 +430,9 @@ class TestOneGeneration:
         manifest["schema"] = schema
         _dump_json(manifest, path)
         self._refused(root, UnsupportedSchema, path,
-                      "schema %d " % schema, "only schema 3")
-        manifest["schema"] = 3
+                      "schema %d " % schema,
+                      "only schema %d" % MANIFEST_SCHEMA)
+        manifest["schema"] = MANIFEST_SCHEMA
         _dump_json(manifest, path)
         reopened = StoreEngine(root, obs=Observability())
         assert reopened.materialize().digest() == digest

@@ -1,8 +1,9 @@
 """Property tests for the RollupStore round trips.
 
-A store reaches disk in two forms, segments and checkpoints, and both
-promise ``digest(read(write(s))) == s.digest()`` for *any* store:
-empty, single-bin histograms, keys containing the separator character,
+A store reaches disk as a segment file, written by a flush or as a
+checkpoint (one block a table), and both promise
+``digest(read(write(s))) == s.digest()`` for *any* store: empty,
+single-bin histograms, keys containing the separator character,
 failure-only ingest.  Hypothesis drives the record generator.  The
 canonical snapshot the digest hashes is never read back; its schema
 stamp gets one explicit case.
@@ -31,14 +32,15 @@ from repro.backend.rollups import (
     _escape_part,
 )
 from repro.core.records import MeasurementRecord
-from repro.store.checkpoint import read_checkpoint, write_checkpoint
 from repro.store.encoding import decode_block, encode_block
 from repro.store.segments import (
     SegmentReader,
     merged_rollups,
+    read_checkpoint,
     sorted_rows,
     stored_order,
     stored_text,
+    write_checkpoint,
     write_segment,
 )
 
@@ -83,10 +85,10 @@ def _read_back(store, tmp_path):
     read back."""
     seg, ckpt = str(tmp_path / "seg.seg"), str(tmp_path / "c.ckpt")
     write_segment(seg, store, seq=1)
-    write_checkpoint(ckpt, store, covers_gen=0)
+    write_checkpoint(ckpt, store, 1)
     with SegmentReader(seg) as reader:
         from_segment = merged_rollups([reader], reader.config)
-    return from_segment, read_checkpoint(ckpt)[0]
+    return from_segment, read_checkpoint(ckpt)
 
 
 class TestSnapshotRoundTrip:
@@ -95,8 +97,8 @@ class TestSnapshotRoundTrip:
     def test_save_load_preserves_the_digest(self, records, tmp_path):
         store = _store_of(records)
         path = str(tmp_path / "state.ckpt")
-        write_checkpoint(path, store, covers_gen=0)
-        loaded, _covers = read_checkpoint(path)
+        write_checkpoint(path, store, 1)
+        loaded = read_checkpoint(path)
         assert loaded.digest() == store.digest()
         assert loaded.records == store.records
         for table in RollupStore.TABLES:
@@ -290,8 +292,8 @@ def _reference_decode_block(payload, expected_rows=None):
 
 
 def _payload(table, name):
-    """``table`` as the one block payload segment blocks and
-    checkpoint tables share, in table ``name``'s stored order."""
+    """``table`` as the one block payload every segment block holds,
+    in table ``name``'s stored order."""
     rows = sorted_rows(table, name)
     return encode_block(rows), len(rows)
 

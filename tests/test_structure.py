@@ -133,6 +133,25 @@ def test_one_segment_opening_site():
         == ["src/repro/store/engine.py"], sites
 
 
+def test_two_store_containers():
+    """A store file format starts with a module-level ``MAGIC``, and
+    two modules define one: the segment (``store/segments.py``; a
+    checkpoint is a segment file) and the WAL (``store/wal.py``).
+    Another container beside them is a new format to read, gate and
+    quarantine."""
+    magic = re.compile(r"^[A-Z_]*MAGIC\s*[:=]")
+    defining = set()
+    for name in _files("src/repro/store"):
+        if not name.endswith(".py"):
+            continue
+        with open(name, encoding="utf-8") as handle:
+            if any(magic.match(line) for line in handle):
+                defining.add(os.path.relpath(name, ROOT).replace(os.sep,
+                                                                 "/"))
+    assert sorted(defining) == ["src/repro/store/segments.py",
+                                "src/repro/store/wal.py"]
+
+
 def _names_read(tree):
     """Every name ``tree`` reads, counting names inside string
     constants that parse as expressions (quoted annotations,
