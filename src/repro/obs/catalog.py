@@ -369,6 +369,29 @@ CATALOG: Dict[str, MetricSpec] = dict([
        "fresh one opened (checkpoint or flush)."),
     _m("store.wal_files", GAUGE, "files", "repro.store.engine",
        "WAL files currently on disk across generations and shards."),
+    _m("store.durable.renames", COUNTER, "renames",
+       "repro.store.durable",
+       "Files renamed into place (a segment, checkpoint or manifest "
+       "written atomically, or a file moved to quarantine/); each is "
+       "followed by a sync of its directory."),
+    _m("store.durable.creates", COUNTER, "files",
+       "repro.store.durable",
+       "Files and directories created for the store to keep (a WAL "
+       "generation with its magic, segments/, quarantine/); each is "
+       "followed by a sync of its parent directory."),
+    _m("store.durable.dir_syncs", COUNTER, "fsyncs",
+       "repro.store.durable",
+       "Directory fsyncs: what makes a rename or a create survive a "
+       "power loss.  None rides an upload's ACK unless it flushes or "
+       "checkpoints."),
+    _m("store.durable.truncates", COUNTER, "files",
+       "repro.store.durable",
+       "WAL files cut back to their last valid frame by recovery, "
+       "each fsynced after the cut."),
+    _m("store.durable.removes", COUNTER, "files",
+       "repro.store.durable",
+       "Files the store deleted (stale checkpoints, segments and WAL "
+       "generations, orphans and .tmp files); no directory sync."),
     _m("store.blocks_read", COUNTER, "blocks", "repro.store.segments",
        "Segment blocks fetched on the read path (block-cache hits "
        "included: a hit still serves that block to the query)."),

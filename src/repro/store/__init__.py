@@ -4,7 +4,8 @@ An LSM-shaped stack sized for rollup aggregates: a write-ahead log
 for durability (:mod:`repro.store.wal`), immutable checksummed
 segment files for bulk state (:mod:`repro.store.segments`), and
 :class:`~repro.store.engine.StoreEngine` tying them together with a
-memtable, tiered compaction, retention, and crash recovery.  See
+memtable, tiered compaction, retention, and crash recovery.  Every
+durable write goes through one seam (:mod:`repro.store.durable`).  See
 ``docs/STORAGE.md`` for the operator guide.
 """
 

@@ -82,6 +82,7 @@ from repro.backend.rollups import (RollupConfig, RollupStore,
 from repro.core.persist import decode_record_lines, encode_batch
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability, get_default
+from repro.store import durable
 from repro.store.segments import (
     DEFAULT_BLOCK_ROWS,
     SegmentCorruption,
@@ -92,7 +93,7 @@ from repro.store.segments import (
     write_checkpoint,
     write_segment,
 )
-from repro.store.wal import FsyncModel, WriteAheadLog, replay
+from repro.store.wal import MAGIC, FsyncModel, WriteAheadLog, replay
 
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.log"
@@ -269,7 +270,7 @@ class StoreEngine:
         self.data_dir = data_dir
         self.config = config or StoreConfig()
         self.obs = obs or get_default()
-        os.makedirs(os.path.join(data_dir, SEGMENT_DIR), exist_ok=True)
+        durable.make_dir(os.path.join(data_dir, SEGMENT_DIR), self.obs)
         #: An explicit config wins; otherwise a reopened directory
         #: adopts the config its manifest was written with (the disk
         #: layout defines the windows, not the caller's defaults).
@@ -378,13 +379,8 @@ class StoreEngine:
             "findings": self.findings,
             "meta": {k: self.meta[k] for k in sorted(self.meta)},
         }
-        blob = _dump_manifest(manifest)
-        tmp = self._manifest_path() + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(blob + b"\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self._manifest_path())
+        durable.write_atomic(self._manifest_path(),
+                             _dump_manifest(manifest) + b"\n", self.obs)
 
     def _load_manifest(self) -> Optional[dict]:
         try:
@@ -575,12 +571,9 @@ class StoreEngine:
         for entry in self._wal_files:
             gen, _shard, path = entry
             if gen <= horizon and gen < self._wal_gen:
-                try:
-                    os.remove(path)
-                    continue
-                except OSError:
-                    pass
-            kept.append(entry)
+                durable.remove(path, self.obs)
+            else:
+                kept.append(entry)
         self._wal_files = kept
 
     def flush(self) -> Optional[str]:
@@ -597,10 +590,7 @@ class StoreEngine:
         name = self._flush_store(self.memtable)
         self.memtable.clear()
         for entry in stale_checkpoints:
-            try:
-                os.remove(self._checkpoint_path(entry["name"]))
-            except OSError:
-                pass
+            durable.remove(self._checkpoint_path(entry["name"]), self.obs)
         self._prune_wal_files()
         self._records_since_checkpoint = 0
         self._update_gauges()
@@ -641,10 +631,7 @@ class StoreEngine:
         self._checkpoints = self._checkpoints[-CHECKPOINT_KEEP:]
         self._write_manifest()
         for entry in retired:
-            try:
-                os.remove(self._checkpoint_path(entry["name"]))
-            except OSError:
-                pass
+            durable.remove(self._checkpoint_path(entry["name"]), self.obs)
         self._prune_wal_files()
         self._records_since_checkpoint = 0
         self._update_gauges()
@@ -682,7 +669,7 @@ class StoreEngine:
         self._segments = {name: nbytes}
         self._write_manifest()
         for stale in old:
-            os.remove(self._segment_path(stale))
+            durable.remove(self._segment_path(stale), self.obs)
         self._release(old)
         self.obs.inc("store.compactions")
         self._update_gauges()
@@ -826,12 +813,9 @@ class StoreEngine:
             if gen <= covered:
                 # Covered by a checkpoint or flush that crashed before
                 # its deletions; finish the cleanup.
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-                continue
-            live_files.append((gen, shard, path))
+                durable.remove(path, self.obs)
+            else:
+                live_files.append((gen, shard, path))
         info.wal_files = len(live_files)
         self._wal_files = list(live_files)
         torn_files = 0
@@ -856,9 +840,11 @@ class StoreEngine:
             if result.torn or result.corrupt:
                 info.torn_tail |= result.torn
                 info.corrupt_frame |= result.corrupt
-                log = WriteAheadLog(path, obs=self.obs)
-                log.truncate_to(result.valid_bytes)
-                log.close()
+                if result.valid_bytes < len(MAGIC):
+                    # Not even the header survived: start the log over.
+                    durable.write_atomic(path, MAGIC, self.obs)
+                else:
+                    durable.truncate(path, result.valid_bytes, self.obs)
                 torn_files += 1
         info.dedup_entries = len(self.dedup)
 
@@ -917,10 +903,11 @@ class StoreEngine:
     def _quarantine(self, path: str) -> None:
         """Move ``path``, if it is there, into ``quarantine/``."""
         quarantine = os.path.join(self.data_dir, QUARANTINE_DIR)
-        os.makedirs(quarantine, exist_ok=True)
+        durable.make_dir(quarantine, self.obs)
         if os.path.exists(path):
-            os.replace(path, os.path.join(quarantine,
-                                          os.path.basename(path)))
+            durable.move(path, os.path.join(quarantine,
+                                            os.path.basename(path)),
+                         self.obs)
 
     def _sweep_orphans(self, manifest_loaded: bool) -> None:
         """Clear away what a crash between a write and its manifest
@@ -945,11 +932,8 @@ class StoreEngine:
                 orphan = name.endswith(suffix) and name not in listed
                 if orphan and suffix == ".seg" and not manifest_loaded:
                     self._quarantine(path)
-                elif orphan or name.endswith(".tmp"):
-                    try:
-                        os.remove(path)
-                    except OSError:
-                        pass
+                elif orphan or name.endswith(durable.TMP):
+                    durable.remove(path, self.obs)
 
     def _check_segment(self, name: str) -> bool:
         """Open the engine's reader of ``name`` and check every block

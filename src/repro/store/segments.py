@@ -54,9 +54,10 @@ clean :class:`~repro.serve.QueryError`.  A sound file of another
 ``SEGMENT_SCHEMA`` raises :class:`UnsupportedSchema` instead, which
 recovery lets through with the file left where it is.
 
-Writes are atomic: the segment is assembled in a ``.tmp`` sibling and
-renamed into place, so a crash mid-flush leaves no half-segment for
-recovery to misread.
+Writes are atomic and durable: the segment is assembled in a ``.tmp``
+sibling, fsynced, renamed into place and its directory synced
+(:func:`repro.store.durable.write_atomic`), so a crash mid-flush leaves
+no half-segment for recovery to misread.
 
 A checkpoint (:func:`write_checkpoint`) is a segment file too: the
 memtable, numbered by its checkpoint, each table one block deflated
@@ -94,6 +95,7 @@ from repro.backend.rollups import (
     _encode_key,
 )
 from repro.obs import Observability
+from repro.store import durable
 from repro.store.encoding import (
     FRAME_OK,
     Block,
@@ -223,13 +225,14 @@ _BlockOut = Tuple[bytes, int, str, str]
 def _write_file(path: str, seq: int, config: RollupConfig, records: int,
                 failure_records: int, windows: List[int],
                 blocks_of: Callable[[str], Iterable[_BlockOut]],
-                level: int, obs: Optional[Observability]) -> int:
+                level: int, obs: Optional[Observability],
+                counter: str = "store.segment_writes") -> int:
     """The one segment writer: every table's blocks (``blocks_of``
     each name, in stored order) deflated at ``level`` and framed
     (:func:`~repro.store.encoding.deflate_frames`, all of the file's
-    blocks in one call), then the footer, assembled in a ``.tmp``
-    sibling and renamed to ``path``.  Returns the file size in
-    bytes."""
+    blocks in one call), then the footer, written to ``path``
+    atomically (:func:`repro.store.durable.write_atomic`) and counted
+    in ``counter``.  Returns the file size in bytes."""
     tables = [(name, list(blocks_of(name))) for name in RollupStore.TABLES]
     framed = iter(deflate_frames(
         [payload for _name, written in tables
@@ -262,20 +265,16 @@ def _write_file(path: str, seq: int, config: RollupConfig, records: int,
     parts.append(pack_u64(offset))
     parts.append(TAIL_MAGIC)
     blob = b"".join(parts)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    durable.write_atomic(path, blob, obs)
     if obs is not None:
-        obs.inc("store.segment_writes")
+        obs.inc(counter)
     return len(blob)
 
 
 def _write_store(path: str, store: RollupStore, seq: int,
                  block_rows: int, level: int,
-                 obs: Optional[Observability]) -> int:
+                 obs: Optional[Observability],
+                 counter: str = "store.segment_writes") -> int:
     """``store`` as segment file ``seq`` at ``path`` (atomically),
     rows in stored order, ``block_rows`` a block, each block
     zone-mapped by its first and last stored text and deflated at
@@ -289,7 +288,7 @@ def _write_store(path: str, store: RollupStore, seq: int,
 
     return _write_file(path, seq, store.config, store.records,
                        store.failure_records, store.windows(),
-                       blocks_of, level, obs)
+                       blocks_of, level, obs, counter)
 
 
 def write_segment(path: str, store: RollupStore, seq: int,
@@ -310,9 +309,8 @@ def write_checkpoint(path: str, store: RollupStore, seq: int,
     bytes."""
     nbytes = _write_store(path, store, seq,
                           max([1, *map(len, store.tables.values())]),
-                          CHECKPOINT_DEFLATE_LEVEL, None)
+                          CHECKPOINT_DEFLATE_LEVEL, obs, "store.checkpoints")
     if obs is not None:
-        obs.inc("store.checkpoints")
         obs.inc("store.checkpoint_bytes", nbytes)
     return nbytes
 

@@ -34,6 +34,7 @@ from typing import List, Optional
 
 from repro.backend.rollups import UnsupportedSchema
 from repro.obs import Observability, get_default
+from repro.store import durable
 from repro.store.encoding import (
     FRAME_CORRUPT,
     FRAME_END,
@@ -124,18 +125,12 @@ class WriteAheadLog:
         self._open()
 
     def _open(self) -> None:
-        fresh = not os.path.exists(self.path) or \
-            os.path.getsize(self.path) == 0
-        self._handle = open(self.path, "ab")
-        if fresh:
-            self._handle.write(MAGIC)
-            self._handle.flush()
+        if os.path.exists(self.path) and os.path.getsize(self.path):
+            self._handle = open(self.path, "ab")
+        else:
+            self._handle = durable.create(self.path, MAGIC, self.obs)
 
     # -- the write path ------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
 
     def append(self, payload: bytes) -> None:
         """Buffer one record; durable only after :meth:`commit`."""
@@ -151,9 +146,7 @@ class WriteAheadLog:
         blob = b"".join(self._pending)
         count = len(self._pending)
         self._pending = []
-        self._handle.write(blob)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        durable.sync(self._handle, blob, self.obs)
         cost = self.fsync.cost_ms(len(blob))
         self.obs.inc("store.wal_appends", count)
         self.obs.inc("store.wal_bytes", len(blob))
@@ -177,36 +170,6 @@ class WriteAheadLog:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-    def reset(self) -> None:
-        """Truncate after a segment flush: everything logged so far is
-        now durable in a segment, the log restarts empty."""
-        self._pending = []
-        if self._handle is not None:
-            self._handle.close()
-        with open(self.path, "wb") as handle:
-            handle.write(MAGIC)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._handle = open(self.path, "ab")
-
-    def truncate_to(self, valid_bytes: int) -> None:
-        """Cut a torn tail off at the last valid frame boundary."""
-        if valid_bytes < len(MAGIC):
-            # Not even the header survived: start the log over.
-            self.reset()
-            return
-        if self._handle is not None:
-            self._handle.close()
-        with open(self.path, "r+b") as handle:
-            handle.truncate(valid_bytes)
-        self._handle = open(self.path, "ab")
-
-    def size_bytes(self) -> int:
-        try:
-            return os.path.getsize(self.path)
-        except OSError:
-            return 0
 
 
 __all__ = ["FsyncModel", "MAGIC", "ReplayResult", "WriteAheadLog",

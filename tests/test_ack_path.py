@@ -363,8 +363,8 @@ _PINNED_STORE = (
 )
 _PINNED_OUTCOMES = (263, "f092a2a25d9e84d451f83769dcadecab"
                          "f25dd67d28fc750f72e8a889f7dbaf3d")
-_PINNED_OBS = ("4b6361250c23181d7aa91cca6d2d6a9d"
-               "9e6c26793c425ab32934f39950472081")
+_PINNED_OBS = ("4b0080296bd97645eda23d1898f879e7"
+               "076e2e79166d64e351dd06e06d80c25a")
 
 
 def _file_digests(root):

@@ -11,7 +11,7 @@ from repro.backend.rollups import RollupStore
 from repro.core.persist import record_to_line
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability
-from repro.store import StoreConfig, StoreEngine
+from repro.store import StoreConfig, StoreEngine, durable
 from repro.store.engine import QUARANTINE_DIR
 from repro.store.segments import (
     SEGMENT_SCHEMA,
@@ -168,14 +168,15 @@ class TestCrashWindows:
                         first_seq=seq)
             engine.flush()
         log_records(engine, records[60:], first_seq=2)
-        renamed = os.replace
+        real = durable._step
 
-        def replace(source, target):
-            if os.path.basename(target) == "MANIFEST.json":
+        def step(obs, kind, path, call, *args):
+            if kind == "rename" and os.path.basename(path) \
+                    == "MANIFEST.json":
                 raise OSError("died at the manifest's rename")
-            return renamed(source, target)
+            return real(obs, kind, path, call, *args)
 
-        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(durable, "_step", step)
         with pytest.raises(OSError):
             if write == "flush":
                 engine.flush()
@@ -311,11 +312,12 @@ class _Crash(Exception):
 
 
 class TestBulkLoadCrashPoints:
-    """Every fsync and every rename one ``append_records`` call makes
-    is a crash point.  Whichever one the process dies at, recovery
-    comes back to one of the call's durable boundaries -- before it,
-    after a flush or checkpoint inside it, or after it -- and every
-    upload ACKed before the call is there."""
+    """Every durable step one ``append_records`` call makes -- fsync,
+    rename, directory sync, WAL create, remove -- is a crash point.
+    Whichever one the process dies at, recovery comes back to one of
+    the call's durable boundaries -- before it, after a flush or
+    checkpoint inside it, or after it -- and every upload ACKed before
+    the call is there."""
 
     #: A flush at 50 records and a checkpoint every 20: the uploads
     #: leave a checkpoint and a WAL tail, and the load below takes
@@ -335,17 +337,16 @@ class TestBulkLoadCrashPoints:
 
     @staticmethod
     def _at_the_kth(patch, k, calls):
-        """Count every ``os.fsync`` and ``os.replace``; with ``k``,
-        raise in place of the ``k``-th."""
-        def hook(real):
-            def call(*args):
-                calls.append(real.__name__)
-                if len(calls) == k:
-                    raise _Crash(real.__name__)
-                return real(*args)
-            return call
-        patch.setattr(os, "fsync", hook(os.fsync))
-        patch.setattr(os, "replace", hook(os.replace))
+        """Count every step of the durable seam; with ``k``, raise in
+        place of the ``k``-th."""
+        real = durable._step
+
+        def step(obs, kind, path, call, *args):
+            calls.append((kind, os.path.basename(path)))
+            if len(calls) == k:
+                raise _Crash(kind)
+            return real(obs, kind, path, call, *args)
+        patch.setattr(durable, "_step", step)
 
     def test_every_crash_point_recovers_a_durable_boundary(
             self, tmp_path, monkeypatch):
@@ -356,17 +357,22 @@ class TestBulkLoadCrashPoints:
         engine = self._store(str(tmp_path / "whole"))
         seen = [engine.materialize().digest()]
         for name in ("flush", "checkpoint"):
-            def durable(real=getattr(engine, name)):
+            def boundary(real=getattr(engine, name)):
                 result = real()
                 seen.append(engine.materialize().digest())
                 return result
-            monkeypatch.setattr(engine, name, durable)
+            monkeypatch.setattr(engine, name, boundary)
         calls = []
         with monkeypatch.context() as patch:
             self._at_the_kth(patch, None, calls)
             assert engine.append_records(iter(self.LOAD)) == 70
         assert seen == states
-        assert calls.count("fsync") >= 5 and calls.count("replace") >= 5
+        kinds = [kind for kind, _name in calls]
+        assert kinds.count("fsync") >= 5 and kinds.count("rename") >= 5
+        assert kinds.count("dir_sync") >= kinds.count("rename")
+        assert "create" in kinds
+        published = max(k for k, call in enumerate(calls, 1)
+                        if call == ("rename", "MANIFEST.json"))
         engine.close()
 
         recovered = set()
@@ -379,14 +385,18 @@ class TestBulkLoadCrashPoints:
             engine.crash()
             engine.recover()
             digest = engine.materialize().digest()
-            assert digest in states, "crash at call %d (%s)" % (
+            assert digest in states, "crash at call %d %s" % (
                 k, calls[k - 1])
+            # The in-process crash keeps every rename made: a crash
+            # after the last manifest publish -- at its directory sync
+            # or a deletion behind it -- comes back at the load's end.
+            assert (digest == states[-1]) == (k > published), k
             recovered.add(digest)
             for seq in range(3):
                 assert engine.dedup[("dev-up", seq)] == 10
             engine.close()
-        # The crash points reach every boundary but the last.
-        assert recovered == set(states[:-1])
+        # The crash points reach every boundary.
+        assert recovered == set(states)
 
 
 class TestGenerationNames:

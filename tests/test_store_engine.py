@@ -127,7 +127,7 @@ class TestWritePathAndRecovery:
         name = engine.flush()
         assert name is not None
         assert engine.memtable.records == 0
-        assert engine.wal.size_bytes() == 8   # just the magic
+        assert os.path.getsize(engine.wal.path) == 8   # just the magic
         assert engine.materialize().digest() == digest
         assert obs.value("store.flushes") == 1
         # Recovery after a flush reads the segment, replays nothing.

@@ -2,6 +2,8 @@
 and literal crash semantics (nothing uncommitted survives; a torn
 tail truncates at the last valid frame)."""
 
+import os
+
 import pytest
 
 from repro.obs import Observability
@@ -13,7 +15,7 @@ from repro.store.encoding import (
     frame,
     read_frame,
 )
-from repro.store import UnsupportedSchema
+from repro.store import StoreEngine, UnsupportedSchema, durable
 from repro.store.wal import MAGIC, FsyncModel, WriteAheadLog, replay
 
 
@@ -57,7 +59,7 @@ class TestWriteAheadLog:
         wal, obs = self._wal(tmp_path)
         wal.append(b"one")
         wal.append(b"two")
-        assert wal.pending == 2
+        assert replay(wal.path).payloads == []
         cost = wal.commit()
         assert cost > 0
         result = replay(wal.path)
@@ -95,7 +97,7 @@ class TestWriteAheadLog:
         wal.append(b"second")
         wal.commit()
         with open(wal.path, "r+b") as handle:
-            handle.truncate(wal.size_bytes() - 3)
+            handle.truncate(os.path.getsize(wal.path) - 3)
         result = replay(wal.path)
         assert result.payloads == [b"first"]
         assert result.torn and not result.corrupt
@@ -117,27 +119,39 @@ class TestWriteAheadLog:
         assert result.corrupt and not result.torn
 
     def test_truncate_to_cuts_the_tail(self, tmp_path):
-        wal, _obs = self._wal(tmp_path)
+        """Recovery's cut of a torn tail: the seam truncates the file
+        at the last valid frame, and a log reopened on it appends
+        after that frame."""
+        wal, obs = self._wal(tmp_path)
         wal.append(b"keep")
         wal.commit()
         wal.append(b"cut")
         wal.commit()
-        result = replay(wal.path)
+        wal.close()
         keep_end = len(MAGIC) + len(frame(b"keep"))
-        wal.truncate_to(keep_end)
+        durable.truncate(wal.path, keep_end, obs)
         assert replay(wal.path).payloads == [b"keep"]
-        assert wal.size_bytes() == keep_end
+        assert os.path.getsize(wal.path) == keep_end
+        assert obs.value("store.durable.truncates") == 1
+        wal = WriteAheadLog(wal.path, obs=obs)
         wal.append(b"after")
         wal.commit()
+        wal.close()
         assert replay(wal.path).payloads == [b"keep", b"after"]
 
     def test_truncate_below_magic_resets_the_log(self, tmp_path):
-        wal, _obs = self._wal(tmp_path)
-        wal.append(b"gone")
-        wal.commit()
-        wal.truncate_to(0)
-        assert wal.size_bytes() == len(MAGIC)
-        assert replay(wal.path).payloads == []
+        """A WAL that lost even its header restarts as the bare magic
+        when recovery finds it."""
+        root = str(tmp_path / "store")
+        StoreEngine(root).close()
+        path = os.path.join(root, "wal.log")
+        with open(path, "wb") as handle:
+            handle.write(b"gone")
+        engine = StoreEngine(root)
+        assert engine.last_recovery.torn_tail
+        engine.close()
+        assert os.path.getsize(path) == len(MAGIC)
+        assert replay(path).payloads == []
 
     def test_headerless_file_replays_as_torn(self, tmp_path):
         path = tmp_path / "wal.log"
@@ -186,11 +200,16 @@ class TestWriteAheadLog:
         assert not result.torn and not result.corrupt
 
     def test_reset_restarts_empty(self, tmp_path):
-        wal, _obs = self._wal(tmp_path)
+        """The log rewritten as its bare magic replays empty, and a
+        log reopened on it takes new frames."""
+        wal, obs = self._wal(tmp_path)
         wal.append(b"old")
         wal.commit()
-        wal.reset()
+        wal.close()
+        durable.write_atomic(wal.path, MAGIC, obs)
         assert replay(wal.path).payloads == []
+        wal = WriteAheadLog(wal.path, obs=obs)
         wal.append(b"new")
         wal.commit()
+        wal.close()
         assert replay(wal.path).payloads == [b"new"]

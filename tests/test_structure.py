@@ -152,6 +152,25 @@ def test_two_store_containers():
                                 "src/repro/store/wal.py"]
 
 
+def test_one_durable_seam():
+    """Under ``src/repro/store`` only ``store/durable.py`` fsyncs,
+    renames, removes or truncates a file or makes a directory: the
+    durability policy (what is synced after what) is written once."""
+    syscall = re.compile(r"os\.(fsync|replace|rename|remove|unlink"
+                         r"|makedirs|mkdir)\b|(?<!durable)\.truncate\(")
+    hits = []
+    for name in _files("src/repro/store"):
+        relative = os.path.relpath(name, ROOT).replace(os.sep, "/")
+        if not name.endswith(".py") or \
+                relative == "src/repro/store/durable.py":
+            continue
+        with open(name, encoding="utf-8") as handle:
+            hits.extend("%s:%d: %s" % (relative, number, line.strip())
+                        for number, line in enumerate(handle, 1)
+                        if syscall.search(line))
+    assert not hits, "\n".join(hits)
+
+
 def _names_read(tree):
     """Every name ``tree`` reads, counting names inside string
     constants that parse as expressions (quoted annotations,
