@@ -93,7 +93,7 @@ from repro.store.segments import (
     write_checkpoint,
     write_segment,
 )
-from repro.store.wal import MAGIC, FsyncModel, WriteAheadLog, replay
+from repro.store.wal import MAGIC, WriteAheadLog, replay
 
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.log"
@@ -204,8 +204,7 @@ class StoreConfig:
                  compaction_fanout: int = 4,
                  retention_ms: Optional[float] = None,
                  checkpoint_interval_records: Optional[int] = None,
-                 segment_block_rows: int = DEFAULT_BLOCK_ROWS,
-                 fsync: Optional[FsyncModel] = None) -> None:
+                 segment_block_rows: int = DEFAULT_BLOCK_ROWS) -> None:
         #: Freeze the memtable into a segment at this many records
         #: (``None`` disables auto-flush; the WAL -- bounded by
         #: checkpoints if enabled -- then covers everything, which is
@@ -225,7 +224,6 @@ class StoreConfig:
         #: harder (a point read decodes less); larger blocks compress
         #: better.  The default is a good middle for both.
         self.segment_block_rows = max(1, int(segment_block_rows))
-        self.fsync = fsync or FsyncModel()
 
 
 @dataclass
@@ -553,8 +551,7 @@ class StoreEngine:
 
     def _open_wal(self, gen: int) -> None:
         self._wal_gen = gen
-        self.wal = WriteAheadLog(self._wal_path(), obs=self.obs,
-                                 fsync=self.config.fsync)
+        self.wal = WriteAheadLog(self._wal_path(), obs=self.obs)
         if (gen, 0, self.wal.path) not in self._wal_files:
             self._wal_files.append((gen, 0, self.wal.path))
 

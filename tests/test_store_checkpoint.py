@@ -1,6 +1,7 @@
-"""Checkpoint semantics: bounded replay, crash windows inside the
-checkpoint sequence, torn-checkpoint quarantine + fallback, dedup
-seeding, and the one WAL envelope form recovery replays."""
+"""Checkpoint semantics: bounded replay, a lost manifest,
+torn-checkpoint quarantine + fallback, dedup seeding, and the one WAL
+envelope form recovery replays.  Crashes at each step of the
+checkpoint sequence are ``tests/test_store_model.py``'s."""
 
 import json
 import os
@@ -11,7 +12,7 @@ from repro.backend.rollups import RollupStore
 from repro.core.persist import record_to_line
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability
-from repro.store import StoreConfig, StoreEngine, durable
+from repro.store import StoreConfig, StoreEngine
 from repro.store.engine import QUARANTINE_DIR
 from repro.store.segments import (
     SEGMENT_SCHEMA,
@@ -131,73 +132,6 @@ class TestBoundedReplay:
 
 
 class TestCrashWindows:
-    def test_crash_before_manifest_publish_ignores_the_orphan(
-            self, tmp_path, monkeypatch):
-        """Die after the checkpoint file lands but before the manifest
-        references it: recovery must ignore (and sweep) the orphan and
-        replay the full WAL."""
-        records = _records(90)
-        engine, _obs = _engine(tmp_path, flush_threshold_records=None,
-                               checkpoint_interval_records=None)
-        log_records(engine, records)
-        monkeypatch.setattr(engine, "_write_manifest", lambda: None)
-        name = engine.checkpoint()
-        monkeypatch.undo()
-        assert os.path.exists(os.path.join(engine.data_dir, name))
-        engine.crash()
-        info = engine.recover()
-        assert info.checkpoint_loaded is None
-        assert info.wal_records == 90
-        assert not os.path.exists(os.path.join(engine.data_dir, name))
-        assert engine.memtable.digest() == _reference(records).digest()
-        engine.close()
-
-    @pytest.mark.parametrize("write", ["flush", "compact"])
-    def test_a_segment_renamed_but_never_published_is_swept(
-            self, tmp_path, monkeypatch, write):
-        """Die at the manifest's rename, after a flush or a compaction
-        has renamed its segment into place: the segment is listed
-        nowhere and ``MANIFEST.json.tmp`` is left beside the manifest.
-        Recovery must delete both and come up with every record, and
-        leave on disk only what the manifest lists."""
-        records = _records(90)
-        engine, _obs = _engine(tmp_path, flush_threshold_records=None,
-                               checkpoint_interval_records=None)
-        for seq in (0, 1):
-            log_records(engine, records[30 * seq:30 * seq + 30],
-                        first_seq=seq)
-            engine.flush()
-        log_records(engine, records[60:], first_seq=2)
-        real = durable._step
-
-        def step(obs, kind, path, call, *args):
-            if kind == "rename" and os.path.basename(path) \
-                    == "MANIFEST.json":
-                raise OSError("died at the manifest's rename")
-            return real(obs, kind, path, call, *args)
-
-        monkeypatch.setattr(durable, "_step", step)
-        with pytest.raises(OSError):
-            if write == "flush":
-                engine.flush()
-            else:
-                engine.compact(force=True)
-        monkeypatch.undo()
-        segments = os.path.join(engine.data_dir, "segments")
-        assert len(os.listdir(segments)) == 3
-        engine.crash()
-        engine.recover()
-        assert sorted(os.listdir(segments)) == engine.segment_names()
-        assert sorted(os.listdir(engine.data_dir)) == sorted(
-            ["MANIFEST.json", "segments"]
-            + [os.path.basename(path) for path in engine.wal_paths()])
-        assert engine.materialize().digest() \
-            == _reference(records).digest()
-        assert engine.flush() is not None
-        assert engine.materialize().digest() \
-            == _reference(records).digest()
-        engine.close()
-
     def test_a_lost_manifest_leaves_the_segments_recoverable(
             self, tmp_path):
         """With ``MANIFEST.json`` gone after two flushes, the segments
@@ -232,30 +166,6 @@ class TestCrashWindows:
         log_records(engine, records[:30], first_seq=0)
         engine.flush()
         assert sorted(os.listdir(quarantine)) == sorted(before)
-        engine.close()
-
-    def test_crash_before_wal_pruning_cleans_stale_generations(
-            self, tmp_path, monkeypatch):
-        """Die after the manifest publish but before the covered WAL
-        generations are deleted: recovery must not replay them (double
-        count) and must finish the cleanup."""
-        records = _records(200)
-        engine, _obs = _engine(tmp_path, flush_threshold_records=None,
-                               checkpoint_interval_records=None)
-        log_records(engine, records[:100])
-        engine.checkpoint()
-        log_records(engine, records[100:], first_seq=1)
-        monkeypatch.setattr(engine, "_prune_wal_files", lambda: None)
-        engine.checkpoint()
-        monkeypatch.undo()
-        stale = len(engine.wal_paths())
-        assert stale >= 3                 # gen0 + gen1 + active gen2
-        engine.crash()
-        info = engine.recover()
-        assert info.wal_records == 0
-        assert engine.memtable.records == 200
-        assert engine.memtable.digest() == _reference(records).digest()
-        assert len(engine.wal_paths()) < stale
         engine.close()
 
     def test_torn_checkpoint_falls_back_to_the_previous(self,
@@ -305,98 +215,6 @@ class TestCrashWindows:
         assert info.wal_records == 130
         assert engine.memtable.digest() == _reference(records).digest()
         engine.close()
-
-
-class _Crash(Exception):
-    """The process dies at this call."""
-
-
-class TestBulkLoadCrashPoints:
-    """Every durable step one ``append_records`` call makes -- fsync,
-    rename, directory sync, WAL create, remove -- is a crash point.
-    Whichever one the process dies at, recovery comes back to one of
-    the call's durable boundaries -- before it, after a flush or
-    checkpoint inside it, or after it -- and every upload ACKed before
-    the call is there."""
-
-    #: A flush at 50 records and a checkpoint every 20: the uploads
-    #: leave a checkpoint and a WAL tail, and the load below takes
-    #: a checkpoint, a flush, two checkpoints and the one that ends it.
-    CONFIG = dict(flush_threshold_records=50,
-                  checkpoint_interval_records=20)
-    UPLOADS = _records(30, device="dev-up")
-    LOAD = _records(70, device="dev-load")
-    BOUNDARIES = (0, 10, 20, 40, 60, 70)
-
-    def _store(self, root):
-        engine = StoreEngine(root, config=StoreConfig(**self.CONFIG),
-                             obs=Observability())
-        log_records(engine, self.UPLOADS, per_batch=10, device="dev-up")
-        assert engine.checkpoint_names() and engine.wal_bytes() > 16
-        return engine
-
-    @staticmethod
-    def _at_the_kth(patch, k, calls):
-        """Count every step of the durable seam; with ``k``, raise in
-        place of the ``k``-th."""
-        real = durable._step
-
-        def step(obs, kind, path, call, *args):
-            calls.append((kind, os.path.basename(path)))
-            if len(calls) == k:
-                raise _Crash(kind)
-            return real(obs, kind, path, call, *args)
-        patch.setattr(durable, "_step", step)
-
-    def test_every_crash_point_recovers_a_durable_boundary(
-            self, tmp_path, monkeypatch):
-        # The boundaries are the load's prefixes where a flush or a
-        # checkpoint falls due, and its end.
-        states = [_reference(self.UPLOADS + self.LOAD[:m]).digest()
-                  for m in self.BOUNDARIES]
-        engine = self._store(str(tmp_path / "whole"))
-        seen = [engine.materialize().digest()]
-        for name in ("flush", "checkpoint"):
-            def boundary(real=getattr(engine, name)):
-                result = real()
-                seen.append(engine.materialize().digest())
-                return result
-            monkeypatch.setattr(engine, name, boundary)
-        calls = []
-        with monkeypatch.context() as patch:
-            self._at_the_kth(patch, None, calls)
-            assert engine.append_records(iter(self.LOAD)) == 70
-        assert seen == states
-        kinds = [kind for kind, _name in calls]
-        assert kinds.count("fsync") >= 5 and kinds.count("rename") >= 5
-        assert kinds.count("dir_sync") >= kinds.count("rename")
-        assert "create" in kinds
-        published = max(k for k, call in enumerate(calls, 1)
-                        if call == ("rename", "MANIFEST.json"))
-        engine.close()
-
-        recovered = set()
-        for k in range(1, len(calls) + 1):
-            engine = self._store(str(tmp_path / ("crash-%02d" % k)))
-            with monkeypatch.context() as patch:
-                self._at_the_kth(patch, k, [])
-                with pytest.raises(_Crash):
-                    engine.append_records(iter(self.LOAD))
-            engine.crash()
-            engine.recover()
-            digest = engine.materialize().digest()
-            assert digest in states, "crash at call %d %s" % (
-                k, calls[k - 1])
-            # The in-process crash keeps every rename made: a crash
-            # after the last manifest publish -- at its directory sync
-            # or a deletion behind it -- comes back at the load's end.
-            assert (digest == states[-1]) == (k > published), k
-            recovered.add(digest)
-            for seq in range(3):
-                assert engine.dedup[("dev-up", seq)] == 10
-            engine.close()
-        # The crash points reach every boundary.
-        assert recovered == set(states)
 
 
 class TestGenerationNames:

@@ -99,7 +99,7 @@ class TestWritePathAndRecovery:
         for record in records:
             engine.memtable.add(record)
         cost = engine.log_batch("dev-1", 0, len(records), records)
-        assert cost >= engine.config.fsync.base_ms
+        assert cost >= engine.wal.fsync.base_ms
         engine.crash()
         engine.recover()
         # The batch identity came back from the WAL: a replayed
@@ -478,7 +478,7 @@ class TestOneGeneration:
         assert not reopened.last_recovery.torn_tail
         reopened.close()
 
-    def test_the_knobs_are_the_six_some_caller_sets(self):
+    def test_the_knobs_are_the_five_some_caller_sets(self):
         import inspect
 
         from repro.backend import dedup, ingest
@@ -488,7 +488,7 @@ class TestOneGeneration:
             StoreConfig.__init__).parameters)[1:] == [
                 "flush_threshold_records", "compaction_fanout",
                 "retention_ms", "checkpoint_interval_records",
-                "segment_block_rows", "fsync"]
+                "segment_block_rows"]
         assert "dedup_capacity" not in inspect.signature(
             IngestPipeline.__init__).parameters
         # One dedup LRU, one capacity, whoever writes the map.
