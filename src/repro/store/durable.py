@@ -4,8 +4,10 @@ creates one the store keeps (docs/STORAGE.md, "Durability").
 
 A rename or a create has its directory synced before the call
 returns; :func:`sync`, the WAL commit, is one fsync and the only step
-on an upload's ACK.  Every syscall goes through :func:`_step`, which
-counts it; tests hook it to record the sequence or crash at the k-th.
+on an upload's ACK.  Recovery syncs what a dead process may have left
+unsynced before it serves it (:func:`sync_file`, :func:`sync_dir`).
+Every syscall goes through :func:`_step`, which counts it; tests hook
+it to record the sequence or crash at the k-th.
 ``os.fsync`` is looked up at each call, never bound at import, so a
 stand-in device that swaps it sees every one.
 """
@@ -37,7 +39,8 @@ def _step(obs: _Obs, kind: str, path: str, call, *args):
     return result
 
 
-def _sync_dir(obs: _Obs, path: str) -> None:
+def sync_dir(path: str, obs: _Obs = None) -> None:
+    """The entries of directory ``path`` durable as they stand."""
     fd = os.open(path or os.curdir, os.O_RDONLY)
     try:
         _step(obs, "dir_sync", path, os.fsync, fd)
@@ -49,7 +52,7 @@ def write_atomic(path: str, blob: bytes, obs: _Obs = None) -> None:
     with open(path + TMP, "wb") as handle:
         sync(handle, blob, obs)
     _step(obs, "rename", path, os.replace, path + TMP, path)
-    _sync_dir(obs, os.path.dirname(path))
+    sync_dir(os.path.dirname(path), obs)
 
 
 def create(path: str, header: bytes, obs: _Obs = None):
@@ -57,7 +60,7 @@ def create(path: str, header: bytes, obs: _Obs = None):
     handle = _step(obs, "create", path, open, path, "ab")
     try:
         sync(handle, header, obs)
-        _sync_dir(obs, os.path.dirname(path))
+        sync_dir(os.path.dirname(path), obs)
     except BaseException:
         handle.close()
         raise
@@ -70,6 +73,15 @@ def sync(handle, blob: bytes, obs: _Obs = None) -> None:
     _step(obs, "fsync", handle.name, os.fsync, handle.fileno())
 
 
+def sync_file(path: str, obs: _Obs = None) -> None:
+    """The bytes at ``path`` durable as they stand: a file recovery
+    replays may hold frames a dead process wrote whose fsync never
+    returned, and an upload replayed from one is ACKed as a
+    duplicate."""
+    with open(path, "rb") as handle:
+        _step(obs, "fsync", path, os.fsync, handle.fileno())
+
+
 def truncate(path: str, size: int, obs: _Obs = None) -> None:
     with open(path, "r+b") as handle:
         _step(obs, "truncate", path, handle.truncate, size)
@@ -78,8 +90,8 @@ def truncate(path: str, size: int, obs: _Obs = None) -> None:
 
 def move(source: str, target: str, obs: _Obs = None) -> None:
     _step(obs, "rename", target, os.replace, source, target)
-    _sync_dir(obs, os.path.dirname(target))
-    _sync_dir(obs, os.path.dirname(source))
+    sync_dir(os.path.dirname(target), obs)
+    sync_dir(os.path.dirname(source), obs)
 
 
 def make_dir(path: str, obs: _Obs = None) -> None:
@@ -87,7 +99,7 @@ def make_dir(path: str, obs: _Obs = None) -> None:
     if not os.path.isdir(path):
         make_dir(os.path.dirname(path), obs)
         _step(obs, "create", path, os.mkdir, path)
-        _sync_dir(obs, os.path.dirname(path))
+        sync_dir(os.path.dirname(path), obs)
 
 
 def remove(path: str, obs: _Obs = None) -> None:

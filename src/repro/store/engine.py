@@ -843,6 +843,13 @@ class StoreEngine:
                 else:
                     durable.truncate(path, result.valid_bytes, self.obs)
                 torn_files += 1
+            elif result.payloads:
+                durable.sync_file(path, self.obs)
+        if manifest is not None or live_files:
+            # A dead process may have renamed the manifest or created
+            # a WAL generation without syncing this directory: what
+            # recovery serves is made durable before it is served.
+            durable.sync_dir(self.data_dir, self.obs)
         info.dedup_entries = len(self.dedup)
 
         active_gen = max([gen for gen, _shard, _path in live_files],

@@ -413,7 +413,7 @@ WORKLOAD = [("log_batch", 6)] * 3 + [
     ("recover",)]
 #: The workload's seam steps by kind: a change to the durable sequence
 #: of any operation is a named re-pin.
-PINNED_STEPS = {"fsync": 26, "dir_sync": 20, "rename": 14, "remove": 11,
+PINNED_STEPS = {"fsync": 26, "dir_sync": 21, "rename": 14, "remove": 11,
                 "create": 6, "truncate": 1}
 
 
@@ -529,6 +529,42 @@ class TestEveryCrashPoint:
                 handle.write(blob)
             durable._step(obs, "rename", path, os.replace,
                           path + durable.TMP, path)
-            durable._sync_dir(obs, os.path.dirname(path))
+            durable.sync_dir(os.path.dirname(path), obs)
         monkeypatch.setattr(durable, "write_atomic", write_atomic)
         assert _enumerate(power=True, first=True)
+
+    @pytest.mark.parametrize("case, k", [
+        ("frame", 1), ("manifest", 9), ("generation", 3)])
+    def test_a_power_loss_takes_back_nothing_recovery_served(
+            self, tmp_path, case, k):
+        """A dead process's write stays visible whether or not its sync
+        returned -- a commit's fsync, the directory sync after a bulk
+        load's manifest rename, or after a new WAL generation that the
+        recovered engine then appends to -- so recovery syncs it."""
+        root = str(tmp_path / "store")
+        os.mkdir(root)
+        with _hooked(Disk(root)) as disk:
+            engine = StoreEngine(root, obs=Observability(), config=StoreConfig(
+                flush_threshold_records=None))
+
+            def upload(seq):
+                engine.memtable.add_all(_records(3 * seq, 3))
+                engine.log_batch("dev-up", seq, 3, _records(3 * seq, 3))
+            if case == "generation":
+                upload(0)
+            disk.crash_at = len(disk.steps) + k
+            with pytest.raises(_Crash):
+                {"frame": lambda: upload(0), "generation": engine.checkpoint,
+                 "manifest": lambda: engine.append_records(_records(0, 3))
+                 }[case]()
+            disk.crash_at, served = None, []
+            for power in (False, True):
+                engine.crash()
+                if power:
+                    disk.lose_power()
+                engine.recover()
+                if case == "generation" and not power:
+                    upload(1)
+                served.append((dict(engine.dedup), _digest(engine)))
+            engine.close()
+        assert served[1] == served[0] and served[0][1] != _digest(None)
