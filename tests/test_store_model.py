@@ -371,9 +371,12 @@ class StoreMachine(RuleBasedStateMachine):
     @rule()
     def recover(self):
         in_flight, self.down = self.down, None
+        # Without a manifest, recovery moves every segment it finds
+        # into quarantine/ (a .tmp it deletes).
         self.quarantined |= not os.path.exists(os.path.join(
-            self.disk.root, MANIFEST_NAME)) and bool(os.listdir(
-                os.path.join(self.disk.root, SEGMENT_DIR)))
+            self.disk.root, MANIFEST_NAME)) and any(
+                name.endswith(".seg") for name in os.listdir(
+                    os.path.join(self.disk.root, SEGMENT_DIR)))
         self._write(self.engine.recover, in_flight,
                     lambda: self._recovered(in_flight))
 
