@@ -778,7 +778,7 @@ class StoreEngine:
         self._covered_gen = -1
 
         manifest = self._load_manifest()
-        manifest_dirty = False
+        covered = -1
         if manifest is not None:
             if not self._explicit_config:
                 self.rollup_config = RollupConfig.from_dict(
@@ -786,7 +786,7 @@ class StoreEngine:
                 self.memtable.config = self.rollup_config
             self._next_seq = int(manifest["next_seq"])
             self._next_ckpt = int(manifest["next_ckpt"])
-            self._covered_gen = int(manifest["wal_covered_gen"])
+            self._covered_gen = covered = int(manifest["wal_covered_gen"])
             self.meta = dict(manifest["meta"])
             self.findings.extend(manifest["findings"])
             for device, seq, acked in manifest["dedup"]:
@@ -796,25 +796,19 @@ class StoreEngine:
                     info.segments_loaded += 1
                 else:
                     info.segments_quarantined += 1
-            manifest_dirty = info.segments_quarantined > 0
-            manifest_dirty |= self._load_checkpoint(
-                list(manifest["checkpoints"]), info)
-        covered = self._covered_gen
-        if manifest_dirty:
-            self._write_manifest()
+            covered = max(covered, self._load_checkpoint(
+                list(manifest["checkpoints"]), info))
+            if info.segments_quarantined or info.checkpoints_quarantined:
+                self._write_manifest()
         self._sweep_orphans(manifest is not None)
 
-        wal_files = self._discover_wal_files()
-        live_files: List[Tuple[int, int, str]] = []
-        for gen, shard, path in wal_files:
-            if gen <= covered:
-                # Covered by a checkpoint or flush that crashed before
-                # its deletions; finish the cleanup.
-                durable.remove(path, self.obs)
-            else:
-                live_files.append((gen, shard, path))
+        # Generations the flush watermark or the loaded checkpoint
+        # covers are not replayed; which of them stay on disk is
+        # _prune_wal_files' rule, once the active generation is open.
+        self._wal_files = self._discover_wal_files()
+        live_files = [entry for entry in self._wal_files
+                      if entry[0] > covered]
         info.wal_files = len(live_files)
-        self._wal_files = list(live_files)
         torn_files = 0
         for gen, shard, path in live_files:
             result = replay(path)
@@ -855,6 +849,7 @@ class StoreEngine:
         active_gen = max([gen for gen, _shard, _path in live_files],
                         default=covered + 1 if covered >= 0 else 0)
         self._open_wal(active_gen)
+        self._prune_wal_files()
         if torn_files:
             self.obs.inc("store.wal_torn_tails", torn_files)
 
@@ -874,12 +869,13 @@ class StoreEngine:
         return info
 
     def _load_checkpoint(self, entries: List[dict],
-                         info: RecoveryInfo) -> bool:
+                         info: RecoveryInfo) -> int:
         """Load the newest valid checkpoint into the memtable,
         quarantining torn ones and falling back to older entries.
-        Returns True when the manifest needs rewriting."""
+        Returns the WAL generation it covers (-1 with none loaded)."""
         survivors: List[dict] = []
         loaded_store = None
+        covers = -1
         for entry in reversed(entries):
             if loaded_store is None:
                 path = self._checkpoint_path(entry["name"])
@@ -892,8 +888,7 @@ class StoreEngine:
                 info.checkpoint_loaded = entry["name"]
                 info.checkpoint_records = (loaded_store.records
                                            + loaded_store.failure_records)
-                self._covered_gen = max(self._covered_gen,
-                                        int(entry["covers_gen"]))
+                covers = int(entry["covers_gen"])
             survivors.append(entry)
         survivors.reverse()
         self._checkpoints = survivors
@@ -902,7 +897,7 @@ class StoreEngine:
         if info.checkpoints_quarantined:
             self.obs.inc("store.checkpoints_quarantined",
                          info.checkpoints_quarantined)
-        return info.checkpoints_quarantined > 0
+        return covers
 
     def _quarantine(self, path: str) -> None:
         """Move ``path``, if it is there, into ``quarantine/``."""

@@ -216,6 +216,30 @@ class TestCrashWindows:
         assert engine.memtable.digest() == _reference(records).digest()
         engine.close()
 
+    def test_a_restart_keeps_the_wal_a_torn_checkpoint_needs(self,
+                                                            tmp_path):
+        """Recovery used to delete every WAL generation the checkpoint
+        it loaded covers, which the live engine keeps until a second
+        checkpoint exists: after a restart, a torn only checkpoint had
+        30 of the 130 ACKed records behind it."""
+        records = _records(130)
+        engine, _obs = _engine(tmp_path, flush_threshold_records=None,
+                               checkpoint_interval_records=None)
+        log_records(engine, records[:100])
+        name = engine.checkpoint()
+        log_records(engine, records[100:], first_seq=1)
+        engine.close()
+        kept = engine.wal_paths()
+        for torn in (False, True):
+            if torn:
+                _corrupt_tail(os.path.join(engine.data_dir, name))
+            reopened = StoreEngine(engine.data_dir, obs=Observability())
+            assert reopened.wal_paths() == kept
+            assert reopened.memtable.digest() \
+                == _reference(records).digest()
+            reopened.close()
+        assert reopened.last_recovery.wal_records == 130
+
 
 class TestGenerationNames:
     def test_a_generation_past_999999_is_found(self, tmp_path):
@@ -233,13 +257,14 @@ class TestGenerationNames:
         newest = os.path.join(engine.data_dir, "wal-g1000000-s00.log")
         assert engine._wal_path() == newest
         log_records(engine, records[1:], device="dev", first_seq=2)
+        kept = engine.wal_paths()
         engine.crash()
         info = engine.recover()
         assert (info.wal_files, info.wal_records) == (1, 1)
         assert engine.memtable.digest() == _reference(records).digest()
         assert (engine.dedup[("dev", 1)], engine.dedup[("dev", 2)]) \
             == (1, 1)
-        assert engine.wal_paths() == [newest]
+        assert engine.wal_paths() == kept and kept[-1] == newest
         engine.close()
         alone = tmp_path / "alone"
         alone.mkdir()

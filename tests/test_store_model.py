@@ -416,7 +416,7 @@ WORKLOAD = [("log_batch", 6)] * 3 + [
     ("recover",)]
 #: The workload's seam steps by kind: a change to the durable sequence
 #: of any operation is a named re-pin.
-PINNED_STEPS = {"fsync": 26, "dir_sync": 21, "rename": 14, "remove": 11,
+PINNED_STEPS = {"fsync": 26, "dir_sync": 21, "rename": 14, "remove": 10,
                 "create": 6, "truncate": 1}
 
 
