@@ -383,9 +383,16 @@ class StoreEngine:
     def _load_manifest(self) -> Optional[dict]:
         try:
             with open(self._manifest_path(), "rb") as handle:
-                manifest = _load_manifest_bytes(handle.read())
+                blob = handle.read()
         except FileNotFoundError:
             return None
+        try:
+            manifest = _load_manifest_bytes(blob)
+        except (ValueError, RecursionError):
+            manifest = None
+        if type(manifest) is not dict:
+            raise ValueError("manifest %s is not a JSON object"
+                             % self._manifest_path())
         if manifest.get("schema") != MANIFEST_SCHEMA:
             raise UnsupportedSchema(
                 "manifest %s" % self._manifest_path(),

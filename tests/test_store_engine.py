@@ -452,6 +452,21 @@ class TestOneGeneration:
         _dump_json(manifest, path)
         self._refused(root, ValueError, path, field)
 
+    @pytest.mark.parametrize("blob", [b"[1]", b"null", b'"x"', b"{"],
+                             ids=["array", "null", "string", "not-json"])
+    def test_a_manifest_that_is_no_json_object_is_refused(self, tmp_path,
+                                                          blob):
+        """Recovery raised ``AttributeError`` on a top level other than
+        an object, and a ``JSONDecodeError`` that did not name the
+        file on text that is no JSON: ``store inspect`` printed a
+        traceback for the one and a bare parser message for the
+        other."""
+        root, _digest = self._store(tmp_path)
+        path = os.path.join(root, "MANIFEST.json")
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        self._refused(root, ValueError, path, "not a JSON object")
+
     def test_other_generation_wal_is_refused_not_reset(self, tmp_path):
         """Found as data loss: one durable batch, the file's magic
         one generation on -- recovery reported a torn tail, came up
