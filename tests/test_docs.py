@@ -8,7 +8,9 @@ tables themselves: every page that does must say exactly what
 ``repro.backend.rollups.TABLE_SPECS`` says -- name, key parts, feeding
 kinds, grid and unit, stored order -- so a spec row and its four doc
 rows cannot drift apart.  The fault kinds' table says what
-``repro.faults.specs.FAULT_SPECS`` says the same way."""
+``repro.faults.specs.FAULT_SPECS`` says the same way, and the store's
+formats table what ``tests/test_store_formats.py``'s ``FORMAT_SPECS``
+says."""
 
 import os
 import re
@@ -18,6 +20,7 @@ import pytest
 from repro.backend.rollups import TABLE_SPECS
 from repro.faults.specs import FAULT_SPECS
 from repro.store.segments import stored_order
+from tests import test_store_formats as formats
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -125,3 +128,30 @@ def test_the_fault_kind_table_says_what_the_spec_says():
                    re.fullmatch(r"`([a-z ]+)`|—", cells[scope]).group(1))
                   for cells in rows[2:]]
     assert documented == [(spec.kind, spec.scope) for spec in FAULT_SPECS]
+
+
+#: How the formats table says each outcome and effect of a row.
+SAYS = {formats.AS_WRITTEN: "as written", formats.PREFIX: "last valid frame",
+        formats.AS_FOUND: "as found", formats.CUT_BACK: "cut back",
+        formats.QUARANTINE: "`quarantine/`"}
+
+
+def test_the_formats_table_says_what_the_spec_says():
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section("STORAGE.md", "## Formats").splitlines()
+            if line.startswith("|")]
+    header = rows[0]
+    # Both directions and in the rows' order.
+    assert [cells[0].split(" `")[0].split(" (")[0] for cells in rows[2:]] \
+        == [spec.form for spec in formats.FORMAT_SPECS]
+    for cells, spec in zip(rows[2:], formats.FORMAT_SPECS):
+        cell = dict(zip(header, cells))
+        assert "`%s`" % spec.reader in cell["the one reader"], spec.form
+        for column, cls in (("unsupported", "schema"), ("corrupt", "flip"),
+                            ("torn", "torn")):
+            outcome, effect = spec.owes[cls]
+            says = ["unchecked"] if isinstance(outcome, formats.Unchecked) \
+                else [SAYS.get(outcome) or "`%s`" % outcome.__name__,
+                      SAYS[effect]]
+            for word in says:
+                assert word in cell[column], (spec.form, column, word)

@@ -274,53 +274,6 @@ class TestBulkLoadCommits:
 
 
 class TestTornAndCorrupt:
-    def test_torn_wal_tail_truncated_and_reported(self, tmp_path):
-        engine, obs = _engine(tmp_path, flush_threshold_records=None)
-        log_records(engine, _records(40), per_batch=10)
-        engine.close()
-        wal_path = engine._wal_path()
-        size = os.path.getsize(wal_path)
-        with open(wal_path, "r+b") as handle:
-            handle.truncate(size - 5)         # mid-frame
-        recovered = StoreEngine(str(tmp_path / "store"), obs=obs)
-        info = recovered.last_recovery
-        assert info.torn_tail
-        assert info.wal_records == 30         # last envelope lost
-        assert obs.value("store.wal_torn_tails") == 1
-        # The tail was cut at the last valid frame: a fresh replay is
-        # clean and new appends land after it.
-        assert os.path.getsize(wal_path) < size
-        log_records(recovered, _records(5), first_seq=4)
-        recovered.crash()
-        assert recovered.recover().wal_records == 35
-        recovered.close()
-
-    def test_corrupt_segment_is_quarantined(self, tmp_path):
-        engine, _obs = _engine(tmp_path, flush_threshold_records=None)
-        engine.append_records(_records(40))
-        name = engine.flush()
-        path = engine._segment_path(name)
-        with open(path, "r+b") as handle:
-            handle.seek(20)
-            byte = handle.read(1)
-            handle.seek(20)
-            handle.write(bytes([byte[0] ^ 0xFF]))
-        engine.close()
-        obs = Observability()
-        recovered = StoreEngine(str(tmp_path / "store"), obs=obs)
-        info = recovered.last_recovery
-        assert info.segments_quarantined == 1
-        assert info.segments_loaded == 0
-        assert obs.value("store.segments_quarantined") == 1
-        assert not os.path.exists(path)
-        quarantined = os.path.join(str(tmp_path / "store"),
-                                   QUARANTINE_DIR, name)
-        assert os.path.exists(quarantined)
-        # The manifest no longer lists it: the next recovery is clean.
-        recovered.crash()
-        assert recovered.recover().segments_quarantined == 0
-        recovered.close()
-
     def test_bit_flipped_zone_map_is_quarantined(self, tmp_path):
         """The zone maps sit in the footer, under its CRC: one bit of
         a block's ``min`` text flipped is a checksum failure -- the
@@ -451,47 +404,6 @@ class TestOneGeneration:
         del manifest[field]
         _dump_json(manifest, path)
         self._refused(root, ValueError, path, field)
-
-    @pytest.mark.parametrize("blob", [b"[1]", b"null", b'"x"', b"{"],
-                             ids=["array", "null", "string", "not-json"])
-    def test_a_manifest_that_is_no_json_object_is_refused(self, tmp_path,
-                                                          blob):
-        """Recovery raised ``AttributeError`` on a top level other than
-        an object, and a ``JSONDecodeError`` that did not name the
-        file on text that is no JSON: ``store inspect`` printed a
-        traceback for the one and a bare parser message for the
-        other."""
-        root, _digest = self._store(tmp_path)
-        path = os.path.join(root, "MANIFEST.json")
-        with open(path, "wb") as handle:
-            handle.write(blob)
-        self._refused(root, ValueError, path, "not a JSON object")
-
-    def test_other_generation_wal_is_refused_not_reset(self, tmp_path):
-        """Found as data loss: one durable batch, the file's magic
-        one generation on -- recovery reported a torn tail, came up
-        empty and rewrote the file as a bare header."""
-        from repro.store import UnsupportedSchema
-        engine, _obs = _engine(tmp_path, flush_threshold_records=None)
-        records = _records(3)
-        for record in records:
-            engine.memtable.add(record)
-        engine.log_batch("dev-1", 0, 3, records)
-        engine.close()
-        path = engine._wal_path()
-        with open(path, "r+b") as handle:
-            handle.write(b"MOPWAL2\n")
-        size = os.path.getsize(path)
-        assert size > 8
-        self._refused(engine.data_dir, UnsupportedSchema, path,
-                      "MOPWAL2", "MOPWAL1")
-        assert os.path.getsize(path) == size
-        with open(path, "r+b") as handle:
-            handle.write(b"MOPWAL1\n")
-        reopened = StoreEngine(engine.data_dir, obs=Observability())
-        assert reopened.memtable.records == 3
-        assert not reopened.last_recovery.torn_tail
-        reopened.close()
 
     def test_the_knobs_are_the_five_some_caller_sets(self):
         import inspect

@@ -5,14 +5,12 @@ serves)."""
 
 import json
 import struct
-import zlib
 
 import pytest
 
 from repro.backend.rollups import MergeHist, RollupConfig, RollupStore
 from repro.core.records import MeasurementRecord
 from repro.obs import Observability
-from repro.backend.rollups import _encode_key
 from repro.store.blockcache import BlockCache
 from repro.store import encoding
 from repro.store.encoding import decode_block, encode_block
@@ -22,7 +20,6 @@ from repro.store.segments import (
     SEGMENT_SCHEMA,
     SegmentCorruption,
     SegmentReader,
-    TAIL_MAGIC,
     UnsupportedSchema,
     merged_rollups,
     prefix_range,
@@ -56,37 +53,6 @@ def _populated_store():
     store.add(_rec(domain="mmx.whatsapp.net", rtt=55.0))
     store.add(_rec(rtt=1.0, failure="timeout"))
     return store
-
-
-def _write_v1_segment(path, store, seq):
-    """The schema-1 layout as its writer (PR 5) laid it out: one
-    unindexed block per table, rows sorted by key *tuple* -- not by
-    encoded key, which is where ``1|...`` comes after ``10|...`` --
-    and a footer with neither zone maps nor a windows list.  (The row
-    bytes are today's: the gate refuses the file before any is read.)"""
-    parts = [MAGIC]
-    offset = len(MAGIC)
-    index = {}
-    for name in RollupStore.TABLES:
-        table = store.tables[name]
-        payload = encode_block([(_encode_key(key), table[key])
-                                for key in sorted(table)])
-        block = encoding.frame(zlib.compress(payload, 9))
-        parts.append(block)
-        index[name] = {"offset": offset, "length": len(block),
-                       "rows": len(table)}
-        offset += len(block)
-    footer = {"schema": 1, "seq": seq,
-              "config": store.config.to_dict(),
-              "records": store.records,
-              "failure_records": store.failure_records,
-              "tables": index}
-    parts.append(encoding.frame(json.dumps(
-        footer, sort_keys=True, separators=(",", ":")).encode()))
-    parts.append(encoding.pack_u64(offset))
-    parts.append(TAIL_MAGIC)
-    with open(path, "wb") as handle:
-        handle.write(b"".join(parts))
 
 
 class TestHistCodec:
@@ -435,18 +401,6 @@ class TestZoneMaps:
         store, reader, _stats = self._reader(tmp_path)
         assert reader.windows() == store.windows()
         reader.close()
-
-    def test_v1_monolithic_footer_is_refused_untouched(self, tmp_path):
-        """A PR-5 segment (schema 1: one unindexed block per table,
-        rows in tuple order, no windows list) used to load through
-        the same API.  It is now refused whole, by schema number,
-        before any of that is looked at -- and not as corruption."""
-        path = str(tmp_path / "seg.seg")
-        _write_v1_segment(path, _populated_store(), seq=1)
-        before = read_file(path)
-        with pytest.raises(UnsupportedSchema, match="schema 1 "):
-            SegmentReader(path)
-        assert read_file(path) == before
 
     def test_shared_cache_decodes_each_block_once(self, tmp_path):
         cache = BlockCache(capacity_bytes=1 << 20)

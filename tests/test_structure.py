@@ -8,6 +8,9 @@ import re
 
 import pytest
 
+import repro.store
+from tests.test_store_formats import FORMAT_SPECS
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 RULES = {
@@ -150,6 +153,15 @@ def test_two_store_containers():
                                                                  "/"))
     assert sorted(defining) == ["src/repro/store/segments.py",
                                 "src/repro/store/wal.py"]
+    # Each has a row of the one oracle of the store's formats: its
+    # reader is there.
+    readers = set()
+    for spec in FORMAT_SPECS:
+        target = repro.store
+        for part in spec.reader.split("."):
+            target = getattr(target, part)
+        readers.add("src/%s.py" % target.__module__.replace(".", "/"))
+    assert defining <= readers
 
 
 def test_one_durable_seam():
