@@ -37,6 +37,7 @@ from repro.store.segments import (SEGMENT_SCHEMA, SegmentCorruption,
                                   read_checkpoint)
 from tests.conftest import (CLOSES_WHAT_IT_OPENS, log_records, read_file,
                             tree_bytes, write_file)
+from tests.test_store_segments import _footer_edited
 
 pytestmark = CLOSES_WHAT_IT_OPENS
 
@@ -185,15 +186,6 @@ def _envelope_edit(body, change):
     return _dump(change(json.loads(head))) + newline + lines
 
 
-def _footer_edit(blob, change):
-    """The footer JSON as ``change`` returns it, re-framed and
-    re-pointed: every CRC valid."""
-    offset = encoding.unpack_u64(blob, len(blob) - 16)
-    footer = json.loads(encoding.read_frame(blob, offset)[0])
-    return (blob[:offset] + encoding.frame(_dump(change(footer)))
-            + blob[len(blob) - 16:])
-
-
 def _read_segment(path):
     if path.endswith(".ckpt"):
         return read_checkpoint(path).digest()
@@ -296,8 +288,8 @@ FORMAT_SPECS = (
         # the tail magic close the file.
         frames=lambda blob: (blob, _frame_ends(blob[:-16], 8)
                              + [len(blob) - 8, len(blob)], _as_is),
-        edit=_footer_edit,
-        schema=lambda body, schema: _footer_edit(body, _stamped(schema)),
+        edit=_footer_edited,
+        schema=lambda body, schema: _footer_edited(body, _stamped(schema)),
         others=(SEGMENT_SCHEMA - 1, SEGMENT_SCHEMA + 1),
         magics=(_with_magic(b"MOPSEG2\n"),
                 lambda body: body[:-8] + b"MOPSEGF2"),

@@ -457,19 +457,25 @@ def _swap_the_network_block(path, block):
            + data[-8:])
 
 
-def _rewrite_footer(path, mutate):
-    """Re-frame the footer JSON after ``mutate(footer)`` edits it in
-    place, preserving the block payload bytes before it."""
-    data = read_file(path)
+def _footer_edited(data, change):
+    """``data``, a segment file, with its footer JSON replaced by what
+    ``change(footer)`` returns, re-framed and re-pointed, the block
+    payload bytes before it preserved."""
     offset = encoding.unpack_u64(data, len(data) - 16)
     payload, _end, _status = encoding.read_frame(data, offset)
-    footer = json.loads(payload)
-    mutate(footer)
-    new_payload = json.dumps(footer, sort_keys=True,
+    new_payload = json.dumps(change(json.loads(payload)), sort_keys=True,
                              separators=(",", ":")).encode()
-    blob = (data[:offset] + encoding.frame(new_payload)
+    return (data[:offset] + encoding.frame(new_payload)
             + encoding.pack_u64(offset) + data[-8:])
-    write_file(path, blob)
+
+
+def _rewrite_footer(path, mutate):
+    """Re-frame the footer JSON after ``mutate(footer)`` edits it in
+    place."""
+    def change(footer):
+        mutate(footer)
+        return footer
+    write_file(path, _footer_edited(read_file(path), change))
 
 
 class TestSchemaWidening:
